@@ -27,7 +27,7 @@ from . import fitting, iqnoise, magnetometry as mag, thermal
 from .cavity import (cooperativity, dbm_to_watts, kappa_th_threshold_power,
                      watts_to_dbm)
 from .config import FLAT_KEYS, RunConfig, apply_overrides, parse_config
-from .errors import ConfigError, RubymagError
+from .errors import ConfigError, NonFiniteOutput, RubymagError
 from .spins import energy_level_sweep, write_energy_sweep_csv
 
 _TWO_PI = 2.0 * math.pi
@@ -61,6 +61,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list) -> list:
+    """Spell '--flag -1.2e-08' as '--flag=-1.2e-08'.
+
+    argparse reads any token that starts with '-' and is not a plain decimal
+    as an option, so a negative value in exponent form would never reach its
+    flag.
+    """
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and token.startswith("-") and _is_number(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _load_config(args) -> RunConfig:
     raw = {}
     if args.config is not None:
@@ -80,8 +105,7 @@ def _load_config(args) -> RunConfig:
     env_dir = os.environ.get("RUBYMAG_OUTDIR")
     if env_dir and ("run", "output_dir") not in overrides:
         overrides[("run", "output_dir")] = env_dir
-    merged = apply_overrides(raw, overrides)
-    return parse_config(json.dumps(merged))
+    return parse_config(apply_overrides(raw, overrides))
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -102,6 +126,15 @@ def _grid_spec(cfg: RunConfig) -> fitting.GridSpec:
                      g["n_omega_d"])
     return fitting.GridSpec(omega_s_values=ws, omega_d_values=wd,
                             drive_power=drive.power)
+
+
+def _write_json(path: Path, summary: dict) -> None:
+    """Strict JSON: a non-finite value fails the command, not the reader."""
+    try:
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutput(f"{path.name}: {exc}") from exc
+    path.write_text(text + "\n")
 
 
 def _default_noise_csv(name: str) -> Path:
@@ -217,7 +250,7 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
         summary["e_p_v_per_rthz"] = budget.e_p
         summary["phi_required_dbc_per_hz"] = budget.phi_required_dbc
     path = out / "sensitivity.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(path, summary)
     print(path)
     return 0
 
@@ -256,7 +289,7 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
         "best_b_gauss_per_power": [float(b_values[k] * 1e4) for k in arg_b],
     }
     path = out / "optimize.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(path, summary)
     print(path)
     return 0
 
@@ -274,7 +307,7 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
         summary["intercept_t"] = line.intercept
         summary["r_squared"] = line.r_squared
     path = _outdir(cfg) / "calibrate.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(path, summary)
     print(path)
     return 0
 
@@ -315,7 +348,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
                                         n["phi_measured_dbc_per_hz"], scfg)
         summary["phi_required_dbc_per_hz"] = budget.phi_required_dbc
     path = _outdir(cfg) / "report.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(path, summary)
     print(path)
     return 0
 
@@ -333,7 +366,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_negative_values(argv))
     try:
         cfg = _load_config(args)
     except ConfigError as exc:

@@ -206,21 +206,27 @@ def _convert_block(block_name: str, raw: dict) -> dict:
         converter, _ = schema[key]
         try:
             out[key] = converter(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise UnitMismatch(f"{block_name}.{key}: {exc}") from exc
+        if isinstance(out[key], float) and not math.isfinite(out[key]):
+            raise UnitMismatch(f"{block_name}.{key}: {value!r} is not a "
+                               f"finite number in internal units")
     for key, (converter, default) in schema.items():
         if key not in out:
             out[key] = converter(default) if default is not None else None
     return out
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON configuration document."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") \
-            from exc
+def parse_config(source: str | dict) -> RunConfig:
+    """Parse and validate a JSON configuration document, or its decoded object."""
+    if isinstance(source, str):
+        try:
+            raw = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    else:
+        raw = source
     if not isinstance(raw, dict):
         raise ParseError("top-level JSON value must be an object")
     for block_name, block in raw.items():

@@ -101,6 +101,10 @@ class DegenerateAbscissa(RubymagError, ValueError):
     pass
 
 
+class NonFiniteOutput(RubymagError, ValueError):
+    """A result to be written as strict JSON holds NaN or infinity."""
+
+
 class ConfigError(RubymagError, ValueError):
     """Base for configuration problems (maps to CLI exit code 2)."""
 

@@ -6,6 +6,11 @@ the complex residuals with a bounded Nelder-Mead simplex: strictly-positive
 rates are fit in log-space and every parameter is mapped through a logistic
 transform onto its bounds, so the simplex itself runs unconstrained.
 
+One kernel, _gamma_prime, writes the model for both evaluate_model_grid and
+the fit.  It takes plain floats and per-grid constants computed once per fit,
+so an objective evaluation builds no parameter objects and performs one
+complex division per grid point.
+
 Only g_eff = g_s sqrt(N) is identifiable from the reflection data; g_s is
 supplied (from the modal-volume coupling formula) and N is derived.
 """
@@ -23,7 +28,8 @@ from scipy.optimize import minimize
 
 from .cavity import CavityParams, DriveParams, EnsembleParams, NonIdealityParams
 from .constants import CONST
-from .errors import AllZeroBorder, InvalidBounds, ZeroRate
+from .errors import (AllZeroBorder, InvalidBounds, NonFiniteOutput,
+                     ParseError, ZeroKappaTh, ZeroRate)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -80,21 +86,55 @@ class FitOptions:
     fixed: tuple = ()             # PARAM_NAMES entries pinned at the guess
 
 
+def _grid_constants(spec: GridSpec, omega_c: float, g_s: float,
+                    omega_d_mean: float) -> tuple:
+    """Per-grid terms of Gamma' that no fitted parameter changes."""
+    return (spec.omega_s_values, spec.omega_d_values,
+            spec.omega_d_values - omega_d_mean, omega_c,
+            g_s ** 2 * spec.drive_power / (2.0 * CONST.hbar))
+
+
+def _gamma_prime(grid: tuple, params: list) -> np.ndarray:
+    """Gamma' over the grid from per-grid constants and PARAM_NAMES floats.
+
+    With delta' = (omega_s - omega_s_off) - (omega_d - omega_d_off),
+    G = g_eff^2 and S = g_s^2 n_cav kappa_s / (2 kappa_th), the interaction
+    term is rewritten exactly as Pi = G (kappa_s/2 + i delta') / D with the
+    real D = delta'^2 + kappa_s^2/4 + S, so
+
+        Gamma' = o - e + kappa_c1 e / (kappa_c/2 + i(omega_d - omega_d_off
+                                        - omega_c) + Pi)
+
+    with e = (1 + A + b d) exp(i(psi + d tau)) takes one complex division per
+    point, and Pi is exactly 0 when g_eff = 0.
+    """
+    omega_s, omega_d, d, omega_c, sat_scale = grid
+    (kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff,
+     o_r, o_i, A, b, psi, tau, omega_s_off, omega_d_off) = params
+    kappa_c = kappa_c0 + kappa_c1
+    wd = omega_d - omega_d_off
+    delta = np.subtract.outer(omega_s - omega_s_off, wd)
+    # n_cav = P / (hbar wd kappa_c) enters only through S
+    s_term = (sat_scale * kappa_s / (kappa_th * kappa_c)) / wd
+    g_over_d = delta * delta
+    g_over_d += 0.25 * kappa_s * kappa_s + s_term
+    np.divide(g_eff * g_eff, g_over_d, out=g_over_d)
+    den = np.empty(delta.shape, dtype=complex)
+    den.real = 0.5 * kappa_c + (0.5 * kappa_s) * g_over_d
+    den.imag = (wd - omega_c) + delta * g_over_d
+    e = (1.0 + A + b * d) * np.exp(1j * (psi + d * tau))
+    gamma = np.divide(kappa_c1 * e, den, out=den)
+    gamma += o_r + 1j * o_i - e
+    return gamma
+
+
 def evaluate_model_grid(cav: CavityParams, ens: EnsembleParams,
                         ni: NonIdealityParams, spec: GridSpec) -> np.ndarray:
     """Vectorized Gamma' over the grid; rows index omega_s, columns omega_d."""
-    ws = spec.omega_s_values[:, None] - ni.omega_s_off
-    wd = spec.omega_d_values[None, :] - ni.omega_d_off
-    kappa_c = cav.kappa_c
-    n_cav = spec.drive_power / (CONST.hbar * wd * kappa_c)
-    delta = wd - ws
-    saturation = (ens.g_s ** 2 * n_cav * ens.kappa_s / (2.0 * ens.kappa_th)) \
-        / (ens.kappa_s / 2.0 - 1j * delta)
-    pi_term = ens.g_s ** 2 * ens.N / (ens.kappa_s / 2.0 + 1j * delta + saturation)
-    gamma = -1.0 + cav.kappa_c1 / (kappa_c / 2.0 + 1j * (wd - cav.omega_c) + pi_term)
-    d = spec.omega_d_values[None, :] - ni.omega_d_mean
-    envelope = np.exp(1j * (ni.psi + d * ni.tau)) * (1.0 + ni.A + ni.b * d)
-    return ni.o_r + 1j * ni.o_i + envelope * gamma
+    if ens.kappa_th <= 0:
+        raise ZeroKappaTh("kappa_th must be positive")
+    grid = _grid_constants(spec, cav.omega_c, ens.g_s, ni.omega_d_mean)
+    return _gamma_prime(grid, _param_list(cav, ens, ni))
 
 
 def simulate_crossing(cav: CavityParams, ens: EnsembleParams,
@@ -196,29 +236,27 @@ class _BoundTransform:
                     raise InvalidBounds(f"{name} requires positive bounds")
                 lo, hi = math.log(lo), math.log(hi)
             self.lo[k], self.hi[k] = lo, hi
+        self.span = self.hi - self.lo
 
     def to_unconstrained(self, params: np.ndarray) -> np.ndarray:
         u = np.where(self.log, np.log(np.maximum(params, 1e-300)), params)
-        frac = np.clip((u - self.lo) / (self.hi - self.lo), 1e-12, 1.0 - 1e-12)
+        frac = np.clip((u - self.lo) / self.span, 1e-12, 1.0 - 1e-12)
         return np.log(frac / (1.0 - frac))
 
     def to_bounded(self, x: np.ndarray) -> np.ndarray:
-        frac = 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
-        u = self.lo + frac * (self.hi - self.lo)
-        out = u.copy()
-        out[self.log] = np.exp(u[self.log])
-        return out
+        # exp(-x) would overflow, with a warning, below x = -709; the cap
+        # keeps such trial points at the lower bound quietly
+        u = self.lo + self.span / (1.0 + np.exp(np.minimum(-x, 500.0)))
+        u[self.log] = np.exp(u[self.log])
+        return u
 
 
-def _params_to_vector(result: FitResult) -> np.ndarray:
-    ni = result.nonideal
-    return np.array([
-        result.cavity.kappa_c0, result.cavity.kappa_c1,
-        result.ensemble.kappa_s, result.ensemble.kappa_th,
-        result.ensemble.g_eff,
-        ni.o_r, ni.o_i, ni.A, ni.b, ni.psi, ni.tau,
-        ni.omega_s_off, ni.omega_d_off,
-    ])
+def _param_list(cav: CavityParams, ens: EnsembleParams,
+                ni: NonIdealityParams) -> list:
+    """Parameter values in PARAM_NAMES order."""
+    return [cav.kappa_c0, cav.kappa_c1, ens.kappa_s, ens.kappa_th, ens.g_eff,
+            ni.o_r, ni.o_i, ni.A, ni.b, ni.psi, ni.tau,
+            ni.omega_s_off, ni.omega_d_off]
 
 
 def _vector_to_params(vec: np.ndarray, template: FitResult,
@@ -231,7 +269,7 @@ def _vector_to_params(vec: np.ndarray, template: FitResult,
     ens = EnsembleParams(g_s=g_s, N=(g_eff / g_s) ** 2, kappa_s=kappa_s,
                          kappa_th=kappa_th, omega_s=template.ensemble.omega_s)
     with warnings.catch_warnings():
-        # trial points may transiently exceed the "small auxiliary" heuristic
+        # the bounds, not the "small auxiliary" heuristic, limit fitted values
         warnings.simplefilter("ignore", UserWarning)
         ni = NonIdealityParams(o_r=vec[5], o_i=vec[6], A=vec[7], b=vec[8],
                                psi=vec[9], tau=vec[10], omega_s_off=vec[11],
@@ -241,8 +279,7 @@ def _vector_to_params(vec: np.ndarray, template: FitResult,
 
 def objective_l1(model: np.ndarray, data: np.ndarray) -> float:
     """Sum of |Re| + |Im| of the complex residuals."""
-    resid = model - data
-    return float(np.sum(np.abs(resid.real)) + np.sum(np.abs(resid.imag)))
+    return float(np.abs((model - data).view(float)).sum())
 
 
 def fit_crossing(data: ComplexGrid2D, initial: FitResult,
@@ -266,18 +303,20 @@ def fit_crossing(data: ComplexGrid2D, initial: FitResult,
     if not free.any():
         raise InvalidBounds("at least one parameter must be free")
 
-    full0 = transform.to_unconstrained(_params_to_vector(initial))
+    full0 = transform.to_unconstrained(
+        _param_list(initial.cavity, initial.ensemble, initial.nonideal))
     x0 = full0[free]
+    grid = _grid_constants(spec, initial.cavity.omega_c, initial.ensemble.g_s,
+                           omega_d_mean)
+    full = full0.copy()
     evals = 0
 
     def fun(x):
         nonlocal evals
         evals += 1
-        full = full0.copy()
         full[free] = x
-        cav, ens, ni = _vector_to_params(transform.to_bounded(full), initial,
-                                         omega_d_mean)
-        return objective_l1(evaluate_model_grid(cav, ens, ni, spec), data.values)
+        model = _gamma_prime(grid, transform.to_bounded(full).tolist())
+        return objective_l1(model, data.values)
 
     rng = np.random.default_rng(options.seed)
     starts = [x0]
@@ -338,19 +377,41 @@ def write_grid_csv(path, grid: ComplexGrid2D) -> None:
 
 
 def read_grid_csv(path, drive_power: float) -> ComplexGrid2D:
-    """Inverse of write_grid_csv; drive power is not stored in the CSV."""
-    ws_list, wd_list, re_list, im_list = [], [], [], []
+    """Inverse of write_grid_csv; drive power is not stored in the CSV.
+
+    Rows may come in any order; each is placed at its (omega_s, omega_d)
+    point.  A missing column, a non-finite or non-numeric value, or a grid
+    point given twice or not at all raises ParseError.
+    """
+    columns = ("omega_s_hz", "omega_d_hz", "re", "im")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        for row in reader:
-            ws_list.append(float(row["omega_s_hz"]) * _TWO_PI)
-            wd_list.append(float(row["omega_d_hz"]) * _TWO_PI)
-            re_list.append(float(row["re"]))
-            im_list.append(float(row["im"]))
-    ws = np.unique(np.asarray(ws_list))
-    wd = np.unique(np.asarray(wd_list))
-    values = (np.asarray(re_list) + 1j * np.asarray(im_list)).reshape(
-        ws.size, wd.size)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ParseError(f"{path}: missing column(s) {missing}")
+        try:
+            table = np.array([[float(row[c]) for c in columns]
+                              for row in reader], dtype=float).reshape(-1, 4)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+    if not np.isfinite(table).all():
+        line = 2 + int(np.flatnonzero(~np.isfinite(table).all(axis=1))[0])
+        raise ParseError(f"{path}: non-finite value on line {line}")
+    ws, i = np.unique(table[:, 0] * _TWO_PI, return_inverse=True)
+    wd, j = np.unique(table[:, 1] * _TWO_PI, return_inverse=True)
+    if ws.size < 2 or wd.size < 2:
+        raise ParseError(f"{path}: need at least 2 omega_s and 2 omega_d "
+                         f"values, got {ws.size} and {wd.size}")
+    counts = np.zeros((ws.size, wd.size), dtype=int)
+    np.add.at(counts, (i, j), 1)
+    if (counts > 1).any():
+        raise ParseError(f"{path}: duplicate grid point(s), "
+                         f"{int((counts > 1).sum())} of {counts.size}")
+    if (counts == 0).any():
+        raise ParseError(f"{path}: {int((counts == 0).sum())} of "
+                         f"{counts.size} grid point(s) missing")
+    values = np.empty((ws.size, wd.size), dtype=complex)
+    values[i, j] = table[:, 2] + 1j * table[:, 3]
     spec = GridSpec(omega_s_values=ws, omega_d_values=wd,
                     drive_power=drive_power)
     return ComplexGrid2D(spec=spec, values=values)
@@ -377,13 +438,20 @@ def fit_result_to_dict(result: FitResult) -> dict:
         "delay_s": ni.tau,
         "omega_s_off_rad_per_s": ni.omega_s_off,
         "omega_d_off_rad_per_s": ni.omega_d_off,
-        "objective_value": result.objective_value,
+        # a result never evaluated carries math.inf, which JSON spells null
+        "objective_value": (None if result.objective_value == math.inf
+                            else result.objective_value),
         "iterations": result.iterations,
         "converged": result.converged,
     }
 
 
 def write_fit_json(path, result: FitResult) -> None:
+    """Strict JSON: a non-finite value raises NonFiniteOutput."""
+    try:
+        text = json.dumps(fit_result_to_dict(result), indent=2, sort_keys=True,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutput(f"{path}: {exc}") from exc
     with open(path, "w") as fh:
-        json.dump(fit_result_to_dict(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -179,6 +179,7 @@ def _fit_errors(noise_sigma, data_seed, guess_seed):
     }
 
 
+@pytest.mark.slow
 def test_criterion_13_fit_round_trip():
     clean = _fit_errors(0.0, data_seed=200, guess_seed=100)
     for name in ("g_eff", "kappa_c", "kappa_c1", "kappa_s"):

@@ -75,6 +75,13 @@ def test_parse_error_positions_and_shapes():
         parse_config('{"spin": 5}')
 
 
+def test_values_overflowing_on_conversion_rejected():
+    with pytest.raises(UnitMismatch):
+        parse_config('{"drive": {"power_dbm": 1e6}}')
+    with pytest.raises(UnitMismatch):
+        parse_config('{"ensemble": {"kappa_s_mhz": 1e305}}')
+
+
 def test_parse_serialize_parse_round_trip():
     raw = {"spin": {"d_ghz": -5.745}, "drive": {"power_dbm": 0.0},
            "grid": {"n_omega_s": 10, "noise_sigma": 0.01}}
@@ -171,6 +178,7 @@ def test_crossing_sim_reproducible_and_seed_sensitive(tmp_path):
     assert same != (tmp_path / "c" / "crossing.csv").read_bytes()
 
 
+@pytest.mark.slow
 def test_crossing_pipeline_round_trip(tmp_path):
     """crossing-sim then crossing-fit recovers the config's truth values."""
     common = ["--output-dir", str(tmp_path), "--n-omega-s", "20",
@@ -230,3 +238,57 @@ def test_flag_overrides_env_variable(tmp_path, monkeypatch):
     assert run_cli("calibrate", "--output-dir", str(tmp_path / "flag")) == 0
     assert (tmp_path / "flag" / "calibrate.json").exists()
     assert not (tmp_path / "env" / "calibrate.json").exists()
+
+
+def test_negative_exponent_flag_value(tmp_path):
+    """'--tau-s -1.2e-08' reaches its flag, same as the config key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"nonideal": {"tau_s": -1.2e-08}}')
+    common = ["--n-omega-s", "4", "--n-omega-d", "5"]
+    assert run_cli("crossing-sim", *common, "--output-dir",
+                   str(tmp_path / "flag"), "--tau-s", "-1.2e-08") == 0
+    assert run_cli("crossing-sim", *common, "--output-dir",
+                   str(tmp_path / "file"), "--config", str(cfg)) == 0
+    assert run_cli("crossing-sim", *common, "--output-dir",
+                   str(tmp_path / "zero")) == 0
+    flag = (tmp_path / "flag" / "crossing.csv").read_bytes()
+    assert flag == (tmp_path / "file" / "crossing.csv").read_bytes()
+    assert flag != (tmp_path / "zero" / "crossing.csv").read_bytes()
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_non_finite_config_value_exits_two(tmp_path, capsys, source):
+    if source == "flag":
+        argv = ["--kappa-s-mhz", "NaN"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"ensemble": {"kappa_s_mhz": Infinity}}')
+        argv = ["--config", str(cfg)]
+    assert run_cli("report", "--output-dir", str(tmp_path), *argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR UnitMismatch: ")
+    assert "kappa_s_mhz" in err[0]
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_non_finite_result_fails_command(tmp_path, capsys, monkeypatch):
+    from rubymag import magnetometry
+    monkeypatch.setattr(magnetometry, "sensitivity",
+                        lambda *args: math.nan)
+    assert run_cli("sensitivity", "--output-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR NonFiniteOutput: ")
+    assert not (tmp_path / "sensitivity.json").exists()
+
+
+def test_crossing_fit_ragged_csv_exits_two(tmp_path, capsys):
+    assert run_cli("crossing-sim", "--output-dir", str(tmp_path),
+                   "--n-omega-s", "4", "--n-omega-d", "4") == 0
+    path = tmp_path / "crossing.csv"
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    capsys.readouterr()
+    assert run_cli("crossing-fit", "--output-dir", str(tmp_path),
+                   "--input", str(path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR ParseError: ")
+    assert not (tmp_path / "fit.json").exists()

@@ -1,6 +1,8 @@
 import json
 import math
+import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +10,12 @@ import pytest
 from rubymag.cavity import (CavityParams, EnsembleParams, NonIdealityParams,
                             dbm_to_watts, kappa_th_threshold_power,
                             single_spin_coupling, watts_to_dbm)
-from rubymag.errors import AllZeroBorder, InvalidBounds, ZeroRate
-from rubymag.fitting import (ComplexGrid2D, FitOptions, FitResult, GridSpec,
+from rubymag import fitting
+from rubymag.constants import CONST
+from rubymag.errors import (AllZeroBorder, InvalidBounds, NonFiniteOutput,
+                            ParseError, ZeroKappaTh, ZeroRate)
+from rubymag.fitting import (PARAM_NAMES, ComplexGrid2D, FitOptions,
+                             FitResult, GridSpec, default_bounds,
                              dip_trajectory, evaluate_model_grid, fit_crossing,
                              fit_result_to_dict, normalize_grid, objective_l1,
                              read_grid_csv, relaxation_times,
@@ -107,6 +113,11 @@ def test_simulate_zero_coupling_rows_identical():
     grid = simulate_crossing(CAV, empty, NI, spec, 0.0, seed=0)
     for row in grid.values[1:]:
         assert np.allclose(row, grid.values[0], rtol=0, atol=0)
+
+
+def test_simulate_rejects_zero_kappa_th():
+    with pytest.raises(ZeroKappaTh):
+        simulate_crossing(CAV, replace(ENS, kappa_th=0.0), NI, wide_spec(4, 4))
 
 
 def test_bare_cavity_dip_sits_at_cavity_resonance():
@@ -211,7 +222,6 @@ def test_fixed_parameter_validation():
     init = guess_from(CAV, ENS, NI, spec)
     with pytest.raises(InvalidBounds):
         fit_crossing(grid, init, options=FitOptions(fixed=("kapa_s",)))
-    from rubymag.fitting import PARAM_NAMES
     with pytest.raises(InvalidBounds):
         fit_crossing(grid, init, options=FitOptions(fixed=tuple(PARAM_NAMES)))
 
@@ -220,7 +230,6 @@ def test_invalid_bounds_rejected():
     spec = wide_spec(5, 5)
     grid = simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=0)
     init = guess_from(CAV, ENS, NI, spec)
-    from rubymag.fitting import default_bounds
     bad = default_bounds(init)
     bad["kappa_s"] = (bad["kappa_s"][1], bad["kappa_s"][0])
     with pytest.raises(InvalidBounds):
@@ -231,6 +240,118 @@ def test_invalid_bounds_rejected():
         fit_crossing(grid, init, bounds=bad)
 
 
+def reference_model(params, spec, omega_c, g_s, omega_d_mean):
+    """Gamma' written term by term, as three nested complex divisions."""
+    (kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff,
+     o_r, o_i, A, b, psi, tau, omega_s_off, omega_d_off) = params
+    ws = spec.omega_s_values[:, None] - omega_s_off
+    wd = spec.omega_d_values[None, :] - omega_d_off
+    kappa_c = kappa_c0 + kappa_c1
+    n_cav = spec.drive_power / (CONST.hbar * wd * kappa_c)
+    delta = wd - ws
+    saturation = (g_s ** 2 * n_cav * kappa_s / (2.0 * kappa_th)) \
+        / (kappa_s / 2.0 - 1j * delta)
+    pi_term = g_s ** 2 * (g_eff / g_s) ** 2 \
+        / (kappa_s / 2.0 + 1j * delta + saturation)
+    gamma = -1.0 + kappa_c1 / (kappa_c / 2.0 + 1j * (wd - omega_c) + pi_term)
+    d = spec.omega_d_values[None, :] - omega_d_mean
+    envelope = np.exp(1j * (psi + d * tau)) * (1.0 + A + b * d)
+    return o_r + 1j * o_i + envelope * gamma
+
+
+def reference_l1(model, data):
+    resid = model - data
+    return float(np.sum(np.abs(resid.real)) + np.sum(np.abs(resid.imag)))
+
+
+def test_fused_objective_matches_reference(monkeypatch):
+    """The fit's objective equals the term-by-term model at random points.
+
+    A stand-in minimizer feeds fit_crossing's objective chosen unconstrained
+    points, so the bound transform and the splicing of fixed parameters are
+    checked along with the Gamma' kernel.
+    """
+    spec = wide_spec(20, 24)
+    grid = simulate_crossing(CAV, ENS, NI, spec, 0.02, seed=9)
+    init = guess_from(CAV, ENS, NI, spec)
+    bounds = default_bounds(init)
+    guess = np.array([CAV.kappa_c0, CAV.kappa_c1, ENS.kappa_s, ENS.kappa_th,
+                      ENS.g_eff, NI.o_r, NI.o_i, NI.A, NI.b, NI.psi, NI.tau,
+                      NI.omega_s_off, NI.omega_d_off])
+    rng = np.random.default_rng(21)
+    checked = 0
+    for fixed, n_points in (((), 16), (("kappa_th", "A", "tau"), 8)):
+        free = np.array([name not in fixed for name in PARAM_NAMES])
+        points = []
+        for _ in range(n_points):
+            frac = rng.uniform(0.02, 0.98, len(PARAM_NAMES))
+            params = guess.copy()
+            for k, name in enumerate(PARAM_NAMES):
+                lo, hi = bounds[name]
+                if not free[k]:
+                    continue
+                if k < 5:
+                    params[k] = math.exp(math.log(lo)
+                                         + frac[k] * math.log(hi / lo))
+                else:
+                    params[k] = lo + frac[k] * (hi - lo)
+            points.append((np.log(frac / (1.0 - frac))[free], params))
+        seen = []
+
+        def stand_in(fun, x0, method, options):
+            for x, _ in points:
+                seen.append(fun(x))
+            return SimpleNamespace(x=x0, fun=math.inf, nit=0)
+
+        monkeypatch.setattr(fitting, "minimize", stand_in)
+        fit_crossing(grid, init, bounds=bounds,
+                     options=FitOptions(fixed=fixed, multi_starts=1,
+                                        max_restarts=1))
+        for got, (_, params) in zip(seen, points):
+            want = reference_model(params, spec, CAV.omega_c, ENS.g_s,
+                                   spec.omega_d_mean)
+            assert got == pytest.approx(reference_l1(want, grid.values),
+                                        rel=1e-12)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                ni = NonIdealityParams(*params[5:],
+                                       omega_d_mean=spec.omega_d_mean)
+            cav = CavityParams(omega_c=CAV.omega_c, kappa_c0=params[0],
+                               kappa_c1=params[1])
+            ens = EnsembleParams(g_s=G_S, N=(params[4] / G_S) ** 2,
+                                 kappa_s=params[2], kappa_th=params[3])
+            assert np.allclose(evaluate_model_grid(cav, ens, ni, spec), want,
+                               rtol=1e-12, atol=1e-12)
+            checked += 1
+    assert checked == 24
+
+
+def test_fit_calls_objective_once_per_evaluation(monkeypatch):
+    spec = wide_spec(10, 10)
+    grid = simulate_crossing(CAV, ENS, NI, spec, 0.01, seed=2)
+    init = guess_from(CAV, ENS, NI, spec, np.random.default_rng(3))
+    calls, nfev = [], []
+    real_objective, real_minimize = fitting.objective_l1, fitting.minimize
+
+    def counting_objective(model, data):
+        calls.append(1)
+        return real_objective(model, data)
+
+    def counting_minimize(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(fitting, "objective_l1", counting_objective)
+    monkeypatch.setattr(fitting, "minimize", counting_minimize)
+    opts = FitOptions(max_evaluations=600, seed=1)
+    fit_crossing(grid, init, options=opts)
+    # one evaluation of the guess, one per start, the rest inside minimize
+    assert len(calls) == 1 + opts.multi_starts + sum(nfev)
+    assert len(calls) <= opts.max_evaluations + opts.multi_starts
+
+
+@pytest.mark.slow
 def test_round_trip_twenty_random_truths():
     """Noiseless fits recover physical params within 1%, auxiliaries to 5%."""
     rng = np.random.default_rng(7)
@@ -260,6 +381,7 @@ def test_round_trip_twenty_random_truths():
         assert got.omega_d_off == pytest.approx(want.omega_d_off, rel=0.05)
 
 
+@pytest.mark.slow
 def test_kappa_th_power_sensitivity():
     """kappa_th recovery degrades far below the threshold power.
 
@@ -330,3 +452,49 @@ def test_fit_json_units_in_keys(tmp_path):
     loaded = json.loads(path.read_text())
     assert loaded["g_eff_rad_per_s"] == pytest.approx(ENS.g_eff)
     assert loaded["delay_s"] == pytest.approx(NI.tau)
+
+
+def test_grid_csv_rows_in_any_order(tmp_path):
+    spec = wide_spec(6, 5)
+    grid = simulate_crossing(CAV, ENS, NI, spec, 0.01, seed=3)
+    path = tmp_path / "grid.csv"
+    write_grid_csv(path, grid)
+    header, *rows = path.read_text().splitlines()
+    rows.sort(key=lambda line: -float(line.split(",")[1]))
+    path.write_text("\n".join([header] + rows) + "\n")
+    back = read_grid_csv(path, drive_power=spec.drive_power)
+    assert np.allclose(back.spec.omega_s_values, spec.omega_s_values)
+    assert np.allclose(back.spec.omega_d_values, spec.omega_d_values)
+    assert np.allclose(back.values, grid.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:-1], "missing"),
+    (lambda lines: lines + [lines[3]], "duplicate"),
+    (lambda lines: [lines[0].replace(",im", ",imag")] + lines[1:], "column"),
+    (lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0] + ",nan"]
+     + lines[5:], "non-finite"),
+    (lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0] + ",x"]
+     + lines[5:], "x"),
+    (lambda lines: lines[:1], "at least 2"),
+])
+def test_grid_csv_malformed_rejected(tmp_path, edit, message):
+    spec = wide_spec(4, 3)
+    path = tmp_path / "grid.csv"
+    write_grid_csv(path, simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=0))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ParseError, match=message):
+        read_grid_csv(path, drive_power=spec.drive_power)
+
+
+def test_fit_json_is_strict(tmp_path):
+    spec = wide_spec(5, 5)
+    init = guess_from(CAV, ENS, NI, spec)
+    write_fit_json(tmp_path / "fit.json", init)
+    text = (tmp_path / "fit.json").read_text()
+    assert json.loads(text, parse_constant=pytest.fail)["objective_value"] \
+        is None
+    broken = replace(init, nonideal=replace(init.nonideal, psi=math.nan))
+    with pytest.raises(NonFiniteOutput):
+        write_fit_json(tmp_path / "broken.json", broken)
+    assert not (tmp_path / "broken.json").exists()
