@@ -8,11 +8,11 @@ measured dispersive response and the known slope.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .constants import CONST
 from .errors import DegenerateAbscissa, TooFewPoints, ZeroSlope
@@ -53,10 +53,15 @@ def linear_calibration(x, y) -> LinearCalibration:
         raise TooFewPoints("need at least two calibration points")
     if np.ptp(x) == 0:
         raise DegenerateAbscissa("abscissa values are all identical")
-    result = stats.linregress(x, y)
-    return LinearCalibration(slope=float(result.slope),
-                             intercept=float(result.intercept),
-                             r_squared=float(result.rvalue ** 2))
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx, sxy, syy = dx @ dx, dx @ dy, dy @ dy
+    slope = sxy / sxx
+    # a constant y leaves r undefined: NaN, as scipy.stats.linregress has it
+    r_squared = min(sxy * sxy / (sxx * syy), 1.0) if syy > 0 else math.nan
+    return LinearCalibration(slope=float(slope),
+                             intercept=float(y.mean() - slope * x.mean()),
+                             r_squared=float(r_squared))
 
 
 def test_field_from_slope(v_rms: float, m_slope: float) -> float:

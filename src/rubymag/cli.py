@@ -27,7 +27,7 @@ from . import fitting, iqnoise, magnetometry as mag, thermal
 from .cavity import (cooperativity, dbm_to_watts, kappa_th_threshold_power,
                      watts_to_dbm)
 from .config import FLAT_KEYS, RunConfig, apply_overrides, parse_config
-from .errors import ConfigError, NonFiniteOutput, RubymagError
+from .errors import ConfigError, NonFiniteOutput, ParseError, RubymagError
 from .spins import energy_level_sweep, write_energy_sweep_csv
 
 _TWO_PI = 2.0 * math.pi
@@ -90,7 +90,11 @@ def _load_config(args) -> RunConfig:
     raw = {}
     if args.config is not None:
         text = Path(args.config).read_text(encoding="utf-8")
-        raw = json.loads(text) if text.strip() else {}
+        try:
+            raw = json.loads(text) if text.strip() else {}
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{args.config}: line {exc.lineno} column "
+                             f"{exc.colno}: {exc.msg}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a JSON object")
     overrides = {}
@@ -118,14 +122,17 @@ def _grid_spec(cfg: RunConfig) -> fitting.GridSpec:
     g = cfg["grid"]
     ens = cfg.ensemble()
     drive = cfg.drive()
-    ws = np.linspace(ens.omega_s - g["omega_s_span_mhz"] / 2.0,
-                     ens.omega_s + g["omega_s_span_mhz"] / 2.0,
-                     g["n_omega_s"])
-    wd = np.linspace(drive.omega_d - g["omega_d_span_mhz"] / 2.0,
-                     drive.omega_d + g["omega_d_span_mhz"] / 2.0,
-                     g["n_omega_d"])
-    return fitting.GridSpec(omega_s_values=ws, omega_d_values=wd,
-                            drive_power=drive.power)
+    try:
+        ws = np.linspace(ens.omega_s - g["omega_s_span_mhz"] / 2.0,
+                         ens.omega_s + g["omega_s_span_mhz"] / 2.0,
+                         g["n_omega_s"])
+        wd = np.linspace(drive.omega_d - g["omega_d_span_mhz"] / 2.0,
+                         drive.omega_d + g["omega_d_span_mhz"] / 2.0,
+                         g["n_omega_d"])
+        return fitting.GridSpec(omega_s_values=ws, omega_d_values=wd,
+                                drive_power=drive.power)
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
 
 
 def _write_json(path: Path, summary: dict) -> None:

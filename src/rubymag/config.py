@@ -10,6 +10,7 @@ and blocks fall back to the built-in defaults.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from .calibration import CoilGeometry
 from .cavity import (CavityParams, DriveParams, EnsembleParams,
                      NonIdealityParams, dbm_to_watts, single_spin_coupling)
-from .errors import ParseError, UnitMismatch, UnknownKey
+from .errors import ConfigError, ParseError, UnitMismatch, UnknownKey
 from .magnetometry import TestFieldSpec
 from .spins import SpinSystem
 from .thermal import (MaterialParams, boltzmann_populations,
@@ -122,6 +123,19 @@ def _strip_unit(key: str) -> str:
     return key
 
 
+def _view(method):
+    """A RunConfig view whose parameter checks fail as ConfigError."""
+    @functools.wraps(method)
+    def view(self):
+        try:
+            return method(self)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{method.__name__}: {exc}") from exc
+    return view
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully-validated configuration in internal units (rad/s, T, W)."""
@@ -132,10 +146,12 @@ class RunConfig:
         return self.values[block]
 
     # ----- domain-object views ------------------------------------------
+    @_view
     def spin_system(self) -> SpinSystem:
         s = self["spin"]
         return SpinSystem(D=s["d_ghz"], g_par=s["g_par"], g_perp=s["g_perp"])
 
+    @_view
     def material(self) -> MaterialParams:
         m = self["material"]
         return MaterialParams(V_cav=m["v_cav_mm3"], V_cell=m["v_cell_nm3"],
@@ -147,12 +163,14 @@ class RunConfig:
     def temperature(self) -> float:
         return self["material"]["temperature_k"]
 
+    @_view
     def cavity(self) -> CavityParams:
         c = self["cavity"]
         return CavityParams(omega_c=c["omega_c_ghz"],
                             kappa_c0=c["kappa_c0_khz"],
                             kappa_c1=c["kappa_c1_khz"])
 
+    @_view
     def ensemble(self) -> EnsembleParams:
         e = self["ensemble"]
         g_s = e["g_s_hz"]
@@ -168,10 +186,12 @@ class RunConfig:
                               kappa_th=e["kappa_th_khz"],
                               omega_s=e["omega_s_ghz"])
 
+    @_view
     def drive(self) -> DriveParams:
         d = self["drive"]
         return DriveParams(omega_d=d["omega_d_ghz"], power=d["power_dbm"])
 
+    @_view
     def nonideal(self) -> NonIdealityParams:
         n = self["nonideal"]
         return NonIdealityParams(o_r=n["o_r"], o_i=n["o_i"],
@@ -181,11 +201,13 @@ class RunConfig:
                                  omega_d_off=n["omega_d_off_mhz"],
                                  omega_d_mean=self["drive"]["omega_d_ghz"])
 
+    @_view
     def coil(self) -> CoilGeometry:
         c = self["calibration"]
         return CoilGeometry(n_turns=c["n_turns"], radius=c["coil_radius_mm"],
                             distance=c["coil_distance_mm"])
 
+    @_view
     def test_field(self) -> TestFieldSpec:
         s = self["sweep"]
         return TestFieldSpec(amplitude_rms=s["test_amplitude_nt"],
@@ -206,7 +228,11 @@ def _convert_block(block_name: str, raw: dict) -> dict:
         converter, _ = schema[key]
         try:
             out[key] = converter(value)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
+            expected = "an integer" if converter is int else "a number"
+            raise UnitMismatch(f"{block_name}.{key}: expected {expected}, "
+                               f"got {value!r}") from exc
+        except OverflowError as exc:
             raise UnitMismatch(f"{block_name}.{key}: {exc}") from exc
         if isinstance(out[key], float) and not math.isfinite(out[key]):
             raise UnitMismatch(f"{block_name}.{key}: {value!r} is not a "

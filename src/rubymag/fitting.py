@@ -2,9 +2,13 @@
 
 The forward model is the non-ideality-wrapped reflection coefficient
 evaluated over an (omega_s, omega_d) grid.  Fitting minimizes the L1 norm of
-the complex residuals with a bounded Nelder-Mead simplex: strictly-positive
-rates are fit in log-space and every parameter is mapped through a logistic
-transform onto its bounds, so the simplex itself runs unconstrained.
+the complex residuals.  Strictly-positive rates are fit in log-space and every
+parameter is mapped through a logistic transform onto its bounds, so the
+search itself runs unconstrained, in three stages: Levenberg-Marquardt on the
+real and imaginary residuals reaches the least-squares optimum in a few
+finite-difference Jacobians, iteratively reweighted least squares (weights
+1/sqrt|r|) moves it to the L1 optimum, and a Nelder-Mead polish on the L1
+objective ends the search and decides convergence.
 
 One kernel, _gamma_prime, writes the model for both evaluate_model_grid and
 the fit.  It takes plain floats and per-grid constants computed once per fit,
@@ -79,10 +83,8 @@ class FitResult:
 class FitOptions:
     max_evaluations: int = 150000
     objective_tol: float = 1e-10
-    max_restarts: int = 12
-    multi_starts: int = 3         # jittered starts including the guess
-    jitter: float = 0.05          # relative jitter for extra starts
-    seed: int = 0
+    seed: int = 0                 # accepted for callers; the search draws
+                                  # no random numbers
     fixed: tuple = ()             # PARAM_NAMES entries pinned at the guess
 
 
@@ -184,7 +186,7 @@ def dip_trajectory(grid: ComplexGrid2D) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bounded Nelder-Mead fit
+# bounded fit: Levenberg-Marquardt, IRLS, Nelder-Mead polish
 
 _PHYSICAL = ("kappa_c0", "kappa_c1", "kappa_s", "kappa_th", "g_eff")
 _AUXILIARY = ("o_r", "o_i", "A", "b", "psi", "tau", "omega_s_off", "omega_d_off")
@@ -282,13 +284,83 @@ def objective_l1(model: np.ndarray, data: np.ndarray) -> float:
     return float(np.abs((model - data).view(float)).sum())
 
 
+# damped Gauss-Newton and IRLS constants
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)   # forward-difference step
+_INITIAL_DAMPING = 1e-3
+_MIN_DAMPING = 1e-12
+_MAX_DAMPING = 1e10
+_IRLS_FLOOR = 1e-6   # |r| below which IRLS weights stop growing
+_IRLS_TOL = 1e-8     # relative L1 gain of one reweighted step that ends IRLS
+
+
+class _BudgetSpent(Exception):
+    """The fit's evaluation budget is used up."""
+
+
+def _jacobian(evaluate, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian of the residuals r at x."""
+    jac = np.empty((r.size, x.size))
+    for k in range(x.size):
+        step = x.copy()
+        step[k] += _SQRT_EPS * max(1.0, abs(x[k]))
+        jac[:, k] = (evaluate(step)[0] - r) / (step[k] - x[k])
+    return jac
+
+
+def _levenberg_marquardt(evaluate, x: np.ndarray, r: np.ndarray, f: float,
+                         l1: bool, tol: float) -> tuple:
+    """Damped Gauss-Newton steps from x; returns (x, r, steps).
+
+    evaluate(x) gives the real residuals and their L1 norm; r and f are the
+    residuals and the objective at x.  With l1 False the objective is sum r^2.
+    With l1 True it is sum |r|, and each step first reweights the rows by
+    w = 1/sqrt(max(|r|, _IRLS_FLOOR)) (iteratively reweighted least squares),
+    so that sum w^2 r^2 equals sum |r| at x wherever |r| exceeds the floor;
+    one Jacobian serves one reweighted step.  A step is kept only if the
+    objective drops.  Stops when an accepted step gains less than tol
+    relative, or when no damping up to _MAX_DAMPING lowers the objective.
+    """
+    damping = _INITIAL_DAMPING
+    steps = 0
+    while True:
+        jac = _jacobian(evaluate, x, r)
+        rw = r
+        if l1:
+            w = 1.0 / np.sqrt(np.maximum(np.abs(r), _IRLS_FLOOR))
+            jac *= w[:, None]
+            rw = r * w
+        normal = jac.T @ jac
+        grad = jac.T @ rw
+        scale = np.diag(np.diag(normal))
+        while True:
+            dx = np.linalg.lstsq(normal + damping * scale, -grad,
+                                 rcond=None)[0]
+            r_new, l1_new = evaluate(x + dx)
+            f_new = l1_new if l1 else r_new @ r_new
+            if f_new < f:
+                break
+            damping *= 10.0
+            if damping > _MAX_DAMPING:
+                return x, r, steps
+        steps += 1
+        gain = f - f_new
+        x, r, f = x + dx, r_new, f_new
+        damping = max(damping / 10.0, _MIN_DAMPING)
+        if gain <= tol * f:
+            return x, r, steps
+
+
 def fit_crossing(data: ComplexGrid2D, initial: FitResult,
                  bounds: dict | None = None,
                  options: FitOptions | None = None) -> FitResult:
     """Fit the non-ideality model to a (normalized) reflection grid.
 
-    Returns the best parameters found; converged=False flags a fit that hit
-    the evaluation budget without the restart loop stalling.
+    Levenberg-Marquardt on the real and imaginary residuals takes the guess
+    to the least-squares optimum, IRLS carries that toward the L1 optimum, and
+    a Nelder-Mead polish finishes on the L1 objective itself.  Every model
+    evaluation, finite differences included, counts against max_evaluations.
+    Returns the lowest-L1 point evaluated; converged=False flags a fit that
+    spent its budget before the polish met objective_tol.
     """
     options = options or FitOptions()
     bounds = bounds if bounds is not None else default_bounds(initial)
@@ -310,40 +382,42 @@ def fit_crossing(data: ComplexGrid2D, initial: FitResult,
                            omega_d_mean)
     full = full0.copy()
     evals = 0
+    best_x, best_f = x0, math.inf
 
-    def fun(x):
-        nonlocal evals
+    def evaluate(x):
+        nonlocal evals, best_x, best_f
+        if evals >= options.max_evaluations:
+            raise _BudgetSpent
         evals += 1
         full[free] = x
         model = _gamma_prime(grid, transform.to_bounded(full).tolist())
-        return objective_l1(model, data.values)
+        f = objective_l1(model, data.values)
+        if f < best_f:
+            best_x, best_f = x.copy(), f
+        model -= data.values
+        return model.ravel().view(float), f
 
-    rng = np.random.default_rng(options.seed)
-    starts = [x0]
-    for _ in range(max(options.multi_starts - 1, 0)):
-        starts.append(x0 + options.jitter * rng.standard_normal(x0.shape))
-
-    best_x, best_f = x0, fun(x0)
     iterations = 0
     converged = False
-    for start in starts:
-        x, f = start, fun(start)
-        for _ in range(options.max_restarts):
-            budget = options.max_evaluations - evals
-            if budget <= 0:
-                break
-            res = minimize(fun, x, method="Nelder-Mead",
-                           options={"maxfev": budget, "xatol": 1e-10,
-                                    "fatol": options.objective_tol,
-                                    "adaptive": True})
-            iterations += res.nit
-            improvement = f - res.fun
-            x, f = res.x, res.fun
-            if improvement < options.objective_tol * max(1.0, abs(f)):
-                converged = True
-                break
-        if f < best_f:
-            best_x, best_f = x, f
+    try:
+        r, _ = evaluate(x0)
+        x, r, steps = _levenberg_marquardt(evaluate, x0, r, r @ r, False,
+                                           options.objective_tol)
+        iterations += steps
+        _, _, steps = _levenberg_marquardt(evaluate, x, r, np.abs(r).sum(),
+                                           True, _IRLS_TOL)
+        iterations += steps
+        # the polish stops when the objective is flat across its simplex
+        res = minimize(lambda y: evaluate(y)[1], best_x, method="Nelder-Mead",
+                       options={"maxfev": options.max_evaluations - evals,
+                                "xatol": math.inf,
+                                "fatol": options.objective_tol
+                                * max(1.0, best_f),
+                                "adaptive": True})
+        iterations += res.nit
+        converged = res.status == 0
+    except _BudgetSpent:
+        pass
 
     best_full = full0.copy()
     best_full[free] = best_x

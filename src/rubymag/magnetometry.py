@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import welch
 
 from .cavity import (CavityParams, DriveParams, EnsembleParams,
                      NonIdealityParams, db_to_voltage_gain, photon_number,
@@ -113,6 +112,9 @@ def amplitude_spectrum(samples, fs: float,
         raise ValueError("fs must be positive")
     if nperseg is None:
         nperseg = max(min(samples.size, 256), samples.size // 8)
+    # scipy.signal is slow to import and only this function needs it
+    from scipy.signal import welch
+
     freqs, psd = welch(samples, fs=fs, window="hann", nperseg=nperseg,
                        scaling="density", detrend="constant")
     return freqs, np.sqrt(psd)

@@ -85,6 +85,23 @@ def test_linear_calibration_affine_equivariance():
     assert b.intercept == pytest.approx(a.intercept + 0.5, rel=1e-9)
 
 
+def test_linear_calibration_matches_linregress():
+    from scipy.stats import linregress
+
+    rng = np.random.default_rng(12)
+    cases = [(np.linspace(0.0, 0.01, 12), None),
+             (rng.uniform(-3, 5, 40), None), (np.array([1.0, 3.0]), None),
+             (np.arange(5.0), np.full(5, 0.1))]
+    for x, y in cases:
+        if y is None:
+            y = 2.1e-5 * x + 1e-9 * rng.standard_normal(x.size) - 3e-7
+        cal, ref = linear_calibration(x, y), linregress(x, y)
+        assert cal.slope == pytest.approx(ref.slope, rel=1e-12, abs=1e-300)
+        assert cal.intercept == pytest.approx(ref.intercept, rel=1e-12)
+        assert cal.r_squared == pytest.approx(ref.rvalue ** 2, rel=1e-12,
+                                              nan_ok=True)
+
+
 def test_linear_calibration_errors():
     with pytest.raises(TooFewPoints):
         linear_calibration([1.0], [2.0])

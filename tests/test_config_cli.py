@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rubymag
 from rubymag.cavity import single_spin_coupling
 from rubymag.cli import main, split_seed
 from rubymag.config import (FLAT_KEYS, apply_overrides, default_config,
@@ -144,6 +149,43 @@ def test_invalid_flag_value_exits_two(tmp_path, capsys):
                    "--kappa-s-mhz", "not-a-number")
     assert code == 2
     assert "ERROR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, argv, error, words", [
+    ("report", ["--config", "{bad"], "ParseError", ["line 1 column 2"]),
+    ("report", ["--kappa-s-mhz", "not-a-number"], "UnitMismatch",
+     ["ensemble.kappa_s_mhz", "'not-a-number'", "a number"]),
+    ("crossing-sim", ["--n-omega-s", "many"], "UnitMismatch",
+     ["grid.n_omega_s", "'many'", "an integer"]),
+    ("report", ["--kappa-s-mhz", "-5"], "ConfigError", ["ensemble"]),
+    ("crossing-sim", ["--n-omega-s", "1"], "ConfigError", ["grid"]),
+])
+def test_bad_input_prints_one_error_line(tmp_path, capsys, command, argv,
+                                         error, words):
+    if argv[0] == "--config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(argv[1])
+        argv = ["--config", str(cfg)]
+    assert run_cli(command, "--output-dir", str(tmp_path), *argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ERROR {error}: "), err
+    for word in words:
+        assert word in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == (["cfg.json"] if "--config" in argv else [])
+
+
+def test_cli_import_skips_scipy_stats_and_signal():
+    code = ("import sys, rubymag.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') "
+            "if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(rubymag.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
