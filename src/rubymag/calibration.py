@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import CONST
-from .errors import DegenerateAbscissa, TooFewPoints, ZeroSlope
+from .errors import DegenerateAbscissa, ParseError, TooFewPoints, ZeroSlope
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,25 @@ def test_field_from_slope(v_rms: float, m_slope: float) -> float:
 
 
 def read_calibration_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Columns current_a, field_t."""
-    currents, fields = [], []
+    """Columns current_a, field_t.
+
+    A missing column or a non-numeric or non-finite cell raises ParseError.
+    """
+    columns = ("current_a", "field_t")
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            currents.append(float(row["current_a"]))
-            fields.append(float(row["field_t"]))
-    return np.asarray(currents), np.asarray(fields)
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ParseError(f"{path}: missing column(s) {missing}")
+        try:
+            table = np.array([[float(row[c]) for c in columns]
+                              for row in reader], dtype=float).reshape(-1, 2)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+    if not np.isfinite(table).all():
+        line = 2 + int(np.flatnonzero(~np.isfinite(table).all(axis=1))[0])
+        raise ParseError(f"{path}: non-finite value on line {line}")
+    return table[:, 0], table[:, 1]
 
 
 def write_calibration_csv(path, currents, fields) -> None:

@@ -12,6 +12,11 @@ with the spin interaction term
 All rates and frequencies are angular (rad/s); power is watts.  The frequency
 arguments of the functional helpers broadcast over numpy arrays so that 2D
 (omega_s, omega_d) grids evaluate in one shot.
+
+gamma_prime is the one implementation of the measurable Gamma' that the fit,
+the model grids, the bias sweeps and the noise prediction all evaluate.
+interaction_term, reflection_coefficient and reflection spell the formulas
+out term by term and serve as its reference.
 """
 
 from __future__ import annotations
@@ -120,13 +125,24 @@ def photon_number(drive: DriveParams, kappa_c: float) -> float:
     return drive.power / (CONST.hbar * drive.omega_d * kappa_c)
 
 
-def interaction_term(g_s: float, N: float, kappa_s: float, kappa_th: float,
-                     omega_s, omega_d, n_cav: float):
-    """Spin interaction term Pi (rad/s); broadcasts over frequency arrays."""
+def _check_spin_rates(kappa_s: float, kappa_th: float, n_cav: float) -> None:
     if kappa_s <= 0:
         raise ZeroSpinLinewidth("kappa_s must be positive")
     if kappa_th <= 0 and n_cav > 0:
         raise ZeroKappaTh("kappa_th must be positive when the drive populates the cavity")
+
+
+def check_drive(cav: CavityParams, ens: EnsembleParams,
+                drive: DriveParams) -> None:
+    """Raise what photon_number and interaction_term raise for this drive."""
+    _check_spin_rates(ens.kappa_s, ens.kappa_th,
+                      photon_number(drive, cav.kappa_c))
+
+
+def interaction_term(g_s: float, N: float, kappa_s: float, kappa_th: float,
+                     omega_s, omega_d, n_cav: float):
+    """Spin interaction term Pi (rad/s); broadcasts over frequency arrays."""
+    _check_spin_rates(kappa_s, kappa_th, n_cav)
     delta = np.asarray(omega_d, dtype=float) - np.asarray(omega_s, dtype=float)
     saturation = 0.0
     if n_cav > 0:
@@ -158,18 +174,67 @@ def reflection(cav: CavityParams, ens: EnsembleParams, drive: DriveParams):
                                   drive.omega_d, pi_term)
 
 
+def gamma_prime_params(cav: CavityParams, ens: EnsembleParams,
+                       ni: NonIdealityParams) -> list:
+    """The params list of gamma_prime, from parameter bundles."""
+    return [cav.kappa_c0, cav.kappa_c1, ens.kappa_s, ens.kappa_th, ens.g_eff,
+            ni.o_r, ni.o_i, ni.A, ni.b, ni.psi, ni.tau,
+            ni.omega_s_off, ni.omega_d_off]
+
+
+def gamma_prime(omega_s, omega_d, omega_ref: float, omega_c: float,
+                g_s: float, power: float, params, omega_n=None):
+    """Gamma' with rows over omega_s and columns over omega_d.
+
+    params holds the floats kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff,
+    o_r, o_i, A, b, psi, tau, omega_s_off, omega_d_off (gamma_prime_params);
+    omega_ref is the drive frequency the b and tau terms are measured from.
+    n_cav = P / (hbar omega_n kappa_c) is evaluated at omega_n, by default at
+    the shifted drive frequency omega_d - omega_d_off of each point.  Nothing
+    is validated here: check_drive raises the reference's errors.
+
+    With delta' = (omega_s - omega_s_off) - (omega_d - omega_d_off),
+    G = g_eff^2 and S = g_s^2 n_cav kappa_s / (2 kappa_th), the interaction
+    term is rewritten exactly as Pi = G (kappa_s/2 + i delta') / D with the
+    real D = delta'^2 + kappa_s^2/4 + S, so
+
+        Gamma' = o - e + kappa_c1 e / (kappa_c/2 + i(omega_d - omega_d_off
+                                        - omega_c) + Pi)
+
+    with e = (1 + A + b d) exp(i(psi + d tau)), d = omega_d - omega_ref,
+    takes one complex division per point, and Pi is exactly 0 when
+    g_eff = 0.
+    """
+    (kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff,
+     o_r, o_i, A, b, psi, tau, omega_s_off, omega_d_off) = params
+    kappa_c = kappa_c0 + kappa_c1
+    wd = omega_d - omega_d_off
+    delta = np.subtract.outer(omega_s - omega_s_off, wd)
+    s_term = 0.0
+    if power:   # undriven, kappa_th never enters and may be 0
+        s_term = (g_s ** 2 * power / (2.0 * CONST.hbar) * kappa_s
+                  / (kappa_th * kappa_c)) / (wd if omega_n is None else omega_n)
+    g_over_d = delta * delta
+    g_over_d += 0.25 * kappa_s * kappa_s + s_term
+    g_over_d = (g_eff * g_eff) / g_over_d
+    den = np.empty(np.shape(delta), dtype=complex)
+    den.real = 0.5 * kappa_c + (0.5 * kappa_s) * g_over_d
+    den.imag = (wd - omega_c) + delta * g_over_d
+    d = omega_d - omega_ref
+    e = (1.0 + A + b * d) * np.exp(1j * (psi + d * tau))
+    gamma = np.divide(kappa_c1 * e, den, out=den)
+    gamma += o_r + 1j * o_i - e
+    return gamma
+
+
 def reflection_with_nonidealities(cav: CavityParams, ens: EnsembleParams,
                                   drive: DriveParams, ni: NonIdealityParams):
     """Gamma' including offsets, amplitude correction, phase and delay terms."""
-    omega_d = drive.omega_d - ni.omega_d_off
-    shifted_drive = DriveParams(omega_d=omega_d, power=drive.power)
-    shifted_ens = EnsembleParams(g_s=ens.g_s, N=ens.N, kappa_s=ens.kappa_s,
-                                 kappa_th=ens.kappa_th,
-                                 omega_s=ens.omega_s - ni.omega_s_off)
-    gamma = reflection(cav, shifted_ens, shifted_drive)
-    d = drive.omega_d - ni.omega_d_mean
-    envelope = np.exp(1j * (ni.psi + d * ni.tau)) * (1.0 + ni.A + ni.b * d)
-    return ni.o_r + 1j * ni.o_i + envelope * gamma
+    check_drive(cav, ens, DriveParams(omega_d=drive.omega_d - ni.omega_d_off,
+                                      power=drive.power))
+    return gamma_prime(ens.omega_s, drive.omega_d, ni.omega_d_mean,
+                       cav.omega_c, ens.g_s, drive.power,
+                       gamma_prime_params(cav, ens, ni))
 
 
 def pi_saturated_approx(ens: EnsembleParams, drive: DriveParams, n_cav: float):

@@ -24,8 +24,9 @@ import numpy as np
 
 from . import calibration as cal
 from . import fitting, iqnoise, magnetometry as mag, thermal
-from .cavity import (cooperativity, dbm_to_watts, kappa_th_threshold_power,
-                     watts_to_dbm)
+from .cavity import (NonIdealityParams, check_drive, cooperativity,
+                     dbm_to_watts, gamma_prime, gamma_prime_params,
+                     kappa_th_threshold_power, watts_to_dbm)
 from .config import FLAT_KEYS, RunConfig, apply_overrides, parse_config
 from .errors import ConfigError, NonFiniteOutput, ParseError, RubymagError
 from .spins import energy_level_sweep, write_energy_sweep_csv
@@ -179,9 +180,7 @@ def cmd_crossing_fit(cfg: RunConfig, args) -> int:
         cavity=cfg.cavity(), ensemble=cfg.ensemble(),
         nonideal=replace(cfg.nonideal(), omega_d_mean=grid.spec.omega_d_mean),
         objective_value=math.inf, iterations=0, converged=False)
-    options = fitting.FitOptions(
-        seed=_seed_int(cfg["run"]["master_seed"], "crossing-fit"))
-    result = fitting.fit_crossing(grid, initial, options=options)
+    result = fitting.fit_crossing(grid, initial)
     path = _outdir(cfg) / "fit.json"
     fitting.write_fit_json(path, result)
     print(path)
@@ -198,15 +197,12 @@ def cmd_noise_predict(cfg: RunConfig, args) -> int:
     cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
     pos = phase.offsets * _TWO_PI
     offsets = np.concatenate([-pos[::-1], [0.0], pos])
-    omega_d = drive.omega_d + offsets
-    ws = np.full_like(omega_d, ens.omega_s)
-    from .cavity import interaction_term, photon_number, \
-        reflection_coefficient
-    n_cav = photon_number(drive, cav.kappa_c)
-    pi_term = interaction_term(ens.g_s, ens.N, ens.kappa_s, ens.kappa_th,
-                               ws, omega_d, n_cav)
-    gamma = reflection_coefficient(cav.kappa_c0, cav.kappa_c1, cav.omega_c,
-                                   omega_d, pi_term)
+    check_drive(cav, ens, drive)
+    # Gamma without non-idealities, n_cav pinned at the carrier
+    gamma = gamma_prime(ens.omega_s, drive.omega_d + offsets, drive.omega_d,
+                        cav.omega_c, ens.g_s, drive.power,
+                        gamma_prime_params(cav, ens, NonIdealityParams()),
+                        omega_n=drive.omega_d)
     sampled = iqnoise.SampledGamma(offsets=offsets, values=gamma)
     predicted = iqnoise.predict_noise_psd(amp, phase, sampled,
                                           p0=n["p0_v2_per_hz"])

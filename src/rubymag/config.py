@@ -19,12 +19,19 @@ from .calibration import CoilGeometry
 from .cavity import (CavityParams, DriveParams, EnsembleParams,
                      NonIdealityParams, dbm_to_watts, single_spin_coupling)
 from .errors import ConfigError, ParseError, UnitMismatch, UnknownKey
-from .magnetometry import TestFieldSpec
 from .spins import SpinSystem
 from .thermal import (MaterialParams, boltzmann_populations,
                       polarized_spin_count)
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _integer(value) -> int:
+    """int(value), refusing a fractional number instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
 
 # key -> (converter to internal units, default in key units)
 _SCHEMA = {
@@ -39,7 +46,7 @@ _SCHEMA = {
         "alpha_cr": (float, 0.0005),
         "m_al2o3_g_per_mol": (float, 101.96),
         "m_cr2o3_g_per_mol": (float, 151.99),
-        "n_cell": (int, 12),
+        "n_cell": (_integer, 12),
         "zeta": (float, 0.69),
         "temperature_k": (float, 293.0),
     },
@@ -73,21 +80,18 @@ _SCHEMA = {
     "grid": {
         "omega_s_span_mhz": (lambda v: _TWO_PI * v * 1e6, 100.0),
         "omega_d_span_mhz": (lambda v: _TWO_PI * v * 1e6, 10.0),
-        "n_omega_s": (int, 50),
-        "n_omega_d": (int, 50),
+        "n_omega_s": (_integer, 50),
+        "n_omega_d": (_integer, 50),
         "noise_sigma": (float, 0.0),
     },
     "sweep": {
         "bias_b_gauss": (lambda v: v * 1e-4, 31.0),
         "b_span_gauss": (lambda v: v * 1e-4, 4.0),
-        "n_points": (int, 201),
+        "n_points": (_integer, 201),
         "theta_deg": (float, 0.0),
         "b_max_gauss": (lambda v: v * 1e-4, 2000.0),
         "chain_gain_db": (float, 21.0),
         "test_amplitude_nt": (lambda v: v * 1e-9, 242.0),
-        "test_frequency_hz": (lambda v: _TWO_PI * v, 10.0),
-        "fs_hz": (float, 50e3),
-        "duration_s": (float, 1.0),
         "noise_floor_nv_per_rthz": (lambda v: v * 1e-9, 26.0),
     },
     "noise": {
@@ -99,14 +103,14 @@ _SCHEMA = {
         "ell_db": (float, -6.0),
     },
     "calibration": {
-        "n_turns": (int, 8),
+        "n_turns": (_integer, 8),
         "coil_radius_mm": (lambda v: v * 1e-3, 15.68),
         "coil_distance_mm": (lambda v: v * 1e-3, 30.0),
         "current_ma": (lambda v: v * 1e-3, 6.9),
     },
     "run": {
         "output_dir": (lambda v: v, "."),
-        "master_seed": (int, 0),
+        "master_seed": (_integer, 0),
     },
 }
 
@@ -207,12 +211,6 @@ class RunConfig:
         return CoilGeometry(n_turns=c["n_turns"], radius=c["coil_radius_mm"],
                             distance=c["coil_distance_mm"])
 
-    @_view
-    def test_field(self) -> TestFieldSpec:
-        s = self["sweep"]
-        return TestFieldSpec(amplitude_rms=s["test_amplitude_nt"],
-                             frequency=s["test_frequency_hz"])
-
 
 def _convert_block(block_name: str, raw: dict) -> dict:
     schema = _SCHEMA[block_name]
@@ -229,7 +227,7 @@ def _convert_block(block_name: str, raw: dict) -> dict:
         try:
             out[key] = converter(value)
         except (TypeError, ValueError) as exc:
-            expected = "an integer" if converter is int else "a number"
+            expected = "an integer" if converter is _integer else "a number"
             raise UnitMismatch(f"{block_name}.{key}: expected {expected}, "
                                f"got {value!r}") from exc
         except OverflowError as exc:

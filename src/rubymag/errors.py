@@ -41,10 +41,6 @@ class ZeroCoupling(RubymagError, ValueError):
     pass
 
 
-class NonConvergence(RubymagError, RuntimeError):
-    pass
-
-
 class InvalidBounds(RubymagError, ValueError):
     pass
 

@@ -10,10 +10,10 @@ finite-difference Jacobians, iteratively reweighted least squares (weights
 1/sqrt|r|) moves it to the L1 optimum, and a Nelder-Mead polish on the L1
 objective ends the search and decides convergence.
 
-One kernel, _gamma_prime, writes the model for both evaluate_model_grid and
-the fit.  It takes plain floats and per-grid constants computed once per fit,
-so an objective evaluation builds no parameter objects and performs one
-complex division per grid point.
+Both evaluate_model_grid and the fit evaluate the model with
+cavity.gamma_prime, which takes plain floats and arrays, so an objective
+evaluation builds no parameter objects and performs one complex division per
+grid point.
 
 Only g_eff = g_s sqrt(N) is identifiable from the reflection data; g_s is
 supplied (from the modal-volume coupling formula) and N is derived.
@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .cavity import CavityParams, DriveParams, EnsembleParams, NonIdealityParams
-from .constants import CONST
+from .cavity import (CavityParams, EnsembleParams, NonIdealityParams,
+                     gamma_prime, gamma_prime_params)
 from .errors import (AllZeroBorder, InvalidBounds, NonFiniteOutput,
                      ParseError, ZeroKappaTh, ZeroRate)
 
@@ -83,51 +83,7 @@ class FitResult:
 class FitOptions:
     max_evaluations: int = 150000
     objective_tol: float = 1e-10
-    seed: int = 0                 # accepted for callers; the search draws
-                                  # no random numbers
     fixed: tuple = ()             # PARAM_NAMES entries pinned at the guess
-
-
-def _grid_constants(spec: GridSpec, omega_c: float, g_s: float,
-                    omega_d_mean: float) -> tuple:
-    """Per-grid terms of Gamma' that no fitted parameter changes."""
-    return (spec.omega_s_values, spec.omega_d_values,
-            spec.omega_d_values - omega_d_mean, omega_c,
-            g_s ** 2 * spec.drive_power / (2.0 * CONST.hbar))
-
-
-def _gamma_prime(grid: tuple, params: list) -> np.ndarray:
-    """Gamma' over the grid from per-grid constants and PARAM_NAMES floats.
-
-    With delta' = (omega_s - omega_s_off) - (omega_d - omega_d_off),
-    G = g_eff^2 and S = g_s^2 n_cav kappa_s / (2 kappa_th), the interaction
-    term is rewritten exactly as Pi = G (kappa_s/2 + i delta') / D with the
-    real D = delta'^2 + kappa_s^2/4 + S, so
-
-        Gamma' = o - e + kappa_c1 e / (kappa_c/2 + i(omega_d - omega_d_off
-                                        - omega_c) + Pi)
-
-    with e = (1 + A + b d) exp(i(psi + d tau)) takes one complex division per
-    point, and Pi is exactly 0 when g_eff = 0.
-    """
-    omega_s, omega_d, d, omega_c, sat_scale = grid
-    (kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff,
-     o_r, o_i, A, b, psi, tau, omega_s_off, omega_d_off) = params
-    kappa_c = kappa_c0 + kappa_c1
-    wd = omega_d - omega_d_off
-    delta = np.subtract.outer(omega_s - omega_s_off, wd)
-    # n_cav = P / (hbar wd kappa_c) enters only through S
-    s_term = (sat_scale * kappa_s / (kappa_th * kappa_c)) / wd
-    g_over_d = delta * delta
-    g_over_d += 0.25 * kappa_s * kappa_s + s_term
-    np.divide(g_eff * g_eff, g_over_d, out=g_over_d)
-    den = np.empty(delta.shape, dtype=complex)
-    den.real = 0.5 * kappa_c + (0.5 * kappa_s) * g_over_d
-    den.imag = (wd - omega_c) + delta * g_over_d
-    e = (1.0 + A + b * d) * np.exp(1j * (psi + d * tau))
-    gamma = np.divide(kappa_c1 * e, den, out=den)
-    gamma += o_r + 1j * o_i - e
-    return gamma
 
 
 def evaluate_model_grid(cav: CavityParams, ens: EnsembleParams,
@@ -135,8 +91,9 @@ def evaluate_model_grid(cav: CavityParams, ens: EnsembleParams,
     """Vectorized Gamma' over the grid; rows index omega_s, columns omega_d."""
     if ens.kappa_th <= 0:
         raise ZeroKappaTh("kappa_th must be positive")
-    grid = _grid_constants(spec, cav.omega_c, ens.g_s, ni.omega_d_mean)
-    return _gamma_prime(grid, _param_list(cav, ens, ni))
+    return gamma_prime(spec.omega_s_values, spec.omega_d_values,
+                       ni.omega_d_mean, cav.omega_c, ens.g_s, spec.drive_power,
+                       gamma_prime_params(cav, ens, ni))
 
 
 def simulate_crossing(cav: CavityParams, ens: EnsembleParams,
@@ -190,7 +147,7 @@ def dip_trajectory(grid: ComplexGrid2D) -> np.ndarray:
 
 _PHYSICAL = ("kappa_c0", "kappa_c1", "kappa_s", "kappa_th", "g_eff")
 _AUXILIARY = ("o_r", "o_i", "A", "b", "psi", "tau", "omega_s_off", "omega_d_off")
-PARAM_NAMES = _PHYSICAL + _AUXILIARY
+PARAM_NAMES = _PHYSICAL + _AUXILIARY   # the order of cavity.gamma_prime_params
 
 DEFAULT_AUX_BOUNDS = {
     "o_r": (-0.5, 0.5),
@@ -251,14 +208,6 @@ class _BoundTransform:
         u = self.lo + self.span / (1.0 + np.exp(np.minimum(-x, 500.0)))
         u[self.log] = np.exp(u[self.log])
         return u
-
-
-def _param_list(cav: CavityParams, ens: EnsembleParams,
-                ni: NonIdealityParams) -> list:
-    """Parameter values in PARAM_NAMES order."""
-    return [cav.kappa_c0, cav.kappa_c1, ens.kappa_s, ens.kappa_th, ens.g_eff,
-            ni.o_r, ni.o_i, ni.A, ni.b, ni.psi, ni.tau,
-            ni.omega_s_off, ni.omega_d_off]
 
 
 def _vector_to_params(vec: np.ndarray, template: FitResult,
@@ -376,10 +325,9 @@ def fit_crossing(data: ComplexGrid2D, initial: FitResult,
         raise InvalidBounds("at least one parameter must be free")
 
     full0 = transform.to_unconstrained(
-        _param_list(initial.cavity, initial.ensemble, initial.nonideal))
+        gamma_prime_params(initial.cavity, initial.ensemble, initial.nonideal))
     x0 = full0[free]
-    grid = _grid_constants(spec, initial.cavity.omega_c, initial.ensemble.g_s,
-                           omega_d_mean)
+    omega_c, g_s = initial.cavity.omega_c, initial.ensemble.g_s
     full = full0.copy()
     evals = 0
     best_x, best_f = x0, math.inf
@@ -390,7 +338,9 @@ def fit_crossing(data: ComplexGrid2D, initial: FitResult,
             raise _BudgetSpent
         evals += 1
         full[free] = x
-        model = _gamma_prime(grid, transform.to_bounded(full).tolist())
+        model = gamma_prime(spec.omega_s_values, spec.omega_d_values,
+                            omega_d_mean, omega_c, g_s, spec.drive_power,
+                            transform.to_bounded(full).tolist())
         f = objective_l1(model, data.values)
         if f < best_f:
             best_x, best_f = x.copy(), f

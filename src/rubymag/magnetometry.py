@@ -16,12 +16,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import (CavityParams, DriveParams, EnsembleParams,
-                     NonIdealityParams, db_to_voltage_gain, photon_number,
-                     interaction_term, reflection_coefficient)
+                     NonIdealityParams, check_drive, db_to_voltage_gain,
+                     gamma_prime, gamma_prime_params)
 from .constants import CONST
 from .errors import (EmptyTable, NegativeRadicand, TooFewPoints, TooFewSamples,
                      UndersampledTestTone, ZeroPower, ZeroSignal, ZeroSlope)
-from .spins import FieldVector, SpinSystem, build_hamiltonian, eigensolve
+from .spins import SpinSystem
 
 _TWO_PI = 2.0 * math.pi
 
@@ -209,30 +209,14 @@ def optimize_grid(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 # ---------------------------------------------------------------------------
 # forward simulation
 
-def _transition_frequency_map(sys: SpinSystem, b_values: np.ndarray,
-                              linearized: bool = False) -> np.ndarray:
-    """omega_s(B) for the +3/2 <-> +1/2 transition, axial bias field."""
-    slope = sys.g_par * CONST.mu_B / CONST.hbar
-    if linearized:
-        return 2.0 * abs(sys.D) - slope * b_values
-    freqs = np.empty(b_values.size)
-    for k, b in enumerate(b_values):
-        sol = eigensolve(build_hamiltonian(sys, FieldVector(float(b), 0.0, 0.0)))
-        by_basis = {int(np.argmax(np.abs(sol.states[:, i]))): i for i in range(4)}
-        freqs[k] = abs(sol.energies[by_basis[0]] - sol.energies[by_basis[1]])
-    return freqs
+def spin_frequency_vs_field(sys: SpinSystem, b_values) -> np.ndarray:
+    """omega_s(B) of the +3/2 <-> +1/2 transition in an axial field (rad/s).
 
-
-def spin_frequency_vs_field(sys: SpinSystem, b_values: np.ndarray,
-                            linearized: bool = False,
-                            grid_points: int = 64) -> np.ndarray:
-    """omega_s(B); exact eigensolve on a grid plus interpolation when dense."""
-    b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
-    if linearized or b_values.size <= grid_points:
-        return _transition_frequency_map(sys, b_values, linearized)
-    b_grid = np.linspace(b_values.min(), b_values.max(), grid_points)
-    f_grid = _transition_frequency_map(sys, b_grid)
-    return np.interp(b_values, b_grid, f_grid)
+    Along the c-axis the Hamiltonian is diagonal, so the gap is exactly
+    |2D + g_par mu_B B / hbar|, with B the signed field along the axis.
+    """
+    b_values = np.asarray(b_values, dtype=float)
+    return np.abs(2.0 * sys.D + (sys.g_par * CONST.mu_B / CONST.hbar) * b_values)
 
 
 def _demodulated_voltages(cav: CavityParams, ens: EnsembleParams,
@@ -240,28 +224,22 @@ def _demodulated_voltages(cav: CavityParams, ens: EnsembleParams,
                           omega_s_values: np.ndarray, chain_gain_db: float,
                           r_ohm: float) -> np.ndarray:
     """Complex channel voltages for an array of spin frequencies."""
-    omega_d = drive.omega_d - ni.omega_d_off
-    n_cav = photon_number(DriveParams(omega_d=omega_d, power=drive.power),
-                          cav.kappa_c)
-    pi_term = interaction_term(ens.g_s, ens.N, ens.kappa_s, ens.kappa_th,
-                               omega_s_values - ni.omega_s_off, omega_d, n_cav)
-    gamma = reflection_coefficient(cav.kappa_c0, cav.kappa_c1, cav.omega_c,
-                                   omega_d, pi_term)
-    d = drive.omega_d - (ni.omega_d_mean or drive.omega_d)
-    envelope = np.exp(1j * (ni.psi + d * ni.tau)) * (1.0 + ni.A + ni.b * d)
-    gamma_prime = ni.o_r + 1j * ni.o_i + envelope * gamma
+    check_drive(cav, ens, DriveParams(omega_d=drive.omega_d - ni.omega_d_off,
+                                      power=drive.power))
+    gamma = gamma_prime(omega_s_values, drive.omega_d,
+                        ni.omega_d_mean or drive.omega_d, cav.omega_c,
+                        ens.g_s, drive.power, gamma_prime_params(cav, ens, ni))
     scale = db_to_voltage_gain(chain_gain_db) * math.sqrt(drive.power * r_ohm)
-    return scale * gamma_prime
+    return scale * gamma
 
 
 def bias_sweep_trace(sys: SpinSystem, cav: CavityParams, ens: EnsembleParams,
                      ni: NonIdealityParams, drive: DriveParams,
                      b_values: np.ndarray, chain_gain_db: float = 21.0,
-                     r_ohm: float = 50.0,
-                     linearized: bool = False) -> SweepTrace:
+                     r_ohm: float = 50.0) -> SweepTrace:
     """Absorptive/dispersive voltages as the bias field sweeps the spin line."""
     b_values = np.asarray(b_values, dtype=float)
-    omega_s = spin_frequency_vs_field(sys, b_values, linearized=linearized)
+    omega_s = spin_frequency_vs_field(sys, b_values)
     v = _demodulated_voltages(cav, ens, ni, drive, omega_s,
                               chain_gain_db, r_ohm)
     return SweepTrace(axis=b_values, absorptive=v.real, dispersive=v.imag)
@@ -280,8 +258,7 @@ def simulate_timeseries(sys: SpinSystem, cav: CavityParams,
                         drive: DriveParams, bias_b: float,
                         test: TestFieldSpec, chain_gain_db: float,
                         noise_floor_v: float, fs: float, duration: float,
-                        seed: int = 0, r_ohm: float = 50.0,
-                        linearized: bool = False) -> TimeSeries:
+                        seed: int = 0, r_ohm: float = 50.0) -> TimeSeries:
     """End-to-end magnetometer time series under an AC test field.
 
     The bias field is modulated by a sine of RMS amplitude test.amplitude_rms
@@ -296,7 +273,7 @@ def simulate_timeseries(sys: SpinSystem, cav: CavityParams,
     times = np.arange(n) / fs
     b = bias_b + math.sqrt(2.0) * test.amplitude_rms \
         * np.sin(test.frequency * times)
-    omega_s = spin_frequency_vs_field(sys, b, linearized=linearized)
+    omega_s = spin_frequency_vs_field(sys, b)
     v = _demodulated_voltages(cav, ens, ni, drive, omega_s,
                               chain_gain_db, r_ohm)
     absorptive = v.real.copy()

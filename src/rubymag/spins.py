@@ -2,9 +2,9 @@
 
 The spin is fixed at S = 3/2 and the basis is ordered
 m_s = (+3/2, +1/2, -1/2, -3/2).  All energies are angular frequencies in
-rad/s and all magnetic fields are in tesla.  Eigenvalues come from a cyclic
-complex Jacobi sweep on the 4x4 Hermitian matrix, which is exact to rounding
-at this size and keeps the module dependency-light.
+rad/s and all magnetic fields are in tesla.  Eigenpairs come from
+numpy.linalg.eigh, with the eigenvectors of degenerate levels fixed to a
+deterministic basis and phase.
 """
 
 from __future__ import annotations
@@ -108,53 +108,6 @@ def build_hamiltonian(sys: SpinSystem, fld: FieldVector) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
-def _jacobi_hermitian(h: np.ndarray, tol_factor: float = 1e-12,
-                      max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic complex Jacobi diagonalization of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors) unsorted; converged when the
-    off-diagonal Frobenius norm drops below tol_factor * ||H||.
-    """
-    a = h.astype(complex).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    norm_h = np.linalg.norm(h)
-    if norm_h == 0.0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off < tol_factor * norm_h:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) == 0.0:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                phase = apq / abs(apq)
-                # rotation angle zeroing the (p, q) element
-                theta = 0.5 * math.atan2(2.0 * abs(apq), app - aqq)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                # unitary R with block [[c, -s*phase], [s*conj(phase), c]]
-                col_p = c * a[:, p] + s * np.conj(phase) * a[:, q]
-                col_q = -s * phase * a[:, p] + c * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-                row_p = c * a[p, :] + s * phase * a[q, :]
-                row_q = -s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = c * v[:, p] + s * np.conj(phase) * v[:, q]
-                vcol_q = -s * phase * v[:, p] + c * v[:, q]
-                v[:, p] = vcol_p
-                v[:, q] = vcol_q
-    return np.real(np.diag(a)), v
-
-
 def _fix_degenerate_subspaces(energies: np.ndarray, states: np.ndarray,
                               scale: float) -> np.ndarray:
     """Deterministic eigenvector choice inside degenerate clusters.
@@ -204,10 +157,7 @@ def eigensolve(h: np.ndarray) -> EigenSolution:
     norm_h = np.linalg.norm(h)
     if np.linalg.norm(h - h.conj().T) > 1e-9 * max(norm_h, 1.0):
         raise NonHermitianInput("matrix is not Hermitian within tolerance")
-    energies, states = _jacobi_hermitian(h)
-    order = np.argsort(energies, kind="stable")
-    energies = energies[order]
-    states = states[:, order]
+    energies, states = np.linalg.eigh(h)
     states = _fix_degenerate_subspaces(energies, states, norm_h)
     return EigenSolution(energies=energies, states=states)
 

@@ -169,7 +169,7 @@ def _fit_errors(noise_sigma, data_seed, guess_seed):
         objective_value=math.inf, iterations=0, converged=False)
     grid = simulate_crossing(CAV, ENS, _NI_TRUTH, spec, noise_sigma,
                              seed=data_seed)
-    res = fit_crossing(normalize_grid(grid), init, options=FitOptions(seed=3))
+    res = fit_crossing(normalize_grid(grid), init, options=FitOptions())
     return {
         "kappa_c": abs(res.cavity.kappa_c / CAV.kappa_c - 1),
         "kappa_c1": abs(res.cavity.kappa_c1 / CAV.kappa_c1 - 1),

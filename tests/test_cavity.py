@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
                             NonIdealityParams, cooperativity, db_to_voltage_gain,
-                            dbm_to_watts, kappa_th_threshold_power,
-                            photon_number, pi_saturated_approx, reflection,
+                            dbm_to_watts, gamma_prime, interaction_term,
+                            kappa_th_threshold_power, photon_number,
+                            pi_saturated_approx, reflection,
+                            reflection_coefficient,
                             reflection_with_nonidealities, single_spin_coupling,
                             spin_interaction, watts_to_dbm)
 from rubymag.constants import CONST
@@ -137,6 +139,66 @@ def test_nonidealities_fitted_values_composite():
                                    power=drive.power))
     expected = (-0.008 + 0.12j) + np.exp(0.14j) * 1.003 * inner
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_reflection_with_nonidealities_errors():
+    ni = NonIdealityParams(omega_d_off=TWO_PI * 2e5, omega_d_mean=CAV.omega_c)
+    drive = DriveParams(omega_d=CAV.omega_c, power=1e-5)
+    with pytest.raises(ZeroSpinLinewidth):
+        reflection_with_nonidealities(
+            CAV, EnsembleParams(g_s=1.0, N=1.0, kappa_s=0.0), drive, ni)
+    no_th = EnsembleParams(g_s=1.0, N=1.0, kappa_th=0.0)
+    with pytest.raises(ZeroKappaTh):
+        reflection_with_nonidealities(CAV, no_th, drive, ni)
+    with pytest.raises(ZeroLinewidth):
+        reflection_with_nonidealities(
+            CAV, ENS, DriveParams(omega_d=ni.omega_d_off, power=1e-5), ni)
+    # without drive power kappa_th never enters
+    undriven = reflection_with_nonidealities(
+        CAV, no_th, DriveParams(omega_d=CAV.omega_c, power=0.0), ni)
+    assert np.isfinite(undriven)
+
+
+@given(
+    kc0=st.floats(1e3, 1e7), kc1=st.floats(1e3, 1e7),
+    ks=st.floats(1e6, 1e9), kth=st.floats(1e3, 1e7),
+    g_s=st.floats(0.1, 10.0), geff=st.floats(0.0, 6e7),
+    det_c=st.floats(-3e8, 3e8), det_s=st.floats(-3e8, 3e8),
+    p_dbm=st.floats(-60.0, 20.0), pin=st.booleans(),
+    aux=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+                  st.floats(-0.5, 0.5), st.floats(-1e-8, 1e-8),
+                  st.floats(-1.5, 1.5), st.floats(-1e-7, 1e-7),
+                  st.floats(-1e8, 1e8), st.floats(-1e8, 1e8),
+                  st.floats(-1e7, 1e7)))
+@settings(max_examples=200, deadline=None)
+def test_gamma_prime_matches_reference(kc0, kc1, ks, kth, g_s, geff, det_c,
+                                       det_s, p_dbm, pin, aux):
+    """The kernel equals reflection_coefficient(interaction_term(...)) in
+    the non-ideality envelope, over an (omega_s, omega_d) grid, with n_cav
+    taken at each shifted drive frequency or pinned at the carrier."""
+    o_r, o_i, A, b, psi, tau, ws_off, wd_off, ref = aux
+    omega_c = TWO_PI * 11.4e9
+    carrier = omega_c + det_c
+    ws = omega_c + det_s + np.linspace(-2e7, 2e7, 3)
+    wd = carrier + np.linspace(-5e6, 5e6, 4)
+    power = dbm_to_watts(p_dbm)
+    params = [kc0, kc1, ks, kth, geff, *aux[:8]]
+    got = gamma_prime(ws, wd, carrier + ref, omega_c, g_s, power, params,
+                      omega_n=carrier if pin else None)
+    assert got.shape == (ws.size, wd.size)
+    for j, w in enumerate(wd - wd_off):
+        n_cav = power / (CONST.hbar * (carrier if pin else w) * (kc0 + kc1))
+        pi_term = interaction_term(g_s, (geff / g_s) ** 2, ks, kth,
+                                   ws - ws_off, w, n_cav)
+        gamma = reflection_coefficient(kc0, kc1, omega_c, w, pi_term)
+        d = wd[j] - (carrier + ref)
+        envelope = np.exp(1j * (psi + d * tau)) * (1.0 + A + b * d)
+        want = o_r + 1j * o_i + envelope * gamma
+        assert np.allclose(got[:, j], want, rtol=0.0, atol=1e-12)
+    # without coupling Pi is exactly 0: no row depends on omega_s
+    params[4] = 0.0
+    empty = gamma_prime(ws, wd, carrier + ref, omega_c, g_s, power, params)
+    assert np.array_equal(empty, np.broadcast_to(empty[0], empty.shape))
 
 
 def test_pi_saturated_approx_exact_at_zero_saturation_on_resonance():

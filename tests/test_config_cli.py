@@ -1,3 +1,5 @@
+import importlib.resources
+import importlib.util
 import json
 import math
 import os
@@ -9,7 +11,9 @@ import numpy as np
 import pytest
 
 import rubymag
-from rubymag.cavity import single_spin_coupling
+from rubymag import iqnoise
+from rubymag.cavity import (interaction_term, photon_number,
+                            reflection_coefficient, single_spin_coupling)
 from rubymag.cli import main, split_seed
 from rubymag.config import (FLAT_KEYS, apply_overrides, default_config,
                             flag_name, parse_config)
@@ -159,20 +163,42 @@ def test_invalid_flag_value_exits_two(tmp_path, capsys):
      ["grid.n_omega_s", "'many'", "an integer"]),
     ("report", ["--kappa-s-mhz", "-5"], "ConfigError", ["ensemble"]),
     ("crossing-sim", ["--n-omega-s", "1"], "ConfigError", ["grid"]),
+    ("crossing-sim", ["--n-omega-s", "2.5"], "UnitMismatch",
+     ["grid.n_omega_s", "2.5", "an integer"]),
+    ("sensitivity", ["--n-points", "2.5"], "UnitMismatch",
+     ["sweep.n_points", "2.5", "an integer"]),
+    ("report", ["--config", '{"material": {"n_cell": 12.5}}'], "UnitMismatch",
+     ["material.n_cell", "12.5", "an integer"]),
+    ("calibrate", ["--input", "current_a,field_t\n0.1,abc\n"], "ParseError",
+     ["'abc'"]),
+    ("calibrate", ["--input", "current_a,field_t\n0.1,1e-7\n0.2,nan\n"],
+     "ParseError", ["non-finite", "line 3"]),
+    ("calibrate", ["--input", "current_a,b_t\n0.1,1e-7\n"], "ParseError",
+     ["missing", "field_t"]),
 ])
 def test_bad_input_prints_one_error_line(tmp_path, capsys, command, argv,
                                          error, words):
-    if argv[0] == "--config":
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(argv[1])
-        argv = ["--config", str(cfg)]
+    inputs = []
+    if argv[0] in ("--config", "--input"):
+        path = tmp_path / ("cfg.json" if argv[0] == "--config" else "in.csv")
+        path.write_text(argv[1])
+        argv = [argv[0], str(path)]
+        inputs = [path.name]
     assert run_cli(command, "--output-dir", str(tmp_path), *argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"ERROR {error}: "), err
     for word in words:
         assert word in err[0]
-    assert sorted(p.name for p in tmp_path.iterdir()) \
-        == (["cfg.json"] if "--config" in argv else [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("command", ["noise-predict", "sensitivity"])
+@pytest.mark.parametrize("flag, error", [("--kappa-s-mhz", "ZeroSpinLinewidth"),
+                                         ("--kappa-th-khz", "ZeroKappaTh")])
+def test_zero_spin_rate_fails_command(tmp_path, capsys, command, flag, error):
+    assert run_cli(command, "--output-dir", str(tmp_path), flag, "0") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ERROR {error}: "), err
 
 
 def test_cli_import_skips_scipy_stats_and_signal():
@@ -186,6 +212,19 @@ def test_cli_import_skips_scipy_stats_and_signal():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every function the benchmark's tracer wraps exists under its name."""
+    path = Path(__file__).parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr in tracer.TARGETS:
+        owner = sys.modules["rubymag." + module]
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
@@ -240,6 +279,24 @@ def test_noise_predict_uses_bundled_spectra(tmp_path):
     lines = (tmp_path / "predicted_noise.csv").read_text().splitlines()
     assert lines[0] == "offset_hz,value,unit"
     assert all(line.endswith("V2_per_Hz") for line in lines[1:])
+    # Gamma from the term-by-term reference, n_cav pinned at the carrier
+    cfg = default_config()
+    cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
+    data = importlib.resources.files("rubymag") / "data"
+    phase = iqnoise.read_spectrum_csv(data / "phase_noise.csv")
+    amp = iqnoise.read_spectrum_csv(data / "amplitude_noise.csv")
+    pos = phase.offsets * TWO_PI
+    offsets = np.concatenate([-pos[::-1], [0.0], pos])
+    omega_d = drive.omega_d + offsets
+    pi_term = interaction_term(ens.g_s, ens.N, ens.kappa_s, ens.kappa_th,
+                               ens.omega_s, omega_d,
+                               photon_number(drive, cav.kappa_c))
+    gamma = reflection_coefficient(cav.kappa_c0, cav.kappa_c1, cav.omega_c,
+                                   omega_d, pi_term)
+    want = iqnoise.predict_noise_psd(
+        amp, phase, iqnoise.SampledGamma(offsets=offsets, values=gamma), 0.0)
+    got = [float(line.split(",")[1]) for line in lines[1:]]
+    assert np.allclose(got, want.density, rtol=1e-12, atol=0.0)
 
 
 def test_sensitivity_outputs(tmp_path):
@@ -249,6 +306,22 @@ def test_sensitivity_outputs(tmp_path):
     assert 0 < summary["eta_t_per_rthz"] < 1e-9
     assert summary["eta_th_t_per_rthz"] < summary["eta_t_per_rthz"]
     assert (tmp_path / "sweep.csv").exists()
+
+
+def test_sensitivity_sweep_through_zero_field(tmp_path):
+    """A bias sweep from -4 G to +6 G runs: the field is signed along the
+    c-axis."""
+    assert run_cli("sensitivity", "--output-dir", str(tmp_path),
+                   "--bias-b-gauss", "1", "--b-span-gauss", "10") == 0
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    summary = json.loads((tmp_path / "sensitivity.json").read_text(),
+                         parse_constant=reject)
+    assert summary["m_max_v_per_t"] > 0
+    b = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)[:, 0]
+    assert b[0] == pytest.approx(-4e-4) and b[-1] == pytest.approx(6e-4)
 
 
 def test_calibrate_solenoid_value(tmp_path):

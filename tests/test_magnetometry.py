@@ -18,7 +18,8 @@ from rubymag.magnetometry import (SensitivityConfig, SweepTrace, TestFieldSpec,
                                   simulate_timeseries, spin_frequency_vs_field,
                                   thermal_limit, tone_rms, write_asd_csv,
                                   write_eta_table_csv, write_sweep_csv)
-from rubymag.spins import SpinSystem
+from rubymag.spins import (FieldVector, SpinSystem, build_hamiltonian,
+                           eigensolve)
 
 TWO_PI = 2.0 * math.pi
 SYS = SpinSystem()
@@ -253,18 +254,23 @@ def test_optimize_constant_table_and_ties():
 # forward simulation
 
 
-def test_spin_frequency_linearized_matches_eigensolve():
-    b = np.linspace(1e-3, 5e-3, 9)
-    exact = spin_frequency_vs_field(SYS, b)
-    linear = spin_frequency_vs_field(SYS, b, linearized=True)
-    assert np.allclose(exact, linear, rtol=1e-4)
+def _eigensolve_gap(b_signed):
+    """+3/2 <-> +1/2 gap from the eigensolver, field along -z when B < 0."""
+    fld = FieldVector(abs(b_signed), math.pi if b_signed < 0 else 0.0)
+    sol = eigensolve(build_hamiltonian(SYS, fld))
+    by_basis = {int(np.argmax(np.abs(sol.states[:, i]))): i for i in range(4)}
+    return abs(sol.energies[by_basis[0]] - sol.energies[by_basis[1]])
 
 
-def test_spin_frequency_interpolated_path_consistent():
-    b = np.linspace(2e-3, 4e-3, 500)
-    dense = spin_frequency_vs_field(SYS, b)                 # interpolated
-    sparse = spin_frequency_vs_field(SYS, b[::100])         # exact
-    assert np.allclose(dense[::100], sparse, rtol=1e-6)
+def test_spin_frequency_matches_eigensolve_oracle():
+    """The closed form equals the eigensolver gap across the level crossing
+    at 2|D| hbar / (g_par mu_B) ~ 0.41 T and for fields along -z."""
+    kink = 2.0 * abs(SYS.D) / _SLOPE
+    b = np.concatenate([np.linspace(0.0, 0.6, 61), [kink - 1e-3, kink + 1e-3],
+                        -np.linspace(1e-4, 0.6, 31)])
+    oracle = np.array([_eigensolve_gap(float(x)) for x in b])
+    got = spin_frequency_vs_field(SYS, b)
+    assert np.allclose(got, oracle, rtol=1e-12, atol=0.0)
 
 
 def test_bias_sweep_dispersive_zero_crossing_and_slope():
