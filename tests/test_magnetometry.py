@@ -273,6 +273,22 @@ def test_spin_frequency_matches_eigensolve_oracle():
     assert np.allclose(got, oracle, rtol=1e-12, atol=0.0)
 
 
+def test_spin_frequency_linearized_matches_eigensolve():
+    """At low field the closed form, linear in B, equals the eigensolver."""
+    b = np.linspace(1e-3, 5e-3, 9)
+    exact = np.array([_eigensolve_gap(float(x)) for x in b])
+    linear = spin_frequency_vs_field(SYS, b)
+    assert np.allclose(exact, linear, rtol=1e-4)
+
+
+def test_spin_frequency_interpolated_path_consistent():
+    """A dense field array gives the same values as a sparse one."""
+    b = np.linspace(2e-3, 4e-3, 500)
+    dense = spin_frequency_vs_field(SYS, b)
+    sparse = spin_frequency_vs_field(SYS, b[::100])
+    assert np.allclose(dense[::100], sparse, rtol=1e-6)
+
+
 def test_bias_sweep_dispersive_zero_crossing_and_slope():
     b = np.linspace(B_CENTER - 2e-4, B_CENTER + 2e-4, 201)
     trace = bias_sweep_trace(SYS, CAV, ENS, NI, DRIVE, b)
