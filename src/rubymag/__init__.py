@@ -8,6 +8,7 @@ Modules:
     iqnoise       IQ demodulation and noise propagation
     magnetometry  slopes, spectra, sensitivity budgets, simulation
     calibration   test-coil fields and linear calibrations
+    csvio         checked reading of numeric input CSVs
     config, cli   JSON configuration and command-line interface
 """
 

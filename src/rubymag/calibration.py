@@ -15,7 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import CONST
-from .errors import DegenerateAbscissa, ParseError, TooFewPoints, ZeroSlope
+from .csvio import read_columns
+from .errors import DegenerateAbscissa, TooFewPoints, ZeroSlope
 
 
 @dataclass(frozen=True)
@@ -76,20 +77,7 @@ def read_calibration_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
     A missing column or a non-numeric or non-finite cell raises ParseError.
     """
-    columns = ("current_a", "field_t")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ParseError(f"{path}: missing column(s) {missing}")
-        try:
-            table = np.array([[float(row[c]) for c in columns]
-                              for row in reader], dtype=float).reshape(-1, 2)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    if not np.isfinite(table).all():
-        line = 2 + int(np.flatnonzero(~np.isfinite(table).all(axis=1))[0])
-        raise ParseError(f"{path}: non-finite value on line {line}")
+    table, _ = read_columns(path, ("current_a", "field_t"))
     return table[:, 0], table[:, 1]
 
 

@@ -27,7 +27,8 @@ from . import fitting, iqnoise, magnetometry as mag, thermal
 from .cavity import (NonIdealityParams, check_drive, cooperativity,
                      dbm_to_watts, gamma_prime, gamma_prime_params,
                      kappa_th_threshold_power, watts_to_dbm)
-from .config import FLAT_KEYS, RunConfig, apply_overrides, parse_config
+from .config import (FLAT_KEYS, RunConfig, apply_overrides, flag_name,
+                     parse_config)
 from .errors import ConfigError, NonFiniteOutput, ParseError, RubymagError
 from .spins import energy_level_sweep, write_energy_sweep_csv
 
@@ -47,18 +48,19 @@ def _seed_int(master_seed: int, label: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", type=Path, default=None,
+                       help="JSON configuration file")
+    for key, block in FLAT_KEYS.items():
+        flags.add_argument(flag_name(block, key), dest=key, default=None,
+                           metavar="VALUE")
     parser = argparse.ArgumentParser(prog="rubymag")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, default=None,
-                       help="JSON configuration file")
+        p = sub.add_parser(name, parents=[flags])
         if name in ("crossing-fit", "calibrate"):
             p.add_argument("--input", type=Path, default=None,
                            help="input CSV produced by a previous step")
-        for key in FLAT_KEYS:
-            p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           default=None, metavar="VALUE")
     return parser
 
 

@@ -114,6 +114,13 @@ _SCHEMA = {
     },
 }
 
+# key -> (lower limit in internal units, strict): checked after conversion
+_LOWER_LIMITS = {
+    "noise_sigma": (0.0, False),
+    "b_span_gauss": (0.0, True),
+    "n_points": (5, False),
+}
+
 _UNIT_SUFFIXES = ("_ghz", "_mhz", "_khz", "_hz", "_gauss", "_tesla", "_nt",
                   "_dbm", "_db", "_rad", "_s", "_mm", "_ma", "_mm3", "_nm3",
                   "_g_per_mol", "_nv_per_rthz", "_v2_per_hz", "_dbc_per_hz",
@@ -235,6 +242,12 @@ def _convert_block(block_name: str, raw: dict) -> dict:
         if isinstance(out[key], float) and not math.isfinite(out[key]):
             raise UnitMismatch(f"{block_name}.{key}: {value!r} is not a "
                                f"finite number in internal units")
+        if key in _LOWER_LIMITS:
+            limit, strict = _LOWER_LIMITS[key]
+            if out[key] < limit or (strict and out[key] == limit):
+                raise ConfigError(f"{block_name}.{key}: must be "
+                                  f"{'>' if strict else '>='} {limit}, "
+                                  f"got {value!r}")
     for key, (converter, default) in schema.items():
         if key not in out:
             out[key] = converter(default) if default is not None else None

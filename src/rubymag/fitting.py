@@ -10,6 +10,10 @@ finite-difference Jacobians, iteratively reweighted least squares (weights
 1/sqrt|r|) moves it to the L1 optimum, and a Nelder-Mead polish on the L1
 objective ends the search and decides convergence.
 
+The polish is the only scipy call on any command's path.  minimize imports
+scipy.optimize on its first call, so importing this module, and running any
+command but crossing-fit, loads numpy alone.
+
 Both evaluate_model_grid and the fit evaluate the model with
 cavity.gamma_prime, which takes plain floats and arrays, so an objective
 evaluation builds no parameter objects and performs one complex division per
@@ -28,14 +32,21 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .cavity import (CavityParams, EnsembleParams, NonIdealityParams,
                      gamma_prime, gamma_prime_params)
+from .csvio import read_columns
 from .errors import (AllZeroBorder, InvalidBounds, NonFiniteOutput,
                      ParseError, ZeroKappaTh, ZeroRate)
 
 _TWO_PI = 2.0 * math.pi
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -407,20 +418,7 @@ def read_grid_csv(path, drive_power: float) -> ComplexGrid2D:
     point.  A missing column, a non-finite or non-numeric value, or a grid
     point given twice or not at all raises ParseError.
     """
-    columns = ("omega_s_hz", "omega_d_hz", "re", "im")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ParseError(f"{path}: missing column(s) {missing}")
-        try:
-            table = np.array([[float(row[c]) for c in columns]
-                              for row in reader], dtype=float).reshape(-1, 4)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    if not np.isfinite(table).all():
-        line = 2 + int(np.flatnonzero(~np.isfinite(table).all(axis=1))[0])
-        raise ParseError(f"{path}: non-finite value on line {line}")
+    table, _ = read_columns(path, ("omega_s_hz", "omega_d_hz", "re", "im"))
     ws, i = np.unique(table[:, 0] * _TWO_PI, return_inverse=True)
     wd, j = np.unique(table[:, 1] * _TWO_PI, return_inverse=True)
     if ws.size < 2 or wd.size < 2:

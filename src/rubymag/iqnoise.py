@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricGrid, GridMismatch
+from .csvio import read_columns
+from .errors import AsymmetricGrid, GridMismatch, ParseError
 
 DBC_PER_HZ = "dBc_per_Hz"
 V2_PER_HZ = "V2_per_Hz"
@@ -181,13 +182,18 @@ def write_spectrum_csv(path, spectrum: NoiseSpectrum) -> None:
 
 
 def read_spectrum_csv(path) -> NoiseSpectrum:
-    offsets, values, units = [], [], set()
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            offsets.append(float(row["offset_hz"]))
-            values.append(float(row["value"]))
-            units.add(row["unit"])
+    """Columns offset_hz, value, unit; one unit tag per file.
+
+    A missing column, a non-numeric or non-finite cell, mixed or unknown unit
+    tags, or offsets that are not positive and increasing raise ParseError.
+    """
+    table, rows = read_columns(path, ("offset_hz", "value"), ("unit",))
+    units = sorted({row["unit"] or "" for row in rows})
     if len(units) != 1:
-        raise ValueError(f"expected one unit tag per file, got {sorted(units)}")
-    return NoiseSpectrum(offsets=np.asarray(offsets),
-                         density=np.asarray(values), unit=units.pop())
+        raise ParseError(f"{path}: expected one unit tag per file, "
+                         f"got {units}")
+    try:
+        return NoiseSpectrum(offsets=table[:, 0], density=table[:, 1],
+                             unit=units[0])
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc

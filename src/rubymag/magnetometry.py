@@ -62,7 +62,7 @@ class SensitivityConfig:
 
 
 @dataclass(frozen=True)
-class TestFieldSpec:
+class ToneSpec:
     amplitude_rms: float        # T
     frequency: float            # rad/s
 
@@ -77,19 +77,21 @@ def dispersive_slope(trace: SweepTrace,
 
     The slope comes from a local quadratic least-squares fit over a centered
     window (clamped at the edges); M_max = max |slope| in V/T when the axis
-    is magnetic field.
+    is magnetic field.  All windows are solved at once: each window's offsets
+    are scaled to [-1, 1] so its Vandermonde matrix stays well conditioned.
     """
     n = trace.axis.size
     if n < 5:
         raise TooFewPoints("need at least five sweep points")
-    half = window // 2
-    slopes = np.empty(n)
-    for i in range(n):
-        lo = max(0, min(i - half, n - window))
-        sel = slice(lo, lo + window)
-        x = trace.axis[sel] - trace.axis[i]
-        coeffs = np.polyfit(x, trace.dispersive[sel], 2)
-        slopes[i] = coeffs[1]
+    window = min(window, n)
+    lo = np.clip(np.arange(n) - window // 2, 0, n - window)
+    idx = lo[:, None] + np.arange(window)
+    x = trace.axis[idx] - trace.axis[:, None]
+    scale = np.abs(x).max(axis=1, keepdims=True)
+    u = x / scale
+    vander = np.stack([np.ones_like(u), u, u * u], axis=-1)
+    coeffs = np.linalg.pinv(vander) @ trace.dispersive[idx][..., None]
+    slopes = coeffs[:, 1, 0] / scale[:, 0]
     return slopes, float(np.max(np.abs(slopes)))
 
 
@@ -256,7 +258,7 @@ class TimeSeries:
 def simulate_timeseries(sys: SpinSystem, cav: CavityParams,
                         ens: EnsembleParams, ni: NonIdealityParams,
                         drive: DriveParams, bias_b: float,
-                        test: TestFieldSpec, chain_gain_db: float,
+                        test: ToneSpec, chain_gain_db: float,
                         noise_floor_v: float, fs: float, duration: float,
                         seed: int = 0, r_ohm: float = 50.0) -> TimeSeries:
     """End-to-end magnetometer time series under an AC test field.

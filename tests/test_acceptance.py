@@ -29,7 +29,7 @@ from rubymag.fitting import (FitOptions, FitResult, GridSpec, dip_trajectory,
                              simulate_crossing)
 from rubymag.iqnoise import (SampledGamma, decompose_gamma,
                              noise_contribution_split, read_spectrum_csv)
-from rubymag.magnetometry import (SensitivityConfig, TestFieldSpec,
+from rubymag.magnetometry import (SensitivityConfig, ToneSpec,
                                   amplitude_spectrum, bias_sweep_trace,
                                   dispersive_slope, noise_floor,
                                   phase_noise_budget, sensitivity,
@@ -220,7 +220,7 @@ def test_criterion_15_end_to_end_consistency():
     ni = NonIdealityParams(omega_d_mean=drive.omega_d)
     slope = SYS.g_par * CONST.mu_B / CONST.hbar
     b_center = (2.0 * abs(SYS.D) - drive.omega_d) / slope
-    spec = TestFieldSpec(242e-9, TWO_PI * 10.0)
+    spec = ToneSpec(242e-9, TWO_PI * 10.0)
 
     b = np.linspace(b_center - 5e-5, b_center + 5e-5, 101)
     trace = bias_sweep_trace(SYS, CAV, ENS, ni, drive, b)

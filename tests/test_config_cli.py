@@ -14,7 +14,7 @@ import rubymag
 from rubymag import iqnoise
 from rubymag.cavity import (interaction_term, photon_number,
                             reflection_coefficient, single_spin_coupling)
-from rubymag.cli import main, split_seed
+from rubymag.cli import COMMANDS, _build_parser, main, split_seed
 from rubymag.config import (FLAT_KEYS, apply_overrides, default_config,
                             flag_name, parse_config)
 from rubymag.errors import ParseError, UnitMismatch, UnknownKey
@@ -155,6 +155,12 @@ def test_invalid_flag_value_exits_two(tmp_path, capsys):
     assert "ERROR" in capsys.readouterr().err
 
 
+# flag -> name of the file the bad-input test writes the flag's text to
+_FILE_FLAGS = {"--config": "cfg.json", "--input": "in.csv",
+               "--phase-noise-csv": "noise.csv",
+               "--amplitude-noise-csv": "noise.csv"}
+
+
 @pytest.mark.parametrize("command, argv, error, words", [
     ("report", ["--config", "{bad"], "ParseError", ["line 1 column 2"]),
     ("report", ["--kappa-s-mhz", "not-a-number"], "UnitMismatch",
@@ -175,12 +181,34 @@ def test_invalid_flag_value_exits_two(tmp_path, capsys):
      "ParseError", ["non-finite", "line 3"]),
     ("calibrate", ["--input", "current_a,b_t\n0.1,1e-7\n"], "ParseError",
      ["missing", "field_t"]),
+    ("noise-predict", ["--phase-noise-csv",
+                       "offset_hz,value,unit\n100,abc,dBc_per_Hz\n"],
+     "ParseError", ["'abc'"]),
+    ("noise-predict", ["--amplitude-noise-csv",
+                       "offset_hz,value,unit\n100,-140,dBc_per_Hz\n"
+                       "200,nan,dBc_per_Hz\n"],
+     "ParseError", ["non-finite", "line 3"]),
+    ("noise-predict", ["--phase-noise-csv",
+                       "offset_hz,dbc,unit\n100,-100,dBc_per_Hz\n"],
+     "ParseError", ["missing", "value"]),
+    ("noise-predict", ["--phase-noise-csv",
+                       "offset_hz,value,unit\n100,-100,dBc_per_Hz\n"
+                       "200,1e-12,V2_per_Hz\n"],
+     "ParseError", ["one unit tag", "V2_per_Hz", "dBc_per_Hz"]),
+    ("optimize", ["--b-span-gauss", "0"], "ConfigError",
+     ["sweep.b_span_gauss", "> 0"]),
+    ("optimize", ["--b-span-gauss", "-4"], "ConfigError",
+     ["sweep.b_span_gauss", "> 0", "-4"]),
+    ("crossing-sim", ["--noise-sigma", "-0.1"], "ConfigError",
+     ["grid.noise_sigma", ">= 0", "-0.1"]),
+    ("sensitivity", ["--n-points", "3"], "ConfigError",
+     ["sweep.n_points", ">= 5", "3"]),
 ])
 def test_bad_input_prints_one_error_line(tmp_path, capsys, command, argv,
                                          error, words):
     inputs = []
-    if argv[0] in ("--config", "--input"):
-        path = tmp_path / ("cfg.json" if argv[0] == "--config" else "in.csv")
+    if argv[0] in _FILE_FLAGS:
+        path = tmp_path / _FILE_FLAGS[argv[0]]
         path.write_text(argv[1])
         argv = [argv[0], str(path)]
         inputs = [path.name]
@@ -201,17 +229,42 @@ def test_zero_spin_rate_fails_command(tmp_path, capsys, command, flag, error):
     assert len(err) == 1 and err[0].startswith(f"ERROR {error}: "), err
 
 
-def test_cli_import_skips_scipy_stats_and_signal():
-    code = ("import sys, rubymag.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') "
-            "if m in sys.modules))")
+def run_python(code: str) -> str:
+    """stdout of a fresh interpreter that imports this checkout's rubymag."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(rubymag.__file__).parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    out = run_python("import sys, rubymag.cli; "
+                     "print(sorted(m for m in sys.modules "
+                     "if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
+
+
+def test_non_fit_commands_load_no_scipy(tmp_path):
+    """Every command but crossing-fit runs on numpy alone."""
+    csv_path = tmp_path / "calibration.csv"
+    csv_path.write_text("current_a,field_t\n0.0,1e-9\n0.005,1.1e-7\n"
+                        "0.01,2.2e-7\n")
+    common = ["--output-dir", str(tmp_path), "--n-points", "11",
+              "--n-omega-s", "6", "--n-omega-d", "6"]
+    runs = [[name] + common for name in
+            ("eigen", "crossing-sim", "noise-predict", "sensitivity",
+             "optimize", "report")]
+    runs.append(["calibrate", "--input", str(csv_path)] + common)
+    code = ("import json, sys\n"
+            "from rubymag.cli import main\n"
+            f"codes = [main(argv) for argv in {runs!r}]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')]))")
+    codes, loaded = json.loads(run_python(code).splitlines()[-1])
+    assert codes == [0] * 7
+    assert loaded == []
 
 
 def test_benchmark_tracer_targets_resolve():
@@ -225,6 +278,22 @@ def test_benchmark_tracer_targets_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module, attr)
+
+
+def test_parser_takes_every_config_flag_on_every_command():
+    parser = _build_parser()
+    for command in COMMANDS:
+        for key, block in FLAT_KEYS.items():
+            args = parser.parse_args([command, flag_name(block, key), "7"])
+            assert getattr(args, key) == "7", (command, key)
+        args = parser.parse_args([command, "--config", "c.json"])
+        assert args.config == Path("c.json")
+        if command in ("crossing-fit", "calibrate"):
+            args = parser.parse_args([command, "--input", "in.csv"])
+            assert args.input == Path("in.csv")
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--input", "in.csv"])
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):

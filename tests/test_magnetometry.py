@@ -10,7 +10,7 @@ from rubymag.constants import CONST
 from rubymag.errors import (EmptyTable, NegativeRadicand, TooFewPoints,
                             TooFewSamples, UndersampledTestTone, ZeroPower,
                             ZeroSignal, ZeroSlope)
-from rubymag.magnetometry import (SensitivityConfig, SweepTrace, TestFieldSpec,
+from rubymag.magnetometry import (SensitivityConfig, SweepTrace, ToneSpec,
                                   amplitude_spectrum, bias_sweep_trace,
                                   dispersive_slope, noise_floor,
                                   noise_normalized_slope, optimize_grid,
@@ -55,7 +55,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SensitivityConfig(F=-1.0)
     with pytest.raises(ValueError):
-        TestFieldSpec(amplitude_rms=-1e-9, frequency=TWO_PI * 10)
+        ToneSpec(amplitude_rms=-1e-9, frequency=TWO_PI * 10)
     cfg = SensitivityConfig()
     assert cfg.G_db == 21.0 and cfg.T == 293.0 and cfg.R == 50.0
     assert cfg.F == pytest.approx(math.sqrt(2.0))
@@ -91,6 +91,37 @@ def test_slope_quadratic_trace():
     interior = slice(2, -2)
     assert np.allclose(slopes[interior], 2 * x[interior], atol=1e-9)
     assert m_max == pytest.approx(2.0, rel=1e-6)
+
+
+def polyfit_slopes(axis, values, window=5):
+    """Per-window np.polyfit reference for dispersive_slope."""
+    n = axis.size
+    out = np.empty(n)
+    for i in range(n):
+        lo = max(0, min(i - window // 2, n - window))
+        sel = slice(lo, lo + window)
+        out[i] = np.polyfit(axis[sel] - axis[i], values[sel], 2)[1]
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 6, 21, 201])
+@pytest.mark.parametrize("kind", ["uniform", "non-uniform", "decreasing"])
+def test_slope_matches_polyfit_windows(n, kind):
+    """nT steps on the irregular axes: unscaled windows lose the slope."""
+    rng = np.random.default_rng(n)
+    if kind == "uniform":
+        x = np.linspace(29e-4, 33e-4, n)
+    else:
+        x = 29e-4 + np.cumsum(rng.uniform(0.1, 2.0, n)) * 1e-9
+        if kind == "decreasing":
+            x = x[::-1].copy()
+    y = np.sin(2e4 * x) * 1e-2 + 1e-4 * rng.standard_normal(n)
+    trace = SweepTrace(axis=x, absorptive=np.zeros(n), dispersive=y)
+    slopes, m_max = dispersive_slope(trace)
+    want = polyfit_slopes(x, y)
+    scale = np.max(np.abs(want))
+    assert np.allclose(slopes, want, rtol=0.0, atol=1e-10 * scale)
+    assert m_max == pytest.approx(scale, rel=1e-10)
 
 
 def test_slope_too_few_points():
@@ -301,14 +332,14 @@ def test_bias_sweep_dispersive_zero_crossing_and_slope():
 
 def test_timeseries_constant_without_test_field_or_noise():
     ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER,
-                             TestFieldSpec(0.0, TWO_PI * 10.0), 21.0, 0.0,
+                             ToneSpec(0.0, TWO_PI * 10.0), 21.0, 0.0,
                              fs=500.0, duration=0.5, seed=0)
     assert np.allclose(ts.absorptive, ts.absorptive[0], atol=1e-15)
     assert np.allclose(ts.dispersive, ts.dispersive[0], atol=1e-15)
 
 
 def test_timeseries_determinism_and_undersampling():
-    spec = TestFieldSpec(242e-9, TWO_PI * 10.0)
+    spec = ToneSpec(242e-9, TWO_PI * 10.0)
     a = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec, 21.0,
                             26e-9, fs=500.0, duration=0.5, seed=9)
     b = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec, 21.0,
@@ -327,7 +358,7 @@ def _slope_at_bias(bias_b):
 
 
 def test_timeseries_tone_matches_slope_prediction():
-    spec = TestFieldSpec(242e-9, TWO_PI * 10.0)
+    spec = ToneSpec(242e-9, TWO_PI * 10.0)
     ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec, 21.0,
                              0.0, fs=2000.0, duration=4.0, seed=0)
     freqs, asd = amplitude_spectrum(ts.dispersive - np.mean(ts.dispersive),
@@ -338,8 +369,8 @@ def test_timeseries_tone_matches_slope_prediction():
 
 
 def test_timeseries_tone_linearity():
-    base = TestFieldSpec(242e-9, TWO_PI * 10.0)
-    double = TestFieldSpec(484e-9, TWO_PI * 10.0)
+    base = ToneSpec(242e-9, TWO_PI * 10.0)
+    double = ToneSpec(484e-9, TWO_PI * 10.0)
     def tone(spec):
         ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec,
                                  21.0, 0.0, fs=2000.0, duration=4.0, seed=0)
@@ -351,7 +382,7 @@ def test_timeseries_tone_linearity():
 
 def test_end_to_end_sensitivity_consistency():
     """Spectral eta on simulated data matches noise_floor / M within 5%."""
-    spec = TestFieldSpec(242e-9, TWO_PI * 10.0)
+    spec = ToneSpec(242e-9, TWO_PI * 10.0)
     floor_v = 26e-9
     m_slope = _slope_at_bias(B_CENTER)
     predicted_eta = floor_v / m_slope
@@ -369,7 +400,7 @@ def test_end_to_end_sensitivity_consistency():
 
 def test_gain_covariance_leaves_eta_invariant():
     """Scaling the chain gain scales V_m and e_n together; eta is unchanged."""
-    spec = TestFieldSpec(242e-9, TWO_PI * 10.0)
+    spec = ToneSpec(242e-9, TWO_PI * 10.0)
     def eta_at_gain(gain_db):
         scale = 10.0 ** ((gain_db - 21.0) / 20.0)
         ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec,
