@@ -5,10 +5,10 @@ Modules:
     thermal       Boltzmann populations and polarized-spin accounting
     cavity        spin-loaded reflection coefficient and coupling constants
     fitting       avoided-crossing grids and the non-ideality fit
-    iqnoise       IQ demodulation and noise propagation
+    iqnoise       source-noise propagation through the reflection
     magnetometry  slopes, spectra, sensitivity budgets, simulation
     calibration   test-coil fields and linear calibrations
-    csvio         checked reading of numeric input CSVs
+    csvio         checked reading of input CSVs, writing of CSV and JSON
     config, cli   JSON configuration and command-line interface
 """
 

@@ -7,7 +7,6 @@ measured dispersive response and the known slope.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -79,11 +78,3 @@ def read_calibration_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """
     table, _ = read_columns(path, ("current_a", "field_t"))
     return table[:, 0], table[:, 1]
-
-
-def write_calibration_csv(path, currents, fields) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["current_a", "field_t"])
-        for i, b in zip(currents, fields):
-            writer.writerow([repr(float(i)), repr(float(b))])

@@ -227,34 +227,6 @@ def gamma_prime(omega_s, omega_d, omega_ref: float, omega_c: float,
     return gamma
 
 
-def reflection_with_nonidealities(cav: CavityParams, ens: EnsembleParams,
-                                  drive: DriveParams, ni: NonIdealityParams):
-    """Gamma' including offsets, amplitude correction, phase and delay terms."""
-    check_drive(cav, ens, DriveParams(omega_d=drive.omega_d - ni.omega_d_off,
-                                      power=drive.power))
-    return gamma_prime(ens.omega_s, drive.omega_d, ni.omega_d_mean,
-                       cav.omega_c, ens.g_s, drive.power,
-                       gamma_prime_params(cav, ens, ni))
-
-
-def pi_saturated_approx(ens: EnsembleParams, drive: DriveParams, n_cav: float):
-    """Small-detuning expansion of Pi; exact at n_cav = 0 on resonance.
-
-    Pi ~ [1 / (kappa_s/2 + g_s^2 n_cav / kappa_th)]
-         * g_s^2 N / (1 + 2i(omega_d - omega_s)/kappa_s)
-
-    The approximation degrades at large detuning; callers compare against the
-    full term rather than relying on it there.
-    """
-    if ens.kappa_s <= 0:
-        raise ZeroSpinLinewidth("kappa_s must be positive")
-    if ens.kappa_th <= 0:
-        raise ZeroKappaTh("kappa_th must be positive")
-    delta = drive.omega_d - ens.omega_s
-    prefactor = 1.0 / (ens.kappa_s / 2.0 + ens.g_s ** 2 * n_cav / ens.kappa_th)
-    return prefactor * ens.g_s ** 2 * ens.N / (1.0 + 2j * delta / ens.kappa_s)
-
-
 def single_spin_coupling(V_cav: float, omega_c: float,
                          n_perp: float = 1.0) -> float:
     """g_s = (gamma_e n_perp / 2) sqrt(hbar omega_c mu_0 / V_cav)  [rad/s]."""

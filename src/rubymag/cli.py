@@ -29,7 +29,8 @@ from .cavity import (NonIdealityParams, check_drive, cooperativity,
                      kappa_th_threshold_power, watts_to_dbm)
 from .config import (FLAT_KEYS, RunConfig, apply_overrides, flag_name,
                      parse_config)
-from .errors import ConfigError, NonFiniteOutput, ParseError, RubymagError
+from .csvio import write_json
+from .errors import ConfigError, ParseError, RubymagError
 from .spins import energy_level_sweep, write_energy_sweep_csv
 
 _TWO_PI = 2.0 * math.pi
@@ -138,15 +139,6 @@ def _grid_spec(cfg: RunConfig) -> fitting.GridSpec:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-def _write_json(path: Path, summary: dict) -> None:
-    """Strict JSON: a non-finite value fails the command, not the reader."""
-    try:
-        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NonFiniteOutput(f"{path.name}: {exc}") from exc
-    path.write_text(text + "\n")
-
-
 def _default_noise_csv(name: str) -> Path:
     return importlib.resources.files("rubymag") / "data" / name
 
@@ -184,7 +176,7 @@ def cmd_crossing_fit(cfg: RunConfig, args) -> int:
         objective_value=math.inf, iterations=0, converged=False)
     result = fitting.fit_crossing(grid, initial)
     path = _outdir(cfg) / "fit.json"
-    fitting.write_fit_json(path, result)
+    write_json(path, fitting.fit_result_to_dict(result))
     print(path)
     return 0
 
@@ -214,20 +206,16 @@ def cmd_noise_predict(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _bias_sweep(cfg: RunConfig) -> mag.SweepTrace:
+def _sensitivity_budget(cfg: RunConfig) -> tuple[mag.SweepTrace, dict]:
+    """The bias sweep and the sensitivity budget drawn from its slope."""
     s = cfg["sweep"]
+    n = cfg["noise"]
     b_values = np.linspace(s["bias_b_gauss"] - s["b_span_gauss"] / 2.0,
                            s["bias_b_gauss"] + s["b_span_gauss"] / 2.0,
                            s["n_points"])
-    return mag.bias_sweep_trace(cfg.spin_system(), cfg.cavity(),
-                                cfg.ensemble(), cfg.nonideal(), cfg.drive(),
-                                b_values, chain_gain_db=s["chain_gain_db"])
-
-
-def cmd_sensitivity(cfg: RunConfig, args) -> int:
-    s = cfg["sweep"]
-    n = cfg["noise"]
-    trace = _bias_sweep(cfg)
+    trace = mag.bias_sweep_trace(cfg.spin_system(), cfg.cavity(),
+                                 cfg.ensemble(), cfg.nonideal(), cfg.drive(),
+                                 b_values, chain_gain_db=s["chain_gain_db"])
     _, m_max = mag.dispersive_slope(trace)
     scfg = mag.SensitivityConfig(G_db=s["chain_gain_db"],
                                  T=cfg.temperature(),
@@ -235,27 +223,28 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
     e_n = s["noise_floor_nv_per_rthz"]
     b_test = s["test_amplitude_nt"]
     v_m = m_max * b_test
-    eta = mag.sensitivity(e_n, v_m, b_test)
-    eta_th = mag.thermal_limit(scfg, m_max)
     e_th = n["e_th_nv_per_rthz"]
-    budget = None
-    if e_n >= e_th:
-        budget = mag.phase_noise_budget(e_n, e_th,
-                                        n["phi_measured_dbc_per_hz"], scfg)
-    out = _outdir(cfg)
-    mag.write_sweep_csv(out / "sweep.csv", trace)
-    summary = {
+    budget = {
         "m_max_v_per_t": m_max,
         "v_m_v": v_m,
-        "eta_t_per_rthz": eta,
-        "eta_th_t_per_rthz": eta_th,
+        "eta_t_per_rthz": mag.sensitivity(e_n, v_m, b_test),
+        "eta_th_t_per_rthz": mag.thermal_limit(scfg, m_max),
         "e_th_v_per_rthz": e_th,
     }
-    if budget is not None:
-        summary["e_p_v_per_rthz"] = budget.e_p
-        summary["phi_required_dbc_per_hz"] = budget.phi_required_dbc
+    if e_n >= e_th:
+        phase = mag.phase_noise_budget(e_n, e_th,
+                                       n["phi_measured_dbc_per_hz"], scfg)
+        budget["e_p_v_per_rthz"] = phase.e_p
+        budget["phi_required_dbc_per_hz"] = phase.phi_required_dbc
+    return trace, budget
+
+
+def cmd_sensitivity(cfg: RunConfig, args) -> int:
+    trace, budget = _sensitivity_budget(cfg)
+    out = _outdir(cfg)
+    mag.write_sweep_csv(out / "sweep.csv", trace)
     path = out / "sensitivity.json"
-    _write_json(path, summary)
+    write_json(path, budget)
     print(path)
     return 0
 
@@ -294,7 +283,7 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
         "best_b_gauss_per_power": [float(b_values[k] * 1e4) for k in arg_b],
     }
     path = out / "optimize.json"
-    _write_json(path, summary)
+    write_json(path, summary)
     print(path)
     return 0
 
@@ -312,9 +301,14 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
         summary["intercept_t"] = line.intercept
         summary["r_squared"] = line.r_squared
     path = _outdir(cfg) / "calibrate.json"
-    _write_json(path, summary)
+    write_json(path, summary)
     print(path)
     return 0
+
+
+# the keys of the sensitivity budget that report.json repeats
+_REPORT_BUDGET_KEYS = ("m_max_v_per_t", "eta_t_per_rthz", "eta_th_t_per_rthz",
+                       "phi_required_dbc_per_hz")
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
@@ -322,17 +316,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
     cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
     state = thermal.boltzmann_populations(sys_, cfg.temperature())
     t1, t2 = fitting.relaxation_times(ens)
-    s = cfg["sweep"]
-    n = cfg["noise"]
-    trace = _bias_sweep(cfg)
-    _, m_max = mag.dispersive_slope(trace)
-    scfg = mag.SensitivityConfig(G_db=s["chain_gain_db"], T=cfg.temperature(),
-                                 ell_db=n["ell_db"])
-    e_n = s["noise_floor_nv_per_rthz"]
-    eta = mag.sensitivity(e_n, m_max * s["test_amplitude_nt"],
-                          s["test_amplitude_nt"])
-    eta_th = mag.thermal_limit(scfg, m_max)
-    e_th = n["e_th_nv_per_rthz"]
+    _, budget = _sensitivity_budget(cfg)
     summary = {
         "populations": list(state.populations),
         "polarization": state.polarization,
@@ -344,16 +328,11 @@ def cmd_report(cfg: RunConfig, args) -> int:
         "t2_s": t2,
         "kappa_th_threshold_dbm": watts_to_dbm(kappa_th_threshold_power(
             t1, t2, ens.g_s, drive.omega_d, cav.kappa_c)),
-        "m_max_v_per_t": m_max,
-        "eta_t_per_rthz": eta,
-        "eta_th_t_per_rthz": eta_th,
     }
-    if e_n >= e_th:
-        budget = mag.phase_noise_budget(e_n, e_th,
-                                        n["phi_measured_dbc_per_hz"], scfg)
-        summary["phi_required_dbc_per_hz"] = budget.phi_required_dbc
+    summary.update((key, budget[key]) for key in _REPORT_BUDGET_KEYS
+                   if key in budget)
     path = _outdir(cfg) / "report.json"
-    _write_json(path, summary)
+    write_json(path, summary)
     print(path)
     return 0
 

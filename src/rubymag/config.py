@@ -119,6 +119,8 @@ _LOWER_LIMITS = {
     "noise_sigma": (0.0, False),
     "b_span_gauss": (0.0, True),
     "n_points": (5, False),
+    "b_max_gauss": (0.0, True),
+    "test_amplitude_nt": (0.0, True),
 }
 
 _UNIT_SUFFIXES = ("_ghz", "_mhz", "_khz", "_hz", "_gauss", "_tesla", "_nt",
@@ -274,10 +276,6 @@ def parse_config(source: str | dict) -> RunConfig:
     values = {name: _convert_block(name, raw.get(name, {}))
               for name in _SCHEMA}
     return RunConfig(values=values)
-
-
-def default_config() -> RunConfig:
-    return parse_config("{}")
 
 
 # leaf keys are unique across blocks so CLI flags can map one-for-one

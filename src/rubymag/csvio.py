@@ -1,12 +1,18 @@
-"""Checked reading of the numeric CSV files the commands take as input."""
+"""Checked reading and writing of the files the commands take and produce.
+
+read_columns reads the numeric input CSVs; write_columns and write_json write
+every CSV and JSON output.  Both writers refuse a non-finite value with
+NonFiniteOutput before they open the file, so a failed write leaves no file.
+"""
 
 from __future__ import annotations
 
 import csv
+import json
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NonFiniteOutput, ParseError
 
 
 def read_columns(path, columns: tuple, text: tuple = ()) -> tuple[np.ndarray,
@@ -32,3 +38,35 @@ def read_columns(path, columns: tuple, text: tuple = ()) -> tuple[np.ndarray,
         line = 2 + int(np.flatnonzero(~np.isfinite(table).all(axis=1))[0])
         raise ParseError(f"{path}: non-finite value on line {line}")
     return table, rows
+
+
+def write_columns(path, columns: tuple, table, text: dict | None = None) -> None:
+    """CSV with a header, one line per row of `table`, "\\n" line endings.
+
+    The float columns are written as repr(float), which read_columns reads
+    back exactly; `text` maps the names of constant text columns, written
+    after them, to their value.  A non-finite value raises NonFiniteOutput
+    naming the file and line.
+    """
+    text = text or {}
+    table = np.asarray(table, dtype=float)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        line = 2 + int(np.flatnonzero(~finite)[0])
+        raise NonFiniteOutput(f"{path}: non-finite value on line {line}")
+    tail = list(text.values())
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(columns) + list(text))
+        writer.writerows([repr(v) for v in row] + tail
+                         for row in table.tolist())
+
+
+def write_json(path, summary: dict) -> None:
+    """Strict JSON: a non-finite value fails the command, not the reader."""
+    try:
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutput(f"{path}: {exc}") from exc
+    with open(path, "w") as fh:
+        fh.write(text + "\n")

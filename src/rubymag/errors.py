@@ -81,10 +81,6 @@ class NegativeRadicand(RubymagError, ValueError):
     pass
 
 
-class ZeroPower(RubymagError, ValueError):
-    pass
-
-
 class EmptyTable(RubymagError, ValueError):
     pass
 
@@ -98,7 +94,7 @@ class DegenerateAbscissa(RubymagError, ValueError):
 
 
 class NonFiniteOutput(RubymagError, ValueError):
-    """A result to be written as strict JSON holds NaN or infinity."""
+    """A result to be written as CSV or strict JSON holds NaN or infinity."""
 
 
 class ConfigError(RubymagError, ValueError):

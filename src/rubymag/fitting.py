@@ -25,8 +25,6 @@ supplied (from the modal-volume coupling formula) and N is derived.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -35,9 +33,9 @@ import numpy as np
 
 from .cavity import (CavityParams, EnsembleParams, NonIdealityParams,
                      gamma_prime, gamma_prime_params)
-from .csvio import read_columns
-from .errors import (AllZeroBorder, InvalidBounds, NonFiniteOutput,
-                     ParseError, ZeroKappaTh, ZeroRate)
+from .csvio import read_columns, write_columns
+from .errors import (AllZeroBorder, InvalidBounds, ParseError, ZeroKappaTh,
+                     ZeroRate)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -401,14 +399,12 @@ def relaxation_times(ens: EnsembleParams) -> tuple[float, float]:
 
 def write_grid_csv(path, grid: ComplexGrid2D) -> None:
     """Row-major in omega_s; columns omega_s_hz, omega_d_hz, re, im."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["omega_s_hz", "omega_d_hz", "re", "im"])
-        for i, ws in enumerate(grid.spec.omega_s_values):
-            for j, wd in enumerate(grid.spec.omega_d_values):
-                v = grid.values[i, j]
-                writer.writerow([repr(float(ws) / _TWO_PI), repr(float(wd) / _TWO_PI),
-                                 repr(float(v.real)), repr(float(v.imag))])
+    ws, wd = np.meshgrid(grid.spec.omega_s_values / _TWO_PI,
+                         grid.spec.omega_d_values / _TWO_PI, indexing="ij")
+    write_columns(path, ("omega_s_hz", "omega_d_hz", "re", "im"),
+                  np.column_stack([ws.ravel(), wd.ravel(),
+                                   grid.values.real.ravel(),
+                                   grid.values.imag.ravel()]))
 
 
 def read_grid_csv(path, drive_power: float) -> ComplexGrid2D:
@@ -440,7 +436,7 @@ def read_grid_csv(path, drive_power: float) -> ComplexGrid2D:
 
 
 def fit_result_to_dict(result: FitResult) -> dict:
-    """JSON-ready dictionary with explicit units in the key names."""
+    """The fit.json record, with explicit units in the key names."""
     ni = result.nonideal
     return {
         "omega_c_rad_per_s": result.cavity.omega_c,
@@ -466,14 +462,3 @@ def fit_result_to_dict(result: FitResult) -> dict:
         "iterations": result.iterations,
         "converged": result.converged,
     }
-
-
-def write_fit_json(path, result: FitResult) -> None:
-    """Strict JSON: a non-finite value raises NonFiniteOutput."""
-    try:
-        text = json.dumps(fit_result_to_dict(result), indent=2, sort_keys=True,
-                          allow_nan=False)
-    except ValueError as exc:
-        raise NonFiniteOutput(f"{path}: {exc}") from exc
-    with open(path, "w") as fh:
-        fh.write(text + "\n")

@@ -1,4 +1,4 @@
-"""IQ demodulation and propagation of source noise through the reflection.
+"""Propagation of source noise through the reflection.
 
 The reflection coefficient sampled symmetrically around the carrier is split
 into a phase-preserving part (even real, odd imaginary) and a phase-swapping
@@ -16,13 +16,12 @@ offset grids interpolates dB values linearly in log-frequency.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import read_columns
+from .csvio import read_columns, write_columns
 from .errors import AsymmetricGrid, GridMismatch, ParseError
 
 DBC_PER_HZ = "dBc_per_Hz"
@@ -95,15 +94,6 @@ class SampledGamma:
         return self.offsets[mid + 1:], self.values[mid + 1:]
 
 
-def demodulate(reflected, phi: float, phi0: float):
-    """Software phase rotation w = e^{-i phi} Gamma e^{i phi0}.
-
-    With phi = phi0 the reflection coefficient is restored; its real part is
-    the absorptive channel and its imaginary part the dispersive channel.
-    """
-    return np.exp(1j * (phi0 - phi)) * np.asarray(reflected)
-
-
 def decompose_gamma(g: SampledGamma) -> tuple[SampledGamma, SampledGamma]:
     """Split into phase-preserving and phase-swapping parts.
 
@@ -165,20 +155,11 @@ def predict_noise_psd(amp: NoiseSpectrum, phase: NoiseSpectrum,
                          unit=V2_PER_HZ)
 
 
-def estimate_floor(spectrum: NoiseSpectrum, band: tuple[float, float]) -> float:
-    """Median density over a user-designated flat band."""
-    mask = (spectrum.offsets >= band[0]) & (spectrum.offsets <= band[1])
-    if not np.any(mask):
-        raise ValueError("band contains no samples")
-    return float(np.median(spectrum.in_linear()[mask]))
-
-
 def write_spectrum_csv(path, spectrum: NoiseSpectrum) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["offset_hz", "value", "unit"])
-        for f, v in zip(spectrum.offsets, spectrum.density):
-            writer.writerow([repr(float(f)), repr(float(v)), spectrum.unit])
+    """Columns offset_hz, value, unit; the layout read_spectrum_csv reads."""
+    write_columns(path, ("offset_hz", "value"),
+                  np.column_stack([spectrum.offsets, spectrum.density]),
+                  {"unit": spectrum.unit})
 
 
 def read_spectrum_csv(path) -> NoiseSpectrum:

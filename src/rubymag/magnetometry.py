@@ -8,7 +8,6 @@ its thermal and phase-noise limits, and bias/power optimization sweeps.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,8 +18,9 @@ from .cavity import (CavityParams, DriveParams, EnsembleParams,
                      NonIdealityParams, check_drive, db_to_voltage_gain,
                      gamma_prime, gamma_prime_params)
 from .constants import CONST
+from .csvio import write_columns
 from .errors import (EmptyTable, NegativeRadicand, TooFewPoints, TooFewSamples,
-                     UndersampledTestTone, ZeroPower, ZeroSignal, ZeroSlope)
+                     UndersampledTestTone, ZeroSignal, ZeroSlope)
 from .spins import SpinSystem
 
 _TWO_PI = 2.0 * math.pi
@@ -187,13 +187,6 @@ def phase_noise_budget(e_total: float, e_th: float, phi_measured_dbc: float,
     return PhaseNoiseBudget(e_p=e_p, phi_required_dbc=phi_required)
 
 
-def noise_normalized_slope(m: float, p: float, r: float) -> float:
-    """M / sqrt(P R); proxy for SNR when the system is phase-noise limited."""
-    if p <= 0 or r <= 0:
-        raise ZeroPower("P and R must be positive")
-    return m / math.sqrt(p * r)
-
-
 def optimize_grid(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                             np.ndarray, np.ndarray]:
     """Row/column minima of a sensitivity table indexed [bias, power].
@@ -293,28 +286,16 @@ def simulate_timeseries(sys: SpinSystem, cav: CavityParams,
 # CSV outputs
 
 def write_sweep_csv(path, trace: SweepTrace, axis_name: str = "b_tesla") -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([axis_name, "absorptive_v", "dispersive_v"])
-        for a, ab, di in zip(trace.axis, trace.absorptive, trace.dispersive):
-            writer.writerow([repr(float(a)), repr(float(ab)), repr(float(di))])
-
-
-def write_asd_csv(path, freqs: np.ndarray, asd: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["freq_hz", "asd_v_per_rthz"])
-        for f, a in zip(freqs, asd):
-            writer.writerow([repr(float(f)), repr(float(a))])
+    write_columns(path, (axis_name, "absorptive_v", "dispersive_v"),
+                  np.column_stack([trace.axis, trace.absorptive,
+                                   trace.dispersive]))
 
 
 def write_eta_table_csv(path, b_values: np.ndarray, p_values_dbm: np.ndarray,
                         eta: np.ndarray) -> None:
     """Long-format table: b_gauss, p_dbm, eta_t_per_rthz."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["b_gauss", "p_dbm", "eta_t_per_rthz"])
-        for i, b in enumerate(b_values):
-            for j, p in enumerate(p_values_dbm):
-                writer.writerow([repr(float(b) * 1e4), repr(float(p)),
-                                 repr(float(eta[i, j]))])
+    b, p = np.meshgrid(np.asarray(b_values, dtype=float) * 1e4,
+                       np.asarray(p_values_dbm, dtype=float), indexing="ij")
+    write_columns(path, ("b_gauss", "p_dbm", "eta_t_per_rthz"),
+                  np.column_stack([b.ravel(), p.ravel(),
+                                   np.asarray(eta, dtype=float).ravel()]))

@@ -9,13 +9,13 @@ deterministic basis and phase.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import CONST
+from .csvio import write_columns
 from .errors import EmptyRange, IndexOutOfRange, NonHermitianInput
 
 _TWO_PI = 2.0 * math.pi
@@ -179,15 +179,6 @@ def analytic_energies_axial(sys: SpinSystem, b_z: float) -> np.ndarray:
     return np.sort(e)
 
 
-def doublet_ordering_field(sys: SpinSystem) -> float:
-    """Smallest axial field (T) at which the +-3/2 and +-1/2 doublets meet.
-
-    Solves max E(+-3/2) = min E(+-1/2) using the closed forms above; about
-    0.205 T for the default parameters.
-    """
-    return 2.0 * abs(sys.D) * CONST.hbar / (2.0 * sys.g_par * CONST.mu_B)
-
-
 def transition(sol: EigenSolution, i: int, j: int) -> tuple[float, float]:
     """(frequency, amplitude) of the i<->j transition.
 
@@ -240,9 +231,6 @@ def energy_level_sweep(sys: SpinSystem, theta: float, b_range: tuple[float, floa
 
 def write_energy_sweep_csv(path, b_values: np.ndarray, energies: np.ndarray) -> None:
     """CSV columns B_gauss, E1_Hz..E4_Hz (plain frequencies, not angular)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["B_gauss", "E1_Hz", "E2_Hz", "E3_Hz", "E4_Hz"])
-        for b, row in zip(b_values, energies):
-            writer.writerow([repr(float(b) * 1e4)]
-                            + [repr(float(e) / _TWO_PI) for e in row])
+    write_columns(path, ("B_gauss", "E1_Hz", "E2_Hz", "E3_Hz", "E4_Hz"),
+                  np.column_stack([np.asarray(b_values, dtype=float) * 1e4,
+                                   np.asarray(energies, dtype=float) / _TWO_PI]))

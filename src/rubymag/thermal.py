@@ -8,7 +8,6 @@ to the exact eigensolver energies instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,11 +82,6 @@ def boltzmann_populations(sys: SpinSystem, T: float,
     return ThermalState(T=T, populations=(p[0], p[3], p[1], p[2]))
 
 
-def effective_polarization(state: ThermalState) -> float:
-    """|p1 - p3|, the usable population difference of the probed transition."""
-    return state.polarization
-
-
 def total_interrogated_spins(mat: MaterialParams) -> float:
     """Number of Cr3+ spins inside the modal field volume.
 
@@ -100,7 +94,7 @@ def total_interrogated_spins(mat: MaterialParams) -> float:
 
 def polarized_spin_count(mat: MaterialParams, state: ThermalState) -> float:
     """Effective polarization times the interrogated spin count."""
-    return effective_polarization(state) * total_interrogated_spins(mat)
+    return state.polarization * total_interrogated_spins(mat)
 
 
 def optical_power_equivalent(N: float, omega: float, kappa_th: float,
@@ -112,10 +106,3 @@ def optical_power_equivalent(N: float, omega: float, kappa_th: float,
     if min(N, omega, kappa_th, n_photons) < 0:
         raise ValueError("all arguments must be non-negative")
     return N * CONST.hbar * omega * kappa_th * n_photons
-
-
-def polarization_small_splitting(sys: SpinSystem, T: float) -> float:
-    """First-order expansion hbar*|D| / (2 k_B T), valid for 2|D| << k_B T / hbar."""
-    if T <= 0:
-        raise NonPositiveTemperature(f"temperature must be > 0, got {T}")
-    return CONST.hbar * abs(sys.D) / (2.0 * CONST.k_B * T)

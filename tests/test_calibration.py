@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rubymag.calibration import (CoilGeometry, linear_calibration,
-                                 read_calibration_csv, solenoid_axial_field, write_calibration_csv)
+                                 read_calibration_csv, solenoid_axial_field)
 from rubymag.calibration import test_field_from_slope as field_from_slope
 from rubymag.constants import CONST
+from rubymag.csvio import write_columns
 from rubymag.errors import DegenerateAbscissa, TooFewPoints, ZeroSlope
 
 I_RMS = 6.9e-3      # coil drive current, A RMS
@@ -130,7 +131,8 @@ def test_calibration_csv_round_trip(tmp_path):
     currents = np.array([1e-3, 2e-3, 5e-3])
     fields = np.array([32e-9, 64e-9, 160e-9])
     path = tmp_path / "cal.csv"
-    write_calibration_csv(path, currents, fields)
+    write_columns(path, ("current_a", "field_t"),
+                  np.column_stack([currents, fields]))
     i_back, b_back = read_calibration_csv(path)
     assert np.allclose(i_back, currents, rtol=0)
     assert np.allclose(b_back, fields, rtol=0)

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
-                            NonIdealityParams, cooperativity, db_to_voltage_gain,
-                            dbm_to_watts, gamma_prime, interaction_term,
+                            NonIdealityParams, check_drive, cooperativity,
+                            db_to_voltage_gain, dbm_to_watts, gamma_prime,
+                            gamma_prime_params, interaction_term,
                             kappa_th_threshold_power, photon_number,
-                            pi_saturated_approx, reflection,
-                            reflection_coefficient,
-                            reflection_with_nonidealities, single_spin_coupling,
-                            spin_interaction, watts_to_dbm)
+                            reflection, reflection_coefficient,
+                            single_spin_coupling, spin_interaction,
+                            watts_to_dbm)
 from rubymag.constants import CONST
 from rubymag.errors import (ZeroCoupling, ZeroKappaTh, ZeroLinewidth,
                             ZeroSpinLinewidth)
@@ -117,11 +117,15 @@ def test_nonidealities_identity_and_sign_flip():
     drive = DriveParams(omega_d=CAV.omega_c + TWO_PI * 1e5, power=1e-5)
     gamma = reflection(CAV, ENS, drive)
     identity = NonIdealityParams(omega_d_mean=drive.omega_d)
-    assert reflection_with_nonidealities(CAV, ENS, drive, identity) \
+    assert gamma_prime(ENS.omega_s, drive.omega_d, drive.omega_d, CAV.omega_c,
+                       ENS.g_s, drive.power,
+                       gamma_prime_params(CAV, ENS, identity)) \
         == pytest.approx(gamma, rel=1e-12)
     with pytest.warns(UserWarning):
         flipped = NonIdealityParams(psi=math.pi, omega_d_mean=drive.omega_d)
-    assert reflection_with_nonidealities(CAV, ENS, drive, flipped) \
+    assert gamma_prime(ENS.omega_s, drive.omega_d, drive.omega_d, CAV.omega_c,
+                       ENS.g_s, drive.power,
+                       gamma_prime_params(CAV, ENS, flipped)) \
         == pytest.approx(-gamma, rel=1e-12)
 
 
@@ -130,7 +134,8 @@ def test_nonidealities_fitted_values_composite():
     ni = NonIdealityParams(o_r=-0.008, o_i=0.12, A=0.003, psi=0.14,
                            omega_s_off=TWO_PI * 1e5, omega_d_off=TWO_PI * 2e5,
                            omega_d_mean=drive.omega_d)
-    got = reflection_with_nonidealities(CAV, ENS, drive, ni)
+    got = gamma_prime(ENS.omega_s, drive.omega_d, ni.omega_d_mean, CAV.omega_c,
+                      ENS.g_s, drive.power, gamma_prime_params(CAV, ENS, ni))
     # independent composition
     from dataclasses import replace
     shifted_ens = replace(ENS, omega_s=ENS.omega_s - ni.omega_s_off)
@@ -142,20 +147,29 @@ def test_nonidealities_fitted_values_composite():
 
 
 def test_reflection_with_nonidealities_errors():
+    """check_drive on the shifted drive that magnetometry checks Gamma' with."""
     ni = NonIdealityParams(omega_d_off=TWO_PI * 2e5, omega_d_mean=CAV.omega_c)
+
+    def shifted(drive):
+        return DriveParams(omega_d=drive.omega_d - ni.omega_d_off,
+                           power=drive.power)
+
     drive = DriveParams(omega_d=CAV.omega_c, power=1e-5)
     with pytest.raises(ZeroSpinLinewidth):
-        reflection_with_nonidealities(
-            CAV, EnsembleParams(g_s=1.0, N=1.0, kappa_s=0.0), drive, ni)
+        check_drive(CAV, EnsembleParams(g_s=1.0, N=1.0, kappa_s=0.0),
+                    shifted(drive))
     no_th = EnsembleParams(g_s=1.0, N=1.0, kappa_th=0.0)
     with pytest.raises(ZeroKappaTh):
-        reflection_with_nonidealities(CAV, no_th, drive, ni)
+        check_drive(CAV, no_th, shifted(drive))
     with pytest.raises(ZeroLinewidth):
-        reflection_with_nonidealities(
-            CAV, ENS, DriveParams(omega_d=ni.omega_d_off, power=1e-5), ni)
+        check_drive(CAV, ENS,
+                    shifted(DriveParams(omega_d=ni.omega_d_off, power=1e-5)))
     # without drive power kappa_th never enters
-    undriven = reflection_with_nonidealities(
-        CAV, no_th, DriveParams(omega_d=CAV.omega_c, power=0.0), ni)
+    check_drive(CAV, no_th, shifted(DriveParams(omega_d=CAV.omega_c,
+                                                power=0.0)))
+    undriven = gamma_prime(no_th.omega_s, CAV.omega_c, ni.omega_d_mean,
+                           CAV.omega_c, no_th.g_s, 0.0,
+                           gamma_prime_params(CAV, no_th, ni))
     assert np.isfinite(undriven)
 
 
@@ -199,21 +213,6 @@ def test_gamma_prime_matches_reference(kc0, kc1, ks, kth, g_s, geff, det_c,
     params[4] = 0.0
     empty = gamma_prime(ws, wd, carrier + ref, omega_c, g_s, power, params)
     assert np.array_equal(empty, np.broadcast_to(empty[0], empty.shape))
-
-
-def test_pi_saturated_approx_exact_at_zero_saturation_on_resonance():
-    full = spin_interaction(ENS, DRIVE, 0.0)
-    approx = pi_saturated_approx(ENS, DRIVE, 0.0)
-    assert approx == pytest.approx(full, rel=1e-12)
-
-
-def test_pi_saturated_approx_small_detuning_error():
-    n_cav = photon_number(DriveParams(power=1e-4), CAV.kappa_c)
-    for det in np.linspace(-ENS.kappa_s / 10, ENS.kappa_s / 10, 11):
-        drive = DriveParams(omega_d=ENS.omega_s + det)
-        full = spin_interaction(ENS, drive, n_cav)
-        approx = pi_saturated_approx(ENS, drive, n_cav)
-        assert abs(approx - full) / abs(full) < 0.10
 
 
 def test_single_spin_coupling_scalings():

@@ -15,8 +15,7 @@ from rubymag import iqnoise
 from rubymag.cavity import (interaction_term, photon_number,
                             reflection_coefficient, single_spin_coupling)
 from rubymag.cli import COMMANDS, _build_parser, main, split_seed
-from rubymag.config import (FLAT_KEYS, apply_overrides, default_config,
-                            flag_name, parse_config)
+from rubymag.config import FLAT_KEYS, apply_overrides, flag_name, parse_config
 from rubymag.errors import ParseError, UnitMismatch, UnknownKey
 
 TWO_PI = 2.0 * math.pi
@@ -43,7 +42,7 @@ def test_unit_conversion_contract():
 
 
 def test_derived_ensemble_defaults():
-    cfg = default_config()
+    cfg = parse_config({})
     ens = cfg.ensemble()
     g_geo = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
     assert ens.g_s == pytest.approx(g_geo, rel=1e-12)
@@ -203,6 +202,14 @@ _FILE_FLAGS = {"--config": "cfg.json", "--input": "in.csv",
      ["grid.noise_sigma", ">= 0", "-0.1"]),
     ("sensitivity", ["--n-points", "3"], "ConfigError",
      ["sweep.n_points", ">= 5", "3"]),
+    ("sensitivity", ["--test-amplitude-nt", "-5"], "ConfigError",
+     ["sweep.test_amplitude_nt", "> 0", "-5"]),
+    ("sensitivity", ["--test-amplitude-nt", "0"], "ConfigError",
+     ["sweep.test_amplitude_nt", "> 0"]),
+    ("eigen", ["--b-max-gauss", "-5"], "ConfigError",
+     ["sweep.b_max_gauss", "> 0", "-5"]),
+    ("eigen", ["--b-max-gauss", "0"], "ConfigError",
+     ["sweep.b_max_gauss", "> 0"]),
 ])
 def test_bad_input_prints_one_error_line(tmp_path, capsys, command, argv,
                                          error, words):
@@ -349,7 +356,7 @@ def test_noise_predict_uses_bundled_spectra(tmp_path):
     assert lines[0] == "offset_hz,value,unit"
     assert all(line.endswith("V2_per_Hz") for line in lines[1:])
     # Gamma from the term-by-term reference, n_cav pinned at the carrier
-    cfg = default_config()
+    cfg = parse_config({})
     cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
     data = importlib.resources.files("rubymag") / "data"
     phase = iqnoise.read_spectrum_csv(data / "phase_noise.csv")
@@ -456,6 +463,14 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, source):
 
 
 def test_non_finite_result_fails_command(tmp_path, capsys, monkeypatch):
+    """A non-finite result fails the command before its file is written."""
+    # without spins the slope is 0 and every eta in the table is infinite
+    out = tmp_path / "optimize"
+    assert run_cli("optimize", "--output-dir", str(out), "--n-spins", "0") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR NonFiniteOutput: ")
+    assert "eta_table.csv" in err[0]
+    assert list(out.iterdir()) == []
     from rubymag import magnetometry
     monkeypatch.setattr(magnetometry, "sensitivity",
                         lambda *args: math.nan)

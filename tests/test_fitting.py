@@ -12,6 +12,7 @@ from rubymag.cavity import (CavityParams, EnsembleParams, NonIdealityParams,
                             single_spin_coupling, watts_to_dbm)
 from rubymag import fitting
 from rubymag.constants import CONST
+from rubymag.csvio import write_json
 from rubymag.errors import (AllZeroBorder, InvalidBounds, NonFiniteOutput,
                             ParseError, ZeroKappaTh, ZeroRate)
 from rubymag.fitting import (PARAM_NAMES, ComplexGrid2D, FitOptions,
@@ -19,7 +20,7 @@ from rubymag.fitting import (PARAM_NAMES, ComplexGrid2D, FitOptions,
                              dip_trajectory, evaluate_model_grid, fit_crossing,
                              fit_result_to_dict, normalize_grid, objective_l1,
                              read_grid_csv, relaxation_times,
-                             simulate_crossing, write_fit_json, write_grid_csv)
+                             simulate_crossing, write_grid_csv)
 
 TWO_PI = 2.0 * math.pi
 G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
@@ -493,7 +494,7 @@ def test_fit_json_units_in_keys(tmp_path):
     assert d["kappa_s_rad_per_s"] == pytest.approx(ENS.kappa_s)
     assert d["kappa_c_rad_per_s"] == pytest.approx(CAV.kappa_c)
     path = tmp_path / "fit.json"
-    write_fit_json(path, init)
+    write_json(path, d)
     loaded = json.loads(path.read_text())
     assert loaded["g_eff_rad_per_s"] == pytest.approx(ENS.g_eff)
     assert loaded["delay_s"] == pytest.approx(NI.tau)
@@ -535,11 +536,11 @@ def test_grid_csv_malformed_rejected(tmp_path, edit, message):
 def test_fit_json_is_strict(tmp_path):
     spec = wide_spec(5, 5)
     init = guess_from(CAV, ENS, NI, spec)
-    write_fit_json(tmp_path / "fit.json", init)
+    write_json(tmp_path / "fit.json", fit_result_to_dict(init))
     text = (tmp_path / "fit.json").read_text()
     assert json.loads(text, parse_constant=pytest.fail)["objective_value"] \
         is None
     broken = replace(init, nonideal=replace(init.nonideal, psi=math.nan))
     with pytest.raises(NonFiniteOutput):
-        write_fit_json(tmp_path / "broken.json", broken)
+        write_json(tmp_path / "broken.json", fit_result_to_dict(broken))
     assert not (tmp_path / "broken.json").exists()

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from rubymag.cavity import CavityParams, DriveParams, EnsembleParams, reflection
 from rubymag.errors import AsymmetricGrid, GridMismatch
 from rubymag.iqnoise import (DBC_PER_HZ, V2_PER_HZ, NoiseSpectrum,
-                             SampledGamma, decompose_gamma, demodulate,
-                             estimate_floor, noise_contribution_split,
-                             predict_noise_psd, read_spectrum_csv,
-                             write_spectrum_csv)
+                             SampledGamma, decompose_gamma,
+                             noise_contribution_split, predict_noise_psd,
+                             read_spectrum_csv, write_spectrum_csv)
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,19 +78,6 @@ def test_sampled_gamma_symmetry_enforced():
     g = SampledGamma(offsets=np.array([-1.0, 0.0, 1.0]),
                      values=np.array([1j, 2.0, -1j]))
     assert g.at_zero == 2.0 + 0j
-
-
-# ---------------------------------------------------------------------------
-# demodulate
-
-
-def test_demodulate_identity_and_quadrature():
-    gamma = 0.3 - 0.7j
-    assert demodulate(gamma, 0.4, 0.4) == pytest.approx(gamma, rel=1e-12)
-    swapped = demodulate(gamma, 0.4 + math.pi / 2, 0.4)
-    assert swapped == pytest.approx(gamma * np.exp(-1j * math.pi / 2),
-                                    rel=1e-12)
-    assert demodulate(0.0, 1.0, 2.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +203,6 @@ def test_grid_mismatch_detected_when_resampling_disabled():
         predict_noise_psd(amp, phase, g, p0=0.0, resample=False)
 
 
-def test_phase_rotation_pipeline_invariance():
-    """Rotating Gamma and demodulating with the matching phase is a no-op."""
-    g = cavity_gamma()
-    psi = 0.7
-    rotated = SampledGamma(offsets=g.offsets,
-                           values=demodulate(np.exp(1j * psi) * g.values,
-                                             psi, 0.0))
-    pos_hz = g.positive_half()[0] / TWO_PI
-    amp = flat_spectrum(pos_hz, -150.0, DBC_PER_HZ)
-    phase = flat_spectrum(pos_hz, -120.0, DBC_PER_HZ)
-    a = predict_noise_psd(amp, phase, g, p0=0.0, resample=False)
-    b = predict_noise_psd(amp, phase, rotated, p0=0.0, resample=False)
-    assert np.allclose(a.density, b.density, rtol=1e-9)
-
-
 def test_bundled_inputs_phase_noise_dominates():
     """With the packaged source spectra, PN >= 10x AM at every offset."""
     with resources.as_file(resources.files("rubymag.data")
@@ -246,16 +217,7 @@ def test_bundled_inputs_phase_noise_dominates():
 
 
 # ---------------------------------------------------------------------------
-# floor estimate and CSV
-
-
-def test_estimate_floor_median_of_band():
-    spec = NoiseSpectrum(offsets=np.array([1e3, 2e3, 4e3, 8e3, 1e5]),
-                         density=np.array([5.0, 1.0, 2.0, 3.0, 50.0]),
-                         unit=V2_PER_HZ)
-    assert estimate_floor(spec, (1.5e3, 1e4)) == 2.0
-    with pytest.raises(ValueError):
-        estimate_floor(spec, (1e6, 2e6))
+# CSV
 
 
 def test_spectrum_csv_round_trip(tmp_path):

@@ -8,16 +8,15 @@ from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
                             single_spin_coupling)
 from rubymag.constants import CONST
 from rubymag.errors import (EmptyTable, NegativeRadicand, TooFewPoints,
-                            TooFewSamples, UndersampledTestTone, ZeroPower,
-                            ZeroSignal, ZeroSlope)
+                            TooFewSamples, UndersampledTestTone, ZeroSignal,
+                            ZeroSlope)
 from rubymag.magnetometry import (SensitivityConfig, SweepTrace, ToneSpec,
                                   amplitude_spectrum, bias_sweep_trace,
-                                  dispersive_slope, noise_floor,
-                                  noise_normalized_slope, optimize_grid,
+                                  dispersive_slope, noise_floor, optimize_grid,
                                   phase_noise_budget, sensitivity,
                                   simulate_timeseries, spin_frequency_vs_field,
-                                  thermal_limit, tone_rms, write_asd_csv,
-                                  write_eta_table_csv, write_sweep_csv)
+                                  thermal_limit, tone_rms, write_eta_table_csv,
+                                  write_sweep_csv)
 from rubymag.spins import (FieldVector, SpinSystem, build_hamiltonian,
                            eigensolve)
 
@@ -233,15 +232,6 @@ def test_phase_noise_budget_degenerate_and_errors():
         phase_noise_budget(10e-9, 13e-9, -129.5, SensitivityConfig())
 
 
-def test_noise_normalized_slope_properties():
-    base = noise_normalized_slope(2994.0, 1e-3, 50.0)
-    assert noise_normalized_slope(2994.0, 4e-3, 50.0) \
-        == pytest.approx(base / 2.0, rel=1e-12)
-    assert noise_normalized_slope(0.0, 1e-3, 50.0) == 0.0
-    with pytest.raises(ZeroPower):
-        noise_normalized_slope(2994.0, 0.0, 50.0)
-
-
 # ---------------------------------------------------------------------------
 # optimize_grid
 
@@ -426,14 +416,6 @@ def test_sweep_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "b_tesla,absorptive_v,dispersive_v"
     assert [float(x) for x in lines[2].split(",")] == [2e-3, 0.2, 0.0]
-
-
-def test_asd_csv(tmp_path):
-    path = tmp_path / "asd.csv"
-    write_asd_csv(path, np.array([0.0, 1.0]), np.array([2e-9, 3e-9]))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "freq_hz,asd_v_per_rthz"
-    assert float(lines[2].split(",")[1]) == pytest.approx(3e-9)
 
 
 def test_eta_table_csv(tmp_path):

@@ -9,9 +9,8 @@ from rubymag.constants import CONST
 from rubymag.errors import EmptyRange, IndexOutOfRange, NonHermitianInput
 from rubymag.spins import (EigenSolution, FieldVector, SpinSystem,
                            analytic_energies_axial, build_hamiltonian,
-                           doublet_ordering_field, eigensolve,
-                           energy_level_sweep, spin_matrices, transition,
-                           write_energy_sweep_csv)
+                           eigensolve, energy_level_sweep, spin_matrices,
+                           transition, write_energy_sweep_csv)
 
 TWO_PI = 2.0 * math.pi
 SYS = SpinSystem()
@@ -185,16 +184,6 @@ def test_transition_index_validation():
         transition(sol, 1, 1)
     with pytest.raises(IndexOutOfRange):
         transition(sol, 0, 4)
-
-
-def test_doublet_ordering_field_value():
-    b_star = doublet_ordering_field(SYS)
-    assert b_star == pytest.approx(0.2052, rel=1e-2)
-    # just below the bound the +-3/2 doublet straddles no +-1/2 level
-    e_lo = sorted(analytic_energies_axial(SYS, b_star * 0.999))
-    e_hi = sorted(analytic_energies_axial(SYS, b_star * 1.001))
-    assert e_lo[2] > e_lo[1]      # doublets still strictly ordered
-    assert e_hi[2] - e_hi[1] < e_lo[2] - e_lo[1]  # gap closing past the bound
 
 
 def test_energy_level_sweep_axial_lines():

@@ -10,9 +10,7 @@ from rubymag.constants import CONST
 from rubymag.errors import NonPositiveTemperature
 from rubymag.spins import FieldVector, SpinSystem
 from rubymag.thermal import (MaterialParams, ThermalState,
-                             boltzmann_populations, effective_polarization,
-                             optical_power_equivalent,
-                             polarization_small_splitting,
+                             boltzmann_populations, optical_power_equivalent,
                              polarized_spin_count, total_interrogated_spins)
 
 TWO_PI = 2.0 * math.pi
@@ -79,13 +77,13 @@ def test_polarization_monotone_in_temperature():
 def test_small_splitting_expansion():
     for t in (100.0, 293.0, 1000.0):
         exact = boltzmann_populations(SYS, t).polarization
-        approx = polarization_small_splitting(SYS, t)
+        approx = CONST.hbar * abs(SYS.D) / (2.0 * CONST.k_B * t)
         assert approx == pytest.approx(exact, rel=1e-2)
 
 
 def test_effective_polarization_equal_populations_zero():
     state = ThermalState(T=1.0, populations=(0.25, 0.25, 0.25, 0.25))
-    assert effective_polarization(state) == 0.0
+    assert state.polarization == 0.0
 
 
 def test_fit_implied_polarization():
@@ -111,7 +109,7 @@ def test_polarized_count_room_temperature():
     state = boltzmann_populations(SYS, 293.0)
     n = polarized_spin_count(MAT, state)
     assert n == pytest.approx(3.5e14, rel=0.15)
-    assert n == pytest.approx(effective_polarization(state)
+    assert n == pytest.approx(state.polarization
                               * total_interrogated_spins(MAT), rel=1e-12)
 
 
