@@ -80,9 +80,13 @@ class DriveParams:
 class NonIdealityParams:
     """Auxiliary parameters wrapping Gamma into the measurable Gamma'.
 
-    Gamma' = o_r + i o_i + exp(i(psi + (omega_d - omega_d_mean) tau))
-             * (1 + A + b (omega_d - omega_d_mean))
+    Gamma' = o_r + i o_i + exp(i(psi + (omega_d - omega_ref) tau))
+             * (1 + A + b (omega_d - omega_ref))
              * Gamma(omega_s - omega_s_off, omega_d - omega_d_off)
+
+    The reference omega_ref is not a parameter: the caller derives it, as
+    the mean drive frequency of a (omega_s, omega_d) grid or as the drive
+    frequency of a bias sweep or time series.
     """
 
     o_r: float = 0.0
@@ -93,7 +97,6 @@ class NonIdealityParams:
     tau: float = 0.0           # s
     omega_s_off: float = 0.0   # rad/s
     omega_d_off: float = 0.0   # rad/s
-    omega_d_mean: float = 0.0  # rad/s reference for the b and tau terms
 
     def __post_init__(self):
         large = [name for name, val in (("o_r", self.o_r), ("o_i", self.o_i),

@@ -52,8 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--config", type=Path, default=None,
                        help="JSON configuration file")
-    for key, block in FLAT_KEYS.items():
-        flags.add_argument(flag_name(block, key), dest=key, default=None,
+    for key in FLAT_KEYS:
+        flags.add_argument(flag_name(key), dest=key, default=None,
                            metavar="VALUE")
     parser = argparse.ArgumentParser(prog="rubymag")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -100,7 +100,8 @@ def _load_config(args) -> RunConfig:
             raise ParseError(f"{args.config}: line {exc.lineno} column "
                              f"{exc.colno}: {exc.msg}") from exc
         if not isinstance(raw, dict):
-            raise ConfigError("config file must contain a JSON object")
+            raise ParseError(f"{args.config}: top-level JSON value must be "
+                             "an object")
     overrides = {}
     for key, block in FLAT_KEYS.items():
         value = getattr(args, key, None)
@@ -171,8 +172,7 @@ def cmd_crossing_fit(cfg: RunConfig, args) -> int:
         raise ConfigError("crossing-fit requires --input CSV")
     grid = fitting.read_grid_csv(args.input, cfg.drive().power)
     initial = fitting.FitResult(
-        cavity=cfg.cavity(), ensemble=cfg.ensemble(),
-        nonideal=replace(cfg.nonideal(), omega_d_mean=grid.spec.omega_d_mean),
+        cavity=cfg.cavity(), ensemble=cfg.ensemble(), nonideal=cfg.nonideal(),
         objective_value=math.inf, iterations=0, converged=False)
     result = fitting.fit_crossing(grid, initial)
     path = _outdir(cfg) / "fit.json"
@@ -235,7 +235,9 @@ def _sensitivity_budget(cfg: RunConfig) -> tuple[mag.SweepTrace, dict]:
         phase = mag.phase_noise_budget(e_n, e_th,
                                        n["phi_measured_dbc_per_hz"], scfg)
         budget["e_p_v_per_rthz"] = phase.e_p
-        budget["phi_required_dbc_per_hz"] = phase.phi_required_dbc
+        # e_p = 0 puts no bound on the source; strict JSON spells that null
+        budget["phi_required_dbc_per_hz"] = (None if phase.unbounded
+                                             else phase.phi_required_dbc)
     return trace, budget
 
 
@@ -252,7 +254,10 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
 def cmd_optimize(cfg: RunConfig, args) -> int:
     s = cfg["sweep"]
     e_n_ref = s["noise_floor_nv_per_rthz"]
-    p_ref = cfg.drive().power
+    sys_, cav, ens, ni, drive_ref = (cfg.spin_system(), cfg.cavity(),
+                                     cfg.ensemble(), cfg.nonideal(),
+                                     cfg.drive())
+    p_ref = drive_ref.power
     b_values = np.linspace(s["bias_b_gauss"] - s["b_span_gauss"] / 2.0,
                            s["bias_b_gauss"] + s["b_span_gauss"] / 2.0, 9)
     p_values_dbm = np.linspace(watts_to_dbm(p_ref) - 6.0,
@@ -260,13 +265,11 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
     eta = np.empty((b_values.size, p_values_dbm.size))
     sweep_half = s["b_span_gauss"] / 8.0
     for j, p_dbm in enumerate(p_values_dbm):
-        drive = replace(cfg.drive(), power=dbm_to_watts(float(p_dbm)))
+        drive = replace(drive_ref, power=dbm_to_watts(float(p_dbm)))
         e_n = e_n_ref * math.sqrt(drive.power / p_ref)
         for i, b0 in enumerate(b_values):
             grid = np.linspace(b0 - sweep_half, b0 + sweep_half, 21)
-            trace = mag.bias_sweep_trace(cfg.spin_system(), cfg.cavity(),
-                                         cfg.ensemble(), cfg.nonideal(),
-                                         drive, grid,
+            trace = mag.bias_sweep_trace(sys_, cav, ens, ni, drive, grid,
                                          chain_gain_db=s["chain_gain_db"])
             slopes, _ = mag.dispersive_slope(trace)
             m_here = abs(slopes[slopes.size // 2])

@@ -11,7 +11,6 @@ and blocks fall back to the built-in defaults.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -116,6 +115,8 @@ _SCHEMA = {
 
 # key -> (lower limit in internal units, strict): checked after conversion
 _LOWER_LIMITS = {
+    "kappa_s_mhz": (0.0, True),
+    "kappa_th_khz": (0.0, True),
     "noise_sigma": (0.0, False),
     "b_span_gauss": (0.0, True),
     "n_points": (5, False),
@@ -211,8 +212,7 @@ class RunConfig:
                                  A=n["amplitude_a"], b=n["slope_b_per_hz"],
                                  psi=n["psi_rad"], tau=n["tau_s"],
                                  omega_s_off=n["omega_s_off_mhz"],
-                                 omega_d_off=n["omega_d_off_mhz"],
-                                 omega_d_mean=self["drive"]["omega_d_ghz"])
+                                 omega_d_off=n["omega_d_off_mhz"])
 
     @_view
     def coil(self) -> CoilGeometry:
@@ -256,18 +256,8 @@ def _convert_block(block_name: str, raw: dict) -> dict:
     return out
 
 
-def parse_config(source: str | dict) -> RunConfig:
-    """Parse and validate a JSON configuration document, or its decoded object."""
-    if isinstance(source, str):
-        try:
-            raw = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    else:
-        raw = source
-    if not isinstance(raw, dict):
-        raise ParseError("top-level JSON value must be an object")
+def parse_config(raw: dict) -> RunConfig:
+    """Validate a decoded JSON configuration object."""
     for block_name, block in raw.items():
         if block_name not in _SCHEMA:
             raise UnknownKey(f"unknown block {block_name!r}")
@@ -287,7 +277,7 @@ for _block, _keys in _SCHEMA.items():
         FLAT_KEYS[_key] = _block
 
 
-def flag_name(block: str, key: str) -> str:
+def flag_name(key: str) -> str:
     """CLI flag spelled from a config key: grid.n_omega_s -> --n-omega-s."""
     return "--" + key.replace("_", "-")
 

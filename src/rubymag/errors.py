@@ -57,10 +57,6 @@ class AsymmetricGrid(RubymagError, ValueError):
     pass
 
 
-class GridMismatch(RubymagError, ValueError):
-    pass
-
-
 class TooFewPoints(RubymagError, ValueError):
     pass
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,8 +101,8 @@ def evaluate_model_grid(cav: CavityParams, ens: EnsembleParams,
     if ens.kappa_th <= 0:
         raise ZeroKappaTh("kappa_th must be positive")
     return gamma_prime(spec.omega_s_values, spec.omega_d_values,
-                       ni.omega_d_mean, cav.omega_c, ens.g_s, spec.drive_power,
-                       gamma_prime_params(cav, ens, ni))
+                       spec.omega_d_mean, cav.omega_c, ens.g_s,
+                       spec.drive_power, gamma_prime_params(cav, ens, ni))
 
 
 def simulate_crossing(cav: CavityParams, ens: EnsembleParams,
@@ -111,7 +111,6 @@ def simulate_crossing(cav: CavityParams, ens: EnsembleParams,
     """Forward model plus complex Gaussian noise; deterministic per seed."""
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    ni = replace(ni, omega_d_mean=spec.omega_d_mean)
     values = evaluate_model_grid(cav, ens, ni, spec)
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
@@ -219,9 +218,8 @@ class _BoundTransform:
         return u
 
 
-def _vector_to_params(vec: np.ndarray, template: FitResult,
-                      omega_d_mean: float) -> tuple[CavityParams, EnsembleParams,
-                                                    NonIdealityParams]:
+def _vector_to_params(vec: np.ndarray, template: FitResult) -> tuple[
+        CavityParams, EnsembleParams, NonIdealityParams]:
     kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff = vec[:5]
     cav = CavityParams(omega_c=template.cavity.omega_c,
                        kappa_c0=kappa_c0, kappa_c1=kappa_c1)
@@ -233,7 +231,7 @@ def _vector_to_params(vec: np.ndarray, template: FitResult,
         warnings.simplefilter("ignore", UserWarning)
         ni = NonIdealityParams(o_r=vec[5], o_i=vec[6], A=vec[7], b=vec[8],
                                psi=vec[9], tau=vec[10], omega_s_off=vec[11],
-                               omega_d_off=vec[12], omega_d_mean=omega_d_mean)
+                               omega_d_off=vec[12])
     return cav, ens, ni
 
 
@@ -380,8 +378,7 @@ def fit_crossing(data: ComplexGrid2D, initial: FitResult,
 
     best_full = full0.copy()
     best_full[free] = best_x
-    cav, ens, ni = _vector_to_params(transform.to_bounded(best_full), initial,
-                                     omega_d_mean)
+    cav, ens, ni = _vector_to_params(transform.to_bounded(best_full), initial)
     return FitResult(cavity=cav, ensemble=ens, nonideal=ni,
                      objective_value=best_f, iterations=iterations,
                      converged=converged)

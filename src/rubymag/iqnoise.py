@@ -10,8 +10,9 @@ to the output power spectrum as
 
 dBc/Hz inputs are interpreted as single-sideband densities (the usual
 instrument convention); conversion to the two-sided density used in the
-formula above doubles the linear power.  Resampling between mismatched
-offset grids interpolates dB values linearly in log-frequency.
+formula above doubles the linear power.  A spectrum already on Gamma's
+positive offsets is used as given; any other is resampled onto them,
+interpolating dB values linearly in log-frequency.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import read_columns, write_columns
-from .errors import AsymmetricGrid, GridMismatch, ParseError
+from .errors import AsymmetricGrid, ParseError
 
 DBC_PER_HZ = "dBc_per_Hz"
 V2_PER_HZ = "V2_per_Hz"
@@ -109,33 +110,32 @@ def decompose_gamma(g: SampledGamma) -> tuple[SampledGamma, SampledGamma]:
             SampledGamma(offsets=g.offsets, values=gamma_s))
 
 
-def _aligned_inputs(amp: NoiseSpectrum, phase: NoiseSpectrum, g: SampledGamma,
-                    resample: bool):
-    """Common positive-offset grid (Hz) plus two-sided linear amplitudes."""
+def _aligned_inputs(amp: NoiseSpectrum, phase: NoiseSpectrum, g: SampledGamma):
+    """Common positive-offset grid (Hz) plus two-sided linear amplitudes.
+
+    A spectrum whose offsets match the grid to rtol 1e-9 is used as given;
+    any other is resampled onto it.
+    """
     pos_offsets_hz = g.positive_half()[0] / (2.0 * math.pi)
-    for spectrum in (amp, phase):
-        if not resample and (
-                spectrum.offsets.shape != pos_offsets_hz.shape
-                or not np.allclose(spectrum.offsets, pos_offsets_hz,
-                                   rtol=1e-9, atol=0)):
-            raise GridMismatch("noise spectra and Gamma use different offsets")
-    amp_r = amp.resampled(pos_offsets_hz) if resample else amp
-    phase_r = phase.resampled(pos_offsets_hz) if resample else phase
-    # SSB dBc/Hz -> two-sided linear power needs the factor 2
+
     def two_sided_amplitude(spec: NoiseSpectrum) -> np.ndarray:
+        if (spec.offsets.shape != pos_offsets_hz.shape
+                or not np.allclose(spec.offsets, pos_offsets_hz,
+                                   rtol=1e-9, atol=0)):
+            spec = spec.resampled(pos_offsets_hz)
         power = spec.in_linear()
+        # SSB dBc/Hz -> two-sided linear power needs the factor 2
         if spec.unit == DBC_PER_HZ:
             power = 2.0 * power
         return np.sqrt(power)
-    return pos_offsets_hz, two_sided_amplitude(amp_r), two_sided_amplitude(phase_r)
+    return pos_offsets_hz, two_sided_amplitude(amp), two_sided_amplitude(phase)
 
 
 def noise_contribution_split(amp: NoiseSpectrum, phase: NoiseSpectrum,
-                             g: SampledGamma,
-                             resample: bool = True) -> tuple[NoiseSpectrum,
-                                                             NoiseSpectrum]:
+                             g: SampledGamma) -> tuple[NoiseSpectrum,
+                                                       NoiseSpectrum]:
     """(phase-noise term, amplitude-noise term) of the output spectrum."""
-    offsets_hz, a_lin, p_lin = _aligned_inputs(amp, phase, g, resample)
+    offsets_hz, a_lin, p_lin = _aligned_inputs(amp, phase, g)
     gamma_p, gamma_s = decompose_gamma(g)
     _, gp_pos = gamma_p.positive_half()
     _, gs_pos = gamma_s.positive_half()
@@ -147,10 +147,9 @@ def noise_contribution_split(amp: NoiseSpectrum, phase: NoiseSpectrum,
 
 
 def predict_noise_psd(amp: NoiseSpectrum, phase: NoiseSpectrum,
-                      g: SampledGamma, p0: float,
-                      resample: bool = True) -> NoiseSpectrum:
+                      g: SampledGamma, p0: float) -> NoiseSpectrum:
     """Total predicted output noise power density versus offset frequency."""
-    pn, am = noise_contribution_split(amp, phase, g, resample=resample)
+    pn, am = noise_contribution_split(amp, phase, g)
     return NoiseSpectrum(offsets=pn.offsets, density=pn.density + am.density + p0,
                          unit=V2_PER_HZ)
 

@@ -24,6 +24,8 @@ from .errors import (EmptyTable, NegativeRadicand, TooFewPoints, TooFewSamples,
 from .spins import SpinSystem
 
 _TWO_PI = 2.0 * math.pi
+_LOAD_OHM = 50.0                      # R, Ohm
+_PROCESSING_FACTOR = math.sqrt(2.0)   # F
 
 
 @dataclass(frozen=True)
@@ -52,13 +54,7 @@ class SweepTrace:
 class SensitivityConfig:
     G_db: float = 21.0          # chain gain, dB
     T: float = 293.0            # K
-    R: float = 50.0             # Ohm
-    F: float = math.sqrt(2.0)   # processing factor
     ell_db: float = -6.0        # phase-noise margin, dB
-
-    def __post_init__(self):
-        if self.R <= 0 or self.F <= 0:
-            raise ValueError("R and F must be positive")
 
 
 @dataclass(frozen=True)
@@ -71,21 +67,20 @@ class ToneSpec:
             raise ValueError("test field amplitude and frequency must be >= 0")
 
 
-def dispersive_slope(trace: SweepTrace,
-                     window: int = 5) -> tuple[np.ndarray, float]:
+def dispersive_slope(trace: SweepTrace) -> tuple[np.ndarray, float]:
     """Per-point slope of the dispersive channel and its maximum magnitude.
 
     The slope comes from a local quadratic least-squares fit over a centered
-    window (clamped at the edges); M_max = max |slope| in V/T when the axis
-    is magnetic field.  All windows are solved at once: each window's offsets
-    are scaled to [-1, 1] so its Vandermonde matrix stays well conditioned.
+    five-point window (clamped at the edges); M_max = max |slope| in V/T
+    when the axis is magnetic field.  All windows are solved at once: each
+    window's offsets are scaled to [-1, 1] so its Vandermonde matrix stays
+    well conditioned.
     """
     n = trace.axis.size
     if n < 5:
         raise TooFewPoints("need at least five sweep points")
-    window = min(window, n)
-    lo = np.clip(np.arange(n) - window // 2, 0, n - window)
-    idx = lo[:, None] + np.arange(window)
+    lo = np.clip(np.arange(n) - 2, 0, n - 5)
+    idx = lo[:, None] + np.arange(5)
     x = trace.axis[idx] - trace.axis[:, None]
     scale = np.abs(x).max(axis=1, keepdims=True)
     u = x / scale
@@ -95,9 +90,7 @@ def dispersive_slope(trace: SweepTrace,
     return slopes, float(np.max(np.abs(slopes)))
 
 
-def amplitude_spectrum(samples, fs: float,
-                       nperseg: int | None = None) -> tuple[np.ndarray,
-                                                            np.ndarray]:
+def amplitude_spectrum(samples, fs: float) -> tuple[np.ndarray, np.ndarray]:
     """Single-sided RMS amplitude spectral density, Hann windowed and
     segment averaged.
 
@@ -105,15 +98,14 @@ def amplitude_spectrum(samples, fs: float,
     variance sigma^2 reports a flat density sigma*sqrt(2/fs); a tone's RMS
     amplitude is recovered by integrating the squared density across its peak
     bins (see tone_rms).  Segment averaging keeps the amplitude estimate
-    unbiased; the default uses eight half-overlapping segments.
+    unbiased: segments of max(min(n, 256), n // 8) samples overlap by half.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 16:
         raise TooFewSamples("need at least 16 samples")
     if fs <= 0:
         raise ValueError("fs must be positive")
-    if nperseg is None:
-        nperseg = max(min(samples.size, 256), samples.size // 8)
+    nperseg = max(min(samples.size, 256), samples.size // 8)
     # scipy.signal is slow to import and only this function needs it
     from scipy.signal import welch
 
@@ -122,27 +114,30 @@ def amplitude_spectrum(samples, fs: float,
     return freqs, np.sqrt(psd)
 
 
-def tone_rms(freqs: np.ndarray, asd: np.ndarray, f0: float,
-             half_bins: int = 3) -> float:
-    """RMS amplitude of a tone at f0, integrating the density over its peak."""
+def tone_rms(freqs: np.ndarray, asd: np.ndarray, f0: float) -> float:
+    """RMS amplitude of a tone at f0, integrating the density over the seven
+    bins around its peak."""
     df = freqs[1] - freqs[0]
     k = int(np.argmin(np.abs(freqs - f0)))
-    sel = slice(max(k - half_bins, 0), min(k + half_bins + 1, freqs.size))
+    sel = slice(max(k - 3, 0), min(k + 4, freqs.size))
     return float(math.sqrt(np.sum(asd[sel] ** 2) * df))
 
 
 def noise_floor(freqs: np.ndarray, asd: np.ndarray, band: tuple[float, float],
-                tone_freqs=(), exclude_bins: int = 2,
-                trim_fraction: float = 0.1) -> float:
-    """Trimmed-mean density over a band, excluding bins near declared tones."""
+                tone_freqs=()) -> float:
+    """Trimmed-mean density over a band.
+
+    Bins within two bins of a declared tone are excluded, and the lowest and
+    highest tenth of the rest are trimmed before averaging.
+    """
     mask = (freqs >= band[0]) & (freqs <= band[1])
     df = freqs[1] - freqs[0]
     for f0 in tone_freqs:
-        mask &= np.abs(freqs - f0) > exclude_bins * df
+        mask &= np.abs(freqs - f0) > 2 * df
     values = np.sort(asd[mask])
     if values.size == 0:
         raise ValueError("band contains no usable bins")
-    cut = int(trim_fraction * values.size)
+    cut = int(0.1 * values.size)
     trimmed = values[cut:values.size - cut] if values.size > 2 * cut else values
     return float(np.mean(trimmed))
 
@@ -155,11 +150,13 @@ def sensitivity(e_n: float, v_m: float, b_test: float) -> float:
 
 
 def thermal_limit(cfg: SensitivityConfig, m_max: float) -> float:
-    """Thermal-noise-limited sensitivity G sqrt(k_B T R) / (F M_max)."""
+    """Thermal-noise-limited sensitivity G sqrt(k_B T R) / (F M_max), with
+    the load R = 50 Ohm and the processing factor F = sqrt(2)."""
     if m_max <= 0:
         raise ZeroSlope("M_max must be positive")
     gain = db_to_voltage_gain(cfg.G_db)
-    return gain * math.sqrt(CONST.k_B * cfg.T * cfg.R) / (cfg.F * m_max)
+    return gain * math.sqrt(CONST.k_B * cfg.T * _LOAD_OHM) \
+        / (_PROCESSING_FACTOR * m_max)
 
 
 class PhaseNoiseBudget(NamedTuple):
@@ -216,27 +213,27 @@ def spin_frequency_vs_field(sys: SpinSystem, b_values) -> np.ndarray:
 
 def _demodulated_voltages(cav: CavityParams, ens: EnsembleParams,
                           ni: NonIdealityParams, drive: DriveParams,
-                          omega_s_values: np.ndarray, chain_gain_db: float,
-                          r_ohm: float) -> np.ndarray:
+                          omega_s_values: np.ndarray,
+                          chain_gain_db: float) -> np.ndarray:
     """Complex channel voltages for an array of spin frequencies."""
     check_drive(cav, ens, DriveParams(omega_d=drive.omega_d - ni.omega_d_off,
                                       power=drive.power))
-    gamma = gamma_prime(omega_s_values, drive.omega_d,
-                        ni.omega_d_mean or drive.omega_d, cav.omega_c,
-                        ens.g_s, drive.power, gamma_prime_params(cav, ens, ni))
-    scale = db_to_voltage_gain(chain_gain_db) * math.sqrt(drive.power * r_ohm)
+    gamma = gamma_prime(omega_s_values, drive.omega_d, drive.omega_d,
+                        cav.omega_c, ens.g_s, drive.power,
+                        gamma_prime_params(cav, ens, ni))
+    scale = db_to_voltage_gain(chain_gain_db) \
+        * math.sqrt(drive.power * _LOAD_OHM)
     return scale * gamma
 
 
 def bias_sweep_trace(sys: SpinSystem, cav: CavityParams, ens: EnsembleParams,
                      ni: NonIdealityParams, drive: DriveParams,
-                     b_values: np.ndarray, chain_gain_db: float = 21.0,
-                     r_ohm: float = 50.0) -> SweepTrace:
+                     b_values: np.ndarray,
+                     chain_gain_db: float = 21.0) -> SweepTrace:
     """Absorptive/dispersive voltages as the bias field sweeps the spin line."""
     b_values = np.asarray(b_values, dtype=float)
     omega_s = spin_frequency_vs_field(sys, b_values)
-    v = _demodulated_voltages(cav, ens, ni, drive, omega_s,
-                              chain_gain_db, r_ohm)
+    v = _demodulated_voltages(cav, ens, ni, drive, omega_s, chain_gain_db)
     return SweepTrace(axis=b_values, absorptive=v.real, dispersive=v.imag)
 
 
@@ -253,7 +250,7 @@ def simulate_timeseries(sys: SpinSystem, cav: CavityParams,
                         drive: DriveParams, bias_b: float,
                         test: ToneSpec, chain_gain_db: float,
                         noise_floor_v: float, fs: float, duration: float,
-                        seed: int = 0, r_ohm: float = 50.0) -> TimeSeries:
+                        seed: int = 0) -> TimeSeries:
     """End-to-end magnetometer time series under an AC test field.
 
     The bias field is modulated by a sine of RMS amplitude test.amplitude_rms
@@ -269,8 +266,7 @@ def simulate_timeseries(sys: SpinSystem, cav: CavityParams,
     b = bias_b + math.sqrt(2.0) * test.amplitude_rms \
         * np.sin(test.frequency * times)
     omega_s = spin_frequency_vs_field(sys, b)
-    v = _demodulated_voltages(cav, ens, ni, drive, omega_s,
-                              chain_gain_db, r_ohm)
+    v = _demodulated_voltages(cav, ens, ni, drive, omega_s, chain_gain_db)
     absorptive = v.real.copy()
     dispersive = v.imag.copy()
     if noise_floor_v > 0:
@@ -285,8 +281,8 @@ def simulate_timeseries(sys: SpinSystem, cav: CavityParams,
 # ---------------------------------------------------------------------------
 # CSV outputs
 
-def write_sweep_csv(path, trace: SweepTrace, axis_name: str = "b_tesla") -> None:
-    write_columns(path, (axis_name, "absorptive_v", "dispersive_v"),
+def write_sweep_csv(path, trace: SweepTrace) -> None:
+    write_columns(path, ("b_tesla", "absorptive_v", "dispersive_v"),
                   np.column_stack([trace.axis, trace.absorptive,
                                    trace.dispersive]))
 

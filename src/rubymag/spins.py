@@ -35,11 +35,8 @@ class SpinSystem:
     D: float = -_TWO_PI * 5.745e9   # rad/s
     g_par: float = 2.0
     g_perp: float = 2.0
-    S: float = 1.5
 
     def __post_init__(self):
-        if self.S != 1.5:
-            raise ValueError("spin quantum number is fixed at 3/2")
         if self.g_par <= 0 or self.g_perp <= 0:
             raise ValueError("g-factors must be positive")
 
@@ -193,7 +190,7 @@ def transition(sol: EigenSolution, i: int, j: int) -> tuple[float, float]:
 
 
 def energy_level_sweep(sys: SpinSystem, theta: float, b_range: tuple[float, float],
-                       n_points: int, phi: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+                       n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenenergies versus field magnitude at a fixed orientation.
 
     Returns (b_values, energies) with energies of shape (n_points, 4).  Levels
@@ -209,7 +206,7 @@ def energy_level_sweep(sys: SpinSystem, theta: float, b_range: tuple[float, floa
     energies = np.empty((n_points, 4))
     prev_states = None
     for r, b in enumerate(b_values):
-        sol = eigensolve(build_hamiltonian(sys, FieldVector(b, theta, phi)))
+        sol = eigensolve(build_hamiltonian(sys, FieldVector(b, theta)))
         if prev_states is None:
             energies[r] = sol.energies
             prev_states = sol.states

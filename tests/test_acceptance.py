@@ -11,7 +11,6 @@ g_eff^2 / kappa_s = xi kappa_c / 4, about 0.44 kappa_c at xi = 1.77.
 """
 
 import math
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -165,7 +164,7 @@ def _fit_errors(noise_sigma, data_seed, guess_seed):
         ensemble=EnsembleParams(g_s=G_S, N=(p(ENS.g_eff) / G_S) ** 2,
                                 kappa_s=p(ENS.kappa_s),
                                 kappa_th=p(ENS.kappa_th)),
-        nonideal=replace(_NI_TRUTH, omega_d_mean=spec.omega_d_mean),
+        nonideal=_NI_TRUTH,
         objective_value=math.inf, iterations=0, converged=False)
     grid = simulate_crossing(CAV, ENS, _NI_TRUTH, spec, noise_sigma,
                              seed=data_seed)
@@ -211,13 +210,13 @@ def test_criterion_14_noise_model_properties():
     with resources.as_file(resources.files("rubymag.data")
                            / "amplitude_noise.csv") as p:
         amp = read_spectrum_csv(p)
-    pn, am = noise_contribution_split(amp, phase, g, resample=True)
+    pn, am = noise_contribution_split(amp, phase, g)
     assert np.all(pn.density >= 10.0 * am.density)
 
 
 def test_criterion_15_end_to_end_consistency():
     drive = DriveParams(omega_d=TWO_PI * 11.4e9, power=dbm_to_watts(11.0))
-    ni = NonIdealityParams(omega_d_mean=drive.omega_d)
+    ni = NonIdealityParams()
     slope = SYS.g_par * CONST.mu_B / CONST.hbar
     b_center = (2.0 * abs(SYS.D) - drive.omega_d) / slope
     spec = ToneSpec(242e-9, TWO_PI * 10.0)

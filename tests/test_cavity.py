@@ -116,13 +116,13 @@ def test_passivity_property(kc0, kc1, ks, kth, geff, det_c, det_s, p_dbm):
 def test_nonidealities_identity_and_sign_flip():
     drive = DriveParams(omega_d=CAV.omega_c + TWO_PI * 1e5, power=1e-5)
     gamma = reflection(CAV, ENS, drive)
-    identity = NonIdealityParams(omega_d_mean=drive.omega_d)
+    identity = NonIdealityParams()
     assert gamma_prime(ENS.omega_s, drive.omega_d, drive.omega_d, CAV.omega_c,
                        ENS.g_s, drive.power,
                        gamma_prime_params(CAV, ENS, identity)) \
         == pytest.approx(gamma, rel=1e-12)
     with pytest.warns(UserWarning):
-        flipped = NonIdealityParams(psi=math.pi, omega_d_mean=drive.omega_d)
+        flipped = NonIdealityParams(psi=math.pi)
     assert gamma_prime(ENS.omega_s, drive.omega_d, drive.omega_d, CAV.omega_c,
                        ENS.g_s, drive.power,
                        gamma_prime_params(CAV, ENS, flipped)) \
@@ -132,9 +132,8 @@ def test_nonidealities_identity_and_sign_flip():
 def test_nonidealities_fitted_values_composite():
     drive = DriveParams(omega_d=CAV.omega_c, power=1e-5)
     ni = NonIdealityParams(o_r=-0.008, o_i=0.12, A=0.003, psi=0.14,
-                           omega_s_off=TWO_PI * 1e5, omega_d_off=TWO_PI * 2e5,
-                           omega_d_mean=drive.omega_d)
-    got = gamma_prime(ENS.omega_s, drive.omega_d, ni.omega_d_mean, CAV.omega_c,
+                           omega_s_off=TWO_PI * 1e5, omega_d_off=TWO_PI * 2e5)
+    got = gamma_prime(ENS.omega_s, drive.omega_d, drive.omega_d, CAV.omega_c,
                       ENS.g_s, drive.power, gamma_prime_params(CAV, ENS, ni))
     # independent composition
     from dataclasses import replace
@@ -148,7 +147,7 @@ def test_nonidealities_fitted_values_composite():
 
 def test_reflection_with_nonidealities_errors():
     """check_drive on the shifted drive that magnetometry checks Gamma' with."""
-    ni = NonIdealityParams(omega_d_off=TWO_PI * 2e5, omega_d_mean=CAV.omega_c)
+    ni = NonIdealityParams(omega_d_off=TWO_PI * 2e5)
 
     def shifted(drive):
         return DriveParams(omega_d=drive.omega_d - ni.omega_d_off,
@@ -167,7 +166,7 @@ def test_reflection_with_nonidealities_errors():
     # without drive power kappa_th never enters
     check_drive(CAV, no_th, shifted(DriveParams(omega_d=CAV.omega_c,
                                                 power=0.0)))
-    undriven = gamma_prime(no_th.omega_s, CAV.omega_c, ni.omega_d_mean,
+    undriven = gamma_prime(no_th.omega_s, CAV.omega_c, CAV.omega_c,
                            CAV.omega_c, no_th.g_s, 0.0,
                            gamma_prime_params(CAV, no_th, ni))
     assert np.isfinite(undriven)

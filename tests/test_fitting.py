@@ -53,7 +53,7 @@ def guess_from(cav, ens, ni, spec, rng=None, rel=0.2):
         ensemble=EnsembleParams(g_s=ens.g_s, N=(p(ens.g_eff) / ens.g_s) ** 2,
                                 kappa_s=p(ens.kappa_s),
                                 kappa_th=p(ens.kappa_th), omega_s=ens.omega_s),
-        nonideal=replace(ni, omega_d_mean=spec.omega_d_mean),
+        nonideal=ni,
         objective_value=math.inf, iterations=0, converged=False)
 
 
@@ -101,8 +101,7 @@ def test_simulate_deterministic_and_exact_at_zero_noise():
     b = simulate_crossing(CAV, ENS, NI, spec, 0.02, seed=5)
     assert np.array_equal(a.values, b.values)
     clean = simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=5)
-    ni = replace(NI, omega_d_mean=spec.omega_d_mean)
-    assert np.allclose(clean.values, evaluate_model_grid(CAV, ENS, ni, spec),
+    assert np.allclose(clean.values, evaluate_model_grid(CAV, ENS, NI, spec),
                        rtol=0, atol=0)
     with pytest.raises(ValueError):
         simulate_crossing(CAV, ENS, NI, spec, -0.1, seed=5)
@@ -124,8 +123,8 @@ def test_simulate_rejects_zero_kappa_th():
 def test_bare_cavity_dip_sits_at_cavity_resonance():
     spec = wide_spec(6, 101)
     empty = EnsembleParams(g_s=G_S, N=0.0)
-    ident = NonIdealityParams(omega_d_mean=spec.omega_d_mean)
-    grid = simulate_crossing(CAV, empty, ident, spec, 0.0, seed=0)
+    grid = simulate_crossing(CAV, empty, NonIdealityParams(), spec, 0.0,
+                             seed=0)
     dips = dip_trajectory(grid)
     step = spec.omega_d_values[1] - spec.omega_d_values[0]
     assert np.all(np.abs(dips - CAV.omega_c) < step)
@@ -175,8 +174,7 @@ def test_normalized_border_near_unity():
 def test_objective_at_truth_is_zero():
     spec = wide_spec(20, 20)
     grid = simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=0)
-    ni = replace(NI, omega_d_mean=spec.omega_d_mean)
-    model = evaluate_model_grid(CAV, ENS, ni, spec)
+    model = evaluate_model_grid(CAV, ENS, NI, spec)
     assert objective_l1(model, grid.values) < 1e-9
 
 
@@ -325,8 +323,7 @@ def test_fused_objective_matches_reference(monkeypatch):
         for _, params, want in points:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                ni = NonIdealityParams(*params[5:],
-                                       omega_d_mean=spec.omega_d_mean)
+                ni = NonIdealityParams(*params[5:])
             cav = CavityParams(omega_c=CAV.omega_c, kappa_c0=params[0],
                                kappa_c1=params[1])
             ens = EnsembleParams(g_s=G_S, N=(params[4] / G_S) ** 2,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rubymag.cavity import CavityParams, DriveParams, EnsembleParams, reflection
-from rubymag.errors import AsymmetricGrid, GridMismatch
+from rubymag.errors import AsymmetricGrid
 from rubymag.iqnoise import (DBC_PER_HZ, V2_PER_HZ, NoiseSpectrum,
                              SampledGamma, decompose_gamma,
                              noise_contribution_split, predict_noise_psd,
@@ -155,7 +155,7 @@ def test_zero_inputs_give_flat_floor():
     pos_hz = g.positive_half()[0] / TWO_PI
     amp = flat_spectrum(pos_hz, 0.0, V2_PER_HZ)
     phase = flat_spectrum(pos_hz, 0.0, V2_PER_HZ)
-    out = predict_noise_psd(amp, phase, g, p0=1e-15, resample=False)
+    out = predict_noise_psd(amp, phase, g, p0=1e-15)
     assert np.allclose(out.density, 1e-15, rtol=1e-12)
 
 
@@ -167,7 +167,7 @@ def test_constant_real_gamma_two_equal_phase_terms():
     phi2 = 4e-12                              # V^2/Hz, already two-sided
     amp = flat_spectrum(pos_hz, 0.0, V2_PER_HZ)
     phase = flat_spectrum(pos_hz, phi2, V2_PER_HZ)
-    out = predict_noise_psd(amp, phase, g, p0=1e-13, resample=False)
+    out = predict_noise_psd(amp, phase, g, p0=1e-13)
     assert np.allclose(out.density, 2.0 * phi2 * 0.8 ** 2 + 1e-13, rtol=1e-12)
 
 
@@ -178,7 +178,7 @@ def test_ssb_dbc_doubling_convention():
     amp = flat_spectrum(pos_hz, 0.0, V2_PER_HZ)
     dbc = -120.0
     phase = flat_spectrum(pos_hz, dbc, DBC_PER_HZ)
-    out = predict_noise_psd(amp, phase, g, p0=0.0, resample=False)
+    out = predict_noise_psd(amp, phase, g, p0=0.0)
     # two equal phase terms, each with SSB->two-sided factor 2
     assert out.density[0] == pytest.approx(2 * 2 * 10 ** (dbc / 10), rel=1e-12)
 
@@ -188,19 +188,11 @@ def test_split_sum_equals_total():
     pos_hz = g.positive_half()[0] / TWO_PI
     amp = flat_spectrum(pos_hz, -150.0, DBC_PER_HZ)
     phase = flat_spectrum(pos_hz, -120.0, DBC_PER_HZ)
-    pn, am = noise_contribution_split(amp, phase, g, resample=False)
-    total = predict_noise_psd(amp, phase, g, p0=2.5e-16, resample=False)
+    pn, am = noise_contribution_split(amp, phase, g)
+    total = predict_noise_psd(amp, phase, g, p0=2.5e-16)
     assert np.allclose(pn.density + am.density + 2.5e-16, total.density,
                        rtol=1e-12)
     assert np.all(total.density >= 2.5e-16)
-
-
-def test_grid_mismatch_detected_when_resampling_disabled():
-    g = cavity_gamma()
-    amp = flat_spectrum(np.array([5.0, 50.0]), -150.0, DBC_PER_HZ)
-    phase = flat_spectrum(np.array([5.0, 50.0]), -120.0, DBC_PER_HZ)
-    with pytest.raises(GridMismatch):
-        predict_noise_psd(amp, phase, g, p0=0.0, resample=False)
 
 
 def test_bundled_inputs_phase_noise_dominates():
@@ -212,7 +204,7 @@ def test_bundled_inputs_phase_noise_dominates():
                            / "amplitude_noise.csv") as p:
         amp = read_spectrum_csv(p)
     g = cavity_gamma(symmetric_offsets(n_half=25, max_hz=1e6))
-    pn, am = noise_contribution_split(amp, phase, g, resample=True)
+    pn, am = noise_contribution_split(amp, phase, g)
     assert np.all(pn.density >= 10.0 * am.density)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
                             single_spin_coupling)
 from rubymag.constants import CONST
 from rubymag.errors import (EmptyTable, NegativeRadicand, TooFewPoints,
-                            TooFewSamples, UndersampledTestTone, ZeroSignal,
-                            ZeroSlope)
+                            TooFewSamples, UndersampledTestTone, ZeroKappaTh,
+                            ZeroSignal, ZeroSlope, ZeroSpinLinewidth)
 from rubymag.magnetometry import (SensitivityConfig, SweepTrace, ToneSpec,
                                   amplitude_spectrum, bias_sweep_trace,
                                   dispersive_slope, noise_floor, optimize_grid,
@@ -26,7 +27,7 @@ CAV = CavityParams()
 G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
 ENS = EnsembleParams(g_s=G_S, N=(TWO_PI * 3.5e6 / G_S) ** 2)
 DRIVE = DriveParams(omega_d=TWO_PI * 11.4e9, power=dbm_to_watts(11.0))
-NI = NonIdealityParams(omega_d_mean=DRIVE.omega_d)
+NI = NonIdealityParams()
 
 # bias field placing the +3/2 <-> +1/2 transition on the drive frequency
 _SLOPE = SYS.g_par * CONST.mu_B / CONST.hbar          # rad/s per tesla
@@ -50,14 +51,9 @@ def test_sweep_trace_validation():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SensitivityConfig(R=0.0)
-    with pytest.raises(ValueError):
-        SensitivityConfig(F=-1.0)
-    with pytest.raises(ValueError):
         ToneSpec(amplitude_rms=-1e-9, frequency=TWO_PI * 10)
     cfg = SensitivityConfig()
-    assert cfg.G_db == 21.0 and cfg.T == 293.0 and cfg.R == 50.0
-    assert cfg.F == pytest.approx(math.sqrt(2.0))
+    assert cfg.G_db == 21.0 and cfg.T == 293.0
     assert cfg.ell_db == -6.0
 
 
@@ -318,6 +314,14 @@ def test_bias_sweep_dispersive_zero_crossing_and_slope():
     assert center.min() < 0.0 < center.max()
     _, m_max = dispersive_slope(trace)
     assert 500.0 < m_max < 10000.0
+
+
+def test_bias_sweep_rejects_zero_spin_rates():
+    b = np.linspace(B_CENTER - 2e-4, B_CENTER + 2e-4, 11)
+    with pytest.raises(ZeroSpinLinewidth):
+        bias_sweep_trace(SYS, CAV, replace(ENS, kappa_s=0.0), NI, DRIVE, b)
+    with pytest.raises(ZeroKappaTh):
+        bias_sweep_trace(SYS, CAV, replace(ENS, kappa_th=0.0), NI, DRIVE, b)
 
 
 def test_timeseries_constant_without_test_field_or_noise():
