@@ -4,15 +4,10 @@ The forward model is the non-ideality-wrapped reflection coefficient
 evaluated over an (omega_s, omega_d) grid.  Fitting minimizes the L1 norm of
 the complex residuals.  Strictly-positive rates are fit in log-space and every
 parameter is mapped through a logistic transform onto its bounds, so the
-search itself runs unconstrained, in three stages: Levenberg-Marquardt on the
-real and imaginary residuals reaches the least-squares optimum in a few
-finite-difference Jacobians, iteratively reweighted least squares (weights
-1/sqrt|r|) moves it to the L1 optimum, and a Nelder-Mead polish on the L1
-objective ends the search and decides convergence.
-
-The polish is the only scipy call on any command's path.  minimize imports
-scipy.optimize on its first call, so importing this module, and running any
-command but crossing-fit, loads numpy alone.
+search itself runs unconstrained, on numpy alone, in the two stages of
+minimize: Levenberg-Marquardt on the real and imaginary residuals reaches the
+least-squares optimum in a few finite-difference Jacobians, and iteratively
+reweighted least squares (weights 1/sqrt|r|) moves it to the L1 optimum.
 
 Both evaluate_model_grid and the fit evaluate the model with
 cavity.gamma_prime, which takes plain floats and arrays, so an objective
@@ -38,13 +33,6 @@ from .errors import (AllZeroBorder, InvalidBounds, ParseError, ZeroKappaTh,
                      ZeroRate)
 
 _TWO_PI = 2.0 * math.pi
-
-
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first call."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -85,13 +73,14 @@ class FitResult:
     nonideal: NonIdealityParams
     objective_value: float
     iterations: int
-    converged: bool
+    converged: bool               # IRLS reached _IRLS_TOL (see minimize)
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    max_evaluations: int = 150000
-    objective_tol: float = 1e-10
+    """converged (see FitResult) is False when max_evaluations runs out."""
+    max_evaluations: int = 150000  # finite differences included
+    objective_tol: float = 1e-10  # relative sum r^2 gain ending the LM stage
     fixed: tuple = ()             # PARAM_NAMES entries pinned at the guess
 
 
@@ -151,7 +140,7 @@ def dip_trajectory(grid: ComplexGrid2D) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bounded fit: Levenberg-Marquardt, IRLS, Nelder-Mead polish
+# bounded fit: Levenberg-Marquardt, then IRLS
 
 _PHYSICAL = ("kappa_c0", "kappa_c1", "kappa_s", "kappa_th", "g_eff")
 _AUXILIARY = ("o_r", "o_i", "A", "b", "psi", "tau", "omega_s_off", "omega_d_off")
@@ -187,7 +176,7 @@ class _BoundTransform:
     """Logistic mapping between bounded parameters and unconstrained space.
 
     Rates (the physical block) live in log-space before the logistic map, so
-    the simplex moves in relative rather than absolute steps for them.
+    the search moves in relative rather than absolute steps for them.
     """
 
     def __init__(self, bounds: dict):
@@ -265,7 +254,7 @@ def _jacobian(evaluate, x: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _levenberg_marquardt(evaluate, x: np.ndarray, r: np.ndarray, f: float,
                          l1: bool, tol: float) -> tuple:
-    """Damped Gauss-Newton steps from x; returns (x, r, steps).
+    """Damped Gauss-Newton steps from x; returns (x, r, steps, reached_tol).
 
     evaluate(x) gives the real residuals and their L1 norm; r and f are the
     residuals and the objective at x.  With l1 False the objective is sum r^2.
@@ -274,7 +263,10 @@ def _levenberg_marquardt(evaluate, x: np.ndarray, r: np.ndarray, f: float,
     so that sum w^2 r^2 equals sum |r| at x wherever |r| exceeds the floor;
     one Jacobian serves one reweighted step.  A step is kept only if the
     objective drops.  Stops when an accepted step gains less than tol
-    relative, or when no damping up to _MAX_DAMPING lowers the objective.
+    relative, or when no damping up to _MAX_DAMPING lowers the objective;
+    reached_tol is True in the first case, and in the second only if the
+    objective is at most tol, so that no step could gain more (a fit down to
+    rounding error).
     """
     damping = _INITIAL_DAMPING
     steps = 0
@@ -297,13 +289,33 @@ def _levenberg_marquardt(evaluate, x: np.ndarray, r: np.ndarray, f: float,
                 break
             damping *= 10.0
             if damping > _MAX_DAMPING:
-                return x, r, steps
+                return x, r, steps, bool(f <= tol)
         steps += 1
         gain = f - f_new
         x, r, f = x + dx, r_new, f_new
         damping = max(damping / 10.0, _MIN_DAMPING)
         if gain <= tol * f:
-            return x, r, steps
+            return x, r, steps, True
+
+
+def minimize(evaluate, x0: np.ndarray, r0: np.ndarray,
+             tol: float) -> tuple[int, bool]:
+    """Levenberg-Marquardt on sum r^2 from x0, then IRLS on sum |r|.
+
+    evaluate and r0 are as for _levenberg_marquardt; tol ends the first
+    stage and _IRLS_TOL the second.  Returns (accepted steps, converged),
+    converged being the second stage's reached_tol, or False once evaluate
+    raises _BudgetSpent.
+    """
+    steps = 0
+    try:
+        x, r, steps, _ = _levenberg_marquardt(evaluate, x0, r0, r0 @ r0,
+                                              False, tol)
+        _, _, irls_steps, converged = _levenberg_marquardt(
+            evaluate, x, r, np.abs(r).sum(), True, _IRLS_TOL)
+    except _BudgetSpent:
+        return steps, False
+    return steps + irls_steps, converged
 
 
 def fit_crossing(data: ComplexGrid2D, initial: FitResult,
@@ -312,11 +324,10 @@ def fit_crossing(data: ComplexGrid2D, initial: FitResult,
     """Fit the non-ideality model to a (normalized) reflection grid.
 
     Levenberg-Marquardt on the real and imaginary residuals takes the guess
-    to the least-squares optimum, IRLS carries that toward the L1 optimum, and
-    a Nelder-Mead polish finishes on the L1 objective itself.  Every model
-    evaluation, finite differences included, counts against max_evaluations.
-    Returns the lowest-L1 point evaluated; converged=False flags a fit that
-    spent its budget before the polish met objective_tol.
+    to the least-squares optimum and IRLS carries that to the L1 optimum (see
+    minimize, which decides converged).  Every model evaluation, finite
+    differences included, counts against max_evaluations.  Returns the
+    lowest-L1 point evaluated.
     """
     options = options or FitOptions()
     bounds = bounds if bounds is not None else default_bounds(initial)
@@ -354,27 +365,11 @@ def fit_crossing(data: ComplexGrid2D, initial: FitResult,
         model -= data.values
         return model.ravel().view(float), f
 
-    iterations = 0
-    converged = False
-    try:
-        r, _ = evaluate(x0)
-        x, r, steps = _levenberg_marquardt(evaluate, x0, r, r @ r, False,
-                                           options.objective_tol)
-        iterations += steps
-        _, _, steps = _levenberg_marquardt(evaluate, x, r, np.abs(r).sum(),
-                                           True, _IRLS_TOL)
-        iterations += steps
-        # the polish stops when the objective is flat across its simplex
-        res = minimize(lambda y: evaluate(y)[1], best_x, method="Nelder-Mead",
-                       options={"maxfev": options.max_evaluations - evals,
-                                "xatol": math.inf,
-                                "fatol": options.objective_tol
-                                * max(1.0, best_f),
-                                "adaptive": True})
-        iterations += res.nit
-        converged = res.status == 0
-    except _BudgetSpent:
-        pass
+    iterations, converged = 0, False
+    if options.max_evaluations > 0:
+        r0, _ = evaluate(x0)
+        iterations, converged = minimize(evaluate, x0, r0,
+                                         options.objective_tol)
 
     best_full = full0.copy()
     best_full[free] = best_x

@@ -98,7 +98,8 @@ def amplitude_spectrum(samples, fs: float) -> tuple[np.ndarray, np.ndarray]:
     variance sigma^2 reports a flat density sigma*sqrt(2/fs); a tone's RMS
     amplitude is recovered by integrating the squared density across its peak
     bins (see tone_rms).  Segment averaging keeps the amplitude estimate
-    unbiased: segments of max(min(n, 256), n // 8) samples overlap by half.
+    unbiased: Welch's method, with segments of max(min(n, 256), n // 8)
+    samples that overlap by half, each mean-removed and Hann windowed.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 16:
@@ -106,12 +107,15 @@ def amplitude_spectrum(samples, fs: float) -> tuple[np.ndarray, np.ndarray]:
     if fs <= 0:
         raise ValueError("fs must be positive")
     nperseg = max(min(samples.size, 256), samples.size // 8)
-    # scipy.signal is slow to import and only this function needs it
-    from scipy.signal import welch
-
-    freqs, psd = welch(samples, fs=fs, window="hann", nperseg=nperseg,
-                       scaling="density", detrend="constant")
-    return freqs, np.sqrt(psd)
+    segments = np.lib.stride_tricks.sliding_window_view(
+        samples, nperseg)[::nperseg - nperseg // 2]
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
+    spectra = np.fft.rfft(
+        (segments - segments.mean(axis=1, keepdims=True)) * window, axis=1)
+    psd = (np.abs(spectra) ** 2).mean(axis=0) / (fs * np.sum(window ** 2))
+    # one-sided: fold negative frequencies onto all bins but DC and Nyquist
+    psd[1:(nperseg + 1) // 2] *= 2.0
+    return np.fft.rfftfreq(nperseg, 1.0 / fs), np.sqrt(psd)
 
 
 def tone_rms(freqs: np.ndarray, asd: np.ndarray, f0: float) -> float:

@@ -254,8 +254,8 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_non_fit_commands_load_no_scipy(tmp_path):
-    """Every command but crossing-fit runs on numpy alone."""
+def test_commands_load_no_scipy(tmp_path):
+    """Every command, crossing-fit included, runs on numpy alone."""
     csv_path = tmp_path / "calibration.csv"
     csv_path.write_text("current_a,field_t\n0.0,1e-9\n0.005,1.1e-7\n"
                         "0.01,2.2e-7\n")
@@ -265,13 +265,17 @@ def test_non_fit_commands_load_no_scipy(tmp_path):
             ("eigen", "crossing-sim", "noise-predict", "sensitivity",
              "optimize", "report")]
     runs.append(["calibrate", "--input", str(csv_path)] + common)
+    # fits the 6x6 grid that crossing-sim wrote above
+    runs.append(["crossing-fit", "--input", str(tmp_path / "crossing.csv")]
+                + common)
     code = ("import json, sys\n"
             "from rubymag.cli import main\n"
             f"codes = [main(argv) for argv in {runs!r}]\n"
             "print(json.dumps([codes, sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy')]))")
     codes, loaded = json.loads(run_python(code).splitlines()[-1])
-    assert codes == [0] * 7
+    assert codes == [0] * 8
+    assert (tmp_path / "fit.json").exists()
     assert loaded == []
 
 

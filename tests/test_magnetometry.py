@@ -151,6 +151,24 @@ def test_spectrum_pure_tone_rms():
     assert tone_rms(freqs, asd, 50.0) == pytest.approx(0.7071, rel=0.01)
 
 
+@pytest.mark.parametrize("n", [16, 17, 255, 256, 257, 2047, 2056, 2063,
+                               4001, 10001])
+def test_spectrum_matches_scipy_welch(n):
+    """The in-package Welch estimate equals scipy.signal.welch's, across
+    lengths that give even and odd segment lengths of 16 to 1250 samples."""
+    from scipy.signal import welch
+
+    rng = np.random.default_rng(n)
+    samples = 3.0 + rng.standard_normal(n) + np.sin(0.3 * np.arange(n))
+    nperseg = max(min(n, 256), n // 8)
+    ref_freqs, psd = welch(samples, fs=123.0, window="hann", nperseg=nperseg,
+                           scaling="density", detrend="constant")
+    freqs, asd = amplitude_spectrum(samples, fs=123.0)
+    assert np.array_equal(freqs, ref_freqs)
+    ref = np.sqrt(psd)
+    assert np.allclose(asd, ref, rtol=1e-12, atol=1e-12 * ref.max())
+
+
 def test_spectrum_validation():
     with pytest.raises(TooFewSamples):
         amplitude_spectrum(np.zeros(8), fs=1e3)
