@@ -185,6 +185,36 @@ def gamma_prime_params(cav: CavityParams, ens: EnsembleParams,
             ni.omega_s_off, ni.omega_d_off]
 
 
+def _gamma_terms(omega_s, omega_d, omega_ref: float, omega_c: float,
+                 g_s: float, power: float, params, omega_n=None) -> tuple:
+    """The intermediates of gamma_prime, which gamma_prime_jacobian reuses.
+
+    Returns (omega_d - omega_d_off, delta', S, D, G/D, den, d,
+    exp(i(psi + d tau)), e), den being the loaded denominator
+    kappa_c/2 + i(omega_d - omega_d_off - omega_c) + Pi (see gamma_prime for
+    the symbols).
+    """
+    (kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff,
+     o_r, o_i, A, b, psi, tau, omega_s_off, omega_d_off) = params
+    kappa_c = kappa_c0 + kappa_c1
+    wd = omega_d - omega_d_off
+    delta = np.subtract.outer(omega_s - omega_s_off, wd)
+    s_term = 0.0
+    if power:   # undriven, kappa_th never enters and may be 0
+        s_term = (g_s ** 2 * power / (2.0 * CONST.hbar) * kappa_s
+                  / (kappa_th * kappa_c)) / (wd if omega_n is None else omega_n)
+    dd = delta * delta
+    dd += 0.25 * kappa_s * kappa_s + s_term
+    g_over_d = (g_eff * g_eff) / dd
+    den = np.empty(np.shape(delta), dtype=complex)
+    den.real = 0.5 * kappa_c + (0.5 * kappa_s) * g_over_d
+    den.imag = (wd - omega_c) + delta * g_over_d
+    d = omega_d - omega_ref
+    phase = np.exp(1j * (psi + d * tau))
+    e = (1.0 + A + b * d) * phase
+    return wd, delta, s_term, dd, g_over_d, den, d, phase, e
+
+
 def gamma_prime(omega_s, omega_d, omega_ref: float, omega_c: float,
                 g_s: float, power: float, params, omega_n=None):
     """Gamma' with rows over omega_s and columns over omega_d.
@@ -208,26 +238,58 @@ def gamma_prime(omega_s, omega_d, omega_ref: float, omega_c: float,
     takes one complex division per point, and Pi is exactly 0 when
     g_eff = 0.
     """
-    (kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff,
-     o_r, o_i, A, b, psi, tau, omega_s_off, omega_d_off) = params
-    kappa_c = kappa_c0 + kappa_c1
-    wd = omega_d - omega_d_off
-    delta = np.subtract.outer(omega_s - omega_s_off, wd)
-    s_term = 0.0
-    if power:   # undriven, kappa_th never enters and may be 0
-        s_term = (g_s ** 2 * power / (2.0 * CONST.hbar) * kappa_s
-                  / (kappa_th * kappa_c)) / (wd if omega_n is None else omega_n)
-    g_over_d = delta * delta
-    g_over_d += 0.25 * kappa_s * kappa_s + s_term
-    g_over_d = (g_eff * g_eff) / g_over_d
-    den = np.empty(np.shape(delta), dtype=complex)
-    den.real = 0.5 * kappa_c + (0.5 * kappa_s) * g_over_d
-    den.imag = (wd - omega_c) + delta * g_over_d
-    d = omega_d - omega_ref
-    e = (1.0 + A + b * d) * np.exp(1j * (psi + d * tau))
+    *_, den, _, _, e = _gamma_terms(omega_s, omega_d, omega_ref, omega_c,
+                                    g_s, power, params, omega_n)
+    kappa_c1, o_r, o_i = params[1], params[5], params[6]
     gamma = np.divide(kappa_c1 * e, den, out=den)
     gamma += o_r + 1j * o_i - e
     return gamma
+
+
+def gamma_prime_jacobian(omega_s, omega_d, omega_ref: float, omega_c: float,
+                         g_s: float, power: float, params) -> np.ndarray:
+    """dGamma'/dparams, shape (13, n_s, n_d), rows in gamma_prime_params order.
+
+    The arguments are gamma_prime's, with n_cav always at the shifted drive
+    frequency; kappa_s and, when driven, kappa_th must be positive.  With
+    h = (kappa_s/2 + i delta') / D, so that Pi = G h, the chain rule runs
+    through
+
+        dPi/d delta' = (G/D)(i - 2 delta' h),   dPi/dS = -(G/D) h,
+
+    S scaling as kappa_s / (kappa_th kappa_c (omega_d - omega_d_off)), and
+    dGamma'/d den = -q with q = kappa_c1 e / den^2.  The omega_d_off row
+    thus carries d den/d omega_d_off = -i + dPi/d delta'
+    - (G/D) h S / (omega_d - omega_d_off); at the fit's drive powers the
+    last term is of order 1e-5 of the row.
+    """
+    kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff = params[:5]
+    wd, delta, s_term, dd, g_over_d, den, d, phase, e = _gamma_terms(
+        omega_s, omega_d, omega_ref, omega_c, g_s, power, params)
+    inv = 1.0 / den
+    gamma = kappa_c1 * inv - 1.0
+    q = kappa_c1 * e * inv * inv
+    h = np.empty_like(den)
+    h.real = 0.5 * kappa_s / dd
+    h.imag = delta / dd
+    qh = q * h                 # -dGamma'/dG
+    qgh = qh * g_over_d        # dGamma'/dS
+    qg = q * g_over_d
+    jac = np.empty((13,) + den.shape, dtype=complex)
+    jac[0] = -0.5 * q - qgh * (s_term / (kappa_c0 + kappa_c1))
+    jac[1] = e * inv + jac[0]
+    jac[2] = -0.5 * qg + qgh * (0.5 * kappa_s + s_term / kappa_s)
+    jac[3] = qgh * (-s_term / kappa_th) if power else 0.0
+    jac[4] = (-2.0 * g_eff) * qh
+    jac[5] = 1.0
+    jac[6] = 1j
+    jac[7] = phase * gamma
+    jac[8] = d * jac[7]
+    jac[9] = 1j * e * gamma
+    jac[10] = d * jac[9]
+    jac[11] = 1j * qg - 2.0 * delta * qgh
+    jac[12] = 1j * q - jac[11] + qgh * (s_term / wd)
+    return jac
 
 
 def single_spin_coupling(V_cav: float, omega_c: float,

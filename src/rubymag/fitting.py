@@ -6,8 +6,10 @@ the complex residuals.  Strictly-positive rates are fit in log-space and every
 parameter is mapped through a logistic transform onto its bounds, so the
 search itself runs unconstrained, on numpy alone, in the two stages of
 minimize: Levenberg-Marquardt on the real and imaginary residuals reaches the
-least-squares optimum in a few finite-difference Jacobians, and iteratively
-reweighted least squares (weights 1/sqrt|r|) moves it to the L1 optimum.
+least-squares optimum in a few steps, and iteratively reweighted least squares
+(weights 1/sqrt|r|) moves it to the L1 optimum.  Every step takes one
+Jacobian: cavity.gamma_prime_jacobian's closed-form derivatives, chained
+through the bound transform.
 
 Both evaluate_model_grid and the fit evaluate the model with
 cavity.gamma_prime, which takes plain floats and arrays, so an objective
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import (CavityParams, EnsembleParams, NonIdealityParams,
-                     gamma_prime, gamma_prime_params)
+                     gamma_prime, gamma_prime_jacobian, gamma_prime_params)
 from .csvio import read_columns, write_columns
 from .errors import (AllZeroBorder, InvalidBounds, ParseError, ZeroKappaTh,
                      ZeroRate)
@@ -79,7 +81,7 @@ class FitResult:
 @dataclass(frozen=True)
 class FitOptions:
     """converged (see FitResult) is False when max_evaluations runs out."""
-    max_evaluations: int = 150000  # finite differences included
+    max_evaluations: int = 150000  # a Jacobian counts as one
     objective_tol: float = 1e-10  # relative sum r^2 gain ending the LM stage
     fixed: tuple = ()             # PARAM_NAMES entries pinned at the guess
 
@@ -200,11 +202,18 @@ class _BoundTransform:
         return np.log(frac / (1.0 - frac))
 
     def to_bounded(self, x: np.ndarray) -> np.ndarray:
+        return self.to_bounded_slope(x)[0]
+
+    def to_bounded_slope(self, x: np.ndarray) -> tuple:
+        """The bounded parameters p at x and dp/dx, elementwise."""
         # exp(-x) would overflow, with a warning, below x = -709; the cap
         # keeps such trial points at the lower bound quietly
-        u = self.lo + self.span / (1.0 + np.exp(np.minimum(-x, 500.0)))
+        t = np.exp(np.minimum(-x, 500.0))
+        u = self.lo + self.span / (1.0 + t)
+        slope = self.span * (t / (1.0 + t)) / (1.0 + t)   # finite at the cap
         u[self.log] = np.exp(u[self.log])
-        return u
+        slope[self.log] *= u[self.log]
+        return u, slope
 
 
 def _vector_to_params(vec: np.ndarray, template: FitResult) -> tuple[
@@ -230,7 +239,6 @@ def objective_l1(model: np.ndarray, data: np.ndarray) -> float:
 
 
 # damped Gauss-Newton and IRLS constants
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)   # forward-difference step
 _INITIAL_DAMPING = 1e-3
 _MIN_DAMPING = 1e-12
 _MAX_DAMPING = 1e10
@@ -242,22 +250,14 @@ class _BudgetSpent(Exception):
     """The fit's evaluation budget is used up."""
 
 
-def _jacobian(evaluate, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian of the residuals r at x."""
-    jac = np.empty((r.size, x.size))
-    for k in range(x.size):
-        step = x.copy()
-        step[k] += _SQRT_EPS * max(1.0, abs(x[k]))
-        jac[:, k] = (evaluate(step)[0] - r) / (step[k] - x[k])
-    return jac
-
-
-def _levenberg_marquardt(evaluate, x: np.ndarray, r: np.ndarray, f: float,
-                         l1: bool, tol: float) -> tuple:
+def _levenberg_marquardt(evaluate, jacobian, x: np.ndarray, r: np.ndarray,
+                         f: float, l1: bool, tol: float) -> tuple:
     """Damped Gauss-Newton steps from x; returns (x, r, steps, reached_tol).
 
-    evaluate(x) gives the real residuals and their L1 norm; r and f are the
-    residuals and the objective at x.  With l1 False the objective is sum r^2.
+    evaluate(x) gives the real residuals and their L1 norm, jacobian(x) their
+    derivatives in x, one row per residual (a fresh array each call, which
+    the weighting scales in place); r and f are the residuals and the
+    objective at x.  With l1 False the objective is sum r^2.
     With l1 True it is sum |r|, and each step first reweights the rows by
     w = 1/sqrt(max(|r|, _IRLS_FLOOR)) (iteratively reweighted least squares),
     so that sum w^2 r^2 equals sum |r| at x wherever |r| exceeds the floor;
@@ -271,7 +271,7 @@ def _levenberg_marquardt(evaluate, x: np.ndarray, r: np.ndarray, f: float,
     damping = _INITIAL_DAMPING
     steps = 0
     while True:
-        jac = _jacobian(evaluate, x, r)
+        jac = jacobian(x)
         rw = r
         if l1:
             w = 1.0 / np.sqrt(np.maximum(np.abs(r), _IRLS_FLOOR))
@@ -298,21 +298,21 @@ def _levenberg_marquardt(evaluate, x: np.ndarray, r: np.ndarray, f: float,
             return x, r, steps, True
 
 
-def minimize(evaluate, x0: np.ndarray, r0: np.ndarray,
+def minimize(evaluate, jacobian, x0: np.ndarray, r0: np.ndarray,
              tol: float) -> tuple[int, bool]:
     """Levenberg-Marquardt on sum r^2 from x0, then IRLS on sum |r|.
 
-    evaluate and r0 are as for _levenberg_marquardt; tol ends the first
-    stage and _IRLS_TOL the second.  Returns (accepted steps, converged),
-    converged being the second stage's reached_tol, or False once evaluate
-    raises _BudgetSpent.
+    evaluate, jacobian and r0 are as for _levenberg_marquardt; tol ends the
+    first stage and _IRLS_TOL the second.  Returns (accepted steps,
+    converged), converged being the second stage's reached_tol, or False once
+    evaluate or jacobian raises _BudgetSpent.
     """
     steps = 0
     try:
-        x, r, steps, _ = _levenberg_marquardt(evaluate, x0, r0, r0 @ r0,
-                                              False, tol)
+        x, r, steps, _ = _levenberg_marquardt(evaluate, jacobian, x0, r0,
+                                              r0 @ r0, False, tol)
         _, _, irls_steps, converged = _levenberg_marquardt(
-            evaluate, x, r, np.abs(r).sum(), True, _IRLS_TOL)
+            evaluate, jacobian, x, r, np.abs(r).sum(), True, _IRLS_TOL)
     except _BudgetSpent:
         return steps, False
     return steps + irls_steps, converged
@@ -325,9 +325,9 @@ def fit_crossing(data: ComplexGrid2D, initial: FitResult,
 
     Levenberg-Marquardt on the real and imaginary residuals takes the guess
     to the least-squares optimum and IRLS carries that to the L1 optimum (see
-    minimize, which decides converged).  Every model evaluation, finite
-    differences included, counts against max_evaluations.  Returns the
-    lowest-L1 point evaluated.
+    minimize, which decides converged).  Every model evaluation counts
+    against max_evaluations, and so does every Jacobian, as one evaluation.
+    Returns the lowest-L1 point evaluated.
     """
     options = options or FitOptions()
     bounds = bounds if bounds is not None else default_bounds(initial)
@@ -350,12 +350,17 @@ def fit_crossing(data: ComplexGrid2D, initial: FitResult,
     evals = 0
     best_x, best_f = x0, math.inf
 
-    def evaluate(x):
-        nonlocal evals, best_x, best_f
+    def spend(x):
+        # one evaluation of the budget, at x spliced into the fixed values
+        nonlocal evals
         if evals >= options.max_evaluations:
             raise _BudgetSpent
         evals += 1
         full[free] = x
+
+    def evaluate(x):
+        nonlocal best_x, best_f
+        spend(x)
         model = gamma_prime(spec.omega_s_values, spec.omega_d_values,
                             omega_d_mean, omega_c, g_s, spec.drive_power,
                             transform.to_bounded(full).tolist())
@@ -365,10 +370,22 @@ def fit_crossing(data: ComplexGrid2D, initial: FitResult,
         model -= data.values
         return model.ravel().view(float), f
 
+    def jacobian(x):
+        # the free rows of dGamma'/dp, each viewed as the interleaved floats
+        # of evaluate's residuals and scaled by dp/dx
+        spend(x)
+        params, slope = transform.to_bounded_slope(full)
+        jac = gamma_prime_jacobian(spec.omega_s_values, spec.omega_d_values,
+                                   omega_d_mean, omega_c, g_s,
+                                   spec.drive_power, params.tolist())[free]
+        jac = jac.reshape(len(x), -1).view(float)
+        jac *= slope[free, None]
+        return jac.T
+
     iterations, converged = 0, False
     if options.max_evaluations > 0:
         r0, _ = evaluate(x0)
-        iterations, converged = minimize(evaluate, x0, r0,
+        iterations, converged = minimize(evaluate, jacobian, x0, r0,
                                          options.objective_tol)
 
     best_full = full0.copy()

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
                             NonIdealityParams, check_drive, cooperativity,
                             db_to_voltage_gain, dbm_to_watts, gamma_prime,
-                            gamma_prime_params, interaction_term,
+                            gamma_prime_jacobian, gamma_prime_params,
+                            interaction_term,
                             kappa_th_threshold_power, photon_number,
                             reflection, reflection_coefficient,
                             single_spin_coupling, spin_interaction,
@@ -16,6 +17,7 @@ from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
 from rubymag.constants import CONST
 from rubymag.errors import (ZeroCoupling, ZeroKappaTh, ZeroLinewidth,
                             ZeroSpinLinewidth)
+from rubymag.fitting import PARAM_NAMES, FitResult, default_bounds
 
 TWO_PI = 2.0 * math.pi
 
@@ -212,6 +214,62 @@ def test_gamma_prime_matches_reference(kc0, kc1, ks, kth, g_s, geff, det_c,
     params[4] = 0.0
     empty = gamma_prime(ws, wd, carrier + ref, omega_c, g_s, power, params)
     assert np.array_equal(empty, np.broadcast_to(empty[0], empty.shape))
+
+
+# the fit's bounds around the paper values, with the modal-volume g_s
+FIT_G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
+FIT_BOUNDS = default_bounds(FitResult(
+    CavityParams(), EnsembleParams(g_s=FIT_G_S, N=(G_EFF / FIT_G_S) ** 2),
+    NonIdealityParams(), math.inf, 0, False))
+
+
+@given(frac=st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13),
+       uncoupled=st.booleans(),
+       p_dbm=st.one_of(st.none(), st.floats(-40.0, 20.0)))
+@example(frac=[0.5] * 11 + [0.4, 0.6], uncoupled=False, p_dbm=11.0)
+@settings(max_examples=200, deadline=None)
+def test_gamma_prime_jacobian_matches_central_differences(frac, uncoupled,
+                                                          p_dbm):
+    """Every column equals a five-point central difference of gamma_prime,
+    over the fit's default bounds with nonzero offsets, with and without
+    coupling and drive (p_dbm None is undriven)."""
+    params = []
+    for f, name in zip(frac, PARAM_NAMES):
+        lo, hi = FIT_BOUNDS[name]
+        params.append(lo * (hi / lo) ** f if name in PARAM_NAMES[:5]
+                      else lo + f * (hi - lo))
+    assume(params[11] != 0.0 and params[12] != 0.0)
+    if uncoupled:
+        params[4] = 0.0
+    power = 0.0 if p_dbm is None else dbm_to_watts(p_dbm)
+    omega_c = TWO_PI * 11.4e9
+    ws = np.linspace(TWO_PI * 11.35e9, TWO_PI * 11.45e9, 7)
+    wd = np.linspace(TWO_PI * 11.395e9, TWO_PI * 11.405e9, 9)
+    ref = float(np.mean(wd))
+
+    def model(p):
+        return gamma_prime(ws, wd, ref, omega_c, FIT_G_S, power, p)
+
+    jac = gamma_prime_jacobian(ws, wd, ref, omega_c, FIT_G_S, power, params)
+    assert jac.shape == (13, ws.size, wd.size)
+    # the scale over which Gamma' varies in each parameter: rates in their
+    # own size, b and tau in 1 / max|omega_d - omega_ref|, the offsets in
+    # kappa_s and kappa_c
+    inv_d = 1.0 / np.abs(wd - ref).max()
+    scale = params[:4] + [params[4] or FIT_BOUNDS["g_eff"][1], 1.0, 1.0, 1.0,
+                          inv_d, 1.0, inv_d, params[2], params[0] + params[1]]
+    for k, name in enumerate(PARAM_NAMES):
+        # a step that moves Gamma' by at most 3e-4
+        h = 3e-4 / max(np.abs(jac[k]).max(), 1.0 / scale[k])
+
+        def at(t):
+            p = list(params)
+            p[k] += t * h
+            return model(p)
+
+        want = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
+        assert np.abs(jac[k] - want).max() \
+            <= 1e-6 * np.abs(want).max() + 1e-13 / h, name
 
 
 def test_single_spin_coupling_scalings():

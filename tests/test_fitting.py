@@ -298,7 +298,7 @@ def test_fused_objective_matches_reference(monkeypatch):
                                    spec.omega_d_mean)
             points.append((np.log(frac / (1.0 - frac))[free], params, want))
 
-        def stand_in_lm(evaluate, x, r, f, l1, tol):
+        def stand_in_lm(evaluate, jacobian, x, r, f, l1, tol):
             for y, _, want in points:
                 resid, l1_norm = evaluate(y)
                 expected = (want - grid.values).ravel().view(float)
@@ -326,27 +326,34 @@ def test_fused_objective_matches_reference(monkeypatch):
 
 
 def counting_kernel(monkeypatch):
-    """Record the parameter list of every Gamma' evaluation and count the
-    objective_l1 calls."""
-    params, objective_calls = [], []
-    real_kernel, real_objective = fitting.gamma_prime, fitting.objective_l1
+    """Record every model evaluation, a Gamma' value or a Jacobian, as
+    ("value" or "jacobian", parameter list), and count the objective_l1
+    calls."""
+    calls, objective_calls = [], []
+    real_objective = fitting.objective_l1
 
-    def kernel(*args):
-        params.append(args[6])
-        return real_kernel(*args)
+    def counted(kind, real_kernel):
+        def kernel(*args):
+            calls.append((kind, args[6]))
+            return real_kernel(*args)
+        return kernel
 
     def objective(model, data):
         objective_calls.append(1)
         return real_objective(model, data)
 
-    monkeypatch.setattr(fitting, "gamma_prime", kernel)
+    monkeypatch.setattr(fitting, "gamma_prime",
+                        counted("value", fitting.gamma_prime))
+    monkeypatch.setattr(fitting, "gamma_prime_jacobian",
+                        counted("jacobian", fitting.gamma_prime_jacobian))
     monkeypatch.setattr(fitting, "objective_l1", objective)
-    return params, objective_calls
+    return calls, objective_calls
 
 
 def test_fit_calls_objective_once_per_evaluation(monkeypatch):
-    """One objective per model evaluation, the guess evaluated once, and
-    max_evaluations bounding every evaluation of every stage."""
+    """One objective per value evaluation, the guess evaluated once and
+    first, and max_evaluations bounding every value and Jacobian of every
+    stage."""
     spec = wide_spec(10, 10)
     grid = simulate_crossing(CAV, ENS, NI, spec, 0.01, seed=2)
     init = guess_from(CAV, ENS, NI, spec, np.random.default_rng(3))
@@ -354,20 +361,24 @@ def test_fit_calls_objective_once_per_evaluation(monkeypatch):
              init.ensemble.kappa_s, init.ensemble.kappa_th,
              init.ensemble.g_eff, NI.o_r, NI.o_i, NI.A, NI.b, NI.psi, NI.tau,
              NI.omega_s_off, NI.omega_d_off]
-    params, objective_calls = counting_kernel(monkeypatch)
+    calls, objective_calls = counting_kernel(monkeypatch)
     opts = FitOptions(max_evaluations=20000)
     res = fit_crossing(grid, init, options=opts)
     assert res.converged
-    assert len(objective_calls) == len(params) <= opts.max_evaluations
-    at_guess = [p for p in params
+    values = [p for kind, p in calls if kind == "value"]
+    assert len(objective_calls) == len(values)
+    assert len(calls) <= opts.max_evaluations
+    at_guess = [p for p in values
                 if np.allclose(p, guess, rtol=1e-12, atol=0.0)]
-    assert len(at_guess) == 1 and params[0] is at_guess[0]
-    # a budget that ends inside the first stage is spent exactly
+    assert len(at_guess) == 1 and calls[0][1] is at_guess[0]
+    # a budget that ends inside either stage is spent exactly
     for budget in (1, 7, 150):
-        del params[:], objective_calls[:]
+        del calls[:], objective_calls[:]
         res = fit_crossing(grid, init,
                            options=replace(opts, max_evaluations=budget))
-        assert len(params) == len(objective_calls) == budget
+        assert len(calls) == budget
+        assert len(objective_calls) == sum(kind == "value"
+                                           for kind, _ in calls)
         assert not res.converged
         assert math.isfinite(res.objective_value)
 
@@ -376,7 +387,53 @@ def test_minimize_stops_unconverged_when_damping_runs_out():
     """An objective that never drops exhausts the damping of both stages."""
     r0 = np.linspace(-1.0, 1.0, 8)
     assert fitting.minimize(lambda x: (r0, float(np.abs(r0).sum())),
+                            lambda x: np.zeros((r0.size, x.size)),
                             np.zeros(3), r0, 1e-10) == (0, False)
+
+
+def five_point_difference(f, x, k, h):
+    """Central difference of f in x[k], with error O(h^4)."""
+    def at(t):
+        y = np.array(x, dtype=float)
+        y[k] += t * h
+        return f(y)
+    return (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
+
+
+def test_fit_jacobian_matches_central_differences(monkeypatch):
+    """The Jacobian fit_crossing hands minimize, chained through the bound
+    transform, equals central differences of its residuals in x: with and
+    without fixed parameters, and quietly beyond the transform's exp cap."""
+    spec = wide_spec(20, 24)
+    grid = simulate_crossing(CAV, ENS, NI, spec, 0.02, seed=9)
+    init = guess_from(CAV, ENS, NI, spec)
+    rng = np.random.default_rng(8)
+    for fixed in ((), ("kappa_th", "A", "tau")):
+        closures = []
+
+        def stand_in(evaluate, jacobian, x0, r0, tol):
+            closures.append((evaluate, jacobian))
+            return 0, False
+
+        monkeypatch.setattr(fitting, "minimize", stand_in)
+        fit_crossing(grid, init, options=FitOptions(fixed=fixed))
+        (evaluate, jacobian), = closures
+        n_free = len(PARAM_NAMES) - len(fixed)
+        beyond = rng.uniform(-3.0, 3.0, n_free)
+        beyond[:3] = -800.0, 800.0, -600.0
+        for x in [rng.uniform(-3.0, 3.0, n_free) for _ in range(3)] \
+                + [beyond]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                jac = jacobian(x)
+                assert jac.shape == (2 * grid.values.size, n_free)
+                for k in range(n_free):
+                    # a step that moves the residuals by at most 3e-4
+                    h = 3e-4 / max(np.abs(jac[:, k]).max(), 1.0)
+                    want = five_point_difference(lambda y: evaluate(y)[0],
+                                                 x, k, h)
+                    assert np.abs(jac[:, k] - want).max() \
+                        <= 1e-6 * np.abs(want).max() + 1e-13 / h, (fixed, k)
 
 
 def test_noiseless_fit_converges():
