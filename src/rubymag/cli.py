@@ -4,8 +4,9 @@ Subcommands: eigen, crossing-sim, crossing-fit, noise-predict, sensitivity,
 optimize, calibrate, report.  Configuration comes from an optional JSON file
 (--config) with per-key flag overrides generated one-for-one from the config
 schema (--kappa-s-mhz 42 overrides ensemble.kappa_s_mhz).  Exit codes: 0 on
-success, 2 on configuration/validation errors, 1 on runtime errors; errors
-print one machine-parsable line on stderr.
+success, 2 on configuration/validation errors, 1 on runtime errors (any
+ValueError or ArithmeticError a command raises included); errors print one
+machine-parsable line on stderr.
 """
 
 from __future__ import annotations
@@ -93,7 +94,10 @@ def _is_number(token: str) -> bool:
 def _load_config(args) -> RunConfig:
     raw = {}
     if args.config is not None:
-        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.config}: {exc}") from exc
         try:
             raw = json.loads(text) if text.strip() else {}
         except json.JSONDecodeError as exc:
@@ -171,10 +175,8 @@ def cmd_crossing_fit(cfg: RunConfig, args) -> int:
     if args.input is None:
         raise ConfigError("crossing-fit requires --input CSV")
     grid = fitting.read_grid_csv(args.input, cfg.drive().power)
-    initial = fitting.FitResult(
-        cavity=cfg.cavity(), ensemble=cfg.ensemble(), nonideal=cfg.nonideal(),
-        objective_value=math.inf, iterations=0, converged=False)
-    result = fitting.fit_crossing(grid, initial)
+    result = fitting.fit_crossing(grid, cfg.cavity(), cfg.ensemble(),
+                                  cfg.nonideal())
     path = _outdir(cfg) / "fit.json"
     write_json(path, fitting.fit_result_to_dict(result))
     print(path)
@@ -368,7 +370,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except RubymagError as exc:
+    except (RubymagError, ValueError, ArithmeticError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -113,15 +113,17 @@ _SCHEMA = {
     },
 }
 
-# key -> (lower limit in internal units, strict): checked after conversion
-_LOWER_LIMITS = {
-    "kappa_s_mhz": (0.0, True),
-    "kappa_th_khz": (0.0, True),
-    "noise_sigma": (0.0, False),
-    "b_span_gauss": (0.0, True),
-    "n_points": (5, False),
-    "b_max_gauss": (0.0, True),
-    "test_amplitude_nt": (0.0, True),
+# key -> (lower limit, strict, upper limit or None) in internal units:
+# checked after conversion; an upper limit is inclusive
+_LIMITS = {
+    "kappa_s_mhz": (0.0, True, None),
+    "kappa_th_khz": (0.0, True, None),
+    "noise_sigma": (0.0, False, None),
+    "b_span_gauss": (0.0, True, None),
+    "n_points": (5, False, None),
+    "theta_deg": (0.0, False, 180.0),
+    "b_max_gauss": (0.0, True, None),
+    "test_amplitude_nt": (0.0, True, None),
 }
 
 _UNIT_SUFFIXES = ("_ghz", "_mhz", "_khz", "_hz", "_gauss", "_tesla", "_nt",
@@ -244,11 +246,14 @@ def _convert_block(block_name: str, raw: dict) -> dict:
         if isinstance(out[key], float) and not math.isfinite(out[key]):
             raise UnitMismatch(f"{block_name}.{key}: {value!r} is not a "
                                f"finite number in internal units")
-        if key in _LOWER_LIMITS:
-            limit, strict = _LOWER_LIMITS[key]
-            if out[key] < limit or (strict and out[key] == limit):
+        if key in _LIMITS:
+            lower, strict, upper = _LIMITS[key]
+            if out[key] < lower or (strict and out[key] == lower):
                 raise ConfigError(f"{block_name}.{key}: must be "
-                                  f"{'>' if strict else '>='} {limit}, "
+                                  f"{'>' if strict else '>='} {lower}, "
+                                  f"got {value!r}")
+            if upper is not None and out[key] > upper:
+                raise ConfigError(f"{block_name}.{key}: must be <= {upper}, "
                                   f"got {value!r}")
     for key, (converter, default) in schema.items():
         if key not in out:

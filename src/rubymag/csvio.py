@@ -19,16 +19,20 @@ def read_columns(path, columns: tuple, text: tuple = ()) -> tuple[np.ndarray,
                                                                   list]:
     """(float table of `columns`, rows as dicts) of a CSV file with a header.
 
-    A missing column among `columns` and `text`, or a non-numeric or
-    non-finite cell in `columns`, raises ParseError naming the file.
+    A file that is not UTF-8 text, a missing column among `columns` and
+    `text`, or a non-numeric or non-finite cell in `columns`, raises
+    ParseError naming the file.
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns + text
-                   if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ParseError(f"{path}: missing column(s) {missing}")
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in columns + text
+                       if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ParseError(f"{path}: missing column(s) {missing}")
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     try:
         table = np.array([[float(row[c]) for c in columns] for row in rows],
                          dtype=float).reshape(-1, len(columns))

@@ -41,10 +41,6 @@ class ZeroCoupling(RubymagError, ValueError):
     pass
 
 
-class InvalidBounds(RubymagError, ValueError):
-    pass
-
-
 class AllZeroBorder(RubymagError, ValueError):
     pass
 
@@ -99,6 +95,10 @@ class ConfigError(RubymagError, ValueError):
 
 class ParseError(ConfigError):
     pass
+
+
+class InvalidBounds(ConfigError):
+    """The fit's guess leaves no valid bounds (a rate that is not > 0)."""
 
 
 class UnknownKey(ConfigError):

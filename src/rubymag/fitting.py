@@ -11,6 +11,9 @@ least-squares optimum in a few steps, and iteratively reweighted least squares
 Jacobian: cavity.gamma_prime_jacobian's closed-form derivatives, chained
 through the bound transform.
 
+fit_crossing takes a guess, whose rates set every bound (default_bounds),
+and an evaluation budget; all thirteen parameters are free.
+
 Both evaluate_model_grid and the fit evaluate the model with
 cavity.gamma_prime, which takes plain floats and arrays, so an objective
 evaluation builds no parameter objects and performs one complex division per
@@ -76,14 +79,6 @@ class FitResult:
     objective_value: float
     iterations: int
     converged: bool               # IRLS reached _IRLS_TOL (see minimize)
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """converged (see FitResult) is False when max_evaluations runs out."""
-    max_evaluations: int = 150000  # a Jacobian counts as one
-    objective_tol: float = 1e-10  # relative sum r^2 gain ending the LM stage
-    fixed: tuple = ()             # PARAM_NAMES entries pinned at the guess
 
 
 def evaluate_model_grid(cav: CavityParams, ens: EnsembleParams,
@@ -160,15 +155,22 @@ DEFAULT_AUX_BOUNDS = {
 }
 
 
-def default_bounds(initial: FitResult) -> dict:
-    """Rates bounded a factor 10 around the guess; auxiliaries at fixed ranges."""
+def default_bounds(cav: CavityParams, ens: EnsembleParams) -> dict:
+    """Rates bounded a factor 10 around the guess; auxiliaries at fixed ranges.
+
+    A guess rate that is not > 0, NaN included, raises InvalidBounds.
+    """
     phys = {
-        "kappa_c0": initial.cavity.kappa_c0,
-        "kappa_c1": initial.cavity.kappa_c1,
-        "kappa_s": initial.ensemble.kappa_s,
-        "kappa_th": initial.ensemble.kappa_th,
-        "g_eff": initial.ensemble.g_eff,
+        "kappa_c0": cav.kappa_c0,
+        "kappa_c1": cav.kappa_c1,
+        "kappa_s": ens.kappa_s,
+        "kappa_th": ens.kappa_th,
+        "g_eff": ens.g_eff,
     }
+    for name, val in phys.items():
+        if not val > 0:
+            raise InvalidBounds(f"the fit's guess for {name} must be > 0 to "
+                                f"bound it, got {val!r}")
     bounds = {name: (val / 10.0, val * 10.0) for name, val in phys.items()}
     bounds.update(DEFAULT_AUX_BOUNDS)
     return bounds
@@ -187,11 +189,7 @@ class _BoundTransform:
         self.log = np.array([name in _PHYSICAL for name in PARAM_NAMES])
         for k, name in enumerate(PARAM_NAMES):
             lo, hi = bounds[name]
-            if not hi > lo:
-                raise InvalidBounds(f"bounds for {name} must satisfy lo < hi")
             if self.log[k]:
-                if lo <= 0:
-                    raise InvalidBounds(f"{name} requires positive bounds")
                 lo, hi = math.log(lo), math.log(hi)
             self.lo[k], self.hi[k] = lo, hi
         self.span = self.hi - self.lo
@@ -216,14 +214,15 @@ class _BoundTransform:
         return u, slope
 
 
-def _vector_to_params(vec: np.ndarray, template: FitResult) -> tuple[
+def _vector_to_params(vec: np.ndarray, cav: CavityParams,
+                      ens: EnsembleParams) -> tuple[
         CavityParams, EnsembleParams, NonIdealityParams]:
     kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff = vec[:5]
-    cav = CavityParams(omega_c=template.cavity.omega_c,
+    cav = CavityParams(omega_c=cav.omega_c,
                        kappa_c0=kappa_c0, kappa_c1=kappa_c1)
-    g_s = template.ensemble.g_s
+    g_s = ens.g_s
     ens = EnsembleParams(g_s=g_s, N=(g_eff / g_s) ** 2, kappa_s=kappa_s,
-                         kappa_th=kappa_th, omega_s=template.ensemble.omega_s)
+                         kappa_th=kappa_th, omega_s=ens.omega_s)
     with warnings.catch_warnings():
         # the bounds, not the "small auxiliary" heuristic, limit fitted values
         warnings.simplefilter("ignore", UserWarning)
@@ -243,6 +242,7 @@ _INITIAL_DAMPING = 1e-3
 _MIN_DAMPING = 1e-12
 _MAX_DAMPING = 1e10
 _IRLS_FLOOR = 1e-6   # |r| below which IRLS weights stop growing
+_LM_TOL = 1e-10      # relative sum r^2 gain of one step that ends LM
 _IRLS_TOL = 1e-8     # relative L1 gain of one reweighted step that ends IRLS
 
 
@@ -298,19 +298,19 @@ def _levenberg_marquardt(evaluate, jacobian, x: np.ndarray, r: np.ndarray,
             return x, r, steps, True
 
 
-def minimize(evaluate, jacobian, x0: np.ndarray, r0: np.ndarray,
-             tol: float) -> tuple[int, bool]:
+def minimize(evaluate, jacobian, x0: np.ndarray,
+             r0: np.ndarray) -> tuple[int, bool]:
     """Levenberg-Marquardt on sum r^2 from x0, then IRLS on sum |r|.
 
-    evaluate, jacobian and r0 are as for _levenberg_marquardt; tol ends the
-    first stage and _IRLS_TOL the second.  Returns (accepted steps,
+    evaluate, jacobian and r0 are as for _levenberg_marquardt; _LM_TOL ends
+    the first stage and _IRLS_TOL the second.  Returns (accepted steps,
     converged), converged being the second stage's reached_tol, or False once
     evaluate or jacobian raises _BudgetSpent.
     """
     steps = 0
     try:
         x, r, steps, _ = _levenberg_marquardt(evaluate, jacobian, x0, r0,
-                                              r0 @ r0, False, tol)
+                                              r0 @ r0, False, _LM_TOL)
         _, _, irls_steps, converged = _levenberg_marquardt(
             evaluate, jacobian, x, r, np.abs(r).sum(), True, _IRLS_TOL)
     except _BudgetSpent:
@@ -318,52 +318,39 @@ def minimize(evaluate, jacobian, x0: np.ndarray, r0: np.ndarray,
     return steps + irls_steps, converged
 
 
-def fit_crossing(data: ComplexGrid2D, initial: FitResult,
-                 bounds: dict | None = None,
-                 options: FitOptions | None = None) -> FitResult:
+def fit_crossing(data: ComplexGrid2D, cav: CavityParams,
+                 ens: EnsembleParams, ni: NonIdealityParams,
+                 max_evaluations: int = 150000) -> FitResult:
     """Fit the non-ideality model to a (normalized) reflection grid.
 
-    Levenberg-Marquardt on the real and imaginary residuals takes the guess
-    to the least-squares optimum and IRLS carries that to the L1 optimum (see
-    minimize, which decides converged).  Every model evaluation counts
-    against max_evaluations, and so does every Jacobian, as one evaluation.
-    Returns the lowest-L1 point evaluated.
+    cav, ens and ni are the guess, and its rates set the bounds (see
+    default_bounds).  Levenberg-Marquardt on the real and imaginary residuals
+    takes the guess to the least-squares optimum and IRLS carries that to the
+    L1 optimum (see minimize, which decides converged).  Every model
+    evaluation counts against max_evaluations, and so does every Jacobian, as
+    one evaluation; converged is False once the budget runs out.  Returns the
+    lowest-L1 point evaluated.
     """
-    options = options or FitOptions()
-    bounds = bounds if bounds is not None else default_bounds(initial)
-    transform = _BoundTransform(bounds)
+    transform = _BoundTransform(default_bounds(cav, ens))
     spec = data.spec
     omega_d_mean = spec.omega_d_mean
-
-    unknown = set(options.fixed) - set(PARAM_NAMES)
-    if unknown:
-        raise InvalidBounds(f"unknown fixed parameter(s): {sorted(unknown)}")
-    free = np.array([name not in options.fixed for name in PARAM_NAMES])
-    if not free.any():
-        raise InvalidBounds("at least one parameter must be free")
-
-    full0 = transform.to_unconstrained(
-        gamma_prime_params(initial.cavity, initial.ensemble, initial.nonideal))
-    x0 = full0[free]
-    omega_c, g_s = initial.cavity.omega_c, initial.ensemble.g_s
-    full = full0.copy()
+    x0 = transform.to_unconstrained(gamma_prime_params(cav, ens, ni))
+    omega_c, g_s = cav.omega_c, ens.g_s
     evals = 0
     best_x, best_f = x0, math.inf
 
-    def spend(x):
-        # one evaluation of the budget, at x spliced into the fixed values
+    def spend():
         nonlocal evals
-        if evals >= options.max_evaluations:
+        if evals >= max_evaluations:
             raise _BudgetSpent
         evals += 1
-        full[free] = x
 
     def evaluate(x):
         nonlocal best_x, best_f
-        spend(x)
+        spend()
         model = gamma_prime(spec.omega_s_values, spec.omega_d_values,
                             omega_d_mean, omega_c, g_s, spec.drive_power,
-                            transform.to_bounded(full).tolist())
+                            transform.to_bounded(x).tolist())
         f = objective_l1(model, data.values)
         if f < best_f:
             best_x, best_f = x.copy(), f
@@ -371,26 +358,23 @@ def fit_crossing(data: ComplexGrid2D, initial: FitResult,
         return model.ravel().view(float), f
 
     def jacobian(x):
-        # the free rows of dGamma'/dp, each viewed as the interleaved floats
-        # of evaluate's residuals and scaled by dp/dx
-        spend(x)
-        params, slope = transform.to_bounded_slope(full)
+        # the rows of dGamma'/dp, each viewed as the interleaved floats of
+        # evaluate's residuals and scaled by dp/dx
+        spend()
+        params, slope = transform.to_bounded_slope(x)
         jac = gamma_prime_jacobian(spec.omega_s_values, spec.omega_d_values,
                                    omega_d_mean, omega_c, g_s,
-                                   spec.drive_power, params.tolist())[free]
+                                   spec.drive_power, params.tolist())
         jac = jac.reshape(len(x), -1).view(float)
-        jac *= slope[free, None]
+        jac *= slope[:, None]
         return jac.T
 
     iterations, converged = 0, False
-    if options.max_evaluations > 0:
+    if max_evaluations > 0:
         r0, _ = evaluate(x0)
-        iterations, converged = minimize(evaluate, jacobian, x0, r0,
-                                         options.objective_tol)
+        iterations, converged = minimize(evaluate, jacobian, x0, r0)
 
-    best_full = full0.copy()
-    best_full[free] = best_x
-    cav, ens, ni = _vector_to_params(transform.to_bounded(best_full), initial)
+    cav, ens, ni = _vector_to_params(transform.to_bounded(best_x), cav, ens)
     return FitResult(cavity=cav, ensemble=ens, nonideal=ni,
                      objective_value=best_f, iterations=iterations,
                      converged=converged)

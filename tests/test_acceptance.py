@@ -23,8 +23,8 @@ from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
                             kappa_th_threshold_power, reflection,
                             single_spin_coupling, watts_to_dbm)
 from rubymag.constants import CONST
-from rubymag.fitting import (FitOptions, FitResult, GridSpec, dip_trajectory,
-                             fit_crossing, normalize_grid, relaxation_times,
+from rubymag.fitting import (GridSpec, dip_trajectory, fit_crossing,
+                             normalize_grid, relaxation_times,
                              simulate_crossing)
 from rubymag.iqnoise import (SampledGamma, decompose_gamma,
                              noise_contribution_split, read_spectrum_csv)
@@ -158,17 +158,13 @@ def _fit_errors(noise_sigma, data_seed, guess_seed):
     spec = _wide_50x50()
     rng = np.random.default_rng(guess_seed)
     p = lambda x: x * rng.uniform(0.8, 1.2)
-    init = FitResult(
-        cavity=CavityParams(omega_c=CAV.omega_c, kappa_c0=p(CAV.kappa_c0),
-                            kappa_c1=p(CAV.kappa_c1)),
-        ensemble=EnsembleParams(g_s=G_S, N=(p(ENS.g_eff) / G_S) ** 2,
-                                kappa_s=p(ENS.kappa_s),
-                                kappa_th=p(ENS.kappa_th)),
-        nonideal=_NI_TRUTH,
-        objective_value=math.inf, iterations=0, converged=False)
+    cav = CavityParams(omega_c=CAV.omega_c, kappa_c0=p(CAV.kappa_c0),
+                       kappa_c1=p(CAV.kappa_c1))
+    ens = EnsembleParams(g_s=G_S, N=(p(ENS.g_eff) / G_S) ** 2,
+                         kappa_s=p(ENS.kappa_s), kappa_th=p(ENS.kappa_th))
     grid = simulate_crossing(CAV, ENS, _NI_TRUTH, spec, noise_sigma,
                              seed=data_seed)
-    res = fit_crossing(normalize_grid(grid), init, options=FitOptions())
+    res = fit_crossing(normalize_grid(grid), cav, ens, _NI_TRUTH)
     return {
         "kappa_c": abs(res.cavity.kappa_c / CAV.kappa_c - 1),
         "kappa_c1": abs(res.cavity.kappa_c1 / CAV.kappa_c1 - 1),

@@ -17,7 +17,7 @@ from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
 from rubymag.constants import CONST
 from rubymag.errors import (ZeroCoupling, ZeroKappaTh, ZeroLinewidth,
                             ZeroSpinLinewidth)
-from rubymag.fitting import PARAM_NAMES, FitResult, default_bounds
+from rubymag.fitting import PARAM_NAMES, default_bounds
 
 TWO_PI = 2.0 * math.pi
 
@@ -218,9 +218,8 @@ def test_gamma_prime_matches_reference(kc0, kc1, ks, kth, g_s, geff, det_c,
 
 # the fit's bounds around the paper values, with the modal-volume g_s
 FIT_G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
-FIT_BOUNDS = default_bounds(FitResult(
-    CavityParams(), EnsembleParams(g_s=FIT_G_S, N=(G_EFF / FIT_G_S) ** 2),
-    NonIdealityParams(), math.inf, 0, False))
+FIT_BOUNDS = default_bounds(
+    CavityParams(), EnsembleParams(g_s=FIT_G_S, N=(G_EFF / FIT_G_S) ** 2))
 
 
 @given(frac=st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13),

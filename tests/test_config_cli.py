@@ -151,10 +151,14 @@ def test_invalid_flag_value_exits_two(tmp_path, capsys):
     assert "ERROR" in capsys.readouterr().err
 
 
-# flag -> name of the file the bad-input test writes the flag's text to
+# flag -> name of the file the bad-input test writes the flag's text (or
+# bytes) to
 _FILE_FLAGS = {"--config": "cfg.json", "--input": "in.csv",
                "--phase-noise-csv": "noise.csv",
                "--amplitude-noise-csv": "noise.csv"}
+# a 2 x 2 crossing grid, the smallest read_grid_csv accepts
+_TINY_GRID = ("omega_s_hz,omega_d_hz,re,im\n"
+              "1,1,1,0\n1,2,1,0\n2,1,1,0\n2,2,1,0\n")
 
 
 @pytest.mark.parametrize("command, argv, error, words", [
@@ -209,14 +213,33 @@ _FILE_FLAGS = {"--config": "cfg.json", "--input": "in.csv",
      ["sweep.b_max_gauss", "> 0"]),
     ("report", ["--config", "[1, 2]"], "ParseError",
      ["cfg.json", "must be an object"]),
+    ("eigen", ["--theta-deg", "400"], "ConfigError",
+     ["sweep.theta_deg", "<= 180", "400"]),
+    ("eigen", ["--theta-deg", "-1"], "ConfigError",
+     ["sweep.theta_deg", ">= 0", "-1"]),
+    ("crossing-fit", ["--input", _TINY_GRID, "--n-spins", "0"],
+     "InvalidBounds", ["guess", "g_eff", "> 0"]),
+    ("crossing-fit", ["--input", _TINY_GRID, "--g-s-hz", "0"],
+     "InvalidBounds", ["guess", "g_eff", "> 0"]),
+    # a file that is not UTF-8 text, through each of the four file flags
+    ("report", ["--config", b"\xff"], "ParseError", ["cfg.json", "utf-8"]),
+    ("calibrate", ["--input", b"\xff"], "ParseError", ["in.csv", "utf-8"]),
+    ("crossing-fit", ["--input", b"\xff"], "ParseError", ["in.csv", "utf-8"]),
+    ("noise-predict", ["--phase-noise-csv", b"\xff"], "ParseError",
+     ["noise.csv", "utf-8"]),
+    ("noise-predict", ["--amplitude-noise-csv", b"\xff"], "ParseError",
+     ["noise.csv", "utf-8"]),
 ])
 def test_bad_input_prints_one_error_line(tmp_path, capsys, command, argv,
                                          error, words):
     inputs = []
     if argv[0] in _FILE_FLAGS:
         path = tmp_path / _FILE_FLAGS[argv[0]]
-        path.write_text(argv[1])
-        argv = [argv[0], str(path)]
+        if isinstance(argv[1], bytes):
+            path.write_bytes(argv[1])
+        else:
+            path.write_text(argv[1])
+        argv = [argv[0], str(path), *argv[2:]]
         inputs = [path.name]
     assert run_cli(command, "--output-dir", str(tmp_path), *argv) == 2
     err = capsys.readouterr().err.splitlines()
@@ -224,6 +247,22 @@ def test_bad_input_prints_one_error_line(tmp_path, capsys, command, argv,
     for word in words:
         assert word in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("command, argv, error", [
+    ("sensitivity", ["--chain-gain-db", "1e6"], "OverflowError"),
+    ("report", ["--chain-gain-db", "1e6"], "OverflowError"),
+    ("optimize", ["--chain-gain-db", "1e6"], "OverflowError"),
+    ("sensitivity", ["--bias-b-gauss", "1e20"], "ValueError"),
+])
+def test_numeric_failure_prints_one_error_line(tmp_path, capsys, command,
+                                               argv, error):
+    """A ValueError or ArithmeticError inside a command is a runtime
+    failure: exit 1 and one ERROR line, not a traceback."""
+    assert run_cli(command, "--output-dir", str(tmp_path), *argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ERROR {error}: "), err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["noise-predict", "sensitivity", "report"])

@@ -14,8 +14,8 @@ from rubymag.constants import CONST
 from rubymag.csvio import write_json
 from rubymag.errors import (AllZeroBorder, InvalidBounds, NonFiniteOutput,
                             ParseError, ZeroKappaTh, ZeroRate)
-from rubymag.fitting import (PARAM_NAMES, ComplexGrid2D, FitOptions,
-                             FitResult, GridSpec, default_bounds,
+from rubymag.fitting import (PARAM_NAMES, ComplexGrid2D, FitResult,
+                             GridSpec, default_bounds,
                              dip_trajectory, evaluate_model_grid, fit_crossing,
                              fit_result_to_dict, normalize_grid, objective_l1,
                              read_grid_csv, relaxation_times,
@@ -43,17 +43,15 @@ def wide_spec(n_s=50, n_d=50, power_dbm=0.0):
 
 
 def guess_from(cav, ens, ni, spec, rng=None, rel=0.2):
-    """Initial FitResult with physical rates perturbed +-rel."""
+    """Initial (cav, ens, ni) with physical rates perturbed +-rel."""
     p = (lambda x: x) if rng is None else (lambda x: x * rng.uniform(1 - rel,
                                                                      1 + rel))
-    return FitResult(
-        cavity=CavityParams(omega_c=cav.omega_c, kappa_c0=p(cav.kappa_c0),
-                            kappa_c1=p(cav.kappa_c1)),
-        ensemble=EnsembleParams(g_s=ens.g_s, N=(p(ens.g_eff) / ens.g_s) ** 2,
-                                kappa_s=p(ens.kappa_s),
-                                kappa_th=p(ens.kappa_th), omega_s=ens.omega_s),
-        nonideal=ni,
-        objective_value=math.inf, iterations=0, converged=False)
+    return (CavityParams(omega_c=cav.omega_c, kappa_c0=p(cav.kappa_c0),
+                         kappa_c1=p(cav.kappa_c1)),
+            EnsembleParams(g_s=ens.g_s, N=(p(ens.g_eff) / ens.g_s) ** 2,
+                           kappa_s=p(ens.kappa_s), kappa_th=p(ens.kappa_th),
+                           omega_s=ens.omega_s),
+            ni)
 
 
 def physical_errors(res, cav, ens):
@@ -181,7 +179,7 @@ def test_fit_from_truth_stays_at_truth():
     spec = wide_spec(15, 15)
     grid = simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=0)
     init = guess_from(CAV, ENS, NI, spec)
-    res = fit_crossing(grid, init, options=FitOptions(max_evaluations=20000))
+    res = fit_crossing(grid, *init, max_evaluations=20000)
     assert res.objective_value < 1e-9
     for err in physical_errors(res, CAV, ENS).values():
         assert abs(err) < 1e-6
@@ -192,50 +190,22 @@ def test_fit_determinism():
     grid = simulate_crossing(CAV, ENS, NI, spec, 0.01, seed=1)
     rng = np.random.default_rng(0)
     init = guess_from(CAV, ENS, NI, spec, rng)
-    opts = FitOptions(max_evaluations=4000)
-    a = fit_crossing(grid, init, options=opts)
-    b = fit_crossing(grid, init, options=opts)
+    a = fit_crossing(grid, *init, max_evaluations=4000)
+    b = fit_crossing(grid, *init, max_evaluations=4000)
     assert a.objective_value == b.objective_value
     assert a.cavity == b.cavity
     assert a.ensemble == b.ensemble
     assert a.nonideal == b.nonideal
 
 
-def test_fixed_parameters_are_pinned():
-    spec = wide_spec(12, 12)
-    grid = simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=0)
-    rng = np.random.default_rng(4)
-    init = guess_from(CAV, ENS, NI, spec, rng)
-    aux = ("o_r", "o_i", "A", "b", "psi", "tau", "omega_s_off", "omega_d_off")
-    res = fit_crossing(grid, init, options=FitOptions(fixed=aux))
-    assert res.nonideal.o_i == pytest.approx(NI.o_i, rel=1e-12)
-    assert res.nonideal.tau == pytest.approx(NI.tau, rel=1e-12)
-    for err in physical_errors(res, CAV, ENS).values():
-        assert abs(err) < 1e-6
-
-
-def test_fixed_parameter_validation():
-    spec = wide_spec(5, 5)
-    grid = simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=0)
-    init = guess_from(CAV, ENS, NI, spec)
-    with pytest.raises(InvalidBounds):
-        fit_crossing(grid, init, options=FitOptions(fixed=("kapa_s",)))
-    with pytest.raises(InvalidBounds):
-        fit_crossing(grid, init, options=FitOptions(fixed=tuple(PARAM_NAMES)))
-
-
 def test_invalid_bounds_rejected():
+    """A guess rate that is not positive leaves nothing to bound."""
     spec = wide_spec(5, 5)
     grid = simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=0)
-    init = guess_from(CAV, ENS, NI, spec)
-    bad = default_bounds(init)
-    bad["kappa_s"] = (bad["kappa_s"][1], bad["kappa_s"][0])
-    with pytest.raises(InvalidBounds):
-        fit_crossing(grid, init, bounds=bad)
-    bad = default_bounds(init)
-    bad["kappa_th"] = (-1.0, 1.0)
-    with pytest.raises(InvalidBounds):
-        fit_crossing(grid, init, bounds=bad)
+    for ens, name in ((replace(ENS, N=0.0), "g_eff"),
+                      (replace(ENS, kappa_th=0.0), "kappa_th")):
+        with pytest.raises(InvalidBounds, match=name):
+            fit_crossing(grid, CAV, ens, NI)
 
 
 def reference_model(params, spec, omega_c, g_s, omega_d_mean):
@@ -266,63 +236,55 @@ def test_fused_objective_matches_reference(monkeypatch):
     """The fit's residuals and L1 objective equal the term-by-term model.
 
     A stand-in for the damped Gauss-Newton stage hands fit_crossing's
-    evaluation chosen unconstrained points, so the bound transform, the
-    splicing of fixed parameters and the residual layout are checked along
-    with the Gamma' kernel, in both the least-squares and the IRLS stage.
+    evaluation chosen unconstrained points, so the bound transform and the
+    residual layout are checked along with the Gamma' kernel, in both the
+    least-squares and the IRLS stage.
     """
     spec = wide_spec(20, 24)
     grid = simulate_crossing(CAV, ENS, NI, spec, 0.02, seed=9)
     init = guess_from(CAV, ENS, NI, spec)
-    bounds = default_bounds(init)
-    guess = np.array([CAV.kappa_c0, CAV.kappa_c1, ENS.kappa_s, ENS.kappa_th,
-                      ENS.g_eff, NI.o_r, NI.o_i, NI.A, NI.b, NI.psi, NI.tau,
-                      NI.omega_s_off, NI.omega_d_off])
+    bounds = default_bounds(CAV, ENS)
     rng = np.random.default_rng(21)
     checked = []
-    for fixed, n_points in (((), 16), (("kappa_th", "A", "tau"), 8)):
-        free = np.array([name not in fixed for name in PARAM_NAMES])
-        points = []
-        for _ in range(n_points):
-            frac = rng.uniform(0.02, 0.98, len(PARAM_NAMES))
-            params = guess.copy()
-            for k, name in enumerate(PARAM_NAMES):
-                lo, hi = bounds[name]
-                if not free[k]:
-                    continue
-                if k < 5:
-                    params[k] = math.exp(math.log(lo)
-                                         + frac[k] * math.log(hi / lo))
-                else:
-                    params[k] = lo + frac[k] * (hi - lo)
-            want = reference_model(params, spec, CAV.omega_c, ENS.g_s,
-                                   spec.omega_d_mean)
-            points.append((np.log(frac / (1.0 - frac))[free], params, want))
+    points = []
+    for _ in range(16):
+        frac = rng.uniform(0.02, 0.98, len(PARAM_NAMES))
+        params = np.empty(len(PARAM_NAMES))
+        for k, name in enumerate(PARAM_NAMES):
+            lo, hi = bounds[name]
+            if k < 5:
+                params[k] = math.exp(math.log(lo)
+                                     + frac[k] * math.log(hi / lo))
+            else:
+                params[k] = lo + frac[k] * (hi - lo)
+        want = reference_model(params, spec, CAV.omega_c, ENS.g_s,
+                               spec.omega_d_mean)
+        points.append((np.log(frac / (1.0 - frac)), params, want))
 
-        def stand_in_lm(evaluate, jacobian, x, r, f, l1, tol):
-            for y, _, want in points:
-                resid, l1_norm = evaluate(y)
-                expected = (want - grid.values).ravel().view(float)
-                assert np.allclose(resid, expected, rtol=1e-12, atol=1e-12)
-                assert l1_norm == pytest.approx(
-                    reference_l1(want, grid.values), rel=1e-12)
-                checked.append(l1)
-            return x, r, 0, False
+    def stand_in_lm(evaluate, jacobian, x, r, f, l1, tol):
+        for y, _, want in points:
+            resid, l1_norm = evaluate(y)
+            expected = (want - grid.values).ravel().view(float)
+            assert np.allclose(resid, expected, rtol=1e-12, atol=1e-12)
+            assert l1_norm == pytest.approx(
+                reference_l1(want, grid.values), rel=1e-12)
+            checked.append(l1)
+        return x, r, 0, False
 
-        monkeypatch.setattr(fitting, "_levenberg_marquardt", stand_in_lm)
-        fit_crossing(grid, init, bounds=bounds,
-                     options=FitOptions(fixed=fixed))
-        for _, params, want in points:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                ni = NonIdealityParams(*params[5:])
-            cav = CavityParams(omega_c=CAV.omega_c, kappa_c0=params[0],
-                               kappa_c1=params[1])
-            ens = EnsembleParams(g_s=G_S, N=(params[4] / G_S) ** 2,
-                                 kappa_s=params[2], kappa_th=params[3])
-            assert np.allclose(evaluate_model_grid(cav, ens, ni, spec), want,
-                               rtol=1e-12, atol=1e-12)
-    # each of the 24 points was checked by both stages
-    assert checked.count(False) == checked.count(True) == 24
+    monkeypatch.setattr(fitting, "_levenberg_marquardt", stand_in_lm)
+    fit_crossing(grid, *init)
+    for _, params, want in points:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            ni = NonIdealityParams(*params[5:])
+        cav = CavityParams(omega_c=CAV.omega_c, kappa_c0=params[0],
+                           kappa_c1=params[1])
+        ens = EnsembleParams(g_s=G_S, N=(params[4] / G_S) ** 2,
+                             kappa_s=params[2], kappa_th=params[3])
+        assert np.allclose(evaluate_model_grid(cav, ens, ni, spec), want,
+                           rtol=1e-12, atol=1e-12)
+    # each of the 16 points was checked by both stages
+    assert checked.count(False) == checked.count(True) == 16
 
 
 def counting_kernel(monkeypatch):
@@ -357,25 +319,23 @@ def test_fit_calls_objective_once_per_evaluation(monkeypatch):
     spec = wide_spec(10, 10)
     grid = simulate_crossing(CAV, ENS, NI, spec, 0.01, seed=2)
     init = guess_from(CAV, ENS, NI, spec, np.random.default_rng(3))
-    guess = [init.cavity.kappa_c0, init.cavity.kappa_c1,
-             init.ensemble.kappa_s, init.ensemble.kappa_th,
-             init.ensemble.g_eff, NI.o_r, NI.o_i, NI.A, NI.b, NI.psi, NI.tau,
+    cav, ens, _ = init
+    guess = [cav.kappa_c0, cav.kappa_c1, ens.kappa_s, ens.kappa_th,
+             ens.g_eff, NI.o_r, NI.o_i, NI.A, NI.b, NI.psi, NI.tau,
              NI.omega_s_off, NI.omega_d_off]
     calls, objective_calls = counting_kernel(monkeypatch)
-    opts = FitOptions(max_evaluations=20000)
-    res = fit_crossing(grid, init, options=opts)
+    res = fit_crossing(grid, *init, max_evaluations=20000)
     assert res.converged
     values = [p for kind, p in calls if kind == "value"]
     assert len(objective_calls) == len(values)
-    assert len(calls) <= opts.max_evaluations
+    assert len(calls) <= 20000
     at_guess = [p for p in values
                 if np.allclose(p, guess, rtol=1e-12, atol=0.0)]
     assert len(at_guess) == 1 and calls[0][1] is at_guess[0]
     # a budget that ends inside either stage is spent exactly
     for budget in (1, 7, 150):
         del calls[:], objective_calls[:]
-        res = fit_crossing(grid, init,
-                           options=replace(opts, max_evaluations=budget))
+        res = fit_crossing(grid, *init, max_evaluations=budget)
         assert len(calls) == budget
         assert len(objective_calls) == sum(kind == "value"
                                            for kind, _ in calls)
@@ -388,7 +348,7 @@ def test_minimize_stops_unconverged_when_damping_runs_out():
     r0 = np.linspace(-1.0, 1.0, 8)
     assert fitting.minimize(lambda x: (r0, float(np.abs(r0).sum())),
                             lambda x: np.zeros((r0.size, x.size)),
-                            np.zeros(3), r0, 1e-10) == (0, False)
+                            np.zeros(3), r0) == (0, False)
 
 
 def five_point_difference(f, x, k, h):
@@ -402,38 +362,36 @@ def five_point_difference(f, x, k, h):
 
 def test_fit_jacobian_matches_central_differences(monkeypatch):
     """The Jacobian fit_crossing hands minimize, chained through the bound
-    transform, equals central differences of its residuals in x: with and
-    without fixed parameters, and quietly beyond the transform's exp cap."""
+    transform, equals central differences of its residuals in x, quietly
+    beyond the transform's exp cap too."""
     spec = wide_spec(20, 24)
     grid = simulate_crossing(CAV, ENS, NI, spec, 0.02, seed=9)
     init = guess_from(CAV, ENS, NI, spec)
     rng = np.random.default_rng(8)
-    for fixed in ((), ("kappa_th", "A", "tau")):
-        closures = []
+    closures = []
 
-        def stand_in(evaluate, jacobian, x0, r0, tol):
-            closures.append((evaluate, jacobian))
-            return 0, False
+    def stand_in(evaluate, jacobian, x0, r0):
+        closures.append((evaluate, jacobian))
+        return 0, False
 
-        monkeypatch.setattr(fitting, "minimize", stand_in)
-        fit_crossing(grid, init, options=FitOptions(fixed=fixed))
-        (evaluate, jacobian), = closures
-        n_free = len(PARAM_NAMES) - len(fixed)
-        beyond = rng.uniform(-3.0, 3.0, n_free)
-        beyond[:3] = -800.0, 800.0, -600.0
-        for x in [rng.uniform(-3.0, 3.0, n_free) for _ in range(3)] \
-                + [beyond]:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                jac = jacobian(x)
-                assert jac.shape == (2 * grid.values.size, n_free)
-                for k in range(n_free):
-                    # a step that moves the residuals by at most 3e-4
-                    h = 3e-4 / max(np.abs(jac[:, k]).max(), 1.0)
-                    want = five_point_difference(lambda y: evaluate(y)[0],
-                                                 x, k, h)
-                    assert np.abs(jac[:, k] - want).max() \
-                        <= 1e-6 * np.abs(want).max() + 1e-13 / h, (fixed, k)
+    monkeypatch.setattr(fitting, "minimize", stand_in)
+    fit_crossing(grid, *init)
+    (evaluate, jacobian), = closures
+    n = len(PARAM_NAMES)
+    beyond = rng.uniform(-3.0, 3.0, n)
+    beyond[:3] = -800.0, 800.0, -600.0
+    for x in [rng.uniform(-3.0, 3.0, n) for _ in range(3)] + [beyond]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jac = jacobian(x)
+            assert jac.shape == (2 * grid.values.size, n)
+            for k in range(n):
+                # a step that moves the residuals by at most 3e-4
+                h = 3e-4 / max(np.abs(jac[:, k]).max(), 1.0)
+                want = five_point_difference(lambda y: evaluate(y)[0],
+                                             x, k, h)
+                assert np.abs(jac[:, k] - want).max() \
+                    <= 1e-6 * np.abs(want).max() + 1e-13 / h, k
 
 
 def test_noiseless_fit_converges():
@@ -442,7 +400,7 @@ def test_noiseless_fit_converges():
     spec = wide_spec(10, 10)
     grid = simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=0)
     for rng in (None, np.random.default_rng(3)):
-        res = fit_crossing(grid, guess_from(CAV, ENS, NI, spec, rng))
+        res = fit_crossing(grid, *guess_from(CAV, ENS, NI, spec, rng))
         assert res.converged is True
         assert res.objective_value < 1e-8
 
@@ -454,7 +412,7 @@ def test_criterion_13_noisy_fit_converges_within_budget(monkeypatch):
                                             seed=200))
     init = guess_from(CAV, ENS, NI, spec, np.random.default_rng(100))
     params, _ = counting_kernel(monkeypatch)
-    res = fit_crossing(grid, init, options=FitOptions())
+    res = fit_crossing(grid, *init)
     assert res.converged
     assert len(params) <= 20000
     for name, err in physical_errors(res, CAV, ENS).items():
@@ -478,7 +436,7 @@ def test_round_trip_twenty_random_truths():
                                omega_s_off=u(-7.3e6), omega_d_off=u(-5.6e5))
         grid = simulate_crossing(cav, ens, ni, spec, 0.0, seed=0)
         init = guess_from(cav, ens, ni, spec, rng)
-        res = fit_crossing(grid, init, options=FitOptions())
+        res = fit_crossing(grid, *init)
         for name, err in physical_errors(res, cav, ens).items():
             assert abs(err) < 0.01, (name, err)
         got, want = res.nonideal, ni
@@ -507,8 +465,7 @@ def test_kappa_th_power_sensitivity():
         spec = wide_spec(power_dbm=power_dbm)
         grid = simulate_crossing(CAV, ENS, NI, spec, 0.05, seed=seed)
         init = guess_from(CAV, ENS, NI, spec)
-        res = fit_crossing(normalize_grid(grid), init,
-                           options=FitOptions())
+        res = fit_crossing(normalize_grid(grid), *init)
         return abs(res.ensemble.kappa_th / ENS.kappa_th - 1)
 
     for seed in (0, 1):
@@ -553,7 +510,8 @@ def test_grid_csv_round_trip(tmp_path):
 
 def test_fit_json_units_in_keys(tmp_path):
     spec = wide_spec(5, 5)
-    init = guess_from(CAV, ENS, NI, spec)
+    init = FitResult(*guess_from(CAV, ENS, NI, spec), objective_value=math.inf,
+                     iterations=0, converged=False)
     d = fit_result_to_dict(init)
     assert d["kappa_s_rad_per_s"] == pytest.approx(ENS.kappa_s)
     assert d["kappa_c_rad_per_s"] == pytest.approx(CAV.kappa_c)
@@ -599,7 +557,8 @@ def test_grid_csv_malformed_rejected(tmp_path, edit, message):
 
 def test_fit_json_is_strict(tmp_path):
     spec = wide_spec(5, 5)
-    init = guess_from(CAV, ENS, NI, spec)
+    init = FitResult(*guess_from(CAV, ENS, NI, spec), objective_value=math.inf,
+                     iterations=0, converged=False)
     write_json(tmp_path / "fit.json", fit_result_to_dict(init))
     text = (tmp_path / "fit.json").read_text()
     assert json.loads(text, parse_constant=pytest.fail)["objective_value"] \
