@@ -22,7 +22,6 @@ out term by term and serve as its reference.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,14 +96,6 @@ class NonIdealityParams:
     tau: float = 0.0           # s
     omega_s_off: float = 0.0   # rad/s
     omega_d_off: float = 0.0   # rad/s
-
-    def __post_init__(self):
-        large = [name for name, val in (("o_r", self.o_r), ("o_i", self.o_i),
-                                        ("A", self.A), ("psi", self.psi))
-                 if abs(val) > 0.5]
-        if large:
-            warnings.warn(f"non-ideality parameters not small: {large}",
-                          stacklevel=2)
 
 
 def dbm_to_watts(dbm: float) -> float:

@@ -373,6 +373,9 @@ def main(argv=None) -> int:
     except (RubymagError, ValueError, ArithmeticError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:   # numpy raises its subclass _ArrayMemoryError
+        print(f"ERROR MemoryError: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"ERROR IOError: {exc}", file=sys.stderr)
         return 1

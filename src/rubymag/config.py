@@ -124,6 +124,7 @@ _LIMITS = {
     "theta_deg": (0.0, False, 180.0),
     "b_max_gauss": (0.0, True, None),
     "test_amplitude_nt": (0.0, True, None),
+    "p0_v2_per_hz": (0.0, False, None),
 }
 
 _UNIT_SUFFIXES = ("_ghz", "_mhz", "_khz", "_hz", "_gauss", "_tesla", "_nt",

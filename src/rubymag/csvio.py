@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 
 import numpy as np
 
@@ -19,29 +20,36 @@ def read_columns(path, columns: tuple, text: tuple = ()) -> tuple[np.ndarray,
                                                                   list]:
     """(float table of `columns`, rows as dicts) of a CSV file with a header.
 
-    A file that is not UTF-8 text, a missing column among `columns` and
-    `text`, or a non-numeric or non-finite cell in `columns`, raises
+    The rows are built only when `text` names columns, and are [] otherwise.
+    Blank lines are skipped.  A file that is not UTF-8 text, a missing column
+    among `columns` and `text`, a row whose cell count differs from the
+    header's, or a non-numeric or non-finite cell in `columns`, raises
     ParseError naming the file.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in columns + text
-                       if c not in (reader.fieldnames or ())]
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [c for c in columns + text if c not in header]
             if missing:
                 raise ParseError(f"{path}: missing column(s) {missing}")
-            rows = list(reader)
+            rows = [row for row in reader if row]
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    for k, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ParseError(f"{path}: line {2 + k} has {len(row)} cells, "
+                             f"the header {len(header)}")
+    cells = operator.itemgetter(*[header.index(c) for c in columns])
     try:
-        table = np.array([[float(row[c]) for c in columns] for row in rows],
+        table = np.array(list(map(cells, rows)),
                          dtype=float).reshape(-1, len(columns))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not np.isfinite(table).all():
         line = 2 + int(np.flatnonzero(~np.isfinite(table).all(axis=1))[0])
         raise ParseError(f"{path}: non-finite value on line {line}")
-    return table, rows
+    return table, [dict(zip(header, row)) for row in rows] if text else []
 
 
 def write_columns(path, columns: tuple, table, text: dict | None = None) -> None:

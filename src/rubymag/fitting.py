@@ -9,7 +9,10 @@ minimize: Levenberg-Marquardt on the real and imaginary residuals reaches the
 least-squares optimum in a few steps, and iteratively reweighted least squares
 (weights 1/sqrt|r|) moves it to the L1 optimum.  Every step takes one
 Jacobian: cavity.gamma_prime_jacobian's closed-form derivatives, chained
-through the bound transform.
+through the bound transform.  Successive reweighted steps point nearly the
+same way and each covers only part of the distance, so each accepted one is
+extrapolated to 3, 9, 27... times its length while the L1 objective keeps
+dropping, each trial costing one value evaluation and no Jacobian.
 
 fit_crossing takes a guess, whose rates set every bound (default_bounds),
 and an evaluation budget; all thirteen parameters are free.
@@ -26,7 +29,6 @@ supplied (from the modal-volume coupling formula) and N is derived.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,18 +202,23 @@ class _BoundTransform:
         return np.log(frac / (1.0 - frac))
 
     def to_bounded(self, x: np.ndarray) -> np.ndarray:
-        return self.to_bounded_slope(x)[0]
+        return self._to_bounded(np.exp(np.minimum(-x, 500.0)))
 
     def to_bounded_slope(self, x: np.ndarray) -> tuple:
         """The bounded parameters p at x and dp/dx, elementwise."""
         # exp(-x) would overflow, with a warning, below x = -709; the cap
         # keeps such trial points at the lower bound quietly
         t = np.exp(np.minimum(-x, 500.0))
-        u = self.lo + self.span / (1.0 + t)
+        u = self._to_bounded(t)
         slope = self.span * (t / (1.0 + t)) / (1.0 + t)   # finite at the cap
-        u[self.log] = np.exp(u[self.log])
         slope[self.log] *= u[self.log]
         return u, slope
+
+    def _to_bounded(self, t: np.ndarray) -> np.ndarray:
+        """The bounded parameters at the x where t = exp(-x)."""
+        u = self.lo + self.span / (1.0 + t)
+        u[self.log] = np.exp(u[self.log])
+        return u
 
 
 def _vector_to_params(vec: np.ndarray, cav: CavityParams,
@@ -223,12 +230,9 @@ def _vector_to_params(vec: np.ndarray, cav: CavityParams,
     g_s = ens.g_s
     ens = EnsembleParams(g_s=g_s, N=(g_eff / g_s) ** 2, kappa_s=kappa_s,
                          kappa_th=kappa_th, omega_s=ens.omega_s)
-    with warnings.catch_warnings():
-        # the bounds, not the "small auxiliary" heuristic, limit fitted values
-        warnings.simplefilter("ignore", UserWarning)
-        ni = NonIdealityParams(o_r=vec[5], o_i=vec[6], A=vec[7], b=vec[8],
-                               psi=vec[9], tau=vec[10], omega_s_off=vec[11],
-                               omega_d_off=vec[12])
+    ni = NonIdealityParams(o_r=vec[5], o_i=vec[6], A=vec[7], b=vec[8],
+                           psi=vec[9], tau=vec[10], omega_s_off=vec[11],
+                           omega_d_off=vec[12])
     return cav, ens, ni
 
 
@@ -244,6 +248,7 @@ _MAX_DAMPING = 1e10
 _IRLS_FLOOR = 1e-6   # |r| below which IRLS weights stop growing
 _LM_TOL = 1e-10      # relative sum r^2 gain of one step that ends LM
 _IRLS_TOL = 1e-8     # relative L1 gain of one reweighted step that ends IRLS
+_EXTRAPOLATION = 3.0  # growth of each trial length of an accepted IRLS step
 
 
 class _BudgetSpent(Exception):
@@ -255,14 +260,16 @@ def _levenberg_marquardt(evaluate, jacobian, x: np.ndarray, r: np.ndarray,
     """Damped Gauss-Newton steps from x; returns (x, r, steps, reached_tol).
 
     evaluate(x) gives the real residuals and their L1 norm, jacobian(x) their
-    derivatives in x, one row per residual (a fresh array each call, which
-    the weighting scales in place); r and f are the residuals and the
-    objective at x.  With l1 False the objective is sum r^2.
-    With l1 True it is sum |r|, and each step first reweights the rows by
-    w = 1/sqrt(max(|r|, _IRLS_FLOOR)) (iteratively reweighted least squares),
-    so that sum w^2 r^2 equals sum |r| at x wherever |r| exceeds the floor;
-    one Jacobian serves one reweighted step.  A step is kept only if the
-    objective drops.  Stops when an accepted step gains less than tol
+    derivatives in x, one row per residual; r and f are the residuals and
+    the objective at x.  With l1 False the objective is sum r^2.
+    With l1 True it is sum |r|, and each step weights the normal equations by
+    w^2 = 1/max(|r|, _IRLS_FLOOR) (iteratively reweighted least squares), so
+    that sum w^2 r^2 equals sum |r| at x wherever |r| exceeds the floor; one
+    Jacobian serves one reweighted step, and an accepted reweighted step dx
+    is extrapolated to x + c dx for c = _EXTRAPOLATION, its square and so on,
+    for as long as each trial lowers the objective further (one value
+    evaluation per trial).  A step is kept only if the objective drops.
+    Stops when an accepted step, extrapolation included, gains less than tol
     relative, or when no damping up to _MAX_DAMPING lowers the objective;
     reached_tol is True in the first case, and in the second only if the
     objective is at most tol, so that no step could gain more (a fit down to
@@ -272,13 +279,11 @@ def _levenberg_marquardt(evaluate, jacobian, x: np.ndarray, r: np.ndarray,
     steps = 0
     while True:
         jac = jacobian(x)
-        rw = r
+        weighted = jac.T
         if l1:
-            w = 1.0 / np.sqrt(np.maximum(np.abs(r), _IRLS_FLOOR))
-            jac *= w[:, None]
-            rw = r * w
-        normal = jac.T @ jac
-        grad = jac.T @ rw
+            weighted = weighted * (1.0 / np.maximum(np.abs(r), _IRLS_FLOOR))
+        normal = weighted @ jac
+        grad = weighted @ r
         scale = np.diag(np.diag(normal))
         while True:
             dx = np.linalg.lstsq(normal + damping * scale, -grad,
@@ -291,8 +296,18 @@ def _levenberg_marquardt(evaluate, jacobian, x: np.ndarray, r: np.ndarray,
             if damping > _MAX_DAMPING:
                 return x, r, steps, bool(f <= tol)
         steps += 1
+        x_new = x + dx
+        if l1:   # lengthen the step while the L1 objective keeps dropping
+            c = _EXTRAPOLATION
+            while True:
+                x_try = x + c * dx
+                r_try, f_try = evaluate(x_try)
+                if not f_try < f_new:
+                    break
+                x_new, r_new, f_new = x_try, r_try, f_try
+                c *= _EXTRAPOLATION
         gain = f - f_new
-        x, r, f = x + dx, r_new, f_new
+        x, r, f = x_new, r_new, f_new
         damping = max(damping / 10.0, _MIN_DAMPING)
         if gain <= tol * f:
             return x, r, steps, True

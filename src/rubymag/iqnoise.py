@@ -168,7 +168,7 @@ def read_spectrum_csv(path) -> NoiseSpectrum:
     tags, or offsets that are not positive and increasing raise ParseError.
     """
     table, rows = read_columns(path, ("offset_hz", "value"), ("unit",))
-    units = sorted({row["unit"] or "" for row in rows})
+    units = sorted({row["unit"] for row in rows})
     if len(units) != 1:
         raise ParseError(f"{path}: expected one unit tag per file, "
                          f"got {units}")

@@ -123,8 +123,7 @@ def test_nonidealities_identity_and_sign_flip():
                        ENS.g_s, drive.power,
                        gamma_prime_params(CAV, ENS, identity)) \
         == pytest.approx(gamma, rel=1e-12)
-    with pytest.warns(UserWarning):
-        flipped = NonIdealityParams(psi=math.pi)
+    flipped = NonIdealityParams(psi=math.pi)
     assert gamma_prime(ENS.omega_s, drive.omega_d, drive.omega_d, CAV.omega_c,
                        ENS.g_s, drive.power,
                        gamma_prime_params(CAV, ENS, flipped)) \
@@ -304,7 +303,3 @@ def test_threshold_power_scaling():
                                   TWO_PI * 660e3)
     assert p2 == pytest.approx(p1 / 4.0, rel=1e-12)
 
-
-def test_nonideality_warning_for_large_values():
-    with pytest.warns(UserWarning):
-        NonIdealityParams(o_r=0.9)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rubymag
-from rubymag import iqnoise
+from rubymag import cli, iqnoise
 from rubymag.cavity import (dbm_to_watts, interaction_term, photon_number,
                             reflection_coefficient, single_spin_coupling)
 from rubymag.cli import COMMANDS, _build_parser, main, split_seed
@@ -181,6 +181,8 @@ _TINY_GRID = ("omega_s_hz,omega_d_hz,re,im\n"
      "ParseError", ["non-finite", "line 3"]),
     ("calibrate", ["--input", "current_a,b_t\n0.1,1e-7\n"], "ParseError",
      ["missing", "field_t"]),
+    ("calibrate", ["--input", "current_a,field_t\n0.1,1e-7\n0.2\n"],
+     "ParseError", ["line 3 has 1 cells"]),
     ("noise-predict", ["--phase-noise-csv",
                        "offset_hz,value,unit\n100,abc,dBc_per_Hz\n"],
      "ParseError", ["'abc'"]),
@@ -192,6 +194,9 @@ _TINY_GRID = ("omega_s_hz,omega_d_hz,re,im\n"
                        "offset_hz,dbc,unit\n100,-100,dBc_per_Hz\n"],
      "ParseError", ["missing", "value"]),
     ("noise-predict", ["--phase-noise-csv",
+                       "offset_hz,value,unit\n100,-100,dBc_per_Hz,1\n"],
+     "ParseError", ["line 2 has 4 cells"]),
+    ("noise-predict", ["--phase-noise-csv",
                        "offset_hz,value,unit\n100,-100,dBc_per_Hz\n"
                        "200,1e-12,V2_per_Hz\n"],
      "ParseError", ["one unit tag", "V2_per_Hz", "dBc_per_Hz"]),
@@ -201,6 +206,8 @@ _TINY_GRID = ("omega_s_hz,omega_d_hz,re,im\n"
      ["sweep.b_span_gauss", "> 0", "-4"]),
     ("crossing-sim", ["--noise-sigma", "-0.1"], "ConfigError",
      ["grid.noise_sigma", ">= 0", "-0.1"]),
+    ("noise-predict", ["--p0-v2-per-hz", "-1"], "ConfigError",
+     ["noise.p0_v2_per_hz", ">= 0", "-1"]),
     ("sensitivity", ["--n-points", "3"], "ConfigError",
      ["sweep.n_points", ">= 5", "3"]),
     ("sensitivity", ["--test-amplitude-nt", "-5"], "ConfigError",
@@ -263,6 +270,30 @@ def test_numeric_failure_prints_one_error_line(tmp_path, capsys, command,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"ERROR {error}: "), err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_memory_error_prints_one_error_line(tmp_path, capsys, monkeypatch):
+    """An allocation numpy refuses is a runtime failure, reported under the
+    MemoryError name whatever subclass numpy raises."""
+    class _ArrayMemoryError(MemoryError):
+        pass
+
+    def refuse(cfg, args):
+        raise _ArrayMemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setitem(cli._DISPATCH, "eigen", refuse)
+    assert run_cli("eigen", "--output-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ERROR MemoryError: Unable to allocate 745. GiB"]
+
+
+def test_large_nonideality_prints_nothing_on_stderr(tmp_path, capsys):
+    """Gamma' is exact for any phase offset, so psi = 0.7 rad runs quietly."""
+    path = tmp_path / "in.csv"
+    path.write_text(_TINY_GRID)
+    assert run_cli("crossing-fit", "--output-dir", str(tmp_path),
+                   "--input", str(path), "--psi-rad", "0.7") == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["noise-predict", "sensitivity", "report"])

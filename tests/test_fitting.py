@@ -274,9 +274,7 @@ def test_fused_objective_matches_reference(monkeypatch):
     monkeypatch.setattr(fitting, "_levenberg_marquardt", stand_in_lm)
     fit_crossing(grid, *init)
     for _, params, want in points:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            ni = NonIdealityParams(*params[5:])
+        ni = NonIdealityParams(*params[5:])
         cav = CavityParams(omega_c=CAV.omega_c, kappa_c0=params[0],
                            kappa_c1=params[1])
         ens = EnsembleParams(g_s=G_S, N=(params[4] / G_S) ** 2,
@@ -332,8 +330,10 @@ def test_fit_calls_objective_once_per_evaluation(monkeypatch):
     at_guess = [p for p in values
                 if np.allclose(p, guess, rtol=1e-12, atol=0.0)]
     assert len(at_guess) == 1 and calls[0][1] is at_guess[0]
-    # a budget that ends inside either stage is spent exactly
-    for budget in (1, 7, 150):
+    # a budget that ends inside either stage is spent exactly: 7 inside
+    # Levenberg-Marquardt, 100 inside an extrapolation trial of IRLS (the
+    # whole fit takes 150)
+    for budget in (1, 7, 100):
         del calls[:], objective_calls[:]
         res = fit_crossing(grid, *init, max_evaluations=budget)
         assert len(calls) == budget
@@ -405,18 +405,35 @@ def test_noiseless_fit_converges():
         assert res.objective_value < 1e-8
 
 
-def test_criterion_13_noisy_fit_converges_within_budget(monkeypatch):
-    """Criterion 13's noisy 50x50 fit converges in under 20 000 evaluations."""
+def criterion_13_grid():
+    """Criterion 13's noisy 50x50 grid (sigma 0.01), normalized, and a
+    guess with its rates off by up to 20 %."""
     spec = wide_spec()
     grid = normalize_grid(simulate_crossing(CAV, ENS, NI, spec, 0.01,
                                             seed=200))
-    init = guess_from(CAV, ENS, NI, spec, np.random.default_rng(100))
+    return grid, guess_from(CAV, ENS, NI, spec, np.random.default_rng(100))
+
+
+def test_criterion_13_noisy_fit_converges_within_budget(monkeypatch):
+    """Criterion 13's noisy 50x50 fit converges in under 20 000 evaluations."""
+    grid, init = criterion_13_grid()
     params, _ = counting_kernel(monkeypatch)
     res = fit_crossing(grid, *init)
     assert res.converged
     assert len(params) <= 20000
     for name, err in physical_errors(res, CAV, ENS).items():
         assert abs(err) < (0.30 if name == "kappa_th" else 0.10), name
+
+
+def test_extrapolated_irls_steps_reach_a_lower_objective_sooner():
+    """On criterion 13's grid the fit takes at most 60 steps and ends no
+    higher than the 40.98254358427529 that IRLS without extrapolated steps
+    reached in 80."""
+    grid, init = criterion_13_grid()
+    res = fit_crossing(grid, *init)
+    assert res.converged
+    assert res.iterations <= 60
+    assert res.objective_value <= 40.98254358427529
 
 
 @pytest.mark.slow
@@ -545,6 +562,11 @@ def test_grid_csv_rows_in_any_order(tmp_path):
     (lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0] + ",x"]
      + lines[5:], "x"),
     (lambda lines: lines[:1], "at least 2"),
+    # a short row and a ragged row (one cell too many)
+    (lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:],
+     "line 5 has 3 cells"),
+    (lambda lines: lines[:4] + [lines[4] + ",0.5"] + lines[5:],
+     "line 5 has 5 cells"),
 ])
 def test_grid_csv_malformed_rejected(tmp_path, edit, message):
     spec = wide_spec(4, 3)
@@ -567,3 +589,4 @@ def test_fit_json_is_strict(tmp_path):
     with pytest.raises(NonFiniteOutput):
         write_json(tmp_path / "broken.json", fit_result_to_dict(broken))
     assert not (tmp_path / "broken.json").exists()
+
