@@ -405,35 +405,22 @@ def test_noiseless_fit_converges():
         assert res.objective_value < 1e-8
 
 
-def criterion_13_grid():
-    """Criterion 13's noisy 50x50 grid (sigma 0.01), normalized, and a
-    guess with its rates off by up to 20 %."""
+def test_criterion_13_noisy_fit_converges_within_budget(monkeypatch):
+    """Criterion 13's noisy 50x50 fit converges in under 20 000 evaluations
+    and at most 60 steps, no higher than the 40.98254358427529 that IRLS
+    without extrapolated steps reached in 80."""
     spec = wide_spec()
     grid = normalize_grid(simulate_crossing(CAV, ENS, NI, spec, 0.01,
                                             seed=200))
-    return grid, guess_from(CAV, ENS, NI, spec, np.random.default_rng(100))
-
-
-def test_criterion_13_noisy_fit_converges_within_budget(monkeypatch):
-    """Criterion 13's noisy 50x50 fit converges in under 20 000 evaluations."""
-    grid, init = criterion_13_grid()
+    init = guess_from(CAV, ENS, NI, spec, np.random.default_rng(100))
     params, _ = counting_kernel(monkeypatch)
     res = fit_crossing(grid, *init)
     assert res.converged
     assert len(params) <= 20000
-    for name, err in physical_errors(res, CAV, ENS).items():
-        assert abs(err) < (0.30 if name == "kappa_th" else 0.10), name
-
-
-def test_extrapolated_irls_steps_reach_a_lower_objective_sooner():
-    """On criterion 13's grid the fit takes at most 60 steps and ends no
-    higher than the 40.98254358427529 that IRLS without extrapolated steps
-    reached in 80."""
-    grid, init = criterion_13_grid()
-    res = fit_crossing(grid, *init)
-    assert res.converged
     assert res.iterations <= 60
     assert res.objective_value <= 40.98254358427529
+    for name, err in physical_errors(res, CAV, ENS).items():
+        assert abs(err) < (0.30 if name == "kappa_th" else 0.10), name
 
 
 @pytest.mark.slow
