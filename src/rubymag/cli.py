@@ -1,17 +1,17 @@
-"""Command-line entry point.
+"""Command-line entry point: rubymag COMMAND [--key VALUE | --key=VALUE]...
 
-Subcommands: eigen, crossing-sim, crossing-fit, noise-predict, sensitivity,
+Commands: eigen, crossing-sim, crossing-fit, noise-predict, sensitivity,
 optimize, calibrate, report.  Configuration comes from an optional JSON file
-(--config) with per-key flag overrides generated one-for-one from the config
-schema (--kappa-s-mhz 42 overrides ensemble.kappa_s_mhz).  Exit codes: 0 on
-success, 2 on configuration/validation errors, 1 on runtime errors (any
-ValueError or ArithmeticError a command raises included); errors print one
-machine-parsable line on stderr.
+(--config) with per-key flags named one-for-one after the config keys
+(--kappa-s-mhz 42 overrides ensemble.kappa_s_mhz); crossing-fit and calibrate
+also take --input CSV, and -h/--help lists the flags.  Exit codes: 0 on
+success, 2 on bad arguments and configuration/validation errors, 1 on runtime
+errors (any ValueError or ArithmeticError a command raises included); errors
+print one machine-parsable line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.resources
 import json
 import math
@@ -28,16 +28,12 @@ from . import fitting, iqnoise, magnetometry as mag, thermal
 from .cavity import (NonIdealityParams, check_drive, cooperativity,
                      dbm_to_watts, gamma_prime, gamma_prime_params,
                      kappa_th_threshold_power, watts_to_dbm)
-from .config import (FLAT_KEYS, RunConfig, apply_overrides, flag_name,
-                     parse_config)
+from .config import FLAT_KEYS, RunConfig, parse_config
 from .csvio import write_json
-from .errors import ConfigError, ParseError, RubymagError
+from .errors import ConfigError, ParseError, RubymagError, UnknownKey
 from .spins import energy_level_sweep, write_energy_sweep_csv
 
 _TWO_PI = 2.0 * math.pi
-
-COMMANDS = ("eigen", "crossing-sim", "crossing-fit", "noise-predict",
-            "sensitivity", "optimize", "calibrate", "report")
 
 
 def split_seed(master_seed: int, label: str) -> np.random.SeedSequence:
@@ -49,76 +45,61 @@ def _seed_int(master_seed: int, label: str) -> int:
     return int(split_seed(master_seed, label).generate_state(1)[0])
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--config", type=Path, default=None,
-                       help="JSON configuration file")
-    for key in FLAT_KEYS:
-        flags.add_argument(flag_name(key), dest=key, default=None,
-                           metavar="VALUE")
-    parser = argparse.ArgumentParser(prog="rubymag")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, parents=[flags])
-        if name in ("crossing-fit", "calibrate"):
-            p.add_argument("--input", type=Path, default=None,
-                           help="input CSV produced by a previous step")
-    return parser
+def _read_argv(argv: list) -> tuple[str, dict]:
+    """COMMAND, then --key VALUE or --key=VALUE pairs: (COMMAND, {key: text}).
 
-
-def _attach_negative_values(argv: list) -> list:
-    """Spell '--flag -1.2e-08' as '--flag=-1.2e-08'.
-
-    argparse reads any token that starts with '-' and is not a plain decimal
-    as an option, so a negative value in exponent form would never reach its
-    flag.
+    A key is a config key spelled with dashes, 'config', or 'input' on the
+    commands that read a CSV.  The token after a flag is its value whatever
+    it looks like, so '--tau-s -1.2e-08' reaches --tau-s.
     """
-    out = []
-    for token in argv:
-        if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and token.startswith("-") and _is_number(token)):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
+    if not argv or argv[0] not in _DISPATCH:
+        raise UnknownKey(f"expected a command ({', '.join(_DISPATCH)}), "
+                         f"got {argv[0] if argv else 'none'!r}")
+    command, texts, tokens = argv[0], {}, iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        key = name[2:].replace("-", "_")
+        known = key in FLAT_KEYS or key == "config" or (
+            key == "input" and command in ("crossing-fit", "calibrate"))
+        if not name.startswith("--") or "_" in name or not known:
+            raise UnknownKey(f"{command}: unknown flag {name!r}")
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise ParseError(f"{command}: {name} needs a value")
+        texts[key] = text
+    return command, texts
 
 
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
-def _load_config(args) -> RunConfig:
-    raw = {}
-    if args.config is not None:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{args.config}: {exc}") from exc
-        try:
-            raw = json.loads(text) if text.strip() else {}
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.config}: line {exc.lineno} column "
-                             f"{exc.colno}: {exc.msg}") from exc
-        if not isinstance(raw, dict):
-            raise ParseError(f"{args.config}: top-level JSON value must be "
-                             "an object")
-    overrides = {}
+def _usage() -> str:
+    blocks = {}
     for key, block in FLAT_KEYS.items():
-        value = getattr(args, key, None)
-        if value is not None:
-            try:
-                parsed = json.loads(value)
-            except json.JSONDecodeError:
-                parsed = value
-            overrides[(block, key)] = parsed
+        blocks.setdefault(block, []).append("--" + key.replace("_", "-"))
+    return "\n".join([
+        "usage: rubymag COMMAND [--config JSON] [--input CSV] [--key VALUE]",
+        "commands: " + ", ".join(_DISPATCH),
+        "--input: crossing-fit and calibrate only",
+        "config keys, as --key VALUE or --key=VALUE:",
+        *(f"  {block}: {' '.join(flags)}" for block, flags in blocks.items())])
+
+
+def _load_config(path, texts: dict) -> RunConfig:
+    raw = {}
+    if path is not None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+            raw = json.loads(text) if text.strip() else {}
+        except OSError as exc:
+            raise ConfigError(str(exc)) from exc
+        except (ValueError, RecursionError) as exc:   # undecodable text too
+            raise ParseError(f"{path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ParseError(f"{path}: top-level JSON value must be "
+                             "an object")
     env_dir = os.environ.get("RUBYMAG_OUTDIR")
-    if env_dir and ("run", "output_dir") not in overrides:
-        overrides[("run", "output_dir")] = env_dir
-    return parse_config(apply_overrides(raw, overrides))
+    if env_dir and "output_dir" not in texts:
+        texts = {**texts, "output_dir": env_dir}
+    return parse_config(raw, texts)
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -148,7 +129,7 @@ def _default_noise_csv(name: str) -> Path:
     return importlib.resources.files("rubymag") / "data" / name
 
 
-def cmd_eigen(cfg: RunConfig, args) -> int:
+def cmd_eigen(cfg: RunConfig, input_csv) -> int:
     s = cfg["sweep"]
     b_values, energies = energy_level_sweep(
         cfg.spin_system(), math.radians(s["theta_deg"]),
@@ -159,7 +140,7 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_crossing_sim(cfg: RunConfig, args) -> int:
+def cmd_crossing_sim(cfg: RunConfig, input_csv) -> int:
     spec = _grid_spec(cfg)
     grid = fitting.simulate_crossing(
         cfg.cavity(), cfg.ensemble(), cfg.nonideal(), spec,
@@ -171,10 +152,10 @@ def cmd_crossing_sim(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_crossing_fit(cfg: RunConfig, args) -> int:
-    if args.input is None:
+def cmd_crossing_fit(cfg: RunConfig, input_csv) -> int:
+    if input_csv is None:
         raise ConfigError("crossing-fit requires --input CSV")
-    grid = fitting.read_grid_csv(args.input, cfg.drive().power)
+    grid = fitting.read_grid_csv(input_csv, cfg.drive().power)
     result = fitting.fit_crossing(grid, cfg.cavity(), cfg.ensemble(),
                                   cfg.nonideal())
     path = _outdir(cfg) / "fit.json"
@@ -183,7 +164,7 @@ def cmd_crossing_fit(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_noise_predict(cfg: RunConfig, args) -> int:
+def cmd_noise_predict(cfg: RunConfig, input_csv) -> int:
     n = cfg["noise"]
     phase_path = n["phase_noise_csv"] or _default_noise_csv("phase_noise.csv")
     amp_path = n["amplitude_noise_csv"] \
@@ -243,7 +224,7 @@ def _sensitivity_budget(cfg: RunConfig) -> tuple[mag.SweepTrace, dict]:
     return trace, budget
 
 
-def cmd_sensitivity(cfg: RunConfig, args) -> int:
+def cmd_sensitivity(cfg: RunConfig, input_csv) -> int:
     trace, budget = _sensitivity_budget(cfg)
     out = _outdir(cfg)
     mag.write_sweep_csv(out / "sweep.csv", trace)
@@ -253,7 +234,7 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_optimize(cfg: RunConfig, args) -> int:
+def cmd_optimize(cfg: RunConfig, input_csv) -> int:
     s = cfg["sweep"]
     e_n_ref = s["noise_floor_nv_per_rthz"]
     sys_, cav, ens, ni, drive_ref = (cfg.spin_system(), cfg.cavity(),
@@ -293,14 +274,14 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_calibrate(cfg: RunConfig, args) -> int:
+def cmd_calibrate(cfg: RunConfig, input_csv) -> int:
     coil = cfg.coil()
     current = cfg["calibration"]["current_ma"]
     b_solenoid = cal.solenoid_axial_field(coil, current)
     summary = {"b_solenoid_t": b_solenoid,
                "current_a": current}
-    if args.input is not None:
-        currents, fields = cal.read_calibration_csv(args.input)
+    if input_csv is not None:
+        currents, fields = cal.read_calibration_csv(input_csv)
         line = cal.linear_calibration(currents, fields)
         summary["slope_t_per_a"] = line.slope
         summary["intercept_t"] = line.intercept
@@ -316,7 +297,7 @@ _REPORT_BUDGET_KEYS = ("m_max_v_per_t", "eta_t_per_rthz", "eta_th_t_per_rthz",
                        "phi_required_dbc_per_hz")
 
 
-def cmd_report(cfg: RunConfig, args) -> int:
+def cmd_report(cfg: RunConfig, input_csv) -> int:
     sys_, matp = cfg.spin_system(), cfg.material()
     cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
     state = thermal.boltzmann_populations(sys_, cfg.temperature())
@@ -354,31 +335,34 @@ _DISPATCH = {
 }
 
 
+def _fail(name: str, exc: BaseException, code: int) -> int:
+    """Print exc as one ERROR line, whatever line breaks its message holds."""
+    message = " ".join(str(exc).splitlines())
+    print(f"ERROR {name}: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser().parse_args(_attach_negative_values(argv))
+    if "-h" in argv or "--help" in argv:
+        print(_usage())
+        return 0
     try:
-        cfg = _load_config(args)
+        command, texts = _read_argv(argv)
+        input_csv = texts.pop("input", None)
+        cfg = _load_config(texts.pop("config", None), texts)
+        # a float overflow or an invalid operation fails the command as a
+        # FloatingPointError instead of printing numpy's RuntimeWarning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _DISPATCH[command](cfg, input_csv)
     except ConfigError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"ERROR ConfigError: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _DISPATCH[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(type(exc).__name__, exc, 2)
     except (RubymagError, ValueError, ArithmeticError) as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(type(exc).__name__, exc, 1)
     except MemoryError as exc:   # numpy raises its subclass _ArrayMemoryError
-        print(f"ERROR MemoryError: {exc}", file=sys.stderr)
-        return 1
+        return _fail("MemoryError", exc, 1)
     except OSError as exc:
-        print(f"ERROR IOError: {exc}", file=sys.stderr)
-        return 1
+        return _fail("IOError", exc, 1)
 
 
 if __name__ == "__main__":

@@ -4,13 +4,15 @@ Every physical key carries its unit in the name (d_ghz, power_dbm,
 bias_b_gauss, ...) and is converted once, at parse time, to the internal
 convention: angular frequencies and rates in rad/s, fields in tesla, powers
 in watts.  Unknown keys are hard errors; a known quantity spelled with the
-wrong unit suffix raises UnitMismatch naming the expected key.  Omitted keys
-and blocks fall back to the built-in defaults.
+wrong unit suffix raises UnitMismatch naming the expected key, and so does a
+value of the wrong JSON type.  Omitted keys and blocks fall back to the
+built-in defaults.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +34,9 @@ def _integer(value) -> int:
     return int(value)
 
 
-# key -> (converter to internal units, default in key units)
+# key -> (converter to internal units, default in key units).  A key takes a
+# number, bools excluded, unless its converter is _integer (an integral
+# number) or str (a string); a key whose default is None also takes null.
 _SCHEMA = {
     "spin": {
         "d_ghz": (lambda v: _TWO_PI * v * 1e9, -5.745),
@@ -56,8 +60,8 @@ _SCHEMA = {
     },
     "ensemble": {
         # null -> derive from cavity geometry / thermal polarization
-        "g_s_hz": (lambda v: None if v is None else _TWO_PI * v, None),
-        "n_spins": (lambda v: None if v is None else float(v), None),
+        "g_s_hz": (lambda v: _TWO_PI * v, None),
+        "n_spins": (float, None),
         "kappa_s_mhz": (lambda v: _TWO_PI * v * 1e6, 42.0),
         "kappa_th_khz": (lambda v: _TWO_PI * v * 1e3, 120.0),
         "omega_s_ghz": (lambda v: _TWO_PI * v * 1e9, 11.4),
@@ -94,8 +98,8 @@ _SCHEMA = {
         "noise_floor_nv_per_rthz": (lambda v: v * 1e-9, 26.0),
     },
     "noise": {
-        "phase_noise_csv": (lambda v: v, None),
-        "amplitude_noise_csv": (lambda v: v, None),
+        "phase_noise_csv": (str, None),
+        "amplitude_noise_csv": (str, None),
         "p0_v2_per_hz": (float, 0.0),
         "e_th_nv_per_rthz": (lambda v: v * 1e-9, 13.0),
         "phi_measured_dbc_per_hz": (float, -129.5),
@@ -108,7 +112,7 @@ _SCHEMA = {
         "current_ma": (lambda v: v * 1e-3, 6.9),
     },
     "run": {
-        "output_dir": (lambda v: v, "."),
+        "output_dir": (str, "."),
         "master_seed": (_integer, 0),
     },
 }
@@ -224,6 +228,10 @@ class RunConfig:
                             distance=c["coil_distance_mm"])
 
 
+# converter -> (the type a key takes, spelled for messages; its JSON types)
+_TYPES = {_integer: ("an integer", (int, float)), str: ("a string", str)}
+
+
 def _convert_block(block_name: str, raw: dict) -> dict:
     schema = _SCHEMA[block_name]
     stems = {_strip_unit(key): key for key in schema}
@@ -235,11 +243,16 @@ def _convert_block(block_name: str, raw: dict) -> dict:
                 raise UnitMismatch(
                     f"{block_name}.{key}: expected key {stems[stem]!r}")
             raise UnknownKey(f"unknown key {block_name}.{key}")
-        converter, _ = schema[key]
+        converter, default = schema[key]
+        if value is None and default is None:
+            continue   # filled with None below
+        expected, types = _TYPES.get(converter, ("a number", (int, float)))
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise UnitMismatch(f"{block_name}.{key}: expected {expected}, "
+                               f"got {value!r}")
         try:
             out[key] = converter(value)
-        except (TypeError, ValueError) as exc:
-            expected = "an integer" if converter is _integer else "a number"
+        except ValueError as exc:
             raise UnitMismatch(f"{block_name}.{key}: expected {expected}, "
                                f"got {value!r}") from exc
         except OverflowError as exc:
@@ -262,16 +275,29 @@ def _convert_block(block_name: str, raw: dict) -> dict:
     return out
 
 
-def parse_config(raw: dict) -> RunConfig:
-    """Validate a decoded JSON configuration object."""
+def parse_config(raw: dict, texts: dict | None = None) -> RunConfig:
+    """Validate a decoded JSON configuration object, with the command-line
+    flag texts {key: text} merged over its blocks: a str key takes its text
+    verbatim, any other key the JSON value the text spells, or the text
+    itself if it spells none."""
     for block_name, block in raw.items():
         if block_name not in _SCHEMA:
             raise UnknownKey(f"unknown block {block_name!r}")
         if not isinstance(block, dict):
             raise ParseError(f"block {block_name!r} must be a JSON object")
-    values = {name: _convert_block(name, raw.get(name, {}))
-              for name in _SCHEMA}
-    return RunConfig(values=values)
+    blocks = {name: dict(raw.get(name, {})) for name in _SCHEMA}
+    for key, text in (texts or {}).items():
+        if key not in FLAT_KEYS:
+            raise UnknownKey(f"unknown key {key!r}")
+        block, value = FLAT_KEYS[key], text
+        if _SCHEMA[block][key][0] is not str:
+            try:
+                value = json.loads(text)
+            except (ValueError, RecursionError):
+                pass
+        blocks[block][key] = value
+    return RunConfig(values={name: _convert_block(name, block)
+                             for name, block in blocks.items()})
 
 
 # leaf keys are unique across blocks so CLI flags can map one-for-one
@@ -281,17 +307,3 @@ for _block, _keys in _SCHEMA.items():
         if _key in FLAT_KEYS:
             raise AssertionError(f"duplicate config key {_key}")
         FLAT_KEYS[_key] = _block
-
-
-def flag_name(key: str) -> str:
-    """CLI flag spelled from a config key: grid.n_omega_s -> --n-omega-s."""
-    return "--" + key.replace("_", "-")
-
-
-def apply_overrides(raw_config: dict, overrides: dict) -> dict:
-    """Merge {(block, key): raw value} CLI overrides into a raw JSON dict."""
-    merged = {name: dict(raw_config.get(name, {})) for name in
-              set(raw_config) | {b for b, _ in overrides}}
-    for (block, key), value in overrides.items():
-        merged.setdefault(block, {})[key] = value
-    return merged

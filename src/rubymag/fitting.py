@@ -252,7 +252,10 @@ _EXTRAPOLATION = 3.0  # growth of each trial length of an accepted IRLS step
 
 
 class _BudgetSpent(Exception):
-    """The fit's evaluation budget is used up."""
+    """The fit's evaluation budget is used up; steps counts the accepted
+    steps of the stage it ended."""
+
+    steps = 0
 
 
 def _levenberg_marquardt(evaluate, jacobian, x: np.ndarray, r: np.ndarray,
@@ -277,40 +280,45 @@ def _levenberg_marquardt(evaluate, jacobian, x: np.ndarray, r: np.ndarray,
     """
     damping = _INITIAL_DAMPING
     steps = 0
-    while True:
-        jac = jacobian(x)
-        weighted = jac.T
-        if l1:
-            weighted = weighted * (1.0 / np.maximum(np.abs(r), _IRLS_FLOOR))
-        normal = weighted @ jac
-        grad = weighted @ r
-        scale = np.diag(np.diag(normal))
+    try:
         while True:
-            dx = np.linalg.lstsq(normal + damping * scale, -grad,
-                                 rcond=None)[0]
-            r_new, l1_new = evaluate(x + dx)
-            f_new = l1_new if l1 else r_new @ r_new
-            if f_new < f:
-                break
-            damping *= 10.0
-            if damping > _MAX_DAMPING:
-                return x, r, steps, bool(f <= tol)
-        steps += 1
-        x_new = x + dx
-        if l1:   # lengthen the step while the L1 objective keeps dropping
-            c = _EXTRAPOLATION
+            jac = jacobian(x)
+            weighted = jac.T
+            if l1:
+                weighted = weighted * (1.0 / np.maximum(np.abs(r),
+                                                        _IRLS_FLOOR))
+            normal = weighted @ jac
+            grad = weighted @ r
+            scale = np.diag(np.diag(normal))
             while True:
-                x_try = x + c * dx
-                r_try, f_try = evaluate(x_try)
-                if not f_try < f_new:
+                dx = np.linalg.lstsq(normal + damping * scale, -grad,
+                                     rcond=None)[0]
+                r_new, l1_new = evaluate(x + dx)
+                f_new = l1_new if l1 else r_new @ r_new
+                if f_new < f:
                     break
-                x_new, r_new, f_new = x_try, r_try, f_try
-                c *= _EXTRAPOLATION
-        gain = f - f_new
-        x, r, f = x_new, r_new, f_new
-        damping = max(damping / 10.0, _MIN_DAMPING)
-        if gain <= tol * f:
-            return x, r, steps, True
+                damping *= 10.0
+                if damping > _MAX_DAMPING:
+                    return x, r, steps, bool(f <= tol)
+            steps += 1
+            x_new = x + dx
+            if l1:   # lengthen the step while the L1 objective keeps dropping
+                c = _EXTRAPOLATION
+                while True:
+                    x_try = x + c * dx
+                    r_try, f_try = evaluate(x_try)
+                    if not f_try < f_new:
+                        break
+                    x_new, r_new, f_new = x_try, r_try, f_try
+                    c *= _EXTRAPOLATION
+            gain = f - f_new
+            x, r, f = x_new, r_new, f_new
+            damping = max(damping / 10.0, _MIN_DAMPING)
+            if gain <= tol * f:
+                return x, r, steps, True
+    except _BudgetSpent as spent:
+        spent.steps = steps
+        raise
 
 
 def minimize(evaluate, jacobian, x0: np.ndarray,
@@ -328,8 +336,8 @@ def minimize(evaluate, jacobian, x0: np.ndarray,
                                               r0 @ r0, False, _LM_TOL)
         _, _, irls_steps, converged = _levenberg_marquardt(
             evaluate, jacobian, x, r, np.abs(r).sum(), True, _IRLS_TOL)
-    except _BudgetSpent:
-        return steps, False
+    except _BudgetSpent as spent:
+        return steps + spent.steps, False
     return steps + irls_steps, converged
 
 

@@ -15,8 +15,8 @@ import rubymag
 from rubymag import cli, iqnoise
 from rubymag.cavity import (dbm_to_watts, interaction_term, photon_number,
                             reflection_coefficient, single_spin_coupling)
-from rubymag.cli import COMMANDS, _build_parser, main, split_seed
-from rubymag.config import FLAT_KEYS, apply_overrides, flag_name, parse_config
+from rubymag.cli import _DISPATCH, _read_argv, main, split_seed
+from rubymag.config import FLAT_KEYS, parse_config
 from rubymag.errors import ParseError, UnitMismatch, UnknownKey
 from rubymag.magnetometry import bias_sweep_trace
 
@@ -88,28 +88,61 @@ def test_values_overflowing_on_conversion_rejected():
 
 
 def test_parse_serialize_parse_round_trip():
+    """A config read from JSON, and the same values spelled as flag texts,
+    give the same internal values."""
     raw = {"spin": {"d_ghz": -5.745}, "drive": {"power_dbm": 0.0},
-           "grid": {"n_omega_s": 10, "noise_sigma": 0.01}}
+           "grid": {"n_omega_s": 10, "noise_sigma": 0.01},
+           "run": {"output_dir": "out"}}
     first = parse_config(json.loads(json.dumps(raw)))
-    merged = apply_overrides(raw, {})
-    second = parse_config(json.loads(json.dumps(merged)))
+    texts = {key: value if key == "output_dir" else json.dumps(value)
+             for block in raw.values() for key, value in block.items()}
+    second = parse_config({}, texts)
     assert first.values == second.values
+    assert parse_config(raw, {}).values == first.values
 
 
-def test_apply_overrides_merges_flags():
-    raw = {"ensemble": {"kappa_s_mhz": 42.0}}
-    merged = apply_overrides(raw, {("ensemble", "kappa_th_khz"): 100.0,
-                                   ("run", "master_seed"): 7})
-    cfg = parse_config(merged)
+def test_parse_config_merges_flag_texts():
+    """Flag texts fill keys the file leaves out and win over keys it has."""
+    raw = {"ensemble": {"kappa_s_mhz": 42.0, "kappa_th_khz": 50.0}}
+    cfg = parse_config(raw, {"kappa_th_khz": "100", "master_seed": "7"})
     assert cfg["ensemble"]["kappa_s_mhz"] == pytest.approx(TWO_PI * 42e6)
     assert cfg["ensemble"]["kappa_th_khz"] == pytest.approx(TWO_PI * 100e3)
     assert cfg["run"]["master_seed"] == 7
+    assert raw == {"ensemble": {"kappa_s_mhz": 42.0, "kappa_th_khz": 50.0}}
+    with pytest.raises(UnknownKey):
+        parse_config({}, {"kappa_s": "42"})
+
+
+@pytest.mark.parametrize("block, key, value, expected", [
+    ("ensemble", "kappa_s_mhz", True, "a number"),
+    ("spin", "g_par", "2", "a number"),
+    ("ensemble", "g_s_hz", [0.2], "a number"),
+    ("run", "master_seed", False, "an integer"),
+    ("material", "n_cell", True, "an integer"),
+    ("material", "n_cell", "12", "an integer"),
+    ("run", "output_dir", 5, "a string"),
+    ("noise", "phase_noise_csv", 5.0, "a string"),
+    ("noise", "amplitude_noise_csv", True, "a string"),
+])
+def test_wrong_value_type_named(block, key, value, expected):
+    """A value of the wrong JSON type names its key, the value and the type
+    the key takes; a bool is neither a number nor an integer."""
+    with pytest.raises(UnitMismatch) as err:
+        parse_config({block: {key: value}})
+    assert f"{block}.{key}: expected {expected}, got {value!r}" \
+        in str(err.value)
 
 
 def test_flat_keys_unique_and_flag_names():
+    """Each config key is one flag: its name with dashes, spelled exactly."""
     assert len(FLAT_KEYS) == len(set(FLAT_KEYS))
     assert FLAT_KEYS["kappa_s_mhz"] == "ensemble"
-    assert flag_name("kappa_s_mhz") == "--kappa-s-mhz"
+    assert _read_argv(["report", "--kappa-s-mhz", "1"]) == (
+        "report", {"kappa_s_mhz": "1"})
+    for flag in ("--kappa_s_mhz", "--kappa-s", "-kappa-s-mhz", "kappa-s-mhz",
+                 "--KAPPA-S-MHZ"):
+        with pytest.raises(UnknownKey):
+            _read_argv(["report", flag, "1"])
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +270,32 @@ _TINY_GRID = ("omega_s_hz,omega_d_hz,re,im\n"
      "ParseError", ["line 2 has 4 cells"]),
     ("noise-predict", ["--p0-v2-per-hz", "-1"], "ConfigError",
      ["noise.p0_v2_per_hz", ">= 0", "-1"]),
+    # a config block that is not a JSON object fails before any flag merges
+    ("report", ["--config", '{"spin": 5}'], "ParseError",
+     ["'spin'", "JSON object"]),
+    ("report", ["--config", '{"spin": null}'], "ParseError",
+     ["'spin'", "JSON object"]),
+    ("report", ["--config", '{"spin": "ab"}'], "ParseError",
+     ["'spin'", "JSON object"]),
+    ("report", ["--config", '{"spin": [["d_ghz", -5.0]]}'], "ParseError",
+     ["'spin'", "JSON object"]),
+    # a bool is no number, and a text key takes only a string
+    ("report", ["--master-seed", "true"], "UnitMismatch",
+     ["run.master_seed", "True", "an integer"]),
+    ("report", ["--config", '{"ensemble": {"kappa_s_mhz": true}}'],
+     "UnitMismatch", ["ensemble.kappa_s_mhz", "True", "a number"]),
+    ("noise-predict", ["--config", '{"noise": {"phase_noise_csv": 7}}'],
+     "UnitMismatch", ["noise.phase_noise_csv", "7", "a string"]),
+    # a line break inside the message stays on the one ERROR line
+    ("report", ["--config", '{"spin": {"two\\nlines": 1}}'], "UnknownKey",
+     ["spin.two lines"]),
+    # JSON the decoder refuses beyond its syntax: too deep, too many digits
+    ("report", ["--config", "[" * 3000], "ParseError",
+     ["cfg.json", "recursion"]),
+    ("report", ["--config", '{"run": {"master_seed": %s}}' % ("1" * 5000)],
+     "ParseError", ["cfg.json", "4300 digits"]),
+    ("report", ["--master-seed", "1" * 5000], "UnitMismatch",
+     ["run.master_seed", "an integer"]),
 ])
 def test_bad_input_prints_one_error_line(tmp_path, capsys, command, argv,
                                          error, words):
@@ -257,11 +316,71 @@ def test_bad_input_prints_one_error_line(tmp_path, capsys, command, argv,
     assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
+@pytest.mark.parametrize("argv, error, words", [
+    (["sensitivity", "--theta", "90", "--bias", "31"], "UnknownKey",
+     ["'--theta'"]),
+    (["report", "--power", "30"], "UnknownKey", ["'--power'"]),
+    (["report", "--bogus", "1"], "UnknownKey", ["'--bogus'"]),
+    (["report", "--power_dbm", "11"], "UnknownKey", ["'--power_dbm'"]),
+    (["report", "stray"], "UnknownKey", ["'stray'"]),
+    (["eigen", "--input", "x"], "UnknownKey", ["eigen", "'--input'"]),
+    (["eigen", "--n-points"], "ParseError", ["--n-points", "needs a value"]),
+    (["frobnicate"], "UnknownKey", ["'frobnicate'", "eigen", "report"]),
+    ([], "UnknownKey", ["expected a command"]),
+])
+def test_bad_argv_prints_one_error_line(tmp_path, capsys, monkeypatch, argv,
+                                        error, words):
+    """A flag name that is not exact, a flag the command does not take, a
+    missing value or command: one ERROR line, exit 2, nothing written."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RUBYMAG_OUTDIR", raising=False)
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ERROR {error}: "), err
+    for word in words:
+        assert word in err[0]
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["eigen", "--help"],
+                                  ["report", "--n-points", "7", "-h"]])
+def test_help_lists_commands_and_flags(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    for name in _DISPATCH:
+        assert name in out
+    for key in FLAT_KEYS:
+        assert f" --{key.replace('_', '-')}" in out
+    assert "--config" in out and "--input" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_text_flags_taken_verbatim(tmp_path, monkeypatch):
+    """--output-dir 5 writes into a directory named 5, and
+    --phase-noise-csv 7 reads the file named 7."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("calibrate", "--output-dir", "5") == 0
+    assert (tmp_path / "5" / "calibrate.json").is_file()
+    data = importlib.resources.files("rubymag") / "data"
+    (tmp_path / "7").write_bytes((data / "phase_noise.csv").read_bytes())
+    assert run_cli("noise-predict", "--output-dir", "a",
+                   "--phase-noise-csv", "7") == 0
+    assert run_cli("noise-predict", "--output-dir=b") == 0
+    got = (tmp_path / "a" / "predicted_noise.csv").read_bytes()
+    assert got == (tmp_path / "b" / "predicted_noise.csv").read_bytes()
+
+
 @pytest.mark.parametrize("command, argv, error", [
     ("sensitivity", ["--chain-gain-db", "1e6"], "OverflowError"),
     ("report", ["--chain-gain-db", "1e6"], "OverflowError"),
     ("optimize", ["--chain-gain-db", "1e6"], "OverflowError"),
     ("sensitivity", ["--bias-b-gauss", "1e20"], "ValueError"),
+    # numpy's overflow warning becomes the error
+    ("report", ["--amplitude-a", "1e302"], "FloatingPointError"),
 ])
 def test_numeric_failure_prints_one_error_line(tmp_path, capsys, command,
                                                argv, error):
@@ -326,7 +445,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_commands_load_no_scipy(tmp_path):
-    """Every command, crossing-fit included, runs on numpy alone."""
+    """Every command, crossing-fit included, runs on numpy alone, and the
+    command line is read without argparse."""
     csv_path = tmp_path / "calibration.csv"
     csv_path.write_text("current_a,field_t\n0.0,1e-9\n0.005,1.1e-7\n"
                         "0.01,2.2e-7\n")
@@ -343,7 +463,7 @@ def test_commands_load_no_scipy(tmp_path):
             "from rubymag.cli import main\n"
             f"codes = [main(argv) for argv in {runs!r}]\n"
             "print(json.dumps([codes, sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy')]))")
+            "if m.split('.')[0] in ('scipy', 'argparse'))]))")
     codes, loaded = json.loads(run_python(code).splitlines()[-1])
     assert codes == [0] * 8
     assert (tmp_path / "fit.json").exists()
@@ -363,20 +483,27 @@ def test_benchmark_tracer_targets_resolve():
         assert callable(owner), (module, attr)
 
 
-def test_parser_takes_every_config_flag_on_every_command():
-    parser = _build_parser()
-    for command in COMMANDS:
-        for key in FLAT_KEYS:
-            args = parser.parse_args([command, flag_name(key), "7"])
-            assert getattr(args, key) == "7", (command, key)
-        args = parser.parse_args([command, "--config", "c.json"])
-        assert args.config == Path("c.json")
+def test_reader_takes_every_config_flag_on_every_command():
+    """Every config flag, in both spellings, reaches the config on every
+    command; --input only on the commands that read a CSV."""
+    for command in _DISPATCH:
+        for key, block in FLAT_KEYS.items():
+            flag = "--" + key.replace("_", "-")
+            for argv in ([flag, "7"], [flag + "=7"]):
+                assert _read_argv([command, *argv]) == (command, {key: "7"})
+            raw_value = "7" if key in ("output_dir", "phase_noise_csv",
+                                       "amplitude_noise_csv") else 7
+            got = parse_config({}, {key: "7"})[block][key]
+            assert got == parse_config({block: {key: raw_value}})[block][key]
+            assert got != parse_config({})[block][key], key
+        assert _read_argv([command, "--config", "c.json"]) == (
+            command, {"config": "c.json"})
         if command in ("crossing-fit", "calibrate"):
-            args = parser.parse_args([command, "--input", "in.csv"])
-            assert args.input == Path("in.csv")
+            assert _read_argv([command, "--input", "in.csv"]) == (
+                command, {"input": "in.csv"})
         else:
-            with pytest.raises(SystemExit):
-                parser.parse_args([command, "--input", "in.csv"])
+            with pytest.raises(UnknownKey):
+                _read_argv([command, "--input", "in.csv"])
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):

@@ -332,8 +332,11 @@ def test_fit_calls_objective_once_per_evaluation(monkeypatch):
     assert len(at_guess) == 1 and calls[0][1] is at_guess[0]
     # a budget that ends inside either stage is spent exactly: 7 inside
     # Levenberg-Marquardt, 100 inside an extrapolation trial of IRLS (the
-    # whole fit takes 150)
-    for budget in (1, 7, 100):
+    # whole fit takes 150), and the steps accepted before it ran out count,
+    # those of the stage it ends included
+    converged_iterations = res.iterations
+    iterations = []
+    for budget in (1, 7, 60, 100, 149):
         del calls[:], objective_calls[:]
         res = fit_crossing(grid, *init, max_evaluations=budget)
         assert len(calls) == budget
@@ -341,6 +344,10 @@ def test_fit_calls_objective_once_per_evaluation(monkeypatch):
                                            for kind, _ in calls)
         assert not res.converged
         assert math.isfinite(res.objective_value)
+        iterations.append(res.iterations)
+    assert iterations[0] == 0 and iterations[1] >= 1
+    assert iterations == sorted(iterations)
+    assert iterations[-1] <= converged_iterations
 
 
 def test_minimize_stops_unconverged_when_damping_runs_out():
