@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import CONST
 from .csvio import read_columns
-from .errors import DegenerateAbscissa, TooFewPoints, ZeroSlope
+from .errors import DegenerateAbscissa, ParseError, TooFewPoints, ZeroSlope
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,14 @@ def test_field_from_slope(v_rms: float, m_slope: float) -> float:
 def read_calibration_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Columns current_a, field_t.
 
-    A missing column or a non-numeric or non-finite cell raises ParseError.
+    A missing column, a non-numeric or non-finite cell, fewer than two rows
+    or currents that are all equal raise ParseError: the file cannot be
+    fitted by linear_calibration.
     """
     table, _ = read_columns(path, ("current_a", "field_t"))
+    if table.shape[0] < 2:
+        raise ParseError(f"{path}: need at least two calibration rows, "
+                         f"got {table.shape[0]}")
+    if np.ptp(table[:, 0]) == 0:
+        raise ParseError(f"{path}: the currents are all identical")
     return table[:, 0], table[:, 1]

@@ -4,10 +4,12 @@ Commands: eigen, crossing-sim, crossing-fit, noise-predict, sensitivity,
 optimize, calibrate, report.  Configuration comes from an optional JSON file
 (--config) with per-key flags named one-for-one after the config keys
 (--kappa-s-mhz 42 overrides ensemble.kappa_s_mhz); crossing-fit and calibrate
-also take --input CSV, and -h/--help lists the flags.  Exit codes: 0 on
-success, 2 on bad arguments and configuration/validation errors, 1 on runtime
-errors (any ValueError or ArithmeticError a command raises included); errors
-print one machine-parsable line on stderr.
+also take --input CSV, and -h/--help in place of the command or of a flag
+name lists the flags.  Exit codes: 0 on success, 2 on bad arguments and
+configuration/validation errors, 1 on runtime errors (any ValueError or
+ArithmeticError a command raises included); errors print one
+machine-parsable line on stderr.  run() is the process entry point: it
+flushes stdout and stderr and ends the process without interpreter teardown.
 """
 
 from __future__ import annotations
@@ -45,18 +47,27 @@ def _seed_int(master_seed: int, label: str) -> int:
     return int(split_seed(master_seed, label).generate_state(1)[0])
 
 
-def _read_argv(argv: list) -> tuple[str, dict]:
+_HELP = ("-h", "--help")
+
+
+def _read_argv(argv: list) -> tuple[str | None, dict]:
     """COMMAND, then --key VALUE or --key=VALUE pairs: (COMMAND, {key: text}).
 
     A key is a config key spelled with dashes, 'config', or 'input' on the
     commands that read a CSV.  The token after a flag is its value whatever
-    it looks like, so '--tau-s -1.2e-08' reaches --tau-s.
+    it looks like, so '--tau-s -1.2e-08' reaches --tau-s and
+    '--output-dir -h' names a directory.  -h or --help in place of the
+    command or of a flag name asks for the usage: (None, {}).
     """
+    if argv and argv[0] in _HELP:
+        return None, {}
     if not argv or argv[0] not in _DISPATCH:
         raise UnknownKey(f"expected a command ({', '.join(_DISPATCH)}), "
                          f"got {argv[0] if argv else 'none'!r}")
     command, texts, tokens = argv[0], {}, iter(argv[1:])
     for token in tokens:
+        if token in _HELP:
+            return None, {}
         name, eq, text = token.partition("=")
         key = name[2:].replace("-", "_")
         known = key in FLAT_KEYS or key == "config" or (
@@ -245,18 +256,15 @@ def cmd_optimize(cfg: RunConfig, input_csv) -> int:
                            s["bias_b_gauss"] + s["b_span_gauss"] / 2.0, 9)
     p_values_dbm = np.linspace(watts_to_dbm(p_ref) - 6.0,
                                watts_to_dbm(p_ref) + 6.0, 9)
+    drives = [replace(drive_ref, power=dbm_to_watts(float(p_dbm)))
+              for p_dbm in p_values_dbm]
+    slopes = mag.centre_slopes(sys_, cav, ens, ni, drives, b_values,
+                               s["b_span_gauss"] / 8.0, s["chain_gain_db"])
     eta = np.empty((b_values.size, p_values_dbm.size))
-    sweep_half = s["b_span_gauss"] / 8.0
-    for j, p_dbm in enumerate(p_values_dbm):
-        drive = replace(drive_ref, power=dbm_to_watts(float(p_dbm)))
+    for j, drive in enumerate(drives):
         e_n = e_n_ref * math.sqrt(drive.power / p_ref)
-        for i, b0 in enumerate(b_values):
-            grid = np.linspace(b0 - sweep_half, b0 + sweep_half, 21)
-            trace = mag.bias_sweep_trace(sys_, cav, ens, ni, drive, grid,
-                                         chain_gain_db=s["chain_gain_db"])
-            slopes, _ = mag.dispersive_slope(trace)
-            m_here = abs(slopes[slopes.size // 2])
-            eta[i, j] = e_n / m_here if m_here > 0 else math.inf
+        eta[:, j] = [e_n / m_here if m_here > 0 else math.inf
+                     for m_here in slopes[:, j].tolist()]
     eta_mag, eta_mw, arg_p, arg_b = mag.optimize_grid(eta)
     out = _outdir(cfg)
     mag.write_eta_table_csv(out / "eta_table.csv", b_values, p_values_dbm, eta)
@@ -344,11 +352,11 @@ def _fail(name: str, exc: BaseException, code: int) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if "-h" in argv or "--help" in argv:
-        print(_usage())
-        return 0
     try:
         command, texts = _read_argv(argv)
+        if command is None:
+            print(_usage())
+            return 0
         input_csv = texts.pop("input", None)
         cfg = _load_config(texts.pop("config", None), texts)
         # a float overflow or an invalid operation fails the command as a
@@ -365,5 +373,24 @@ def main(argv=None) -> int:
         return _fail("IOError", exc, 1)
 
 
+def run() -> None:
+    """Process entry point: main(), then flush and end without teardown.
+
+    Tearing the interpreter down (module cleanup, garbage collection, atexit
+    hooks) is most of what a short command spends after its work is done,
+    so the process ends with os._exit once stdout and stderr are flushed.
+    A failed flush (a closed pipe) is one ERROR IOError line and exit 1.
+    An exception escaping main() takes the normal exit path and its
+    traceback.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        code = _fail("IOError", exc, 1)   # stderr is line-buffered
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -8,6 +8,7 @@ NonFiniteOutput before they open the file, so a failed write leaves no file.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import operator
 
@@ -21,10 +22,10 @@ def read_columns(path, columns: tuple, text: tuple = ()) -> tuple[np.ndarray,
     """(float table of `columns`, rows as dicts) of a CSV file with a header.
 
     The rows are built only when `text` names columns, and are [] otherwise.
-    Blank lines are skipped.  A file that is not UTF-8 text, a missing column
-    among `columns` and `text`, a row whose cell count differs from the
-    header's, or a non-numeric or non-finite cell in `columns`, raises
-    ParseError naming the file.
+    Blank lines are skipped.  A file that cannot be opened or is not UTF-8
+    text, a missing column among `columns` and `text`, a row whose cell
+    count differs from the header's, or a non-numeric or non-finite cell in
+    `columns`, raises ParseError naming the file.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -34,6 +35,8 @@ def read_columns(path, columns: tuple, text: tuple = ()) -> tuple[np.ndarray,
             if missing:
                 raise ParseError(f"{path}: missing column(s) {missing}")
             rows = [row for row in reader if row]
+    except OSError as exc:   # absent, unreadable, a directory
+        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     for k, row in enumerate(rows):
@@ -66,12 +69,20 @@ def write_columns(path, columns: tuple, table, text: dict | None = None) -> None
     if not finite.all():
         line = 2 + int(np.flatnonzero(~finite)[0])
         raise NonFiniteOutput(f"{path}: non-finite value on line {line}")
-    tail = list(text.values())
+    # repr(float) needs no quoting, so the float cells are joined directly;
+    # the constant text cells are quoted once, after a leading empty cell
+    tail = _csv_line(["", *text.values()]) if text else ""
+    lines = [_csv_line([*columns, *text])]
+    lines += [",".join(map(repr, row)) + tail for row in table.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(columns) + list(text))
-        writer.writerows([repr(v) for v in row] + tail
-                         for row in table.tolist())
+        fh.write("\n".join(lines) + "\n")
+
+
+def _csv_line(cells: list) -> str:
+    """One CSV line, without its ending, quoted as csv.writer quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(cells)
+    return buf.getvalue()
 
 
 def write_json(path, summary: dict) -> None:

@@ -125,17 +125,16 @@ def dip_trajectory(grid: ComplexGrid2D) -> np.ndarray:
     """
     wd = grid.spec.omega_d_values
     mags = np.abs(grid.values)
-    dips = np.empty(mags.shape[0])
-    for r, row in enumerate(mags):
-        k = int(np.argmin(row))
-        if 0 < k < len(wd) - 1:
-            y0, y1, y2 = row[k - 1], row[k], row[k + 1]
-            denom = y0 - 2.0 * y1 + y2
-            shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
-            dips[r] = wd[k] + shift * (wd[min(k + 1, len(wd) - 1)] - wd[k])
-        else:
-            dips[r] = wd[k]
-    return dips
+    rows = np.arange(mags.shape[0])
+    k = np.argmin(mags, axis=1)
+    inner = (k > 0) & (k < wd.size - 1)
+    # every row reads a three-point window; only inner rows use it
+    kc = np.clip(k, 1, wd.size - 2)
+    y0, y1, y2 = mags[rows, kc - 1], mags[rows, kc], mags[rows, kc + 1]
+    denom = y0 - 2.0 * y1 + y2
+    shift = np.zeros(rows.size)
+    np.divide(0.5 * (y0 - y2), denom, out=shift, where=inner & (denom != 0))
+    return np.where(inner, wd[kc] + shift * (wd[kc + 1] - wd[kc]), wd[k])
 
 
 # ---------------------------------------------------------------------------

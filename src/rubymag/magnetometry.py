@@ -43,11 +43,16 @@ class SweepTrace:
                            np.asarray(self.absorptive, dtype=float))
         object.__setattr__(self, "dispersive",
                            np.asarray(self.dispersive, dtype=float))
-        d = np.diff(axis)
-        if axis.size and not (np.all(d > 0) or np.all(d < 0)):
-            raise ValueError("axis must be strictly monotone")
+        _check_monotone(axis)
         if not (axis.size == self.absorptive.size == self.dispersive.size):
             raise ValueError("axis and channels must have equal length")
+
+
+def _check_monotone(axis: np.ndarray) -> None:
+    """ValueError unless every row of axis runs strictly one way."""
+    d = np.diff(axis, axis=-1)
+    if axis.size and not (np.all(d > 0) or np.all(d < 0)):
+        raise ValueError("axis must be strictly monotone")
 
 
 @dataclass(frozen=True)
@@ -81,13 +86,50 @@ def dispersive_slope(trace: SweepTrace) -> tuple[np.ndarray, float]:
         raise TooFewPoints("need at least five sweep points")
     lo = np.clip(np.arange(n) - 2, 0, n - 5)
     idx = lo[:, None] + np.arange(5)
-    x = trace.axis[idx] - trace.axis[:, None]
+    fits = _window_fits(trace.axis[idx] - trace.axis[:, None])
+    slopes = _window_slopes(fits, trace.dispersive[idx])
+    return slopes, float(np.max(np.abs(slopes)))
+
+
+def _window_fits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The quadratic least-squares fits over windows of offsets x, shape
+    (n, 5): the pseudo-inverses of their Vandermonde matrices, each window's
+    offsets scaled to [-1, 1], and the scales."""
     scale = np.abs(x).max(axis=1, keepdims=True)
     u = x / scale
     vander = np.stack([np.ones_like(u), u, u * u], axis=-1)
-    coeffs = np.linalg.pinv(vander) @ trace.dispersive[idx][..., None]
-    slopes = coeffs[:, 1, 0] / scale[:, 0]
-    return slopes, float(np.max(np.abs(slopes)))
+    return np.linalg.pinv(vander), scale[:, 0]
+
+
+def _window_slopes(fits: tuple, values: np.ndarray) -> np.ndarray:
+    """The slope at offset 0 of each window's fit to values, shape (n, 5)."""
+    pinv, scale = fits
+    return (pinv @ values[..., None])[:, 1, 0] / scale
+
+
+def centre_slopes(sys: SpinSystem, cav: CavityParams, ens: EnsembleParams,
+                  ni: NonIdealityParams, drives: list, b_centres: np.ndarray,
+                  half_width: float, chain_gain_db: float) -> np.ndarray:
+    """|dispersive slope| at the centre of a 21-point bias sweep over
+    b0 +- half_width, for each b0 of b_centres (rows) and drive (columns).
+
+    Each entry equals abs(dispersive_slope(bias_sweep_trace(..., drive,
+    np.linspace(b0 - half_width, b0 + half_width, 21)))[0][10]).  The centre
+    slope reads only the sweep's five centre points, so only those are
+    evaluated: the window fits are solved once and Gamma' is evaluated once
+    per drive.
+    """
+    axes = np.array([np.linspace(b0 - half_width, b0 + half_width, 21)
+                     for b0 in b_centres])
+    _check_monotone(axes)
+    windows = axes[:, 8:13]
+    fits = _window_fits(windows - axes[:, 10:11])
+    omega_s = spin_frequency_vs_field(sys, windows)
+    slopes = np.empty((axes.shape[0], len(drives)))
+    for j, drive in enumerate(drives):
+        v = _demodulated_voltages(cav, ens, ni, drive, omega_s, chain_gain_db)
+        slopes[:, j] = _window_slopes(fits, np.ascontiguousarray(v.imag))
+    return np.abs(slopes)
 
 
 def amplitude_spectrum(samples, fs: float) -> tuple[np.ndarray, np.ndarray]:

@@ -96,13 +96,20 @@ def build_hamiltonian(sys: SpinSystem, fld: FieldVector) -> np.ndarray:
     H/hbar = (g_par mu_B / hbar) B_z S_z + (g_perp mu_B / hbar)(B_x S_x + B_y S_y)
              + D [S_z^2 - S(S+1)/3]
     """
-    bx, by, bz = fld.cartesian
+    return _hamiltonians(sys, *fld.cartesian)
+
+
+def _hamiltonians(sys: SpinSystem, bx, by, bz) -> np.ndarray:
+    """build_hamiltonian for field components (T) given as floats or as
+    arrays of one shape: H/hbar of shape (..., 4, 4)."""
+    bx, by, bz = (np.asarray(v, dtype=float)[..., None, None]
+                  for v in (bx, by, bz))
     zeeman = (sys.g_par * CONST.mu_B / CONST.hbar) * bz * _SZ \
         + (sys.g_perp * CONST.mu_B / CONST.hbar) * (bx * _SX + by * _SY)
     zfs = sys.D * (_SZ @ _SZ - (1.5 * 2.5 / 3.0) * np.eye(4))
     h = zeeman + zfs
     # symmetrize so the output is exactly equal to its conjugate transpose
-    return (h + h.conj().T) / 2.0
+    return (h + np.swapaxes(h, -1, -2).conj()) / 2.0
 
 
 def _fix_degenerate_subspaces(energies: np.ndarray, states: np.ndarray,
@@ -150,13 +157,34 @@ def eigensolve(h: np.ndarray) -> EigenSolution:
 
     Raises NonHermitianInput when ||H - H^dagger|| exceeds 1e-9 ||H||.
     """
-    h = np.asarray(h, dtype=complex)
-    norm_h = np.linalg.norm(h)
-    if np.linalg.norm(h - h.conj().T) > 1e-9 * max(norm_h, 1.0):
+    energies, states = _eigensolve_stack(np.asarray(h, dtype=complex)[None])
+    return EigenSolution(energies=energies[0], states=states[0])
+
+
+def _eigensolve_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigensolve for a stack of matrices, shape (n, m, m), in one pass.
+
+    Only the rows with a degenerate cluster go through
+    _fix_degenerate_subspaces; every other row only needs each vector's
+    phase fixed, which is done for all of them at once.
+    """
+    norm_h = np.linalg.norm(h, axis=(1, 2))
+    skew = np.linalg.norm(h - np.swapaxes(h, 1, 2).conj(), axis=(1, 2))
+    tol = 1e-9 * np.maximum(norm_h, 1.0)
+    if np.any(skew > tol):
         raise NonHermitianInput("matrix is not Hermitian within tolerance")
-    energies, states = np.linalg.eigh(h)
-    states = _fix_degenerate_subspaces(energies, states, norm_h)
-    return EigenSolution(energies=energies, states=states)
+    energies, raw = np.linalg.eigh(h)
+    # the largest-magnitude component (lowest index on ties) of each vector
+    pivot = np.argmax(np.round(np.abs(raw), 12), axis=1)
+    ph = np.take_along_axis(raw, pivot[:, None, :], axis=1)
+    size = np.hypot(ph.real, ph.imag)   # abs() of each complex scalar
+    unphase = np.ones_like(ph)
+    np.divide(ph.conj(), size, out=unphase, where=size > 0)
+    states = raw * unphase
+    degenerate = (np.diff(energies, axis=1) <= tol[:, None]).any(axis=1)
+    for r in np.flatnonzero(degenerate):
+        states[r] = _fix_degenerate_subspaces(energies[r], raw[r], norm_h[r])
+    return energies, states
 
 
 def analytic_energies_axial(sys: SpinSystem, b_z: float) -> np.ndarray:
@@ -202,28 +230,31 @@ def energy_level_sweep(sys: SpinSystem, theta: float, b_range: tuple[float, floa
     b_lo, b_hi = b_range
     if b_hi <= b_lo:
         raise EmptyRange("field range must be increasing")
+    FieldVector(b_lo, theta)   # checks theta and the lowest magnitude
     b_values = np.linspace(b_lo, b_hi, n_points)
-    energies = np.empty((n_points, 4))
-    prev_states = None
-    for r, b in enumerate(b_values):
-        sol = eigensolve(build_hamiltonian(sys, FieldVector(b, theta)))
-        if prev_states is None:
-            energies[r] = sol.energies
-            prev_states = sol.states
-        else:
-            overlap = np.abs(prev_states.conj().T @ sol.states) ** 2
-            perm = np.full(4, -1, dtype=int)
-            taken = np.zeros(4, dtype=bool)
-            # greedy assignment, strongest overlaps first
-            for _ in range(4):
-                flat = np.argmax(np.where(taken[None, :] | (perm[:, None] >= 0),
-                                          -1.0, overlap))
-                a, c = divmod(int(flat), 4)
-                perm[a] = c
-                taken[c] = True
-            energies[r] = sol.energies[perm]
-            prev_states = sol.states[:, perm]
-    return b_values, energies
+    # FieldVector(b, theta).cartesian for every b at once
+    energies, states = _eigensolve_stack(_hamiltonians(
+        sys, b_values * math.sin(theta), np.zeros(n_points),
+        b_values * math.cos(theta)))
+    # |<previous row's states|this row's states>|^2 for every row at once
+    overlaps = np.abs(np.swapaxes(states[:-1], 1, 2).conj()
+                      @ states[1:]) ** 2
+    # perm[a]: the column of the current row that continues level a
+    perm = [0, 1, 2, 3]
+    perms = [perm]
+    for overlap in overlaps.tolist():
+        rows = [overlap[c] for c in perm]
+        perm = [-1] * 4
+        free_a, free_c = [0, 1, 2, 3], [0, 1, 2, 3]
+        # greedy assignment, strongest overlaps first, row-major on ties
+        for _ in range(4):
+            a, c = max(((a, c) for a in free_a for c in free_c),
+                       key=lambda ac: rows[ac[0]][ac[1]])
+            perm[a] = c
+            free_a.remove(a)
+            free_c.remove(c)
+        perms.append(perm)
+    return b_values, np.take_along_axis(energies, np.array(perms), axis=1)
 
 
 def write_energy_sweep_csv(path, b_values: np.ndarray, energies: np.ndarray) -> None:

@@ -8,7 +8,8 @@ from rubymag.calibration import (CoilGeometry, linear_calibration,
 from rubymag.calibration import test_field_from_slope as field_from_slope
 from rubymag.constants import CONST
 from rubymag.csvio import write_columns
-from rubymag.errors import DegenerateAbscissa, TooFewPoints, ZeroSlope
+from rubymag.errors import (DegenerateAbscissa, ParseError, TooFewPoints,
+                            ZeroSlope)
 
 I_RMS = 6.9e-3      # coil drive current, A RMS
 
@@ -136,3 +137,19 @@ def test_calibration_csv_round_trip(tmp_path):
     i_back, b_back = read_calibration_csv(path)
     assert np.allclose(i_back, currents, rtol=0)
     assert np.allclose(b_back, fields, rtol=0)
+
+
+@pytest.mark.parametrize("rows, words", [
+    ([], "got 0"),
+    ([[1e-3, 32e-9]], "got 1"),
+    ([[2e-3, 32e-9], [2e-3, 64e-9], [2e-3, 96e-9]], "all identical"),
+])
+def test_calibration_csv_that_cannot_be_fitted(tmp_path, rows, words):
+    """A file linear_calibration cannot fit is refused as the file it is;
+    linear_calibration keeps its own errors for arrays."""
+    path = tmp_path / "cal.csv"
+    write_columns(path, ("current_a", "field_t"),
+                  np.reshape(rows, (-1, 2)))
+    with pytest.raises(ParseError, match=words) as err:
+        read_calibration_csv(path)
+    assert str(path) in str(err.value)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
                             reflection, reflection_coefficient,
                             single_spin_coupling, spin_interaction,
                             watts_to_dbm)
+from rubymag.config import parse_config
 from rubymag.constants import CONST
 from rubymag.errors import (ZeroCoupling, ZeroKappaTh, ZeroLinewidth,
                             ZeroSpinLinewidth)
@@ -213,6 +215,37 @@ def test_gamma_prime_matches_reference(kc0, kc1, ks, kth, g_s, geff, det_c,
     params[4] = 0.0
     empty = gamma_prime(ws, wd, carrier + ref, omega_c, g_s, power, params)
     assert np.array_equal(empty, np.broadcast_to(empty[0], empty.shape))
+
+
+def test_gamma_prime_gauge_family_without_b_and_tau():
+    """With b = tau = 0 the envelope scale trades against kappa_c1 and o.
+
+    Scale (1 + A) e^{i psi} by s, kappa_c1 by 1/s, keep kappa_c0 + kappa_c1,
+    and shift o by (s - 1)(1 + A) e^{i psi}: on the default config's 30 x 30
+    crossing grid, Gamma' is unchanged to the last bit.  A nonzero tau makes
+    the envelope's phase vary with omega_d, which the constant shift of o
+    cannot follow, so the family changes Gamma' there.
+    """
+    cfg = parse_config({})
+    cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
+    ws = ens.omega_s + np.linspace(-TWO_PI * 50e6, TWO_PI * 50e6, 30)
+    wd = drive.omega_d + np.linspace(-TWO_PI * 5e6, TWO_PI * 5e6, 30)
+    ni = NonIdealityParams(psi=0.1)
+    s = 0.923
+    shift = (s - 1.0) * (1.0 + ni.A) * np.exp(1j * ni.psi)
+    cav_s = replace(cav, kappa_c1=cav.kappa_c1 / s,
+                    kappa_c0=cav.kappa_c0 + cav.kappa_c1 - cav.kappa_c1 / s)
+    ni_s = replace(ni, A=s * (1.0 + ni.A) - 1.0, o_r=ni.o_r + shift.real,
+                   o_i=ni.o_i + shift.imag)
+
+    def gamma(cav_, ni_, tau):
+        params = gamma_prime_params(cav_, ens, replace(ni_, tau=tau))
+        return gamma_prime(ws, wd, float(np.mean(wd)), cav_.omega_c, ens.g_s,
+                           drive.power, params)
+
+    assert np.abs(gamma(cav_s, ni_s, 0.0) - gamma(cav, ni, 0.0)).max() == 0.0
+    moved = np.abs(gamma(cav_s, ni_s, -1.2e-8) - gamma(cav, ni, -1.2e-8))
+    assert moved.max() > 1e-3
 
 
 # the fit's bounds around the paper values, with the modal-volume g_s

@@ -296,6 +296,11 @@ _TINY_GRID = ("omega_s_hz,omega_d_hz,re,im\n"
      "ParseError", ["cfg.json", "4300 digits"]),
     ("report", ["--master-seed", "1" * 5000], "UnitMismatch",
      ["run.master_seed", "an integer"]),
+    # a calibration file that parses but cannot be fitted
+    ("calibrate", ["--input", "current_a,field_t\n0.1,1e-7\n"], "ParseError",
+     ["in.csv", "at least two calibration rows", "got 1"]),
+    ("calibrate", ["--input", "current_a,field_t\n0.1,1e-7\n0.1,2e-7\n"],
+     "ParseError", ["in.csv", "currents are all identical"]),
 ])
 def test_bad_input_prints_one_error_line(tmp_path, capsys, command, argv,
                                          error, words):
@@ -345,7 +350,9 @@ def test_bad_argv_prints_one_error_line(tmp_path, capsys, monkeypatch, argv,
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["eigen", "--help"],
-                                  ["report", "--n-points", "7", "-h"]])
+                                  ["report", "--n-points", "7", "-h"],
+                                  ["report", "-h"],
+                                  ["report", "--n-points=7", "--help"]])
 def test_help_lists_commands_and_flags(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) == 0
@@ -356,6 +363,43 @@ def test_help_lists_commands_and_flags(tmp_path, capsys, monkeypatch, argv):
     for key in FLAT_KEYS:
         assert f" --{key.replace('_', '-')}" in out
     assert "--config" in out and "--input" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_token_after_a_flag_is_its_value(tmp_path, capsys,
+                                            monkeypatch):
+    """-h and --help ask for the usage only where a flag name is expected:
+    as a flag's value they are text like any other."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RUBYMAG_OUTDIR", raising=False)
+    assert run_cli("report", "--output-dir", "-h") == 0
+    assert run_cli("report", "--output-dir=-h") == 0
+    assert run_cli("calibrate", "--output-dir", "--help") == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [str(Path("-h", "report.json"))] * 2 \
+        + [str(Path("--help", "calibrate.json"))]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["--help", "-h"]
+    assert [p.name for p in (tmp_path / "-h").iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("command, flag, name, words", [
+    ("crossing-fit", "--input", "absent.csv", "No such file"),
+    ("calibrate", "--input", "absent.csv", "No such file"),
+    ("noise-predict", "--phase-noise-csv", "absent.csv", "No such file"),
+    ("noise-predict", "--amplitude-noise-csv", "absent.csv", "No such file"),
+    ("calibrate", "--input", "", "Is a directory"),
+])
+def test_unopenable_input_file_exits_two(tmp_path, capsys, command, flag,
+                                         name, words):
+    """An input CSV that cannot be opened is bad input, named in the one
+    ERROR line; nothing is written."""
+    path = tmp_path / name
+    assert run_cli(command, "--output-dir", str(tmp_path / "out"),
+                   flag, str(path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR ParseError: "), err
+    assert str(path) in err[0] and words in err[0]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -427,14 +471,67 @@ def test_zero_spin_rate_fails_command(tmp_path, capsys, command, flag):
     assert list(tmp_path.iterdir()) == []
 
 
-def run_python(code: str) -> str:
-    """stdout of a fresh interpreter that imports this checkout's rubymag."""
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's
+    rubymag, with no RUBYMAG_OUTDIR."""
     env = dict(os.environ)
+    env.pop("RUBYMAG_OUTDIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(rubymag.__file__).parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    return env
+
+
+def run_python(code: str) -> str:
+    """stdout of a fresh interpreter that imports this checkout's rubymag."""
+    return subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          check=True, capture_output=True, text=True).stdout
+
+
+def run_module(*argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """python -m rubymag.cli ARGV in a fresh process."""
+    return subprocess.run([sys.executable, "-m", "rubymag.cli", *argv],
+                          env=_child_env(), stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+
+
+def test_process_exit_codes_and_outputs(tmp_path):
+    """The process ends through cli.run: the exit code is main()'s, stdout
+    holds the output path or stderr one ERROR line, and the file written is
+    byte for byte the one an in-process main() writes."""
+    args = ["--theta-deg", "35", "--n-points", "41"]
+    ok = run_module("eigen", "--output-dir", str(tmp_path / "child"), *args)
+    assert (ok.returncode, ok.stderr) == (0, "")
+    child = tmp_path / "child" / "energy_levels.csv"
+    assert ok.stdout.splitlines() == [str(child)]
+    assert main(["eigen", "--output-dir", str(tmp_path / "main"), *args]) == 0
+    assert child.read_bytes() == \
+        (tmp_path / "main" / "energy_levels.csv").read_bytes()
+
+    bad = run_module("eigen", "--output-dir", str(tmp_path), "--theta", "35")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.splitlines() == [
+        "ERROR UnknownKey: eigen: unknown flag '--theta'"]
+
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    failed = run_module("eigen", "--output-dir", str(blocked))
+    assert failed.returncode == 1 and failed.stdout == ""
+    err = failed.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR IOError: "), err
+
+
+def test_closed_stdout_prints_one_error_line():
+    """rubymag --help | head -1: the usage cannot be flushed into a closed
+    pipe, which is one ERROR IOError line and exit 1, not a traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module("--help", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["ERROR IOError: [Errno 32] Broken pipe"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -47,3 +49,21 @@ def test_command_csvs_read_back_exactly(tmp_path):
         copy = tmp_path / path.name
         write_columns(copy, numeric, table, {c: rows[0][c] for c in text})
         assert copy.read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("text", [None, {"unit": "dBc_per_Hz"},
+                                  {"unit": ""}, {"a,b": 'say "x"', "c": ""}])
+@pytest.mark.parametrize("n_rows", [0, 1, 30])
+def test_write_columns_matches_csv_writer(tmp_path, text, n_rows):
+    """The joined lines are what csv.writer writes, quoting included."""
+    rng = np.random.default_rng(n_rows)
+    table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(
+        -300, 300, (n_rows, 3))
+    path = tmp_path / "t.csv"
+    write_columns(path, ("x", "y,z", "w"), table, text)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    tail = list((text or {}).values())
+    writer.writerow(["x", "y,z", "w", *(text or {})])
+    writer.writerows([repr(v) for v in row] + tail for row in table.tolist())
+    assert path.read_text() == buf.getvalue()

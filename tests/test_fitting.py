@@ -127,6 +127,50 @@ def test_bare_cavity_dip_sits_at_cavity_resonance():
     assert np.all(np.abs(dips - CAV.omega_c) < step)
 
 
+def _dip_trajectory_loop(grid):
+    """dip_trajectory as a per-row loop: the reference for the vectorized
+    form."""
+    wd = grid.spec.omega_d_values
+    mags = np.abs(grid.values)
+    dips = np.empty(mags.shape[0])
+    for r, row in enumerate(mags):
+        k = int(np.argmin(row))
+        if 0 < k < len(wd) - 1:
+            y0, y1, y2 = row[k - 1], row[k], row[k + 1]
+            denom = y0 - 2.0 * y1 + y2
+            shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
+            dips[r] = wd[k] + shift * (wd[k + 1] - wd[k])
+        else:
+            dips[r] = wd[k]
+    return dips
+
+
+def test_dip_trajectory_equals_row_loop():
+    """Bit for bit the per-row loop, on random grids with rows whose
+    minimum sits at either edge and flat rows.  A flat stretch gives a zero
+    parabola denominator in the window next to an edge minimum, which must
+    divide nothing (every numpy floating-point error raises here)."""
+    rng = np.random.default_rng(11)
+    for n_s, n_d in ((2, 2), (7, 2), (9, 3), (40, 5), (25, 61)):
+        spec = GridSpec(omega_s_values=np.arange(float(n_s)),
+                        omega_d_values=np.sort(rng.uniform(6e10, 8e10, n_d)),
+                        drive_power=1e-3)
+        values = rng.standard_normal((n_s, n_d)) \
+            + 1j * rng.standard_normal((n_s, n_d))
+        values[0] = 1.0                           # flat: minimum at k = 0
+        values[1, 0] = 0.0                        # minimum at the left edge
+        if n_s > 2:
+            values[2, -1] = 0.0                   # minimum at the right edge
+        if n_s > 3 and n_d > 3:
+            values[3] = 2.0
+            values[3, 1:4] = 0.5                  # flat floor: first point
+        grid = ComplexGrid2D(spec=spec, values=values)
+        with np.errstate(all="raise"):
+            got = dip_trajectory(grid)
+        want = _dip_trajectory_loop(grid)
+        assert got.tobytes() == want.tobytes(), (n_s, n_d)
+
+
 # ---------------------------------------------------------------------------
 # normalize_grid
 

@@ -13,7 +13,8 @@ from rubymag.errors import (EmptyTable, NegativeRadicand, TooFewPoints,
                             ZeroSignal, ZeroSlope, ZeroSpinLinewidth)
 from rubymag.magnetometry import (SensitivityConfig, SweepTrace, ToneSpec,
                                   amplitude_spectrum, bias_sweep_trace,
-                                  dispersive_slope, noise_floor, optimize_grid,
+                                  centre_slopes, dispersive_slope,
+                                  noise_floor, optimize_grid,
                                   phase_noise_budget, sensitivity,
                                   simulate_timeseries, spin_frequency_vs_field,
                                   thermal_limit, tone_rms, write_eta_table_csv,
@@ -340,6 +341,35 @@ def test_bias_sweep_rejects_zero_spin_rates():
         bias_sweep_trace(SYS, CAV, replace(ENS, kappa_s=0.0), NI, DRIVE, b)
     with pytest.raises(ZeroKappaTh):
         bias_sweep_trace(SYS, CAV, replace(ENS, kappa_th=0.0), NI, DRIVE, b)
+
+
+def test_centre_slopes_equal_full_sweeps():
+    """Each entry is bit for bit the centre slope of the full 21-point
+    sweep, with non-idealities, across drive powers and bias spans."""
+    ni = NonIdealityParams(o_r=-0.004, o_i=0.06, A=0.002, b=5e-10, psi=0.1,
+                           tau=-8e-9, omega_s_off=-3e6, omega_d_off=-2e5)
+    drives = [replace(DRIVE, power=dbm_to_watts(p)) for p in (-3.0, 5.0, 17.0)]
+    for half_width in (2.5e-5, 5e-4, 3e-3):
+        b_centres = B_CENTER + np.linspace(-4e-4, 4e-4, 5)
+        got = centre_slopes(SYS, CAV, ENS, ni, drives, b_centres, half_width,
+                            21.0)
+        for j, drive in enumerate(drives):
+            for i, b0 in enumerate(b_centres):
+                axis = np.linspace(b0 - half_width, b0 + half_width, 21)
+                slopes, _ = dispersive_slope(bias_sweep_trace(
+                    SYS, CAV, ENS, ni, drive, axis, chain_gain_db=21.0))
+                assert got[i, j] == abs(slopes[10]), (half_width, i, j)
+
+
+def test_centre_slopes_check_axes_and_drive():
+    """A sweep too narrow to resolve at its bias is refused as a sweep
+    trace refuses it, and each drive is checked."""
+    with pytest.raises(ValueError, match="monotone"):
+        centre_slopes(SYS, CAV, ENS, NI, [DRIVE], np.array([1e3]), 1e-15,
+                      21.0)
+    with pytest.raises(ZeroKappaTh):
+        centre_slopes(SYS, CAV, replace(ENS, kappa_th=0.0), NI, [DRIVE],
+                      np.array([B_CENTER]), 1e-4, 21.0)
 
 
 def test_timeseries_constant_without_test_field_or_noise():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rubymag.constants import CONST
 from rubymag.errors import EmptyRange, IndexOutOfRange, NonHermitianInput
 from rubymag.spins import (EigenSolution, FieldVector, SpinSystem,
+                           _fix_degenerate_subspaces,
                            analytic_energies_axial, build_hamiltonian,
                            eigensolve, energy_level_sweep, spin_matrices,
                            transition, write_energy_sweep_csv)
@@ -64,6 +65,27 @@ def test_eigensolve_rejects_non_hermitian():
     h[0, 1] += 0.01 * np.linalg.norm(h)
     with pytest.raises(NonHermitianInput):
         eigensolve(h)
+
+
+def test_eigensolve_equals_per_matrix_fix():
+    """The batched phase fix, and the cluster fix on degenerate rows only,
+    give bit for bit _fix_degenerate_subspaces applied to each eigh result:
+    on Hamiltonians and on random Hermitian matrices with a degenerate pair
+    in a rotated basis."""
+    rng = np.random.default_rng(9)
+    mats = [build_hamiltonian(SYS, FieldVector(*map(float, field)))
+            for field in zip(rng.uniform(0, 0.5, 20), rng.uniform(0, 3, 20),
+                             rng.uniform(0, 6, 20))]
+    mats.append(build_hamiltonian(SYS, FieldVector(0.0)))
+    for _ in range(30):
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                            + 1j * rng.standard_normal((4, 4)))
+        h = (q * [1e9, 1e9, 2e9, 3e9]) @ q.conj().T
+        mats.append((h + h.conj().T) / 2.0)
+    for h in mats:
+        energies, states = np.linalg.eigh(h)
+        want = _fix_degenerate_subspaces(energies, states, np.linalg.norm(h))
+        assert eigensolve(h).states.tobytes() == want.tobytes()
 
 
 def test_eigensolution_invariants_random_fields():
@@ -226,6 +248,51 @@ def test_allowed_transition_slope_largest_at_axial_and_transverse():
                     best = max(best, abs(np.polyfit(b_values, freqs, 1)[0]))
         slopes[deg] = best
     assert min(slopes[0], slopes[90]) > max(slopes[30], slopes[60])
+
+
+def _sweep_row_by_row(theta, b_range, n_points):
+    """energy_level_sweep as one eigensolve per field and a numpy greedy
+    assignment per row: the reference for the batched sweep."""
+    b_values = np.linspace(*b_range, n_points)
+    energies = np.empty((n_points, 4))
+    prev = None
+    for r, b in enumerate(b_values):
+        sol = eigensolve(build_hamiltonian(SYS, FieldVector(b, theta)))
+        if prev is None:
+            energies[r], prev = sol.energies, sol.states
+            continue
+        overlap = np.abs(prev.conj().T @ sol.states) ** 2
+        perm = np.full(4, -1)
+        taken = np.zeros(4, dtype=bool)
+        for _ in range(4):
+            flat = np.argmax(np.where(taken[None, :] | (perm[:, None] >= 0),
+                                      -1.0, overlap))
+            a, c = divmod(int(flat), 4)
+            perm[a] = c
+            taken[c] = True
+        energies[r], prev = sol.energies[perm], sol.states[:, perm]
+    return b_values, energies
+
+
+@pytest.mark.parametrize("theta_deg", [0.0, 17.0, 45.0, 90.0, 180.0])
+def test_energy_level_sweep_equals_row_by_row(theta_deg):
+    """Bit for bit the per-field solve, through the zero-field Kramers
+    doublets (the only row with a degenerate cluster) and, at 0 and 180
+    degrees, the axial level crossing near 0.41 T."""
+    theta = math.radians(theta_deg)
+    for b_range, n_points in (((0.0, 0.2), 201), ((0.0, 0.8), 97),
+                              ((1e-3, 0.05), 13)):
+        got = energy_level_sweep(SYS, theta, b_range, n_points)
+        want = _sweep_row_by_row(theta, b_range, n_points)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_energy_level_sweep_checks_the_field_vector():
+    with pytest.raises(ValueError, match="theta"):
+        energy_level_sweep(SYS, math.pi + 0.1, (0.0, 0.1), 5)
+    with pytest.raises(ValueError, match="magnitude"):
+        energy_level_sweep(SYS, 0.0, (-0.1, 0.1), 5)
 
 
 def test_energy_level_sweep_validation():
