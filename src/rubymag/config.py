@@ -7,11 +7,17 @@ in watts.  Unknown keys are hard errors; a known quantity spelled with the
 wrong unit suffix raises UnitMismatch naming the expected key, and so does a
 value of the wrong JSON type.  Omitted keys and blocks fall back to the
 built-in defaults.
+
+_SCHEMA also holds every key's range, so a value out of range fails the
+parse as ConfigError whichever command runs, and no RunConfig view
+refuses a parsed config.  Two checks span several keys and stay at run
+time: the crossing grid's shape (a ConfigError from the cli) and the drive
+frequency shifted by nonideal.omega_d_off (cavity.check_drive, a runtime
+error).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -34,40 +40,44 @@ def _integer(value) -> int:
     return int(value)
 
 
-# key -> (converter to internal units, default in key units).  A key takes a
-# number, bools excluded, unless its converter is _integer (an integral
-# number) or str (a string); a key whose default is None also takes null.
+# key -> (converter to internal units, default in key units[, limits]).  A key
+# takes a number, bools excluded, unless its converter is _integer (an
+# integral number) or str (a string); a key whose default is None also takes
+# null.  limits = (lower, strict, upper or None) in internal units, checked
+# after conversion; an upper limit is inclusive.
+_POSITIVE = (0.0, True, None)
+_NON_NEGATIVE = (0.0, False, None)
 _SCHEMA = {
     "spin": {
         "d_ghz": (lambda v: _TWO_PI * v * 1e9, -5.745),
-        "g_par": (float, 2.0),
-        "g_perp": (float, 2.0),
+        "g_par": (float, 2.0, _POSITIVE),
+        "g_perp": (float, 2.0, _POSITIVE),
     },
     "material": {
-        "v_cav_mm3": (lambda v: v * 1e-9, 52.2),
-        "v_cell_nm3": (lambda v: v * 1e-27, 0.2548),
-        "alpha_cr": (float, 0.0005),
-        "m_al2o3_g_per_mol": (float, 101.96),
-        "m_cr2o3_g_per_mol": (float, 151.99),
-        "n_cell": (_integer, 12),
+        "v_cav_mm3": (lambda v: v * 1e-9, 52.2, _POSITIVE),
+        "v_cell_nm3": (lambda v: v * 1e-27, 0.2548, _POSITIVE),
+        "alpha_cr": (float, 0.0005, (0.0, False, 1.0)),
+        "m_al2o3_g_per_mol": (float, 101.96, _POSITIVE),
+        "m_cr2o3_g_per_mol": (float, 151.99, _POSITIVE),
+        "n_cell": (_integer, 12, (1, False, None)),
         "zeta": (float, 0.69),
-        "temperature_k": (float, 293.0),
+        "temperature_k": (float, 293.0, _POSITIVE),
     },
     "cavity": {
-        "omega_c_ghz": (lambda v: _TWO_PI * v * 1e9, 11.4),
-        "kappa_c0_khz": (lambda v: _TWO_PI * v * 1e3, 330.0),
-        "kappa_c1_khz": (lambda v: _TWO_PI * v * 1e3, 330.0),
+        "omega_c_ghz": (lambda v: _TWO_PI * v * 1e9, 11.4, _POSITIVE),
+        "kappa_c0_khz": (lambda v: _TWO_PI * v * 1e3, 330.0, _POSITIVE),
+        "kappa_c1_khz": (lambda v: _TWO_PI * v * 1e3, 330.0, _POSITIVE),
     },
     "ensemble": {
         # null -> derive from cavity geometry / thermal polarization
-        "g_s_hz": (lambda v: _TWO_PI * v, None),
-        "n_spins": (float, None),
-        "kappa_s_mhz": (lambda v: _TWO_PI * v * 1e6, 42.0),
-        "kappa_th_khz": (lambda v: _TWO_PI * v * 1e3, 120.0),
-        "omega_s_ghz": (lambda v: _TWO_PI * v * 1e9, 11.4),
+        "g_s_hz": (lambda v: _TWO_PI * v, None, _NON_NEGATIVE),
+        "n_spins": (float, None, _NON_NEGATIVE),
+        "kappa_s_mhz": (lambda v: _TWO_PI * v * 1e6, 42.0, _POSITIVE),
+        "kappa_th_khz": (lambda v: _TWO_PI * v * 1e3, 120.0, _POSITIVE),
+        "omega_s_ghz": (lambda v: _TWO_PI * v * 1e9, 11.4, _NON_NEGATIVE),
     },
     "drive": {
-        "omega_d_ghz": (lambda v: _TWO_PI * v * 1e9, 11.4),
+        "omega_d_ghz": (lambda v: _TWO_PI * v * 1e9, 11.4, _POSITIVE),
         "power_dbm": (dbm_to_watts, 11.0),
     },
     "nonideal": {
@@ -85,50 +95,36 @@ _SCHEMA = {
         "omega_d_span_mhz": (lambda v: _TWO_PI * v * 1e6, 10.0),
         "n_omega_s": (_integer, 50),
         "n_omega_d": (_integer, 50),
-        "noise_sigma": (float, 0.0),
+        "noise_sigma": (float, 0.0, _NON_NEGATIVE),
     },
     "sweep": {
         "bias_b_gauss": (lambda v: v * 1e-4, 31.0),
-        "b_span_gauss": (lambda v: v * 1e-4, 4.0),
-        "n_points": (_integer, 201),
-        "theta_deg": (float, 0.0),
-        "b_max_gauss": (lambda v: v * 1e-4, 2000.0),
+        "b_span_gauss": (lambda v: v * 1e-4, 4.0, _POSITIVE),
+        "n_points": (_integer, 201, (5, False, None)),
+        "theta_deg": (float, 0.0, (0.0, False, 180.0)),
+        "b_max_gauss": (lambda v: v * 1e-4, 2000.0, _POSITIVE),
         "chain_gain_db": (float, 21.0),
-        "test_amplitude_nt": (lambda v: v * 1e-9, 242.0),
-        "noise_floor_nv_per_rthz": (lambda v: v * 1e-9, 26.0),
+        "test_amplitude_nt": (lambda v: v * 1e-9, 242.0, _POSITIVE),
+        "noise_floor_nv_per_rthz": (lambda v: v * 1e-9, 26.0, _NON_NEGATIVE),
     },
     "noise": {
         "phase_noise_csv": (str, None),
         "amplitude_noise_csv": (str, None),
-        "p0_v2_per_hz": (float, 0.0),
-        "e_th_nv_per_rthz": (lambda v: v * 1e-9, 13.0),
+        "p0_v2_per_hz": (float, 0.0, _NON_NEGATIVE),
+        "e_th_nv_per_rthz": (lambda v: v * 1e-9, 13.0, _NON_NEGATIVE),
         "phi_measured_dbc_per_hz": (float, -129.5),
         "ell_db": (float, -6.0),
     },
     "calibration": {
-        "n_turns": (_integer, 8),
-        "coil_radius_mm": (lambda v: v * 1e-3, 15.68),
+        "n_turns": (_integer, 8, (1, False, None)),
+        "coil_radius_mm": (lambda v: v * 1e-3, 15.68, _POSITIVE),
         "coil_distance_mm": (lambda v: v * 1e-3, 30.0),
         "current_ma": (lambda v: v * 1e-3, 6.9),
     },
     "run": {
         "output_dir": (str, "."),
-        "master_seed": (_integer, 0),
+        "master_seed": (_integer, 0, (0, False, None)),
     },
-}
-
-# key -> (lower limit, strict, upper limit or None) in internal units:
-# checked after conversion; an upper limit is inclusive
-_LIMITS = {
-    "kappa_s_mhz": (0.0, True, None),
-    "kappa_th_khz": (0.0, True, None),
-    "noise_sigma": (0.0, False, None),
-    "b_span_gauss": (0.0, True, None),
-    "n_points": (5, False, None),
-    "theta_deg": (0.0, False, 180.0),
-    "b_max_gauss": (0.0, True, None),
-    "test_amplitude_nt": (0.0, True, None),
-    "p0_v2_per_hz": (0.0, False, None),
 }
 
 _UNIT_SUFFIXES = ("_ghz", "_mhz", "_khz", "_hz", "_gauss", "_tesla", "_nt",
@@ -144,19 +140,6 @@ def _strip_unit(key: str) -> str:
     return key
 
 
-def _view(method):
-    """A RunConfig view whose parameter checks fail as ConfigError."""
-    @functools.wraps(method)
-    def view(self):
-        try:
-            return method(self)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{method.__name__}: {exc}") from exc
-    return view
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Fully-validated configuration in internal units (rad/s, T, W)."""
@@ -167,12 +150,10 @@ class RunConfig:
         return self.values[block]
 
     # ----- domain-object views ------------------------------------------
-    @_view
     def spin_system(self) -> SpinSystem:
         s = self["spin"]
         return SpinSystem(D=s["d_ghz"], g_par=s["g_par"], g_perp=s["g_perp"])
 
-    @_view
     def material(self) -> MaterialParams:
         m = self["material"]
         return MaterialParams(V_cav=m["v_cav_mm3"], V_cell=m["v_cell_nm3"],
@@ -184,14 +165,12 @@ class RunConfig:
     def temperature(self) -> float:
         return self["material"]["temperature_k"]
 
-    @_view
     def cavity(self) -> CavityParams:
         c = self["cavity"]
         return CavityParams(omega_c=c["omega_c_ghz"],
                             kappa_c0=c["kappa_c0_khz"],
                             kappa_c1=c["kappa_c1_khz"])
 
-    @_view
     def ensemble(self) -> EnsembleParams:
         e = self["ensemble"]
         g_s = e["g_s_hz"]
@@ -207,12 +186,10 @@ class RunConfig:
                               kappa_th=e["kappa_th_khz"],
                               omega_s=e["omega_s_ghz"])
 
-    @_view
     def drive(self) -> DriveParams:
         d = self["drive"]
         return DriveParams(omega_d=d["omega_d_ghz"], power=d["power_dbm"])
 
-    @_view
     def nonideal(self) -> NonIdealityParams:
         n = self["nonideal"]
         return NonIdealityParams(o_r=n["o_r"], o_i=n["o_i"],
@@ -221,7 +198,6 @@ class RunConfig:
                                  omega_s_off=n["omega_s_off_mhz"],
                                  omega_d_off=n["omega_d_off_mhz"])
 
-    @_view
     def coil(self) -> CoilGeometry:
         c = self["calibration"]
         return CoilGeometry(n_turns=c["n_turns"], radius=c["coil_radius_mm"],
@@ -243,7 +219,7 @@ def _convert_block(block_name: str, raw: dict) -> dict:
                 raise UnitMismatch(
                     f"{block_name}.{key}: expected key {stems[stem]!r}")
             raise UnknownKey(f"unknown key {block_name}.{key}")
-        converter, default = schema[key]
+        converter, default, *limits = schema[key]
         if value is None and default is None:
             continue   # filled with None below
         expected, types = _TYPES.get(converter, ("a number", (int, float)))
@@ -260,8 +236,8 @@ def _convert_block(block_name: str, raw: dict) -> dict:
         if isinstance(out[key], float) and not math.isfinite(out[key]):
             raise UnitMismatch(f"{block_name}.{key}: {value!r} is not a "
                                f"finite number in internal units")
-        if key in _LIMITS:
-            lower, strict, upper = _LIMITS[key]
+        if limits:
+            lower, strict, upper = limits[0]
             if out[key] < lower or (strict and out[key] == lower):
                 raise ConfigError(f"{block_name}.{key}: must be "
                                   f"{'>' if strict else '>='} {lower}, "
@@ -269,7 +245,7 @@ def _convert_block(block_name: str, raw: dict) -> dict:
             if upper is not None and out[key] > upper:
                 raise ConfigError(f"{block_name}.{key}: must be <= {upper}, "
                                   f"got {value!r}")
-    for key, (converter, default) in schema.items():
+    for key, (converter, default, *_) in schema.items():
         if key not in out:
             out[key] = converter(default) if default is not None else None
     return out

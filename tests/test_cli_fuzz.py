@@ -1,9 +1,11 @@
-"""Fuzz the command line: whatever the argv, config file or calibration CSV,
-main() exits 0, 1 or 2, prints at most one stderr line (an ERROR line when it
-fails) and writes only strict JSON and finite CSV."""
+"""Fuzz the command line: whatever the command, argv, config file or input
+CSV (a calibration table, a crossing grid, a noise spectrum), main() exits
+0, 1 or 2, prints at most one stderr line (an ERROR line when it fails) and
+writes only strict JSON and finite CSV."""
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -12,12 +14,14 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rubymag.cli import main
+from rubymag.cli import _DISPATCH, main
 from rubymag.config import FLAT_KEYS
 
-# --n-points gets its own values, kept at most 50 so that every run is quick,
-# and --output-dir always points into the run's own directory
-_KEYS = sorted(set(FLAT_KEYS) - {"n_points", "output_dir"})
+# --n-points, --n-omega-s and --n-omega-d get their own values, kept small
+# so that every run is quick (a sweep of at most 50 points, a grid of at
+# most 6 x 6), and --output-dir always points into the run's own directory
+_SIZES = ("n_points", "n_omega_s", "n_omega_d")
+_KEYS = sorted(set(FLAT_KEYS) - set(_SIZES) - {"output_dir"})
 _FLAGS = ["--" + key.replace("_", "-") for key in _KEYS]
 
 _MANGLE = st.sampled_from([
@@ -93,12 +97,79 @@ _CONFIG = st.one_of(
 )
 
 _CELL = st.one_of(_NUMBER, st.sampled_from(["nan", "inf", "abc", "", "1,2"]))
+
+
+def _text(header: str, rows: list) -> str:
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
 _CSV = st.builds(
-    lambda header, rows: "\n".join([header] + [",".join(r) for r in rows]),
+    _text,
     st.sampled_from(["current_a,field_t", "field_t,current_a", "current_a",
                      "current_a,b_t", "current_a,field_t,extra", ""]),
     st.lists(st.lists(_CELL, max_size=3), max_size=5),
 )
+
+
+def _spoiled(draw, rows: list) -> list:
+    """rows as they are, or with one row dropped or repeated or one cell
+    replaced by any cell."""
+    how = draw(st.sampled_from(["keep", "keep", "drop", "repeat", "cell"]))
+    if how == "keep" or not rows:
+        return rows
+    k = draw(st.integers(0, len(rows) - 1))
+    if how == "drop":
+        return rows[:k] + rows[k + 1:]
+    if how == "repeat":
+        return rows + [rows[k]]
+    row = list(rows[k])
+    row[draw(st.integers(0, len(row) - 1))] = draw(_CELL)
+    return rows[:k] + [row] + rows[k + 1:]
+
+
+@st.composite
+def _grid_csv(draw):
+    """A crossing grid of at most 6 x 6 points, its re and im cells cycling
+    through a few drawn values, in either row order, perhaps spoiled or
+    under another header."""
+    hz = st.floats(-1e3, 2e10)
+    ws = draw(st.lists(hz, min_size=2, max_size=6, unique=True))
+    wd = draw(st.lists(hz, min_size=2, max_size=6, unique=True))
+    values = draw(st.lists(st.one_of(st.floats(-2.0, 2.0).map(repr), _NUMBER),
+                           min_size=1, max_size=5))
+    rows = [[repr(s), repr(d), values[k % len(values)],
+             values[(k + 1) % len(values)]]
+            for k, (s, d) in enumerate(itertools.product(ws, wd))]
+    if draw(st.booleans()):
+        rows.reverse()
+    header = draw(st.sampled_from(["omega_s_hz,omega_d_hz,re,im"] * 3 + [
+        "omega_d_hz,omega_s_hz,re,im", "omega_s_hz,omega_d_hz,re", ""]))
+    return _text(header, _spoiled(draw, rows))
+
+
+@st.composite
+def _spectrum_csv(draw):
+    """A noise spectrum of at most 6 increasing offsets under one unit tag,
+    perhaps spoiled (a repeated offset, a mixed or unknown tag) or under
+    another header."""
+    offsets = sorted(draw(st.lists(st.floats(1e-3, 1e8), min_size=1,
+                                   max_size=6, unique=True)))
+    unit = draw(st.sampled_from(["dBc_per_Hz", "V2_per_Hz"]))
+    value = st.one_of(st.floats(-200.0, 0.0).map(repr), _NUMBER)
+    rows = [[repr(f), draw(value), unit] for f in offsets]
+    header = draw(st.sampled_from(["offset_hz,value,unit"] * 3 + [
+        "unit,value,offset_hz", "offset_hz,value", "offset_hz,dbc,unit",
+        ""]))
+    return _text(header, _spoiled(draw, rows))
+
+
+# the input files each command reads: flag -> the file's text
+_INPUTS = {
+    "calibrate": {"--input": _CSV},
+    "crossing-fit": {"--input": _grid_csv()},
+    "noise-predict": {"--phase-noise-csv": _spectrum_csv(),
+                      "--amplitude-noise-csv": _spectrum_csv()},
+}
 
 
 def _check_output(path: Path):
@@ -116,26 +187,36 @@ def _check_output(path: Path):
                     assert math.isfinite(float(cell)), (path.name, line)
 
 
-@settings(max_examples=100, deadline=None,
+def _size(low: int, high: int):
+    return st.one_of(st.integers(low, high).map(str),
+                     st.integers(low, high).map(str),
+                     st.sampled_from(["-1", "1", "2.5", "true", "NaN", "abc"]))
+
+
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(command=st.sampled_from(["calibrate", "report", "eigen"]),
-       n_points=st.one_of(st.integers(5, 50).map(str),
-                          st.integers(5, 50).map(str),
-                          st.sampled_from(["-1", "2.5", "true", "NaN", "abc"])),
+@given(command=st.sampled_from(list(_DISPATCH)),
+       sizes=st.tuples(_size(5, 50), _size(2, 6), _size(2, 6)),
        tokens=_pairs(),
        config=st.one_of(st.none(), st.none(), _CONFIG),
-       csv=st.one_of(st.none(), st.none(), _CSV))
-def test_front_door_fuzz(command, n_points, tokens, config, csv):
+       data=st.data())
+def test_front_door_fuzz(command, sizes, tokens, config, data):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         out = tmp / "out"
-        argv = [command, "--output-dir", str(out), "--n-points", n_points]
+        argv = [command, "--output-dir", str(out)]
+        for key, text in zip(_SIZES, sizes):
+            argv += ["--" + key.replace("_", "-"), text]
         if config is not None:
             (tmp / "cfg.json").write_text(config)
             argv += ["--config", str(tmp / "cfg.json")]
-        if csv is not None:
-            (tmp / "cal.csv").write_text(csv)
-            argv += ["--input", str(tmp / "cal.csv")]
+        for flag, strategy in _INPUTS.get(command, {}).items():
+            text = data.draw(st.one_of(st.none(), strategy, strategy),
+                             label=flag)
+            if text is not None:
+                path = tmp / (flag[2:] + ".csv")
+                path.write_text(text)
+                argv += [flag, str(path)]
         argv += tokens
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), \
@@ -150,6 +231,7 @@ def test_front_door_fuzz(command, n_points, tokens, config, csv):
         written = sorted(out.rglob("*")) if out.is_dir() else []
         for path in written:
             _check_output(path)
+        printed = stdout.getvalue().splitlines()
         if code == 0:
-            assert [str(p) for p in written] == \
-                stdout.getvalue().splitlines(), argv
+            # sensitivity and optimize write two files and print one path
+            assert printed and set(printed) <= set(map(str, written)), argv

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rubymag
 from rubymag import cli, iqnoise
@@ -17,7 +19,7 @@ from rubymag.cavity import (dbm_to_watts, interaction_term, photon_number,
                             reflection_coefficient, single_spin_coupling)
 from rubymag.cli import _DISPATCH, _read_argv, main, split_seed
 from rubymag.config import FLAT_KEYS, parse_config
-from rubymag.errors import ParseError, UnitMismatch, UnknownKey
+from rubymag.errors import ConfigError, ParseError, UnitMismatch, UnknownKey
 from rubymag.magnetometry import bias_sweep_trace
 
 TWO_PI = 2.0 * math.pi
@@ -301,6 +303,21 @@ _TINY_GRID = ("omega_s_hz,omega_d_hz,re,im\n"
      ["in.csv", "at least two calibration rows", "got 1"]),
     ("calibrate", ["--input", "current_a,field_t\n0.1,1e-7\n0.1,2e-7\n"],
      "ParseError", ["in.csv", "currents are all identical"]),
+    # a value out of its key's range, whether or not the command reads it
+    ("sensitivity", ["--noise-floor-nv-per-rthz", "-5"], "ConfigError",
+     ["sweep.noise_floor_nv_per_rthz", ">= 0", "-5"]),
+    ("sensitivity", ["--e-th-nv-per-rthz", "-1"], "ConfigError",
+     ["noise.e_th_nv_per_rthz", ">= 0", "-1"]),
+    ("report", ["--n-spins", "1e15", "--temperature-k", "0"], "ConfigError",
+     ["material.temperature_k", "> 0"]),
+    ("sensitivity", ["--omega-d-ghz", "0"], "ConfigError",
+     ["drive.omega_d_ghz", "> 0"]),
+    ("noise-predict", ["--omega-d-ghz", "0"], "ConfigError",
+     ["drive.omega_d_ghz", "> 0"]),
+    ("eigen", ["--alpha-cr", "7"], "ConfigError",
+     ["material.alpha_cr", "<= 1.0", "7"]),
+    ("crossing-sim", ["--master-seed", "-1"], "ConfigError",
+     ["run.master_seed", ">= 0", "-1"]),
 ])
 def test_bad_input_prints_one_error_line(tmp_path, capsys, command, argv,
                                          error, words):
@@ -582,15 +599,18 @@ def test_benchmark_tracer_targets_resolve():
 
 def test_reader_takes_every_config_flag_on_every_command():
     """Every config flag, in both spellings, reaches the config on every
-    command; --input only on the commands that read a CSV."""
+    command; --input only on the commands that read a CSV.  Each key is set
+    to 7, or to 0.7 for alpha_cr, a fraction that 7 would put out of range."""
     for command in _DISPATCH:
         for key, block in FLAT_KEYS.items():
             flag = "--" + key.replace("_", "-")
-            for argv in ([flag, "7"], [flag + "=7"]):
-                assert _read_argv([command, *argv]) == (command, {key: "7"})
-            raw_value = "7" if key in ("output_dir", "phase_noise_csv",
-                                       "amplitude_noise_csv") else 7
-            got = parse_config({}, {key: "7"})[block][key]
+            text = "0.7" if key == "alpha_cr" else "7"
+            for argv in ([flag, text], [f"{flag}={text}"]):
+                assert _read_argv([command, *argv]) == (command, {key: text})
+            raw_value = text if key in ("output_dir", "phase_noise_csv",
+                                        "amplitude_noise_csv") \
+                else json.loads(text)
+            got = parse_config({}, {key: text})[block][key]
             assert got == parse_config({block: {key: raw_value}})[block][key]
             assert got != parse_config({})[block][key], key
         assert _read_argv([command, "--config", "c.json"]) == (
@@ -601,6 +621,48 @@ def test_reader_takes_every_config_flag_on_every_command():
         else:
             with pytest.raises(UnknownKey):
                 _read_argv([command, "--input", "in.csv"])
+
+
+# the domain-object views a command builds from its RunConfig, and the
+# number keys of the blocks they read
+_VIEWS = ("spin_system", "material", "cavity", "ensemble", "drive",
+          "nonideal", "coil")
+_VIEW_KEYS = sorted(key for key, block in FLAT_KEYS.items() if block in (
+    "spin", "material", "cavity", "ensemble", "drive", "nonideal",
+    "calibration"))
+_ANY_NUMBER = st.one_of(
+    st.sampled_from([0, -1, 1, 7, 0.5, -0.5, 5e-324, -5e-324, 1e-300, 1e300,
+                     -1e300]),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@pytest.mark.parametrize("key", _VIEW_KEYS)
+@settings(max_examples=6, deadline=None)
+@given(value=_ANY_NUMBER,
+       others=st.dictionaries(st.sampled_from(_VIEW_KEYS), _ANY_NUMBER,
+                              max_size=3))
+@example(value=0, others={})
+@example(value=-1, others={})
+@example(value=7, others={})
+def test_every_parsed_config_builds_every_view(key, value, others):
+    """Whatever values the schema accepts, every view builds: the schema is
+    the one place a bad value is refused, whichever command runs.  Each key
+    in turn takes 0, -1, 7 and drawn values, with up to three others drawn
+    beside it."""
+    texts = {k: json.dumps(v) for k, v in {**others, key: value}.items()}
+    try:
+        cfg = parse_config({}, texts)
+    except ConfigError:
+        return
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for view in _VIEWS:
+            try:
+                getattr(cfg, view)()
+            except ArithmeticError:
+                # a float overflow at an extreme value (a temperature of
+                # 5e-324 K) is a runtime failure, exit 1, as in a command
+                pass
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
