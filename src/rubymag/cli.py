@@ -8,8 +8,11 @@ also take --input CSV, and -h/--help in place of the command or of a flag
 name lists the flags.  Exit codes: 0 on success, 2 on bad arguments and
 configuration/validation errors, 1 on runtime errors (any ValueError or
 ArithmeticError a command raises included); errors print one
-machine-parsable line on stderr.  run() is the process entry point: it
-flushes stdout and stderr and ends the process without interpreter teardown.
+machine-parsable line on stderr.  A cmd_* function returns its files, in
+write order, as (name, writer, *args); main() makes run.output_dir only once
+that compute has succeeded, writes each, prints the last path, returns 0.
+run() is the process entry point: it flushes stdout and stderr and ends the
+process without interpreter teardown.
 """
 
 from __future__ import annotations
@@ -113,69 +116,67 @@ def _load_config(path, texts: dict) -> RunConfig:
     return parse_config(raw, texts)
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg["run"]["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _axis(keys: str, centre, span: float, n: int) -> np.ndarray:
+    """n points across centre +- span/2, a row per centre of an array; a
+    ConfigError naming keys, the config keys that draw it, unless every row
+    holds two or more strictly increasing points (a span too small for its
+    centre collapses them, and numpy refuses too many)."""
+    try:
+        axis = np.linspace(centre - span / 2.0, centre + span / 2.0, n,
+                           axis=-1)
+    except ValueError as exc:
+        raise ConfigError(f"{keys}: {exc}") from exc
+    if axis.shape[-1] < 2 or not np.all(np.diff(axis) > 0):
+        raise ConfigError(f"{keys}: the axis needs two or more points, "
+                          "strictly increasing")
+    return axis
 
 
 def _grid_spec(cfg: RunConfig) -> fitting.GridSpec:
     g = cfg["grid"]
-    ens = cfg.ensemble()
-    drive = cfg.drive()
-    try:
-        ws = np.linspace(ens.omega_s - g["omega_s_span_mhz"] / 2.0,
-                         ens.omega_s + g["omega_s_span_mhz"] / 2.0,
-                         g["n_omega_s"])
-        wd = np.linspace(drive.omega_d - g["omega_d_span_mhz"] / 2.0,
-                         drive.omega_d + g["omega_d_span_mhz"] / 2.0,
-                         g["n_omega_d"])
-        return fitting.GridSpec(omega_s_values=ws, omega_d_values=wd,
-                                drive_power=drive.power)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    ens, drive = cfg.ensemble(), cfg.drive()
+    ws = _axis("ensemble.omega_s_ghz, grid.omega_s_span_mhz, grid.n_omega_s",
+               ens.omega_s, g["omega_s_span_mhz"], g["n_omega_s"])
+    wd = _axis("drive.omega_d_ghz, grid.omega_d_span_mhz, grid.n_omega_d",
+               drive.omega_d, g["omega_d_span_mhz"], g["n_omega_d"])
+    return fitting.GridSpec(omega_s_values=ws, omega_d_values=wd,
+                            drive_power=drive.power)
 
 
 def _default_noise_csv(name: str) -> Path:
     return importlib.resources.files("rubymag") / "data" / name
 
 
-def cmd_eigen(cfg: RunConfig, input_csv) -> int:
+def cmd_eigen(cfg: RunConfig, input_csv) -> list:
     s = cfg["sweep"]
+    # the axis 0 to b_max that energy_level_sweep solves along
+    _axis("sweep.b_max_gauss, sweep.n_points", s["b_max_gauss"] / 2.0,
+          s["b_max_gauss"], s["n_points"])
     b_values, energies = energy_level_sweep(
         cfg.spin_system(), math.radians(s["theta_deg"]),
         (0.0, s["b_max_gauss"]), s["n_points"])
-    path = _outdir(cfg) / "energy_levels.csv"
-    write_energy_sweep_csv(path, b_values, energies)
-    print(path)
-    return 0
+    return [("energy_levels.csv", write_energy_sweep_csv, b_values, energies)]
 
 
-def cmd_crossing_sim(cfg: RunConfig, input_csv) -> int:
+def cmd_crossing_sim(cfg: RunConfig, input_csv) -> list:
     spec = _grid_spec(cfg)
     grid = fitting.simulate_crossing(
         cfg.cavity(), cfg.ensemble(), cfg.nonideal(), spec,
         noise_sigma=cfg["grid"]["noise_sigma"],
         seed=_seed_int(cfg["run"]["master_seed"], "crossing-sim"))
-    path = _outdir(cfg) / "crossing.csv"
-    fitting.write_grid_csv(path, grid)
-    print(path)
-    return 0
+    return [("crossing.csv", fitting.write_grid_csv, grid)]
 
 
-def cmd_crossing_fit(cfg: RunConfig, input_csv) -> int:
+def cmd_crossing_fit(cfg: RunConfig, input_csv) -> list:
     if input_csv is None:
         raise ConfigError("crossing-fit requires --input CSV")
     grid = fitting.read_grid_csv(input_csv, cfg.drive().power)
     result = fitting.fit_crossing(grid, cfg.cavity(), cfg.ensemble(),
                                   cfg.nonideal())
-    path = _outdir(cfg) / "fit.json"
-    write_json(path, fitting.fit_result_to_dict(result))
-    print(path)
-    return 0
+    return [("fit.json", write_json, fitting.fit_result_to_dict(result))]
 
 
-def cmd_noise_predict(cfg: RunConfig, input_csv) -> int:
+def cmd_noise_predict(cfg: RunConfig, input_csv) -> list:
     n = cfg["noise"]
     phase_path = n["phase_noise_csv"] or _default_noise_csv("phase_noise.csv")
     amp_path = n["amplitude_noise_csv"] \
@@ -194,19 +195,15 @@ def cmd_noise_predict(cfg: RunConfig, input_csv) -> int:
     sampled = iqnoise.SampledGamma(offsets=offsets, values=gamma)
     predicted = iqnoise.predict_noise_psd(amp, phase, sampled,
                                           p0=n["p0_v2_per_hz"])
-    path = _outdir(cfg) / "predicted_noise.csv"
-    iqnoise.write_spectrum_csv(path, predicted)
-    print(path)
-    return 0
+    return [("predicted_noise.csv", iqnoise.write_spectrum_csv, predicted)]
 
 
 def _sensitivity_budget(cfg: RunConfig) -> tuple[mag.SweepTrace, dict]:
     """The bias sweep and the sensitivity budget drawn from its slope."""
     s = cfg["sweep"]
     n = cfg["noise"]
-    b_values = np.linspace(s["bias_b_gauss"] - s["b_span_gauss"] / 2.0,
-                           s["bias_b_gauss"] + s["b_span_gauss"] / 2.0,
-                           s["n_points"])
+    b_values = _axis("sweep.bias_b_gauss, sweep.b_span_gauss, sweep.n_points",
+                     s["bias_b_gauss"], s["b_span_gauss"], s["n_points"])
     trace = mag.bias_sweep_trace(cfg.spin_system(), cfg.cavity(),
                                  cfg.ensemble(), cfg.nonideal(), cfg.drive(),
                                  b_values, chain_gain_db=s["chain_gain_db"])
@@ -235,25 +232,23 @@ def _sensitivity_budget(cfg: RunConfig) -> tuple[mag.SweepTrace, dict]:
     return trace, budget
 
 
-def cmd_sensitivity(cfg: RunConfig, input_csv) -> int:
+def cmd_sensitivity(cfg: RunConfig, input_csv) -> list:
     trace, budget = _sensitivity_budget(cfg)
-    out = _outdir(cfg)
-    mag.write_sweep_csv(out / "sweep.csv", trace)
-    path = out / "sensitivity.json"
-    write_json(path, budget)
-    print(path)
-    return 0
+    return [("sweep.csv", mag.write_sweep_csv, trace),
+            ("sensitivity.json", write_json, budget)]
 
 
-def cmd_optimize(cfg: RunConfig, input_csv) -> int:
+def cmd_optimize(cfg: RunConfig, input_csv) -> list:
     s = cfg["sweep"]
+    keys = "sweep.bias_b_gauss, sweep.b_span_gauss"
+    b_values = _axis(keys, s["bias_b_gauss"], s["b_span_gauss"], 9)
+    # the 21-point window centre_slopes sweeps around each centre
+    _axis(keys, b_values, s["b_span_gauss"] / 4.0, 21)
     e_n_ref = s["noise_floor_nv_per_rthz"]
     sys_, cav, ens, ni, drive_ref = (cfg.spin_system(), cfg.cavity(),
                                      cfg.ensemble(), cfg.nonideal(),
                                      cfg.drive())
     p_ref = drive_ref.power
-    b_values = np.linspace(s["bias_b_gauss"] - s["b_span_gauss"] / 2.0,
-                           s["bias_b_gauss"] + s["b_span_gauss"] / 2.0, 9)
     p_values_dbm = np.linspace(watts_to_dbm(p_ref) - 6.0,
                                watts_to_dbm(p_ref) + 6.0, 9)
     drives = [replace(drive_ref, power=dbm_to_watts(float(p_dbm)))
@@ -266,8 +261,6 @@ def cmd_optimize(cfg: RunConfig, input_csv) -> int:
         eta[:, j] = [e_n / m_here if m_here > 0 else math.inf
                      for m_here in slopes[:, j].tolist()]
     eta_mag, eta_mw, arg_p, arg_b = mag.optimize_grid(eta)
-    out = _outdir(cfg)
-    mag.write_eta_table_csv(out / "eta_table.csv", b_values, p_values_dbm, eta)
     summary = {
         "b_gauss": (b_values * 1e4).tolist(),
         "p_dbm": p_values_dbm.tolist(),
@@ -276,13 +269,12 @@ def cmd_optimize(cfg: RunConfig, input_csv) -> int:
         "best_p_dbm_per_bias": [float(p_values_dbm[k]) for k in arg_p],
         "best_b_gauss_per_power": [float(b_values[k] * 1e4) for k in arg_b],
     }
-    path = out / "optimize.json"
-    write_json(path, summary)
-    print(path)
-    return 0
+    return [("eta_table.csv", mag.write_eta_table_csv, b_values, p_values_dbm,
+             eta),
+            ("optimize.json", write_json, summary)]
 
 
-def cmd_calibrate(cfg: RunConfig, input_csv) -> int:
+def cmd_calibrate(cfg: RunConfig, input_csv) -> list:
     coil = cfg.coil()
     current = cfg["calibration"]["current_ma"]
     b_solenoid = cal.solenoid_axial_field(coil, current)
@@ -294,10 +286,7 @@ def cmd_calibrate(cfg: RunConfig, input_csv) -> int:
         summary["slope_t_per_a"] = line.slope
         summary["intercept_t"] = line.intercept
         summary["r_squared"] = line.r_squared
-    path = _outdir(cfg) / "calibrate.json"
-    write_json(path, summary)
-    print(path)
-    return 0
+    return [("calibrate.json", write_json, summary)]
 
 
 # the keys of the sensitivity budget that report.json repeats
@@ -305,7 +294,7 @@ _REPORT_BUDGET_KEYS = ("m_max_v_per_t", "eta_t_per_rthz", "eta_th_t_per_rthz",
                        "phi_required_dbc_per_hz")
 
 
-def cmd_report(cfg: RunConfig, input_csv) -> int:
+def cmd_report(cfg: RunConfig, input_csv) -> list:
     sys_, matp = cfg.spin_system(), cfg.material()
     cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
     state = thermal.boltzmann_populations(sys_, cfg.temperature())
@@ -325,10 +314,7 @@ def cmd_report(cfg: RunConfig, input_csv) -> int:
     }
     summary.update((key, budget[key]) for key in _REPORT_BUDGET_KEYS
                    if key in budget)
-    path = _outdir(cfg) / "report.json"
-    write_json(path, summary)
-    print(path)
-    return 0
+    return [("report.json", write_json, summary)]
 
 
 _DISPATCH = {
@@ -362,7 +348,13 @@ def main(argv=None) -> int:
         # a float overflow or an invalid operation fails the command as a
         # FloatingPointError instead of printing numpy's RuntimeWarning
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _DISPATCH[command](cfg, input_csv)
+            outputs = _DISPATCH[command](cfg, input_csv)
+            out = Path(cfg["run"]["output_dir"])
+            out.mkdir(parents=True, exist_ok=True)
+            for name, write, *args in outputs:
+                write(out / name, *args)
+        print(out / outputs[-1][0])
+        return 0
     except ConfigError as exc:
         return _fail(type(exc).__name__, exc, 2)
     except (RubymagError, ValueError, ArithmeticError) as exc:

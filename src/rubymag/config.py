@@ -11,9 +11,9 @@ built-in defaults.
 _SCHEMA also holds every key's range, so a value out of range fails the
 parse as ConfigError whichever command runs, and no RunConfig view
 refuses a parsed config.  Two checks span several keys and stay at run
-time: the crossing grid's shape (a ConfigError from the cli) and the drive
-frequency shifted by nonideal.omega_d_off (cavity.check_drive, a runtime
-error).
+time: the crossing grid's shape and every sweep axis (a ConfigError from
+the cli), and the drive frequency shifted by nonideal.omega_d_off
+(cavity.check_drive, a runtime error).
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ _SCHEMA = {
     },
     "drive": {
         "omega_d_ghz": (lambda v: _TWO_PI * v * 1e9, 11.4, _POSITIVE),
-        "power_dbm": (dbm_to_watts, 11.0),
+        "power_dbm": (dbm_to_watts, 11.0, _POSITIVE),
     },
     "nonideal": {
         "o_r": (float, 0.0),
@@ -238,13 +238,16 @@ def _convert_block(block_name: str, raw: dict) -> dict:
                                f"finite number in internal units")
         if limits:
             lower, strict, upper = limits[0]
+            got = repr(value)
+            if out[key] != value:   # the limits hold in internal units
+                got += f", {out[key]!r} in internal units"
             if out[key] < lower or (strict and out[key] == lower):
                 raise ConfigError(f"{block_name}.{key}: must be "
                                   f"{'>' if strict else '>='} {lower}, "
-                                  f"got {value!r}")
+                                  f"got {got}")
             if upper is not None and out[key] > upper:
                 raise ConfigError(f"{block_name}.{key}: must be <= {upper}, "
-                                  f"got {value!r}")
+                                  f"got {got}")
     for key, (converter, default, *_) in schema.items():
         if key not in out:
             out[key] = converter(default) if default is not None else None

@@ -1,3 +1,4 @@
+import importlib
 import importlib.resources
 import importlib.util
 import json
@@ -318,6 +319,28 @@ _TINY_GRID = ("omega_s_hz,omega_d_hz,re,im\n"
      ["material.alpha_cr", "<= 1.0", "7"]),
     ("crossing-sim", ["--master-seed", "-1"], "ConfigError",
      ["run.master_seed", ">= 0", "-1"]),
+    # a sweep axis whose points collapse or cannot be allocated, like a
+    # crossing grid's; optimize's nine centres stay distinct at 2e-13 G, its
+    # 21-point windows do not
+    ("sensitivity", ["--bias-b-gauss", "1e20"], "ConfigError",
+     ["sweep.bias_b_gauss", "sweep.b_span_gauss", "strictly increasing"]),
+    ("sensitivity", ["--b-span-gauss", "1e-20"], "ConfigError",
+     ["sweep.b_span_gauss", "strictly increasing"]),
+    ("optimize", ["--b-span-gauss", "1e-20"], "ConfigError",
+     ["sweep.b_span_gauss", "strictly increasing"]),
+    ("optimize", ["--b-span-gauss", "2e-13"], "ConfigError",
+     ["sweep.b_span_gauss", "strictly increasing"]),
+    ("sensitivity", ["--n-points", "1e300"], "ConfigError",
+     ["sweep.n_points", "Maximum allowed size"]),
+    ("eigen", ["--n-points", "1e300"], "ConfigError",
+     ["sweep.b_max_gauss", "sweep.n_points", "Maximum allowed size"]),
+    # a drive power that underflows to 0 W
+    ("optimize", ["--power-dbm", "-4000"], "ConfigError",
+     ["drive.power_dbm", "> 0", "-4000", "0.0 in internal units"]),
+    ("report", ["--power-dbm", "-4000"], "ConfigError",
+     ["drive.power_dbm", "> 0", "-4000"]),
+    ("crossing-sim", ["--power-dbm", "-4000"], "ConfigError",
+     ["drive.power_dbm", "> 0", "-4000"]),
 ])
 def test_bad_input_prints_one_error_line(tmp_path, capsys, command, argv,
                                          error, words):
@@ -439,9 +462,11 @@ def test_text_flags_taken_verbatim(tmp_path, monkeypatch):
     ("sensitivity", ["--chain-gain-db", "1e6"], "OverflowError"),
     ("report", ["--chain-gain-db", "1e6"], "OverflowError"),
     ("optimize", ["--chain-gain-db", "1e6"], "OverflowError"),
-    ("sensitivity", ["--bias-b-gauss", "1e20"], "ValueError"),
+    # a drive that omega_d_off shifts below zero frequency
+    ("sensitivity", ["--omega-d-off-mhz", "20000"], "ZeroLinewidth"),
     # numpy's overflow warning becomes the error
     ("report", ["--amplitude-a", "1e302"], "FloatingPointError"),
+    ("crossing-sim", ["--omega-d-off-mhz", "20000"], "ZeroLinewidth"),
 ])
 def test_numeric_failure_prints_one_error_line(tmp_path, capsys, command,
                                                argv, error):
@@ -451,6 +476,29 @@ def test_numeric_failure_prints_one_error_line(tmp_path, capsys, command,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"ERROR {error}: "), err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_compute_makes_no_output_dir(tmp_path, capsys):
+    """The output directory is made only once the command's compute has
+    succeeded."""
+    out = tmp_path / "absent"
+    assert run_cli("sensitivity", "--chain-gain-db", "1e6",
+                   "--output-dir", str(out)) == 1
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, files", [
+    ("sensitivity", ["sensitivity.json", "sweep.csv"]),
+    ("optimize", ["eta_table.csv", "optimize.json"])])
+def test_two_file_command_prints_its_json_path(tmp_path, capsys, command,
+                                               files):
+    """Every file a command returns is written; stdout is one line, the
+    path of the last, its JSON."""
+    assert run_cli(command, "--output-dir", str(tmp_path)) == 0
+    out, err = capsys.readouterr()
+    assert (out.splitlines(), err) == ([str(tmp_path / f"{command}.json")], "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
 
 
 def test_memory_error_prints_one_error_line(tmp_path, capsys, monkeypatch):
@@ -591,7 +639,7 @@ def test_benchmark_tracer_targets_resolve():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     for module, attr in tracer.TARGETS:
-        owner = sys.modules["rubymag." + module]
+        owner = importlib.import_module("rubymag." + module)
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module, attr)
