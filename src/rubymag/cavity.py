@@ -126,13 +126,6 @@ def _check_spin_rates(kappa_s: float, kappa_th: float, n_cav: float) -> None:
         raise ZeroKappaTh("kappa_th must be positive when the drive populates the cavity")
 
 
-def check_drive(cav: CavityParams, ens: EnsembleParams,
-                drive: DriveParams) -> None:
-    """Raise what photon_number and interaction_term raise for this drive."""
-    _check_spin_rates(ens.kappa_s, ens.kappa_th,
-                      photon_number(drive, cav.kappa_c))
-
-
 def interaction_term(g_s: float, N: float, kappa_s: float, kappa_th: float,
                      omega_s, omega_d, n_cav: float):
     """Spin interaction term Pi (rad/s); broadcasts over frequency arrays."""
@@ -183,12 +176,18 @@ def _gamma_terms(omega_s, omega_d, omega_ref: float, omega_c: float,
     Returns (omega_d - omega_d_off, delta', S, D, G/D, den, d,
     exp(i(psi + d tau)), e), den being the loaded denominator
     kappa_c/2 + i(omega_d - omega_d_off - omega_c) + Pi (see gamma_prime for
-    the symbols).
+    the symbols).  Raises what photon_number and interaction_term raise at
+    every point first.
     """
     (kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff,
      o_r, o_i, A, b, psi, tau, omega_s_off, omega_d_off) = params
     kappa_c = kappa_c0 + kappa_c1
+    if kappa_c <= 0:
+        raise ZeroLinewidth("kappa_c must be positive")
     wd = omega_d - omega_d_off
+    if np.any(wd <= 0) or (omega_n is not None and omega_n <= 0):
+        raise ZeroLinewidth("omega_d must be positive")
+    _check_spin_rates(kappa_s, kappa_th, power)   # n_cav has power's sign
     delta = np.subtract.outer(omega_s - omega_s_off, wd)
     s_term = 0.0
     if power:   # undriven, kappa_th never enters and may be 0
@@ -214,8 +213,10 @@ def gamma_prime(omega_s, omega_d, omega_ref: float, omega_c: float,
     o_r, o_i, A, b, psi, tau, omega_s_off, omega_d_off (gamma_prime_params);
     omega_ref is the drive frequency the b and tau terms are measured from.
     n_cav = P / (hbar omega_n kappa_c) is evaluated at omega_n, by default at
-    the shifted drive frequency omega_d - omega_d_off of each point.  Nothing
-    is validated here: check_drive raises the reference's errors.
+    the shifted drive frequency omega_d - omega_d_off of each point.  It
+    raises the reference's errors: ZeroLinewidth unless kappa_c, every
+    shifted drive frequency and omega_n are positive, then
+    ZeroSpinLinewidth or ZeroKappaTh as interaction_term does.
 
     With delta' = (omega_s - omega_s_off) - (omega_d - omega_d_off),
     G = g_eff^2 and S = g_s^2 n_cav kappa_s / (2 kappa_th), the interaction
@@ -242,7 +243,7 @@ def gamma_prime_jacobian(omega_s, omega_d, omega_ref: float, omega_c: float,
     """dGamma'/dparams, shape (13, n_s, n_d), rows in gamma_prime_params order.
 
     The arguments are gamma_prime's, with n_cav always at the shifted drive
-    frequency; kappa_s and, when driven, kappa_th must be positive.  With
+    frequency, and it raises gamma_prime's errors.  With
     h = (kappa_s/2 + i delta') / D, so that Pi = G h, the chain rule runs
     through
 
@@ -283,14 +284,12 @@ def gamma_prime_jacobian(omega_s, omega_d, omega_ref: float, omega_c: float,
     return jac
 
 
-def single_spin_coupling(V_cav: float, omega_c: float,
-                         n_perp: float = 1.0) -> float:
-    """g_s = (gamma_e n_perp / 2) sqrt(hbar omega_c mu_0 / V_cav)  [rad/s]."""
+def single_spin_coupling(V_cav: float, omega_c: float) -> float:
+    """g_s = (gamma_e n_perp / 2) sqrt(hbar omega_c mu_0 / V_cav)  [rad/s]
+    with n_perp = 1, the cavity field wholly transverse to the spin axis."""
     if V_cav <= 0:
         raise ValueError("V_cav must be positive")
-    if not 0.0 <= n_perp <= 1.0:
-        raise ValueError("n_perp must lie in [0, 1]")
-    return (CONST.gamma_e * n_perp / 2.0) \
+    return (CONST.gamma_e / 2.0) \
         * math.sqrt(CONST.hbar * omega_c * CONST.mu_0 / V_cav)
 
 

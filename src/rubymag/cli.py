@@ -30,12 +30,13 @@ import numpy as np
 
 from . import calibration as cal
 from . import fitting, iqnoise, magnetometry as mag, thermal
-from .cavity import (NonIdealityParams, check_drive, cooperativity,
-                     dbm_to_watts, gamma_prime, gamma_prime_params,
+from .cavity import (NonIdealityParams, cooperativity, dbm_to_watts,
+                     gamma_prime, gamma_prime_params,
                      kappa_th_threshold_power, watts_to_dbm)
 from .config import FLAT_KEYS, RunConfig, parse_config
 from .csvio import write_json
-from .errors import ConfigError, ParseError, RubymagError, UnknownKey
+from .errors import (ConfigError, ParseError, RubymagError, UnknownKey,
+                     ZeroSignal)
 from .spins import energy_level_sweep, write_energy_sweep_csv
 
 _TWO_PI = 2.0 * math.pi
@@ -149,12 +150,10 @@ def _default_noise_csv(name: str) -> Path:
 
 def cmd_eigen(cfg: RunConfig, input_csv) -> list:
     s = cfg["sweep"]
-    # the axis 0 to b_max that energy_level_sweep solves along
-    _axis("sweep.b_max_gauss, sweep.n_points", s["b_max_gauss"] / 2.0,
-          s["b_max_gauss"], s["n_points"])
-    b_values, energies = energy_level_sweep(
-        cfg.spin_system(), math.radians(s["theta_deg"]),
-        (0.0, s["b_max_gauss"]), s["n_points"])
+    b_values = _axis("sweep.b_max_gauss, sweep.n_points",
+                     s["b_max_gauss"] / 2.0, s["b_max_gauss"], s["n_points"])
+    energies = energy_level_sweep(cfg.spin_system(),
+                                  math.radians(s["theta_deg"]), b_values)
     return [("energy_levels.csv", write_energy_sweep_csv, b_values, energies)]
 
 
@@ -186,7 +185,6 @@ def cmd_noise_predict(cfg: RunConfig, input_csv) -> list:
     cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
     pos = phase.offsets * _TWO_PI
     offsets = np.concatenate([-pos[::-1], [0.0], pos])
-    check_drive(cav, ens, drive)
     # Gamma without non-idealities, n_cav pinned at the carrier
     gamma = gamma_prime(ens.omega_s, drive.omega_d + offsets, drive.omega_d,
                         cav.omega_c, ens.g_s, drive.power,
@@ -242,8 +240,8 @@ def cmd_optimize(cfg: RunConfig, input_csv) -> list:
     s = cfg["sweep"]
     keys = "sweep.bias_b_gauss, sweep.b_span_gauss"
     b_values = _axis(keys, s["bias_b_gauss"], s["b_span_gauss"], 9)
-    # the 21-point window centre_slopes sweeps around each centre
-    _axis(keys, b_values, s["b_span_gauss"] / 4.0, 21)
+    # the 21-point sweep around each bias whose centre slope is read
+    axes = _axis(keys, b_values, s["b_span_gauss"] / 4.0, 21)
     e_n_ref = s["noise_floor_nv_per_rthz"]
     sys_, cav, ens, ni, drive_ref = (cfg.spin_system(), cfg.cavity(),
                                      cfg.ensemble(), cfg.nonideal(),
@@ -253,13 +251,12 @@ def cmd_optimize(cfg: RunConfig, input_csv) -> list:
                                watts_to_dbm(p_ref) + 6.0, 9)
     drives = [replace(drive_ref, power=dbm_to_watts(float(p_dbm)))
               for p_dbm in p_values_dbm]
-    slopes = mag.centre_slopes(sys_, cav, ens, ni, drives, b_values,
-                               s["b_span_gauss"] / 8.0, s["chain_gain_db"])
-    eta = np.empty((b_values.size, p_values_dbm.size))
-    for j, drive in enumerate(drives):
-        e_n = e_n_ref * math.sqrt(drive.power / p_ref)
-        eta[:, j] = [e_n / m_here if m_here > 0 else math.inf
-                     for m_here in slopes[:, j].tolist()]
+    slopes = mag.centre_slopes(sys_, cav, ens, ni, drives, axes,
+                               s["chain_gain_db"])
+    if np.any(slopes <= 0):
+        raise ZeroSignal("the dispersive slope is 0 at some bias and power")
+    powers = np.array([drive.power for drive in drives])
+    eta = e_n_ref * np.sqrt(powers / p_ref) / slopes
     eta_mag, eta_mw, arg_p, arg_b = mag.optimize_grid(eta)
     summary = {
         "b_gauss": (b_values * 1e4).tolist(),
@@ -285,7 +282,9 @@ def cmd_calibrate(cfg: RunConfig, input_csv) -> list:
         line = cal.linear_calibration(currents, fields)
         summary["slope_t_per_a"] = line.slope
         summary["intercept_t"] = line.intercept
-        summary["r_squared"] = line.r_squared
+        # equal fields leave r^2 undefined, which strict JSON spells null
+        summary["r_squared"] = (None if math.isnan(line.r_squared)
+                                else line.r_squared)
     return [("calibrate.json", write_json, summary)]
 
 

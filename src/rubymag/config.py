@@ -12,8 +12,8 @@ _SCHEMA also holds every key's range, so a value out of range fails the
 parse as ConfigError whichever command runs, and no RunConfig view
 refuses a parsed config.  Two checks span several keys and stay at run
 time: the crossing grid's shape and every sweep axis (a ConfigError from
-the cli), and the drive frequency shifted by nonideal.omega_d_off
-(cavity.check_drive, a runtime error).
+the cli), and every drive frequency Gamma' is evaluated at, shifted by
+nonideal.omega_d_off (cavity.gamma_prime, a runtime error).
 """
 
 from __future__ import annotations

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import (CavityParams, DriveParams, EnsembleParams,
-                     NonIdealityParams, check_drive, gamma_prime,
-                     gamma_prime_jacobian, gamma_prime_params)
+from .cavity import (CavityParams, EnsembleParams, NonIdealityParams,
+                     gamma_prime, gamma_prime_jacobian, gamma_prime_params)
 from .csvio import read_columns, write_columns
 from .errors import AllZeroBorder, InvalidBounds, ParseError, ZeroRate
 
@@ -86,10 +85,6 @@ class FitResult:
 def evaluate_model_grid(cav: CavityParams, ens: EnsembleParams,
                         ni: NonIdealityParams, spec: GridSpec) -> np.ndarray:
     """Vectorized Gamma' over the grid; rows index omega_s, columns omega_d."""
-    # the drive at its lowest shifted frequency, where n_cav is largest
-    check_drive(cav, ens, DriveParams(
-        omega_d=spec.omega_d_values[0] - ni.omega_d_off,
-        power=spec.drive_power))
     return gamma_prime(spec.omega_s_values, spec.omega_d_values,
                        spec.omega_d_mean, cav.omega_c, ens.g_s,
                        spec.drive_power, gamma_prime_params(cav, ens, ni))

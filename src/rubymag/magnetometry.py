@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import (CavityParams, DriveParams, EnsembleParams,
-                     NonIdealityParams, check_drive, db_to_voltage_gain,
-                     gamma_prime, gamma_prime_params)
+                     NonIdealityParams, db_to_voltage_gain, gamma_prime,
+                     gamma_prime_params)
 from .constants import CONST
 from .csvio import write_columns
 from .errors import (EmptyTable, NegativeRadicand, TooFewPoints, TooFewSamples,
@@ -108,19 +108,16 @@ def _window_slopes(fits: tuple, values: np.ndarray) -> np.ndarray:
 
 
 def centre_slopes(sys: SpinSystem, cav: CavityParams, ens: EnsembleParams,
-                  ni: NonIdealityParams, drives: list, b_centres: np.ndarray,
-                  half_width: float, chain_gain_db: float) -> np.ndarray:
-    """|dispersive slope| at the centre of a 21-point bias sweep over
-    b0 +- half_width, for each b0 of b_centres (rows) and drive (columns).
+                  ni: NonIdealityParams, drives: list, axes: np.ndarray,
+                  chain_gain_db: float) -> np.ndarray:
+    """|dispersive slope| at the centre of the 21-point bias sweep along each
+    row of axes, shape (rows, 21), for each drive (columns).
 
     Each entry equals abs(dispersive_slope(bias_sweep_trace(..., drive,
-    np.linspace(b0 - half_width, b0 + half_width, 21)))[0][10]).  The centre
-    slope reads only the sweep's five centre points, so only those are
-    evaluated: the window fits are solved once and Gamma' is evaluated once
-    per drive.
+    axes[i]))[0][10]).  The centre slope reads only the sweep's five centre
+    points, so only those are evaluated: the window fits are solved once and
+    Gamma' is evaluated once per drive.
     """
-    axes = np.array([np.linspace(b0 - half_width, b0 + half_width, 21)
-                     for b0 in b_centres])
     _check_monotone(axes)
     windows = axes[:, 8:13]
     fits = _window_fits(windows - axes[:, 10:11])
@@ -262,8 +259,6 @@ def _demodulated_voltages(cav: CavityParams, ens: EnsembleParams,
                           omega_s_values: np.ndarray,
                           chain_gain_db: float) -> np.ndarray:
     """Complex channel voltages for an array of spin frequencies."""
-    check_drive(cav, ens, DriveParams(omega_d=drive.omega_d - ni.omega_d_off,
-                                      power=drive.power))
     gamma = gamma_prime(omega_s_values, drive.omega_d, drive.omega_d,
                         cav.omega_c, ens.g_s, drive.power,
                         gamma_prime_params(cav, ens, ni))

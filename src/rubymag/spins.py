@@ -217,24 +217,24 @@ def transition(sol: EigenSolution, i: int, j: int) -> tuple[float, float]:
     return freq, float(amp)
 
 
-def energy_level_sweep(sys: SpinSystem, theta: float, b_range: tuple[float, float],
-                       n_points: int) -> tuple[np.ndarray, np.ndarray]:
+def energy_level_sweep(sys: SpinSystem, theta: float,
+                       b_values: np.ndarray) -> np.ndarray:
     """Eigenenergies versus field magnitude at a fixed orientation.
 
-    Returns (b_values, energies) with energies of shape (n_points, 4).  Levels
-    are tracked by adiabatic continuity: each row is matched to the previous
-    one through maximal eigenvector overlap, so crossing levels do not swap.
+    Returns the energies at the n field magnitudes b_values, shape (n, 4).
+    Levels are tracked by adiabatic continuity: each row is matched to the
+    previous one through maximal eigenvector overlap, so crossing levels do
+    not swap.
     """
-    if n_points < 2:
+    b_values = np.asarray(b_values, dtype=float)
+    if b_values.size < 2:
         raise EmptyRange("need at least two field points")
-    b_lo, b_hi = b_range
-    if b_hi <= b_lo:
-        raise EmptyRange("field range must be increasing")
-    FieldVector(b_lo, theta)   # checks theta and the lowest magnitude
-    b_values = np.linspace(b_lo, b_hi, n_points)
+    if np.any(np.diff(b_values) <= 0):
+        raise EmptyRange("field points must be strictly increasing")
+    FieldVector(float(b_values[0]), theta)   # theta and the lowest magnitude
     # FieldVector(b, theta).cartesian for every b at once
     energies, states = _eigensolve_stack(_hamiltonians(
-        sys, b_values * math.sin(theta), np.zeros(n_points),
+        sys, b_values * math.sin(theta), np.zeros(b_values.size),
         b_values * math.cos(theta)))
     # |<previous row's states|this row's states>|^2 for every row at once
     overlaps = np.abs(np.swapaxes(states[:-1], 1, 2).conj()
@@ -254,7 +254,7 @@ def energy_level_sweep(sys: SpinSystem, theta: float, b_range: tuple[float, floa
             free_a.remove(a)
             free_c.remove(c)
         perms.append(perm)
-    return b_values, np.take_along_axis(energies, np.array(perms), axis=1)
+    return np.take_along_axis(energies, np.array(perms), axis=1)
 
 
 def write_energy_sweep_csv(path, b_values: np.ndarray, energies: np.ndarray) -> None:

@@ -21,8 +21,9 @@ from .spins import SpinSystem
 class MaterialParams:
     """Crystal and resonator quantities entering the spin-count estimate.
 
-    zeta (modal filling factor) is carried for documentation/reporting only;
-    it does not enter any formula here.
+    zeta (modal filling factor) enters no formula and no output.  It is
+    kept only because the benchmark's configs (bench/inputs.py) spell
+    material.zeta.
     """
 
     V_cav: float = 52.2e-9       # m^3

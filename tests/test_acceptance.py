@@ -64,7 +64,7 @@ def test_criterion_02_interrogated_spins():
 
 
 def test_criterion_03_coupling_consistency():
-    g_s = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9, n_perp=1.0)
+    g_s = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
     assert g_s * math.sqrt(3.5e14) == pytest.approx(TWO_PI * 3.5e6, rel=0.10)
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
-                            NonIdealityParams, check_drive, cooperativity,
+                            NonIdealityParams, cooperativity,
                             db_to_voltage_gain, dbm_to_watts, gamma_prime,
                             gamma_prime_jacobian, gamma_prime_params,
                             interaction_term,
@@ -149,30 +149,68 @@ def test_nonidealities_fitted_values_composite():
 
 
 def test_reflection_with_nonidealities_errors():
-    """check_drive on the shifted drive that magnetometry checks Gamma' with."""
+    """gamma_prime raises the reference's errors at the shifted drive."""
     ni = NonIdealityParams(omega_d_off=TWO_PI * 2e5)
 
-    def shifted(drive):
-        return DriveParams(omega_d=drive.omega_d - ni.omega_d_off,
-                           power=drive.power)
+    def shifted_gamma(ens, omega_d, power=1e-5):
+        return gamma_prime(ens.omega_s, omega_d, omega_d, CAV.omega_c,
+                           ens.g_s, power, gamma_prime_params(CAV, ens, ni))
 
-    drive = DriveParams(omega_d=CAV.omega_c, power=1e-5)
     with pytest.raises(ZeroSpinLinewidth):
-        check_drive(CAV, EnsembleParams(g_s=1.0, N=1.0, kappa_s=0.0),
-                    shifted(drive))
+        shifted_gamma(EnsembleParams(g_s=1.0, N=1.0, kappa_s=0.0),
+                      CAV.omega_c)
     no_th = EnsembleParams(g_s=1.0, N=1.0, kappa_th=0.0)
     with pytest.raises(ZeroKappaTh):
-        check_drive(CAV, no_th, shifted(drive))
+        shifted_gamma(no_th, CAV.omega_c)
     with pytest.raises(ZeroLinewidth):
-        check_drive(CAV, ENS,
-                    shifted(DriveParams(omega_d=ni.omega_d_off, power=1e-5)))
+        shifted_gamma(ENS, ni.omega_d_off)
     # without drive power kappa_th never enters
-    check_drive(CAV, no_th, shifted(DriveParams(omega_d=CAV.omega_c,
-                                                power=0.0)))
-    undriven = gamma_prime(no_th.omega_s, CAV.omega_c, CAV.omega_c,
-                           CAV.omega_c, no_th.g_s, 0.0,
-                           gamma_prime_params(CAV, no_th, ni))
-    assert np.isfinite(undriven)
+    assert np.isfinite(shifted_gamma(no_th, CAV.omega_c, power=0.0))
+
+
+@pytest.mark.parametrize("kernel", [gamma_prime, gamma_prime_jacobian])
+def test_gamma_kernels_check_every_drive(kernel):
+    """Both kernels raise what photon_number and interaction_term raise, in
+    their order: kappa_c, then the shifted drive frequency at every point,
+    then the spin rates."""
+    ni = NonIdealityParams(omega_d_off=TWO_PI * 2e5)
+    ws = ENS.omega_s + np.array([-1e6, 1e6])
+    good = CAV.omega_c + np.array([-1e6, 0.0, 1e6])
+    low = ni.omega_d_off + np.array([0.0, 1e6, 2e6])   # the first point at 0
+    params = gamma_prime_params(CAV, ENS, ni)
+
+    def call(wd, power=1e-5, **zeros):
+        p = [0.0 if name in zeros else v
+             for name, v in zip(PARAM_NAMES, params)]
+        return kernel(ws, wd, CAV.omega_c, CAV.omega_c, ENS.g_s, power, p)
+
+    with pytest.raises(ZeroLinewidth, match="kappa_c"):
+        call(low, kappa_c0=0, kappa_c1=0, kappa_s=0, kappa_th=0)
+    with pytest.raises(ZeroLinewidth, match="omega_d"):
+        call(low, kappa_s=0, kappa_th=0)
+    with pytest.raises(ZeroSpinLinewidth):
+        call(good, kappa_s=0, kappa_th=0)
+    with pytest.raises(ZeroKappaTh):
+        call(good, kappa_th=0)
+    assert np.all(np.isfinite(call(good, power=0.0, kappa_th=0)))
+
+
+def test_gamma_prime_checks_omega_n_and_every_point():
+    """n_cav pinned at a positive omega_n leaves every point's drive
+    checked, and omega_n itself must be positive."""
+    params = gamma_prime_params(CAV, ENS, NonIdealityParams())
+    offsets = np.array([-2e6, 0.0, 2e6])
+
+    def pinned(omega_d, omega_n):
+        return gamma_prime(ENS.omega_s, omega_d + offsets, omega_d,
+                           CAV.omega_c, ENS.g_s, 1e-5, params,
+                           omega_n=omega_n)
+
+    with pytest.raises(ZeroLinewidth, match="omega_d"):
+        pinned(1e6, 1e6)
+    with pytest.raises(ZeroLinewidth, match="omega_d"):
+        pinned(CAV.omega_c, 0.0)
+    assert np.all(np.isfinite(pinned(CAV.omega_c, CAV.omega_c)))
 
 
 @given(
@@ -305,7 +343,6 @@ def test_gamma_prime_jacobian_matches_central_differences(frac, uncoupled,
 
 def test_single_spin_coupling_scalings():
     g = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
-    assert single_spin_coupling(52.2e-9, TWO_PI * 11.4e9, n_perp=0.0) == 0.0
     assert single_spin_coupling(4 * 52.2e-9, TWO_PI * 11.4e9) \
         == pytest.approx(g / 2.0, rel=1e-12)
     assert g * math.sqrt(3.5e14) == pytest.approx(G_EFF, rel=0.10)

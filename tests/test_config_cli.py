@@ -518,11 +518,37 @@ def test_memory_error_prints_one_error_line(tmp_path, capsys, monkeypatch):
 
 def test_large_nonideality_prints_nothing_on_stderr(tmp_path, capsys):
     """Gamma' is exact for any phase offset, so psi = 0.7 rad runs quietly."""
-    path = tmp_path / "in.csv"
-    path.write_text(_TINY_GRID)
+    assert run_cli("crossing-sim", "--output-dir", str(tmp_path),
+                   "--n-omega-s", "4", "--n-omega-d", "4") == 0
     assert run_cli("crossing-fit", "--output-dir", str(tmp_path),
-                   "--input", str(path), "--psi-rad", "0.7") == 0
+                   "--input", str(tmp_path / "crossing.csv"),
+                   "--psi-rad", "0.7") == 0
     assert capsys.readouterr().err == ""
+
+
+# a 2 x 2 crossing grid whose lower drive frequency is 0 Hz
+_ZERO_DRIVE_GRID = ("omega_s_hz,omega_d_hz,re,im\n"
+                    "1,0,1,0\n1,1,1,0\n2,0,1,0\n2,1,1,0\n")
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("crossing-fit", ["--input", _ZERO_DRIVE_GRID]),
+    # Gamma sampled at offsets down to about -1 MHz around a 100 Hz drive
+    ("noise-predict", ["--omega-d-ghz", "1e-7"]),
+])
+def test_non_positive_drive_fails_command(tmp_path, capsys, command, argv):
+    """Every command that evaluates Gamma' refuses a drive frequency <= 0
+    at any point it evaluates: the fit's data grid and noise-predict's
+    sampled offsets included."""
+    if argv[0] == "--input":
+        path = tmp_path / "in.csv"
+        path.write_text(argv[1])
+        argv = ["--input", str(path)]
+    out = tmp_path / "out"
+    assert run_cli(command, "--output-dir", str(out), *argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR ZeroLinewidth: "), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["noise-predict", "sensitivity", "report"])
@@ -884,6 +910,19 @@ def test_calibrate_solenoid_value(tmp_path):
     assert summary["b_solenoid_t"] == pytest.approx(220e-9, rel=0.01)
 
 
+def test_calibrate_equal_fields_write_null_r_squared(tmp_path):
+    """Equal fields leave r^2 undefined, but the line is well defined."""
+    path = tmp_path / "in.csv"
+    path.write_text("current_a,field_t\n0.1,2e-6\n0.2,2e-6\n0.3,2e-6\n")
+    out = tmp_path / "out"
+    assert run_cli("calibrate", "--output-dir", str(out),
+                   "--input", str(path)) == 0
+    summary = read_strict_json(out / "calibrate.json")
+    assert summary["slope_t_per_a"] == 0.0
+    assert summary["intercept_t"] == pytest.approx(2e-6, rel=1e-12)
+    assert summary["r_squared"] is None
+
+
 def test_report_contains_acceptance_quantities(tmp_path):
     assert run_cli("report", "--output-dir", str(tmp_path)) == 0
     report = json.loads((tmp_path / "report.json").read_text())
@@ -941,14 +980,14 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, source):
 
 
 def test_non_finite_result_fails_command(tmp_path, capsys, monkeypatch):
-    """A non-finite result fails the command before its file is written."""
-    # without spins the slope is 0 and every eta in the table is infinite
+    """A zero slope fails optimize as ZeroSignal, as it fails sensitivity
+    and report; a non-finite result fails the command before its file is
+    written."""
     out = tmp_path / "optimize"
     assert run_cli("optimize", "--output-dir", str(out), "--n-spins", "0") == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("ERROR NonFiniteOutput: ")
-    assert "eta_table.csv" in err[0]
-    assert list(out.iterdir()) == []
+    assert len(err) == 1 and err[0].startswith("ERROR ZeroSignal: "), err
+    assert not out.exists()
     from rubymag import magnetometry
     monkeypatch.setattr(magnetometry, "sensitivity",
                         lambda *args: math.nan)

@@ -317,14 +317,6 @@ def test_spin_frequency_linearized_matches_eigensolve():
     assert np.allclose(exact, linear, rtol=1e-4)
 
 
-def test_spin_frequency_interpolated_path_consistent():
-    """A dense field array gives the same values as a sparse one."""
-    b = np.linspace(2e-3, 4e-3, 500)
-    dense = spin_frequency_vs_field(SYS, b)
-    sparse = spin_frequency_vs_field(SYS, b[::100])
-    assert np.allclose(dense[::100], sparse, rtol=1e-6)
-
-
 def test_bias_sweep_dispersive_zero_crossing_and_slope():
     b = np.linspace(B_CENTER - 2e-4, B_CENTER + 2e-4, 201)
     trace = bias_sweep_trace(SYS, CAV, ENS, NI, DRIVE, b)
@@ -351,11 +343,11 @@ def test_centre_slopes_equal_full_sweeps():
     drives = [replace(DRIVE, power=dbm_to_watts(p)) for p in (-3.0, 5.0, 17.0)]
     for half_width in (2.5e-5, 5e-4, 3e-3):
         b_centres = B_CENTER + np.linspace(-4e-4, 4e-4, 5)
-        got = centre_slopes(SYS, CAV, ENS, ni, drives, b_centres, half_width,
-                            21.0)
+        axes = np.array([np.linspace(b0 - half_width, b0 + half_width, 21)
+                         for b0 in b_centres])
+        got = centre_slopes(SYS, CAV, ENS, ni, drives, axes, 21.0)
         for j, drive in enumerate(drives):
-            for i, b0 in enumerate(b_centres):
-                axis = np.linspace(b0 - half_width, b0 + half_width, 21)
+            for i, axis in enumerate(axes):
                 slopes, _ = dispersive_slope(bias_sweep_trace(
                     SYS, CAV, ENS, ni, drive, axis, chain_gain_db=21.0))
                 assert got[i, j] == abs(slopes[10]), (half_width, i, j)
@@ -365,11 +357,12 @@ def test_centre_slopes_check_axes_and_drive():
     """A sweep too narrow to resolve at its bias is refused as a sweep
     trace refuses it, and each drive is checked."""
     with pytest.raises(ValueError, match="monotone"):
-        centre_slopes(SYS, CAV, ENS, NI, [DRIVE], np.array([1e3]), 1e-15,
-                      21.0)
+        centre_slopes(SYS, CAV, ENS, NI, [DRIVE],
+                      np.linspace(1e3 - 1e-15, 1e3 + 1e-15, 21)[None], 21.0)
     with pytest.raises(ZeroKappaTh):
         centre_slopes(SYS, CAV, replace(ENS, kappa_th=0.0), NI, [DRIVE],
-                      np.array([B_CENTER]), 1e-4, 21.0)
+                      np.linspace(B_CENTER - 1e-4, B_CENTER + 1e-4, 21)[None],
+                      21.0)
 
 
 def test_timeseries_constant_without_test_field_or_noise():

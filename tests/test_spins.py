@@ -209,7 +209,8 @@ def test_transition_index_validation():
 
 
 def test_energy_level_sweep_axial_lines():
-    b_values, energies = energy_level_sweep(SYS, 0.0, (0.0, 0.1), 21)
+    b_values = np.linspace(0.0, 0.1, 21)
+    energies = energy_level_sweep(SYS, 0.0, b_values)
     slope_scale = SYS.g_par * CONST.mu_B / CONST.hbar
     slopes = (energies[-1] - energies[0]) / (b_values[-1] - b_values[0])
     expected = sorted(slope_scale * np.array([1.5, 0.5, -0.5, -1.5]))
@@ -220,7 +221,8 @@ def test_energy_level_sweep_axial_lines():
 
 
 def test_energy_level_sweep_transverse_kramers_limit():
-    b_values, energies = energy_level_sweep(SYS, math.pi / 2.0, (1e-8, 0.01), 5)
+    energies = energy_level_sweep(SYS, math.pi / 2.0,
+                                  np.linspace(1e-8, 0.01, 5))
     first = np.sort(energies[0])
     assert abs(first[1] - first[0]) < 1e-4 * abs(SYS.D)
     assert abs(first[3] - first[2]) < 1e-4 * abs(SYS.D)
@@ -282,28 +284,30 @@ def test_energy_level_sweep_equals_row_by_row(theta_deg):
     theta = math.radians(theta_deg)
     for b_range, n_points in (((0.0, 0.2), 201), ((0.0, 0.8), 97),
                               ((1e-3, 0.05), 13)):
-        got = energy_level_sweep(SYS, theta, b_range, n_points)
-        want = _sweep_row_by_row(theta, b_range, n_points)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+        b_values, want = _sweep_row_by_row(theta, b_range, n_points)
+        got = energy_level_sweep(SYS, theta, b_values)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_energy_level_sweep_checks_the_field_vector():
     with pytest.raises(ValueError, match="theta"):
-        energy_level_sweep(SYS, math.pi + 0.1, (0.0, 0.1), 5)
+        energy_level_sweep(SYS, math.pi + 0.1, np.linspace(0.0, 0.1, 5))
     with pytest.raises(ValueError, match="magnitude"):
-        energy_level_sweep(SYS, 0.0, (-0.1, 0.1), 5)
+        energy_level_sweep(SYS, 0.0, np.linspace(-0.1, 0.1, 5))
 
 
 def test_energy_level_sweep_validation():
     with pytest.raises(EmptyRange):
-        energy_level_sweep(SYS, 0.0, (0.0, 0.1), 1)
+        energy_level_sweep(SYS, 0.0, np.array([0.0]))
     with pytest.raises(EmptyRange):
-        energy_level_sweep(SYS, 0.0, (0.1, 0.0), 10)
+        energy_level_sweep(SYS, 0.0, np.linspace(0.1, 0.0, 10))
+    with pytest.raises(EmptyRange):
+        energy_level_sweep(SYS, 0.0, np.array([0.0, 0.1, 0.1]))
 
 
 def test_energy_sweep_csv_round_trip(tmp_path):
-    b_values, energies = energy_level_sweep(SYS, 0.0, (0.0, 0.2), 11)
+    b_values = np.linspace(0.0, 0.2, 11)
+    energies = energy_level_sweep(SYS, 0.0, b_values)
     path = tmp_path / "levels.csv"
     write_energy_sweep_csv(path, b_values, energies)
     lines = path.read_text().splitlines()
