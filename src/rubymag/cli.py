@@ -190,8 +190,7 @@ def cmd_noise_predict(cfg: RunConfig, input_csv) -> list:
                         cav.omega_c, ens.g_s, drive.power,
                         gamma_prime_params(cav, ens, NonIdealityParams()),
                         omega_n=drive.omega_d)
-    sampled = iqnoise.SampledGamma(offsets=offsets, values=gamma)
-    predicted = iqnoise.predict_noise_psd(amp, phase, sampled,
+    predicted = iqnoise.predict_noise_psd(amp, phase, phase.offsets, gamma,
                                           p0=n["p0_v2_per_hz"])
     return [("predicted_noise.csv", iqnoise.write_spectrum_csv, predicted)]
 
@@ -206,9 +205,6 @@ def _sensitivity_budget(cfg: RunConfig) -> tuple[mag.SweepTrace, dict]:
                                  cfg.ensemble(), cfg.nonideal(), cfg.drive(),
                                  b_values, chain_gain_db=s["chain_gain_db"])
     _, m_max = mag.dispersive_slope(trace)
-    scfg = mag.SensitivityConfig(G_db=s["chain_gain_db"],
-                                 T=cfg.temperature(),
-                                 ell_db=n["ell_db"])
     e_n = s["noise_floor_nv_per_rthz"]
     b_test = s["test_amplitude_nt"]
     v_m = m_max * b_test
@@ -217,16 +213,15 @@ def _sensitivity_budget(cfg: RunConfig) -> tuple[mag.SweepTrace, dict]:
         "m_max_v_per_t": m_max,
         "v_m_v": v_m,
         "eta_t_per_rthz": mag.sensitivity(e_n, v_m, b_test),
-        "eta_th_t_per_rthz": mag.thermal_limit(scfg, m_max),
+        "eta_th_t_per_rthz": mag.thermal_limit(s["chain_gain_db"],
+                                               cfg.temperature(), m_max),
         "e_th_v_per_rthz": e_th,
     }
     if e_n >= e_th:
-        phase = mag.phase_noise_budget(e_n, e_th,
-                                       n["phi_measured_dbc_per_hz"], scfg)
-        budget["e_p_v_per_rthz"] = phase.e_p
         # e_p = 0 puts no bound on the source; strict JSON spells that null
-        budget["phi_required_dbc_per_hz"] = (None if phase.unbounded
-                                             else phase.phi_required_dbc)
+        budget["e_p_v_per_rthz"], budget["phi_required_dbc_per_hz"] = \
+            mag.phase_noise_budget(e_n, e_th, n["phi_measured_dbc_per_hz"],
+                                   n["ell_db"])
     return trace, budget
 
 

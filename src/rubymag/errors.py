@@ -49,10 +49,6 @@ class ZeroRate(RubymagError, ValueError):
     pass
 
 
-class AsymmetricGrid(RubymagError, ValueError):
-    pass
-
-
 class TooFewPoints(RubymagError, ValueError):
     pass
 

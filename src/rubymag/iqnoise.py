@@ -1,29 +1,30 @@
 """Propagation of source noise through the reflection.
 
-The reflection coefficient sampled symmetrically around the carrier is split
+The reflection coefficient Gamma, a plain array of samples at the carrier
+offsets 2 pi (-f reversed, 0, f) for the positive offsets f in Hz, is split
 into a phase-preserving part (even real, odd imaginary) and a phase-swapping
 part (the complement).  Source amplitude and phase noise densities then map
-to the output power spectrum as
+to the output power spectrum on the offsets f as
 
     P(omega) = |A(omega) Gamma_s(omega)|^2 + |Phi(omega) Gamma_p(omega)|^2
                + |Phi(omega) Gamma_p(0)|^2 + P0
 
 dBc/Hz inputs are interpreted as single-sideband densities (the usual
 instrument convention); conversion to the two-sided density used in the
-formula above doubles the linear power.  A spectrum already on Gamma's
-positive offsets is used as given; any other is resampled onto them,
-interpolating dB values linearly in log-frequency.
+formula above doubles the linear power.  A spectrum already on the offsets f
+(to rtol 1e-9) is used as given, so the phase spectrum's own offsets come
+back exactly; any other is resampled onto them, interpolating dB values
+linearly in log-frequency.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csvio import read_columns, write_columns
-from .errors import AsymmetricGrid, ParseError
+from .errors import ParseError
 
 DBC_PER_HZ = "dBc_per_Hz"
 V2_PER_HZ = "V2_per_Hz"
@@ -47,6 +48,8 @@ class NoiseSpectrum:
             raise ValueError("offsets must be strictly increasing and positive")
         if self.unit not in (DBC_PER_HZ, V2_PER_HZ):
             raise ValueError(f"unknown unit tag {self.unit!r}")
+        if self.unit == V2_PER_HZ and np.any(density < 0):
+            raise ValueError("a V2_per_Hz density must be >= 0")
 
     def in_linear(self) -> np.ndarray:
         """Linear power density; identity for V2_per_Hz inputs."""
@@ -64,92 +67,72 @@ class NoiseSpectrum:
         return NoiseSpectrum(offsets=offsets, density=density, unit=self.unit)
 
 
-@dataclass(frozen=True)
-class SampledGamma:
-    """Reflection samples on a symmetric offset grid around the carrier."""
-
-    offsets: np.ndarray      # rad/s, ascending, symmetric about 0, 0 included
-    values: np.ndarray       # complex
-
-    def __post_init__(self):
-        offsets = np.asarray(self.offsets, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "values", values)
-        if offsets.shape != values.shape:
-            raise ValueError("offsets and values must have equal length")
-        if np.any(np.diff(offsets) <= 0):
-            raise AsymmetricGrid("offsets must be strictly increasing")
-        atol = 1e-9 * (np.abs(offsets).max() + 1.0) if offsets.size else 0.0
-        if not np.allclose(offsets, -offsets[::-1], rtol=0, atol=atol):
-            raise AsymmetricGrid("offset grid must be symmetric about zero")
-        if offsets.size % 2 == 0:
-            raise AsymmetricGrid("offset grid must contain zero")
-
-    @property
-    def at_zero(self) -> complex:
-        return complex(self.values[self.offsets.size // 2])
-
-    def positive_half(self) -> tuple[np.ndarray, np.ndarray]:
-        mid = self.offsets.size // 2
-        return self.offsets[mid + 1:], self.values[mid + 1:]
-
-
-def decompose_gamma(g: SampledGamma) -> tuple[SampledGamma, SampledGamma]:
-    """Split into phase-preserving and phase-swapping parts.
+def decompose_gamma(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split samples on a symmetric offset grid into phase-preserving and
+    phase-swapping parts.
 
     Gamma_p has even real and odd imaginary parts; Gamma_s the complement.
     Their sum reproduces the input pointwise.
     """
-    rev = g.values[::-1]
-    gamma_p = (g.values.real + rev.real) / 2.0 \
-        + 1j * (g.values.imag - rev.imag) / 2.0
-    gamma_s = (g.values.real - rev.real) / 2.0 \
-        + 1j * (g.values.imag + rev.imag) / 2.0
-    return (SampledGamma(offsets=g.offsets, values=gamma_p),
-            SampledGamma(offsets=g.offsets, values=gamma_s))
+    gamma = np.asarray(gamma, dtype=complex)
+    rev = gamma[::-1]
+    gamma_p = (gamma.real + rev.real) / 2.0 \
+        + 1j * (gamma.imag - rev.imag) / 2.0
+    gamma_s = (gamma.real - rev.real) / 2.0 \
+        + 1j * (gamma.imag + rev.imag) / 2.0
+    return gamma_p, gamma_s
 
 
-def _aligned_inputs(amp: NoiseSpectrum, phase: NoiseSpectrum, g: SampledGamma):
-    """Common positive-offset grid (Hz) plus two-sided linear amplitudes.
+def _two_sided_amplitude(spec: NoiseSpectrum,
+                         offsets_hz: np.ndarray) -> np.ndarray:
+    """Two-sided linear amplitude density on offsets_hz.
 
-    A spectrum whose offsets match the grid to rtol 1e-9 is used as given;
-    any other is resampled onto it.
+    A spectrum whose offsets match offsets_hz to rtol 1e-9 is used as given;
+    any other is resampled onto them.
     """
-    pos_offsets_hz = g.positive_half()[0] / (2.0 * math.pi)
-
-    def two_sided_amplitude(spec: NoiseSpectrum) -> np.ndarray:
-        if (spec.offsets.shape != pos_offsets_hz.shape
-                or not np.allclose(spec.offsets, pos_offsets_hz,
-                                   rtol=1e-9, atol=0)):
-            spec = spec.resampled(pos_offsets_hz)
-        power = spec.in_linear()
-        # SSB dBc/Hz -> two-sided linear power needs the factor 2
-        if spec.unit == DBC_PER_HZ:
-            power = 2.0 * power
-        return np.sqrt(power)
-    return pos_offsets_hz, two_sided_amplitude(amp), two_sided_amplitude(phase)
+    if (spec.offsets.shape != offsets_hz.shape
+            or not np.allclose(spec.offsets, offsets_hz, rtol=1e-9, atol=0)):
+        spec = spec.resampled(offsets_hz)
+    power = spec.in_linear()
+    # SSB dBc/Hz -> two-sided linear power needs the factor 2
+    if spec.unit == DBC_PER_HZ:
+        power = 2.0 * power
+    return np.sqrt(power)
 
 
 def noise_contribution_split(amp: NoiseSpectrum, phase: NoiseSpectrum,
-                             g: SampledGamma) -> tuple[NoiseSpectrum,
-                                                       NoiseSpectrum]:
-    """(phase-noise term, amplitude-noise term) of the output spectrum."""
-    offsets_hz, a_lin, p_lin = _aligned_inputs(amp, phase, g)
-    gamma_p, gamma_s = decompose_gamma(g)
-    _, gp_pos = gamma_p.positive_half()
-    _, gs_pos = gamma_s.positive_half()
-    gp0 = gamma_p.at_zero
-    pn = np.abs(p_lin * gp_pos) ** 2 + np.abs(p_lin * gp0) ** 2
-    am = np.abs(a_lin * gs_pos) ** 2
+                             offsets_hz, gamma) -> tuple[NoiseSpectrum,
+                                                         NoiseSpectrum]:
+    """(phase-noise term, amplitude-noise term) of the output spectrum on
+    offsets_hz.
+
+    gamma holds the 2n + 1 reflection samples at the carrier offsets
+    2 pi (-offsets_hz reversed, 0, offsets_hz); ValueError unless the n
+    offsets are positive and strictly increasing and gamma has that length.
+    """
+    offsets_hz = np.asarray(offsets_hz, dtype=float)
+    gamma = np.asarray(gamma, dtype=complex)
+    if offsets_hz.ndim != 1 or np.any(offsets_hz <= 0) \
+            or np.any(np.diff(offsets_hz) <= 0):
+        raise ValueError("offsets must be strictly increasing and positive")
+    n = offsets_hz.size
+    if gamma.shape != (2 * n + 1,):
+        raise ValueError(f"gamma needs 2n + 1 = {2 * n + 1} samples for "
+                         f"{n} offsets, got shape {gamma.shape}")
+    a_lin = _two_sided_amplitude(amp, offsets_hz)
+    p_lin = _two_sided_amplitude(phase, offsets_hz)
+    gamma_p, gamma_s = decompose_gamma(gamma)
+    pn = np.abs(p_lin * gamma_p[n + 1:]) ** 2 + np.abs(p_lin * gamma_p[n]) ** 2
+    am = np.abs(a_lin * gamma_s[n + 1:]) ** 2
     return (NoiseSpectrum(offsets=offsets_hz, density=pn, unit=V2_PER_HZ),
             NoiseSpectrum(offsets=offsets_hz, density=am, unit=V2_PER_HZ))
 
 
-def predict_noise_psd(amp: NoiseSpectrum, phase: NoiseSpectrum,
-                      g: SampledGamma, p0: float) -> NoiseSpectrum:
-    """Total predicted output noise power density versus offset frequency."""
-    pn, am = noise_contribution_split(amp, phase, g)
+def predict_noise_psd(amp: NoiseSpectrum, phase: NoiseSpectrum, offsets_hz,
+                      gamma, p0: float) -> NoiseSpectrum:
+    """Total predicted output noise power density on offsets_hz; gamma as
+    for noise_contribution_split."""
+    pn, am = noise_contribution_split(amp, phase, offsets_hz, gamma)
     return NoiseSpectrum(offsets=pn.offsets, density=pn.density + am.density + p0,
                          unit=V2_PER_HZ)
 
@@ -165,7 +148,8 @@ def read_spectrum_csv(path) -> NoiseSpectrum:
     """Columns offset_hz, value, unit; one unit tag per file.
 
     A missing column, a non-numeric or non-finite cell, mixed or unknown unit
-    tags, or offsets that are not positive and increasing raise ParseError.
+    tags, offsets that are not positive and increasing, or a negative
+    V2_per_Hz density raise ParseError.
     """
     table, rows = read_columns(path, ("offset_hz", "value"), ("unit",))
     units = sorted({row["unit"] for row in rows})

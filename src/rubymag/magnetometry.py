@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,13 +52,6 @@ def _check_monotone(axis: np.ndarray) -> None:
     d = np.diff(axis, axis=-1)
     if axis.size and not (np.all(d > 0) or np.all(d < 0)):
         raise ValueError("axis must be strictly monotone")
-
-
-@dataclass(frozen=True)
-class SensitivityConfig:
-    G_db: float = 21.0          # chain gain, dB
-    T: float = 293.0            # K
-    ell_db: float = -6.0        # phase-noise margin, dB
 
 
 @dataclass(frozen=True)
@@ -192,39 +184,31 @@ def sensitivity(e_n: float, v_m: float, b_test: float) -> float:
     return e_n * b_test / v_m
 
 
-def thermal_limit(cfg: SensitivityConfig, m_max: float) -> float:
-    """Thermal-noise-limited sensitivity G sqrt(k_B T R) / (F M_max), with
-    the load R = 50 Ohm and the processing factor F = sqrt(2)."""
+def thermal_limit(gain_db: float, T: float, m_max: float) -> float:
+    """Thermal-noise-limited sensitivity G sqrt(k_B T R) / (F M_max), for a
+    chain gain of gain_db and a temperature T in K, with the load R = 50 Ohm
+    and the processing factor F = sqrt(2)."""
     if m_max <= 0:
         raise ZeroSlope("M_max must be positive")
-    gain = db_to_voltage_gain(cfg.G_db)
-    return gain * math.sqrt(CONST.k_B * cfg.T * _LOAD_OHM) \
+    return db_to_voltage_gain(gain_db) * math.sqrt(CONST.k_B * T * _LOAD_OHM) \
         / (_PROCESSING_FACTOR * m_max)
 
 
-class PhaseNoiseBudget(NamedTuple):
-    e_p: float                  # V/sqrt(Hz)
-    phi_required_dbc: float     # dBc/Hz; -inf when the budget is unbounded
-
-    @property
-    def unbounded(self) -> bool:
-        return math.isinf(self.phi_required_dbc)
-
-
 def phase_noise_budget(e_total: float, e_th: float, phi_measured_dbc: float,
-                       cfg: SensitivityConfig) -> PhaseNoiseBudget:
-    """Quadrature phase-noise estimate and the source requirement.
+                       ell_db: float) -> tuple[float, float | None]:
+    """Quadrature phase-noise estimate e_p in V/sqrt(Hz) and the source
+    requirement in dBc/Hz.
 
     e_p = sqrt(e_total^2 - e_th^2); the requirement is the measured phase
-    noise scaled by (e_th/e_p) plus the margin, all in the dB domain.
+    noise scaled by (e_th/e_p) plus the margin ell_db, all in the dB domain.
+    e_p = 0 puts no bound on the source: the requirement is then None.
     """
     if e_total < e_th or e_th < 0:
         raise NegativeRadicand("need e_total >= e_th >= 0")
     e_p = math.sqrt(e_total ** 2 - e_th ** 2)
     if e_p == 0.0:
-        return PhaseNoiseBudget(e_p=0.0, phi_required_dbc=-math.inf)
-    phi_required = phi_measured_dbc + 20.0 * math.log10(e_th / e_p) + cfg.ell_db
-    return PhaseNoiseBudget(e_p=e_p, phi_required_dbc=phi_required)
+        return 0.0, None
+    return e_p, phi_measured_dbc + 20.0 * math.log10(e_th / e_p) + ell_db
 
 
 def optimize_grid(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray,

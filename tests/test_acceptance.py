@@ -10,6 +10,7 @@ than kappa_c cannot coexist with criterion 04: the shift g_eff^2 Delta /
 g_eff^2 / kappa_s = xi kappa_c / 4, about 0.44 kappa_c at xi = 1.77.
 """
 
+import itertools
 import math
 from importlib import resources
 
@@ -26,16 +27,16 @@ from rubymag.constants import CONST
 from rubymag.fitting import (GridSpec, dip_trajectory, fit_crossing,
                              normalize_grid, relaxation_times,
                              simulate_crossing)
-from rubymag.iqnoise import (SampledGamma, decompose_gamma,
-                             noise_contribution_split, read_spectrum_csv)
-from rubymag.magnetometry import (SensitivityConfig, ToneSpec,
+from rubymag.iqnoise import (decompose_gamma, noise_contribution_split,
+                             read_spectrum_csv)
+from rubymag.magnetometry import (ToneSpec,
                                   amplitude_spectrum, bias_sweep_trace,
                                   dispersive_slope, noise_floor,
                                   phase_noise_budget, sensitivity,
                                   simulate_timeseries, thermal_limit,
                                   tone_rms)
 from rubymag.spins import (FieldVector, SpinSystem, analytic_energies_axial,
-                           build_hamiltonian, eigensolve)
+                           build_hamiltonian, eigensolve, transition)
 from rubymag.thermal import (MaterialParams, boltzmann_populations,
                              optical_power_equivalent, polarized_spin_count,
                              total_interrogated_spins)
@@ -95,19 +96,21 @@ def test_criterion_07_sensitivity():
 
 
 def test_criterion_08_thermal_limit():
-    eta_th = thermal_limit(SensitivityConfig(), 2994.0)
+    # the paper's chain gain of 21 dB at 293 K
+    eta_th = thermal_limit(21.0, 293.0, 2994.0)
     assert eta_th == pytest.approx(1.1e-12, rel=0.10)
 
 
 def test_criterion_09_phase_noise_budget():
-    budget = phase_noise_budget(26e-9, 13e-9, -129.5, SensitivityConfig())
-    assert budget.e_p == pytest.approx(math.sqrt(26.0 ** 2 - 13.0 ** 2) * 1e-9,
-                                       rel=1e-12)
-    assert budget.phi_required_dbc == pytest.approx(-140.0, abs=0.5)
+    # the paper's phase-noise margin of -6 dB
+    e_p, phi_required = phase_noise_budget(26e-9, 13e-9, -129.5, -6.0)
+    assert e_p == pytest.approx(math.sqrt(26.0 ** 2 - 13.0 ** 2) * 1e-9,
+                                rel=1e-12)
+    assert phi_required == pytest.approx(-140.0, abs=0.5)
     # the quadrature formula above evaluates to 22.517 nV, 0.017 nV outside
     # the stated 22 +- 0.5 band; asserted as stated and documented as a
     # rounding inconsistency rather than loosened.
-    assert budget.e_p == pytest.approx(22e-9, abs=0.5e-9)
+    assert e_p == pytest.approx(22e-9, abs=0.5e-9)
 
 
 def test_criterion_10_calibration():
@@ -193,20 +196,17 @@ def test_criterion_14_noise_model_properties():
     values = np.array([
         reflection(CAV, ens, DriveParams(omega_d=CAV.omega_c + o, power=1e-5))
         for o in offsets])
-    g = SampledGamma(offsets=offsets, values=values)
-    gp, gs = decompose_gamma(g)
-    assert np.allclose(gp.values + gs.values, g.values, atol=1e-12)
-    even = SampledGamma(offsets=np.array([-1.0, 0.0, 1.0]),
-                        values=np.array([0.5, 0.2, 0.5], dtype=complex))
-    _, even_s = decompose_gamma(even)
-    assert np.allclose(even_s.values, 0.0, atol=1e-15)
+    gp, gs = decompose_gamma(values)
+    assert np.allclose(gp + gs, values, atol=1e-12)
+    _, even_s = decompose_gamma(np.array([0.5, 0.2, 0.5], dtype=complex))
+    assert np.allclose(even_s, 0.0, atol=1e-15)
     with resources.as_file(resources.files("rubymag.data")
                            / "phase_noise.csv") as p:
         phase = read_spectrum_csv(p)
     with resources.as_file(resources.files("rubymag.data")
                            / "amplitude_noise.csv") as p:
         amp = read_spectrum_csv(p)
-    pn, am = noise_contribution_split(amp, phase, g)
+    pn, am = noise_contribution_split(amp, phase, pos, values)
     assert np.all(pn.density >= 10.0 * am.density)
 
 
@@ -275,3 +275,36 @@ def test_criterion_16_avoided_crossing():
     assert pull < 0.0
     assert pull == pytest.approx(expected, abs=grid_step)
     assert abs(pull) > CAV.kappa_c / 10.0
+
+
+def test_off_axis_mixing_allows_the_line_forbidden_on_axis():
+    """PAPER.md's second orientation claim: off-axis mixing makes a
+    transition allowed that is forbidden at theta = 0.
+
+    At each tilt, the line followed is the one steep line (|slope| above
+    40 GHz/T; at theta = 0 the Delta m = 2 line +3/2 <-> -1/2 at -56 GHz/T)
+    whose frequency crosses the 11.4 GHz drive between 0.5 and 100 G.  Its
+    drive strength |<i|S_x|j>|^2, interpolated to the crossing, is 0 on
+    axis and grows with every step of the tilt.
+    """
+    b_values = np.linspace(0.5e-4, 100e-4, 200)
+    target = TWO_PI * 11.4e9
+    strengths = []
+    for theta_deg in (0.0, 15.0, 30.0, 45.0, 60.0):
+        sols = [eigensolve(build_hamiltonian(
+                    SYS, FieldVector(b, math.radians(theta_deg))))
+                for b in b_values]
+        steep = []
+        for i, j in itertools.combinations(range(4), 2):
+            freq, amp = np.array([transition(sol, i, j) for sol in sols]).T
+            for k in np.flatnonzero((freq[:-1] > target)
+                                    != (freq[1:] > target)):
+                slope_hz_per_t = (freq[k + 1] - freq[k]) \
+                    / (b_values[k + 1] - b_values[k]) / TWO_PI
+                if abs(slope_hz_per_t) > 40e9:
+                    t = (target - freq[k]) / (freq[k + 1] - freq[k])
+                    steep.append(amp[k] + t * (amp[k + 1] - amp[k]))
+        assert len(steep) == 1, (theta_deg, steep)
+        strengths.append(steep[0])
+    assert strengths[0] < 1e-12, strengths
+    assert np.all(np.diff(strengths) > 0), strengths

@@ -341,6 +341,14 @@ _TINY_GRID = ("omega_s_hz,omega_d_hz,re,im\n"
      ["drive.power_dbm", "> 0", "-4000"]),
     ("crossing-sim", ["--power-dbm", "-4000"], "ConfigError",
      ["drive.power_dbm", "> 0", "-4000"]),
+    # a negative linear noise density
+    ("noise-predict", ["--phase-noise-csv",
+                       "offset_hz,value,unit\n100,1e-12,V2_per_Hz\n"
+                       "200,-1e-12,V2_per_Hz\n"],
+     "ParseError", ["noise.csv", "V2_per_Hz", ">= 0"]),
+    ("noise-predict", ["--amplitude-noise-csv",
+                       "offset_hz,value,unit\n100,-1e-12,V2_per_Hz\n"],
+     "ParseError", ["noise.csv", "V2_per_Hz", ">= 0"]),
 ])
 def test_bad_input_prints_one_error_line(tmp_path, capsys, command, argv,
                                          error, words):
@@ -805,10 +813,13 @@ def test_noise_predict_uses_bundled_spectra(tmp_path):
                                photon_number(drive, cav.kappa_c))
     gamma = reflection_coefficient(cav.kappa_c0, cav.kappa_c1, cav.omega_c,
                                    omega_d, pi_term)
-    want = iqnoise.predict_noise_psd(
-        amp, phase, iqnoise.SampledGamma(offsets=offsets, values=gamma), 0.0)
+    want = iqnoise.predict_noise_psd(amp, phase, phase.offsets, gamma, 0.0)
     got = [float(line.split(",")[1]) for line in lines[1:]]
     assert np.allclose(got, want.density, rtol=1e-12, atol=0.0)
+    # the output is on the phase spectrum's own offsets, cell for cell
+    given = (data / "phase_noise.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] \
+        == [line.split(",")[0] for line in given]
 
 
 def test_sensitivity_outputs(tmp_path):
@@ -981,8 +992,8 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, source):
 
 def test_non_finite_result_fails_command(tmp_path, capsys, monkeypatch):
     """A zero slope fails optimize as ZeroSignal, as it fails sensitivity
-    and report; a non-finite result fails the command before its file is
-    written."""
+    and report; a non-finite result, an overflowed phase-noise requirement
+    included, fails the command before its file is written."""
     out = tmp_path / "optimize"
     assert run_cli("optimize", "--output-dir", str(out), "--n-spins", "0") == 1
     err = capsys.readouterr().err.splitlines()
@@ -995,6 +1006,18 @@ def test_non_finite_result_fails_command(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ERROR NonFiniteOutput: ")
     assert not (tmp_path / "sensitivity.json").exists()
+    monkeypatch.undo()
+    # a requirement that overflows to +inf is no unbounded one (e_p = 0)
+    for command in ("report", "sensitivity"):
+        out = tmp_path / f"overflow-{command}"
+        assert run_cli(command, "--output-dir", str(out),
+                       "--phi-measured-dbc-per-hz", "1e308",
+                       "--ell-db", "1e308") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("ERROR NonFiniteOutput: ")
+        assert f"{command}.json" in err[0]
+        assert not (out / f"{command}.json").exists()
 
 
 def test_crossing_fit_ragged_csv_exits_two(tmp_path, capsys):

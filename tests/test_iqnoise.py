@@ -7,30 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rubymag.cavity import CavityParams, DriveParams, EnsembleParams, reflection
-from rubymag.errors import AsymmetricGrid
 from rubymag.iqnoise import (DBC_PER_HZ, V2_PER_HZ, NoiseSpectrum,
-                             SampledGamma, decompose_gamma,
+                             decompose_gamma,
                              noise_contribution_split, predict_noise_psd,
                              read_spectrum_csv, write_spectrum_csv)
 
 TWO_PI = 2.0 * math.pi
 
 
-def symmetric_offsets(n_half=8, max_hz=1e6):
-    pos = np.logspace(2, math.log10(max_hz), n_half)
-    return TWO_PI * np.concatenate([-pos[::-1], [0.0], pos])
+def positive_offsets(n_half=8, max_hz=1e6):
+    return np.logspace(2, math.log10(max_hz), n_half)
 
 
-def cavity_gamma(offsets=None):
-    """Reflection of the spin-loaded cavity sampled around the carrier."""
-    if offsets is None:
-        offsets = symmetric_offsets()
+def cavity_gamma(pos_hz=None):
+    """Reflection of the spin-loaded cavity sampled at the carrier and at
+    +- pos_hz around it."""
+    if pos_hz is None:
+        pos_hz = positive_offsets()
+    offsets = TWO_PI * np.concatenate([-pos_hz[::-1], [0.0], pos_hz])
     cav = CavityParams()
     ens = EnsembleParams(g_s=1.0, N=(TWO_PI * 3.5e6) ** 2)
-    values = np.array([
+    return np.array([
         reflection(cav, ens, DriveParams(omega_d=cav.omega_c + o, power=1e-5))
         for o in offsets])
-    return SampledGamma(offsets=offsets, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -68,18 +67,6 @@ def test_resample_log_frequency_interpolation():
     assert mid.density[0] == pytest.approx(-110.0, abs=1e-9)
 
 
-def test_sampled_gamma_symmetry_enforced():
-    with pytest.raises(AsymmetricGrid):
-        SampledGamma(offsets=np.array([-2.0, 0.0, 1.0]),
-                     values=np.zeros(3, dtype=complex))
-    with pytest.raises(AsymmetricGrid):
-        SampledGamma(offsets=np.array([-1.0, 1.0]),
-                     values=np.zeros(2, dtype=complex))
-    g = SampledGamma(offsets=np.array([-1.0, 0.0, 1.0]),
-                     values=np.array([1j, 2.0, -1j]))
-    assert g.at_zero == 2.0 + 0j
-
-
 # ---------------------------------------------------------------------------
 # decompose_gamma
 
@@ -87,58 +74,51 @@ def test_sampled_gamma_symmetry_enforced():
 def test_decomposition_sums_to_input():
     g = cavity_gamma()
     gp, gs = decompose_gamma(g)
-    assert np.allclose(gp.values + gs.values, g.values, atol=1e-12)
+    assert np.allclose(gp + gs, g, atol=1e-12)
 
 
 def test_decomposition_parity():
     g = cavity_gamma()
     gp, gs = decompose_gamma(g)
-    assert np.allclose(gp.values.real, gp.values.real[::-1], atol=1e-12)
-    assert np.allclose(gp.values.imag, -gp.values.imag[::-1], atol=1e-12)
-    assert np.allclose(gs.values.real, -gs.values.real[::-1], atol=1e-12)
-    assert np.allclose(gs.values.imag, gs.values.imag[::-1], atol=1e-12)
+    assert np.allclose(gp.real, gp.real[::-1], atol=1e-12)
+    assert np.allclose(gp.imag, -gp.imag[::-1], atol=1e-12)
+    assert np.allclose(gs.real, -gs.real[::-1], atol=1e-12)
+    assert np.allclose(gs.imag, gs.imag[::-1], atol=1e-12)
 
 
 def test_decompose_real_even_gives_zero_swap():
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    g = SampledGamma(offsets=offsets,
-                     values=np.array([0.5, 0.2, 0.1, 0.2, 0.5], dtype=complex))
+    g = np.array([0.5, 0.2, 0.1, 0.2, 0.5], dtype=complex)
     gp, gs = decompose_gamma(g)
-    assert np.allclose(gs.values, 0.0, atol=1e-15)
-    assert np.allclose(gp.values, g.values, atol=1e-15)
+    assert np.allclose(gs, 0.0, atol=1e-15)
+    assert np.allclose(gp, g, atol=1e-15)
 
 
 def test_decompose_imaginary_even_gives_zero_preserve():
-    offsets = np.array([-1.0, 0.0, 1.0])
-    g = SampledGamma(offsets=offsets, values=np.array([0.4j, 0.1j, 0.4j]))
+    g = np.array([0.4j, 0.1j, 0.4j])
     gp, gs = decompose_gamma(g)
-    assert np.allclose(gp.values, 0.0, atol=1e-15)
-    assert np.allclose(gs.values, g.values, atol=1e-15)
+    assert np.allclose(gp, 0.0, atol=1e-15)
+    assert np.allclose(gs, g, atol=1e-15)
 
 
 @given(seed=st.integers(0, 1000), alpha=st.floats(-3, 3), beta=st.floats(-3, 3))
 @settings(max_examples=50, deadline=None)
 def test_decomposition_linearity_property(seed, alpha, beta):
     rng = np.random.default_rng(seed)
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     v1 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     v2 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    combo = SampledGamma(offsets=offsets, values=alpha * v1 + beta * v2)
-    p1, s1 = decompose_gamma(SampledGamma(offsets=offsets, values=v1))
-    p2, s2 = decompose_gamma(SampledGamma(offsets=offsets, values=v2))
-    pc, sc = decompose_gamma(combo)
-    assert np.allclose(pc.values, alpha * p1.values + beta * p2.values,
-                       atol=1e-9)
-    assert np.allclose(sc.values, alpha * s1.values + beta * s2.values,
-                       atol=1e-9)
+    p1, s1 = decompose_gamma(v1)
+    p2, s2 = decompose_gamma(v2)
+    pc, sc = decompose_gamma(alpha * v1 + beta * v2)
+    assert np.allclose(pc, alpha * p1 + beta * p2, atol=1e-9)
+    assert np.allclose(sc, alpha * s1 + beta * s2, atol=1e-9)
 
 
 def test_decomposition_idempotent():
     g = cavity_gamma()
     gp, _ = decompose_gamma(g)
     gpp, gps = decompose_gamma(gp)
-    assert np.allclose(gpp.values, gp.values, atol=1e-12)
-    assert np.allclose(gps.values, 0.0, atol=1e-12)
+    assert np.allclose(gpp, gp, atol=1e-12)
+    assert np.allclose(gps, 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -151,48 +131,58 @@ def flat_spectrum(offsets_hz, value, unit):
 
 
 def test_zero_inputs_give_flat_floor():
-    g = cavity_gamma()
-    pos_hz = g.positive_half()[0] / TWO_PI
+    pos_hz = positive_offsets()
+    g = cavity_gamma(pos_hz)
     amp = flat_spectrum(pos_hz, 0.0, V2_PER_HZ)
     phase = flat_spectrum(pos_hz, 0.0, V2_PER_HZ)
-    out = predict_noise_psd(amp, phase, g, p0=1e-15)
+    out = predict_noise_psd(amp, phase, pos_hz, g, p0=1e-15)
     assert np.allclose(out.density, 1e-15, rtol=1e-12)
 
 
 def test_constant_real_gamma_two_equal_phase_terms():
-    offsets = np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]) * TWO_PI
-    g = SampledGamma(offsets=offsets,
-                     values=np.full(7, -0.8, dtype=complex))
-    pos_hz = g.positive_half()[0] / TWO_PI
+    pos_hz = np.array([1.0, 2.0, 3.0])
+    g = np.full(7, -0.8, dtype=complex)
     phi2 = 4e-12                              # V^2/Hz, already two-sided
     amp = flat_spectrum(pos_hz, 0.0, V2_PER_HZ)
     phase = flat_spectrum(pos_hz, phi2, V2_PER_HZ)
-    out = predict_noise_psd(amp, phase, g, p0=1e-13)
+    out = predict_noise_psd(amp, phase, pos_hz, g, p0=1e-13)
     assert np.allclose(out.density, 2.0 * phi2 * 0.8 ** 2 + 1e-13, rtol=1e-12)
 
 
 def test_ssb_dbc_doubling_convention():
-    offsets = np.array([-1.0, 0.0, 1.0]) * TWO_PI
-    g = SampledGamma(offsets=offsets, values=np.ones(3, dtype=complex))
-    pos_hz = g.positive_half()[0] / TWO_PI
+    pos_hz = np.array([1.0])
+    g = np.ones(3, dtype=complex)
     amp = flat_spectrum(pos_hz, 0.0, V2_PER_HZ)
     dbc = -120.0
     phase = flat_spectrum(pos_hz, dbc, DBC_PER_HZ)
-    out = predict_noise_psd(amp, phase, g, p0=0.0)
+    out = predict_noise_psd(amp, phase, pos_hz, g, p0=0.0)
     # two equal phase terms, each with SSB->two-sided factor 2
     assert out.density[0] == pytest.approx(2 * 2 * 10 ** (dbc / 10), rel=1e-12)
 
 
 def test_split_sum_equals_total():
-    g = cavity_gamma()
-    pos_hz = g.positive_half()[0] / TWO_PI
+    pos_hz = positive_offsets()
+    g = cavity_gamma(pos_hz)
     amp = flat_spectrum(pos_hz, -150.0, DBC_PER_HZ)
     phase = flat_spectrum(pos_hz, -120.0, DBC_PER_HZ)
-    pn, am = noise_contribution_split(amp, phase, g)
-    total = predict_noise_psd(amp, phase, g, p0=2.5e-16)
+    pn, am = noise_contribution_split(amp, phase, pos_hz, g)
+    total = predict_noise_psd(amp, phase, pos_hz, g, p0=2.5e-16)
     assert np.allclose(pn.density + am.density + 2.5e-16, total.density,
                        rtol=1e-12)
     assert np.all(total.density >= 2.5e-16)
+
+
+def test_gamma_and_offsets_checked_before_use():
+    pos_hz = np.array([1.0, 2.0])
+    spec = flat_spectrum(pos_hz, -120.0, DBC_PER_HZ)
+    for g in (np.ones(4, dtype=complex), np.ones(6, dtype=complex),
+              np.ones((5, 1), dtype=complex)):
+        with pytest.raises(ValueError, match="2n \\+ 1 = 5"):
+            predict_noise_psd(spec, spec, pos_hz, g, p0=0.0)
+    for offsets in ([2.0, 1.0], [0.0, 1.0], [-1.0, 1.0], [1.0, 1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            noise_contribution_split(spec, spec, offsets,
+                                     np.ones(5, dtype=complex))
 
 
 def test_bundled_inputs_phase_noise_dominates():
@@ -203,8 +193,9 @@ def test_bundled_inputs_phase_noise_dominates():
     with resources.as_file(resources.files("rubymag.data")
                            / "amplitude_noise.csv") as p:
         amp = read_spectrum_csv(p)
-    g = cavity_gamma(symmetric_offsets(n_half=25, max_hz=1e6))
-    pn, am = noise_contribution_split(amp, phase, g)
+    pos_hz = positive_offsets(n_half=25, max_hz=1e6)
+    pn, am = noise_contribution_split(amp, phase, pos_hz,
+                                      cavity_gamma(pos_hz))
     assert np.all(pn.density >= 10.0 * am.density)
 
 

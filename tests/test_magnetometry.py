@@ -11,7 +11,7 @@ from rubymag.constants import CONST
 from rubymag.errors import (EmptyTable, NegativeRadicand, TooFewPoints,
                             TooFewSamples, UndersampledTestTone, ZeroKappaTh,
                             ZeroSignal, ZeroSlope, ZeroSpinLinewidth)
-from rubymag.magnetometry import (SensitivityConfig, SweepTrace, ToneSpec,
+from rubymag.magnetometry import (SweepTrace, ToneSpec,
                                   amplitude_spectrum, bias_sweep_trace,
                                   centre_slopes, dispersive_slope,
                                   noise_floor, optimize_grid,
@@ -53,9 +53,6 @@ def test_sweep_trace_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         ToneSpec(amplitude_rms=-1e-9, frequency=TWO_PI * 10)
-    cfg = SensitivityConfig()
-    assert cfg.G_db == 21.0 and cfg.T == 293.0
-    assert cfg.ell_db == -6.0
 
 
 # ---------------------------------------------------------------------------
@@ -217,34 +214,31 @@ def test_sensitivity_homogeneity():
 
 
 def test_thermal_limit_paper_value():
-    eta_th = thermal_limit(SensitivityConfig(), 2994.0)
+    eta_th = thermal_limit(21.0, 293.0, 2994.0)
     assert eta_th == pytest.approx(1.19e-12, rel=0.02)
     assert eta_th == pytest.approx(1.1e-12, rel=0.10)
 
 
 def test_thermal_limit_trivial_cases():
-    assert thermal_limit(SensitivityConfig(T=0.0), 2994.0) == 0.0
-    base = thermal_limit(SensitivityConfig(), 2994.0)
-    assert thermal_limit(SensitivityConfig(), 2 * 2994.0) \
+    assert thermal_limit(21.0, 0.0, 2994.0) == 0.0
+    base = thermal_limit(21.0, 293.0, 2994.0)
+    assert thermal_limit(21.0, 293.0, 2 * 2994.0) \
         == pytest.approx(base / 2.0, rel=1e-12)
     with pytest.raises(ZeroSlope):
-        thermal_limit(SensitivityConfig(), 0.0)
+        thermal_limit(21.0, 293.0, 0.0)
 
 
 def test_phase_noise_budget_paper_values():
-    budget = phase_noise_budget(26e-9, 13e-9, -129.5, SensitivityConfig())
-    assert budget.e_p == pytest.approx(math.sqrt(507) * 1e-9, rel=1e-12)
-    assert budget.e_p == pytest.approx(22e-9, abs=0.6e-9)
-    assert budget.phi_required_dbc == pytest.approx(-140.0, abs=0.5)
-    assert not budget.unbounded
+    e_p, phi_required = phase_noise_budget(26e-9, 13e-9, -129.5, -6.0)
+    assert e_p == pytest.approx(math.sqrt(507) * 1e-9, rel=1e-12)
+    assert e_p == pytest.approx(22e-9, abs=0.6e-9)
+    assert phi_required == pytest.approx(-140.0, abs=0.5)
 
 
 def test_phase_noise_budget_degenerate_and_errors():
-    budget = phase_noise_budget(13e-9, 13e-9, -129.5, SensitivityConfig())
-    assert budget.e_p == 0.0
-    assert budget.unbounded
+    assert phase_noise_budget(13e-9, 13e-9, -129.5, -6.0) == (0.0, None)
     with pytest.raises(NegativeRadicand):
-        phase_noise_budget(10e-9, 13e-9, -129.5, SensitivityConfig())
+        phase_noise_budget(10e-9, 13e-9, -129.5, -6.0)
 
 
 # ---------------------------------------------------------------------------
