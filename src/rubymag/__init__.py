@@ -8,7 +8,7 @@ Modules:
     iqnoise       source-noise propagation through the reflection
     magnetometry  slopes, spectra, sensitivity budgets, simulation
     calibration   test-coil fields and linear calibrations
-    csvio         checked reading of input CSVs, writing of CSV and JSON
+    csvio         checked reading of input CSVs, rendering of CSV and JSON
     config, cli   JSON configuration and command-line interface
 """
 

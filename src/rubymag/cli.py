@@ -9,8 +9,8 @@ name lists the flags.  Exit codes: 0 on success, 2 on bad arguments and
 configuration/validation errors, 1 on runtime errors (any ValueError or
 ArithmeticError a command raises included); errors print one
 machine-parsable line on stderr.  A cmd_* function returns its files, in
-write order, as (name, writer, *args); main() makes run.output_dir only once
-that compute has succeeded, writes each, prints the last path, returns 0.
+write order, as (name, render, *args); main() renders every file before it
+makes run.output_dir, writes each, prints the last path, returns 0.
 run() is the process entry point: it flushes stdout and stderr and ends the
 process without interpreter teardown.
 """
@@ -34,10 +34,10 @@ from .cavity import (NonIdealityParams, cooperativity, dbm_to_watts,
                      gamma_prime, gamma_prime_params,
                      kappa_th_threshold_power, watts_to_dbm)
 from .config import FLAT_KEYS, RunConfig, parse_config
-from .csvio import write_json
+from .csvio import render_json
 from .errors import (ConfigError, ParseError, RubymagError, UnknownKey,
                      ZeroSignal)
-from .spins import energy_level_sweep, write_energy_sweep_csv
+from .spins import energy_level_sweep, render_energy_sweep_csv
 
 _TWO_PI = 2.0 * math.pi
 
@@ -154,7 +154,7 @@ def cmd_eigen(cfg: RunConfig, input_csv) -> list:
                      s["b_max_gauss"] / 2.0, s["b_max_gauss"], s["n_points"])
     energies = energy_level_sweep(cfg.spin_system(),
                                   math.radians(s["theta_deg"]), b_values)
-    return [("energy_levels.csv", write_energy_sweep_csv, b_values, energies)]
+    return [("energy_levels.csv", render_energy_sweep_csv, b_values, energies)]
 
 
 def cmd_crossing_sim(cfg: RunConfig, input_csv) -> list:
@@ -172,7 +172,7 @@ def cmd_crossing_fit(cfg: RunConfig, input_csv) -> list:
     grid = fitting.read_grid_csv(input_csv, cfg.drive().power)
     result = fitting.fit_crossing(grid, cfg.cavity(), cfg.ensemble(),
                                   cfg.nonideal())
-    return [("fit.json", write_json, fitting.fit_result_to_dict(result))]
+    return [("fit.json", render_json, fitting.fit_result_to_dict(result))]
 
 
 def cmd_noise_predict(cfg: RunConfig, input_csv) -> list:
@@ -192,7 +192,7 @@ def cmd_noise_predict(cfg: RunConfig, input_csv) -> list:
                         omega_n=drive.omega_d)
     predicted = iqnoise.predict_noise_psd(amp, phase, phase.offsets, gamma,
                                           p0=n["p0_v2_per_hz"])
-    return [("predicted_noise.csv", iqnoise.write_spectrum_csv, predicted)]
+    return [("predicted_noise.csv", iqnoise.render_spectrum_csv, predicted)]
 
 
 def _sensitivity_budget(cfg: RunConfig) -> tuple[mag.SweepTrace, dict]:
@@ -227,8 +227,8 @@ def _sensitivity_budget(cfg: RunConfig) -> tuple[mag.SweepTrace, dict]:
 
 def cmd_sensitivity(cfg: RunConfig, input_csv) -> list:
     trace, budget = _sensitivity_budget(cfg)
-    return [("sweep.csv", mag.write_sweep_csv, trace),
-            ("sensitivity.json", write_json, budget)]
+    return [("sweep.csv", mag.render_sweep_csv, trace),
+            ("sensitivity.json", render_json, budget)]
 
 
 def cmd_optimize(cfg: RunConfig, input_csv) -> list:
@@ -261,9 +261,9 @@ def cmd_optimize(cfg: RunConfig, input_csv) -> list:
         "best_p_dbm_per_bias": [float(p_values_dbm[k]) for k in arg_p],
         "best_b_gauss_per_power": [float(b_values[k] * 1e4) for k in arg_b],
     }
-    return [("eta_table.csv", mag.write_eta_table_csv, b_values, p_values_dbm,
+    return [("eta_table.csv", mag.render_eta_table_csv, b_values, p_values_dbm,
              eta),
-            ("optimize.json", write_json, summary)]
+            ("optimize.json", render_json, summary)]
 
 
 def cmd_calibrate(cfg: RunConfig, input_csv) -> list:
@@ -280,7 +280,7 @@ def cmd_calibrate(cfg: RunConfig, input_csv) -> list:
         # equal fields leave r^2 undefined, which strict JSON spells null
         summary["r_squared"] = (None if math.isnan(line.r_squared)
                                 else line.r_squared)
-    return [("calibrate.json", write_json, summary)]
+    return [("calibrate.json", render_json, summary)]
 
 
 # the keys of the sensitivity budget that report.json repeats
@@ -308,7 +308,7 @@ def cmd_report(cfg: RunConfig, input_csv) -> list:
     }
     summary.update((key, budget[key]) for key in _REPORT_BUDGET_KEYS
                    if key in budget)
-    return [("report.json", write_json, summary)]
+    return [("report.json", render_json, summary)]
 
 
 _DISPATCH = {
@@ -344,10 +344,11 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             outputs = _DISPATCH[command](cfg, input_csv)
             out = Path(cfg["run"]["output_dir"])
-            out.mkdir(parents=True, exist_ok=True)
-            for name, write, *args in outputs:
-                write(out / name, *args)
-        print(out / outputs[-1][0])
+            files = {out / f: render(out / f, *a) for f, render, *a in outputs}
+        out.mkdir(parents=True, exist_ok=True)
+        for path, text in files.items():
+            path.write_text(text, newline="")
+        print(path)
         return 0
     except ConfigError as exc:
         return _fail(type(exc).__name__, exc, 2)

@@ -1,8 +1,8 @@
-"""Checked reading and writing of the files the commands take and produce.
+"""Checked reading and rendering of the files the commands take and produce.
 
-read_columns reads the numeric input CSVs; write_columns and write_json write
-every CSV and JSON output.  Both writers refuse a non-finite value with
-NonFiniteOutput before they open the file, so a failed write leaves no file.
+read_columns reads the numeric input CSVs; render_columns and render_json
+return the text of every CSV and JSON output and write nothing.  Both refuse
+a non-finite value with NonFiniteOutput naming the file it was meant for.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def read_columns(path, columns: tuple, text: tuple = ()) -> tuple[np.ndarray,
     return table, [dict(zip(header, row)) for row in rows] if text else []
 
 
-def write_columns(path, columns: tuple, table, text: dict | None = None) -> None:
-    """CSV with a header, one line per row of `table`, "\\n" line endings.
+def render_columns(path, columns: tuple, table, text: dict | None = None) -> str:
+    """CSV text with a header, one line per row of `table`, "\\n" endings.
 
     The float columns are written as repr(float), which read_columns reads
     back exactly; `text` maps the names of constant text columns, written
@@ -74,8 +74,7 @@ def write_columns(path, columns: tuple, table, text: dict | None = None) -> None
     tail = _csv_line(["", *text.values()]) if text else ""
     lines = [_csv_line([*columns, *text])]
     lines += [",".join(map(repr, row)) + tail for row in table.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _csv_line(cells: list) -> str:
@@ -85,11 +84,10 @@ def _csv_line(cells: list) -> str:
     return buf.getvalue()
 
 
-def write_json(path, summary: dict) -> None:
+def render_json(path, summary: dict) -> str:
     """Strict JSON: a non-finite value fails the command, not the reader."""
     try:
         text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteOutput(f"{path}: {exc}") from exc
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    return text + "\n"

@@ -35,7 +35,7 @@ import numpy as np
 
 from .cavity import (CavityParams, EnsembleParams, NonIdealityParams,
                      gamma_prime, gamma_prime_jacobian, gamma_prime_params)
-from .csvio import read_columns, write_columns
+from .csvio import read_columns, render_columns
 from .errors import AllZeroBorder, InvalidBounds, ParseError, ZeroRate
 
 _TWO_PI = 2.0 * math.pi
@@ -409,14 +409,14 @@ def relaxation_times(ens: EnsembleParams) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # serialization
 
-def write_grid_csv(path, grid: ComplexGrid2D) -> None:
-    """Row-major in omega_s; columns omega_s_hz, omega_d_hz, re, im."""
+def write_grid_csv(path, grid: ComplexGrid2D) -> str:
+    """CSV text, row-major in omega_s: omega_s_hz, omega_d_hz, re, im."""
     ws, wd = np.meshgrid(grid.spec.omega_s_values / _TWO_PI,
                          grid.spec.omega_d_values / _TWO_PI, indexing="ij")
-    write_columns(path, ("omega_s_hz", "omega_d_hz", "re", "im"),
-                  np.column_stack([ws.ravel(), wd.ravel(),
-                                   grid.values.real.ravel(),
-                                   grid.values.imag.ravel()]))
+    return render_columns(path, ("omega_s_hz", "omega_d_hz", "re", "im"),
+                          np.column_stack([ws.ravel(), wd.ravel(),
+                                           grid.values.real.ravel(),
+                                           grid.values.imag.ravel()]))
 
 
 def read_grid_csv(path, drive_power: float) -> ComplexGrid2D:

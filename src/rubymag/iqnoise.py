@@ -14,7 +14,7 @@ instrument convention); conversion to the two-sided density used in the
 formula above doubles the linear power.  A spectrum already on the offsets f
 (to rtol 1e-9) is used as given, so the phase spectrum's own offsets come
 back exactly; any other is resampled onto them, interpolating dB values
-linearly in log-frequency.
+linearly in log-frequency (a zero density, -inf dB, zeroes its intervals).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import read_columns, write_columns
+from .csvio import read_columns, render_columns
 from .errors import ParseError
 
 DBC_PER_HZ = "dBc_per_Hz"
@@ -60,8 +60,9 @@ class NoiseSpectrum:
     def resampled(self, offsets: np.ndarray) -> "NoiseSpectrum":
         """Log-frequency linear interpolation of the dB representation."""
         offsets = np.asarray(offsets, dtype=float)
-        db = self.density if self.unit == DBC_PER_HZ \
-            else 10.0 * np.log10(self.density)
+        with np.errstate(divide="ignore"):
+            db = self.density if self.unit == DBC_PER_HZ \
+                else 10.0 * np.log10(self.density)
         new_db = np.interp(np.log10(offsets), np.log10(self.offsets), db)
         density = new_db if self.unit == DBC_PER_HZ else 10.0 ** (new_db / 10.0)
         return NoiseSpectrum(offsets=offsets, density=density, unit=self.unit)
@@ -137,11 +138,11 @@ def predict_noise_psd(amp: NoiseSpectrum, phase: NoiseSpectrum, offsets_hz,
                          unit=V2_PER_HZ)
 
 
-def write_spectrum_csv(path, spectrum: NoiseSpectrum) -> None:
+def render_spectrum_csv(path, spectrum: NoiseSpectrum) -> str:
     """Columns offset_hz, value, unit; the layout read_spectrum_csv reads."""
-    write_columns(path, ("offset_hz", "value"),
-                  np.column_stack([spectrum.offsets, spectrum.density]),
-                  {"unit": spectrum.unit})
+    return render_columns(path, ("offset_hz", "value"),
+                          np.column_stack([spectrum.offsets, spectrum.density]),
+                          {"unit": spectrum.unit})
 
 
 def read_spectrum_csv(path) -> NoiseSpectrum:

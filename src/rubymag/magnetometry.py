@@ -17,7 +17,7 @@ from .cavity import (CavityParams, DriveParams, EnsembleParams,
                      NonIdealityParams, db_to_voltage_gain, gamma_prime,
                      gamma_prime_params)
 from .constants import CONST
-from .csvio import write_columns
+from .csvio import render_columns
 from .errors import (EmptyTable, NegativeRadicand, TooFewPoints, TooFewSamples,
                      UndersampledTestTone, ZeroSignal, ZeroSlope)
 from .spins import SpinSystem
@@ -306,17 +306,17 @@ def simulate_timeseries(sys: SpinSystem, cav: CavityParams,
 # ---------------------------------------------------------------------------
 # CSV outputs
 
-def write_sweep_csv(path, trace: SweepTrace) -> None:
-    write_columns(path, ("b_tesla", "absorptive_v", "dispersive_v"),
-                  np.column_stack([trace.axis, trace.absorptive,
-                                   trace.dispersive]))
+def render_sweep_csv(path, trace: SweepTrace) -> str:
+    return render_columns(path, ("b_tesla", "absorptive_v", "dispersive_v"),
+                          np.column_stack([trace.axis, trace.absorptive,
+                                           trace.dispersive]))
 
 
-def write_eta_table_csv(path, b_values: np.ndarray, p_values_dbm: np.ndarray,
-                        eta: np.ndarray) -> None:
+def render_eta_table_csv(path, b_values: np.ndarray,
+                         p_values_dbm: np.ndarray, eta: np.ndarray) -> str:
     """Long-format table: b_gauss, p_dbm, eta_t_per_rthz."""
     b, p = np.meshgrid(np.asarray(b_values, dtype=float) * 1e4,
                        np.asarray(p_values_dbm, dtype=float), indexing="ij")
-    write_columns(path, ("b_gauss", "p_dbm", "eta_t_per_rthz"),
-                  np.column_stack([b.ravel(), p.ravel(),
-                                   np.asarray(eta, dtype=float).ravel()]))
+    return render_columns(path, ("b_gauss", "p_dbm", "eta_t_per_rthz"),
+                          np.column_stack([b.ravel(), p.ravel(),
+                                           np.ravel(eta)]))

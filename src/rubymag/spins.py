@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import CONST
-from .csvio import write_columns
+from .csvio import render_columns
 from .errors import EmptyRange, IndexOutOfRange, NonHermitianInput
 
 _TWO_PI = 2.0 * math.pi
@@ -257,8 +257,8 @@ def energy_level_sweep(sys: SpinSystem, theta: float,
     return np.take_along_axis(energies, np.array(perms), axis=1)
 
 
-def write_energy_sweep_csv(path, b_values: np.ndarray, energies: np.ndarray) -> None:
+def render_energy_sweep_csv(path, b_values: np.ndarray, energies: np.ndarray) -> str:
     """CSV columns B_gauss, E1_Hz..E4_Hz (plain frequencies, not angular)."""
-    write_columns(path, ("B_gauss", "E1_Hz", "E2_Hz", "E3_Hz", "E4_Hz"),
-                  np.column_stack([np.asarray(b_values, dtype=float) * 1e4,
-                                   np.asarray(energies, dtype=float) / _TWO_PI]))
+    return render_columns(path, ("B_gauss", "E1_Hz", "E2_Hz", "E3_Hz", "E4_Hz"),
+                          np.column_stack([np.multiply(b_values, 1e4),
+                                           np.divide(energies, _TWO_PI)]))

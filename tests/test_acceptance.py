@@ -36,7 +36,8 @@ from rubymag.magnetometry import (ToneSpec,
                                   simulate_timeseries, thermal_limit,
                                   tone_rms)
 from rubymag.spins import (FieldVector, SpinSystem, analytic_energies_axial,
-                           build_hamiltonian, eigensolve, transition)
+                           build_hamiltonian, eigensolve, energy_level_sweep,
+                           transition)
 from rubymag.thermal import (MaterialParams, boltzmann_populations,
                              optical_power_equivalent, polarized_spin_count,
                              total_interrogated_spins)
@@ -308,3 +309,47 @@ def test_off_axis_mixing_allows_the_line_forbidden_on_axis():
         strengths.append(steep[0])
     assert strengths[0] < 1e-12, strengths
     assert np.all(np.diff(strengths) > 0), strengths
+
+
+def test_off_axis_mixing_makes_the_response_non_linear_in_field():
+    """PAPER.md's second orientation claim, second half: off tilt, the
+    response is non-linear in field, with a local extremum near the desired
+    transition.
+
+    Levels are tracked across 0.5-3000 G (6000 points) by energy_level_sweep.
+    An extremum is an interior point where a pair's transition frequency
+    turns, within 1 GHz of the 11.4 GHz drive.  On axis and at small tilts
+    every line is monotone there.  At 60 degrees levels (0, 2) have a minimum
+    at 272.5 G and 11.432 GHz, with drive strength |<i|S_x|j>|^2 = 0.52, and
+    stay within 5 MHz of it from 200 to 350 G.
+    """
+    b_values = np.linspace(0.5e-4, 3000e-4, 6000)
+    target = TWO_PI * 11.4e9
+
+    def extrema(theta_deg):
+        theta = math.radians(theta_deg)
+        levels = energy_level_sweep(SYS, theta, b_values)
+        found = []
+        for i, j in itertools.combinations(range(4), 2):
+            freq = np.abs(levels[:, j] - levels[:, i])
+            step = np.sign(np.diff(freq))
+            for k in np.flatnonzero(step[:-1] != step[1:]) + 1:
+                if abs(freq[k] - target) < TWO_PI * 1e9:
+                    sol = eigensolve(build_hamiltonian(
+                        SYS, FieldVector(b_values[k], theta)))
+                    # the sorted levels that the tracked i and j are at b_k
+                    si, sj = (int(np.argmin(np.abs(sol.energies - e)))
+                              for e in levels[k, [i, j]])
+                    found.append(((i, j), k, freq, transition(sol, si, sj)[1]))
+        return found
+
+    for theta_deg in (0.0, 5.0, 10.0, 20.0):
+        assert extrema(theta_deg) == [], theta_deg
+    [(pair, k, freq, strength)] = extrema(60.0)
+    assert pair == (0, 2)
+    assert freq[k - 1] > freq[k] < freq[k + 1]
+    assert b_values[k] == pytest.approx(272.5e-4, abs=1e-4)
+    assert freq[k] / TWO_PI == pytest.approx(11.432e9, abs=1e6)
+    assert strength > 0.1
+    window = freq[(b_values >= 200e-4) & (b_values <= 350e-4)] / TWO_PI
+    assert window.max() - window.min() < 5e6

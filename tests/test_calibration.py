@@ -7,7 +7,7 @@ from rubymag.calibration import (CoilGeometry, linear_calibration,
                                  read_calibration_csv, solenoid_axial_field)
 from rubymag.calibration import test_field_from_slope as field_from_slope
 from rubymag.constants import CONST
-from rubymag.csvio import write_columns
+from rubymag.csvio import render_columns
 from rubymag.errors import (DegenerateAbscissa, ParseError, TooFewPoints,
                             ZeroSlope)
 
@@ -132,8 +132,8 @@ def test_calibration_csv_round_trip(tmp_path):
     currents = np.array([1e-3, 2e-3, 5e-3])
     fields = np.array([32e-9, 64e-9, 160e-9])
     path = tmp_path / "cal.csv"
-    write_columns(path, ("current_a", "field_t"),
-                  np.column_stack([currents, fields]))
+    path.write_text(render_columns(path, ("current_a", "field_t"),
+                                   np.column_stack([currents, fields])))
     i_back, b_back = read_calibration_csv(path)
     assert np.allclose(i_back, currents, rtol=0)
     assert np.allclose(b_back, fields, rtol=0)
@@ -148,8 +148,8 @@ def test_calibration_csv_that_cannot_be_fitted(tmp_path, rows, words):
     """A file linear_calibration cannot fit is refused as the file it is;
     linear_calibration keeps its own errors for arrays."""
     path = tmp_path / "cal.csv"
-    write_columns(path, ("current_a", "field_t"),
-                  np.reshape(rows, (-1, 2)))
+    path.write_text(render_columns(path, ("current_a", "field_t"),
+                                   np.reshape(rows, (-1, 2))))
     with pytest.raises(ParseError, match=words) as err:
         read_calibration_csv(path)
     assert str(path) in str(err.value)

@@ -1,7 +1,7 @@
 """Fuzz the command line: whatever the command, argv, config file or input
 CSV (a calibration table, a crossing grid, a noise spectrum), main() exits
 0, 1 or 2, prints at most one stderr line (an ERROR line when it fails) and
-writes only strict JSON and finite CSV."""
+writes only strict JSON and finite CSV, and nothing at all when it fails."""
 
 import contextlib
 import io
@@ -229,6 +229,8 @@ def test_front_door_fuzz(command, sizes, tokens, config, data):
         else:
             assert err == [], (argv, err)
         written = sorted(out.rglob("*")) if out.is_dir() else []
+        if code:
+            assert written == [], (argv, written)
         for path in written:
             _check_output(path)
         printed = stdout.getvalue().splitlines()

@@ -822,6 +822,30 @@ def test_noise_predict_uses_bundled_spectra(tmp_path):
         == [line.split(",")[0] for line in given]
 
 
+def test_noise_predict_zero_amplitude_density(tmp_path):
+    """A zero V2_per_Hz density off the phase offsets resamples to 0 on
+    each interval it bounds: the result equals that of a spectrum already
+    on the phase offsets (100, 200, 500, ... Hz) with those zeros."""
+    data = importlib.resources.files("rubymag") / "data"
+    offsets = [line.split(",")[0] for line in
+               (data / "phase_noise.csv").read_text().splitlines()[1:]]
+    given = {"sparse": ["100,0", "300,1e-12"],
+             "on_grid": ["100,0", "200,0"] + [f"{f},1e-12" for f in offsets[2:]]}
+    got = {}
+    for name, rows in given.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("offset_hz,value,unit\n"
+                        + "".join(f"{row},V2_per_Hz\n" for row in rows))
+        assert run_cli("noise-predict", "--output-dir", str(tmp_path / name),
+                       "--amplitude-noise-csv", str(path)) == 0
+        lines = (tmp_path / name / "predicted_noise.csv").read_text()
+        got[name] = [float(line.split(",")[1])
+                     for line in lines.splitlines()[1:]]
+    assert len(got["sparse"]) == len(offsets)
+    assert np.all(np.isfinite(got["sparse"]))
+    assert np.allclose(got["sparse"], got["on_grid"], rtol=1e-12, atol=0.0)
+
+
 def test_sensitivity_outputs(tmp_path):
     assert run_cli("sensitivity", "--output-dir", str(tmp_path)) == 0
     summary = json.loads((tmp_path / "sensitivity.json").read_text())
@@ -993,7 +1017,7 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, source):
 def test_non_finite_result_fails_command(tmp_path, capsys, monkeypatch):
     """A zero slope fails optimize as ZeroSignal, as it fails sensitivity
     and report; a non-finite result, an overflowed phase-noise requirement
-    included, fails the command before its file is written."""
+    included, fails the command before any of its files is written."""
     out = tmp_path / "optimize"
     assert run_cli("optimize", "--output-dir", str(out), "--n-spins", "0") == 1
     err = capsys.readouterr().err.splitlines()
@@ -1017,7 +1041,7 @@ def test_non_finite_result_fails_command(tmp_path, capsys, monkeypatch):
         assert len(err) == 1, err
         assert err[0].startswith("ERROR NonFiniteOutput: ")
         assert f"{command}.json" in err[0]
-        assert not (out / f"{command}.json").exists()
+        assert not out.exists()
 
 
 def test_crossing_fit_ragged_csv_exits_two(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rubymag.cli import main
-from rubymag.csvio import read_columns, write_columns
+from rubymag.csvio import read_columns, render_columns
 from rubymag.errors import NonFiniteOutput
 
 
@@ -16,7 +16,8 @@ def test_write_columns_round_trip_and_non_finite(tmp_path):
                              rng.standard_normal(50) * 1e12])
     table[0] = [math.pi, -0.0]
     path = tmp_path / "table.csv"
-    write_columns(path, ("a_v", "b_hz"), table, {"unit": "V2_per_Hz"})
+    path.write_text(render_columns(path, ("a_v", "b_hz"), table,
+                                   {"unit": "V2_per_Hz"}))
     back, rows = read_columns(path, ("a_v", "b_hz"), ("unit",))
     assert np.array_equal(back, table)
     assert {row["unit"] for row in rows} == {"V2_per_Hz"}
@@ -25,14 +26,15 @@ def test_write_columns_round_trip_and_non_finite(tmp_path):
         broken = table.copy()
         broken[3, 1] = bad
         path = tmp_path / f"broken_{bad}.csv"
-        with pytest.raises(NonFiniteOutput, match="line 5"):
-            write_columns(path, ("a_v", "b_hz"), broken)
+        with pytest.raises(NonFiniteOutput, match="line 5") as err:
+            render_columns(path, ("a_v", "b_hz"), broken)
+        assert str(err.value).startswith(f"{path}: ")
         assert not path.exists()
 
 
 def test_command_csvs_read_back_exactly(tmp_path):
     """Every CSV a command writes reads back through read_columns, and
-    writing the table read back reproduces the file byte for byte."""
+    rendering the table read back reproduces the file byte for byte."""
     for command in ("eigen", "crossing-sim", "noise-predict", "sensitivity",
                     "optimize"):
         assert main([command, "--output-dir", str(tmp_path / "out")]) == 0
@@ -46,9 +48,9 @@ def test_command_csvs_read_back_exactly(tmp_path):
         text = tuple(c for c in header if c == "unit")
         table, rows = read_columns(path, numeric, text)
         assert table.shape[0] > 1
-        copy = tmp_path / path.name
-        write_columns(copy, numeric, table, {c: rows[0][c] for c in text})
-        assert copy.read_bytes() == path.read_bytes(), path.name
+        rendered = render_columns(path, numeric, table,
+                                  {c: rows[0][c] for c in text})
+        assert rendered.encode() == path.read_bytes(), path.name
 
 
 @pytest.mark.parametrize("text", [None, {"unit": "dBc_per_Hz"},
@@ -59,11 +61,11 @@ def test_write_columns_matches_csv_writer(tmp_path, text, n_rows):
     rng = np.random.default_rng(n_rows)
     table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(
         -300, 300, (n_rows, 3))
-    path = tmp_path / "t.csv"
-    write_columns(path, ("x", "y,z", "w"), table, text)
+    rendered = render_columns(tmp_path / "t.csv", ("x", "y,z", "w"), table,
+                              text)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     tail = list((text or {}).values())
     writer.writerow(["x", "y,z", "w", *(text or {})])
     writer.writerows([repr(v) for v in row] + tail for row in table.tolist())
-    assert path.read_text() == buf.getvalue()
+    assert rendered == buf.getvalue()

@@ -11,7 +11,7 @@ from rubymag.cavity import (CavityParams, EnsembleParams, NonIdealityParams,
                             single_spin_coupling, watts_to_dbm)
 from rubymag import fitting
 from rubymag.constants import CONST
-from rubymag.csvio import write_json
+from rubymag.csvio import render_json
 from rubymag.errors import (AllZeroBorder, InvalidBounds, NonFiniteOutput,
                             ParseError, ZeroKappaTh, ZeroRate)
 from rubymag.fitting import (PARAM_NAMES, ComplexGrid2D, FitResult,
@@ -556,7 +556,7 @@ def test_grid_csv_round_trip(tmp_path):
     spec = wide_spec(6, 5)
     grid = simulate_crossing(CAV, ENS, NI, spec, 0.01, seed=3)
     path = tmp_path / "grid.csv"
-    write_grid_csv(path, grid)
+    path.write_text(write_grid_csv(path, grid))
     back = read_grid_csv(path, drive_power=spec.drive_power)
     assert np.allclose(back.spec.omega_s_values, spec.omega_s_values)
     assert np.allclose(back.spec.omega_d_values, spec.omega_d_values)
@@ -571,7 +571,7 @@ def test_fit_json_units_in_keys(tmp_path):
     assert d["kappa_s_rad_per_s"] == pytest.approx(ENS.kappa_s)
     assert d["kappa_c_rad_per_s"] == pytest.approx(CAV.kappa_c)
     path = tmp_path / "fit.json"
-    write_json(path, d)
+    path.write_text(render_json(path, d))
     loaded = json.loads(path.read_text())
     assert loaded["g_eff_rad_per_s"] == pytest.approx(ENS.g_eff)
     assert loaded["delay_s"] == pytest.approx(NI.tau)
@@ -581,7 +581,7 @@ def test_grid_csv_rows_in_any_order(tmp_path):
     spec = wide_spec(6, 5)
     grid = simulate_crossing(CAV, ENS, NI, spec, 0.01, seed=3)
     path = tmp_path / "grid.csv"
-    write_grid_csv(path, grid)
+    path.write_text(write_grid_csv(path, grid))
     header, *rows = path.read_text().splitlines()
     rows.sort(key=lambda line: -float(line.split(",")[1]))
     path.write_text("\n".join([header] + rows) + "\n")
@@ -609,8 +609,9 @@ def test_grid_csv_rows_in_any_order(tmp_path):
 def test_grid_csv_malformed_rejected(tmp_path, edit, message):
     spec = wide_spec(4, 3)
     path = tmp_path / "grid.csv"
-    write_grid_csv(path, simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=0))
-    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    text = write_grid_csv(path, simulate_crossing(CAV, ENS, NI, spec, 0.0,
+                                                  seed=0))
+    path.write_text("\n".join(edit(text.splitlines())) + "\n")
     with pytest.raises(ParseError, match=message):
         read_grid_csv(path, drive_power=spec.drive_power)
 
@@ -619,12 +620,10 @@ def test_fit_json_is_strict(tmp_path):
     spec = wide_spec(5, 5)
     init = FitResult(*guess_from(CAV, ENS, NI, spec), objective_value=math.inf,
                      iterations=0, converged=False)
-    write_json(tmp_path / "fit.json", fit_result_to_dict(init))
-    text = (tmp_path / "fit.json").read_text()
+    text = render_json(tmp_path / "fit.json", fit_result_to_dict(init))
     assert json.loads(text, parse_constant=pytest.fail)["objective_value"] \
         is None
     broken = replace(init, nonideal=replace(init.nonideal, psi=math.nan))
-    with pytest.raises(NonFiniteOutput):
-        write_json(tmp_path / "broken.json", fit_result_to_dict(broken))
-    assert not (tmp_path / "broken.json").exists()
+    with pytest.raises(NonFiniteOutput, match="broken.json"):
+        render_json(tmp_path / "broken.json", fit_result_to_dict(broken))
 

@@ -10,7 +10,7 @@ from rubymag.cavity import CavityParams, DriveParams, EnsembleParams, reflection
 from rubymag.iqnoise import (DBC_PER_HZ, V2_PER_HZ, NoiseSpectrum,
                              decompose_gamma,
                              noise_contribution_split, predict_noise_psd,
-                             read_spectrum_csv, write_spectrum_csv)
+                             read_spectrum_csv, render_spectrum_csv)
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,6 +65,19 @@ def test_resample_log_frequency_interpolation():
     mid = spec.resampled(np.array([1e3]))
     # geometric midpoint in log-f -> arithmetic midpoint in dB
     assert mid.density[0] == pytest.approx(-110.0, abs=1e-9)
+
+
+def test_resample_zero_density_is_minus_infinite_db():
+    """A zero V2_per_Hz density is -inf dB: it stays 0 at its own offset and
+    makes every interval it bounds 0, while the other nodes keep their
+    values, even where numpy raises on a division by zero."""
+    spec = NoiseSpectrum(offsets=[1e2, 3e2, 1e3], density=[1e-12, 0.0, 4e-12],
+                         unit=V2_PER_HZ)
+    with np.errstate(divide="raise", invalid="raise"):
+        got = spec.resampled(np.array([50.0, 1e2, 2e2, 3e2, 5e2, 1e3, 2e3]))
+    assert np.all(got.density[2:5] == 0.0)
+    assert np.allclose(got.density[[0, 1, 5, 6]], [1e-12, 1e-12, 4e-12, 4e-12],
+                       rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +221,7 @@ def test_spectrum_csv_round_trip(tmp_path):
                          density=np.array([-102.3, -119.7, -135.2]),
                          unit=DBC_PER_HZ)
     path = tmp_path / "spec.csv"
-    write_spectrum_csv(path, spec)
+    path.write_text(render_spectrum_csv(path, spec))
     back = read_spectrum_csv(path)
     assert back.unit == DBC_PER_HZ
     assert np.allclose(back.offsets, spec.offsets, rtol=0)

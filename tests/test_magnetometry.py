@@ -15,10 +15,10 @@ from rubymag.magnetometry import (SweepTrace, ToneSpec,
                                   amplitude_spectrum, bias_sweep_trace,
                                   centre_slopes, dispersive_slope,
                                   noise_floor, optimize_grid,
-                                  phase_noise_budget, sensitivity,
+                                  phase_noise_budget, render_eta_table_csv,
+                                  render_sweep_csv, sensitivity,
                                   simulate_timeseries, spin_frequency_vs_field,
-                                  thermal_limit, tone_rms, write_eta_table_csv,
-                                  write_sweep_csv)
+                                  thermal_limit, tone_rms)
 from rubymag.spins import (FieldVector, SpinSystem, build_hamiltonian,
                            eigensolve)
 
@@ -451,7 +451,7 @@ def test_sweep_csv(tmp_path):
     trace = SweepTrace(axis=[1e-3, 2e-3, 3e-3], absorptive=[0.1, 0.2, 0.3],
                        dispersive=[-0.1, 0.0, 0.1])
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, trace)
+    path.write_text(render_sweep_csv(path, trace))
     lines = path.read_text().splitlines()
     assert lines[0] == "b_tesla,absorptive_v,dispersive_v"
     assert [float(x) for x in lines[2].split(",")] == [2e-3, 0.2, 0.0]
@@ -459,8 +459,9 @@ def test_sweep_csv(tmp_path):
 
 def test_eta_table_csv(tmp_path):
     path = tmp_path / "eta.csv"
-    write_eta_table_csv(path, np.array([31e-4]), np.array([11.0]),
-                        np.array([[9.7e-12]]))
+    path.write_text(render_eta_table_csv(path, np.array([31e-4]),
+                                         np.array([11.0]),
+                                         np.array([[9.7e-12]])))
     lines = path.read_text().splitlines()
     assert lines[0] == "b_gauss,p_dbm,eta_t_per_rthz"
     row = lines[1].split(",")

@@ -10,8 +10,8 @@ from rubymag.errors import EmptyRange, IndexOutOfRange, NonHermitianInput
 from rubymag.spins import (EigenSolution, FieldVector, SpinSystem,
                            _fix_degenerate_subspaces,
                            analytic_energies_axial, build_hamiltonian,
-                           eigensolve, energy_level_sweep, spin_matrices,
-                           transition, write_energy_sweep_csv)
+                           eigensolve, energy_level_sweep,
+                           render_energy_sweep_csv, spin_matrices, transition)
 
 TWO_PI = 2.0 * math.pi
 SYS = SpinSystem()
@@ -309,7 +309,7 @@ def test_energy_sweep_csv_round_trip(tmp_path):
     b_values = np.linspace(0.0, 0.2, 11)
     energies = energy_level_sweep(SYS, 0.0, b_values)
     path = tmp_path / "levels.csv"
-    write_energy_sweep_csv(path, b_values, energies)
+    path.write_text(render_energy_sweep_csv(path, b_values, energies))
     lines = path.read_text().splitlines()
     assert lines[0] == "B_gauss,E1_Hz,E2_Hz,E3_Hz,E4_Hz"
     assert len(lines) == 12
