@@ -204,7 +204,7 @@ def _sensitivity_budget(cfg: RunConfig) -> tuple[mag.SweepTrace, dict]:
     trace = mag.bias_sweep_trace(cfg.spin_system(), cfg.cavity(),
                                  cfg.ensemble(), cfg.nonideal(), cfg.drive(),
                                  b_values, chain_gain_db=s["chain_gain_db"])
-    _, m_max = mag.dispersive_slope(trace)
+    _, m_max = mag.dispersive_slope(trace.axis, trace.dispersive)
     e_n = s["noise_floor_nv_per_rthz"]
     b_test = s["test_amplitude_nt"]
     v_m = m_max * b_test
@@ -235,7 +235,7 @@ def cmd_optimize(cfg: RunConfig, input_csv) -> list:
     s = cfg["sweep"]
     keys = "sweep.bias_b_gauss, sweep.b_span_gauss"
     b_values = _axis(keys, s["bias_b_gauss"], s["b_span_gauss"], 9)
-    # the 21-point sweep around each bias whose centre slope is read
+    # a 21-point sweep around each bias, at each power, read at its centre
     axes = _axis(keys, b_values, s["b_span_gauss"] / 4.0, 21)
     e_n_ref = s["noise_floor_nv_per_rthz"]
     sys_, cav, ens, ni, drive_ref = (cfg.spin_system(), cfg.cavity(),
@@ -244,13 +244,13 @@ def cmd_optimize(cfg: RunConfig, input_csv) -> list:
     p_ref = drive_ref.power
     p_values_dbm = np.linspace(watts_to_dbm(p_ref) - 6.0,
                                watts_to_dbm(p_ref) + 6.0, 9)
-    drives = [replace(drive_ref, power=dbm_to_watts(float(p_dbm)))
-              for p_dbm in p_values_dbm]
-    slopes = mag.centre_slopes(sys_, cav, ens, ni, drives, axes,
-                               s["chain_gain_db"])
+    powers = np.array([dbm_to_watts(float(p_dbm)) for p_dbm in p_values_dbm])
+    v = np.stack([mag.bias_sweep_trace(
+        sys_, cav, ens, ni, replace(drive_ref, power=power), axes,
+        s["chain_gain_db"]).dispersive for power in powers], axis=1)
+    slopes = np.abs(mag.dispersive_slope(axes[:, None], v)[0][..., 10])
     if np.any(slopes <= 0):
         raise ZeroSignal("the dispersive slope is 0 at some bias and power")
-    powers = np.array([drive.power for drive in drives])
     eta = e_n_ref * np.sqrt(powers / p_ref) / slopes
     eta_mag, eta_mw, arg_p, arg_b = mag.optimize_grid(eta)
     summary = {

@@ -210,10 +210,10 @@ _TYPES = {_integer: ("an integer", (int, float)), str: ("a string", str)}
 
 def _convert_block(block_name: str, raw: dict) -> dict:
     schema = _SCHEMA[block_name]
-    stems = {_strip_unit(key): key for key in schema}
     out = {}
     for key, value in raw.items():
         if key not in schema:
+            stems = {_strip_unit(known): known for known in schema}
             stem = _strip_unit(key)
             if stem in stems:
                 raise UnitMismatch(

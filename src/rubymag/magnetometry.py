@@ -64,61 +64,37 @@ class ToneSpec:
             raise ValueError("test field amplitude and frequency must be >= 0")
 
 
-def dispersive_slope(trace: SweepTrace) -> tuple[np.ndarray, float]:
+def dispersive_slope(axis, dispersive) -> tuple[np.ndarray, float]:
     """Per-point slope of the dispersive channel and its maximum magnitude.
 
-    The slope comes from a local quadratic least-squares fit over a centered
-    five-point window (clamped at the edges); M_max = max |slope| in V/T
-    when the axis is magnetic field.  All windows are solved at once: each
-    window's offsets are scaled to [-1, 1] so its Vandermonde matrix stays
-    well conditioned.
+    The last axis is the sweep; leading axes stack sweeps, and axis
+    broadcasts against dispersive.  Each slope is that of a quadratic
+    least-squares fit over a centered five-point window (clamped at the
+    edges), in closed form: with the window's offsets x scaled to [-1, 1],
+    p = x - mean(x), a = sum p^3 / sum p^2 and q = p^2 - a p - sum p^2 / 5
+    are orthogonal to 1 and each other, so the slope is (sum y p / sum p^2
+    + sum y q / sum q^2 * (-2 mean(x) - a)) / scale: weights of y that the
+    axis alone sets.  M_max = max |slope|, in V/T when the axis is field.
     """
-    n = trace.axis.size
+    axis = np.asarray(axis, dtype=float)
+    dispersive = np.asarray(dispersive, dtype=float)
+    _check_monotone(axis)
+    n = dispersive.shape[-1]
     if n < 5:
         raise TooFewPoints("need at least five sweep points")
-    lo = np.clip(np.arange(n) - 2, 0, n - 5)
-    idx = lo[:, None] + np.arange(5)
-    fits = _window_fits(trace.axis[idx] - trace.axis[:, None])
-    slopes = _window_slopes(fits, trace.dispersive[idx])
+    idx = np.clip(np.arange(n) - 2, 0, n - 5)[:, None] + np.arange(5)
+    x = axis[..., idx] - axis[..., None]
+    scale = np.abs(x).max(axis=-1, keepdims=True)
+    x = x / scale
+    mean = x.mean(axis=-1, keepdims=True)
+    p = x - mean
+    s2 = (p * p).sum(axis=-1, keepdims=True)
+    a = (p * p * p).sum(axis=-1, keepdims=True) / s2
+    q = p * p - a * p - s2 / 5.0
+    weights = (p / s2 + q * (-2.0 * mean - a)
+               / (q * q).sum(axis=-1, keepdims=True)) / scale
+    slopes = (weights * dispersive[..., idx]).sum(axis=-1)
     return slopes, float(np.max(np.abs(slopes)))
-
-
-def _window_fits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The quadratic least-squares fits over windows of offsets x, shape
-    (n, 5): the pseudo-inverses of their Vandermonde matrices, each window's
-    offsets scaled to [-1, 1], and the scales."""
-    scale = np.abs(x).max(axis=1, keepdims=True)
-    u = x / scale
-    vander = np.stack([np.ones_like(u), u, u * u], axis=-1)
-    return np.linalg.pinv(vander), scale[:, 0]
-
-
-def _window_slopes(fits: tuple, values: np.ndarray) -> np.ndarray:
-    """The slope at offset 0 of each window's fit to values, shape (n, 5)."""
-    pinv, scale = fits
-    return (pinv @ values[..., None])[:, 1, 0] / scale
-
-
-def centre_slopes(sys: SpinSystem, cav: CavityParams, ens: EnsembleParams,
-                  ni: NonIdealityParams, drives: list, axes: np.ndarray,
-                  chain_gain_db: float) -> np.ndarray:
-    """|dispersive slope| at the centre of the 21-point bias sweep along each
-    row of axes, shape (rows, 21), for each drive (columns).
-
-    Each entry equals abs(dispersive_slope(bias_sweep_trace(..., drive,
-    axes[i]))[0][10]).  The centre slope reads only the sweep's five centre
-    points, so only those are evaluated: the window fits are solved once and
-    Gamma' is evaluated once per drive.
-    """
-    _check_monotone(axes)
-    windows = axes[:, 8:13]
-    fits = _window_fits(windows - axes[:, 10:11])
-    omega_s = spin_frequency_vs_field(sys, windows)
-    slopes = np.empty((axes.shape[0], len(drives)))
-    for j, drive in enumerate(drives):
-        v = _demodulated_voltages(cav, ens, ni, drive, omega_s, chain_gain_db)
-        slopes[:, j] = _window_slopes(fits, np.ascontiguousarray(v.imag))
-    return np.abs(slopes)
 
 
 def amplitude_spectrum(samples, fs: float) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +231,8 @@ def bias_sweep_trace(sys: SpinSystem, cav: CavityParams, ens: EnsembleParams,
                      ni: NonIdealityParams, drive: DriveParams,
                      b_values: np.ndarray,
                      chain_gain_db: float = 21.0) -> SweepTrace:
-    """Absorptive/dispersive voltages as the bias field sweeps the spin line."""
+    """Absorptive/dispersive voltages as the bias field sweeps the spin line;
+    rows of b_values stack sweeps (SweepTrace checks each row's order)."""
     b_values = np.asarray(b_values, dtype=float)
     omega_s = spin_frequency_vs_field(sys, b_values)
     v = _demodulated_voltages(cav, ens, ni, drive, omega_s, chain_gain_db)

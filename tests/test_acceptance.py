@@ -220,7 +220,7 @@ def test_criterion_15_end_to_end_consistency():
 
     b = np.linspace(b_center - 5e-5, b_center + 5e-5, 101)
     trace = bias_sweep_trace(SYS, CAV, ENS, ni, drive, b)
-    slopes, _ = dispersive_slope(trace)
+    slopes, _ = dispersive_slope(trace.axis, trace.dispersive)
     m_here = abs(slopes[50])
 
     ts = simulate_timeseries(SYS, CAV, ENS, ni, drive, b_center, spec, 21.0,

@@ -620,6 +620,21 @@ def test_process_exit_codes_and_outputs(tmp_path):
     assert len(err) == 1 and err[0].startswith("ERROR IOError: "), err
 
 
+def test_unwritable_output_dir_fails_in_process(tmp_path, capsys):
+    """An output directory that is a file, or lies under one, is one ERROR
+    IOError line and exit 1 from main(), and the file is left untouched."""
+    blocked = tmp_path / "file"
+    blocked.write_text("kept\n")
+    for out, errno in ((blocked, "[Errno 17] File exists"),
+                       (blocked / "sub", "[Errno 20] Not a directory")):
+        assert run_cli("report", "--output-dir", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ERROR IOError: {errno}")
+        assert blocked.read_text() == "kept\n"
+
+
 def test_closed_stdout_prints_one_error_line():
     """rubymag --help | head -1: the usage cannot be flushed into a closed
     pipe, which is one ERROR IOError line and exit 1, not a traceback."""

@@ -1,5 +1,8 @@
+import importlib.util
 import math
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +10,15 @@ import pytest
 from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
                             NonIdealityParams, dbm_to_watts,
                             single_spin_coupling)
+from rubymag.cli import _sensitivity_budget
+from rubymag.config import parse_config
 from rubymag.constants import CONST
 from rubymag.errors import (EmptyTable, NegativeRadicand, TooFewPoints,
                             TooFewSamples, UndersampledTestTone, ZeroKappaTh,
                             ZeroSignal, ZeroSlope, ZeroSpinLinewidth)
 from rubymag.magnetometry import (SweepTrace, ToneSpec,
                                   amplitude_spectrum, bias_sweep_trace,
-                                  centre_slopes, dispersive_slope,
+                                  dispersive_slope,
                                   noise_floor, optimize_grid,
                                   phase_noise_budget, render_eta_table_csv,
                                   render_sweep_csv, sensitivity,
@@ -63,7 +68,7 @@ def test_slope_flat_trace_zero():
     x = np.linspace(0.0, 1e-3, 21)
     trace = SweepTrace(axis=x, absorptive=np.zeros(21),
                        dispersive=np.full(21, 0.7))
-    slopes, m_max = dispersive_slope(trace)
+    slopes, m_max = dispersive_slope(trace.axis, trace.dispersive)
     assert np.allclose(slopes, 0.0, atol=1e-9)
     assert m_max == pytest.approx(0.0, abs=1e-9)
 
@@ -72,7 +77,7 @@ def test_slope_exact_line():
     x = np.linspace(0.0, 1e-3, 21)
     a = 2994.0
     trace = SweepTrace(axis=x, absorptive=np.zeros(21), dispersive=a * x)
-    slopes, m_max = dispersive_slope(trace)
+    slopes, m_max = dispersive_slope(trace.axis, trace.dispersive)
     assert np.allclose(slopes, a, rtol=1e-9)
     assert m_max == pytest.approx(a, rel=1e-9)
 
@@ -80,7 +85,7 @@ def test_slope_exact_line():
 def test_slope_quadratic_trace():
     x = np.linspace(-1.0, 1.0, 41)
     trace = SweepTrace(axis=x, absorptive=np.zeros(41), dispersive=x ** 2)
-    slopes, m_max = dispersive_slope(trace)
+    slopes, m_max = dispersive_slope(trace.axis, trace.dispersive)
     interior = slice(2, -2)
     assert np.allclose(slopes[interior], 2 * x[interior], atol=1e-9)
     assert m_max == pytest.approx(2.0, rel=1e-6)
@@ -110,7 +115,7 @@ def test_slope_matches_polyfit_windows(n, kind):
             x = x[::-1].copy()
     y = np.sin(2e4 * x) * 1e-2 + 1e-4 * rng.standard_normal(n)
     trace = SweepTrace(axis=x, absorptive=np.zeros(n), dispersive=y)
-    slopes, m_max = dispersive_slope(trace)
+    slopes, m_max = dispersive_slope(trace.axis, trace.dispersive)
     want = polyfit_slopes(x, y)
     scale = np.max(np.abs(want))
     assert np.allclose(slopes, want, rtol=0.0, atol=1e-10 * scale)
@@ -119,8 +124,7 @@ def test_slope_matches_polyfit_windows(n, kind):
 
 def test_slope_too_few_points():
     with pytest.raises(TooFewPoints):
-        dispersive_slope(SweepTrace(axis=[0, 1, 2, 3], absorptive=[0] * 4,
-                                    dispersive=[0] * 4))
+        dispersive_slope([0, 1, 2, 3], [0] * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +321,7 @@ def test_bias_sweep_dispersive_zero_crossing_and_slope():
     # dispersive channel crosses zero near line center
     center = trace.dispersive[90:111]
     assert center.min() < 0.0 < center.max()
-    _, m_max = dispersive_slope(trace)
+    _, m_max = dispersive_slope(trace.axis, trace.dispersive)
     assert 500.0 < m_max < 10000.0
 
 
@@ -329,9 +333,9 @@ def test_bias_sweep_rejects_zero_spin_rates():
         bias_sweep_trace(SYS, CAV, replace(ENS, kappa_th=0.0), NI, DRIVE, b)
 
 
-def test_centre_slopes_equal_full_sweeps():
-    """Each entry is bit for bit the centre slope of the full 21-point
-    sweep, with non-idealities, across drive powers and bias spans."""
+def test_stacked_sweeps_equal_single_sweeps():
+    """Stacked sweeps, with non-idealities, across drive powers and bias
+    spans, give each row's own slopes bit for bit."""
     ni = NonIdealityParams(o_r=-0.004, o_i=0.06, A=0.002, b=5e-10, psi=0.1,
                            tau=-8e-9, omega_s_off=-3e6, omega_d_off=-2e5)
     drives = [replace(DRIVE, power=dbm_to_watts(p)) for p in (-3.0, 5.0, 17.0)]
@@ -339,24 +343,62 @@ def test_centre_slopes_equal_full_sweeps():
         b_centres = B_CENTER + np.linspace(-4e-4, 4e-4, 5)
         axes = np.array([np.linspace(b0 - half_width, b0 + half_width, 21)
                          for b0 in b_centres])
-        got = centre_slopes(SYS, CAV, ENS, ni, drives, axes, 21.0)
+        v = np.stack([bias_sweep_trace(SYS, CAV, ENS, ni, drive, axes,
+                                       chain_gain_db=21.0).dispersive
+                      for drive in drives], axis=1)
+        got, m_max = dispersive_slope(axes[:, None], v)
+        assert got.shape == (5, 3, 21)
+        assert m_max == np.max(np.abs(got))
         for j, drive in enumerate(drives):
             for i, axis in enumerate(axes):
-                slopes, _ = dispersive_slope(bias_sweep_trace(
-                    SYS, CAV, ENS, ni, drive, axis, chain_gain_db=21.0))
-                assert got[i, j] == abs(slopes[10]), (half_width, i, j)
+                trace = bias_sweep_trace(SYS, CAV, ENS, ni, drive, axis,
+                                         chain_gain_db=21.0)
+                slopes, _ = dispersive_slope(trace.axis, trace.dispersive)
+                assert np.array_equal(got[i, j], slopes), (half_width, i, j)
 
 
-def test_centre_slopes_check_axes_and_drive():
-    """A sweep too narrow to resolve at its bias is refused as a sweep
-    trace refuses it, and each drive is checked."""
+def test_stacked_sweeps_check_axes_and_drive():
+    """A stacked axis too narrow to resolve at its bias is refused as a
+    sweep trace refuses it, and a stacked sweep checks its drive."""
+    axes = np.linspace(1e3 - 1e-15, 1e3 + 1e-15, 21)[None]
     with pytest.raises(ValueError, match="monotone"):
-        centre_slopes(SYS, CAV, ENS, NI, [DRIVE],
-                      np.linspace(1e3 - 1e-15, 1e3 + 1e-15, 21)[None], 21.0)
+        dispersive_slope(axes[:, None], np.zeros((1, 2, 21)))
     with pytest.raises(ZeroKappaTh):
-        centre_slopes(SYS, CAV, replace(ENS, kappa_th=0.0), NI, [DRIVE],
-                      np.linspace(B_CENTER - 1e-4, B_CENTER + 1e-4, 21)[None],
-                      21.0)
+        bias_sweep_trace(SYS, CAV, replace(ENS, kappa_th=0.0), NI, DRIVE,
+                         np.linspace(B_CENTER - 1e-4, B_CENTER + 1e-4,
+                                     21)[None].repeat(3, axis=0), 21.0)
+
+
+def _exact_slope(axis, values, i):
+    """The quadratic least-squares slope of dispersive_slope's window at
+    point i, from the normal equations solved exactly in Fractions."""
+    lo = min(max(i - 2, 0), axis.size - 5)
+    x = [Fraction(b) - Fraction(axis[i]) for b in axis[lo:lo + 5]]
+    y = [Fraction(v) for v in values[lo:lo + 5]]
+    m = [[sum(u ** (r + c) for u in x) for c in range(3)]
+         + [sum(u ** r * v for u, v in zip(x, y))] for r in range(3)]
+    for c in range(3):
+        for r in range(c + 1, 3):
+            m[r] = [e - m[r][c] / m[c][c] * f for e, f in zip(m[r], m[c])]
+    c2 = m[2][3] / m[2][2]
+    return (m[1][3] - m[1][2] * c2) / m[1][1]
+
+
+def test_slope_matches_exact_least_squares():
+    """Every slope of the three benchmark configs' sensitivity sweeps, edge
+    windows included, within 2e-13 of the exact least-squares slope."""
+    path = Path(__file__).parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for seed in (1, 2, 3):
+        cfg = parse_config(inputs.cli_inputs(seed)["config"], {})
+        trace, _ = _sensitivity_budget(cfg)
+        slopes, _ = dispersive_slope(trace.axis, trace.dispersive)
+        for i in range(trace.axis.size):
+            exact = _exact_slope(trace.axis, trace.dispersive, i)
+            error = float(abs(Fraction(slopes[i]) - exact) / abs(exact))
+            assert error <= 2e-13, (seed, i)
 
 
 def test_timeseries_constant_without_test_field_or_noise():
@@ -382,7 +424,7 @@ def test_timeseries_determinism_and_undersampling():
 def _slope_at_bias(bias_b):
     b = np.linspace(bias_b - 5e-5, bias_b + 5e-5, 101)
     trace = bias_sweep_trace(SYS, CAV, ENS, NI, DRIVE, b)
-    slopes, _ = dispersive_slope(trace)
+    slopes, _ = dispersive_slope(trace.axis, trace.dispersive)
     return abs(slopes[50])
 
 

@@ -24,17 +24,17 @@ _PINNED = {
     "1/energy_levels.csv":
         "051682b56463f3b2e12fcaf4f7457e6c6c9253fd4504cd040d3d7ea1f93ca2f7",
     "1/eta_table.csv":
-        "9f3dbba9668054fa61de0cc9a5497e0426857205560745674868eb6c61ad0a66",
+        "f3f81fbca3d35ab3db1dee5f36a6f8df900ca9d5ab7efeb8b274341d2febc6c5",
     "1/fit.json":
         "3c3fd4792e3784fbfe8cf413fba8a163473d4b7bd86674626e75f944232f7ef0",
     "1/optimize.json":
-        "57be50d29d6fe06fd86199db98b4e577e6b8adf76d1e745ac7519bfb709345bc",
+        "d1b95ce35fe5691cce66656e28563a717dadb5106c02e415f3b5f0c664d8d249",
     "1/predicted_noise.csv":
         "d992445bd50775da1d961d10c23c823d69ecb5bbf0c35d0c6b86ee3423b79130",
     "1/report.json":
-        "208ce6c70d72b5b54172dae0c198c0fb7ddb0a4b0083dd809642ba20b8614826",
+        "2d9a294a260fd2adde5edc4dcb2173cd80e7ade6deb20c581d4dcbdd1e46a082",
     "1/sensitivity.json":
-        "a891d5ba9d8f20f57212a9c8ed62272394c5977d1bf09bb1a62411769f3b2c02",
+        "3d27d13f7b11a6755d096ae8761245186c051d465b8b436750a6299160387c4f",
     "1/sweep.csv":
         "9fc29fa79773e8d497717bcb33b32ca91be0d5f9127bf8712a695c36fa72bc5e",
     "2/calibrate.json":
@@ -44,17 +44,17 @@ _PINNED = {
     "2/energy_levels.csv":
         "36b7dac70fbc8fa5b073c8355198003dabd0fb106c9333e0908bb3b41f9011de",
     "2/eta_table.csv":
-        "79a6361b0815578b1798d30ef280fda66f16405531a3dcd82eab90ea81777fa7",
+        "ab851d8f685e9932e60d1e2bf1d77fe07c585885be24e30e4f66b3b5d8eeddef",
     "2/fit.json":
         "cdfb93cb32469440f5b82c0f02f465017b6b0889c3c16a694208a5d68e7be202",
     "2/optimize.json":
-        "59d1cd6282502e8de96e32393ced2eb7040cb39bade9403e45e4a4f6408f4f18",
+        "d146f7e60140cfaeafb569230ca03ba8624d16e28d1a180d480cfc98bfddea2d",
     "2/predicted_noise.csv":
         "b4a8baad3cd8e25349fdfcbea97bc9388384c7698821e2bbcd5d679b2274cc08",
     "2/report.json":
-        "c2ee2a144f8f0c1f206fef871f5f029ac02e6a0433b2ef39e7d1a470a8437f96",
+        "99d27bda5d18f5c55a5521f7ac059b8305c0acec1b23f54286e0f17735bb1a26",
     "2/sensitivity.json":
-        "2b39601c815c044ca050d69ef629da87def01de6e5a4d767c6893e9b4c6d8231",
+        "83f79d1119170cb1dd91dd94cf8fde59d2f4710d63fb97b20624624813ea8214",
     "2/sweep.csv":
         "426d72dfc9faf53682bfa8093ce3cdf4a3a0d3abd3b5319c94bc1af9becf7a36",
     "3/calibrate.json":
@@ -64,17 +64,17 @@ _PINNED = {
     "3/energy_levels.csv":
         "bd164c728457f1b757b13d3863906a0c189a75b7e0d0756ce4a80cd141dcae95",
     "3/eta_table.csv":
-        "ae9b6b1a129d0d8d3b480f5e87d92ee844e5e0646f38e437e5cab77fb2c9e0c8",
+        "ff1c495c738f11e2c4d78afd3f63f7466fc8e04e97247db6eb79ad776f488ce6",
     "3/fit.json":
         "150f8bdd8c8c5b9988f11ad047bf0b9ae7385c84153f61b95ae94e220e52b163",
     "3/optimize.json":
-        "725b00105c4d69e57fe52806cb42c551ec0af13896ee3b79f55351b43aca6a68",
+        "a0eb415600b4e54694f478d9687dba750718409e3c417218320b75c1d70b6c8f",
     "3/predicted_noise.csv":
         "78940ab87475db5fc7dec21092002dfd278997ce5acbf97c8854c101a57b62c2",
     "3/report.json":
-        "f7bb09143e72b7f046b93cf67f4461978a953946446e4f6f0c8452755e08502f",
+        "4e1ef0ec7bba8267c40addbbb8f94ad52ccfc96d49bee0f91299db8dadce0e7f",
     "3/sensitivity.json":
-        "6dbf366b41d6d5c5ee1803d937d6c66cffd9d5bdcbf0ed444a9138fde27cb55e",
+        "cc726dc8f1282055670cda2cb0dc3a191076f8aae1bb59fb7b43bbee957c332a",
     "3/sweep.csv":
         "f65c34d60c8f0246773fd73632f75ca8fd2b8f7c47de7b3e1aecd1bccf935074",
 }
