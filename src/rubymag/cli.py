@@ -195,16 +195,18 @@ def cmd_noise_predict(cfg: RunConfig, input_csv) -> list:
     return [("predicted_noise.csv", iqnoise.render_spectrum_csv, predicted)]
 
 
-def _sensitivity_budget(cfg: RunConfig) -> tuple[mag.SweepTrace, dict]:
-    """The bias sweep and the sensitivity budget drawn from its slope."""
+def _sensitivity_budget(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray,
+                                                  dict]:
+    """The bias sweep's fields and complex voltages, and the sensitivity
+    budget drawn from its slope."""
     s = cfg["sweep"]
     n = cfg["noise"]
     b_values = _axis("sweep.bias_b_gauss, sweep.b_span_gauss, sweep.n_points",
                      s["bias_b_gauss"], s["b_span_gauss"], s["n_points"])
-    trace = mag.bias_sweep_trace(cfg.spin_system(), cfg.cavity(),
-                                 cfg.ensemble(), cfg.nonideal(), cfg.drive(),
-                                 b_values, chain_gain_db=s["chain_gain_db"])
-    _, m_max = mag.dispersive_slope(trace.axis, trace.dispersive)
+    v = mag.bias_sweep_trace(cfg.spin_system(), cfg.cavity(), cfg.ensemble(),
+                             cfg.nonideal(), cfg.drive(), b_values,
+                             chain_gain_db=s["chain_gain_db"])
+    _, m_max = mag.dispersive_slope(b_values, v.imag)
     e_n = s["noise_floor_nv_per_rthz"]
     b_test = s["test_amplitude_nt"]
     v_m = m_max * b_test
@@ -222,12 +224,12 @@ def _sensitivity_budget(cfg: RunConfig) -> tuple[mag.SweepTrace, dict]:
         budget["e_p_v_per_rthz"], budget["phi_required_dbc_per_hz"] = \
             mag.phase_noise_budget(e_n, e_th, n["phi_measured_dbc_per_hz"],
                                    n["ell_db"])
-    return trace, budget
+    return b_values, v, budget
 
 
 def cmd_sensitivity(cfg: RunConfig, input_csv) -> list:
-    trace, budget = _sensitivity_budget(cfg)
-    return [("sweep.csv", mag.render_sweep_csv, trace),
+    b_values, v, budget = _sensitivity_budget(cfg)
+    return [("sweep.csv", mag.render_sweep_csv, b_values, v),
             ("sensitivity.json", render_json, budget)]
 
 
@@ -235,8 +237,9 @@ def cmd_optimize(cfg: RunConfig, input_csv) -> list:
     s = cfg["sweep"]
     keys = "sweep.bias_b_gauss, sweep.b_span_gauss"
     b_values = _axis(keys, s["bias_b_gauss"], s["b_span_gauss"], 9)
-    # a 21-point sweep around each bias, at each power, read at its centre
-    axes = _axis(keys, b_values, s["b_span_gauss"] / 4.0, 21)
+    # a 21-point sweep around each bias, at each power, read at its centre:
+    # only the centre five points, that point's slope window, are evaluated
+    axes = _axis(keys, b_values, s["b_span_gauss"] / 4.0, 21)[:, 8:13]
     e_n_ref = s["noise_floor_nv_per_rthz"]
     sys_, cav, ens, ni, drive_ref = (cfg.spin_system(), cfg.cavity(),
                                      cfg.ensemble(), cfg.nonideal(),
@@ -247,8 +250,8 @@ def cmd_optimize(cfg: RunConfig, input_csv) -> list:
     powers = np.array([dbm_to_watts(float(p_dbm)) for p_dbm in p_values_dbm])
     v = np.stack([mag.bias_sweep_trace(
         sys_, cav, ens, ni, replace(drive_ref, power=power), axes,
-        s["chain_gain_db"]).dispersive for power in powers], axis=1)
-    slopes = np.abs(mag.dispersive_slope(axes[:, None], v)[0][..., 10])
+        s["chain_gain_db"]).imag for power in powers], axis=1)
+    slopes = np.abs(mag.dispersive_slope(axes[:, None], v)[0][..., 2])
     if np.any(slopes <= 0):
         raise ZeroSignal("the dispersive slope is 0 at some bias and power")
     eta = e_n_ref * np.sqrt(powers / p_ref) / slopes
@@ -293,7 +296,7 @@ def cmd_report(cfg: RunConfig, input_csv) -> list:
     cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
     state = thermal.boltzmann_populations(sys_, cfg.temperature())
     t1, t2 = fitting.relaxation_times(ens)
-    _, budget = _sensitivity_budget(cfg)
+    *_, budget = _sensitivity_budget(cfg)
     summary = {
         "populations": list(state.populations),
         "polarization": state.polarization,

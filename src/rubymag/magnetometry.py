@@ -28,33 +28,6 @@ _PROCESSING_FACTOR = math.sqrt(2.0)   # F
 
 
 @dataclass(frozen=True)
-class SweepTrace:
-    """Absorptive/dispersive voltages versus a swept axis (field or frequency)."""
-
-    axis: np.ndarray
-    absorptive: np.ndarray
-    dispersive: np.ndarray
-
-    def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "absorptive",
-                           np.asarray(self.absorptive, dtype=float))
-        object.__setattr__(self, "dispersive",
-                           np.asarray(self.dispersive, dtype=float))
-        _check_monotone(axis)
-        if not (axis.size == self.absorptive.size == self.dispersive.size):
-            raise ValueError("axis and channels must have equal length")
-
-
-def _check_monotone(axis: np.ndarray) -> None:
-    """ValueError unless every row of axis runs strictly one way."""
-    d = np.diff(axis, axis=-1)
-    if axis.size and not (np.all(d > 0) or np.all(d < 0)):
-        raise ValueError("axis must be strictly monotone")
-
-
-@dataclass(frozen=True)
 class ToneSpec:
     amplitude_rms: float        # T
     frequency: float            # rad/s
@@ -78,7 +51,9 @@ def dispersive_slope(axis, dispersive) -> tuple[np.ndarray, float]:
     """
     axis = np.asarray(axis, dtype=float)
     dispersive = np.asarray(dispersive, dtype=float)
-    _check_monotone(axis)
+    d = np.diff(axis, axis=-1)
+    if axis.size and not (np.all(d > 0) or np.all(d < 0)):
+        raise ValueError("axis must be strictly monotone")
     n = dispersive.shape[-1]
     if n < 5:
         raise TooFewPoints("need at least five sweep points")
@@ -214,37 +189,18 @@ def spin_frequency_vs_field(sys: SpinSystem, b_values) -> np.ndarray:
     return np.abs(2.0 * sys.D + (sys.g_par * CONST.mu_B / CONST.hbar) * b_values)
 
 
-def _demodulated_voltages(cav: CavityParams, ens: EnsembleParams,
-                          ni: NonIdealityParams, drive: DriveParams,
-                          omega_s_values: np.ndarray,
-                          chain_gain_db: float) -> np.ndarray:
-    """Complex channel voltages for an array of spin frequencies."""
-    gamma = gamma_prime(omega_s_values, drive.omega_d, drive.omega_d,
-                        cav.omega_c, ens.g_s, drive.power,
+def bias_sweep_trace(sys: SpinSystem, cav: CavityParams, ens: EnsembleParams,
+                     ni: NonIdealityParams, drive: DriveParams,
+                     b_values: np.ndarray,
+                     chain_gain_db: float = 21.0) -> np.ndarray:
+    """Complex channel voltage at the bias fields b_values, of any shape:
+    .real is the absorptive channel and .imag the dispersive one."""
+    gamma = gamma_prime(spin_frequency_vs_field(sys, b_values), drive.omega_d,
+                        drive.omega_d, cav.omega_c, ens.g_s, drive.power,
                         gamma_prime_params(cav, ens, ni))
     scale = db_to_voltage_gain(chain_gain_db) \
         * math.sqrt(drive.power * _LOAD_OHM)
     return scale * gamma
-
-
-def bias_sweep_trace(sys: SpinSystem, cav: CavityParams, ens: EnsembleParams,
-                     ni: NonIdealityParams, drive: DriveParams,
-                     b_values: np.ndarray,
-                     chain_gain_db: float = 21.0) -> SweepTrace:
-    """Absorptive/dispersive voltages as the bias field sweeps the spin line;
-    rows of b_values stack sweeps (SweepTrace checks each row's order)."""
-    b_values = np.asarray(b_values, dtype=float)
-    omega_s = spin_frequency_vs_field(sys, b_values)
-    v = _demodulated_voltages(cav, ens, ni, drive, omega_s, chain_gain_db)
-    return SweepTrace(axis=b_values, absorptive=v.real, dispersive=v.imag)
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    times: np.ndarray           # s
-    absorptive: np.ndarray      # V
-    dispersive: np.ndarray      # V
-    sample_rate: float          # Hz
 
 
 def simulate_timeseries(sys: SpinSystem, cav: CavityParams,
@@ -252,41 +208,37 @@ def simulate_timeseries(sys: SpinSystem, cav: CavityParams,
                         drive: DriveParams, bias_b: float,
                         test: ToneSpec, chain_gain_db: float,
                         noise_floor_v: float, fs: float, duration: float,
-                        seed: int = 0) -> TimeSeries:
-    """End-to-end magnetometer time series under an AC test field.
+                        seed: int = 0) -> np.ndarray:
+    """End-to-end magnetometer time series under an AC test field: the
+    complex channel voltage at the times np.arange(n) / fs.
 
     The bias field is modulated by a sine of RMS amplitude test.amplitude_rms
     at test.frequency; white Gaussian noise of the stated density is added to
-    both demodulated channels.  Deterministic per seed.
+    the absorptive (.real), then the dispersive (.imag) channel.
+    Deterministic per seed.
     """
     f_m = test.frequency / _TWO_PI
     if fs <= 2.0 * f_m:
         raise UndersampledTestTone(
             f"fs = {fs} Hz cannot sample a {f_m} Hz test tone")
     n = int(round(fs * duration))
-    times = np.arange(n) / fs
     b = bias_b + math.sqrt(2.0) * test.amplitude_rms \
-        * np.sin(test.frequency * times)
-    omega_s = spin_frequency_vs_field(sys, b)
-    v = _demodulated_voltages(cav, ens, ni, drive, omega_s, chain_gain_db)
-    absorptive = v.real.copy()
-    dispersive = v.imag.copy()
+        * np.sin(test.frequency * (np.arange(n) / fs))
+    v = bias_sweep_trace(sys, cav, ens, ni, drive, b, chain_gain_db)
     if noise_floor_v > 0:
         sigma = noise_floor_v * math.sqrt(fs / 2.0)
         rng = np.random.default_rng(seed)
-        absorptive = absorptive + sigma * rng.standard_normal(n)
-        dispersive = dispersive + sigma * rng.standard_normal(n)
-    return TimeSeries(times=times, absorptive=absorptive,
-                      dispersive=dispersive, sample_rate=fs)
+        v.real += sigma * rng.standard_normal(n)
+        v.imag += sigma * rng.standard_normal(n)
+    return v
 
 
 # ---------------------------------------------------------------------------
 # CSV outputs
 
-def render_sweep_csv(path, trace: SweepTrace) -> str:
+def render_sweep_csv(path, b_values: np.ndarray, v: np.ndarray) -> str:
     return render_columns(path, ("b_tesla", "absorptive_v", "dispersive_v"),
-                          np.column_stack([trace.axis, trace.absorptive,
-                                           trace.dispersive]))
+                          np.column_stack([b_values, v.real, v.imag]))
 
 
 def render_eta_table_csv(path, b_values: np.ndarray,

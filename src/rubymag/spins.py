@@ -43,14 +43,15 @@ class SpinSystem:
 
 @dataclass(frozen=True)
 class FieldVector:
-    """Bias field in spherical coordinates, theta measured from the c-axis."""
+    """Bias field in spherical coordinates, theta measured from the c-axis;
+    magnitude may be an array of fields at the one orientation."""
 
-    magnitude: float            # T
-    theta: float = 0.0          # rad
-    phi: float = 0.0            # rad
+    magnitude: float | np.ndarray   # T
+    theta: float = 0.0              # rad
+    phi: float = 0.0                # rad
 
     def __post_init__(self):
-        if self.magnitude < 0:
+        if np.any(np.asarray(self.magnitude) < 0):
             raise ValueError("field magnitude must be >= 0")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
@@ -58,7 +59,7 @@ class FieldVector:
             raise ValueError("phi must lie in [0, 2*pi)")
 
     @property
-    def cartesian(self) -> tuple[float, float, float]:
+    def cartesian(self) -> tuple:   # (B_x, B_y, B_z) of magnitude's shape
         b, th, ph = self.magnitude, self.theta, self.phi
         return (b * math.sin(th) * math.cos(ph),
                 b * math.sin(th) * math.sin(ph),
@@ -84,26 +85,23 @@ _SX, _SY, _SZ = spin_matrices()
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """Ascending eigenenergies (rad/s) and matching orthonormal eigenvectors."""
+    """Ascending eigenenergies (rad/s) and matching orthonormal eigenvectors,
+    shapes (..., m) and (..., m, m) over the solved stack."""
 
     energies: np.ndarray = field(repr=False)
-    states: np.ndarray = field(repr=False)   # states[:, k] belongs to energies[k]
+    # states[..., :, k] belongs to energies[..., k]
+    states: np.ndarray = field(repr=False)
 
 
 def build_hamiltonian(sys: SpinSystem, fld: FieldVector) -> np.ndarray:
-    """4x4 Hermitian Hamiltonian divided by hbar, in rad/s.
+    """Hermitian Hamiltonian divided by hbar, in rad/s, of shape (..., 4, 4)
+    over the shape of fld.magnitude.
 
     H/hbar = (g_par mu_B / hbar) B_z S_z + (g_perp mu_B / hbar)(B_x S_x + B_y S_y)
              + D [S_z^2 - S(S+1)/3]
     """
-    return _hamiltonians(sys, *fld.cartesian)
-
-
-def _hamiltonians(sys: SpinSystem, bx, by, bz) -> np.ndarray:
-    """build_hamiltonian for field components (T) given as floats or as
-    arrays of one shape: H/hbar of shape (..., 4, 4)."""
     bx, by, bz = (np.asarray(v, dtype=float)[..., None, None]
-                  for v in (bx, by, bz))
+                  for v in fld.cartesian)
     zeeman = (sys.g_par * CONST.mu_B / CONST.hbar) * bz * _SZ \
         + (sys.g_perp * CONST.mu_B / CONST.hbar) * (bx * _SX + by * _SY)
     zfs = sys.D * (_SZ @ _SZ - (1.5 * 2.5 / 3.0) * np.eye(4))
@@ -153,21 +151,16 @@ def _fix_degenerate_subspaces(energies: np.ndarray, states: np.ndarray,
 
 
 def eigensolve(h: np.ndarray) -> EigenSolution:
-    """Diagonalize a Hermitian matrix; energies ascending.
+    """Diagonalize a Hermitian matrix, or a stack of them of shape
+    (..., m, m), in one pass; energies ascending.
 
-    Raises NonHermitianInput when ||H - H^dagger|| exceeds 1e-9 ||H||.
-    """
-    energies, states = _eigensolve_stack(np.asarray(h, dtype=complex)[None])
-    return EigenSolution(energies=energies[0], states=states[0])
-
-
-def _eigensolve_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigensolve for a stack of matrices, shape (n, m, m), in one pass.
-
-    Only the rows with a degenerate cluster go through
-    _fix_degenerate_subspaces; every other row only needs each vector's
+    Raises NonHermitianInput when any ||H - H^dagger|| exceeds 1e-9 ||H||.
+    Only the matrices with a degenerate cluster go through
+    _fix_degenerate_subspaces; every other one only needs each vector's
     phase fixed, which is done for all of them at once.
     """
+    shape = np.shape(h)
+    h = np.asarray(h, dtype=complex).reshape(-1, *shape[-2:])
     norm_h = np.linalg.norm(h, axis=(1, 2))
     skew = np.linalg.norm(h - np.swapaxes(h, 1, 2).conj(), axis=(1, 2))
     tol = 1e-9 * np.maximum(norm_h, 1.0)
@@ -184,7 +177,8 @@ def _eigensolve_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     degenerate = (np.diff(energies, axis=1) <= tol[:, None]).any(axis=1)
     for r in np.flatnonzero(degenerate):
         states[r] = _fix_degenerate_subspaces(energies[r], raw[r], norm_h[r])
-    return energies, states
+    return EigenSolution(energies=energies.reshape(shape[:-1]),
+                         states=states.reshape(shape))
 
 
 def analytic_energies_axial(sys: SpinSystem, b_z: float) -> np.ndarray:
@@ -231,11 +225,8 @@ def energy_level_sweep(sys: SpinSystem, theta: float,
         raise EmptyRange("need at least two field points")
     if np.any(np.diff(b_values) <= 0):
         raise EmptyRange("field points must be strictly increasing")
-    FieldVector(float(b_values[0]), theta)   # theta and the lowest magnitude
-    # FieldVector(b, theta).cartesian for every b at once
-    energies, states = _eigensolve_stack(_hamiltonians(
-        sys, b_values * math.sin(theta), np.zeros(b_values.size),
-        b_values * math.cos(theta)))
+    sol = eigensolve(build_hamiltonian(sys, FieldVector(b_values, theta)))
+    energies, states = sol.energies, sol.states
     # |<previous row's states|this row's states>|^2 for every row at once
     overlaps = np.abs(np.swapaxes(states[:-1], 1, 2).conj()
                       @ states[1:]) ** 2

@@ -694,6 +694,24 @@ def test_benchmark_tracer_targets_resolve():
         assert callable(owner), (module, attr)
 
 
+def test_eigen_goes_through_public_eigensolve(tmp_path, monkeypatch):
+    """eigen solves its sweep in one call of spins.eigensolve, the function
+    the benchmark's tracer counts, so spins.eigensolve.calls cannot read 0
+    while eigen runs."""
+    from rubymag import spins
+    calls = []
+    solve = spins.eigensolve
+
+    def counted(h):
+        calls.append(np.shape(h))
+        return solve(h)
+
+    monkeypatch.setattr(spins, "eigensolve", counted)
+    assert main(["eigen", "--output-dir", str(tmp_path),
+                 "--n-points", "11"]) == 0
+    assert calls == [(11, 4, 4)]
+
+
 def test_reader_takes_every_config_flag_on_every_command():
     """Every config flag, in both spellings, reaches the config on every
     command; --input only on the commands that read a CSV.  Each key is set
@@ -932,11 +950,11 @@ def test_optimize_matches_window_polyfit(tmp_path, nonideal):
         e_n = s["noise_floor_nv_per_rthz"] * math.sqrt(power / drive.power)
         for i, b0 in enumerate(b_values):
             b = np.linspace(b0 - half, b0 + half, 21)
-            trace = bias_sweep_trace(cfg.spin_system(), cfg.cavity(),
-                                     cfg.ensemble(), cfg.nonideal(),
-                                     replace(drive, power=power), b,
-                                     chain_gain_db=s["chain_gain_db"])
-            slope = np.polyfit(b[8:13] - b[10], trace.dispersive[8:13], 2)[1]
+            v = bias_sweep_trace(cfg.spin_system(), cfg.cavity(),
+                                 cfg.ensemble(), cfg.nonideal(),
+                                 replace(drive, power=power), b,
+                                 chain_gain_db=s["chain_gain_db"])
+            slope = np.polyfit(b[8:13] - b[10], v.imag[8:13], 2)[1]
             want[i, j] = e_n / abs(slope)
     table = np.loadtxt(out / "eta_table.csv", delimiter=",", skiprows=1)
     assert np.allclose(table[:, 0], np.repeat(b_values * 1e4, 9),

@@ -16,9 +16,8 @@ from rubymag.constants import CONST
 from rubymag.errors import (EmptyTable, NegativeRadicand, TooFewPoints,
                             TooFewSamples, UndersampledTestTone, ZeroKappaTh,
                             ZeroSignal, ZeroSlope, ZeroSpinLinewidth)
-from rubymag.magnetometry import (SweepTrace, ToneSpec,
-                                  amplitude_spectrum, bias_sweep_trace,
-                                  dispersive_slope,
+from rubymag.magnetometry import (ToneSpec, amplitude_spectrum,
+                                  bias_sweep_trace, dispersive_slope,
                                   noise_floor, optimize_grid,
                                   phase_noise_budget, render_eta_table_csv,
                                   render_sweep_csv, sensitivity,
@@ -44,17 +43,6 @@ B_CENTER = (2.0 * abs(SYS.D) - DRIVE.omega_d) / _SLOPE
 # types
 
 
-def test_sweep_trace_validation():
-    with pytest.raises(ValueError):
-        SweepTrace(axis=[0.0, 2.0, 1.0], absorptive=[0, 0, 0],
-                   dispersive=[0, 0, 0])
-    with pytest.raises(ValueError):
-        SweepTrace(axis=[0.0, 1.0], absorptive=[0, 0, 0], dispersive=[0, 0])
-    trace = SweepTrace(axis=[3.0, 2.0, 1.0], absorptive=[1, 2, 3],
-                       dispersive=[4, 5, 6])
-    assert trace.axis[0] == 3.0
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ToneSpec(amplitude_rms=-1e-9, frequency=TWO_PI * 10)
@@ -66,9 +54,7 @@ def test_config_validation():
 
 def test_slope_flat_trace_zero():
     x = np.linspace(0.0, 1e-3, 21)
-    trace = SweepTrace(axis=x, absorptive=np.zeros(21),
-                       dispersive=np.full(21, 0.7))
-    slopes, m_max = dispersive_slope(trace.axis, trace.dispersive)
+    slopes, m_max = dispersive_slope(x, np.full(21, 0.7))
     assert np.allclose(slopes, 0.0, atol=1e-9)
     assert m_max == pytest.approx(0.0, abs=1e-9)
 
@@ -76,16 +62,14 @@ def test_slope_flat_trace_zero():
 def test_slope_exact_line():
     x = np.linspace(0.0, 1e-3, 21)
     a = 2994.0
-    trace = SweepTrace(axis=x, absorptive=np.zeros(21), dispersive=a * x)
-    slopes, m_max = dispersive_slope(trace.axis, trace.dispersive)
+    slopes, m_max = dispersive_slope(x, a * x)
     assert np.allclose(slopes, a, rtol=1e-9)
     assert m_max == pytest.approx(a, rel=1e-9)
 
 
 def test_slope_quadratic_trace():
     x = np.linspace(-1.0, 1.0, 41)
-    trace = SweepTrace(axis=x, absorptive=np.zeros(41), dispersive=x ** 2)
-    slopes, m_max = dispersive_slope(trace.axis, trace.dispersive)
+    slopes, m_max = dispersive_slope(x, x ** 2)
     interior = slice(2, -2)
     assert np.allclose(slopes[interior], 2 * x[interior], atol=1e-9)
     assert m_max == pytest.approx(2.0, rel=1e-6)
@@ -114,8 +98,7 @@ def test_slope_matches_polyfit_windows(n, kind):
         if kind == "decreasing":
             x = x[::-1].copy()
     y = np.sin(2e4 * x) * 1e-2 + 1e-4 * rng.standard_normal(n)
-    trace = SweepTrace(axis=x, absorptive=np.zeros(n), dispersive=y)
-    slopes, m_max = dispersive_slope(trace.axis, trace.dispersive)
+    slopes, m_max = dispersive_slope(x, y)
     want = polyfit_slopes(x, y)
     scale = np.max(np.abs(want))
     assert np.allclose(slopes, want, rtol=0.0, atol=1e-10 * scale)
@@ -317,11 +300,11 @@ def test_spin_frequency_linearized_matches_eigensolve():
 
 def test_bias_sweep_dispersive_zero_crossing_and_slope():
     b = np.linspace(B_CENTER - 2e-4, B_CENTER + 2e-4, 201)
-    trace = bias_sweep_trace(SYS, CAV, ENS, NI, DRIVE, b)
+    v = bias_sweep_trace(SYS, CAV, ENS, NI, DRIVE, b)
     # dispersive channel crosses zero near line center
-    center = trace.dispersive[90:111]
+    center = v.imag[90:111]
     assert center.min() < 0.0 < center.max()
-    _, m_max = dispersive_slope(trace.axis, trace.dispersive)
+    _, m_max = dispersive_slope(b, v.imag)
     assert 500.0 < m_max < 10000.0
 
 
@@ -344,22 +327,22 @@ def test_stacked_sweeps_equal_single_sweeps():
         axes = np.array([np.linspace(b0 - half_width, b0 + half_width, 21)
                          for b0 in b_centres])
         v = np.stack([bias_sweep_trace(SYS, CAV, ENS, ni, drive, axes,
-                                       chain_gain_db=21.0).dispersive
+                                       chain_gain_db=21.0).imag
                       for drive in drives], axis=1)
         got, m_max = dispersive_slope(axes[:, None], v)
         assert got.shape == (5, 3, 21)
         assert m_max == np.max(np.abs(got))
         for j, drive in enumerate(drives):
             for i, axis in enumerate(axes):
-                trace = bias_sweep_trace(SYS, CAV, ENS, ni, drive, axis,
-                                         chain_gain_db=21.0)
-                slopes, _ = dispersive_slope(trace.axis, trace.dispersive)
+                row = bias_sweep_trace(SYS, CAV, ENS, ni, drive, axis,
+                                       chain_gain_db=21.0)
+                slopes, _ = dispersive_slope(axis, row.imag)
                 assert np.array_equal(got[i, j], slopes), (half_width, i, j)
 
 
 def test_stacked_sweeps_check_axes_and_drive():
-    """A stacked axis too narrow to resolve at its bias is refused as a
-    sweep trace refuses it, and a stacked sweep checks its drive."""
+    """A stacked axis too narrow to resolve at its bias is refused by
+    dispersive_slope, and a stacked sweep checks its drive."""
     axes = np.linspace(1e3 - 1e-15, 1e3 + 1e-15, 21)[None]
     with pytest.raises(ValueError, match="monotone"):
         dispersive_slope(axes[:, None], np.zeros((1, 2, 21)))
@@ -393,10 +376,10 @@ def test_slope_matches_exact_least_squares():
     spec.loader.exec_module(inputs)
     for seed in (1, 2, 3):
         cfg = parse_config(inputs.cli_inputs(seed)["config"], {})
-        trace, _ = _sensitivity_budget(cfg)
-        slopes, _ = dispersive_slope(trace.axis, trace.dispersive)
-        for i in range(trace.axis.size):
-            exact = _exact_slope(trace.axis, trace.dispersive, i)
+        b, v, _ = _sensitivity_budget(cfg)
+        slopes, _ = dispersive_slope(b, v.imag)
+        for i in range(b.size):
+            exact = _exact_slope(b, v.imag, i)
             error = float(abs(Fraction(slopes[i]) - exact) / abs(exact))
             assert error <= 2e-13, (seed, i)
 
@@ -405,8 +388,8 @@ def test_timeseries_constant_without_test_field_or_noise():
     ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER,
                              ToneSpec(0.0, TWO_PI * 10.0), 21.0, 0.0,
                              fs=500.0, duration=0.5, seed=0)
-    assert np.allclose(ts.absorptive, ts.absorptive[0], atol=1e-15)
-    assert np.allclose(ts.dispersive, ts.dispersive[0], atol=1e-15)
+    assert np.allclose(ts.real, ts.real[0], atol=1e-15)
+    assert np.allclose(ts.imag, ts.imag[0], atol=1e-15)
 
 
 def test_timeseries_determinism_and_undersampling():
@@ -415,16 +398,32 @@ def test_timeseries_determinism_and_undersampling():
                             26e-9, fs=500.0, duration=0.5, seed=9)
     b = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec, 21.0,
                             26e-9, fs=500.0, duration=0.5, seed=9)
-    assert np.array_equal(a.dispersive, b.dispersive)
+    assert np.array_equal(a.imag, b.imag)
     with pytest.raises(UndersampledTestTone):
         simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec, 21.0,
                             0.0, fs=15.0, duration=1.0)
 
 
+def test_timeseries_noise_draw_order():
+    """Noise is sigma = floor sqrt(fs / 2) times the first standard-normal
+    draw of default_rng(seed) on .real, then the second on .imag."""
+    spec = ToneSpec(242e-9, TWO_PI * 10.0)
+    floor_v, fs, seed = 26e-9, 500.0, 9
+    clean, noisy = (simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER,
+                                        spec, 21.0, f, fs=fs, duration=0.5,
+                                        seed=seed) for f in (0.0, floor_v))
+    sigma = floor_v * math.sqrt(fs / 2.0)
+    rng = np.random.default_rng(seed)
+    real = clean.real + sigma * rng.standard_normal(clean.size)
+    imag = clean.imag + sigma * rng.standard_normal(clean.size)
+    assert noisy.real.tobytes() == real.tobytes()
+    assert noisy.imag.tobytes() == imag.tobytes()
+
+
 def _slope_at_bias(bias_b):
     b = np.linspace(bias_b - 5e-5, bias_b + 5e-5, 101)
-    trace = bias_sweep_trace(SYS, CAV, ENS, NI, DRIVE, b)
-    slopes, _ = dispersive_slope(trace.axis, trace.dispersive)
+    v = bias_sweep_trace(SYS, CAV, ENS, NI, DRIVE, b)
+    slopes, _ = dispersive_slope(b, v.imag)
     return abs(slopes[50])
 
 
@@ -432,8 +431,7 @@ def test_timeseries_tone_matches_slope_prediction():
     spec = ToneSpec(242e-9, TWO_PI * 10.0)
     ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec, 21.0,
                              0.0, fs=2000.0, duration=4.0, seed=0)
-    freqs, asd = amplitude_spectrum(ts.dispersive - np.mean(ts.dispersive),
-                                    fs=ts.sample_rate)
+    freqs, asd = amplitude_spectrum(ts.imag - np.mean(ts.imag), fs=2000.0)
     v_m = tone_rms(freqs, asd, 10.0)
     predicted = _slope_at_bias(B_CENTER) * spec.amplitude_rms
     assert v_m == pytest.approx(predicted, rel=0.02)
@@ -445,8 +443,8 @@ def test_timeseries_tone_linearity():
     def tone(spec):
         ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec,
                                  21.0, 0.0, fs=2000.0, duration=4.0, seed=0)
-        freqs, asd = amplitude_spectrum(ts.dispersive - np.mean(ts.dispersive),
-                                        fs=ts.sample_rate)
+        freqs, asd = amplitude_spectrum(ts.imag - np.mean(ts.imag),
+                                        fs=2000.0)
         return tone_rms(freqs, asd, 10.0)
     assert tone(double) == pytest.approx(2.0 * tone(base), rel=0.01)
 
@@ -462,7 +460,7 @@ def test_end_to_end_sensitivity_consistency():
                                  21.0, floor_v, fs=2000.0, duration=4.0,
                                  seed=seed)
         freqs, asd = amplitude_spectrum(
-            ts.dispersive - np.mean(ts.dispersive), fs=ts.sample_rate)
+            ts.imag - np.mean(ts.imag), fs=2000.0)
         v_m = tone_rms(freqs, asd, 10.0)
         e_n = noise_floor(freqs, asd, band=(50.0, 900.0), tone_freqs=(10.0,))
         eta = sensitivity(e_n, v_m, spec.amplitude_rms)
@@ -478,7 +476,7 @@ def test_gain_covariance_leaves_eta_invariant():
                                  gain_db, 26e-9 * scale, fs=2000.0,
                                  duration=2.0, seed=4)
         freqs, asd = amplitude_spectrum(
-            ts.dispersive - np.mean(ts.dispersive), fs=ts.sample_rate)
+            ts.imag - np.mean(ts.imag), fs=2000.0)
         v_m = tone_rms(freqs, asd, 10.0)
         e_n = noise_floor(freqs, asd, band=(50.0, 900.0), tone_freqs=(10.0,))
         return sensitivity(e_n, v_m, spec.amplitude_rms)
@@ -490,10 +488,9 @@ def test_gain_covariance_leaves_eta_invariant():
 
 
 def test_sweep_csv(tmp_path):
-    trace = SweepTrace(axis=[1e-3, 2e-3, 3e-3], absorptive=[0.1, 0.2, 0.3],
-                       dispersive=[-0.1, 0.0, 0.1])
     path = tmp_path / "sweep.csv"
-    path.write_text(render_sweep_csv(path, trace))
+    path.write_text(render_sweep_csv(path, np.array([1e-3, 2e-3, 3e-3]),
+                                     np.array([0.1 - 0.1j, 0.2, 0.3 + 0.1j])))
     lines = path.read_text().splitlines()
     assert lines[0] == "b_tesla,absorptive_v,dispersive_v"
     assert [float(x) for x in lines[2].split(",")] == [2e-3, 0.2, 0.0]

@@ -88,6 +88,53 @@ def test_eigensolve_equals_per_matrix_fix():
         assert eigensolve(h).states.tobytes() == want.tobytes()
 
 
+def test_eigensolve_stack_equals_each_matrix():
+    """A (3, 7, 4, 4) stack of Hamiltonians at random fields, the zero-field
+    matrix and random Hermitian matrices with a degenerate pair solves bit
+    for bit as each matrix alone; one non-Hermitian matrix anywhere in the
+    stack is refused."""
+    rng = np.random.default_rng(11)
+    mats = [build_hamiltonian(SYS, FieldVector(*map(float, field)))
+            for field in zip(rng.uniform(0, 0.5, 12), rng.uniform(0, 3, 12),
+                             rng.uniform(0, 6, 12))]
+    mats.append(build_hamiltonian(SYS, FieldVector(0.0)))
+    for _ in range(8):
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                            + 1j * rng.standard_normal((4, 4)))
+        h = (q * [1e9, 1e9, 2e9, 3e9]) @ q.conj().T
+        mats.append((h + h.conj().T) / 2.0)
+    stack = np.array(mats)[rng.permutation(21)].reshape(3, 7, 4, 4)
+    sol = eigensolve(stack)
+    assert sol.energies.shape == (3, 7, 4)
+    assert sol.states.shape == (3, 7, 4, 4)
+    for idx in np.ndindex(3, 7):
+        one = eigensolve(stack[idx])
+        assert one.energies.shape == (4,) and one.states.shape == (4, 4)
+        assert sol.energies[idx].tobytes() == one.energies.tobytes()
+        assert sol.states[idx].tobytes() == one.states.tobytes()
+    bad = stack.copy()
+    bad[2, 4, 0, 1] += 0.01 * np.linalg.norm(bad[2, 4])
+    with pytest.raises(NonHermitianInput):
+        eigensolve(bad)
+
+
+def test_build_hamiltonian_takes_an_array_of_fields():
+    """An array of magnitudes at one orientation builds, bit for bit, the
+    stack of per-field Hamiltonians; a negative entry is refused."""
+    rng = np.random.default_rng(12)
+    b = rng.uniform(0, 0.5, (2, 5))
+    b[1, 2] = 0.0
+    for theta, phi in ((0.0, 0.0), (0.7, 2.1), (math.pi / 2.0, 5.0)):
+        got = build_hamiltonian(SYS, FieldVector(b, theta, phi))
+        assert got.shape == (2, 5, 4, 4)
+        for idx in np.ndindex(2, 5):
+            want = build_hamiltonian(SYS, FieldVector(float(b[idx]), theta,
+                                                      phi))
+            assert got[idx].tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="magnitude"):
+        FieldVector(np.array([0.1, -1e-3, 0.2]), 0.3)
+
+
 def test_eigensolution_invariants_random_fields():
     rng = np.random.default_rng(7)
     for _ in range(50):
