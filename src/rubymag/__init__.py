@@ -12,7 +12,7 @@ Modules:
     config, cli   JSON configuration and command-line interface
 """
 
-from .constants import CONST
+from . import constants as CONST
 
 __all__ = ["CONST"]
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import CONST
+from . import constants as CONST
 from .csvio import read_columns
 from .errors import DegenerateAbscissa, ParseError, TooFewPoints, ZeroSlope
 

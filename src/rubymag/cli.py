@@ -294,14 +294,14 @@ _REPORT_BUDGET_KEYS = ("m_max_v_per_t", "eta_t_per_rthz", "eta_th_t_per_rthz",
 def cmd_report(cfg: RunConfig, input_csv) -> list:
     sys_, matp = cfg.spin_system(), cfg.material()
     cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
-    state = thermal.boltzmann_populations(sys_, cfg.temperature())
+    populations = thermal.boltzmann_populations(sys_, cfg.temperature())
     t1, t2 = fitting.relaxation_times(ens)
     *_, budget = _sensitivity_budget(cfg)
     summary = {
-        "populations": list(state.populations),
-        "polarization": state.polarization,
+        "populations": list(populations),
+        "polarization": thermal.polarization(populations),
         "n_total_spins": thermal.total_interrogated_spins(matp),
-        "n_polarized_spins": thermal.polarized_spin_count(matp, state),
+        "n_polarized_spins": thermal.polarized_spin_count(matp, populations),
         "g_eff_rad_per_s": ens.g_eff,
         "cooperativity_xi": cooperativity(ens, cav),
         "t1_s": t1,

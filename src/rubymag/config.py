@@ -179,9 +179,8 @@ class RunConfig:
                                        self["cavity"]["omega_c_ghz"])
         n = e["n_spins"]
         if n is None:
-            state = boltzmann_populations(self.spin_system(),
-                                          self.temperature())
-            n = polarized_spin_count(self.material(), state)
+            n = polarized_spin_count(self.material(), boltzmann_populations(
+                self.spin_system(), self.temperature()))
         return EnsembleParams(g_s=g_s, N=n, kappa_s=e["kappa_s_mhz"],
                               kappa_th=e["kappa_th_khz"],
                               omega_s=e["omega_s_ghz"])

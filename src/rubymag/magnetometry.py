@@ -9,14 +9,13 @@ its thermal and phase-noise limits, and bias/power optimization sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import constants as CONST
 from .cavity import (CavityParams, DriveParams, EnsembleParams,
                      NonIdealityParams, db_to_voltage_gain, gamma_prime,
                      gamma_prime_params)
-from .constants import CONST
 from .csvio import render_columns
 from .errors import (EmptyTable, NegativeRadicand, TooFewPoints, TooFewSamples,
                      UndersampledTestTone, ZeroSignal, ZeroSlope)
@@ -25,16 +24,6 @@ from .spins import SpinSystem
 _TWO_PI = 2.0 * math.pi
 _LOAD_OHM = 50.0                      # R, Ohm
 _PROCESSING_FACTOR = math.sqrt(2.0)   # F
-
-
-@dataclass(frozen=True)
-class ToneSpec:
-    amplitude_rms: float        # T
-    frequency: float            # rad/s
-
-    def __post_init__(self):
-        if self.amplitude_rms < 0 or self.frequency < 0:
-            raise ValueError("test field amplitude and frequency must be >= 0")
 
 
 def dispersive_slope(axis, dispersive) -> tuple[np.ndarray, float]:
@@ -206,24 +195,27 @@ def bias_sweep_trace(sys: SpinSystem, cav: CavityParams, ens: EnsembleParams,
 def simulate_timeseries(sys: SpinSystem, cav: CavityParams,
                         ens: EnsembleParams, ni: NonIdealityParams,
                         drive: DriveParams, bias_b: float,
-                        test: ToneSpec, chain_gain_db: float,
-                        noise_floor_v: float, fs: float, duration: float,
+                        tone_rms: float, tone_freq: float,
+                        chain_gain_db: float, noise_floor_v: float,
+                        fs: float, duration: float,
                         seed: int = 0) -> np.ndarray:
     """End-to-end magnetometer time series under an AC test field: the
     complex channel voltage at the times np.arange(n) / fs.
 
-    The bias field is modulated by a sine of RMS amplitude test.amplitude_rms
-    at test.frequency; white Gaussian noise of the stated density is added to
-    the absorptive (.real), then the dispersive (.imag) channel.
-    Deterministic per seed.
+    The bias field is modulated by a sine of RMS amplitude tone_rms (T) at
+    the angular frequency tone_freq (rad/s); white Gaussian noise of the
+    stated density is added to the absorptive (.real), then the dispersive
+    (.imag) channel.  Deterministic per seed.
     """
-    f_m = test.frequency / _TWO_PI
+    if tone_rms < 0 or tone_freq < 0:
+        raise ValueError("test field amplitude and frequency must be >= 0")
+    f_m = tone_freq / _TWO_PI
     if fs <= 2.0 * f_m:
         raise UndersampledTestTone(
             f"fs = {fs} Hz cannot sample a {f_m} Hz test tone")
     n = int(round(fs * duration))
-    b = bias_b + math.sqrt(2.0) * test.amplitude_rms \
-        * np.sin(test.frequency * (np.arange(n) / fs))
+    b = bias_b + math.sqrt(2.0) * tone_rms \
+        * np.sin(tone_freq * (np.arange(n) / fs))
     v = bias_sweep_trace(sys, cav, ens, ni, drive, b, chain_gain_db)
     if noise_floor_v > 0:
         sigma = noise_floor_v * math.sqrt(fs / 2.0)

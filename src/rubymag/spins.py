@@ -3,18 +3,18 @@
 The spin is fixed at S = 3/2 and the basis is ordered
 m_s = (+3/2, +1/2, -1/2, -3/2).  All energies are angular frequencies in
 rad/s and all magnetic fields are in tesla.  Eigenpairs come from
-numpy.linalg.eigh, with the eigenvectors of degenerate levels fixed to a
-deterministic basis and phase.
+numpy.linalg.eigh as its (energies, states) pair, with the eigenvectors of
+degenerate levels fixed to a deterministic basis and phase.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONST
+from . import constants as CONST
 from .csvio import render_columns
 from .errors import EmptyRange, IndexOutOfRange, NonHermitianInput
 
@@ -83,16 +83,6 @@ def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _SX, _SY, _SZ = spin_matrices()
 
 
-@dataclass(frozen=True)
-class EigenSolution:
-    """Ascending eigenenergies (rad/s) and matching orthonormal eigenvectors,
-    shapes (..., m) and (..., m, m) over the solved stack."""
-
-    energies: np.ndarray = field(repr=False)
-    # states[..., :, k] belongs to energies[..., k]
-    states: np.ndarray = field(repr=False)
-
-
 def build_hamiltonian(sys: SpinSystem, fld: FieldVector) -> np.ndarray:
     """Hermitian Hamiltonian divided by hbar, in rad/s, of shape (..., 4, 4)
     over the shape of fld.magnitude.
@@ -150,9 +140,13 @@ def _fix_degenerate_subspaces(energies: np.ndarray, states: np.ndarray,
     return out
 
 
-def eigensolve(h: np.ndarray) -> EigenSolution:
+def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix, or a stack of them of shape
-    (..., m, m), in one pass; energies ascending.
+    (..., m, m), in one pass.
+
+    Returns (energies, states) as numpy.linalg.eigh does: ascending
+    eigenenergies (rad/s) of shape (..., m) and orthonormal eigenvectors of
+    shape (..., m, m), states[..., :, k] belonging to energies[..., k].
 
     Raises NonHermitianInput when any ||H - H^dagger|| exceeds 1e-9 ||H||.
     Only the matrices with a degenerate cluster go through
@@ -177,8 +171,7 @@ def eigensolve(h: np.ndarray) -> EigenSolution:
     degenerate = (np.diff(energies, axis=1) <= tol[:, None]).any(axis=1)
     for r in np.flatnonzero(degenerate):
         states[r] = _fix_degenerate_subspaces(energies[r], raw[r], norm_h[r])
-    return EigenSolution(energies=energies.reshape(shape[:-1]),
-                         states=states.reshape(shape))
+    return energies.reshape(shape[:-1]), states.reshape(shape)
 
 
 def analytic_energies_axial(sys: SpinSystem, b_z: float) -> np.ndarray:
@@ -198,17 +191,21 @@ def analytic_energies_axial(sys: SpinSystem, b_z: float) -> np.ndarray:
     return np.sort(e)
 
 
-def transition(sol: EigenSolution, i: int, j: int) -> tuple[float, float]:
-    """(frequency, amplitude) of the i<->j transition.
+def transition(energies: np.ndarray, states: np.ndarray,
+               i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(frequency, amplitude) of the i<->j transition over an eigensolve
+    stack: energies of shape (..., 4), states of shape (..., 4, 4).
 
     Frequency is |E_j - E_i| in rad/s; the amplitude is the drive matrix
     element |<i|S_x|j>|^2, zero for transitions forbidden at theta = 0.
+    Both take the stack's shape, so one solution gives numpy scalars.
     """
     if i == j or not (0 <= i <= 3 and 0 <= j <= 3):
         raise IndexOutOfRange(f"invalid level pair ({i}, {j})")
-    freq = abs(sol.energies[j] - sol.energies[i])
-    amp = abs(sol.states[:, i].conj() @ (_SX @ sol.states[:, j])) ** 2
-    return freq, float(amp)
+    freq = np.abs(energies[..., j] - energies[..., i])
+    amp = np.abs(np.einsum("...k,kl,...l->...", states[..., :, i].conj(),
+                           _SX, states[..., :, j])) ** 2
+    return freq, amp
 
 
 def energy_level_sweep(sys: SpinSystem, theta: float,
@@ -225,8 +222,8 @@ def energy_level_sweep(sys: SpinSystem, theta: float,
         raise EmptyRange("need at least two field points")
     if np.any(np.diff(b_values) <= 0):
         raise EmptyRange("field points must be strictly increasing")
-    sol = eigensolve(build_hamiltonian(sys, FieldVector(b_values, theta)))
-    energies, states = sol.energies, sol.states
+    energies, states = eigensolve(
+        build_hamiltonian(sys, FieldVector(b_values, theta)))
     # |<previous row's states|this row's states>|^2 for every row at once
     overlaps = np.abs(np.swapaxes(states[:-1], 1, 2).conj()
                       @ states[1:]) ** 2

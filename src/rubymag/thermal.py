@@ -1,9 +1,9 @@
 """Thermal-equilibrium spin populations and polarized-spin accounting.
 
-Population indexing follows the convention p1, p2 = |+-3/2> and
-p3, p4 = |+-1/2>.  The Zeeman shift is neglected, so the level energies are
-E(+-3/2) = hbar*D and E(+-1/2) = -hbar*D; at 293 K and a 31 G bias the exact
-energies would move the populations by about 5e-6.
+Populations travel as the tuple (p1, p2, p3, p4), indexed by the convention
+p1, p2 = |+-3/2> and p3, p4 = |+-1/2>.  The Zeeman shift is neglected, so the
+level energies are E(+-3/2) = hbar*D and E(+-1/2) = -hbar*D; at 293 K and a
+31 G bias the exact energies would move the populations by about 5e-6.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONST
+from . import constants as CONST
 from .errors import NonPositiveTemperature
 from .spins import SpinSystem
 
@@ -43,20 +43,9 @@ class MaterialParams:
             raise ValueError("N_cell must be a positive integer")
 
 
-@dataclass(frozen=True)
-class ThermalState:
-    T: float                 # K
-    populations: tuple       # (p1, p2, p3, p4) = (+3/2, -3/2, +1/2, -1/2)
-
-    @property
-    def polarization(self) -> float:
-        """Effective polarization |p1 - p3| between the addressed states."""
-        p = self.populations
-        return abs(p[0] - p[2])
-
-
-def boltzmann_populations(sys: SpinSystem, T: float) -> ThermalState:
-    """Thermal populations of the four ground-state levels.
+def boltzmann_populations(sys: SpinSystem, T: float) -> tuple:
+    """Thermal populations (p1, p2, p3, p4) of the levels
+    (+3/2, -3/2, +1/2, -1/2) at the temperature T in K.
 
     The Zeeman shift is neglected: the two |+-3/2> levels sit at hbar*D and
     the two |+-1/2> levels at -hbar*D.
@@ -70,7 +59,12 @@ def boltzmann_populations(sys: SpinSystem, T: float) -> ThermalState:
     w = np.exp(x)
     p = w / w.sum()
     # basis order -> population convention (+3/2, -3/2, +1/2, -1/2)
-    return ThermalState(T=T, populations=(p[0], p[3], p[1], p[2]))
+    return p[0], p[3], p[1], p[2]
+
+
+def polarization(populations) -> float:
+    """Effective polarization |p1 - p3| between the addressed states."""
+    return abs(populations[0] - populations[2])
 
 
 def total_interrogated_spins(mat: MaterialParams) -> float:
@@ -83,9 +77,10 @@ def total_interrogated_spins(mat: MaterialParams) -> float:
         * (mat.m_Al2O3 / mat.m_Cr2O3) * mat.N_cell
 
 
-def polarized_spin_count(mat: MaterialParams, state: ThermalState) -> float:
-    """Effective polarization times the interrogated spin count."""
-    return state.polarization * total_interrogated_spins(mat)
+def polarized_spin_count(mat: MaterialParams, populations) -> float:
+    """Effective polarization of the populations (p1, p2, p3, p4) times the
+    interrogated spin count."""
+    return polarization(populations) * total_interrogated_spins(mat)
 
 
 def optical_power_equivalent(N: float, omega: float, kappa_th: float,

@@ -23,14 +23,13 @@ from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
                             NonIdealityParams, cooperativity, dbm_to_watts,
                             kappa_th_threshold_power, reflection,
                             single_spin_coupling, watts_to_dbm)
-from rubymag.constants import CONST
+from rubymag import constants as CONST
 from rubymag.fitting import (GridSpec, dip_trajectory, fit_crossing,
                              normalize_grid, relaxation_times,
                              simulate_crossing)
 from rubymag.iqnoise import (decompose_gamma, noise_contribution_split,
                              read_spectrum_csv)
-from rubymag.magnetometry import (ToneSpec,
-                                  amplitude_spectrum, bias_sweep_trace,
+from rubymag.magnetometry import (amplitude_spectrum, bias_sweep_trace,
                                   dispersive_slope, noise_floor,
                                   phase_noise_budget, sensitivity,
                                   simulate_timeseries, thermal_limit,
@@ -39,8 +38,8 @@ from rubymag.spins import (FieldVector, SpinSystem, analytic_energies_axial,
                            build_hamiltonian, eigensolve, energy_level_sweep,
                            transition)
 from rubymag.thermal import (MaterialParams, boltzmann_populations,
-                             optical_power_equivalent, polarized_spin_count,
-                             total_interrogated_spins)
+                             optical_power_equivalent, polarization,
+                             polarized_spin_count, total_interrogated_spins)
 
 TWO_PI = 2.0 * math.pi
 SYS = SpinSystem()
@@ -50,19 +49,20 @@ ENS = EnsembleParams(g_s=G_S, N=(TWO_PI * 3.5e6 / G_S) ** 2)
 
 
 def test_criterion_01_boltzmann_populations():
-    state = boltzmann_populations(SYS, 293.0)
-    assert state.populations[0] == pytest.approx(0.25024, abs=1e-5)
-    assert state.populations[1] == pytest.approx(0.25024, abs=1e-5)
-    assert state.populations[2] == pytest.approx(0.24976, abs=1e-5)
-    assert state.populations[3] == pytest.approx(0.24976, abs=1e-5)
-    assert state.polarization == pytest.approx(4.7e-4, abs=1e-5)
+    populations = boltzmann_populations(SYS, 293.0)
+    assert populations[0] == pytest.approx(0.25024, abs=1e-5)
+    assert populations[1] == pytest.approx(0.25024, abs=1e-5)
+    assert populations[2] == pytest.approx(0.24976, abs=1e-5)
+    assert populations[3] == pytest.approx(0.24976, abs=1e-5)
+    assert polarization(populations) == pytest.approx(4.7e-4, abs=1e-5)
 
 
 def test_criterion_02_interrogated_spins():
     mat = MaterialParams()
     assert total_interrogated_spins(mat) == pytest.approx(8e17, rel=0.05)
-    state = boltzmann_populations(SYS, 293.0)
-    assert polarized_spin_count(mat, state) == pytest.approx(3.5e14, rel=0.15)
+    populations = boltzmann_populations(SYS, 293.0)
+    assert polarized_spin_count(mat, populations) \
+        == pytest.approx(3.5e14, rel=0.15)
 
 
 def test_criterion_03_coupling_consistency():
@@ -129,18 +129,19 @@ def test_criterion_11_optical_power_equivalent():
 
 
 def test_criterion_12_axial_spectroscopy():
-    sol = eigensolve(build_hamiltonian(SYS, FieldVector(31e-4, 0.0, 0.0)))
-    order = np.argsort([int(np.argmax(np.abs(sol.states[:, i])))
+    energies, states = eigensolve(build_hamiltonian(
+        SYS, FieldVector(31e-4, 0.0, 0.0)))
+    order = np.argsort([int(np.argmax(np.abs(states[:, i])))
                         for i in range(4)])
-    freq = abs(sol.energies[order[0]] - sol.energies[order[1]])
+    freq = abs(energies[order[0]] - energies[order[1]])
     assert TWO_PI * 11.39e9 <= freq <= TWO_PI * 11.42e9
     rng = np.random.default_rng(0)
     for b in rng.uniform(0.0, 0.5, 1000):
-        sol = eigensolve(build_hamiltonian(SYS, FieldVector(float(b),
-                                                            0.0, 0.0)))
+        energies, _ = eigensolve(build_hamiltonian(
+            SYS, FieldVector(float(b), 0.0, 0.0)))
         exact = np.sort(analytic_energies_axial(SYS, float(b)))
         scale = np.max(np.abs(exact))
-        assert np.allclose(np.sort(sol.energies), exact,
+        assert np.allclose(np.sort(energies), exact,
                            rtol=0, atol=1e-9 * scale)
 
 
@@ -216,30 +217,31 @@ def test_criterion_15_end_to_end_consistency():
     ni = NonIdealityParams()
     slope = SYS.g_par * CONST.mu_B / CONST.hbar
     b_center = (2.0 * abs(SYS.D) - drive.omega_d) / slope
-    spec = ToneSpec(242e-9, TWO_PI * 10.0)
+    b_test, w_test = 242e-9, TWO_PI * 10.0
 
     b = np.linspace(b_center - 5e-5, b_center + 5e-5, 101)
     v = bias_sweep_trace(SYS, CAV, ENS, ni, drive, b)
     slopes, _ = dispersive_slope(b, v.imag)
     m_here = abs(slopes[50])
 
-    ts = simulate_timeseries(SYS, CAV, ENS, ni, drive, b_center, spec, 21.0,
-                             0.0, fs=2000.0, duration=4.0, seed=0)
+    ts = simulate_timeseries(SYS, CAV, ENS, ni, drive, b_center, b_test,
+                             w_test, 21.0, 0.0, fs=2000.0, duration=4.0,
+                             seed=0)
     freqs, asd = amplitude_spectrum(ts.imag - np.mean(ts.imag), fs=2000.0)
     v_m = tone_rms(freqs, asd, 10.0)
-    assert v_m == pytest.approx(m_here * spec.amplitude_rms, rel=0.02)
+    assert v_m == pytest.approx(m_here * b_test, rel=0.02)
 
     floor_v = 26e-9
     predicted_eta = floor_v / m_here
     for seed in range(10):
-        ts = simulate_timeseries(SYS, CAV, ENS, ni, drive, b_center, spec,
-                                 21.0, floor_v, fs=2000.0, duration=4.0,
-                                 seed=seed)
+        ts = simulate_timeseries(SYS, CAV, ENS, ni, drive, b_center, b_test,
+                                 w_test, 21.0, floor_v, fs=2000.0,
+                                 duration=4.0, seed=seed)
         freqs, asd = amplitude_spectrum(
             ts.imag - np.mean(ts.imag), fs=2000.0)
         v_m = tone_rms(freqs, asd, 10.0)
         e_n = noise_floor(freqs, asd, band=(50.0, 900.0), tone_freqs=(10.0,))
-        eta = sensitivity(e_n, v_m, spec.amplitude_rms)
+        eta = sensitivity(e_n, v_m, b_test)
         assert eta == pytest.approx(predicted_eta, rel=0.05), seed
 
 
@@ -291,12 +293,11 @@ def test_off_axis_mixing_allows_the_line_forbidden_on_axis():
     target = TWO_PI * 11.4e9
     strengths = []
     for theta_deg in (0.0, 15.0, 30.0, 45.0, 60.0):
-        sols = [eigensolve(build_hamiltonian(
-                    SYS, FieldVector(b, math.radians(theta_deg))))
-                for b in b_values]
+        sol = eigensolve(build_hamiltonian(
+            SYS, FieldVector(b_values, math.radians(theta_deg))))
         steep = []
         for i, j in itertools.combinations(range(4), 2):
-            freq, amp = np.array([transition(sol, i, j) for sol in sols]).T
+            freq, amp = transition(*sol, i, j)
             for k in np.flatnonzero((freq[:-1] > target)
                                     != (freq[1:] > target)):
                 slope_hz_per_t = (freq[k + 1] - freq[k]) \
@@ -334,12 +335,13 @@ def test_off_axis_mixing_makes_the_response_non_linear_in_field():
             step = np.sign(np.diff(freq))
             for k in np.flatnonzero(step[:-1] != step[1:]) + 1:
                 if abs(freq[k] - target) < TWO_PI * 1e9:
-                    sol = eigensolve(build_hamiltonian(
+                    energies, states = eigensolve(build_hamiltonian(
                         SYS, FieldVector(b_values[k], theta)))
                     # the sorted levels that the tracked i and j are at b_k
-                    si, sj = (int(np.argmin(np.abs(sol.energies - e)))
+                    si, sj = (int(np.argmin(np.abs(energies - e)))
                               for e in levels[k, [i, j]])
-                    found.append(((i, j), k, freq, transition(sol, si, sj)[1]))
+                    found.append(((i, j), k, freq,
+                                  transition(energies, states, si, sj)[1]))
         return found
 
     for theta_deg in (0.0, 5.0, 10.0, 20.0):

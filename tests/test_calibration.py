@@ -6,7 +6,7 @@ import pytest
 from rubymag.calibration import (CoilGeometry, linear_calibration,
                                  read_calibration_csv, solenoid_axial_field)
 from rubymag.calibration import test_field_from_slope as field_from_slope
-from rubymag.constants import CONST
+from rubymag import constants as CONST
 from rubymag.csvio import render_columns
 from rubymag.errors import (DegenerateAbscissa, ParseError, TooFewPoints,
                             ZeroSlope)

@@ -16,7 +16,7 @@ from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
                             single_spin_coupling, spin_interaction,
                             watts_to_dbm)
 from rubymag.config import parse_config
-from rubymag.constants import CONST
+from rubymag import constants as CONST
 from rubymag.errors import (ZeroCoupling, ZeroKappaTh, ZeroLinewidth,
                             ZeroSpinLinewidth)
 from rubymag.fitting import PARAM_NAMES, default_bounds

@@ -10,7 +10,7 @@ from rubymag.cavity import (CavityParams, EnsembleParams, NonIdealityParams,
                             dbm_to_watts, kappa_th_threshold_power,
                             single_spin_coupling, watts_to_dbm)
 from rubymag import fitting
-from rubymag.constants import CONST
+from rubymag import constants as CONST
 from rubymag.csvio import render_json
 from rubymag.errors import (AllZeroBorder, InvalidBounds, NonFiniteOutput,
                             ParseError, ZeroKappaTh, ZeroRate)

@@ -12,11 +12,11 @@ from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
                             single_spin_coupling)
 from rubymag.cli import _sensitivity_budget
 from rubymag.config import parse_config
-from rubymag.constants import CONST
+from rubymag import constants as CONST
 from rubymag.errors import (EmptyTable, NegativeRadicand, TooFewPoints,
                             TooFewSamples, UndersampledTestTone, ZeroKappaTh,
                             ZeroSignal, ZeroSlope, ZeroSpinLinewidth)
-from rubymag.magnetometry import (ToneSpec, amplitude_spectrum,
+from rubymag.magnetometry import (amplitude_spectrum,
                                   bias_sweep_trace, dispersive_slope,
                                   noise_floor, optimize_grid,
                                   phase_noise_budget, render_eta_table_csv,
@@ -40,12 +40,19 @@ B_CENTER = (2.0 * abs(SYS.D) - DRIVE.omega_d) / _SLOPE
 
 
 # ---------------------------------------------------------------------------
-# types
+# test-tone validation
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ToneSpec(amplitude_rms=-1e-9, frequency=TWO_PI * 10)
+    """A negative test-field amplitude or frequency is a ValueError, checked
+    before the sampling check that fs = 15 Hz fails for a 10 Hz tone."""
+    for b_test, w_test, fs in ((-1e-9, TWO_PI * 10, 500.0),
+                               (242e-9, -TWO_PI * 10, 500.0),
+                               (-1e-9, TWO_PI * 10, 15.0)):
+        with pytest.raises(ValueError, match="must be >= 0") as err:
+            simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, b_test,
+                                w_test, 21.0, 0.0, fs=fs, duration=0.5)
+        assert err.type is ValueError
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +281,9 @@ def test_optimize_constant_table_and_ties():
 def _eigensolve_gap(b_signed):
     """+3/2 <-> +1/2 gap from the eigensolver, field along -z when B < 0."""
     fld = FieldVector(abs(b_signed), math.pi if b_signed < 0 else 0.0)
-    sol = eigensolve(build_hamiltonian(SYS, fld))
-    by_basis = {int(np.argmax(np.abs(sol.states[:, i]))): i for i in range(4)}
-    return abs(sol.energies[by_basis[0]] - sol.energies[by_basis[1]])
+    energies, states = eigensolve(build_hamiltonian(SYS, fld))
+    by_basis = {int(np.argmax(np.abs(states[:, i]))): i for i in range(4)}
+    return abs(energies[by_basis[0]] - energies[by_basis[1]])
 
 
 def test_spin_frequency_matches_eigensolve_oracle():
@@ -386,32 +393,35 @@ def test_slope_matches_exact_least_squares():
 
 def test_timeseries_constant_without_test_field_or_noise():
     ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER,
-                             ToneSpec(0.0, TWO_PI * 10.0), 21.0, 0.0,
+                             0.0, TWO_PI * 10.0, 21.0, 0.0,
                              fs=500.0, duration=0.5, seed=0)
     assert np.allclose(ts.real, ts.real[0], atol=1e-15)
     assert np.allclose(ts.imag, ts.imag[0], atol=1e-15)
 
 
 def test_timeseries_determinism_and_undersampling():
-    spec = ToneSpec(242e-9, TWO_PI * 10.0)
-    a = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec, 21.0,
-                            26e-9, fs=500.0, duration=0.5, seed=9)
-    b = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec, 21.0,
-                            26e-9, fs=500.0, duration=0.5, seed=9)
+    b_test, w_test = 242e-9, TWO_PI * 10.0
+    a = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, b_test,
+                            w_test, 21.0, 26e-9, fs=500.0, duration=0.5,
+                            seed=9)
+    b = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, b_test,
+                            w_test, 21.0, 26e-9, fs=500.0, duration=0.5,
+                            seed=9)
     assert np.array_equal(a.imag, b.imag)
     with pytest.raises(UndersampledTestTone):
-        simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec, 21.0,
-                            0.0, fs=15.0, duration=1.0)
+        simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, b_test,
+                            w_test, 21.0, 0.0, fs=15.0, duration=1.0)
 
 
 def test_timeseries_noise_draw_order():
     """Noise is sigma = floor sqrt(fs / 2) times the first standard-normal
     draw of default_rng(seed) on .real, then the second on .imag."""
-    spec = ToneSpec(242e-9, TWO_PI * 10.0)
+    b_test, w_test = 242e-9, TWO_PI * 10.0
     floor_v, fs, seed = 26e-9, 500.0, 9
     clean, noisy = (simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER,
-                                        spec, 21.0, f, fs=fs, duration=0.5,
-                                        seed=seed) for f in (0.0, floor_v))
+                                        b_test, w_test, 21.0, f, fs=fs,
+                                        duration=0.5, seed=seed)
+                     for f in (0.0, floor_v))
     sigma = floor_v * math.sqrt(fs / 2.0)
     rng = np.random.default_rng(seed)
     real = clean.real + sigma * rng.standard_normal(clean.size)
@@ -428,58 +438,58 @@ def _slope_at_bias(bias_b):
 
 
 def test_timeseries_tone_matches_slope_prediction():
-    spec = ToneSpec(242e-9, TWO_PI * 10.0)
-    ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec, 21.0,
-                             0.0, fs=2000.0, duration=4.0, seed=0)
+    b_test, w_test = 242e-9, TWO_PI * 10.0
+    ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, b_test,
+                             w_test, 21.0, 0.0, fs=2000.0, duration=4.0,
+                             seed=0)
     freqs, asd = amplitude_spectrum(ts.imag - np.mean(ts.imag), fs=2000.0)
     v_m = tone_rms(freqs, asd, 10.0)
-    predicted = _slope_at_bias(B_CENTER) * spec.amplitude_rms
+    predicted = _slope_at_bias(B_CENTER) * b_test
     assert v_m == pytest.approx(predicted, rel=0.02)
 
 
 def test_timeseries_tone_linearity():
-    base = ToneSpec(242e-9, TWO_PI * 10.0)
-    double = ToneSpec(484e-9, TWO_PI * 10.0)
-    def tone(spec):
-        ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec,
-                                 21.0, 0.0, fs=2000.0, duration=4.0, seed=0)
+    def tone(b_test):
+        ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, b_test,
+                                 TWO_PI * 10.0, 21.0, 0.0, fs=2000.0,
+                                 duration=4.0, seed=0)
         freqs, asd = amplitude_spectrum(ts.imag - np.mean(ts.imag),
                                         fs=2000.0)
         return tone_rms(freqs, asd, 10.0)
-    assert tone(double) == pytest.approx(2.0 * tone(base), rel=0.01)
+    assert tone(484e-9) == pytest.approx(2.0 * tone(242e-9), rel=0.01)
 
 
 def test_end_to_end_sensitivity_consistency():
     """Spectral eta on simulated data matches noise_floor / M within 5%."""
-    spec = ToneSpec(242e-9, TWO_PI * 10.0)
+    b_test, w_test = 242e-9, TWO_PI * 10.0
     floor_v = 26e-9
     m_slope = _slope_at_bias(B_CENTER)
     predicted_eta = floor_v / m_slope
     for seed in range(10):
-        ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec,
-                                 21.0, floor_v, fs=2000.0, duration=4.0,
-                                 seed=seed)
+        ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, b_test,
+                                 w_test, 21.0, floor_v, fs=2000.0,
+                                 duration=4.0, seed=seed)
         freqs, asd = amplitude_spectrum(
             ts.imag - np.mean(ts.imag), fs=2000.0)
         v_m = tone_rms(freqs, asd, 10.0)
         e_n = noise_floor(freqs, asd, band=(50.0, 900.0), tone_freqs=(10.0,))
-        eta = sensitivity(e_n, v_m, spec.amplitude_rms)
+        eta = sensitivity(e_n, v_m, b_test)
         assert eta == pytest.approx(predicted_eta, rel=0.05), seed
 
 
 def test_gain_covariance_leaves_eta_invariant():
     """Scaling the chain gain scales V_m and e_n together; eta is unchanged."""
-    spec = ToneSpec(242e-9, TWO_PI * 10.0)
+    b_test, w_test = 242e-9, TWO_PI * 10.0
     def eta_at_gain(gain_db):
         scale = 10.0 ** ((gain_db - 21.0) / 20.0)
-        ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, spec,
-                                 gain_db, 26e-9 * scale, fs=2000.0,
+        ts = simulate_timeseries(SYS, CAV, ENS, NI, DRIVE, B_CENTER, b_test,
+                                 w_test, gain_db, 26e-9 * scale, fs=2000.0,
                                  duration=2.0, seed=4)
         freqs, asd = amplitude_spectrum(
             ts.imag - np.mean(ts.imag), fs=2000.0)
         v_m = tone_rms(freqs, asd, 10.0)
         e_n = noise_floor(freqs, asd, band=(50.0, 900.0), tone_freqs=(10.0,))
-        return sensitivity(e_n, v_m, spec.amplitude_rms)
+        return sensitivity(e_n, v_m, b_test)
     assert eta_at_gain(41.0) == pytest.approx(eta_at_gain(21.0), rel=1e-12)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rubymag.constants import CONST
+from rubymag import constants as CONST
 from rubymag.errors import EmptyRange, IndexOutOfRange, NonHermitianInput
-from rubymag.spins import (EigenSolution, FieldVector, SpinSystem,
+from rubymag.spins import (FieldVector, SpinSystem,
                            _fix_degenerate_subspaces,
                            analytic_energies_axial, build_hamiltonian,
                            eigensolve, energy_level_sweep,
@@ -53,11 +54,11 @@ def test_hamiltonian_axial_31_gauss():
 
 
 def test_eigensolve_zero_field_doublets():
-    sol = eigensolve(build_hamiltonian(SYS, FieldVector(0.0)))
-    gap = sol.energies[2] - sol.energies[1]
+    energies, _ = eigensolve(build_hamiltonian(SYS, FieldVector(0.0)))
+    gap = energies[2] - energies[1]
     assert gap == pytest.approx(TWO_PI * 11.49e9, rel=1e-9)
-    assert sol.energies[0] == pytest.approx(sol.energies[1], abs=1e-10 * abs(SYS.D))
-    assert sol.energies[2] == pytest.approx(sol.energies[3], abs=1e-10 * abs(SYS.D))
+    assert energies[0] == pytest.approx(energies[1], abs=1e-10 * abs(SYS.D))
+    assert energies[2] == pytest.approx(energies[3], abs=1e-10 * abs(SYS.D))
 
 
 def test_eigensolve_rejects_non_hermitian():
@@ -85,7 +86,7 @@ def test_eigensolve_equals_per_matrix_fix():
     for h in mats:
         energies, states = np.linalg.eigh(h)
         want = _fix_degenerate_subspaces(energies, states, np.linalg.norm(h))
-        assert eigensolve(h).states.tobytes() == want.tobytes()
+        assert eigensolve(h)[1].tobytes() == want.tobytes()
 
 
 def test_eigensolve_stack_equals_each_matrix():
@@ -104,14 +105,14 @@ def test_eigensolve_stack_equals_each_matrix():
         h = (q * [1e9, 1e9, 2e9, 3e9]) @ q.conj().T
         mats.append((h + h.conj().T) / 2.0)
     stack = np.array(mats)[rng.permutation(21)].reshape(3, 7, 4, 4)
-    sol = eigensolve(stack)
-    assert sol.energies.shape == (3, 7, 4)
-    assert sol.states.shape == (3, 7, 4, 4)
+    energies, states = eigensolve(stack)
+    assert energies.shape == (3, 7, 4)
+    assert states.shape == (3, 7, 4, 4)
     for idx in np.ndindex(3, 7):
-        one = eigensolve(stack[idx])
-        assert one.energies.shape == (4,) and one.states.shape == (4, 4)
-        assert sol.energies[idx].tobytes() == one.energies.tobytes()
-        assert sol.states[idx].tobytes() == one.states.tobytes()
+        one_e, one_s = eigensolve(stack[idx])
+        assert one_e.shape == (4,) and one_s.shape == (4, 4)
+        assert energies[idx].tobytes() == one_e.tobytes()
+        assert states[idx].tobytes() == one_s.tobytes()
     bad = stack.copy()
     bad[2, 4, 0, 1] += 0.01 * np.linalg.norm(bad[2, 4])
     with pytest.raises(NonHermitianInput):
@@ -142,22 +143,22 @@ def test_eigensolution_invariants_random_fields():
                           float(rng.uniform(0, math.pi)),
                           float(rng.uniform(0, TWO_PI - 1e-9)))
         h = build_hamiltonian(SYS, fld)
-        sol = eigensolve(h)
-        assert np.all(np.diff(sol.energies) >= -1e-6)
+        energies, states = eigensolve(h)
+        assert np.all(np.diff(energies) >= -1e-6)
         # orthonormality and residual
-        assert np.allclose(sol.states.conj().T @ sol.states, np.eye(4),
+        assert np.allclose(states.conj().T @ states, np.eye(4),
                            atol=1e-10)
-        resid = h @ sol.states - sol.states * sol.energies[None, :]
+        resid = h @ states - states * energies[None, :]
         assert np.linalg.norm(resid) < 1e-8 * np.linalg.norm(h)
 
 
 def test_axial_oracle_1000_random_fields():
     rng = np.random.default_rng(0)
     for b in rng.uniform(0.0, 0.5, size=1000):
-        sol = eigensolve(build_hamiltonian(SYS, FieldVector(float(b))))
+        energies, _ = eigensolve(build_hamiltonian(SYS, FieldVector(float(b))))
         expected = analytic_energies_axial(SYS, float(b))
         scale = np.max(np.abs(expected))
-        assert np.allclose(sol.energies, expected, rtol=0, atol=1e-9 * scale)
+        assert np.allclose(energies, expected, rtol=0, atol=1e-9 * scale)
 
 
 def test_eigensolve_matches_numpy_oracle():
@@ -168,7 +169,7 @@ def test_eigensolve_matches_numpy_oracle():
                           float(rng.uniform(0, TWO_PI - 1e-9)))
         h = build_hamiltonian(SYS, fld)
         expected = np.linalg.eigvalsh(h)
-        got = eigensolve(h).energies
+        got, _ = eigensolve(h)
         assert np.allclose(got, expected, rtol=0,
                            atol=1e-9 * np.max(np.abs(expected)))
 
@@ -176,18 +177,19 @@ def test_eigensolve_matches_numpy_oracle():
 @given(theta=st.floats(0.0, math.pi), phi=st.floats(0.0, TWO_PI - 1e-9))
 @settings(max_examples=50, deadline=None)
 def test_kramers_degeneracy_any_orientation(theta, phi):
-    sol = eigensolve(build_hamiltonian(SYS, FieldVector(0.0, theta, phi)))
+    energies, _ = eigensolve(build_hamiltonian(
+        SYS, FieldVector(0.0, theta, phi)))
     tol = 1e-10 * abs(SYS.D)
-    assert abs(sol.energies[1] - sol.energies[0]) < tol
-    assert abs(sol.energies[3] - sol.energies[2]) < tol
+    assert abs(energies[1] - energies[0]) < tol
+    assert abs(energies[3] - energies[2]) < tol
 
 
 @given(b=st.floats(1e-4, 0.5), theta=st.floats(0.0, math.pi),
        phi1=st.floats(0.0, TWO_PI - 1e-9), phi2=st.floats(0.0, TWO_PI - 1e-9))
 @settings(max_examples=50, deadline=None)
 def test_azimuthal_invariance(b, theta, phi1, phi2):
-    e1 = eigensolve(build_hamiltonian(SYS, FieldVector(b, theta, phi1))).energies
-    e2 = eigensolve(build_hamiltonian(SYS, FieldVector(b, theta, phi2))).energies
+    e1, _ = eigensolve(build_hamiltonian(SYS, FieldVector(b, theta, phi1)))
+    e2, _ = eigensolve(build_hamiltonian(SYS, FieldVector(b, theta, phi2)))
     scale = np.max(np.abs(e1)) + abs(SYS.D)
     assert np.allclose(e1, e2, rtol=0, atol=1e-10 * scale)
 
@@ -195,7 +197,7 @@ def test_azimuthal_invariance(b, theta, phi1, phi2):
 @given(b=st.floats(0.0, 0.5), theta=st.floats(0.0, math.pi))
 @settings(max_examples=50, deadline=None)
 def test_trace_conservation(b, theta):
-    e = eigensolve(build_hamiltonian(SYS, FieldVector(b, theta))).energies
+    e, _ = eigensolve(build_hamiltonian(SYS, FieldVector(b, theta)))
     assert abs(np.sum(e)) < 1e-9 * abs(SYS.D)
 
 
@@ -209,10 +211,10 @@ def test_transition_frequency_31_gauss_band():
     e = analytic_energies_axial(SYS, b)
     # closed form: 2|D| - g mu_B B / hbar
     expected = 2.0 * abs(SYS.D) - SYS.g_par * CONST.mu_B * b / CONST.hbar
-    sol = eigensolve(build_hamiltonian(SYS, FieldVector(b)))
+    energies, states = eigensolve(build_hamiltonian(SYS, FieldVector(b)))
     # the +3/2 <-> +1/2 transition: identify by dominant components
-    idx = {int(np.argmax(np.abs(sol.states[:, k]))): k for k in range(4)}
-    freq, amp = transition(sol, idx[0], idx[1])
+    idx = {int(np.argmax(np.abs(states[:, k]))): k for k in range(4)}
+    freq, amp = transition(energies, states, idx[0], idx[1])
     assert freq == pytest.approx(expected, rel=1e-9)
     assert TWO_PI * 11.39e9 < freq < TWO_PI * 11.42e9
 
@@ -221,9 +223,9 @@ def test_transition_slope_axial():
     h = 1e-6
     freqs = []
     for b in (31e-4, 31e-4 + h):
-        sol = eigensolve(build_hamiltonian(SYS, FieldVector(b)))
-        idx = {int(np.argmax(np.abs(sol.states[:, k]))): k for k in range(4)}
-        freqs.append(transition(sol, idx[0], idx[1])[0])
+        energies, states = eigensolve(build_hamiltonian(SYS, FieldVector(b)))
+        idx = {int(np.argmax(np.abs(states[:, k]))): k for k in range(4)}
+        freqs.append(transition(energies, states, idx[0], idx[1])[0])
     slope = abs(freqs[1] - freqs[0]) / h
     expected = SYS.g_par * CONST.mu_B / CONST.hbar
     assert slope == pytest.approx(expected, rel=1e-3)
@@ -231,10 +233,10 @@ def test_transition_slope_axial():
 
 
 def test_transition_amplitudes_axial():
-    sol = eigensolve(build_hamiltonian(SYS, FieldVector(31e-4)))
-    idx = {int(np.argmax(np.abs(sol.states[:, k]))): k for k in range(4)}
-    _, amp_allowed = transition(sol, idx[0], idx[1])
-    _, amp_forbidden = transition(sol, idx[0], idx[2])
+    energies, states = eigensolve(build_hamiltonian(SYS, FieldVector(31e-4)))
+    idx = {int(np.argmax(np.abs(states[:, k]))): k for k in range(4)}
+    _, amp_allowed = transition(energies, states, idx[0], idx[1])
+    _, amp_forbidden = transition(energies, states, idx[0], idx[2])
     assert amp_allowed == pytest.approx(0.75, abs=1e-9)
     assert amp_forbidden == pytest.approx(0.0, abs=1e-9)
 
@@ -243,16 +245,47 @@ def test_transition_forbidden_becomes_allowed_when_tilted():
     sol = eigensolve(build_hamiltonian(
         SYS, FieldVector(0.05, theta=math.radians(30))))
     # Delta m = 2 style pairs acquire weight off-axis
-    amps = [transition(sol, 0, 2)[1], transition(sol, 1, 3)[1]]
+    amps = [transition(*sol, 0, 2)[1], transition(*sol, 1, 3)[1]]
     assert max(amps) > 1e-4
 
 
 def test_transition_index_validation():
     sol = eigensolve(build_hamiltonian(SYS, FieldVector(0.01)))
     with pytest.raises(IndexOutOfRange):
-        transition(sol, 1, 1)
+        transition(*sol, 1, 1)
     with pytest.raises(IndexOutOfRange):
-        transition(sol, 0, 4)
+        transition(*sol, 0, 4)
+
+
+def test_transition_stack_equals_each_solution():
+    """transition over a (3, 7) eigensolve stack at 30 degrees equals, for
+    every ordered pair, each field's own solve: the frequency bit for bit,
+    the amplitude to rel 1e-14 against transition on that one solution (a
+    numpy scalar) and to a few ulps against |<i|S_x|j>|^2 written out as a
+    matrix-vector product.  An invalid pair on the stack is refused."""
+    theta = math.radians(30.0)
+    b = np.random.default_rng(13).uniform(0.0, 0.5, (3, 7))
+    energies, states = eigensolve(build_hamiltonian(
+        SYS, FieldVector(b, theta)))
+    sx = spin_matrices()[0]
+    for i, j in itertools.permutations(range(4), 2):
+        freq, amp = transition(energies, states, i, j)
+        assert freq.shape == amp.shape == (3, 7)
+        for idx in np.ndindex(3, 7):
+            one_e, one_s = eigensolve(build_hamiltonian(
+                SYS, FieldVector(float(b[idx]), theta)))
+            one_f, one_a = transition(one_e, one_s, i, j)
+            assert np.ndim(one_f) == np.ndim(one_a) == 0
+            assert freq[idx].tobytes() == one_f.tobytes()
+            assert freq[idx] == abs(one_e[j] - one_e[i])
+            assert amp[idx] == pytest.approx(one_a, rel=1e-14)
+            # amplitudes are at most 9/4: a few ulps of 1 bound the rounding
+            want = abs(one_s[:, i].conj() @ (sx @ one_s[:, j])) ** 2
+            assert amp[idx] == pytest.approx(want, rel=1e-14, abs=1e-15)
+    with pytest.raises(IndexOutOfRange):
+        transition(energies, states, 1, 1)
+    with pytest.raises(IndexOutOfRange):
+        transition(energies, states, 0, 4)
 
 
 def test_energy_level_sweep_axial_lines():
@@ -281,17 +314,12 @@ def test_allowed_transition_slope_largest_at_axial_and_transverse():
     slopes = {}
     b_values = np.linspace(28e-4, 34e-4, 7)
     for deg in (0, 30, 60, 90):
-        theta = math.radians(deg)
+        sol = eigensolve(build_hamiltonian(
+            SYS, FieldVector(b_values, math.radians(deg))))
         best = 0.0
         for i in range(4):
             for j in range(i + 1, 4):
-                freqs, amps = [], []
-                for b in b_values:
-                    sol = eigensolve(build_hamiltonian(
-                        SYS, FieldVector(float(b), theta)))
-                    f, a = transition(sol, i, j)
-                    freqs.append(f)
-                    amps.append(a)
+                freqs, amps = transition(*sol, i, j)
                 in_band = TWO_PI * 10.5e9 < freqs[3] < TWO_PI * 12.5e9
                 if min(amps) > 0.5 and in_band:
                     best = max(best, abs(np.polyfit(b_values, freqs, 1)[0]))
@@ -306,11 +334,11 @@ def _sweep_row_by_row(theta, b_range, n_points):
     energies = np.empty((n_points, 4))
     prev = None
     for r, b in enumerate(b_values):
-        sol = eigensolve(build_hamiltonian(SYS, FieldVector(b, theta)))
+        row, states = eigensolve(build_hamiltonian(SYS, FieldVector(b, theta)))
         if prev is None:
-            energies[r], prev = sol.energies, sol.states
+            energies[r], prev = row, states
             continue
-        overlap = np.abs(prev.conj().T @ sol.states) ** 2
+        overlap = np.abs(prev.conj().T @ states) ** 2
         perm = np.full(4, -1)
         taken = np.zeros(4, dtype=bool)
         for _ in range(4):
@@ -319,7 +347,7 @@ def _sweep_row_by_row(theta, b_range, n_points):
             a, c = divmod(int(flat), 4)
             perm[a] = c
             taken[c] = True
-        energies[r], prev = sol.energies[perm], sol.states[:, perm]
+        energies[r], prev = row[perm], states[:, perm]
     return b_values, energies
 
 

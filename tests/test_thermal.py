@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rubymag.constants import CONST
+from rubymag import constants as CONST
 from rubymag.errors import NonPositiveTemperature
 from rubymag.spins import SpinSystem
-from rubymag.thermal import (MaterialParams, ThermalState,
-                             boltzmann_populations, optical_power_equivalent,
+from rubymag.thermal import (MaterialParams, boltzmann_populations,
+                             optical_power_equivalent, polarization,
                              polarized_spin_count, total_interrogated_spins)
 
 TWO_PI = 2.0 * math.pi
@@ -26,23 +26,21 @@ def _direct_populations(T):
 
 
 def test_room_temperature_populations():
-    state = boltzmann_populations(SYS, 293.0)
-    p = state.populations
+    p = boltzmann_populations(SYS, 293.0)
     assert p[0] == pytest.approx(0.25024, abs=5e-6)
     assert p[1] == pytest.approx(0.25024, abs=5e-6)
     assert p[2] == pytest.approx(0.24976, abs=5e-6)
     assert p[3] == pytest.approx(0.24976, abs=5e-6)
-    assert state.polarization == pytest.approx(4.7e-4, abs=1e-5)
+    assert polarization(p) == pytest.approx(4.7e-4, abs=1e-5)
 
 
 def test_infinite_temperature_limit():
-    state = boltzmann_populations(SYS, 1e12)
-    assert np.allclose(state.populations, 0.25, atol=1e-9)
+    assert np.allclose(boltzmann_populations(SYS, 1e12), 0.25, atol=1e-9)
 
 
 def test_cold_oracle_4k():
-    state = boltzmann_populations(SYS, 4.0)
-    assert np.allclose(state.populations, _direct_populations(4.0), atol=1e-12)
+    assert np.allclose(boltzmann_populations(SYS, 4.0),
+                       _direct_populations(4.0), atol=1e-12)
 
 
 def test_negative_temperature_rejected():
@@ -55,27 +53,26 @@ def test_negative_temperature_rejected():
 @given(t=st.floats(1.0, 1e6))
 @settings(max_examples=100, deadline=None)
 def test_normalization_property(t):
-    state = boltzmann_populations(SYS, t)
-    assert abs(sum(state.populations) - 1.0) < 1e-12
-    assert all(0.0 < p < 1.0 for p in state.populations)
+    populations = boltzmann_populations(SYS, t)
+    assert abs(sum(populations) - 1.0) < 1e-12
+    assert all(0.0 < p < 1.0 for p in populations)
 
 
 def test_polarization_monotone_in_temperature():
     temps = np.logspace(0, 6, 40)
-    pols = [boltzmann_populations(SYS, float(t)).polarization for t in temps]
+    pols = [polarization(boltzmann_populations(SYS, float(t))) for t in temps]
     assert all(a > b for a, b in zip(pols, pols[1:]))
 
 
 def test_small_splitting_expansion():
     for t in (100.0, 293.0, 1000.0):
-        exact = boltzmann_populations(SYS, t).polarization
+        exact = polarization(boltzmann_populations(SYS, t))
         approx = CONST.hbar * abs(SYS.D) / (2.0 * CONST.k_B * t)
         assert approx == pytest.approx(exact, rel=1e-2)
 
 
 def test_effective_polarization_equal_populations_zero():
-    state = ThermalState(T=1.0, populations=(0.25, 0.25, 0.25, 0.25))
-    assert state.polarization == 0.0
+    assert polarization((0.25, 0.25, 0.25, 0.25)) == 0.0
 
 
 def test_fit_implied_polarization():
@@ -98,18 +95,19 @@ def test_total_spins_linearity():
 
 
 def test_polarized_count_room_temperature():
-    state = boltzmann_populations(SYS, 293.0)
-    n = polarized_spin_count(MAT, state)
+    populations = boltzmann_populations(SYS, 293.0)
+    n = polarized_spin_count(MAT, populations)
     assert n == pytest.approx(3.5e14, rel=0.15)
-    assert n == pytest.approx(state.polarization
+    assert n == pytest.approx(polarization(populations)
                               * total_interrogated_spins(MAT), rel=1e-12)
 
 
 def test_polarized_count_scaling():
-    state = boltzmann_populations(SYS, 293.0)
+    populations = boltzmann_populations(SYS, 293.0)
     doubled = replace(MAT, alpha_Cr=2 * MAT.alpha_Cr)
-    assert polarized_spin_count(doubled, state) \
-        == pytest.approx(2 * polarized_spin_count(MAT, state), rel=1e-12)
+    assert polarized_spin_count(doubled, populations) \
+        == pytest.approx(2 * polarized_spin_count(MAT, populations),
+                         rel=1e-12)
 
 
 def test_optical_power_equivalent():
