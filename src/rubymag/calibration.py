@@ -18,14 +18,17 @@ from .csvio import read_columns
 from .errors import DegenerateAbscissa, ParseError, TooFewPoints, ZeroSlope
 
 
-@dataclass(frozen=True)
+@dataclass
 class CoilGeometry:
+    """Test coil: turns, radius and on-axis distance to the sensor."""
+
     n_turns: int = 8
     radius: float = 15.68e-3    # m
     distance: float = 30e-3     # m, coil center to sensor on axis
 
     def __post_init__(self):
-        if self.n_turns < 1 or self.radius <= 0:
+        # written so that NaN, which compares False, fails the check
+        if not (self.n_turns >= 1 and self.radius > 0):
             raise ValueError("n_turns and radius must be positive")
 
 

@@ -32,14 +32,17 @@ from .errors import ZeroCoupling, ZeroKappaTh, ZeroLinewidth, ZeroSpinLinewidth
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass
 class CavityParams:
+    """Cavity frequency with its intrinsic and input-coupling loss rates."""
+
     omega_c: float = _TWO_PI * 11.4e9     # rad/s
     kappa_c0: float = _TWO_PI * 330e3     # intrinsic, rad/s
     kappa_c1: float = _TWO_PI * 330e3     # input coupling, rad/s
 
     def __post_init__(self):
-        if min(self.omega_c, self.kappa_c0, self.kappa_c1) <= 0:
+        # each check is written so that NaN, which compares False, fails it
+        if not (self.omega_c > 0 and self.kappa_c0 > 0 and self.kappa_c1 > 0):
             raise ValueError("cavity frequency and rates must be positive")
 
     @property
@@ -47,8 +50,10 @@ class CavityParams:
         return self.kappa_c0 + self.kappa_c1
 
 
-@dataclass(frozen=True)
+@dataclass
 class EnsembleParams:
+    """Spin ensemble: single-spin coupling, count, linewidths and frequency."""
+
     g_s: float                             # single spin-photon coupling, rad/s
     N: float                               # polarized spin count
     kappa_s: float = _TWO_PI * 42e6        # 2/T2, rad/s
@@ -56,7 +61,8 @@ class EnsembleParams:
     omega_s: float = _TWO_PI * 11.4e9      # rad/s
 
     def __post_init__(self):
-        if min(self.g_s, self.N, self.kappa_s, self.kappa_th, self.omega_s) < 0:
+        if not all(v >= 0 for v in (self.g_s, self.N, self.kappa_s,
+                                    self.kappa_th, self.omega_s)):
             raise ValueError("ensemble parameters must be non-negative")
 
     @property
@@ -65,17 +71,19 @@ class EnsembleParams:
         return self.g_s * math.sqrt(self.N)
 
 
-@dataclass(frozen=True)
+@dataclass
 class DriveParams:
+    """Microwave drive frequency and power."""
+
     omega_d: float = _TWO_PI * 11.4e9      # rad/s
     power: float = 1e-3                    # W
 
     def __post_init__(self):
-        if self.power < 0:
+        if not self.power >= 0:
             raise ValueError("drive power must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass
 class NonIdealityParams:
     """Auxiliary parameters wrapping Gamma into the measurable Gamma'.
 

@@ -17,7 +17,6 @@ process without interpreter teardown.
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 import math
 import os
@@ -145,6 +144,8 @@ def _grid_spec(cfg: RunConfig) -> fitting.GridSpec:
 
 
 def _default_noise_csv(name: str) -> Path:
+    # imported here: no other command needs importlib.resources
+    import importlib.resources
     return importlib.resources.files("rubymag") / "data" / name
 
 

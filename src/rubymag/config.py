@@ -140,7 +140,7 @@ def _strip_unit(key: str) -> str:
     return key
 
 
-@dataclass(frozen=True)
+@dataclass
 class RunConfig:
     """Fully-validated configuration in internal units (rad/s, T, W)."""
 

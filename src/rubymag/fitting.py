@@ -41,8 +41,10 @@ from .errors import AllZeroBorder, InvalidBounds, ParseError, ZeroRate
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass
 class GridSpec:
+    """Strictly increasing (omega_s, omega_d) axes and the drive power."""
+
     omega_s_values: np.ndarray    # rad/s, strictly increasing
     omega_d_values: np.ndarray    # rad/s, strictly increasing
     drive_power: float            # W
@@ -50,8 +52,9 @@ class GridSpec:
     def __post_init__(self):
         for name in ("omega_s_values", "omega_d_values"):
             vals = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, vals)
-            if vals.size < 2 or np.any(np.diff(vals) <= 0):
+            setattr(self, name, vals)
+            # NaN, which compares False, fails the check
+            if vals.size < 2 or not np.all(np.diff(vals) > 0):
                 raise ValueError(f"{name} must be strictly increasing, length >= 2")
 
     @property
@@ -59,21 +62,24 @@ class GridSpec:
         return float(np.mean(self.omega_d_values))
 
 
-@dataclass(frozen=True)
+@dataclass
 class ComplexGrid2D:
+    """Complex values on a GridSpec; rows index omega_s, columns omega_d."""
+
     spec: GridSpec
     values: np.ndarray            # complex, shape (n_omega_s, n_omega_d)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", vals)
+        self.values = vals = np.asarray(self.values, dtype=complex)
         expected = (self.spec.omega_s_values.size, self.spec.omega_d_values.size)
         if vals.shape != expected:
             raise ValueError(f"grid shape {vals.shape} != spec shape {expected}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class FitResult:
+    """Fitted parameters with the fit's L1 objective, steps and outcome."""
+
     cavity: CavityParams
     ensemble: EnsembleParams
     nonideal: NonIdealityParams
@@ -232,9 +238,9 @@ def _vector_to_params(vec: np.ndarray, cav: CavityParams,
     return cav, ens, ni
 
 
-def objective_l1(model: np.ndarray, data: np.ndarray) -> float:
-    """Sum of |Re| + |Im| of the complex residuals."""
-    return float(np.abs((model - data).view(float)).sum())
+def objective_l1(residual: np.ndarray) -> float:
+    """Sum of |Re| + |Im| of the complex residuals, given as their floats."""
+    return float(np.abs(residual).sum())
 
 
 # damped Gauss-Newton and IRLS constants
@@ -370,11 +376,12 @@ def fit_crossing(data: ComplexGrid2D, cav: CavityParams,
         model = gamma_prime(spec.omega_s_values, spec.omega_d_values,
                             omega_d_mean, omega_c, g_s, spec.drive_power,
                             transform.to_bounded(x).tolist())
-        f = objective_l1(model, data.values)
+        model -= data.values
+        r = model.ravel().view(float)
+        f = objective_l1(r)
         if f < best_f:
             best_x, best_f = x.copy(), f
-        model -= data.values
-        return model.ravel().view(float), f
+        return r, f
 
     def jacobian(x):
         # the rows of dGamma'/dp, each viewed as the interleaved floats of

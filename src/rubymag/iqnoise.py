@@ -30,25 +30,25 @@ DBC_PER_HZ = "dBc_per_Hz"
 V2_PER_HZ = "V2_per_Hz"
 
 
-@dataclass(frozen=True)
+@dataclass
 class NoiseSpectrum:
+    """Noise density on strictly increasing positive offsets, with its unit."""
+
     offsets: np.ndarray      # Hz, strictly increasing, > 0
     density: np.ndarray
     unit: str
 
     def __post_init__(self):
-        offsets = np.asarray(self.offsets, dtype=float)
-        density = np.asarray(self.density, dtype=float)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "density", density)
+        self.offsets = offsets = np.asarray(self.offsets, dtype=float)
+        self.density = density = np.asarray(self.density, dtype=float)
         if offsets.shape != density.shape:
             raise ValueError("offsets and density must have equal length")
-        if offsets.size and (np.any(offsets <= 0)
-                             or np.any(np.diff(offsets) <= 0)):
+        # written so that NaN, which compares False, fails the checks
+        if not (np.all(offsets > 0) and np.all(np.diff(offsets) > 0)):
             raise ValueError("offsets must be strictly increasing and positive")
         if self.unit not in (DBC_PER_HZ, V2_PER_HZ):
             raise ValueError(f"unknown unit tag {self.unit!r}")
-        if self.unit == V2_PER_HZ and np.any(density < 0):
+        if self.unit == V2_PER_HZ and not np.all(density >= 0):
             raise ValueError("a V2_per_Hz density must be >= 0")
 
     def in_linear(self) -> np.ndarray:

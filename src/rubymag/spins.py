@@ -24,7 +24,7 @@ _TWO_PI = 2.0 * math.pi
 _MS = np.array([1.5, 0.5, -0.5, -1.5])
 
 
-@dataclass(frozen=True)
+@dataclass
 class SpinSystem:
     """Zero-field splitting and g-factors of the Cr3+ ground state.
 
@@ -37,11 +37,12 @@ class SpinSystem:
     g_perp: float = 2.0
 
     def __post_init__(self):
-        if self.g_par <= 0 or self.g_perp <= 0:
+        # written so that NaN, which compares False, fails the checks
+        if not (self.g_par > 0 and self.g_perp > 0):
             raise ValueError("g-factors must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass
 class FieldVector:
     """Bias field in spherical coordinates, theta measured from the c-axis;
     magnitude may be an array of fields at the one orientation."""
@@ -51,7 +52,7 @@ class FieldVector:
     phi: float = 0.0                # rad
 
     def __post_init__(self):
-        if np.any(np.asarray(self.magnitude) < 0):
+        if not np.all(np.asarray(self.magnitude) >= 0):
             raise ValueError("field magnitude must be >= 0")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")

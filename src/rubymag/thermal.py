@@ -17,7 +17,7 @@ from .errors import NonPositiveTemperature
 from .spins import SpinSystem
 
 
-@dataclass(frozen=True)
+@dataclass
 class MaterialParams:
     """Crystal and resonator quantities entering the spin-count estimate.
 
@@ -35,7 +35,9 @@ class MaterialParams:
     zeta: float = 0.69
 
     def __post_init__(self):
-        if min(self.V_cav, self.V_cell, self.m_Al2O3, self.m_Cr2O3) <= 0:
+        # written so that NaN, which compares False, fails the checks
+        if not all(v > 0 for v in (self.V_cav, self.V_cell, self.m_Al2O3,
+                                   self.m_Cr2O3)):
             raise ValueError("volumes and molar masses must be positive")
         if not 0.0 <= self.alpha_Cr <= 1.0:
             raise ValueError("alpha_Cr must lie in [0, 1]")

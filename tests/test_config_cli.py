@@ -659,6 +659,20 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_import_loads_no_importlib_resources():
+    """Only noise-predict's default data path reads importlib.resources, so
+    a cold import of the command line does not load it.  The child runs
+    under python -S, with numpy's directory on its path, because a site
+    hook may load importlib.resources first (certifi's .pth file does)."""
+    env = _child_env()
+    env["PYTHONPATH"] += os.pathsep + str(Path(np.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, rubymag.cli; "
+         "print('importlib.resources' in sys.modules)"],
+        env=env, check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_commands_load_no_scipy(tmp_path):
     """Every command, crossing-fit included, runs on numpy alone, and the
     command line is read without argparse."""

@@ -1,7 +1,10 @@
+import copy
+import importlib.util
 import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,9 @@ import pytest
 from rubymag.cavity import (CavityParams, EnsembleParams, NonIdealityParams,
                             dbm_to_watts, kappa_th_threshold_power,
                             single_spin_coupling, watts_to_dbm)
-from rubymag import fitting
+from rubymag import cli, fitting
 from rubymag import constants as CONST
+from rubymag.config import parse_config
 from rubymag.csvio import render_json
 from rubymag.errors import (AllZeroBorder, InvalidBounds, NonFiniteOutput,
                             ParseError, ZeroKappaTh, ZeroRate)
@@ -216,7 +220,7 @@ def test_objective_at_truth_is_zero():
     spec = wide_spec(20, 20)
     grid = simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=0)
     model = evaluate_model_grid(CAV, ENS, NI, spec)
-    assert objective_l1(model, grid.values) < 1e-9
+    assert objective_l1((model - grid.values).view(float)) < 1e-9
 
 
 def test_fit_from_truth_stays_at_truth():
@@ -342,9 +346,9 @@ def counting_kernel(monkeypatch):
             return real_kernel(*args)
         return kernel
 
-    def objective(model, data):
+    def objective(residual):
         objective_calls.append(1)
-        return real_objective(model, data)
+        return real_objective(residual)
 
     monkeypatch.setattr(fitting, "gamma_prime",
                         counted("value", fitting.gamma_prime))
@@ -472,6 +476,58 @@ def test_criterion_13_noisy_fit_converges_within_budget(monkeypatch):
     assert res.objective_value <= 40.98254358427529
     for name, err in physical_errors(res, CAV, ENS).items():
         assert abs(err) < (0.30 if name == "kappa_th" else 0.10), name
+
+
+def _bench_inputs():
+    path = Path(__file__).parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_fit_over_forty_truths():
+    """The benchmark's fit recipe over 40 truths: truth k scales the five
+    rates of bench/inputs.BASE by default_rng(k).uniform(0.8, 1.2, 5), as
+    fit_inputs does (g_eff through n_spins), takes criterion 13's
+    non-idealities and sigma = 0.01 noise with master seed k, and is
+    simulated by crossing-sim's command; each fit starts from the default
+    config.
+
+    Pinned as counts, not per truth: truths 11, 12 and 32 end with kappa_s
+    off by 11.1-11.6 % against criterion 13's 10 %, at 0.99-1.00 times the
+    noise L1, which sigma = 0.01 noise alone can do on a 50x50 grid.
+    Truth 11 also reports converged False: IRLS ran out of damping."""
+    inputs = _bench_inputs()
+    n_default = parse_config(inputs.BASE).ensemble().N
+    guess = parse_config({})
+    within = converged = 0
+    steps = []
+    for k in range(40):
+        raw = copy.deepcopy(inputs.BASE)
+        scale = np.random.default_rng(k).uniform(0.8, 1.2, 5)
+        raw["cavity"]["kappa_c0_khz"] *= scale[0]
+        raw["cavity"]["kappa_c1_khz"] *= scale[1]
+        raw["ensemble"]["kappa_s_mhz"] *= scale[2]
+        raw["ensemble"]["kappa_th_khz"] *= scale[3]
+        raw["ensemble"]["n_spins"] = n_default * scale[4] ** 2
+        raw["nonideal"] = dict(inputs.CRITERION_13_NONIDEAL)
+        raw["grid"]["noise_sigma"] = 0.01
+        raw["run"]["master_seed"] = k
+        truth = parse_config(raw)
+        [(_, _, grid)] = cli.cmd_crossing_sim(truth, None)
+        res = fit_crossing(grid, guess.cavity(), guess.ensemble(),
+                           guess.nonideal())
+        noise_l1 = 2.0 * grid.values.size * 0.01 * math.sqrt(2.0 / math.pi)
+        assert 0.8 <= res.objective_value / noise_l1 <= 1.2, k
+        errors = physical_errors(res, truth.cavity(), truth.ensemble())
+        within += all(abs(err) < inputs.FIT_TOLERANCE[name]
+                      for name, err in errors.items())
+        converged += res.converged
+        steps.append(res.iterations)
+    assert max(steps) <= 60
+    assert converged >= 39
+    assert within >= 37
 
 
 @pytest.mark.slow
