@@ -22,9 +22,9 @@ from .errors import DegenerateAbscissa, ParseError, TooFewPoints, ZeroSlope
 class CoilGeometry:
     """Test coil: turns, radius and on-axis distance to the sensor."""
 
-    n_turns: int = 8
-    radius: float = 15.68e-3    # m
-    distance: float = 30e-3     # m, coil center to sensor on axis
+    n_turns: int
+    radius: float      # m
+    distance: float    # m, coil center to sensor on axis
 
     def __post_init__(self):
         # written so that NaN, which compares False, fails the check

@@ -29,16 +29,14 @@ import numpy as np
 from . import constants as CONST
 from .errors import ZeroCoupling, ZeroKappaTh, ZeroLinewidth, ZeroSpinLinewidth
 
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass
 class CavityParams:
     """Cavity frequency with its intrinsic and input-coupling loss rates."""
 
-    omega_c: float = _TWO_PI * 11.4e9     # rad/s
-    kappa_c0: float = _TWO_PI * 330e3     # intrinsic, rad/s
-    kappa_c1: float = _TWO_PI * 330e3     # input coupling, rad/s
+    omega_c: float     # rad/s
+    kappa_c0: float    # intrinsic, rad/s
+    kappa_c1: float    # input coupling, rad/s
 
     def __post_init__(self):
         # each check is written so that NaN, which compares False, fails it
@@ -56,9 +54,9 @@ class EnsembleParams:
 
     g_s: float                             # single spin-photon coupling, rad/s
     N: float                               # polarized spin count
-    kappa_s: float = _TWO_PI * 42e6        # 2/T2, rad/s
-    kappa_th: float = _TWO_PI * 120e3      # 1/T1, rad/s
-    omega_s: float = _TWO_PI * 11.4e9      # rad/s
+    kappa_s: float                         # 2/T2, rad/s
+    kappa_th: float                        # 1/T1, rad/s
+    omega_s: float                         # rad/s
 
     def __post_init__(self):
         if not all(v >= 0 for v in (self.g_s, self.N, self.kappa_s,
@@ -75,8 +73,8 @@ class EnsembleParams:
 class DriveParams:
     """Microwave drive frequency and power."""
 
-    omega_d: float = _TWO_PI * 11.4e9      # rad/s
-    power: float = 1e-3                    # W
+    omega_d: float     # rad/s
+    power: float       # W
 
     def __post_init__(self):
         if not self.power >= 0:

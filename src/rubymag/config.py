@@ -6,7 +6,8 @@ convention: angular frequencies and rates in rad/s, fields in tesla, powers
 in watts.  Unknown keys are hard errors; a known quantity spelled with the
 wrong unit suffix raises UnitMismatch naming the expected key, and so does a
 value of the wrong JSON type.  Omitted keys and blocks fall back to the
-built-in defaults.
+defaults in _SCHEMA, the one place the paper's values are written: the
+parameter bundles the RunConfig views build carry no defaults.
 
 _SCHEMA also holds every key's range, so a value out of range fails the
 parse as ConfigError whichever command runs, and no RunConfig view
@@ -60,6 +61,8 @@ _SCHEMA = {
         "m_al2o3_g_per_mol": (float, 101.96, _POSITIVE),
         "m_cr2o3_g_per_mol": (float, 151.99, _POSITIVE),
         "n_cell": (_integer, 12, (1, False, None)),
+        # modal filling factor: accepted but read by nothing (bench/inputs.BASE
+        # spells it)
         "zeta": (float, 0.69),
         "temperature_k": (float, 293.0, _POSITIVE),
     },
@@ -160,7 +163,7 @@ class RunConfig:
                               alpha_Cr=m["alpha_cr"],
                               m_Al2O3=m["m_al2o3_g_per_mol"],
                               m_Cr2O3=m["m_cr2o3_g_per_mol"],
-                              N_cell=m["n_cell"], zeta=m["zeta"])
+                              N_cell=m["n_cell"])
 
     def temperature(self) -> float:
         return self["material"]["temperature_k"]

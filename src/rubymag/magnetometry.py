@@ -180,8 +180,7 @@ def spin_frequency_vs_field(sys: SpinSystem, b_values) -> np.ndarray:
 
 def bias_sweep_trace(sys: SpinSystem, cav: CavityParams, ens: EnsembleParams,
                      ni: NonIdealityParams, drive: DriveParams,
-                     b_values: np.ndarray,
-                     chain_gain_db: float = 21.0) -> np.ndarray:
+                     b_values: np.ndarray, chain_gain_db: float) -> np.ndarray:
     """Complex channel voltage at the bias fields b_values, of any shape:
     .real is the absorptive channel and .imag the dispersive one."""
     gamma = gamma_prime(spin_frequency_vs_field(sys, b_values), drive.omega_d,

@@ -32,9 +32,9 @@ class SpinSystem:
     doublets is 2|D|.
     """
 
-    D: float = -_TWO_PI * 5.745e9   # rad/s
-    g_par: float = 2.0
-    g_perp: float = 2.0
+    D: float           # rad/s
+    g_par: float
+    g_perp: float
 
     def __post_init__(self):
         # written so that NaN, which compares False, fails the checks

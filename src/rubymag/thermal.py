@@ -19,20 +19,14 @@ from .spins import SpinSystem
 
 @dataclass
 class MaterialParams:
-    """Crystal and resonator quantities entering the spin-count estimate.
+    """Crystal and resonator quantities entering the spin-count estimate."""
 
-    zeta (modal filling factor) enters no formula and no output.  It is
-    kept only because the benchmark's configs (bench/inputs.py) spell
-    material.zeta.
-    """
-
-    V_cav: float = 52.2e-9       # m^3
-    V_cell: float = 0.2548e-27   # m^3
-    alpha_Cr: float = 0.0005     # weight fraction of Cr2O3
-    m_Al2O3: float = 101.96      # g/mol
-    m_Cr2O3: float = 151.99      # g/mol
-    N_cell: int = 12             # Al atoms per unit cell
-    zeta: float = 0.69
+    V_cav: float       # m^3
+    V_cell: float      # m^3
+    alpha_Cr: float    # weight fraction of Cr2O3
+    m_Al2O3: float     # g/mol
+    m_Cr2O3: float     # g/mol
+    N_cell: int        # Al atoms per unit cell
 
     def __post_init__(self):
         # written so that NaN, which compares False, fails the checks

@@ -12,18 +12,20 @@ g_eff^2 / kappa_s = xi kappa_c / 4, about 0.44 kappa_c at xi = 1.77.
 
 import itertools
 import math
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from rubymag.calibration import CoilGeometry, solenoid_axial_field
+from rubymag.calibration import solenoid_axial_field
 from rubymag.calibration import test_field_from_slope as field_from_slope
-from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
-                            NonIdealityParams, cooperativity, dbm_to_watts,
+from rubymag.cavity import (CavityParams, DriveParams, NonIdealityParams,
+                            cooperativity, dbm_to_watts,
                             kappa_th_threshold_power, reflection,
                             single_spin_coupling, watts_to_dbm)
 from rubymag import constants as CONST
+from rubymag.config import parse_config
 from rubymag.fitting import (GridSpec, dip_trajectory, fit_crossing,
                              normalize_grid, relaxation_times,
                              simulate_crossing)
@@ -34,18 +36,19 @@ from rubymag.magnetometry import (amplitude_spectrum, bias_sweep_trace,
                                   phase_noise_budget, sensitivity,
                                   simulate_timeseries, thermal_limit,
                                   tone_rms)
-from rubymag.spins import (FieldVector, SpinSystem, analytic_energies_axial,
+from rubymag.spins import (FieldVector, analytic_energies_axial,
                            build_hamiltonian, eigensolve, energy_level_sweep,
                            transition)
-from rubymag.thermal import (MaterialParams, boltzmann_populations,
-                             optical_power_equivalent, polarization,
-                             polarized_spin_count, total_interrogated_spins)
+from rubymag.thermal import (boltzmann_populations, optical_power_equivalent,
+                             polarization, polarized_spin_count,
+                             total_interrogated_spins)
 
 TWO_PI = 2.0 * math.pi
-SYS = SpinSystem()
-CAV = CavityParams()
+DEFAULTS = parse_config({})
+SYS = DEFAULTS.spin_system()
+CAV = DEFAULTS.cavity()
 G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
-ENS = EnsembleParams(g_s=G_S, N=(TWO_PI * 3.5e6 / G_S) ** 2)
+ENS = replace(DEFAULTS.ensemble(), g_s=G_S, N=(TWO_PI * 3.5e6 / G_S) ** 2)
 
 
 def test_criterion_01_boltzmann_populations():
@@ -58,7 +61,7 @@ def test_criterion_01_boltzmann_populations():
 
 
 def test_criterion_02_interrogated_spins():
-    mat = MaterialParams()
+    mat = DEFAULTS.material()
     assert total_interrogated_spins(mat) == pytest.approx(8e17, rel=0.05)
     populations = boltzmann_populations(SYS, 293.0)
     assert polarized_spin_count(mat, populations) \
@@ -71,7 +74,7 @@ def test_criterion_03_coupling_consistency():
 
 
 def test_criterion_04_cooperativity():
-    ens = EnsembleParams(g_s=1.0, N=(TWO_PI * 3.5e6) ** 2)
+    ens = replace(ENS, g_s=1.0, N=(TWO_PI * 3.5e6) ** 2)
     assert cooperativity(ens, CAV) == pytest.approx(1.8, abs=0.05)
 
 
@@ -83,7 +86,7 @@ def test_criterion_05_threshold_power():
 
 
 def test_criterion_06_relaxation_times():
-    t1, t2 = relaxation_times(EnsembleParams(g_s=1.0, N=1.0))
+    t1, t2 = relaxation_times(replace(ENS, g_s=1.0, N=1.0))
     # stated values are the computed times rounded to two significant figures
     assert float(f"{t2:.2g}") == 7.6e-9
     assert float(f"{t1:.2g}") == 1.3e-6
@@ -115,7 +118,7 @@ def test_criterion_09_phase_noise_budget():
 
 
 def test_criterion_10_calibration():
-    b_solenoid = solenoid_axial_field(CoilGeometry(), 6.9e-3)
+    b_solenoid = solenoid_axial_field(DEFAULTS.coil(), 6.9e-3)
     assert b_solenoid == pytest.approx(220e-9, rel=0.01)
     b_slope = field_from_slope(0.646e-3, 2994.0)
     assert b_slope == pytest.approx(216e-9, rel=0.01)
@@ -165,8 +168,8 @@ def _fit_errors(noise_sigma, data_seed, guess_seed):
     p = lambda x: x * rng.uniform(0.8, 1.2)
     cav = CavityParams(omega_c=CAV.omega_c, kappa_c0=p(CAV.kappa_c0),
                        kappa_c1=p(CAV.kappa_c1))
-    ens = EnsembleParams(g_s=G_S, N=(p(ENS.g_eff) / G_S) ** 2,
-                         kappa_s=p(ENS.kappa_s), kappa_th=p(ENS.kappa_th))
+    ens = replace(ENS, N=(p(ENS.g_eff) / G_S) ** 2, kappa_s=p(ENS.kappa_s),
+                  kappa_th=p(ENS.kappa_th))
     grid = simulate_crossing(CAV, ENS, _NI_TRUTH, spec, noise_sigma,
                              seed=data_seed)
     res = fit_crossing(normalize_grid(grid), cav, ens, _NI_TRUTH)
@@ -194,7 +197,7 @@ def test_criterion_13_fit_round_trip():
 def test_criterion_14_noise_model_properties():
     pos = np.logspace(2, 6, 25)
     offsets = TWO_PI * np.concatenate([-pos[::-1], [0.0], pos])
-    ens = EnsembleParams(g_s=1.0, N=(TWO_PI * 3.5e6) ** 2)
+    ens = replace(ENS, g_s=1.0, N=(TWO_PI * 3.5e6) ** 2)
     values = np.array([
         reflection(CAV, ens, DriveParams(omega_d=CAV.omega_c + o, power=1e-5))
         for o in offsets])
@@ -220,7 +223,7 @@ def test_criterion_15_end_to_end_consistency():
     b_test, w_test = 242e-9, TWO_PI * 10.0
 
     b = np.linspace(b_center - 5e-5, b_center + 5e-5, 101)
-    v = bias_sweep_trace(SYS, CAV, ENS, ni, drive, b)
+    v = bias_sweep_trace(SYS, CAV, ENS, ni, drive, b, 21.0)
     slopes, _ = dispersive_slope(b, v.imag)
     m_here = abs(slopes[50])
 

@@ -1,33 +1,36 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rubymag.calibration import (CoilGeometry, linear_calibration,
-                                 read_calibration_csv, solenoid_axial_field)
+from rubymag.calibration import (linear_calibration, read_calibration_csv,
+                                 solenoid_axial_field)
 from rubymag.calibration import test_field_from_slope as field_from_slope
 from rubymag import constants as CONST
+from rubymag.config import parse_config
 from rubymag.csvio import render_columns
 from rubymag.errors import (DegenerateAbscissa, ParseError, TooFewPoints,
                             ZeroSlope)
 
 I_RMS = 6.9e-3      # coil drive current, A RMS
+COIL = parse_config({}).coil()
 
 
 def test_default_geometry_paper_value():
-    b = solenoid_axial_field(CoilGeometry(), I_RMS)
+    b = solenoid_axial_field(COIL, I_RMS)
     assert b == pytest.approx(220e-9, rel=0.01)
 
 
 def test_coil_center_limit():
-    coil = CoilGeometry(distance=0.0)
+    coil = replace(COIL, distance=0.0)
     b = solenoid_axial_field(coil, I_RMS)
     expected = coil.n_turns * CONST.mu_0 * I_RMS / (2.0 * coil.radius)
     assert b == pytest.approx(expected, rel=1e-12)
 
 
 def test_far_field_dipole_asymptote():
-    coil = CoilGeometry(distance=10 * 15.68e-3)
+    coil = replace(COIL, distance=10 * 15.68e-3)
     b = solenoid_axial_field(coil, I_RMS)
     dipole = (coil.n_turns * CONST.mu_0 * I_RMS * coil.radius ** 2
               / (2.0 * coil.distance ** 3))
@@ -35,22 +38,22 @@ def test_far_field_dipole_asymptote():
 
 
 def test_field_linearity_and_monotonicity():
-    base = solenoid_axial_field(CoilGeometry(), I_RMS)
-    assert solenoid_axial_field(CoilGeometry(), 2 * I_RMS) \
+    base = solenoid_axial_field(COIL, I_RMS)
+    assert solenoid_axial_field(COIL, 2 * I_RMS) \
         == pytest.approx(2 * base, rel=1e-12)
-    assert solenoid_axial_field(CoilGeometry(n_turns=16), I_RMS) \
+    assert solenoid_axial_field(replace(COIL, n_turns=16), I_RMS) \
         == pytest.approx(2 * base, rel=1e-12)
     distances = np.linspace(0.0, 0.2, 30)
-    fields = [solenoid_axial_field(CoilGeometry(distance=z), I_RMS)
+    fields = [solenoid_axial_field(replace(COIL, distance=z), I_RMS)
               for z in distances]
     assert all(a > b for a, b in zip(fields, fields[1:]))
 
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        CoilGeometry(n_turns=0)
+        replace(COIL, n_turns=0)
     with pytest.raises(ValueError):
-        CoilGeometry(radius=-1.0)
+        replace(COIL, radius=-1.0)
 
 
 def test_linear_calibration_exact_line():
@@ -121,7 +124,7 @@ def test_slope_method_paper_value():
 
 def test_cross_method_spread_within_eleven_percent():
     reference = 242e-9                               # commercial magnetometer
-    solenoid = solenoid_axial_field(CoilGeometry(), I_RMS)
+    solenoid = solenoid_axial_field(COIL, I_RMS)
     femm = 233e-9                                    # finite-element value
     slope_method = field_from_slope(0.646e-3, 2994.0)
     for value in (solenoid, femm, slope_method):

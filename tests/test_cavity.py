@@ -23,11 +23,12 @@ from rubymag.fitting import PARAM_NAMES, default_bounds
 
 TWO_PI = 2.0 * math.pi
 
-CAV = CavityParams()                    # 11.4 GHz, kappa_c0 = kappa_c1 = 330 kHz
+DEFAULTS = parse_config({})
+CAV = DEFAULTS.cavity()
 # paper fit values: g_eff = 2 pi x 3.5 MHz carried as g_s * sqrt(N)
 G_EFF = TWO_PI * 3.5e6
-ENS = EnsembleParams(g_s=1.0, N=G_EFF ** 2)
-DRIVE = DriveParams()
+ENS = replace(DEFAULTS.ensemble(), g_s=1.0, N=G_EFF ** 2)
+DRIVE = DEFAULTS.drive()
 
 
 def test_unit_conversions():
@@ -43,15 +44,15 @@ def test_photon_number_direct_arithmetic():
     kappa_c = TWO_PI * 660e3
     expected = 1e-3 / (CONST.hbar * TWO_PI * 11.4e9 * kappa_c)
     assert photon_number(drive, kappa_c) == pytest.approx(expected, rel=1e-12)
-    assert photon_number(DriveParams(power=0.0), kappa_c) == 0.0
-    assert photon_number(DriveParams(power=2e-3), kappa_c) \
-        == pytest.approx(2 * photon_number(DriveParams(power=1e-3), kappa_c))
+    assert photon_number(replace(drive, power=0.0), kappa_c) == 0.0
+    assert photon_number(replace(drive, power=2e-3), kappa_c) \
+        == pytest.approx(2 * photon_number(drive, kappa_c))
     with pytest.raises(ZeroLinewidth):
         photon_number(drive, 0.0)
 
 
 def test_spin_interaction_limits():
-    assert spin_interaction(EnsembleParams(g_s=1.0, N=0.0), DRIVE, 0.0) == 0.0
+    assert spin_interaction(replace(ENS, N=0.0), DRIVE, 0.0) == 0.0
     on_res = spin_interaction(ENS, DRIVE, 0.0)
     assert on_res.imag == pytest.approx(0.0, abs=1e-6)
     assert on_res.real == pytest.approx(2 * G_EFF ** 2 / ENS.kappa_s, rel=1e-12)
@@ -66,22 +67,22 @@ def test_spin_interaction_resonant_magnitude_from_fit_values():
 
 
 def test_spin_interaction_errors():
-    bad = EnsembleParams(g_s=1.0, N=1.0, kappa_s=0.0)
+    bad = replace(ENS, N=1.0, kappa_s=0.0)
     with pytest.raises(ZeroSpinLinewidth):
         spin_interaction(bad, DRIVE, 0.0)
-    no_th = EnsembleParams(g_s=1.0, N=1.0, kappa_th=0.0)
+    no_th = replace(ENS, N=1.0, kappa_th=0.0)
     with pytest.raises(ZeroKappaTh):
         spin_interaction(no_th, DRIVE, 1.0)
 
 
 def test_reflection_critical_coupling_no_spins():
-    empty = EnsembleParams(g_s=0.0, N=0.0)
+    empty = replace(ENS, g_s=0.0, N=0.0)
     gamma = reflection(CAV, empty, DriveParams(omega_d=CAV.omega_c, power=0.0))
     assert gamma == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reflection_far_detuned_limit():
-    empty = EnsembleParams(g_s=0.0, N=0.0)
+    empty = replace(ENS, g_s=0.0, N=0.0)
     drive = DriveParams(omega_d=CAV.omega_c + TWO_PI * 1e12, power=0.0)
     assert reflection(CAV, empty, drive) == pytest.approx(-1.0, abs=1e-5)
 
@@ -139,7 +140,6 @@ def test_nonidealities_fitted_values_composite():
     got = gamma_prime(ENS.omega_s, drive.omega_d, drive.omega_d, CAV.omega_c,
                       ENS.g_s, drive.power, gamma_prime_params(CAV, ENS, ni))
     # independent composition
-    from dataclasses import replace
     shifted_ens = replace(ENS, omega_s=ENS.omega_s - ni.omega_s_off)
     inner = reflection(CAV, shifted_ens,
                        DriveParams(omega_d=drive.omega_d - ni.omega_d_off,
@@ -157,9 +157,9 @@ def test_reflection_with_nonidealities_errors():
                            ens.g_s, power, gamma_prime_params(CAV, ens, ni))
 
     with pytest.raises(ZeroSpinLinewidth):
-        shifted_gamma(EnsembleParams(g_s=1.0, N=1.0, kappa_s=0.0),
+        shifted_gamma(replace(ENS, N=1.0, kappa_s=0.0),
                       CAV.omega_c)
-    no_th = EnsembleParams(g_s=1.0, N=1.0, kappa_th=0.0)
+    no_th = replace(ENS, N=1.0, kappa_th=0.0)
     with pytest.raises(ZeroKappaTh):
         shifted_gamma(no_th, CAV.omega_c)
     with pytest.raises(ZeroLinewidth):
@@ -264,8 +264,7 @@ def test_gamma_prime_gauge_family_without_b_and_tau():
     the envelope's phase vary with omega_d, which the constant shift of o
     cannot follow, so the family changes Gamma' there.
     """
-    cfg = parse_config({})
-    cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
+    cav, ens, drive = DEFAULTS.cavity(), DEFAULTS.ensemble(), DEFAULTS.drive()
     ws = ens.omega_s + np.linspace(-TWO_PI * 50e6, TWO_PI * 50e6, 30)
     wd = drive.omega_d + np.linspace(-TWO_PI * 5e6, TWO_PI * 5e6, 30)
     ni = NonIdealityParams(psi=0.1)
@@ -289,7 +288,7 @@ def test_gamma_prime_gauge_family_without_b_and_tau():
 # the fit's bounds around the paper values, with the modal-volume g_s
 FIT_G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
 FIT_BOUNDS = default_bounds(
-    CavityParams(), EnsembleParams(g_s=FIT_G_S, N=(G_EFF / FIT_G_S) ** 2))
+    CAV, replace(ENS, g_s=FIT_G_S, N=(G_EFF / FIT_G_S) ** 2))
 
 
 @given(frac=st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13),
@@ -351,7 +350,7 @@ def test_single_spin_coupling_scalings():
 def test_cooperativity_fit_values():
     assert cooperativity(ENS, CAV) == pytest.approx(1.8, abs=0.05)
     with pytest.raises(ZeroSpinLinewidth):
-        cooperativity(EnsembleParams(g_s=1.0, N=1.0, kappa_s=0.0), CAV)
+        cooperativity(replace(ENS, N=1.0, kappa_s=0.0), CAV)
 
 
 def test_threshold_power_paper_value():

@@ -27,11 +27,12 @@ from rubymag.fitting import (PARAM_NAMES, ComplexGrid2D, FitResult,
 
 TWO_PI = 2.0 * math.pi
 G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
+DEFAULTS = parse_config({})
 
 # target parameter set: g_eff = 2 pi x 3.5 MHz, kappa_c = 2 pi x 660 kHz,
 # kappa_s = 2 pi x 42 MHz, kappa_th = 2 pi x 120 kHz
-CAV = CavityParams()
-ENS = EnsembleParams(g_s=G_S, N=(TWO_PI * 3.5e6 / G_S) ** 2)
+CAV = DEFAULTS.cavity()
+ENS = replace(DEFAULTS.ensemble(), g_s=G_S, N=(TWO_PI * 3.5e6 / G_S) ** 2)
 # fitted auxiliary values; tau and b nonzero so the overall-scale direction
 # (kappa_c1 versus o_r, o_i, A) stays identifiable
 NI = NonIdealityParams(o_r=-0.008, o_i=0.12, A=0.003, b=1e-9, psi=0.14,
@@ -110,7 +111,7 @@ def test_simulate_deterministic_and_exact_at_zero_noise():
 
 def test_simulate_zero_coupling_rows_identical():
     spec = wide_spec(8, 20)
-    empty = EnsembleParams(g_s=G_S, N=0.0)
+    empty = replace(ENS, N=0.0)
     grid = simulate_crossing(CAV, empty, NI, spec, 0.0, seed=0)
     for row in grid.values[1:]:
         assert np.allclose(row, grid.values[0], rtol=0, atol=0)
@@ -123,7 +124,7 @@ def test_simulate_rejects_zero_kappa_th():
 
 def test_bare_cavity_dip_sits_at_cavity_resonance():
     spec = wide_spec(6, 101)
-    empty = EnsembleParams(g_s=G_S, N=0.0)
+    empty = replace(ENS, N=0.0)
     grid = simulate_crossing(CAV, empty, NonIdealityParams(), spec, 0.0,
                              seed=0)
     dips = dip_trajectory(grid)
@@ -325,8 +326,8 @@ def test_fused_objective_matches_reference(monkeypatch):
         ni = NonIdealityParams(*params[5:])
         cav = CavityParams(omega_c=CAV.omega_c, kappa_c0=params[0],
                            kappa_c1=params[1])
-        ens = EnsembleParams(g_s=G_S, N=(params[4] / G_S) ** 2,
-                             kappa_s=params[2], kappa_th=params[3])
+        ens = replace(ENS, N=(params[4] / G_S) ** 2, kappa_s=params[2],
+                      kappa_th=params[3])
         assert np.allclose(evaluate_model_grid(cav, ens, ni, spec), want,
                            rtol=1e-12, atol=1e-12)
     # each of the 16 points was checked by both stages
@@ -486,6 +487,7 @@ def _bench_inputs():
     return inputs
 
 
+@pytest.mark.slow
 def test_fit_over_forty_truths():
     """The benchmark's fit recipe over 40 truths: truth k scales the five
     rates of bench/inputs.BASE by default_rng(k).uniform(0.8, 1.2, 5), as
@@ -500,7 +502,6 @@ def test_fit_over_forty_truths():
     Truth 11 also reports converged False: IRLS ran out of damping."""
     inputs = _bench_inputs()
     n_default = parse_config(inputs.BASE).ensemble().N
-    guess = parse_config({})
     within = converged = 0
     steps = []
     for k in range(40):
@@ -516,8 +517,8 @@ def test_fit_over_forty_truths():
         raw["run"]["master_seed"] = k
         truth = parse_config(raw)
         [(_, _, grid)] = cli.cmd_crossing_sim(truth, None)
-        res = fit_crossing(grid, guess.cavity(), guess.ensemble(),
-                           guess.nonideal())
+        res = fit_crossing(grid, DEFAULTS.cavity(), DEFAULTS.ensemble(),
+                           DEFAULTS.nonideal())
         noise_l1 = 2.0 * grid.values.size * 0.01 * math.sqrt(2.0 / math.pi)
         assert 0.8 <= res.objective_value / noise_l1 <= 1.2, k
         errors = physical_errors(res, truth.cavity(), truth.ensemble())
@@ -537,11 +538,10 @@ def test_round_trip_twenty_random_truths():
     spec = wide_spec(30, 30)
     for _ in range(20):
         u = lambda x: x * rng.uniform(0.5, 1.5)
-        cav = CavityParams(kappa_c0=u(TWO_PI * 330e3),
-                           kappa_c1=u(TWO_PI * 330e3))
-        ens = EnsembleParams(g_s=G_S, N=(u(TWO_PI * 3.5e6) / G_S) ** 2,
-                             kappa_s=u(TWO_PI * 42e6),
-                             kappa_th=u(TWO_PI * 120e3))
+        cav = replace(CAV, kappa_c0=u(TWO_PI * 330e3),
+                      kappa_c1=u(TWO_PI * 330e3))
+        ens = replace(ENS, N=(u(TWO_PI * 3.5e6) / G_S) ** 2,
+                      kappa_s=u(TWO_PI * 42e6), kappa_th=u(TWO_PI * 120e3))
         ni = NonIdealityParams(o_r=u(-0.008), o_i=u(0.12), A=u(0.003),
                                b=u(1e-9), psi=u(0.14), tau=u(-1.2e-8),
                                omega_s_off=u(-7.3e6), omega_d_off=u(-5.6e5))
@@ -596,12 +596,12 @@ def test_relaxation_times_paper_values():
 
 
 def test_relaxation_times_trivial_and_errors():
-    ens = EnsembleParams(g_s=1.0, N=1.0, kappa_s=2.0, kappa_th=1.0)
+    ens = replace(ENS, g_s=1.0, N=1.0, kappa_s=2.0, kappa_th=1.0)
     t1, t2 = relaxation_times(ens)
     assert t2 == 1.0
     assert t1 == 1.0
     with pytest.raises(ZeroRate):
-        relaxation_times(EnsembleParams(g_s=1.0, N=1.0, kappa_s=0.0))
+        relaxation_times(replace(ENS, g_s=1.0, N=1.0, kappa_s=0.0))
 
 
 # ---------------------------------------------------------------------------

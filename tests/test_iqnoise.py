@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -6,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rubymag.cavity import CavityParams, DriveParams, EnsembleParams, reflection
+from rubymag.cavity import DriveParams, reflection
+from rubymag.config import parse_config
 from rubymag.iqnoise import (DBC_PER_HZ, V2_PER_HZ, NoiseSpectrum,
                              decompose_gamma,
                              noise_contribution_split, predict_noise_psd,
                              read_spectrum_csv, render_spectrum_csv)
 
 TWO_PI = 2.0 * math.pi
+DEFAULTS = parse_config({})
 
 
 def positive_offsets(n_half=8, max_hz=1e6):
@@ -25,8 +28,8 @@ def cavity_gamma(pos_hz=None):
     if pos_hz is None:
         pos_hz = positive_offsets()
     offsets = TWO_PI * np.concatenate([-pos_hz[::-1], [0.0], pos_hz])
-    cav = CavityParams()
-    ens = EnsembleParams(g_s=1.0, N=(TWO_PI * 3.5e6) ** 2)
+    cav = DEFAULTS.cavity()
+    ens = replace(DEFAULTS.ensemble(), g_s=1.0, N=(TWO_PI * 3.5e6) ** 2)
     return np.array([
         reflection(cav, ens, DriveParams(omega_d=cav.omega_c + o, power=1e-5))
         for o in offsets])

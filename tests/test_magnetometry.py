@@ -7,8 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
-                            NonIdealityParams, dbm_to_watts,
+from rubymag.cavity import (DriveParams, NonIdealityParams, dbm_to_watts,
                             single_spin_coupling)
 from rubymag.cli import _sensitivity_budget
 from rubymag.config import parse_config
@@ -23,14 +22,14 @@ from rubymag.magnetometry import (amplitude_spectrum,
                                   render_sweep_csv, sensitivity,
                                   simulate_timeseries, spin_frequency_vs_field,
                                   thermal_limit, tone_rms)
-from rubymag.spins import (FieldVector, SpinSystem, build_hamiltonian,
-                           eigensolve)
+from rubymag.spins import FieldVector, build_hamiltonian, eigensolve
 
 TWO_PI = 2.0 * math.pi
-SYS = SpinSystem()
-CAV = CavityParams()
+DEFAULTS = parse_config({})
+SYS = DEFAULTS.spin_system()
+CAV = DEFAULTS.cavity()
 G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
-ENS = EnsembleParams(g_s=G_S, N=(TWO_PI * 3.5e6 / G_S) ** 2)
+ENS = replace(DEFAULTS.ensemble(), g_s=G_S, N=(TWO_PI * 3.5e6 / G_S) ** 2)
 DRIVE = DriveParams(omega_d=TWO_PI * 11.4e9, power=dbm_to_watts(11.0))
 NI = NonIdealityParams()
 
@@ -307,7 +306,7 @@ def test_spin_frequency_linearized_matches_eigensolve():
 
 def test_bias_sweep_dispersive_zero_crossing_and_slope():
     b = np.linspace(B_CENTER - 2e-4, B_CENTER + 2e-4, 201)
-    v = bias_sweep_trace(SYS, CAV, ENS, NI, DRIVE, b)
+    v = bias_sweep_trace(SYS, CAV, ENS, NI, DRIVE, b, 21.0)
     # dispersive channel crosses zero near line center
     center = v.imag[90:111]
     assert center.min() < 0.0 < center.max()
@@ -318,9 +317,11 @@ def test_bias_sweep_dispersive_zero_crossing_and_slope():
 def test_bias_sweep_rejects_zero_spin_rates():
     b = np.linspace(B_CENTER - 2e-4, B_CENTER + 2e-4, 11)
     with pytest.raises(ZeroSpinLinewidth):
-        bias_sweep_trace(SYS, CAV, replace(ENS, kappa_s=0.0), NI, DRIVE, b)
+        bias_sweep_trace(SYS, CAV, replace(ENS, kappa_s=0.0), NI, DRIVE, b,
+                         21.0)
     with pytest.raises(ZeroKappaTh):
-        bias_sweep_trace(SYS, CAV, replace(ENS, kappa_th=0.0), NI, DRIVE, b)
+        bias_sweep_trace(SYS, CAV, replace(ENS, kappa_th=0.0), NI, DRIVE, b,
+                         21.0)
 
 
 def test_stacked_sweeps_equal_single_sweeps():
@@ -432,7 +433,7 @@ def test_timeseries_noise_draw_order():
 
 def _slope_at_bias(bias_b):
     b = np.linspace(bias_b - 5e-5, bias_b + 5e-5, 101)
-    v = bias_sweep_trace(SYS, CAV, ENS, NI, DRIVE, b)
+    v = bias_sweep_trace(SYS, CAV, ENS, NI, DRIVE, b, 21.0)
     slopes, _ = dispersive_slope(b, v.imag)
     return abs(slopes[50])
 

@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rubymag import constants as CONST
+from rubymag.config import parse_config
 from rubymag.errors import EmptyRange, IndexOutOfRange, NonHermitianInput
-from rubymag.spins import (FieldVector, SpinSystem,
-                           _fix_degenerate_subspaces,
+from rubymag.spins import (FieldVector, _fix_degenerate_subspaces,
                            analytic_energies_axial, build_hamiltonian,
                            eigensolve, energy_level_sweep,
                            render_energy_sweep_csv, spin_matrices, transition)
 
 TWO_PI = 2.0 * math.pi
-SYS = SpinSystem()
+SYS = parse_config({}).spin_system()
 
 
 def test_spin_matrices_algebra():

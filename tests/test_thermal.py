@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rubymag import constants as CONST
+from rubymag.config import parse_config
 from rubymag.errors import NonPositiveTemperature
-from rubymag.spins import SpinSystem
-from rubymag.thermal import (MaterialParams, boltzmann_populations,
-                             optical_power_equivalent, polarization,
-                             polarized_spin_count, total_interrogated_spins)
+from rubymag.thermal import (boltzmann_populations, optical_power_equivalent,
+                             polarization, polarized_spin_count,
+                             total_interrogated_spins)
 
 TWO_PI = 2.0 * math.pi
-SYS = SpinSystem()
-MAT = MaterialParams()
+DEFAULTS = parse_config({})
+SYS = DEFAULTS.spin_system()
+MAT = DEFAULTS.material()
 
 
 def _direct_populations(T):
@@ -120,8 +121,8 @@ def test_optical_power_equivalent():
 
 def test_material_params_validation():
     with pytest.raises(ValueError):
-        MaterialParams(alpha_Cr=1.5)
+        replace(MAT, alpha_Cr=1.5)
     with pytest.raises(ValueError):
-        MaterialParams(V_cav=-1.0)
+        replace(MAT, V_cav=-1.0)
     with pytest.raises(ValueError):
-        MaterialParams(N_cell=0)
+        replace(MAT, N_cell=0)

@@ -10,6 +10,7 @@ import dataclasses
 import importlib
 import math
 import pkgutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 import rubymag
 from rubymag.calibration import CoilGeometry
 from rubymag.cavity import CavityParams, DriveParams, EnsembleParams
+from rubymag.config import parse_config
 from rubymag.fitting import ComplexGrid2D, GridSpec
 from rubymag.iqnoise import DBC_PER_HZ, V2_PER_HZ, NoiseSpectrum
 from rubymag.spins import FieldVector, SpinSystem
@@ -27,10 +29,12 @@ NAN = math.nan
 AXIS = np.array([1.0, 2.0, 3.0])
 SPEC = GridSpec(omega_s_values=AXIS, omega_d_values=AXIS[:2],
                 drive_power=1e-3)
-
-
-def _ensemble(**kw):
-    return EnsembleParams(**{"g_s": 1.0, "N": 1.0, **kw})
+# the six parameter bundles at the default config
+DEFAULTS = parse_config({})
+CAVITY, ENSEMBLE, DRIVE = (DEFAULTS.cavity(), DEFAULTS.ensemble(),
+                           DEFAULTS.drive())
+SPIN, MATERIAL, COIL = (DEFAULTS.spin_system(), DEFAULTS.material(),
+                        DEFAULTS.coil())
 
 
 def _grid_spec(ws=AXIS, wd=AXIS):
@@ -43,26 +47,27 @@ def _spectrum(offsets=AXIS, density=AXIS, unit=V2_PER_HZ):
 
 _INVALID = [
     # CavityParams: frequency and rates > 0
-    ("cavity omega_c = 0", lambda: CavityParams(omega_c=0.0), "positive"),
-    ("cavity kappa_c0 < 0", lambda: CavityParams(kappa_c0=-1.0), "positive"),
-    ("cavity omega_c NaN", lambda: CavityParams(omega_c=NAN), "positive"),
-    ("cavity kappa_c0 NaN", lambda: CavityParams(kappa_c0=NAN), "positive"),
-    ("cavity kappa_c1 NaN", lambda: CavityParams(kappa_c1=NAN), "positive"),
+    ("cavity omega_c = 0", lambda: replace(CAVITY, omega_c=0.0), "positive"),
+    ("cavity kappa_c0 < 0", lambda: replace(CAVITY, kappa_c0=-1.0),
+     "positive"),
+    ("cavity omega_c NaN", lambda: replace(CAVITY, omega_c=NAN), "positive"),
+    ("cavity kappa_c0 NaN", lambda: replace(CAVITY, kappa_c0=NAN), "positive"),
+    ("cavity kappa_c1 NaN", lambda: replace(CAVITY, kappa_c1=NAN), "positive"),
     # EnsembleParams: every field >= 0
-    ("ensemble g_s < 0", lambda: _ensemble(g_s=-1.0), "non-negative"),
-    ("ensemble kappa_th < 0", lambda: _ensemble(kappa_th=-1.0),
+    ("ensemble g_s < 0", lambda: replace(ENSEMBLE, g_s=-1.0), "non-negative"),
+    ("ensemble kappa_th < 0", lambda: replace(ENSEMBLE, kappa_th=-1.0),
      "non-negative"),
-    *[(f"ensemble {name} NaN", lambda name=name: _ensemble(**{name: NAN}),
-       "non-negative")
+    *[(f"ensemble {name} NaN",
+       lambda name=name: replace(ENSEMBLE, **{name: NAN}), "non-negative")
       for name in ("g_s", "N", "kappa_s", "kappa_th", "omega_s")],
     # DriveParams: power >= 0
-    ("drive power < 0", lambda: DriveParams(power=-1e-3), "power"),
-    ("drive power NaN", lambda: DriveParams(power=NAN), "power"),
+    ("drive power < 0", lambda: replace(DRIVE, power=-1e-3), "power"),
+    ("drive power NaN", lambda: replace(DRIVE, power=NAN), "power"),
     # SpinSystem: g-factors > 0
-    ("spin g_par = 0", lambda: SpinSystem(g_par=0.0), "g-factors"),
-    ("spin g_perp < 0", lambda: SpinSystem(g_perp=-2.0), "g-factors"),
-    ("spin g_par NaN", lambda: SpinSystem(g_par=NAN), "g-factors"),
-    ("spin g_perp NaN", lambda: SpinSystem(g_perp=NAN), "g-factors"),
+    ("spin g_par = 0", lambda: replace(SPIN, g_par=0.0), "g-factors"),
+    ("spin g_perp < 0", lambda: replace(SPIN, g_perp=-2.0), "g-factors"),
+    ("spin g_par NaN", lambda: replace(SPIN, g_par=NAN), "g-factors"),
+    ("spin g_perp NaN", lambda: replace(SPIN, g_perp=NAN), "g-factors"),
     # FieldVector: magnitude >= 0, theta in [0, pi], phi in [0, 2 pi)
     ("field magnitude < 0", lambda: FieldVector(-1e-3), "magnitude"),
     ("field magnitude NaN", lambda: FieldVector(NAN), "magnitude"),
@@ -73,20 +78,20 @@ _INVALID = [
     ("field phi < 0", lambda: FieldVector(1e-3, phi=-0.1), "phi"),
     # MaterialParams: volumes and molar masses > 0, alpha_Cr in [0, 1],
     # N_cell a positive integer
-    ("material V_cav = 0", lambda: MaterialParams(V_cav=0.0), "volumes"),
+    ("material V_cav = 0", lambda: replace(MATERIAL, V_cav=0.0), "volumes"),
     *[(f"material {name} NaN",
-       lambda name=name: MaterialParams(**{name: NAN}), "volumes")
+       lambda name=name: replace(MATERIAL, **{name: NAN}), "volumes")
       for name in ("V_cav", "V_cell", "m_Al2O3", "m_Cr2O3")],
-    ("material alpha_Cr > 1", lambda: MaterialParams(alpha_Cr=1.5),
+    ("material alpha_Cr > 1", lambda: replace(MATERIAL, alpha_Cr=1.5),
      "alpha_Cr"),
-    ("material N_cell = 0", lambda: MaterialParams(N_cell=0), "N_cell"),
-    ("material N_cell fractional", lambda: MaterialParams(N_cell=2.5),
+    ("material N_cell = 0", lambda: replace(MATERIAL, N_cell=0), "N_cell"),
+    ("material N_cell fractional", lambda: replace(MATERIAL, N_cell=2.5),
      "N_cell"),
     # CoilGeometry: n_turns >= 1, radius > 0
-    ("coil n_turns = 0", lambda: CoilGeometry(n_turns=0), "n_turns"),
-    ("coil radius = 0", lambda: CoilGeometry(radius=0.0), "n_turns"),
-    ("coil n_turns NaN", lambda: CoilGeometry(n_turns=NAN), "n_turns"),
-    ("coil radius NaN", lambda: CoilGeometry(radius=NAN), "n_turns"),
+    ("coil n_turns = 0", lambda: replace(COIL, n_turns=0), "n_turns"),
+    ("coil radius = 0", lambda: replace(COIL, radius=0.0), "n_turns"),
+    ("coil n_turns NaN", lambda: replace(COIL, n_turns=NAN), "n_turns"),
+    ("coil radius NaN", lambda: replace(COIL, radius=NAN), "n_turns"),
     # GridSpec: each axis strictly increasing, length >= 2
     ("grid omega_s too short", lambda: _grid_spec(ws=AXIS[:1]),
      "omega_s_values"),
@@ -126,12 +131,22 @@ def test_construction_checks_reject_invalid_and_nan(make, message):
 
 def test_construction_checks_accept_the_edges():
     """Zero where >= 0 is asked for, and dB densities of any sign, pass."""
-    _ensemble(g_s=0.0, N=0.0, kappa_s=0.0, kappa_th=0.0, omega_s=0.0)
-    DriveParams(power=0.0)
+    replace(ENSEMBLE, g_s=0.0, N=0.0, kappa_s=0.0, kappa_th=0.0, omega_s=0.0)
+    replace(DRIVE, power=0.0)
     FieldVector(np.zeros(3), theta=math.pi, phi=0.0)
-    MaterialParams(alpha_Cr=0.0)
+    replace(MATERIAL, alpha_Cr=0.0)
     _spectrum(density=-AXIS, unit=DBC_PER_HZ)
     _spectrum(offsets=np.array([]), density=np.array([]))
+
+
+def test_parameter_bundles_carry_no_defaults():
+    """config._SCHEMA is the one place the paper's values are written: a
+    field default here would be a second copy, free to drift from it."""
+    for bundle in (CavityParams, EnsembleParams, DriveParams, SpinSystem,
+                   MaterialParams, CoilGeometry):
+        for f in dataclasses.fields(bundle):
+            assert f.default is dataclasses.MISSING, (bundle, f.name)
+            assert f.default_factory is dataclasses.MISSING, (bundle, f.name)
 
 
 def test_dataclasses_are_plain_and_documented():
