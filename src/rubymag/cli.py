@@ -110,9 +110,6 @@ def _load_config(path, texts: dict) -> RunConfig:
         if not isinstance(raw, dict):
             raise ParseError(f"{path}: top-level JSON value must be "
                              "an object")
-    env_dir = os.environ.get("RUBYMAG_OUTDIR")
-    if env_dir and "output_dir" not in texts:
-        texts = {**texts, "output_dir": env_dir}
     return parse_config(raw, texts)
 
 
@@ -153,8 +150,8 @@ def cmd_eigen(cfg: RunConfig, input_csv) -> list:
     s = cfg["sweep"]
     b_values = _axis("sweep.b_max_gauss, sweep.n_points",
                      s["b_max_gauss"] / 2.0, s["b_max_gauss"], s["n_points"])
-    energies = energy_level_sweep(cfg.spin_system(),
-                                  math.radians(s["theta_deg"]), b_values)
+    energies, _ = energy_level_sweep(cfg.spin_system(),
+                                     math.radians(s["theta_deg"]), b_values)
     return [("energy_levels.csv", render_energy_sweep_csv, b_values, energies)]
 
 

@@ -3,8 +3,8 @@
 The spin is fixed at S = 3/2 and the basis is ordered
 m_s = (+3/2, +1/2, -1/2, -3/2).  All energies are angular frequencies in
 rad/s and all magnetic fields are in tesla.  Eigenpairs come from
-numpy.linalg.eigh as its (energies, states) pair, with the eigenvectors of
-degenerate levels fixed to a deterministic basis and phase.
+numpy.linalg.eigh as its (energies, states) pair, with a deterministic basis
+inside degenerate levels and a deterministic phase for every eigenvector.
 """
 
 from __future__ import annotations
@@ -90,25 +90,25 @@ def build_hamiltonian(sys: SpinSystem, fld: FieldVector) -> np.ndarray:
 
     H/hbar = (g_par mu_B / hbar) B_z S_z + (g_perp mu_B / hbar)(B_x S_x + B_y S_y)
              + D [S_z^2 - S(S+1)/3]
+
+    Exactly Hermitian: real coefficients times Hermitian spin matrices.
     """
     bx, by, bz = (np.asarray(v, dtype=float)[..., None, None]
                   for v in fld.cartesian)
     zeeman = (sys.g_par * CONST.mu_B / CONST.hbar) * bz * _SZ \
         + (sys.g_perp * CONST.mu_B / CONST.hbar) * (bx * _SX + by * _SY)
     zfs = sys.D * (_SZ @ _SZ - (1.5 * 2.5 / 3.0) * np.eye(4))
-    h = zeeman + zfs
-    # symmetrize so the output is exactly equal to its conjugate transpose
-    return (h + np.swapaxes(h, -1, -2).conj()) / 2.0
+    return zeeman + zfs
 
 
 def _fix_degenerate_subspaces(energies: np.ndarray, states: np.ndarray,
                               scale: float) -> np.ndarray:
-    """Deterministic eigenvector choice inside degenerate clusters.
+    """Deterministic eigenvector basis inside degenerate clusters.
 
     Within each cluster the basis is rebuilt greedily: project the standard
     basis vectors onto the subspace, pick the largest projection, orthonormalize,
-    repeat.  Every vector's phase is fixed so its largest-magnitude component
-    (lowest index on ties) is real and positive.
+    repeat.  Vectors outside clusters are returned as given, and no phase is
+    fixed here: eigensolve fixes every vector's phase afterwards.
     """
     out = states.copy()
     n = len(energies)
@@ -118,25 +118,18 @@ def _fix_degenerate_subspaces(energies: np.ndarray, states: np.ndarray,
         j = i + 1
         while j < n and abs(energies[j] - energies[i]) <= tol:
             j += 1
-        block = out[:, i:j]
         if j - i > 1:
+            block = out[:, i:j]
             proj = block @ block.conj().T
             basis = []
             for _ in range(j - i):
-                cand = proj @ np.eye(n, dtype=complex)
+                cand = proj.copy()
                 for b in basis:
                     cand -= np.outer(b, b.conj() @ cand)
                 norms = np.linalg.norm(cand, axis=0)
                 k = int(np.argmax(np.round(norms / norms.max(), 12)))
-                vec = cand[:, k] / norms[k]
-                basis.append(vec)
-            block = np.column_stack(basis)
-        for k in range(block.shape[1]):
-            pivot = int(np.argmax(np.round(np.abs(block[:, k]), 12)))
-            ph = block[pivot, k]
-            if abs(ph) > 0:
-                block[:, k] *= np.conj(ph) / abs(ph)
-        out[:, i:j] = block
+                basis.append(cand[:, k] / norms[k])
+            out[:, i:j] = np.column_stack(basis)
         i = j
     return out
 
@@ -151,8 +144,9 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises NonHermitianInput when any ||H - H^dagger|| exceeds 1e-9 ||H||.
     Only the matrices with a degenerate cluster go through
-    _fix_degenerate_subspaces; every other one only needs each vector's
-    phase fixed, which is done for all of them at once.
+    _fix_degenerate_subspaces.  Then every vector's phase is fixed at once:
+    its largest-magnitude component, rounded to 12 digits with the lowest
+    index on ties, is made real and positive.
     """
     shape = np.shape(h)
     h = np.asarray(h, dtype=complex).reshape(-1, *shape[-2:])
@@ -162,6 +156,9 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(skew > tol):
         raise NonHermitianInput("matrix is not Hermitian within tolerance")
     energies, raw = np.linalg.eigh(h)
+    degenerate = (np.diff(energies, axis=1) <= tol[:, None]).any(axis=1)
+    for r in np.flatnonzero(degenerate):
+        raw[r] = _fix_degenerate_subspaces(energies[r], raw[r], norm_h[r])
     # the largest-magnitude component (lowest index on ties) of each vector
     pivot = np.argmax(np.round(np.abs(raw), 12), axis=1)
     ph = np.take_along_axis(raw, pivot[:, None, :], axis=1)
@@ -169,9 +166,6 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     unphase = np.ones_like(ph)
     np.divide(ph.conj(), size, out=unphase, where=size > 0)
     states = raw * unphase
-    degenerate = (np.diff(energies, axis=1) <= tol[:, None]).any(axis=1)
-    for r in np.flatnonzero(degenerate):
-        states[r] = _fix_degenerate_subspaces(energies[r], raw[r], norm_h[r])
     return energies.reshape(shape[:-1]), states.reshape(shape)
 
 
@@ -210,13 +204,14 @@ def transition(energies: np.ndarray, states: np.ndarray,
 
 
 def energy_level_sweep(sys: SpinSystem, theta: float,
-                       b_values: np.ndarray) -> np.ndarray:
-    """Eigenenergies versus field magnitude at a fixed orientation.
+                       b_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tracked eigenpairs versus field magnitude at a fixed orientation.
 
-    Returns the energies at the n field magnitudes b_values, shape (n, 4).
-    Levels are tracked by adiabatic continuity: each row is matched to the
-    previous one through maximal eigenvector overlap, so crossing levels do
-    not swap.
+    Returns (energies, states) of shapes (n, 4) and (n, 4, 4) at the n field
+    magnitudes b_values: eigensolve's pair with each row's levels permuted by
+    adiabatic continuity.  Each row is matched to the previous one through
+    maximal eigenvector overlap, so crossing levels do not swap, and
+    transition(energies, states, i, j) follows the tracked levels i and j.
     """
     b_values = np.asarray(b_values, dtype=float)
     if b_values.size < 2:
@@ -243,7 +238,9 @@ def energy_level_sweep(sys: SpinSystem, theta: float,
             free_a.remove(a)
             free_c.remove(c)
         perms.append(perm)
-    return np.take_along_axis(energies, np.array(perms), axis=1)
+    perms = np.array(perms)
+    return (np.take_along_axis(energies, perms, axis=1),
+            np.take_along_axis(states, perms[:, None, :], axis=2))
 
 
 def render_energy_sweep_csv(path, b_values: np.ndarray, energies: np.ndarray) -> str:

@@ -319,7 +319,8 @@ def test_off_axis_mixing_makes_the_response_non_linear_in_field():
     response is non-linear in field, with a local extremum near the desired
     transition.
 
-    Levels are tracked across 0.5-3000 G (6000 points) by energy_level_sweep.
+    Levels are tracked across 0.5-3000 G (6000 points) by energy_level_sweep,
+    whose tracked states give a line's drive strength.
     An extremum is an interior point where a pair's transition frequency
     turns, within 1 GHz of the 11.4 GHz drive.  On axis and at small tilts
     every line is monotone there.  At 60 degrees levels (0, 2) have a minimum
@@ -331,20 +332,15 @@ def test_off_axis_mixing_makes_the_response_non_linear_in_field():
 
     def extrema(theta_deg):
         theta = math.radians(theta_deg)
-        levels = energy_level_sweep(SYS, theta, b_values)
+        levels, states = energy_level_sweep(SYS, theta, b_values)
         found = []
         for i, j in itertools.combinations(range(4), 2):
             freq = np.abs(levels[:, j] - levels[:, i])
             step = np.sign(np.diff(freq))
             for k in np.flatnonzero(step[:-1] != step[1:]) + 1:
                 if abs(freq[k] - target) < TWO_PI * 1e9:
-                    energies, states = eigensolve(build_hamiltonian(
-                        SYS, FieldVector(b_values[k], theta)))
-                    # the sorted levels that the tracked i and j are at b_k
-                    si, sj = (int(np.argmin(np.abs(energies - e)))
-                              for e in levels[k, [i, j]])
                     found.append(((i, j), k, freq,
-                                  transition(energies, states, si, sj)[1]))
+                                  transition(levels[k], states[k], i, j)[1]))
         return found
 
     for theta_deg in (0.0, 5.0, 10.0, 20.0):

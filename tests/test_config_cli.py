@@ -1,4 +1,3 @@
-import importlib
 import importlib.resources
 import importlib.util
 import json
@@ -386,7 +385,6 @@ def test_bad_argv_prints_one_error_line(tmp_path, capsys, monkeypatch, argv,
     """A flag name that is not exact, a flag the command does not take, a
     missing value or command: one ERROR line, exit 2, nothing written."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("RUBYMAG_OUTDIR", raising=False)
     assert run_cli(*argv) == 2
     out, err = capsys.readouterr()
     err = err.splitlines()
@@ -419,7 +417,6 @@ def test_help_token_after_a_flag_is_its_value(tmp_path, capsys,
     """-h and --help ask for the usage only where a flag name is expected:
     as a flag's value they are text like any other."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("RUBYMAG_OUTDIR", raising=False)
     assert run_cli("report", "--output-dir", "-h") == 0
     assert run_cli("report", "--output-dir=-h") == 0
     assert run_cli("calibrate", "--output-dir", "--help") == 0
@@ -572,9 +569,8 @@ def test_zero_spin_rate_fails_command(tmp_path, capsys, command, flag):
 
 def _child_env() -> dict:
     """The environment of a fresh interpreter that imports this checkout's
-    rubymag, with no RUBYMAG_OUTDIR."""
+    rubymag."""
     env = dict(os.environ)
-    env.pop("RUBYMAG_OUTDIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(rubymag.__file__).parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -700,16 +696,24 @@ def test_commands_load_no_scipy(tmp_path):
 
 
 def test_benchmark_tracer_targets_resolve():
-    """Every function the benchmark's tracer wraps exists under its name."""
+    """Every function the benchmark's tracer wraps exists under its name
+    where Tracer.install() looks it up: in sys.modules after
+    `import rubymag.cli` alone, in a fresh interpreter."""
     path = Path(__file__).parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    for module, attr in tracer.TARGETS:
-        owner = importlib.import_module("rubymag." + module)
-        for part in attr.split("."):
-            owner = getattr(owner, part)
-        assert callable(owner), (module, attr)
+    code = ("import json, sys\n"
+            "import rubymag.cli\n"
+            "missing = []\n"
+            f"for module, attr in {tracer.TARGETS!r}:\n"
+            "    owner = sys.modules.get('rubymag.' + module)\n"
+            "    for part in attr.split('.'):\n"
+            "        owner = getattr(owner, part, None)\n"
+            "    if not callable(owner):\n"
+            "        missing.append(module + '.' + attr)\n"
+            "print(json.dumps(missing))")
+    assert json.loads(run_python(code).splitlines()[-1]) == []
 
 
 def test_eigen_goes_through_public_eigensolve(tmp_path, monkeypatch):
@@ -1021,17 +1025,20 @@ def test_report_contains_acceptance_quantities(tmp_path):
     assert report["eta_th_t_per_rthz"] > 0
 
 
-def test_output_dir_env_variable(tmp_path, monkeypatch):
+def test_output_dir_from_flag_then_config_then_cwd(tmp_path, monkeypatch):
+    """The output directory is --output-dir, then the config's
+    run.output_dir, then '.'; the environment takes no part."""
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("RUBYMAG_OUTDIR", str(tmp_path / "env"))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"run": {"output_dir": "config"}}))
+    assert run_cli("calibrate", "--config", str(cfg)) == 0
+    assert run_cli("calibrate", "--config", str(cfg),
+                   "--output-dir", "flag") == 0
     assert run_cli("calibrate") == 0
-    assert (tmp_path / "env" / "calibrate.json").exists()
-
-
-def test_flag_overrides_env_variable(tmp_path, monkeypatch):
-    monkeypatch.setenv("RUBYMAG_OUTDIR", str(tmp_path / "env"))
-    assert run_cli("calibrate", "--output-dir", str(tmp_path / "flag")) == 0
-    assert (tmp_path / "flag" / "calibrate.json").exists()
-    assert not (tmp_path / "env" / "calibrate.json").exists()
+    assert sorted(p.relative_to(tmp_path).as_posix()
+                  for p in tmp_path.rglob("calibrate.json")) == [
+        "calibrate.json", "config/calibrate.json", "flag/calibrate.json"]
 
 
 def test_negative_exponent_flag_value(tmp_path):

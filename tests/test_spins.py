@@ -69,10 +69,12 @@ def test_eigensolve_rejects_non_hermitian():
 
 
 def test_eigensolve_equals_per_matrix_fix():
-    """The batched phase fix, and the cluster fix on degenerate rows only,
-    give bit for bit _fix_degenerate_subspaces applied to each eigh result:
-    on Hamiltonians and on random Hermitian matrices with a degenerate pair
-    in a rotated basis."""
+    """eigensolve gives bit for bit its rule written out per vector: the
+    cluster basis of _fix_degenerate_subspaces on the matrices with a
+    degenerate pair, then each vector's pivot made real and positive, the
+    pivot being its largest-magnitude component, rounded to 12 digits, with
+    the lowest index on ties.  On Hamiltonians and on random Hermitian
+    matrices with a degenerate pair in a rotated basis."""
     rng = np.random.default_rng(9)
     mats = [build_hamiltonian(SYS, FieldVector(*map(float, field)))
             for field in zip(rng.uniform(0, 0.5, 20), rng.uniform(0, 3, 20),
@@ -83,10 +85,20 @@ def test_eigensolve_equals_per_matrix_fix():
                             + 1j * rng.standard_normal((4, 4)))
         h = (q * [1e9, 1e9, 2e9, 3e9]) @ q.conj().T
         mats.append((h + h.conj().T) / 2.0)
+    degenerate = 0
     for h in mats:
-        energies, states = np.linalg.eigh(h)
-        want = _fix_degenerate_subspaces(energies, states, np.linalg.norm(h))
+        energies, want = np.linalg.eigh(h)
+        scale = np.linalg.norm(h)
+        if np.any(np.diff(energies) <= 1e-9 * max(scale, 1.0)):
+            degenerate += 1
+            want = _fix_degenerate_subspaces(energies, want, scale)
+        for k in range(4):
+            pivot = int(np.argmax(np.round(np.abs(want[:, k]), 12)))
+            ph = want[pivot, k]
+            if abs(ph) > 0:
+                want[:, k] *= np.conj(ph) / abs(ph)
         assert eigensolve(h)[1].tobytes() == want.tobytes()
+    assert degenerate == 31
 
 
 def test_eigensolve_stack_equals_each_matrix():
@@ -290,7 +302,7 @@ def test_transition_stack_equals_each_solution():
 
 def test_energy_level_sweep_axial_lines():
     b_values = np.linspace(0.0, 0.1, 21)
-    energies = energy_level_sweep(SYS, 0.0, b_values)
+    energies, _ = energy_level_sweep(SYS, 0.0, b_values)
     slope_scale = SYS.g_par * CONST.mu_B / CONST.hbar
     slopes = (energies[-1] - energies[0]) / (b_values[-1] - b_values[0])
     expected = sorted(slope_scale * np.array([1.5, 0.5, -0.5, -1.5]))
@@ -301,8 +313,8 @@ def test_energy_level_sweep_axial_lines():
 
 
 def test_energy_level_sweep_transverse_kramers_limit():
-    energies = energy_level_sweep(SYS, math.pi / 2.0,
-                                  np.linspace(1e-8, 0.01, 5))
+    energies, _ = energy_level_sweep(SYS, math.pi / 2.0,
+                                     np.linspace(1e-8, 0.01, 5))
     first = np.sort(energies[0])
     assert abs(first[1] - first[0]) < 1e-4 * abs(SYS.D)
     assert abs(first[3] - first[2]) < 1e-4 * abs(SYS.D)
@@ -332,36 +344,38 @@ def _sweep_row_by_row(theta, b_range, n_points):
     assignment per row: the reference for the batched sweep."""
     b_values = np.linspace(*b_range, n_points)
     energies = np.empty((n_points, 4))
+    tracked = np.empty((n_points, 4, 4), dtype=complex)
     prev = None
     for r, b in enumerate(b_values):
         row, states = eigensolve(build_hamiltonian(SYS, FieldVector(b, theta)))
-        if prev is None:
-            energies[r], prev = row, states
-            continue
-        overlap = np.abs(prev.conj().T @ states) ** 2
-        perm = np.full(4, -1)
-        taken = np.zeros(4, dtype=bool)
-        for _ in range(4):
-            flat = np.argmax(np.where(taken[None, :] | (perm[:, None] >= 0),
-                                      -1.0, overlap))
-            a, c = divmod(int(flat), 4)
-            perm[a] = c
-            taken[c] = True
-        energies[r], prev = row[perm], states[:, perm]
-    return b_values, energies
+        if prev is not None:
+            overlap = np.abs(prev.conj().T @ states) ** 2
+            perm = np.full(4, -1)
+            taken = np.zeros(4, dtype=bool)
+            for _ in range(4):
+                flat = np.argmax(np.where(
+                    taken[None, :] | (perm[:, None] >= 0), -1.0, overlap))
+                a, c = divmod(int(flat), 4)
+                perm[a] = c
+                taken[c] = True
+            row, states = row[perm], states[:, perm]
+        energies[r], tracked[r] = row, states
+        prev = states
+    return b_values, energies, tracked
 
 
 @pytest.mark.parametrize("theta_deg", [0.0, 17.0, 45.0, 90.0, 180.0])
 def test_energy_level_sweep_equals_row_by_row(theta_deg):
-    """Bit for bit the per-field solve, through the zero-field Kramers
-    doublets (the only row with a degenerate cluster) and, at 0 and 180
-    degrees, the axial level crossing near 0.41 T."""
+    """Bit for bit the per-field solve, energies and tracked states, through
+    the zero-field Kramers doublets (the only row with a degenerate cluster)
+    and, at 0 and 180 degrees, the axial level crossing near 0.41 T."""
     theta = math.radians(theta_deg)
     for b_range, n_points in (((0.0, 0.2), 201), ((0.0, 0.8), 97),
                               ((1e-3, 0.05), 13)):
-        b_values, want = _sweep_row_by_row(theta, b_range, n_points)
-        got = energy_level_sweep(SYS, theta, b_values)
-        assert got.tobytes() == want.tobytes()
+        b_values, want_e, want_s = _sweep_row_by_row(theta, b_range, n_points)
+        got_e, got_s = energy_level_sweep(SYS, theta, b_values)
+        assert got_e.tobytes() == want_e.tobytes()
+        assert got_s.tobytes() == want_s.tobytes()
 
 
 def test_energy_level_sweep_checks_the_field_vector():
@@ -382,7 +396,7 @@ def test_energy_level_sweep_validation():
 
 def test_energy_sweep_csv_round_trip(tmp_path):
     b_values = np.linspace(0.0, 0.2, 11)
-    energies = energy_level_sweep(SYS, 0.0, b_values)
+    energies, _ = energy_level_sweep(SYS, 0.0, b_values)
     path = tmp_path / "levels.csv"
     path.write_text(render_energy_sweep_csv(path, b_values, energies))
     lines = path.read_text().splitlines()
