@@ -38,8 +38,6 @@ from .errors import (ConfigError, ParseError, RubymagError, UnknownKey,
                      ZeroSignal)
 from .spins import energy_level_sweep, render_energy_sweep_csv
 
-_TWO_PI = 2.0 * math.pi
-
 
 def split_seed(master_seed: int, label: str) -> np.random.SeedSequence:
     """Deterministic per-task stream: (master seed, CRC32 of the label)."""
@@ -181,7 +179,7 @@ def cmd_noise_predict(cfg: RunConfig, input_csv) -> list:
     phase = iqnoise.read_spectrum_csv(phase_path)
     amp = iqnoise.read_spectrum_csv(amp_path)
     cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
-    pos = phase.offsets * _TWO_PI
+    pos = phase.offsets * math.tau
     offsets = np.concatenate([-pos[::-1], [0.0], pos])
     # Gamma without non-idealities, n_cav pinned at the carrier
     gamma = gamma_prime(ens.omega_s, drive.omega_d + offsets, drive.omega_d,

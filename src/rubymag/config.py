@@ -31,8 +31,6 @@ from .spins import SpinSystem
 from .thermal import (MaterialParams, boltzmann_populations,
                       polarized_spin_count)
 
-_TWO_PI = 2.0 * math.pi
-
 
 def _integer(value) -> int:
     """int(value), refusing a fractional number instead of truncating it."""
@@ -50,7 +48,7 @@ _POSITIVE = (0.0, True, None)
 _NON_NEGATIVE = (0.0, False, None)
 _SCHEMA = {
     "spin": {
-        "d_ghz": (lambda v: _TWO_PI * v * 1e9, -5.745),
+        "d_ghz": (lambda v: math.tau * v * 1e9, -5.745),
         "g_par": (float, 2.0, _POSITIVE),
         "g_perp": (float, 2.0, _POSITIVE),
     },
@@ -67,35 +65,35 @@ _SCHEMA = {
         "temperature_k": (float, 293.0, _POSITIVE),
     },
     "cavity": {
-        "omega_c_ghz": (lambda v: _TWO_PI * v * 1e9, 11.4, _POSITIVE),
-        "kappa_c0_khz": (lambda v: _TWO_PI * v * 1e3, 330.0, _POSITIVE),
-        "kappa_c1_khz": (lambda v: _TWO_PI * v * 1e3, 330.0, _POSITIVE),
+        "omega_c_ghz": (lambda v: math.tau * v * 1e9, 11.4, _POSITIVE),
+        "kappa_c0_khz": (lambda v: math.tau * v * 1e3, 330.0, _POSITIVE),
+        "kappa_c1_khz": (lambda v: math.tau * v * 1e3, 330.0, _POSITIVE),
     },
     "ensemble": {
         # null -> derive from cavity geometry / thermal polarization
-        "g_s_hz": (lambda v: _TWO_PI * v, None, _NON_NEGATIVE),
+        "g_s_hz": (lambda v: math.tau * v, None, _NON_NEGATIVE),
         "n_spins": (float, None, _NON_NEGATIVE),
-        "kappa_s_mhz": (lambda v: _TWO_PI * v * 1e6, 42.0, _POSITIVE),
-        "kappa_th_khz": (lambda v: _TWO_PI * v * 1e3, 120.0, _POSITIVE),
-        "omega_s_ghz": (lambda v: _TWO_PI * v * 1e9, 11.4, _NON_NEGATIVE),
+        "kappa_s_mhz": (lambda v: math.tau * v * 1e6, 42.0, _POSITIVE),
+        "kappa_th_khz": (lambda v: math.tau * v * 1e3, 120.0, _POSITIVE),
+        "omega_s_ghz": (lambda v: math.tau * v * 1e9, 11.4, _NON_NEGATIVE),
     },
     "drive": {
-        "omega_d_ghz": (lambda v: _TWO_PI * v * 1e9, 11.4, _POSITIVE),
+        "omega_d_ghz": (lambda v: math.tau * v * 1e9, 11.4, _POSITIVE),
         "power_dbm": (dbm_to_watts, 11.0, _POSITIVE),
     },
     "nonideal": {
         "o_r": (float, 0.0),
         "o_i": (float, 0.0),
         "amplitude_a": (float, 0.0),
-        "slope_b_per_hz": (lambda v: v / _TWO_PI, 0.0),
+        "slope_b_per_hz": (lambda v: v / math.tau, 0.0),
         "psi_rad": (float, 0.0),
         "tau_s": (float, 0.0),
-        "omega_s_off_mhz": (lambda v: _TWO_PI * v * 1e6, 0.0),
-        "omega_d_off_mhz": (lambda v: _TWO_PI * v * 1e6, 0.0),
+        "omega_s_off_mhz": (lambda v: math.tau * v * 1e6, 0.0),
+        "omega_d_off_mhz": (lambda v: math.tau * v * 1e6, 0.0),
     },
     "grid": {
-        "omega_s_span_mhz": (lambda v: _TWO_PI * v * 1e6, 100.0),
-        "omega_d_span_mhz": (lambda v: _TWO_PI * v * 1e6, 10.0),
+        "omega_s_span_mhz": (lambda v: math.tau * v * 1e6, 100.0),
+        "omega_d_span_mhz": (lambda v: math.tau * v * 1e6, 10.0),
         "n_omega_s": (_integer, 50),
         "n_omega_d": (_integer, 50),
         "noise_sigma": (float, 0.0, _NON_NEGATIVE),

@@ -38,8 +38,6 @@ from .cavity import (CavityParams, EnsembleParams, NonIdealityParams,
 from .csvio import read_columns, render_columns
 from .errors import AllZeroBorder, InvalidBounds, ParseError, ZeroRate
 
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass
 class GridSpec:
@@ -154,8 +152,8 @@ DEFAULT_AUX_BOUNDS = {
     "b": (-1e-7, 1e-7),
     "psi": (-1.5, 1.5),
     "tau": (-1e-6, 1e-6),
-    "omega_s_off": (-_TWO_PI * 20e6, _TWO_PI * 20e6),
-    "omega_d_off": (-_TWO_PI * 20e6, _TWO_PI * 20e6),
+    "omega_s_off": (-math.tau * 20e6, math.tau * 20e6),
+    "omega_d_off": (-math.tau * 20e6, math.tau * 20e6),
 }
 
 
@@ -418,8 +416,8 @@ def relaxation_times(ens: EnsembleParams) -> tuple[float, float]:
 
 def write_grid_csv(path, grid: ComplexGrid2D) -> str:
     """CSV text, row-major in omega_s: omega_s_hz, omega_d_hz, re, im."""
-    ws, wd = np.meshgrid(grid.spec.omega_s_values / _TWO_PI,
-                         grid.spec.omega_d_values / _TWO_PI, indexing="ij")
+    ws, wd = np.meshgrid(grid.spec.omega_s_values / math.tau,
+                         grid.spec.omega_d_values / math.tau, indexing="ij")
     return render_columns(path, ("omega_s_hz", "omega_d_hz", "re", "im"),
                           np.column_stack([ws.ravel(), wd.ravel(),
                                            grid.values.real.ravel(),
@@ -434,8 +432,8 @@ def read_grid_csv(path, drive_power: float) -> ComplexGrid2D:
     point given twice or not at all raises ParseError.
     """
     table, _ = read_columns(path, ("omega_s_hz", "omega_d_hz", "re", "im"))
-    ws, i = np.unique(table[:, 0] * _TWO_PI, return_inverse=True)
-    wd, j = np.unique(table[:, 1] * _TWO_PI, return_inverse=True)
+    ws, i = np.unique(table[:, 0] * math.tau, return_inverse=True)
+    wd, j = np.unique(table[:, 1] * math.tau, return_inverse=True)
     if ws.size < 2 or wd.size < 2:
         raise ParseError(f"{path}: need at least 2 omega_s and 2 omega_d "
                          f"values, got {ws.size} and {wd.size}")

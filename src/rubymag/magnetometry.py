@@ -21,7 +21,6 @@ from .errors import (EmptyTable, NegativeRadicand, TooFewPoints, TooFewSamples,
                      UndersampledTestTone, ZeroSignal, ZeroSlope)
 from .spins import SpinSystem
 
-_TWO_PI = 2.0 * math.pi
 _LOAD_OHM = 50.0                      # R, Ohm
 _PROCESSING_FACTOR = math.sqrt(2.0)   # F
 
@@ -208,7 +207,7 @@ def simulate_timeseries(sys: SpinSystem, cav: CavityParams,
     """
     if tone_rms < 0 or tone_freq < 0:
         raise ValueError("test field amplitude and frequency must be >= 0")
-    f_m = tone_freq / _TWO_PI
+    f_m = tone_freq / math.tau
     if fs <= 2.0 * f_m:
         raise UndersampledTestTone(
             f"fs = {fs} Hz cannot sample a {f_m} Hz test tone")

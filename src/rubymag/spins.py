@@ -18,8 +18,6 @@ from . import constants as CONST
 from .csvio import render_columns
 from .errors import EmptyRange, IndexOutOfRange, NonHermitianInput
 
-_TWO_PI = 2.0 * math.pi
-
 # m_s values in basis order (+3/2, +1/2, -1/2, -3/2)
 _MS = np.array([1.5, 0.5, -0.5, -1.5])
 
@@ -56,7 +54,7 @@ class FieldVector:
             raise ValueError("field magnitude must be >= 0")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
-        if not 0.0 <= self.phi < _TWO_PI:
+        if not 0.0 <= self.phi < math.tau:
             raise ValueError("phi must lie in [0, 2*pi)")
 
     @property
@@ -203,48 +201,54 @@ def transition(energies: np.ndarray, states: np.ndarray,
     return freq, amp
 
 
+def track_levels(energies: np.ndarray,
+                 states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An eigensolve stack along any path, of shapes (n, m) and (n, m, m),
+    with each row's levels permuted by adiabatic continuity.
+
+    Each row is matched to the previous one through maximal eigenvector
+    overlap, greedily, strongest first and row-major on ties, so crossing
+    levels do not swap and transition(energies, states, i, j) follows the
+    levels that are i and j in the first row.
+    """
+    m = energies.shape[-1]
+    # |<previous row's states|this row's states>|^2 for every row at once
+    overlaps = np.abs(np.swapaxes(states[:-1], 1, 2).conj()
+                      @ states[1:]) ** 2
+    rows = np.arange(len(overlaps))
+    # perms[r + 1, p]: the column of row r + 1 that continues row r's column p
+    perms = np.empty((len(energies), m), dtype=int)
+    perms[0] = np.arange(m)
+    for _ in range(m):
+        p, c = np.divmod(np.argmax(overlaps.reshape(-1, m * m), axis=1), m)
+        perms[rows + 1, p] = c
+        overlaps[rows, p, :] = overlaps[rows, :, c] = -1.0
+    # compose them along the path in log2(n) steps, so that perms[r, a] is
+    # the column of row r that continues the first row's level a
+    step = 1
+    while step < len(perms):
+        perms[step:] = np.take_along_axis(perms[step:], perms[:-step], axis=1)
+        step *= 2
+    return (np.take_along_axis(energies, perms, axis=1),
+            np.take_along_axis(states, perms[:, None, :], axis=2))
+
+
 def energy_level_sweep(sys: SpinSystem, theta: float,
                        b_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tracked eigenpairs versus field magnitude at a fixed orientation.
-
-    Returns (energies, states) of shapes (n, 4) and (n, 4, 4) at the n field
-    magnitudes b_values: eigensolve's pair with each row's levels permuted by
-    adiabatic continuity.  Each row is matched to the previous one through
-    maximal eigenvector overlap, so crossing levels do not swap, and
-    transition(energies, states, i, j) follows the tracked levels i and j.
-    """
+    """Tracked eigenpairs versus field magnitude at a fixed orientation:
+    track_levels of the eigensolve at the n field magnitudes b_values,
+    shapes (n, 4) and (n, 4, 4)."""
     b_values = np.asarray(b_values, dtype=float)
     if b_values.size < 2:
         raise EmptyRange("need at least two field points")
     if np.any(np.diff(b_values) <= 0):
         raise EmptyRange("field points must be strictly increasing")
-    energies, states = eigensolve(
-        build_hamiltonian(sys, FieldVector(b_values, theta)))
-    # |<previous row's states|this row's states>|^2 for every row at once
-    overlaps = np.abs(np.swapaxes(states[:-1], 1, 2).conj()
-                      @ states[1:]) ** 2
-    # perm[a]: the column of the current row that continues level a
-    perm = [0, 1, 2, 3]
-    perms = [perm]
-    for overlap in overlaps.tolist():
-        rows = [overlap[c] for c in perm]
-        perm = [-1] * 4
-        free_a, free_c = [0, 1, 2, 3], [0, 1, 2, 3]
-        # greedy assignment, strongest overlaps first, row-major on ties
-        for _ in range(4):
-            a, c = max(((a, c) for a in free_a for c in free_c),
-                       key=lambda ac: rows[ac[0]][ac[1]])
-            perm[a] = c
-            free_a.remove(a)
-            free_c.remove(c)
-        perms.append(perm)
-    perms = np.array(perms)
-    return (np.take_along_axis(energies, perms, axis=1),
-            np.take_along_axis(states, perms[:, None, :], axis=2))
+    return track_levels(*eigensolve(
+        build_hamiltonian(sys, FieldVector(b_values, theta))))
 
 
 def render_energy_sweep_csv(path, b_values: np.ndarray, energies: np.ndarray) -> str:
     """CSV columns B_gauss, E1_Hz..E4_Hz (plain frequencies, not angular)."""
     return render_columns(path, ("B_gauss", "E1_Hz", "E2_Hz", "E3_Hz", "E4_Hz"),
                           np.column_stack([np.multiply(b_values, 1e4),
-                                           np.divide(energies, _TWO_PI)]))
+                                           np.divide(energies, math.tau)]))

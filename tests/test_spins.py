@@ -12,7 +12,8 @@ from rubymag.errors import EmptyRange, IndexOutOfRange, NonHermitianInput
 from rubymag.spins import (FieldVector, _fix_degenerate_subspaces,
                            analytic_energies_axial, build_hamiltonian,
                            eigensolve, energy_level_sweep,
-                           render_energy_sweep_csv, spin_matrices, transition)
+                           render_energy_sweep_csv, spin_matrices,
+                           track_levels, transition)
 
 TWO_PI = 2.0 * math.pi
 SYS = parse_config({}).spin_system()
@@ -339,15 +340,42 @@ def test_allowed_transition_slope_largest_at_axial_and_transverse():
     assert min(slopes[0], slopes[90]) > max(slopes[30], slopes[60])
 
 
-def _sweep_row_by_row(theta, b_range, n_points):
-    """energy_level_sweep as one eigensolve per field and a numpy greedy
-    assignment per row: the reference for the batched sweep."""
-    b_values = np.linspace(*b_range, n_points)
-    energies = np.empty((n_points, 4))
-    tracked = np.empty((n_points, 4, 4), dtype=complex)
+def test_followed_allowed_line_slope_falls_with_tilt():
+    """PAPER.md's first orientation claim on one followed line: the
+    magnetometer line, levels (1, 3) at 0 degrees, tracked in one
+    track_levels call along theta from 0 to theta_k at 25 G, then along
+    field from 25 to 100 G at theta_k.  Its |slope| where it crosses
+    11.4 GHz is largest at 0 degrees (27.99 GHz/T at 32.1 G) and falls
+    strictly with tilt; at 45, 60 and 90 degrees it does not cross."""
+    b_values = np.linspace(25e-4, 100e-4, 301)
+    slopes = {}
+    for deg in (0, 5, 10, 15, 20, 30, 40, 45, 60, 90):
+        thetas = np.linspace(0.0, math.radians(deg), 46)
+        hams = np.concatenate(
+            [[build_hamiltonian(SYS, FieldVector(25e-4, t))
+              for t in thetas[:-1]],
+             build_hamiltonian(SYS, FieldVector(b_values, thetas[-1]))])
+        freqs, _ = transition(*track_levels(*eigensolve(hams)), 1, 3)
+        freqs = freqs[len(thetas) - 1:] / TWO_PI
+        crossed = np.flatnonzero(np.diff(np.sign(freqs - 11.4e9)))
+        if crossed.size:
+            k = crossed[0]
+            slopes[deg] = abs((freqs[k + 1] - freqs[k])
+                              / (b_values[k + 1] - b_values[k]))
+    assert sorted(slopes) == [0, 5, 10, 15, 20, 30, 40]
+    falling = [slopes[deg] for deg in sorted(slopes)]
+    assert all(a > b for a, b in zip(falling, falling[1:]))
+    assert slopes[0] == max(falling)
+    assert slopes[0] == pytest.approx(27.99e9, rel=1e-3)
+
+
+def _track_row_by_row(hamiltonians):
+    """One eigensolve per Hamiltonian along a path and a numpy greedy
+    assignment per row: the reference for track_levels."""
+    energies, tracked = [], []
     prev = None
-    for r, b in enumerate(b_values):
-        row, states = eigensolve(build_hamiltonian(SYS, FieldVector(b, theta)))
+    for h in hamiltonians:
+        row, states = eigensolve(h)
         if prev is not None:
             overlap = np.abs(prev.conj().T @ states) ** 2
             perm = np.full(4, -1)
@@ -359,21 +387,40 @@ def _sweep_row_by_row(theta, b_range, n_points):
                 perm[a] = c
                 taken[c] = True
             row, states = row[perm], states[:, perm]
-        energies[r], tracked[r] = row, states
+        energies.append(row)
+        tracked.append(states)
         prev = states
-    return b_values, energies, tracked
+    return np.array(energies), np.array(tracked)
 
 
-@pytest.mark.parametrize("theta_deg", [0.0, 17.0, 45.0, 90.0, 180.0])
-def test_energy_level_sweep_equals_row_by_row(theta_deg):
-    """Bit for bit the per-field solve, energies and tracked states, through
-    the zero-field Kramers doublets (the only row with a degenerate cluster)
-    and, at 0 and 180 degrees, the axial level crossing near 0.41 T."""
-    theta = math.radians(theta_deg)
-    for b_range, n_points in (((0.0, 0.2), 201), ((0.0, 0.8), 97),
-                              ((1e-3, 0.05), 13)):
-        b_values, want_e, want_s = _sweep_row_by_row(theta, b_range, n_points)
-        got_e, got_s = energy_level_sweep(SYS, theta, b_values)
+@pytest.mark.parametrize(
+    "theta_deg, b_tesla",
+    [(deg, None) for deg in (0.0, 17.0, 45.0, 90.0, 180.0)]
+    + [(None, 30e-4), (None, 0.41)],
+    ids=["0.0", "17.0", "45.0", "90.0", "180.0", "theta_at_30G",
+         "theta_at_0.41T"])
+def test_energy_level_sweep_equals_row_by_row(theta_deg, b_tesla):
+    """Bit for bit the per-row solve, energies and tracked states.  Along
+    field at theta_deg: through the zero-field Kramers doublets (the only
+    row with a degenerate cluster) and, at 0 and 180 degrees, the axial
+    level crossing near 0.41 T.  Along theta from 0 to 180 degrees at
+    b_tesla, through track_levels; off axis the levels anticross, so no row
+    of these paths is permuted."""
+    if b_tesla is None:
+        theta = math.radians(theta_deg)
+        paths = []
+        for b_range, n_points in (((0.0, 0.2), 201), ((0.0, 0.8), 97),
+                                  ((1e-3, 0.05), 13)):
+            b_values = np.linspace(*b_range, n_points)
+            paths.append(([build_hamiltonian(SYS, FieldVector(b, theta))
+                           for b in b_values],
+                          energy_level_sweep(SYS, theta, b_values)))
+    else:
+        hams = np.array([build_hamiltonian(SYS, FieldVector(b_tesla, t))
+                         for t in np.linspace(0.0, math.pi, 181)])
+        paths = [(hams, track_levels(*eigensolve(hams)))]
+    for hams, (got_e, got_s) in paths:
+        want_e, want_s = _track_row_by_row(hams)
         assert got_e.tobytes() == want_e.tobytes()
         assert got_s.tobytes() == want_s.tobytes()
 
