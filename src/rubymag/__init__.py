@@ -6,7 +6,7 @@ Modules:
     cavity        spin-loaded reflection coefficient and coupling constants
     fitting       avoided-crossing grids and the non-ideality fit
     iqnoise       source-noise propagation through the reflection
-    magnetometry  slopes, spectra, sensitivity budgets, simulation
+    magnetometry  bias sweeps, slopes and sensitivity budgets
     calibration   test-coil fields and linear calibrations
     csvio         checked reading of input CSVs, rendering of CSV and JSON
     config, cli   JSON configuration and command-line interface

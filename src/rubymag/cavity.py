@@ -91,7 +91,7 @@ class NonIdealityParams:
 
     The reference omega_ref is not a parameter: the caller derives it, as
     the mean drive frequency of a (omega_s, omega_d) grid or as the drive
-    frequency of a bias sweep or time series.
+    frequency of a bias sweep.
     """
 
     o_r: float = 0.0

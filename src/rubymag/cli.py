@@ -199,9 +199,10 @@ def _sensitivity_budget(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray,
     n = cfg["noise"]
     b_values = _axis("sweep.bias_b_gauss, sweep.b_span_gauss, sweep.n_points",
                      s["bias_b_gauss"], s["b_span_gauss"], s["n_points"])
-    v = mag.bias_sweep_trace(cfg.spin_system(), cfg.cavity(), cfg.ensemble(),
-                             cfg.nonideal(), cfg.drive(), b_values,
-                             chain_gain_db=s["chain_gain_db"])
+    v = mag.bias_sweep_trace(
+        mag.spin_frequency_vs_field(cfg.spin_system(), b_values), cfg.cavity(),
+        cfg.ensemble(), cfg.nonideal(), cfg.drive(),
+        chain_gain_db=s["chain_gain_db"])
     _, m_max = mag.dispersive_slope(b_values, v.imag)
     e_n = s["noise_floor_nv_per_rthz"]
     b_test = s["test_amplitude_nt"]
@@ -236,16 +237,16 @@ def cmd_optimize(cfg: RunConfig, input_csv) -> list:
     # a 21-point sweep around each bias, at each power, read at its centre:
     # only the centre five points, that point's slope window, are evaluated
     axes = _axis(keys, b_values, s["b_span_gauss"] / 4.0, 21)[:, 8:13]
+    omega_s = mag.spin_frequency_vs_field(cfg.spin_system(), axes)
     e_n_ref = s["noise_floor_nv_per_rthz"]
-    sys_, cav, ens, ni, drive_ref = (cfg.spin_system(), cfg.cavity(),
-                                     cfg.ensemble(), cfg.nonideal(),
-                                     cfg.drive())
+    cav, ens, ni, drive_ref = (cfg.cavity(), cfg.ensemble(), cfg.nonideal(),
+                               cfg.drive())
     p_ref = drive_ref.power
     p_values_dbm = np.linspace(watts_to_dbm(p_ref) - 6.0,
                                watts_to_dbm(p_ref) + 6.0, 9)
     powers = np.array([dbm_to_watts(float(p_dbm)) for p_dbm in p_values_dbm])
     v = np.stack([mag.bias_sweep_trace(
-        sys_, cav, ens, ni, replace(drive_ref, power=power), axes,
+        omega_s, cav, ens, ni, replace(drive_ref, power=power),
         s["chain_gain_db"]).imag for power in powers], axis=1)
     slopes = np.abs(mag.dispersive_slope(axes[:, None], v)[0][..., 2])
     if np.any(slopes <= 0):

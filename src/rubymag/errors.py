@@ -53,10 +53,6 @@ class TooFewPoints(RubymagError, ValueError):
     pass
 
 
-class TooFewSamples(RubymagError, ValueError):
-    pass
-
-
 class ZeroSignal(RubymagError, ValueError):
     pass
 
@@ -70,10 +66,6 @@ class NegativeRadicand(RubymagError, ValueError):
 
 
 class EmptyTable(RubymagError, ValueError):
-    pass
-
-
-class UndersampledTestTone(RubymagError, ValueError):
     pass
 
 

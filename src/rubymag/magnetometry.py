@@ -1,9 +1,9 @@
-"""Dispersive-slope response, spectra, sensitivity budgets and simulation.
+"""Bias sweeps and sensitivity budgets.
 
-Connects the cavity model to magnetometer figures of merit: the slope of the
-dispersive voltage versus bias field, amplitude spectral densities of the
-demodulated channels, the projected sensitivity eta = e_n / (V_m / B_test),
-its thermal and phase-noise limits, and bias/power optimization sweeps.
+Connects the cavity model to magnetometer figures of merit: the channel
+voltages of a bias sweep, the slope of the dispersive voltage versus bias
+field, the projected sensitivity eta = e_n / (V_m / B_test), its thermal and
+phase-noise limits, and bias/power optimization sweeps.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from .cavity import (CavityParams, DriveParams, EnsembleParams,
                      NonIdealityParams, db_to_voltage_gain, gamma_prime,
                      gamma_prime_params)
 from .csvio import render_columns
-from .errors import (EmptyTable, NegativeRadicand, TooFewPoints, TooFewSamples,
-                     UndersampledTestTone, ZeroSignal, ZeroSlope)
+from .errors import (EmptyTable, NegativeRadicand, TooFewPoints, ZeroSignal,
+                     ZeroSlope)
 from .spins import SpinSystem
 
 _LOAD_OHM = 50.0                      # R, Ohm
@@ -58,62 +58,6 @@ def dispersive_slope(axis, dispersive) -> tuple[np.ndarray, float]:
                / (q * q).sum(axis=-1, keepdims=True)) / scale
     slopes = (weights * dispersive[..., idx]).sum(axis=-1)
     return slopes, float(np.max(np.abs(slopes)))
-
-
-def amplitude_spectrum(samples, fs: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single-sided RMS amplitude spectral density, Hann windowed and
-    segment averaged.
-
-    Returns (frequencies in Hz, density in V/sqrt(Hz)).  White noise of
-    variance sigma^2 reports a flat density sigma*sqrt(2/fs); a tone's RMS
-    amplitude is recovered by integrating the squared density across its peak
-    bins (see tone_rms).  Segment averaging keeps the amplitude estimate
-    unbiased: Welch's method, with segments of max(min(n, 256), n // 8)
-    samples that overlap by half, each mean-removed and Hann windowed.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 16:
-        raise TooFewSamples("need at least 16 samples")
-    if fs <= 0:
-        raise ValueError("fs must be positive")
-    nperseg = max(min(samples.size, 256), samples.size // 8)
-    segments = np.lib.stride_tricks.sliding_window_view(
-        samples, nperseg)[::nperseg - nperseg // 2]
-    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(nperseg) / nperseg)
-    spectra = np.fft.rfft(
-        (segments - segments.mean(axis=1, keepdims=True)) * window, axis=1)
-    psd = (np.abs(spectra) ** 2).mean(axis=0) / (fs * np.sum(window ** 2))
-    # one-sided: fold negative frequencies onto all bins but DC and Nyquist
-    psd[1:(nperseg + 1) // 2] *= 2.0
-    return np.fft.rfftfreq(nperseg, 1.0 / fs), np.sqrt(psd)
-
-
-def tone_rms(freqs: np.ndarray, asd: np.ndarray, f0: float) -> float:
-    """RMS amplitude of a tone at f0, integrating the density over the seven
-    bins around its peak."""
-    df = freqs[1] - freqs[0]
-    k = int(np.argmin(np.abs(freqs - f0)))
-    sel = slice(max(k - 3, 0), min(k + 4, freqs.size))
-    return float(math.sqrt(np.sum(asd[sel] ** 2) * df))
-
-
-def noise_floor(freqs: np.ndarray, asd: np.ndarray, band: tuple[float, float],
-                tone_freqs=()) -> float:
-    """Trimmed-mean density over a band.
-
-    Bins within two bins of a declared tone are excluded, and the lowest and
-    highest tenth of the rest are trimmed before averaging.
-    """
-    mask = (freqs >= band[0]) & (freqs <= band[1])
-    df = freqs[1] - freqs[0]
-    for f0 in tone_freqs:
-        mask &= np.abs(freqs - f0) > 2 * df
-    values = np.sort(asd[mask])
-    if values.size == 0:
-        raise ValueError("band contains no usable bins")
-    cut = int(0.1 * values.size)
-    trimmed = values[cut:values.size - cut] if values.size > 2 * cut else values
-    return float(np.mean(trimmed))
 
 
 def sensitivity(e_n: float, v_m: float, b_test: float) -> float:
@@ -165,7 +109,7 @@ def optimize_grid(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# forward simulation
+# bias sweep
 
 def spin_frequency_vs_field(sys: SpinSystem, b_values) -> np.ndarray:
     """omega_s(B) of the +3/2 <-> +1/2 transition in an axial field (rad/s).
@@ -177,50 +121,20 @@ def spin_frequency_vs_field(sys: SpinSystem, b_values) -> np.ndarray:
     return np.abs(2.0 * sys.D + (sys.g_par * CONST.mu_B / CONST.hbar) * b_values)
 
 
-def bias_sweep_trace(sys: SpinSystem, cav: CavityParams, ens: EnsembleParams,
+def bias_sweep_trace(omega_s, cav: CavityParams, ens: EnsembleParams,
                      ni: NonIdealityParams, drive: DriveParams,
-                     b_values: np.ndarray, chain_gain_db: float) -> np.ndarray:
-    """Complex channel voltage at the bias fields b_values, of any shape:
-    .real is the absorptive channel and .imag the dispersive one."""
-    gamma = gamma_prime(spin_frequency_vs_field(sys, b_values), drive.omega_d,
-                        drive.omega_d, cav.omega_c, ens.g_s, drive.power,
-                        gamma_prime_params(cav, ens, ni))
+                     chain_gain_db: float) -> np.ndarray:
+    """Complex channel voltage at the spin frequencies omega_s (rad/s), of
+    any shape: .real is the absorptive channel and .imag the dispersive one.
+
+    The caller maps its bias fields to omega_s, by spin_frequency_vs_field
+    on axis or by a tracked line of any orientation.
+    """
+    gamma = gamma_prime(omega_s, drive.omega_d, drive.omega_d, cav.omega_c,
+                        ens.g_s, drive.power, gamma_prime_params(cav, ens, ni))
     scale = db_to_voltage_gain(chain_gain_db) \
         * math.sqrt(drive.power * _LOAD_OHM)
     return scale * gamma
-
-
-def simulate_timeseries(sys: SpinSystem, cav: CavityParams,
-                        ens: EnsembleParams, ni: NonIdealityParams,
-                        drive: DriveParams, bias_b: float,
-                        tone_rms: float, tone_freq: float,
-                        chain_gain_db: float, noise_floor_v: float,
-                        fs: float, duration: float,
-                        seed: int = 0) -> np.ndarray:
-    """End-to-end magnetometer time series under an AC test field: the
-    complex channel voltage at the times np.arange(n) / fs.
-
-    The bias field is modulated by a sine of RMS amplitude tone_rms (T) at
-    the angular frequency tone_freq (rad/s); white Gaussian noise of the
-    stated density is added to the absorptive (.real), then the dispersive
-    (.imag) channel.  Deterministic per seed.
-    """
-    if tone_rms < 0 or tone_freq < 0:
-        raise ValueError("test field amplitude and frequency must be >= 0")
-    f_m = tone_freq / math.tau
-    if fs <= 2.0 * f_m:
-        raise UndersampledTestTone(
-            f"fs = {fs} Hz cannot sample a {f_m} Hz test tone")
-    n = int(round(fs * duration))
-    b = bias_b + math.sqrt(2.0) * tone_rms \
-        * np.sin(tone_freq * (np.arange(n) / fs))
-    v = bias_sweep_trace(sys, cav, ens, ni, drive, b, chain_gain_db)
-    if noise_floor_v > 0:
-        sigma = noise_floor_v * math.sqrt(fs / 2.0)
-        rng = np.random.default_rng(seed)
-        v.real += sigma * rng.standard_normal(n)
-        v.imag += sigma * rng.standard_normal(n)
-    return v
 
 
 # ---------------------------------------------------------------------------

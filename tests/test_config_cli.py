@@ -20,7 +20,7 @@ from rubymag.cavity import (dbm_to_watts, interaction_term, photon_number,
 from rubymag.cli import _DISPATCH, _read_argv, main, split_seed
 from rubymag.config import FLAT_KEYS, parse_config
 from rubymag.errors import ConfigError, ParseError, UnitMismatch, UnknownKey
-from rubymag.magnetometry import bias_sweep_trace
+from rubymag.magnetometry import bias_sweep_trace, spin_frequency_vs_field
 
 TWO_PI = 2.0 * math.pi
 
@@ -972,9 +972,9 @@ def test_optimize_matches_window_polyfit(tmp_path, nonideal):
         e_n = s["noise_floor_nv_per_rthz"] * math.sqrt(power / drive.power)
         for i, b0 in enumerate(b_values):
             b = np.linspace(b0 - half, b0 + half, 21)
-            v = bias_sweep_trace(cfg.spin_system(), cfg.cavity(),
-                                 cfg.ensemble(), cfg.nonideal(),
-                                 replace(drive, power=power), b,
+            omega_s = spin_frequency_vs_field(cfg.spin_system(), b)
+            v = bias_sweep_trace(omega_s, cfg.cavity(), cfg.ensemble(),
+                                 cfg.nonideal(), replace(drive, power=power),
                                  chain_gain_db=s["chain_gain_db"])
             slope = np.polyfit(b[8:13] - b[10], v.imag[8:13], 2)[1]
             want[i, j] = e_n / abs(slope)
