@@ -1,8 +1,7 @@
 """Test-coil field calibration.
 
 Converts coil current to magnetic field at the sensor through the on-axis
-solenoid formula, and cross-checks it against the field inferred from the
-measured dispersive response and the known slope.
+solenoid formula.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import constants as CONST
 from .csvio import read_columns
-from .errors import DegenerateAbscissa, ParseError, TooFewPoints, ZeroSlope
+from .errors import DegenerateAbscissa, ParseError, TooFewPoints
 
 
 @dataclass
@@ -65,13 +64,6 @@ def linear_calibration(x, y) -> LinearCalibration:
     return LinearCalibration(slope=float(slope),
                              intercept=float(y.mean() - slope * x.mean()),
                              r_squared=float(r_squared))
-
-
-def test_field_from_slope(v_rms: float, m_slope: float) -> float:
-    """RMS test field inferred from the dispersive tone: B = V_rms / |M|."""
-    if m_slope == 0:
-        raise ZeroSlope("dispersive slope must be nonzero")
-    return v_rms / abs(m_slope)
 
 
 def read_calibration_csv(path) -> tuple[np.ndarray, np.ndarray]:

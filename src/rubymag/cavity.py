@@ -15,8 +15,9 @@ arguments of the functional helpers broadcast over numpy arrays so that 2D
 
 gamma_prime is the one implementation of the measurable Gamma' that the fit,
 the model grids, the bias sweeps and the noise prediction all evaluate.
-interaction_term, reflection_coefficient and reflection spell the formulas
-out term by term and serve as its reference.
+interaction_term and reflection_coefficient write Pi and Gamma out term by
+term: the tests compose them into gamma_prime's reference, and the
+benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -116,15 +117,6 @@ def db_to_voltage_gain(db: float) -> float:
     return 10.0 ** (db / 20.0)
 
 
-def photon_number(drive: DriveParams, kappa_c: float) -> float:
-    """Mean intracavity photon number n_cav = P / (hbar omega_d kappa_c)."""
-    if kappa_c <= 0:
-        raise ZeroLinewidth("kappa_c must be positive")
-    if drive.omega_d <= 0:
-        raise ZeroLinewidth("omega_d must be positive")
-    return drive.power / (CONST.hbar * drive.omega_d * kappa_c)
-
-
 def _check_spin_rates(kappa_s: float, kappa_th: float, n_cav: float) -> None:
     if kappa_s <= 0:
         raise ZeroSpinLinewidth("kappa_s must be positive")
@@ -144,12 +136,6 @@ def interaction_term(g_s: float, N: float, kappa_s: float, kappa_th: float,
     return g_s ** 2 * N / (kappa_s / 2.0 + 1j * delta + saturation)
 
 
-def spin_interaction(ens: EnsembleParams, drive: DriveParams, n_cav: float):
-    """Pi evaluated from parameter bundles."""
-    return interaction_term(ens.g_s, ens.N, ens.kappa_s, ens.kappa_th,
-                            ens.omega_s, drive.omega_d, n_cav)
-
-
 def reflection_coefficient(kappa_c0: float, kappa_c1: float, omega_c: float,
                            omega_d, pi_term):
     """Gamma for a given interaction term; broadcasts over arrays."""
@@ -159,17 +145,14 @@ def reflection_coefficient(kappa_c0: float, kappa_c1: float, omega_c: float,
                               + pi_term)
 
 
-def reflection(cav: CavityParams, ens: EnsembleParams, drive: DriveParams):
-    """Spin-loaded complex reflection coefficient at the drive frequency."""
-    n_cav = photon_number(drive, cav.kappa_c)
-    pi_term = spin_interaction(ens, drive, n_cav)
-    return reflection_coefficient(cav.kappa_c0, cav.kappa_c1, cav.omega_c,
-                                  drive.omega_d, pi_term)
+PARAM_NAMES = ("kappa_c0", "kappa_c1", "kappa_s", "kappa_th", "g_eff",
+               "o_r", "o_i", "A", "b", "psi", "tau",
+               "omega_s_off", "omega_d_off")
 
 
 def gamma_prime_params(cav: CavityParams, ens: EnsembleParams,
                        ni: NonIdealityParams) -> list:
-    """The params list of gamma_prime, from parameter bundles."""
+    """The params list of gamma_prime, in PARAM_NAMES order."""
     return [cav.kappa_c0, cav.kappa_c1, ens.kappa_s, ens.kappa_th, ens.g_eff,
             ni.o_r, ni.o_i, ni.A, ni.b, ni.psi, ni.tau,
             ni.omega_s_off, ni.omega_d_off]
@@ -182,8 +165,7 @@ def _gamma_terms(omega_s, omega_d, omega_ref: float, omega_c: float,
     Returns (omega_d - omega_d_off, delta', S, D, G/D, den, d,
     exp(i(psi + d tau)), e), den being the loaded denominator
     kappa_c/2 + i(omega_d - omega_d_off - omega_c) + Pi (see gamma_prime for
-    the symbols).  Raises what photon_number and interaction_term raise at
-    every point first.
+    the symbols).  Raises gamma_prime's errors at every point first.
     """
     (kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff,
      o_r, o_i, A, b, psi, tau, omega_s_off, omega_d_off) = params

@@ -33,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import (CavityParams, EnsembleParams, NonIdealityParams,
-                     gamma_prime, gamma_prime_jacobian, gamma_prime_params)
+from .cavity import (PARAM_NAMES, CavityParams, EnsembleParams,
+                     NonIdealityParams, gamma_prime, gamma_prime_jacobian,
+                     gamma_prime_params)
 from .csvio import read_columns, render_columns
 from .errors import AllZeroBorder, InvalidBounds, ParseError, ZeroRate
 
@@ -141,9 +142,7 @@ def dip_trajectory(grid: ComplexGrid2D) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bounded fit: Levenberg-Marquardt, then IRLS
 
-_PHYSICAL = ("kappa_c0", "kappa_c1", "kappa_s", "kappa_th", "g_eff")
-_AUXILIARY = ("o_r", "o_i", "A", "b", "psi", "tau", "omega_s_off", "omega_d_off")
-PARAM_NAMES = _PHYSICAL + _AUXILIARY   # the order of cavity.gamma_prime_params
+_PHYSICAL = PARAM_NAMES[:5]
 
 DEFAULT_AUX_BOUNDS = {
     "o_r": (-0.5, 0.5),

@@ -167,23 +167,6 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return energies.reshape(shape[:-1]), states.reshape(shape)
 
 
-def analytic_energies_axial(sys: SpinSystem, b_z: float) -> np.ndarray:
-    """Closed-form axial-field eigenenergies (rad/s), ascending.
-
-    E(+-1/2) = -D +- (1/2)(g_par mu_B / hbar) B_z
-    E(+-3/2) =  D +- (3/2)(g_par mu_B / hbar) B_z
-
-    The Zeeman term multiplies B_z (not hbar); the diagonal of the full
-    Hamiltonian fixes the dimensions unambiguously.
-    """
-    if b_z < 0:
-        raise ValueError("B_z must be >= 0")
-    b = sys.g_par * CONST.mu_B * b_z / CONST.hbar
-    e = np.array([sys.D + 1.5 * b, -sys.D + 0.5 * b,
-                  -sys.D - 0.5 * b, sys.D - 1.5 * b])
-    return np.sort(e)
-
-
 def transition(energies: np.ndarray, states: np.ndarray,
                i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """(frequency, amplitude) of the i<->j transition over an eigensolve

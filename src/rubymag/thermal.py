@@ -77,14 +77,3 @@ def polarized_spin_count(mat: MaterialParams, populations) -> float:
     """Effective polarization of the populations (p1, p2, p3, p4) times the
     interrogated spin count."""
     return polarization(populations) * total_interrogated_spins(mat)
-
-
-def optical_power_equivalent(N: float, omega: float, kappa_th: float,
-                             n_photons: float) -> float:
-    """Optical power (W) that hypothetical optical pumping would need.
-
-    P = N * hbar * omega * kappa_th * n_photons.
-    """
-    if min(N, omega, kappa_th, n_photons) < 0:
-        raise ValueError("all arguments must be non-negative")
-    return N * CONST.hbar * omega * kappa_th * n_photons

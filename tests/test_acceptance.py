@@ -19,11 +19,10 @@ import numpy as np
 import pytest
 
 from rubymag.calibration import solenoid_axial_field
-from rubymag.calibration import test_field_from_slope as field_from_slope
 from rubymag.cavity import (CavityParams, DriveParams, NonIdealityParams,
                             cooperativity, dbm_to_watts,
-                            kappa_th_threshold_power, reflection,
-                            single_spin_coupling, watts_to_dbm)
+                            kappa_th_threshold_power, single_spin_coupling,
+                            watts_to_dbm)
 from rubymag import constants as CONST
 from rubymag.config import parse_config
 from rubymag.fitting import (GridSpec, dip_trajectory, fit_crossing,
@@ -34,12 +33,12 @@ from rubymag.iqnoise import (decompose_gamma, noise_contribution_split,
 from rubymag.magnetometry import (bias_sweep_trace, dispersive_slope,
                                   phase_noise_budget, sensitivity,
                                   spin_frequency_vs_field, thermal_limit)
-from rubymag.spins import (FieldVector, analytic_energies_axial,
-                           build_hamiltonian, eigensolve, energy_level_sweep,
-                           transition)
-from rubymag.thermal import (boltzmann_populations, optical_power_equivalent,
-                             polarization, polarized_spin_count,
-                             total_interrogated_spins)
+from rubymag.spins import (FieldVector, build_hamiltonian, eigensolve,
+                           energy_level_sweep, transition)
+from rubymag.thermal import (boltzmann_populations, polarization,
+                             polarized_spin_count, total_interrogated_spins)
+from oracle import (analytic_energies_axial, field_from_slope,
+                    optical_power_equivalent, reflection)
 from timeseries import (amplitude_density, noise_floor, simulate_timeseries,
                         tone_rms)
 

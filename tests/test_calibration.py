@@ -6,12 +6,12 @@ import pytest
 
 from rubymag.calibration import (linear_calibration, read_calibration_csv,
                                  solenoid_axial_field)
-from rubymag.calibration import test_field_from_slope as field_from_slope
 from rubymag import constants as CONST
 from rubymag.config import parse_config
 from rubymag.csvio import render_columns
 from rubymag.errors import (DegenerateAbscissa, ParseError, TooFewPoints,
                             ZeroSlope)
+from oracle import field_from_slope
 
 I_RMS = 6.9e-3      # coil drive current, A RMS
 COIL = parse_config({}).coil()

@@ -6,20 +6,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
-                            NonIdealityParams, cooperativity,
+from rubymag.cavity import (PARAM_NAMES, CavityParams, DriveParams,
+                            EnsembleParams, NonIdealityParams, cooperativity,
                             db_to_voltage_gain, dbm_to_watts, gamma_prime,
                             gamma_prime_jacobian, gamma_prime_params,
-                            interaction_term,
-                            kappa_th_threshold_power, photon_number,
-                            reflection, reflection_coefficient,
-                            single_spin_coupling, spin_interaction,
+                            interaction_term, kappa_th_threshold_power,
+                            reflection_coefficient, single_spin_coupling,
                             watts_to_dbm)
 from rubymag.config import parse_config
 from rubymag import constants as CONST
 from rubymag.errors import (ZeroCoupling, ZeroKappaTh, ZeroLinewidth,
                             ZeroSpinLinewidth)
-from rubymag.fitting import PARAM_NAMES, default_bounds
+from rubymag.fitting import default_bounds
+from oracle import photon_number, reflection, spin_interaction
 
 TWO_PI = 2.0 * math.pi
 

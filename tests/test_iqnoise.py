@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rubymag.cavity import DriveParams, reflection
+from rubymag.cavity import DriveParams
 from rubymag.config import parse_config
 from rubymag.iqnoise import (DBC_PER_HZ, V2_PER_HZ, NoiseSpectrum,
                              decompose_gamma,
                              noise_contribution_split, predict_noise_psd,
                              read_spectrum_csv, render_spectrum_csv)
+from oracle import reflection
 
 TWO_PI = 2.0 * math.pi
 DEFAULTS = parse_config({})

@@ -10,10 +10,10 @@ from rubymag import constants as CONST
 from rubymag.config import parse_config
 from rubymag.errors import EmptyRange, IndexOutOfRange, NonHermitianInput
 from rubymag.spins import (FieldVector, _fix_degenerate_subspaces,
-                           analytic_energies_axial, build_hamiltonian,
-                           eigensolve, energy_level_sweep,
+                           build_hamiltonian, eigensolve, energy_level_sweep,
                            render_energy_sweep_csv, spin_matrices,
                            track_levels, transition)
+from oracle import analytic_energies_axial
 
 TWO_PI = 2.0 * math.pi
 SYS = parse_config({}).spin_system()
