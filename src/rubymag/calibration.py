@@ -26,9 +26,13 @@ class CoilGeometry:
     distance: float    # m, coil center to sensor on axis
 
     def __post_init__(self):
-        # written so that NaN, which compares False, fails the check
-        if not (self.n_turns >= 1 and self.radius > 0):
-            raise ValueError("n_turns and radius must be positive")
+        # written so that NaN, which compares False, fails the check; the
+        # count also fails it at +-inf and fractional values, since
+        # n % 1 is NaN at inf and nonzero for a fraction
+        if not (self.n_turns >= 1 and self.n_turns % 1 == 0
+                and self.radius > 0):
+            raise ValueError("n_turns must be a positive integer and radius "
+                             "positive")
 
 
 def solenoid_axial_field(coil: CoilGeometry, current: float) -> float:

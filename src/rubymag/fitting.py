@@ -23,7 +23,7 @@ evaluation builds no parameter objects and performs one complex division per
 grid point.
 
 Only g_eff = g_s sqrt(N) is identifiable from the reflection data; g_s is
-supplied (from the modal-volume coupling formula) and N is derived.
+supplied (from the modal-volume coupling formula) and fit.json derives N.
 """
 
 from __future__ import annotations
@@ -77,11 +77,12 @@ class ComplexGrid2D:
 
 @dataclass
 class FitResult:
-    """Fitted parameters with the fit's L1 objective, steps and outcome."""
+    """The fitted parameters by name, with the fit's L1 objective, steps and
+    outcome."""
 
-    cavity: CavityParams
-    ensemble: EnsembleParams
-    nonideal: NonIdealityParams
+    params: dict                  # the 13 fitted values, keyed by PARAM_NAMES
+    omega_c: float                # rad/s, the guess's, held fixed
+    g_s: float                    # rad/s, the guess's, held fixed
     objective_value: float
     iterations: int
     converged: bool               # IRLS reached _IRLS_TOL (see minimize)
@@ -142,8 +143,6 @@ def dip_trajectory(grid: ComplexGrid2D) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bounded fit: Levenberg-Marquardt, then IRLS
 
-_PHYSICAL = PARAM_NAMES[:5]
-
 DEFAULT_AUX_BOUNDS = {
     "o_r": (-0.5, 0.5),
     "o_i": (-0.5, 0.5),
@@ -161,13 +160,8 @@ def default_bounds(cav: CavityParams, ens: EnsembleParams) -> dict:
 
     A guess rate that is not > 0, NaN included, raises InvalidBounds.
     """
-    phys = {
-        "kappa_c0": cav.kappa_c0,
-        "kappa_c1": cav.kappa_c1,
-        "kappa_s": ens.kappa_s,
-        "kappa_th": ens.kappa_th,
-        "g_eff": ens.g_eff,
-    }
+    phys = dict(zip(PARAM_NAMES, (cav.kappa_c0, cav.kappa_c1, ens.kappa_s,
+                                  ens.kappa_th, ens.g_eff)))
     for name, val in phys.items():
         if not val > 0:
             raise InvalidBounds(f"the fit's guess for {name} must be > 0 to "
@@ -187,7 +181,8 @@ class _BoundTransform:
     def __init__(self, bounds: dict):
         self.lo = np.empty(len(PARAM_NAMES))
         self.hi = np.empty(len(PARAM_NAMES))
-        self.log = np.array([name in _PHYSICAL for name in PARAM_NAMES])
+        self.log = np.array([name in PARAM_NAMES[:5]
+                             for name in PARAM_NAMES])
         for k, name in enumerate(PARAM_NAMES):
             lo, hi = bounds[name]
             if self.log[k]:
@@ -218,21 +213,6 @@ class _BoundTransform:
         u = self.lo + self.span / (1.0 + t)
         u[self.log] = np.exp(u[self.log])
         return u
-
-
-def _vector_to_params(vec: np.ndarray, cav: CavityParams,
-                      ens: EnsembleParams) -> tuple[
-        CavityParams, EnsembleParams, NonIdealityParams]:
-    kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff = vec[:5]
-    cav = CavityParams(omega_c=cav.omega_c,
-                       kappa_c0=kappa_c0, kappa_c1=kappa_c1)
-    g_s = ens.g_s
-    ens = EnsembleParams(g_s=g_s, N=(g_eff / g_s) ** 2, kappa_s=kappa_s,
-                         kappa_th=kappa_th, omega_s=ens.omega_s)
-    ni = NonIdealityParams(o_r=vec[5], o_i=vec[6], A=vec[7], b=vec[8],
-                           psi=vec[9], tau=vec[10], omega_s_off=vec[11],
-                           omega_d_off=vec[12])
-    return cav, ens, ni
 
 
 def objective_l1(residual: np.ndarray) -> float:
@@ -397,8 +377,8 @@ def fit_crossing(data: ComplexGrid2D, cav: CavityParams,
         r0, _ = evaluate(x0)
         iterations, converged = minimize(evaluate, jacobian, x0, r0)
 
-    cav, ens, ni = _vector_to_params(transform.to_bounded(best_x), cav, ens)
-    return FitResult(cavity=cav, ensemble=ens, nonideal=ni,
+    params = dict(zip(PARAM_NAMES, transform.to_bounded(best_x).tolist()))
+    return FitResult(params=params, omega_c=omega_c, g_s=g_s,
                      objective_value=best_f, iterations=iterations,
                      converged=converged)
 
@@ -451,27 +431,22 @@ def read_grid_csv(path, drive_power: float) -> ComplexGrid2D:
     return ComplexGrid2D(spec=spec, values=values)
 
 
+# fit.json's keys for the fitted values, in PARAM_NAMES order
+_FIT_KEYS = ("kappa_c0_rad_per_s", "kappa_c1_rad_per_s", "kappa_s_rad_per_s",
+             "kappa_th_rad_per_s", "g_eff_rad_per_s", "o_r", "o_i",
+             "amplitude_correction", "asymmetry_slope_s", "phase_offset_rad",
+             "delay_s", "omega_s_off_rad_per_s", "omega_d_off_rad_per_s")
+
+
 def fit_result_to_dict(result: FitResult) -> dict:
     """The fit.json record, with explicit units in the key names."""
-    ni = result.nonideal
+    p = result.params
     return {
-        "omega_c_rad_per_s": result.cavity.omega_c,
-        "kappa_c_rad_per_s": result.cavity.kappa_c,
-        "kappa_c0_rad_per_s": result.cavity.kappa_c0,
-        "kappa_c1_rad_per_s": result.cavity.kappa_c1,
-        "kappa_s_rad_per_s": result.ensemble.kappa_s,
-        "kappa_th_rad_per_s": result.ensemble.kappa_th,
-        "g_s_rad_per_s": result.ensemble.g_s,
-        "g_eff_rad_per_s": result.ensemble.g_eff,
-        "n_polarized_spins": result.ensemble.N,
-        "o_r": ni.o_r,
-        "o_i": ni.o_i,
-        "amplitude_correction": ni.A,
-        "asymmetry_slope_s": ni.b,
-        "phase_offset_rad": ni.psi,
-        "delay_s": ni.tau,
-        "omega_s_off_rad_per_s": ni.omega_s_off,
-        "omega_d_off_rad_per_s": ni.omega_d_off,
+        **{key: p[name] for key, name in zip(_FIT_KEYS, PARAM_NAMES)},
+        "omega_c_rad_per_s": result.omega_c,
+        "g_s_rad_per_s": result.g_s,
+        "kappa_c_rad_per_s": p["kappa_c0"] + p["kappa_c1"],
+        "n_polarized_spins": (p["g_eff"] / result.g_s) ** 2,
         # a result never evaluated carries math.inf, which JSON spells null
         "objective_value": (None if result.objective_value == math.inf
                             else result.objective_value),

@@ -29,13 +29,15 @@ class MaterialParams:
     N_cell: int        # Al atoms per unit cell
 
     def __post_init__(self):
-        # written so that NaN, which compares False, fails the checks
+        # written so that NaN, which compares False, fails the checks; the
+        # count also fails its check at +-inf and fractional values, since
+        # n % 1 is NaN at inf and nonzero for a fraction
         if not all(v > 0 for v in (self.V_cav, self.V_cell, self.m_Al2O3,
                                    self.m_Cr2O3)):
             raise ValueError("volumes and molar masses must be positive")
         if not 0.0 <= self.alpha_Cr <= 1.0:
             raise ValueError("alpha_Cr must lie in [0, 1]")
-        if self.N_cell < 1 or self.N_cell != int(self.N_cell):
+        if not (self.N_cell >= 1 and self.N_cell % 1 == 0):
             raise ValueError("N_cell must be a positive integer")
 
 

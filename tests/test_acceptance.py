@@ -172,12 +172,13 @@ def _fit_errors(noise_sigma, data_seed, guess_seed):
     grid = simulate_crossing(CAV, ENS, _NI_TRUTH, spec, noise_sigma,
                              seed=data_seed)
     res = fit_crossing(normalize_grid(grid), cav, ens, _NI_TRUTH)
+    p = res.params
     return {
-        "kappa_c": abs(res.cavity.kappa_c / CAV.kappa_c - 1),
-        "kappa_c1": abs(res.cavity.kappa_c1 / CAV.kappa_c1 - 1),
-        "kappa_s": abs(res.ensemble.kappa_s / ENS.kappa_s - 1),
-        "g_eff": abs(res.ensemble.g_eff / ENS.g_eff - 1),
-        "kappa_th": abs(res.ensemble.kappa_th / ENS.kappa_th - 1),
+        "kappa_c": abs((p["kappa_c0"] + p["kappa_c1"]) / CAV.kappa_c - 1),
+        "kappa_c1": abs(p["kappa_c1"] / CAV.kappa_c1 - 1),
+        "kappa_s": abs(p["kappa_s"] / ENS.kappa_s - 1),
+        "g_eff": abs(p["g_eff"] / ENS.g_eff - 1),
+        "kappa_th": abs(p["kappa_th"] / ENS.kappa_th - 1),
     }
 
 

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from rubymag.cavity import (CavityParams, EnsembleParams, NonIdealityParams,
-                            dbm_to_watts, kappa_th_threshold_power,
-                            single_spin_coupling, watts_to_dbm)
+                            dbm_to_watts, gamma_prime_params,
+                            kappa_th_threshold_power, single_spin_coupling,
+                            watts_to_dbm)
 from rubymag import cli, fitting
 from rubymag import constants as CONST
 from rubymag.config import parse_config
@@ -60,13 +61,22 @@ def guess_from(cav, ens, ni, spec, rng=None, rel=0.2):
 
 
 def physical_errors(res, cav, ens):
+    p = res.params
     return {
-        "kappa_c0": res.cavity.kappa_c0 / cav.kappa_c0 - 1,
-        "kappa_c1": res.cavity.kappa_c1 / cav.kappa_c1 - 1,
-        "kappa_s": res.ensemble.kappa_s / ens.kappa_s - 1,
-        "kappa_th": res.ensemble.kappa_th / ens.kappa_th - 1,
-        "g_eff": res.ensemble.g_eff / ens.g_eff - 1,
+        "kappa_c0": p["kappa_c0"] / cav.kappa_c0 - 1,
+        "kappa_c1": p["kappa_c1"] / cav.kappa_c1 - 1,
+        "kappa_s": p["kappa_s"] / ens.kappa_s - 1,
+        "kappa_th": p["kappa_th"] / ens.kappa_th - 1,
+        "g_eff": p["g_eff"] / ens.g_eff - 1,
     }
+
+
+def unfitted():
+    """The FitResult of a fit that evaluated nothing, left at the truth."""
+    return FitResult(params=dict(zip(PARAM_NAMES,
+                                     gamma_prime_params(CAV, ENS, NI))),
+                     omega_c=CAV.omega_c, g_s=ENS.g_s,
+                     objective_value=math.inf, iterations=0, converged=False)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +252,7 @@ def test_fit_determinism():
     a = fit_crossing(grid, *init, max_evaluations=4000)
     b = fit_crossing(grid, *init, max_evaluations=4000)
     assert a.objective_value == b.objective_value
-    assert a.cavity == b.cavity
-    assert a.ensemble == b.ensemble
-    assert a.nonideal == b.nonideal
+    assert a.params == b.params
 
 
 def test_invalid_bounds_rejected():
@@ -550,14 +558,14 @@ def test_round_trip_twenty_random_truths():
         res = fit_crossing(grid, *init)
         for name, err in physical_errors(res, cav, ens).items():
             assert abs(err) < 0.01, (name, err)
-        got, want = res.nonideal, ni
+        got, want = res.params, ni
         for name in ("o_r", "o_i", "A", "psi"):
-            assert getattr(got, name) == pytest.approx(
+            assert got[name] == pytest.approx(
                 getattr(want, name), rel=0.05, abs=1e-4), name
-        assert got.b == pytest.approx(want.b, rel=0.05)
-        assert got.tau == pytest.approx(want.tau, rel=0.05)
-        assert got.omega_s_off == pytest.approx(want.omega_s_off, rel=0.05)
-        assert got.omega_d_off == pytest.approx(want.omega_d_off, rel=0.05)
+        assert got["b"] == pytest.approx(want.b, rel=0.05)
+        assert got["tau"] == pytest.approx(want.tau, rel=0.05)
+        assert got["omega_s_off"] == pytest.approx(want.omega_s_off, rel=0.05)
+        assert got["omega_d_off"] == pytest.approx(want.omega_d_off, rel=0.05)
 
 
 @pytest.mark.slow
@@ -577,7 +585,7 @@ def test_kappa_th_power_sensitivity():
         grid = simulate_crossing(CAV, ENS, NI, spec, 0.05, seed=seed)
         init = guess_from(CAV, ENS, NI, spec)
         res = fit_crossing(normalize_grid(grid), *init)
-        return abs(res.ensemble.kappa_th / ENS.kappa_th - 1)
+        return abs(res.params["kappa_th"] / ENS.kappa_th - 1)
 
     for seed in (0, 1):
         assert kth_error(p_th_dbm, seed) < 0.20
@@ -620,10 +628,7 @@ def test_grid_csv_round_trip(tmp_path):
 
 
 def test_fit_json_units_in_keys(tmp_path):
-    spec = wide_spec(5, 5)
-    init = FitResult(*guess_from(CAV, ENS, NI, spec), objective_value=math.inf,
-                     iterations=0, converged=False)
-    d = fit_result_to_dict(init)
+    d = fit_result_to_dict(unfitted())
     assert d["kappa_s_rad_per_s"] == pytest.approx(ENS.kappa_s)
     assert d["kappa_c_rad_per_s"] == pytest.approx(CAV.kappa_c)
     path = tmp_path / "fit.json"
@@ -631,6 +636,28 @@ def test_fit_json_units_in_keys(tmp_path):
     loaded = json.loads(path.read_text())
     assert loaded["g_eff_rad_per_s"] == pytest.approx(ENS.g_eff)
     assert loaded["delay_s"] == pytest.approx(NI.tau)
+
+
+def test_fit_json_reports_the_fitted_g_eff():
+    """fit.json's g_eff is the fitted value bit for bit, and its N is
+    (g_eff / g_s)^2, for 10 000 random g_eff in 0.5-2 times the default.
+    Read back as g_s sqrt(N), about one g_eff in nine would differ in its
+    last bit."""
+    ens = DEFAULTS.ensemble()
+    init = replace(unfitted(), g_s=ens.g_s)
+    rng = np.random.default_rng(0)
+    for g_eff in (ens.g_eff * rng.uniform(0.5, 2.0, 10_000)).tolist():
+        d = fit_result_to_dict(replace(init, params={**init.params,
+                                                     "g_eff": g_eff}))
+        assert d["g_eff_rad_per_s"].hex() == g_eff.hex()
+        assert d["n_polarized_spins"] == (g_eff / ens.g_s) ** 2
+    assert sorted(d) == [
+        "amplitude_correction", "asymmetry_slope_s", "converged", "delay_s",
+        "g_eff_rad_per_s", "g_s_rad_per_s", "iterations",
+        "kappa_c0_rad_per_s", "kappa_c1_rad_per_s", "kappa_c_rad_per_s",
+        "kappa_s_rad_per_s", "kappa_th_rad_per_s", "n_polarized_spins", "o_i",
+        "o_r", "objective_value", "omega_c_rad_per_s", "omega_d_off_rad_per_s",
+        "omega_s_off_rad_per_s", "phase_offset_rad"]
 
 
 def test_grid_csv_rows_in_any_order(tmp_path):
@@ -673,13 +700,11 @@ def test_grid_csv_malformed_rejected(tmp_path, edit, message):
 
 
 def test_fit_json_is_strict(tmp_path):
-    spec = wide_spec(5, 5)
-    init = FitResult(*guess_from(CAV, ENS, NI, spec), objective_value=math.inf,
-                     iterations=0, converged=False)
+    init = unfitted()
     text = render_json(tmp_path / "fit.json", fit_result_to_dict(init))
     assert json.loads(text, parse_constant=pytest.fail)["objective_value"] \
         is None
-    broken = replace(init, nonideal=replace(init.nonideal, psi=math.nan))
+    broken = replace(init, params={**init.params, "psi": math.nan})
     with pytest.raises(NonFiniteOutput, match="broken.json"):
         render_json(tmp_path / "broken.json", fit_result_to_dict(broken))
 

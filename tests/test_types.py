@@ -2,7 +2,9 @@
 
 Each __post_init__ condition is written so that NaN fails it: a comparison
 with NaN is False, so a check spelled `x <= 0` or `np.diff(v) <= 0` would let
-NaN through.  Infinity is not checked.
+NaN through.  The two integer counts, MaterialParams.N_cell and
+CoilGeometry.n_turns, also refuse +-inf and fractional values; infinity is
+not checked in float fields.
 """
 
 import ast
@@ -87,10 +89,16 @@ _INVALID = [
     ("material N_cell = 0", lambda: replace(MATERIAL, N_cell=0), "N_cell"),
     ("material N_cell fractional", lambda: replace(MATERIAL, N_cell=2.5),
      "N_cell"),
-    # CoilGeometry: n_turns >= 1, radius > 0
+    ("material N_cell NaN", lambda: replace(MATERIAL, N_cell=NAN), "N_cell"),
+    ("material N_cell inf", lambda: replace(MATERIAL, N_cell=math.inf),
+     "N_cell"),
+    # CoilGeometry: n_turns a positive integer, radius > 0
     ("coil n_turns = 0", lambda: replace(COIL, n_turns=0), "n_turns"),
     ("coil radius = 0", lambda: replace(COIL, radius=0.0), "n_turns"),
     ("coil n_turns NaN", lambda: replace(COIL, n_turns=NAN), "n_turns"),
+    ("coil n_turns fractional", lambda: replace(COIL, n_turns=2.5),
+     "n_turns"),
+    ("coil n_turns inf", lambda: replace(COIL, n_turns=math.inf), "n_turns"),
     ("coil radius NaN", lambda: replace(COIL, radius=NAN), "n_turns"),
     # GridSpec: each axis strictly increasing, length >= 2
     ("grid omega_s too short", lambda: _grid_spec(ws=AXIS[:1]),
