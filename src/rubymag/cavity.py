@@ -14,7 +14,9 @@ arguments of the functional helpers broadcast over numpy arrays so that 2D
 (omega_s, omega_d) grids evaluate in one shot.
 
 gamma_prime is the one implementation of the measurable Gamma' that the fit,
-the model grids, the bias sweeps and the noise prediction all evaluate.
+the model grids, the bias sweeps and the noise prediction all evaluate, each
+passing the same params record: a dict keyed by MODEL_NAMES, which is also
+what a fit returns.
 interaction_term and reflection_coefficient write Pi and Gamma out term by
 term: the tests compose them into gamma_prime's reference, and the
 benchmark's tracer wraps them by name.
@@ -82,29 +84,6 @@ class DriveParams:
             raise ValueError("drive power must be >= 0")
 
 
-@dataclass
-class NonIdealityParams:
-    """Auxiliary parameters wrapping Gamma into the measurable Gamma'.
-
-    Gamma' = o_r + i o_i + exp(i(psi + (omega_d - omega_ref) tau))
-             * (1 + A + b (omega_d - omega_ref))
-             * Gamma(omega_s - omega_s_off, omega_d - omega_d_off)
-
-    The reference omega_ref is not a parameter: the caller derives it, as
-    the mean drive frequency of a (omega_s, omega_d) grid or as the drive
-    frequency of a bias sweep.
-    """
-
-    o_r: float = 0.0
-    o_i: float = 0.0
-    A: float = 0.0
-    b: float = 0.0             # s
-    psi: float = 0.0           # rad
-    tau: float = 0.0           # s
-    omega_s_off: float = 0.0   # rad/s
-    omega_d_off: float = 0.0   # rad/s
-
-
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
 
@@ -145,21 +124,16 @@ def reflection_coefficient(kappa_c0: float, kappa_c1: float, omega_c: float,
                               + pi_term)
 
 
+# the fitted parameters of gamma_prime, then the two values a fit holds fixed;
+# gamma_prime's params record is keyed by MODEL_NAMES
 PARAM_NAMES = ("kappa_c0", "kappa_c1", "kappa_s", "kappa_th", "g_eff",
                "o_r", "o_i", "A", "b", "psi", "tau",
                "omega_s_off", "omega_d_off")
+MODEL_NAMES = PARAM_NAMES + ("omega_c", "g_s")
 
 
-def gamma_prime_params(cav: CavityParams, ens: EnsembleParams,
-                       ni: NonIdealityParams) -> list:
-    """The params list of gamma_prime, in PARAM_NAMES order."""
-    return [cav.kappa_c0, cav.kappa_c1, ens.kappa_s, ens.kappa_th, ens.g_eff,
-            ni.o_r, ni.o_i, ni.A, ni.b, ni.psi, ni.tau,
-            ni.omega_s_off, ni.omega_d_off]
-
-
-def _gamma_terms(omega_s, omega_d, omega_ref: float, omega_c: float,
-                 g_s: float, power: float, params, omega_n=None) -> tuple:
+def _gamma_terms(omega_s, omega_d, omega_ref: float, power: float, params,
+                 omega_n=None) -> tuple:
     """The intermediates of gamma_prime, which gamma_prime_jacobian reuses.
 
     Returns (omega_d - omega_d_off, delta', S, D, G/D, den, d,
@@ -167,44 +141,55 @@ def _gamma_terms(omega_s, omega_d, omega_ref: float, omega_c: float,
     kappa_c/2 + i(omega_d - omega_d_off - omega_c) + Pi (see gamma_prime for
     the symbols).  Raises gamma_prime's errors at every point first.
     """
-    (kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff,
-     o_r, o_i, A, b, psi, tau, omega_s_off, omega_d_off) = params
-    kappa_c = kappa_c0 + kappa_c1
+    kappa_s, kappa_th = params["kappa_s"], params["kappa_th"]
+    g_s = params["g_s"]
+    kappa_c = params["kappa_c0"] + params["kappa_c1"]
     if kappa_c <= 0:
         raise ZeroLinewidth("kappa_c must be positive")
-    wd = omega_d - omega_d_off
+    wd = omega_d - params["omega_d_off"]
     if np.any(wd <= 0) or (omega_n is not None and omega_n <= 0):
         raise ZeroLinewidth("omega_d must be positive")
     _check_spin_rates(kappa_s, kappa_th, power)   # n_cav has power's sign
-    delta = np.subtract.outer(omega_s - omega_s_off, wd)
+    delta = np.subtract.outer(omega_s - params["omega_s_off"], wd)
     s_term = 0.0
     if power:   # undriven, kappa_th never enters and may be 0
         s_term = (g_s ** 2 * power / (2.0 * CONST.hbar) * kappa_s
                   / (kappa_th * kappa_c)) / (wd if omega_n is None else omega_n)
     dd = delta * delta
     dd += 0.25 * kappa_s * kappa_s + s_term
-    g_over_d = (g_eff * g_eff) / dd
+    g_over_d = (params["g_eff"] * params["g_eff"]) / dd
     den = np.empty(np.shape(delta), dtype=complex)
     den.real = 0.5 * kappa_c + (0.5 * kappa_s) * g_over_d
-    den.imag = (wd - omega_c) + delta * g_over_d
+    den.imag = (wd - params["omega_c"]) + delta * g_over_d
     d = omega_d - omega_ref
-    phase = np.exp(1j * (psi + d * tau))
-    e = (1.0 + A + b * d) * phase
+    phase = np.exp(1j * (params["psi"] + d * params["tau"]))
+    e = (1.0 + params["A"] + params["b"] * d) * phase
     return wd, delta, s_term, dd, g_over_d, den, d, phase, e
 
 
-def gamma_prime(omega_s, omega_d, omega_ref: float, omega_c: float,
-                g_s: float, power: float, params, omega_n=None):
+def gamma_prime(omega_s, omega_d, omega_ref: float, power: float, params,
+                omega_n=None):
     """Gamma' with rows over omega_s and columns over omega_d.
 
-    params holds the floats kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff,
-    o_r, o_i, A, b, psi, tau, omega_s_off, omega_d_off (gamma_prime_params);
-    omega_ref is the drive frequency the b and tau terms are measured from.
-    n_cav = P / (hbar omega_n kappa_c) is evaluated at omega_n, by default at
-    the shifted drive frequency omega_d - omega_d_off of each point.  It
-    raises the reference's errors: ZeroLinewidth unless kappa_c, every
-    shifted drive frequency and omega_n are positive, then
-    ZeroSpinLinewidth or ZeroKappaTh as interaction_term does.
+    params is the model record, a dict keyed by MODEL_NAMES: the cavity
+    rates kappa_c0 and kappa_c1, the spin rates kappa_s and kappa_th, the
+    collective coupling g_eff, the non-idealities o_r, o_i, A, b (s),
+    psi (rad), tau (s), omega_s_off and omega_d_off, then the cavity
+    frequency omega_c and the single-spin coupling g_s; rates and
+    frequencies in rad/s.  The non-idealities wrap Gamma into the measurable
+
+        Gamma' = o_r + i o_i + exp(i(psi + (omega_d - omega_ref) tau))
+                 * (1 + A + b (omega_d - omega_ref))
+                 * Gamma(omega_s - omega_s_off, omega_d - omega_d_off)
+
+    The reference omega_ref is not a parameter: the caller derives it, as
+    the mean drive frequency of a (omega_s, omega_d) grid or as the drive
+    frequency of a bias sweep.  n_cav = P / (hbar omega_n kappa_c) is
+    evaluated at omega_n, by default at the shifted drive frequency
+    omega_d - omega_d_off of each point.  It raises the reference's errors:
+    ZeroLinewidth unless kappa_c, every shifted drive frequency and omega_n
+    are positive, then ZeroSpinLinewidth or ZeroKappaTh as interaction_term
+    does.
 
     With delta' = (omega_s - omega_s_off) - (omega_d - omega_d_off),
     G = g_eff^2 and S = g_s^2 n_cav kappa_s / (2 kappa_th), the interaction
@@ -218,17 +203,16 @@ def gamma_prime(omega_s, omega_d, omega_ref: float, omega_c: float,
     takes one complex division per point, and Pi is exactly 0 when
     g_eff = 0.
     """
-    *_, den, _, _, e = _gamma_terms(omega_s, omega_d, omega_ref, omega_c,
-                                    g_s, power, params, omega_n)
-    kappa_c1, o_r, o_i = params[1], params[5], params[6]
-    gamma = np.divide(kappa_c1 * e, den, out=den)
-    gamma += o_r + 1j * o_i - e
+    *_, den, _, _, e = _gamma_terms(omega_s, omega_d, omega_ref, power,
+                                    params, omega_n)
+    gamma = np.divide(params["kappa_c1"] * e, den, out=den)
+    gamma += params["o_r"] + 1j * params["o_i"] - e
     return gamma
 
 
-def gamma_prime_jacobian(omega_s, omega_d, omega_ref: float, omega_c: float,
-                         g_s: float, power: float, params) -> np.ndarray:
-    """dGamma'/dparams, shape (13, n_s, n_d), rows in gamma_prime_params order.
+def gamma_prime_jacobian(omega_s, omega_d, omega_ref: float, power: float,
+                         params) -> np.ndarray:
+    """dGamma'/dparams, shape (13, n_s, n_d), rows in PARAM_NAMES order.
 
     The arguments are gamma_prime's, with n_cav always at the shifted drive
     frequency, and it raises gamma_prime's errors.  With
@@ -243,9 +227,10 @@ def gamma_prime_jacobian(omega_s, omega_d, omega_ref: float, omega_c: float,
     - (G/D) h S / (omega_d - omega_d_off); at the fit's drive powers the
     last term is of order 1e-5 of the row.
     """
-    kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff = params[:5]
+    kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff = (
+        params[name] for name in PARAM_NAMES[:5])
     wd, delta, s_term, dd, g_over_d, den, d, phase, e = _gamma_terms(
-        omega_s, omega_d, omega_ref, omega_c, g_s, power, params)
+        omega_s, omega_d, omega_ref, power, params)
     inv = 1.0 / den
     gamma = kappa_c1 * inv - 1.0
     q = kappa_c1 * e * inv * inv

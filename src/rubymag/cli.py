@@ -29,8 +29,7 @@ import numpy as np
 
 from . import calibration as cal
 from . import fitting, iqnoise, magnetometry as mag, thermal
-from .cavity import (NonIdealityParams, cooperativity, dbm_to_watts,
-                     gamma_prime, gamma_prime_params,
+from .cavity import (PARAM_NAMES, cooperativity, dbm_to_watts, gamma_prime,
                      kappa_th_threshold_power, watts_to_dbm)
 from .config import FLAT_KEYS, RunConfig, parse_config
 from .csvio import render_json
@@ -156,8 +155,7 @@ def cmd_eigen(cfg: RunConfig, input_csv) -> list:
 def cmd_crossing_sim(cfg: RunConfig, input_csv) -> list:
     spec = _grid_spec(cfg)
     grid = fitting.simulate_crossing(
-        cfg.cavity(), cfg.ensemble(), cfg.nonideal(), spec,
-        noise_sigma=cfg["grid"]["noise_sigma"],
+        cfg.model(), spec, noise_sigma=cfg["grid"]["noise_sigma"],
         seed=_seed_int(cfg["run"]["master_seed"], "crossing-sim"))
     return [("crossing.csv", fitting.write_grid_csv, grid)]
 
@@ -166,8 +164,7 @@ def cmd_crossing_fit(cfg: RunConfig, input_csv) -> list:
     if input_csv is None:
         raise ConfigError("crossing-fit requires --input CSV")
     grid = fitting.read_grid_csv(input_csv, cfg.drive().power)
-    result = fitting.fit_crossing(grid, cfg.cavity(), cfg.ensemble(),
-                                  cfg.nonideal())
+    result = fitting.fit_crossing(grid, cfg.model())
     return [("fit.json", render_json, fitting.fit_result_to_dict(result))]
 
 
@@ -178,13 +175,13 @@ def cmd_noise_predict(cfg: RunConfig, input_csv) -> list:
         or _default_noise_csv("amplitude_noise.csv")
     phase = iqnoise.read_spectrum_csv(phase_path)
     amp = iqnoise.read_spectrum_csv(amp_path)
-    cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
+    drive = cfg.drive()
     pos = phase.offsets * math.tau
     offsets = np.concatenate([-pos[::-1], [0.0], pos])
-    # Gamma without non-idealities, n_cav pinned at the carrier
-    gamma = gamma_prime(ens.omega_s, drive.omega_d + offsets, drive.omega_d,
-                        cav.omega_c, ens.g_s, drive.power,
-                        gamma_prime_params(cav, ens, NonIdealityParams()),
+    # Gamma: the non-idealities zeroed, n_cav pinned at the carrier
+    gamma = gamma_prime(cfg["ensemble"]["omega_s_ghz"],
+                        drive.omega_d + offsets, drive.omega_d, drive.power,
+                        {**cfg.model(), **dict.fromkeys(PARAM_NAMES[5:], 0.0)},
                         omega_n=drive.omega_d)
     predicted = iqnoise.predict_noise_psd(amp, phase, phase.offsets, gamma,
                                           p0=n["p0_v2_per_hz"])
@@ -200,9 +197,8 @@ def _sensitivity_budget(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray,
     b_values = _axis("sweep.bias_b_gauss, sweep.b_span_gauss, sweep.n_points",
                      s["bias_b_gauss"], s["b_span_gauss"], s["n_points"])
     v = mag.bias_sweep_trace(
-        mag.spin_frequency_vs_field(cfg.spin_system(), b_values), cfg.cavity(),
-        cfg.ensemble(), cfg.nonideal(), cfg.drive(),
-        chain_gain_db=s["chain_gain_db"])
+        mag.spin_frequency_vs_field(cfg.spin_system(), b_values), cfg.model(),
+        cfg.drive(), chain_gain_db=s["chain_gain_db"])
     _, m_max = mag.dispersive_slope(b_values, v.imag)
     e_n = s["noise_floor_nv_per_rthz"]
     b_test = s["test_amplitude_nt"]
@@ -239,14 +235,13 @@ def cmd_optimize(cfg: RunConfig, input_csv) -> list:
     axes = _axis(keys, b_values, s["b_span_gauss"] / 4.0, 21)[:, 8:13]
     omega_s = mag.spin_frequency_vs_field(cfg.spin_system(), axes)
     e_n_ref = s["noise_floor_nv_per_rthz"]
-    cav, ens, ni, drive_ref = (cfg.cavity(), cfg.ensemble(), cfg.nonideal(),
-                               cfg.drive())
+    model, drive_ref = cfg.model(), cfg.drive()
     p_ref = drive_ref.power
     p_values_dbm = np.linspace(watts_to_dbm(p_ref) - 6.0,
                                watts_to_dbm(p_ref) + 6.0, 9)
     powers = np.array([dbm_to_watts(float(p_dbm)) for p_dbm in p_values_dbm])
     v = np.stack([mag.bias_sweep_trace(
-        omega_s, cav, ens, ni, replace(drive_ref, power=power),
+        omega_s, model, replace(drive_ref, power=power),
         s["chain_gain_db"]).imag for power in powers], axis=1)
     slopes = np.abs(mag.dispersive_slope(axes[:, None], v)[0][..., 2])
     if np.any(slopes <= 0):

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .calibration import CoilGeometry
-from .cavity import (CavityParams, DriveParams, EnsembleParams,
-                     NonIdealityParams, dbm_to_watts, single_spin_coupling)
+from .cavity import (MODEL_NAMES, CavityParams, DriveParams, EnsembleParams,
+                     dbm_to_watts, single_spin_coupling)
 from .errors import ConfigError, ParseError, UnitMismatch, UnknownKey
 from .spins import SpinSystem
 from .thermal import (MaterialParams, boltzmann_populations,
@@ -46,6 +47,7 @@ def _integer(value) -> int:
 # after conversion; an upper limit is inclusive.
 _POSITIVE = (0.0, True, None)
 _NON_NEGATIVE = (0.0, False, None)
+_COUNT = (1, False, sys.float_info.max)   # a count the model takes as a float
 _SCHEMA = {
     "spin": {
         "d_ghz": (lambda v: math.tau * v * 1e9, -5.745),
@@ -58,7 +60,7 @@ _SCHEMA = {
         "alpha_cr": (float, 0.0005, (0.0, False, 1.0)),
         "m_al2o3_g_per_mol": (float, 101.96, _POSITIVE),
         "m_cr2o3_g_per_mol": (float, 151.99, _POSITIVE),
-        "n_cell": (_integer, 12, (1, False, None)),
+        "n_cell": (_integer, 12, _COUNT),
         # modal filling factor: accepted but read by nothing (bench/inputs.BASE
         # spells it)
         "zeta": (float, 0.69),
@@ -117,7 +119,7 @@ _SCHEMA = {
         "ell_db": (float, -6.0),
     },
     "calibration": {
-        "n_turns": (_integer, 8, (1, False, None)),
+        "n_turns": (_integer, 8, _COUNT),
         "coil_radius_mm": (lambda v: v * 1e-3, 15.68, _POSITIVE),
         "coil_distance_mm": (lambda v: v * 1e-3, 30.0),
         "current_ma": (lambda v: v * 1e-3, 6.9),
@@ -190,13 +192,15 @@ class RunConfig:
         d = self["drive"]
         return DriveParams(omega_d=d["omega_d_ghz"], power=d["power_dbm"])
 
-    def nonideal(self) -> NonIdealityParams:
-        n = self["nonideal"]
-        return NonIdealityParams(o_r=n["o_r"], o_i=n["o_i"],
-                                 A=n["amplitude_a"], b=n["slope_b_per_hz"],
-                                 psi=n["psi_rad"], tau=n["tau_s"],
-                                 omega_s_off=n["omega_s_off_mhz"],
-                                 omega_d_off=n["omega_d_off_mhz"])
+    def model(self) -> dict:
+        """cavity.gamma_prime's params record: the cavity and ensemble
+        views' values, g_eff = g_s sqrt(N), and the nonideal block."""
+        cav, ens, n = self.cavity(), self.ensemble(), self["nonideal"]
+        return dict(zip(MODEL_NAMES, (
+            cav.kappa_c0, cav.kappa_c1, ens.kappa_s, ens.kappa_th, ens.g_eff,
+            n["o_r"], n["o_i"], n["amplitude_a"], n["slope_b_per_hz"],
+            n["psi_rad"], n["tau_s"], n["omega_s_off_mhz"],
+            n["omega_d_off_mhz"], cav.omega_c, ens.g_s)))
 
     def coil(self) -> CoilGeometry:
         c = self["calibration"]

@@ -14,13 +14,13 @@ same way and each covers only part of the distance, so each accepted one is
 extrapolated to 3, 9, 27... times its length while the L1 objective keeps
 dropping, each trial costing one value evaluation and no Jacobian.
 
-fit_crossing takes a guess, whose rates set every bound (default_bounds),
-and an evaluation budget; all thirteen parameters are free.
-
-Both evaluate_model_grid and the fit evaluate the model with
-cavity.gamma_prime, which takes plain floats and arrays, so an objective
-evaluation builds no parameter objects and performs one complex division per
-grid point.
+Every function here takes the model as cavity.gamma_prime's params record,
+a dict keyed by cavity.MODEL_NAMES.  fit_crossing takes a record as its
+guess, whose rates set every bound (default_bounds), and an evaluation
+budget; the thirteen PARAM_NAMES are free, and omega_c and g_s stay the
+guess's.  Its result's params is a record again, so it serves unchanged as
+the next fit's guess or as the truth of simulate_crossing.  An objective
+evaluation builds one dict and performs one complex division per grid point.
 
 Only g_eff = g_s sqrt(N) is identifiable from the reflection data; g_s is
 supplied (from the modal-volume coupling formula) and fit.json derives N.
@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import (PARAM_NAMES, CavityParams, EnsembleParams,
-                     NonIdealityParams, gamma_prime, gamma_prime_jacobian,
-                     gamma_prime_params)
+from .cavity import (PARAM_NAMES, EnsembleParams, gamma_prime,
+                     gamma_prime_jacobian)
 from .csvio import read_columns, render_columns
 from .errors import AllZeroBorder, InvalidBounds, ParseError, ZeroRate
 
@@ -77,32 +76,29 @@ class ComplexGrid2D:
 
 @dataclass
 class FitResult:
-    """The fitted parameters by name, with the fit's L1 objective, steps and
+    """The fitted params record, with the fit's L1 objective, steps and
     outcome."""
 
-    params: dict                  # the 13 fitted values, keyed by PARAM_NAMES
-    omega_c: float                # rad/s, the guess's, held fixed
-    g_s: float                    # rad/s, the guess's, held fixed
+    params: dict                  # a record: the 13 fitted PARAM_NAMES, and
+                                  # the guess's omega_c and g_s, held fixed
     objective_value: float
     iterations: int
     converged: bool               # IRLS reached _IRLS_TOL (see minimize)
 
 
-def evaluate_model_grid(cav: CavityParams, ens: EnsembleParams,
-                        ni: NonIdealityParams, spec: GridSpec) -> np.ndarray:
-    """Vectorized Gamma' over the grid; rows index omega_s, columns omega_d."""
+def evaluate_model_grid(params: dict, spec: GridSpec) -> np.ndarray:
+    """Vectorized Gamma' of the record params over the grid; rows index
+    omega_s, columns omega_d."""
     return gamma_prime(spec.omega_s_values, spec.omega_d_values,
-                       spec.omega_d_mean, cav.omega_c, ens.g_s,
-                       spec.drive_power, gamma_prime_params(cav, ens, ni))
+                       spec.omega_d_mean, spec.drive_power, params)
 
 
-def simulate_crossing(cav: CavityParams, ens: EnsembleParams,
-                      ni: NonIdealityParams, spec: GridSpec,
-                      noise_sigma: float = 0.0, seed: int = 0) -> ComplexGrid2D:
+def simulate_crossing(params: dict, spec: GridSpec, noise_sigma: float = 0.0,
+                      seed: int = 0) -> ComplexGrid2D:
     """Forward model plus complex Gaussian noise; deterministic per seed."""
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    values = evaluate_model_grid(cav, ens, ni, spec)
+    values = evaluate_model_grid(params, spec)
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         values = values + noise_sigma * (rng.standard_normal(values.shape)
@@ -155,18 +151,18 @@ DEFAULT_AUX_BOUNDS = {
 }
 
 
-def default_bounds(cav: CavityParams, ens: EnsembleParams) -> dict:
-    """Rates bounded a factor 10 around the guess; auxiliaries at fixed ranges.
+def default_bounds(guess: dict) -> dict:
+    """Rates bounded a factor 10 around the guess record's; auxiliaries at
+    fixed ranges.
 
     A guess rate that is not > 0, NaN included, raises InvalidBounds.
     """
-    phys = dict(zip(PARAM_NAMES, (cav.kappa_c0, cav.kappa_c1, ens.kappa_s,
-                                  ens.kappa_th, ens.g_eff)))
-    for name, val in phys.items():
-        if not val > 0:
+    for name in PARAM_NAMES[:5]:
+        if not guess[name] > 0:
             raise InvalidBounds(f"the fit's guess for {name} must be > 0 to "
-                                f"bound it, got {val!r}")
-    bounds = {name: (val / 10.0, val * 10.0) for name, val in phys.items()}
+                                f"bound it, got {guess[name]!r}")
+    bounds = {name: (guess[name] / 10.0, guess[name] * 10.0)
+              for name in PARAM_NAMES[:5]}
     bounds.update(DEFAULT_AUX_BOUNDS)
     return bounds
 
@@ -320,24 +316,28 @@ def minimize(evaluate, jacobian, x0: np.ndarray,
     return steps + irls_steps, converged
 
 
-def fit_crossing(data: ComplexGrid2D, cav: CavityParams,
-                 ens: EnsembleParams, ni: NonIdealityParams,
+def fit_crossing(data: ComplexGrid2D, guess: dict,
                  max_evaluations: int = 150000) -> FitResult:
     """Fit the non-ideality model to a (normalized) reflection grid.
 
-    cav, ens and ni are the guess, and its rates set the bounds (see
-    default_bounds).  Levenberg-Marquardt on the real and imaginary residuals
+    guess is a params record, a previous fit's result included; its rates
+    set the bounds (see default_bounds), and its omega_c and g_s are held
+    fixed.  Levenberg-Marquardt on the real and imaginary residuals
     takes the guess to the least-squares optimum and IRLS carries that to the
     L1 optimum (see minimize, which decides converged).  Every model
     evaluation counts against max_evaluations, and so does every Jacobian, as
     one evaluation; converged is False once the budget runs out.  Returns the
     lowest-L1 point evaluated.
     """
-    transform = _BoundTransform(default_bounds(cav, ens))
+    transform = _BoundTransform(default_bounds(guess))
     spec = data.spec
     omega_d_mean = spec.omega_d_mean
-    x0 = transform.to_unconstrained(gamma_prime_params(cav, ens, ni))
-    omega_c, g_s = cav.omega_c, ens.g_s
+    x0 = transform.to_unconstrained([guess[name] for name in PARAM_NAMES])
+    fixed = {"omega_c": guess["omega_c"], "g_s": guess["g_s"]}
+
+    def record(p):
+        return dict(zip(PARAM_NAMES, p.tolist()), **fixed)
+
     evals = 0
     best_x, best_f = x0, math.inf
 
@@ -351,8 +351,8 @@ def fit_crossing(data: ComplexGrid2D, cav: CavityParams,
         nonlocal best_x, best_f
         spend()
         model = gamma_prime(spec.omega_s_values, spec.omega_d_values,
-                            omega_d_mean, omega_c, g_s, spec.drive_power,
-                            transform.to_bounded(x).tolist())
+                            omega_d_mean, spec.drive_power,
+                            record(transform.to_bounded(x)))
         model -= data.values
         r = model.ravel().view(float)
         f = objective_l1(r)
@@ -366,8 +366,8 @@ def fit_crossing(data: ComplexGrid2D, cav: CavityParams,
         spend()
         params, slope = transform.to_bounded_slope(x)
         jac = gamma_prime_jacobian(spec.omega_s_values, spec.omega_d_values,
-                                   omega_d_mean, omega_c, g_s,
-                                   spec.drive_power, params.tolist())
+                                   omega_d_mean, spec.drive_power,
+                                   record(params))
         jac = jac.reshape(len(x), -1).view(float)
         jac *= slope[:, None]
         return jac.T
@@ -377,8 +377,7 @@ def fit_crossing(data: ComplexGrid2D, cav: CavityParams,
         r0, _ = evaluate(x0)
         iterations, converged = minimize(evaluate, jacobian, x0, r0)
 
-    params = dict(zip(PARAM_NAMES, transform.to_bounded(best_x).tolist()))
-    return FitResult(params=params, omega_c=omega_c, g_s=g_s,
+    return FitResult(params=record(transform.to_bounded(best_x)),
                      objective_value=best_f, iterations=iterations,
                      converged=converged)
 
@@ -443,10 +442,10 @@ def fit_result_to_dict(result: FitResult) -> dict:
     p = result.params
     return {
         **{key: p[name] for key, name in zip(_FIT_KEYS, PARAM_NAMES)},
-        "omega_c_rad_per_s": result.omega_c,
-        "g_s_rad_per_s": result.g_s,
+        "omega_c_rad_per_s": p["omega_c"],
+        "g_s_rad_per_s": p["g_s"],
         "kappa_c_rad_per_s": p["kappa_c0"] + p["kappa_c1"],
-        "n_polarized_spins": (p["g_eff"] / result.g_s) ** 2,
+        "n_polarized_spins": (p["g_eff"] / p["g_s"]) ** 2,
         # a result never evaluated carries math.inf, which JSON spells null
         "objective_value": (None if result.objective_value == math.inf
                             else result.objective_value),

@@ -13,9 +13,7 @@ import math
 import numpy as np
 
 from . import constants as CONST
-from .cavity import (CavityParams, DriveParams, EnsembleParams,
-                     NonIdealityParams, db_to_voltage_gain, gamma_prime,
-                     gamma_prime_params)
+from .cavity import DriveParams, db_to_voltage_gain, gamma_prime
 from .csvio import render_columns
 from .errors import (EmptyTable, NegativeRadicand, TooFewPoints, ZeroSignal,
                      ZeroSlope)
@@ -121,17 +119,17 @@ def spin_frequency_vs_field(sys: SpinSystem, b_values) -> np.ndarray:
     return np.abs(2.0 * sys.D + (sys.g_par * CONST.mu_B / CONST.hbar) * b_values)
 
 
-def bias_sweep_trace(omega_s, cav: CavityParams, ens: EnsembleParams,
-                     ni: NonIdealityParams, drive: DriveParams,
+def bias_sweep_trace(omega_s, params: dict, drive: DriveParams,
                      chain_gain_db: float) -> np.ndarray:
     """Complex channel voltage at the spin frequencies omega_s (rad/s), of
-    any shape: .real is the absorptive channel and .imag the dispersive one.
+    any shape, for the params record of cavity.gamma_prime: .real is the
+    absorptive channel and .imag the dispersive one.
 
     The caller maps its bias fields to omega_s, by spin_frequency_vs_field
     on axis or by a tracked line of any orientation.
     """
-    gamma = gamma_prime(omega_s, drive.omega_d, drive.omega_d, cav.omega_c,
-                        ens.g_s, drive.power, gamma_prime_params(cav, ens, ni))
+    gamma = gamma_prime(omega_s, drive.omega_d, drive.omega_d, drive.power,
+                        params)
     scale = db_to_voltage_gain(chain_gain_db) \
         * math.sqrt(drive.power * _LOAD_OHM)
     return scale * gamma

@@ -9,6 +9,7 @@ collect this module.
   bundles by composing cavity.interaction_term and
   cavity.reflection_coefficient, the term-by-term reference of
   cavity.gamma_prime.
+- record builds gamma_prime's params record from parameter bundles.
 - optical_power_equivalent and field_from_slope are the paper's arithmetic
   that acceptance criteria 10 and 11 check.
 """
@@ -16,8 +17,9 @@ collect this module.
 import numpy as np
 
 from rubymag import constants as CONST
-from rubymag.cavity import (CavityParams, DriveParams, EnsembleParams,
-                            interaction_term, reflection_coefficient)
+from rubymag.cavity import (PARAM_NAMES, CavityParams, DriveParams,
+                            EnsembleParams, interaction_term,
+                            reflection_coefficient)
 from rubymag.errors import ZeroLinewidth, ZeroSlope
 from rubymag.spins import SpinSystem
 
@@ -60,6 +62,18 @@ def reflection(cav: CavityParams, ens: EnsembleParams, drive: DriveParams):
     pi_term = spin_interaction(ens, drive, n_cav)
     return reflection_coefficient(cav.kappa_c0, cav.kappa_c1, cav.omega_c,
                                   drive.omega_d, pi_term)
+
+
+def record(cav: CavityParams, ens: EnsembleParams, **nonideal) -> dict:
+    """gamma_prime's params record of the bundles, g_eff = ens.g_eff, with
+    the non-idealities given by name and 0 otherwise."""
+    unknown = set(nonideal) - set(PARAM_NAMES[5:])
+    if unknown:
+        raise KeyError(f"not a non-ideality: {sorted(unknown)}")
+    return {"kappa_c0": cav.kappa_c0, "kappa_c1": cav.kappa_c1,
+            "kappa_s": ens.kappa_s, "kappa_th": ens.kappa_th,
+            "g_eff": ens.g_eff, **dict.fromkeys(PARAM_NAMES[5:], 0.0),
+            **nonideal, "omega_c": cav.omega_c, "g_s": ens.g_s}
 
 
 def optical_power_equivalent(N: float, omega: float, kappa_th: float,

@@ -19,10 +19,9 @@ import numpy as np
 import pytest
 
 from rubymag.calibration import solenoid_axial_field
-from rubymag.cavity import (CavityParams, DriveParams, NonIdealityParams,
-                            cooperativity, dbm_to_watts,
-                            kappa_th_threshold_power, single_spin_coupling,
-                            watts_to_dbm)
+from rubymag.cavity import (CavityParams, DriveParams, cooperativity,
+                            dbm_to_watts, kappa_th_threshold_power,
+                            single_spin_coupling, watts_to_dbm)
 from rubymag import constants as CONST
 from rubymag.config import parse_config
 from rubymag.fitting import (GridSpec, dip_trajectory, fit_crossing,
@@ -38,7 +37,7 @@ from rubymag.spins import (FieldVector, build_hamiltonian, eigensolve,
 from rubymag.thermal import (boltzmann_populations, polarization,
                              polarized_spin_count, total_interrogated_spins)
 from oracle import (analytic_energies_axial, field_from_slope,
-                    optical_power_equivalent, reflection)
+                    optical_power_equivalent, record, reflection)
 from timeseries import (amplitude_density, noise_floor, simulate_timeseries,
                         tone_rms)
 
@@ -149,9 +148,8 @@ def test_criterion_12_axial_spectroscopy():
 
 # --- criterion 13 -----------------------------------------------------------
 
-_NI_TRUTH = NonIdealityParams(o_r=-0.008, o_i=0.12, A=0.003, b=1e-9, psi=0.14,
-                              tau=-1.2e-8, omega_s_off=-7.3e6,
-                              omega_d_off=-5.6e5)
+_NI_TRUTH = {"o_r": -0.008, "o_i": 0.12, "A": 0.003, "b": 1e-9, "psi": 0.14,
+             "tau": -1.2e-8, "omega_s_off": -7.3e6, "omega_d_off": -5.6e5}
 
 
 def _wide_50x50(power_dbm=0.0):
@@ -169,9 +167,9 @@ def _fit_errors(noise_sigma, data_seed, guess_seed):
                        kappa_c1=p(CAV.kappa_c1))
     ens = replace(ENS, N=(p(ENS.g_eff) / G_S) ** 2, kappa_s=p(ENS.kappa_s),
                   kappa_th=p(ENS.kappa_th))
-    grid = simulate_crossing(CAV, ENS, _NI_TRUTH, spec, noise_sigma,
+    grid = simulate_crossing(record(CAV, ENS, **_NI_TRUTH), spec, noise_sigma,
                              seed=data_seed)
-    res = fit_crossing(normalize_grid(grid), cav, ens, _NI_TRUTH)
+    res = fit_crossing(normalize_grid(grid), record(cav, ens, **_NI_TRUTH))
     p = res.params
     return {
         "kappa_c": abs((p["kappa_c0"] + p["kappa_c1"]) / CAV.kappa_c - 1),
@@ -217,18 +215,17 @@ def test_criterion_14_noise_model_properties():
 
 def test_criterion_15_end_to_end_consistency():
     drive = DriveParams(omega_d=TWO_PI * 11.4e9, power=dbm_to_watts(11.0))
-    ni = NonIdealityParams()
+    model = record(CAV, ENS)
     slope = SYS.g_par * CONST.mu_B / CONST.hbar
     b_center = (2.0 * abs(SYS.D) - drive.omega_d) / slope
     b_test, w_test = 242e-9, TWO_PI * 10.0
 
     b = np.linspace(b_center - 5e-5, b_center + 5e-5, 101)
-    v = bias_sweep_trace(spin_frequency_vs_field(SYS, b), CAV, ENS, ni, drive,
-                         21.0)
+    v = bias_sweep_trace(spin_frequency_vs_field(SYS, b), model, drive, 21.0)
     slopes, _ = dispersive_slope(b, v.imag)
     m_here = abs(slopes[50])
 
-    ts = simulate_timeseries(SYS, CAV, ENS, ni, drive, b_center, b_test,
+    ts = simulate_timeseries(SYS, model, drive, b_center, b_test,
                              w_test, 21.0, 0.0, fs=2000.0, duration=4.0,
                              seed=0)
     freqs, asd = amplitude_density(ts.imag - np.mean(ts.imag), fs=2000.0)
@@ -238,7 +235,7 @@ def test_criterion_15_end_to_end_consistency():
     floor_v = 26e-9
     predicted_eta = floor_v / m_here
     for seed in range(10):
-        ts = simulate_timeseries(SYS, CAV, ENS, ni, drive, b_center, b_test,
+        ts = simulate_timeseries(SYS, model, drive, b_center, b_test,
                                  w_test, 21.0, floor_v, fs=2000.0,
                                  duration=4.0, seed=seed)
         freqs, asd = amplitude_density(
@@ -257,7 +254,7 @@ def _dip_pull_toward_spin(detuning):
         omega_d_values=np.linspace(CAV.omega_c - TWO_PI * 5e6,
                                    CAV.omega_c + TWO_PI * 5e6, 801),
         drive_power=dbm_to_watts(0.0))
-    grid = simulate_crossing(CAV, ENS, NonIdealityParams(), spec, 0.0, seed=0)
+    grid = simulate_crossing(record(CAV, ENS), spec, 0.0, seed=0)
     dip = dip_trajectory(grid)[1]
     return math.copysign(1.0, detuning) * (dip - CAV.omega_c)
 
@@ -389,8 +386,7 @@ def test_transverse_sensitivity_against_axial():
                 lines.append(((i, j), int(k[0]), freq, strength[k[0]]))
         [(pair, k, freq, strength)] = lines
         slope = (freq[k + 1] - freq[k]) / (b_values[k + 1] - b_values[k])
-        v = bias_sweep_trace(freq, CAV, DEFAULTS.ensemble(),
-                             DEFAULTS.nonideal(), drive,
+        v = bias_sweep_trace(freq, DEFAULTS.model(), drive,
                              DEFAULTS["sweep"]["chain_gain_db"])
         _, m_max = dispersive_slope(b_values, v.imag)
         return pair, b_values[k], slope / TWO_PI, strength, m_max

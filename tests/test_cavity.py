@@ -6,19 +6,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rubymag.cavity import (PARAM_NAMES, CavityParams, DriveParams,
-                            EnsembleParams, NonIdealityParams, cooperativity,
+from rubymag.cavity import (MODEL_NAMES, PARAM_NAMES, CavityParams,
+                            DriveParams, EnsembleParams, cooperativity,
                             db_to_voltage_gain, dbm_to_watts, gamma_prime,
-                            gamma_prime_jacobian, gamma_prime_params,
-                            interaction_term, kappa_th_threshold_power,
-                            reflection_coefficient, single_spin_coupling,
-                            watts_to_dbm)
+                            gamma_prime_jacobian, interaction_term,
+                            kappa_th_threshold_power, reflection_coefficient,
+                            single_spin_coupling, watts_to_dbm)
 from rubymag.config import parse_config
 from rubymag import constants as CONST
 from rubymag.errors import (ZeroCoupling, ZeroKappaTh, ZeroLinewidth,
                             ZeroSpinLinewidth)
 from rubymag.fitting import default_bounds
-from oracle import photon_number, reflection, spin_interaction
+from oracle import photon_number, record, reflection, spin_interaction
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,28 +119,23 @@ def test_passivity_property(kc0, kc1, ks, kth, geff, det_c, det_s, p_dbm):
 def test_nonidealities_identity_and_sign_flip():
     drive = DriveParams(omega_d=CAV.omega_c + TWO_PI * 1e5, power=1e-5)
     gamma = reflection(CAV, ENS, drive)
-    identity = NonIdealityParams()
-    assert gamma_prime(ENS.omega_s, drive.omega_d, drive.omega_d, CAV.omega_c,
-                       ENS.g_s, drive.power,
-                       gamma_prime_params(CAV, ENS, identity)) \
-        == pytest.approx(gamma, rel=1e-12)
-    flipped = NonIdealityParams(psi=math.pi)
-    assert gamma_prime(ENS.omega_s, drive.omega_d, drive.omega_d, CAV.omega_c,
-                       ENS.g_s, drive.power,
-                       gamma_prime_params(CAV, ENS, flipped)) \
-        == pytest.approx(-gamma, rel=1e-12)
+    assert gamma_prime(ENS.omega_s, drive.omega_d, drive.omega_d, drive.power,
+                       record(CAV, ENS)) == pytest.approx(gamma, rel=1e-12)
+    flipped = record(CAV, ENS, psi=math.pi)
+    assert gamma_prime(ENS.omega_s, drive.omega_d, drive.omega_d, drive.power,
+                       flipped) == pytest.approx(-gamma, rel=1e-12)
 
 
 def test_nonidealities_fitted_values_composite():
     drive = DriveParams(omega_d=CAV.omega_c, power=1e-5)
-    ni = NonIdealityParams(o_r=-0.008, o_i=0.12, A=0.003, psi=0.14,
-                           omega_s_off=TWO_PI * 1e5, omega_d_off=TWO_PI * 2e5)
-    got = gamma_prime(ENS.omega_s, drive.omega_d, drive.omega_d, CAV.omega_c,
-                      ENS.g_s, drive.power, gamma_prime_params(CAV, ENS, ni))
+    ni = record(CAV, ENS, o_r=-0.008, o_i=0.12, A=0.003, psi=0.14,
+                omega_s_off=TWO_PI * 1e5, omega_d_off=TWO_PI * 2e5)
+    got = gamma_prime(ENS.omega_s, drive.omega_d, drive.omega_d, drive.power,
+                      ni)
     # independent composition
-    shifted_ens = replace(ENS, omega_s=ENS.omega_s - ni.omega_s_off)
+    shifted_ens = replace(ENS, omega_s=ENS.omega_s - ni["omega_s_off"])
     inner = reflection(CAV, shifted_ens,
-                       DriveParams(omega_d=drive.omega_d - ni.omega_d_off,
+                       DriveParams(omega_d=drive.omega_d - ni["omega_d_off"],
                                    power=drive.power))
     expected = (-0.008 + 0.12j) + np.exp(0.14j) * 1.003 * inner
     assert got == pytest.approx(expected, rel=1e-12)
@@ -149,11 +143,11 @@ def test_nonidealities_fitted_values_composite():
 
 def test_reflection_with_nonidealities_errors():
     """gamma_prime raises the reference's errors at the shifted drive."""
-    ni = NonIdealityParams(omega_d_off=TWO_PI * 2e5)
+    omega_d_off = TWO_PI * 2e5
 
     def shifted_gamma(ens, omega_d, power=1e-5):
-        return gamma_prime(ens.omega_s, omega_d, omega_d, CAV.omega_c,
-                           ens.g_s, power, gamma_prime_params(CAV, ens, ni))
+        return gamma_prime(ens.omega_s, omega_d, omega_d, power,
+                           record(CAV, ens, omega_d_off=omega_d_off))
 
     with pytest.raises(ZeroSpinLinewidth):
         shifted_gamma(replace(ENS, N=1.0, kappa_s=0.0),
@@ -162,7 +156,7 @@ def test_reflection_with_nonidealities_errors():
     with pytest.raises(ZeroKappaTh):
         shifted_gamma(no_th, CAV.omega_c)
     with pytest.raises(ZeroLinewidth):
-        shifted_gamma(ENS, ni.omega_d_off)
+        shifted_gamma(ENS, omega_d_off)
     # without drive power kappa_th never enters
     assert np.isfinite(shifted_gamma(no_th, CAV.omega_c, power=0.0))
 
@@ -172,16 +166,14 @@ def test_gamma_kernels_check_every_drive(kernel):
     """Both kernels raise what photon_number and interaction_term raise, in
     their order: kappa_c, then the shifted drive frequency at every point,
     then the spin rates."""
-    ni = NonIdealityParams(omega_d_off=TWO_PI * 2e5)
+    params = record(CAV, ENS, omega_d_off=TWO_PI * 2e5)
     ws = ENS.omega_s + np.array([-1e6, 1e6])
     good = CAV.omega_c + np.array([-1e6, 0.0, 1e6])
-    low = ni.omega_d_off + np.array([0.0, 1e6, 2e6])   # the first point at 0
-    params = gamma_prime_params(CAV, ENS, ni)
+    low = params["omega_d_off"] + np.array([0.0, 1e6, 2e6])   # first at 0
 
     def call(wd, power=1e-5, **zeros):
-        p = [0.0 if name in zeros else v
-             for name, v in zip(PARAM_NAMES, params)]
-        return kernel(ws, wd, CAV.omega_c, CAV.omega_c, ENS.g_s, power, p)
+        return kernel(ws, wd, CAV.omega_c, power,
+                      {**params, **dict.fromkeys(zeros, 0.0)})
 
     with pytest.raises(ZeroLinewidth, match="kappa_c"):
         call(low, kappa_c0=0, kappa_c1=0, kappa_s=0, kappa_th=0)
@@ -197,13 +189,12 @@ def test_gamma_kernels_check_every_drive(kernel):
 def test_gamma_prime_checks_omega_n_and_every_point():
     """n_cav pinned at a positive omega_n leaves every point's drive
     checked, and omega_n itself must be positive."""
-    params = gamma_prime_params(CAV, ENS, NonIdealityParams())
+    params = record(CAV, ENS)
     offsets = np.array([-2e6, 0.0, 2e6])
 
     def pinned(omega_d, omega_n):
-        return gamma_prime(ENS.omega_s, omega_d + offsets, omega_d,
-                           CAV.omega_c, ENS.g_s, 1e-5, params,
-                           omega_n=omega_n)
+        return gamma_prime(ENS.omega_s, omega_d + offsets, omega_d, 1e-5,
+                           params, omega_n=omega_n)
 
     with pytest.raises(ZeroLinewidth, match="omega_d"):
         pinned(1e6, 1e6)
@@ -235,8 +226,9 @@ def test_gamma_prime_matches_reference(kc0, kc1, ks, kth, g_s, geff, det_c,
     ws = omega_c + det_s + np.linspace(-2e7, 2e7, 3)
     wd = carrier + np.linspace(-5e6, 5e6, 4)
     power = dbm_to_watts(p_dbm)
-    params = [kc0, kc1, ks, kth, geff, *aux[:8]]
-    got = gamma_prime(ws, wd, carrier + ref, omega_c, g_s, power, params,
+    params = dict(zip(MODEL_NAMES, (kc0, kc1, ks, kth, geff, *aux[:8],
+                                    omega_c, g_s)))
+    got = gamma_prime(ws, wd, carrier + ref, power, params,
                       omega_n=carrier if pin else None)
     assert got.shape == (ws.size, wd.size)
     for j, w in enumerate(wd - wd_off):
@@ -249,8 +241,8 @@ def test_gamma_prime_matches_reference(kc0, kc1, ks, kth, g_s, geff, det_c,
         want = o_r + 1j * o_i + envelope * gamma
         assert np.allclose(got[:, j], want, rtol=0.0, atol=1e-12)
     # without coupling Pi is exactly 0: no row depends on omega_s
-    params[4] = 0.0
-    empty = gamma_prime(ws, wd, carrier + ref, omega_c, g_s, power, params)
+    params["g_eff"] = 0.0
+    empty = gamma_prime(ws, wd, carrier + ref, power, params)
     assert np.array_equal(empty, np.broadcast_to(empty[0], empty.shape))
 
 
@@ -266,28 +258,27 @@ def test_gamma_prime_gauge_family_without_b_and_tau():
     cav, ens, drive = DEFAULTS.cavity(), DEFAULTS.ensemble(), DEFAULTS.drive()
     ws = ens.omega_s + np.linspace(-TWO_PI * 50e6, TWO_PI * 50e6, 30)
     wd = drive.omega_d + np.linspace(-TWO_PI * 5e6, TWO_PI * 5e6, 30)
-    ni = NonIdealityParams(psi=0.1)
+    ni = record(cav, ens, psi=0.1)
     s = 0.923
-    shift = (s - 1.0) * (1.0 + ni.A) * np.exp(1j * ni.psi)
-    cav_s = replace(cav, kappa_c1=cav.kappa_c1 / s,
-                    kappa_c0=cav.kappa_c0 + cav.kappa_c1 - cav.kappa_c1 / s)
-    ni_s = replace(ni, A=s * (1.0 + ni.A) - 1.0, o_r=ni.o_r + shift.real,
-                   o_i=ni.o_i + shift.imag)
+    shift = (s - 1.0) * (1.0 + ni["A"]) * np.exp(1j * ni["psi"])
+    ni_s = {**ni, "kappa_c1": cav.kappa_c1 / s,
+            "kappa_c0": cav.kappa_c0 + cav.kappa_c1 - cav.kappa_c1 / s,
+            "A": s * (1.0 + ni["A"]) - 1.0, "o_r": ni["o_r"] + shift.real,
+            "o_i": ni["o_i"] + shift.imag}
 
-    def gamma(cav_, ni_, tau):
-        params = gamma_prime_params(cav_, ens, replace(ni_, tau=tau))
-        return gamma_prime(ws, wd, float(np.mean(wd)), cav_.omega_c, ens.g_s,
-                           drive.power, params)
+    def gamma(params, tau):
+        return gamma_prime(ws, wd, float(np.mean(wd)), drive.power,
+                           {**params, "tau": tau})
 
-    assert np.abs(gamma(cav_s, ni_s, 0.0) - gamma(cav, ni, 0.0)).max() == 0.0
-    moved = np.abs(gamma(cav_s, ni_s, -1.2e-8) - gamma(cav, ni, -1.2e-8))
+    assert np.abs(gamma(ni_s, 0.0) - gamma(ni, 0.0)).max() == 0.0
+    moved = np.abs(gamma(ni_s, -1.2e-8) - gamma(ni, -1.2e-8))
     assert moved.max() > 1e-3
 
 
 # the fit's bounds around the paper values, with the modal-volume g_s
 FIT_G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
-FIT_BOUNDS = default_bounds(
-    CAV, replace(ENS, g_s=FIT_G_S, N=(G_EFF / FIT_G_S) ** 2))
+FIT_BOUNDS = default_bounds(record(
+    CAV, replace(ENS, g_s=FIT_G_S, N=(G_EFF / FIT_G_S) ** 2)))
 
 
 @given(frac=st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13),
@@ -315,9 +306,12 @@ def test_gamma_prime_jacobian_matches_central_differences(frac, uncoupled,
     ref = float(np.mean(wd))
 
     def model(p):
-        return gamma_prime(ws, wd, ref, omega_c, FIT_G_S, power, p)
+        return gamma_prime(ws, wd, ref, power, dict(zip(PARAM_NAMES, p),
+                                                    omega_c=omega_c,
+                                                    g_s=FIT_G_S))
 
-    jac = gamma_prime_jacobian(ws, wd, ref, omega_c, FIT_G_S, power, params)
+    jac = gamma_prime_jacobian(ws, wd, ref, power, dict(
+        zip(PARAM_NAMES, params), omega_c=omega_c, g_s=FIT_G_S))
     assert jac.shape == (13, ws.size, wd.size)
     # the scale over which Gamma' varies in each parameter: rates in their
     # own size, b and tau in 1 / max|omega_d - omega_ref|, the offsets in

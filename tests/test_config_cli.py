@@ -350,6 +350,11 @@ _TINY_GRID = ("omega_s_hz,omega_d_hz,re,im\n"
     ("noise-predict", ["--amplitude-noise-csv",
                        "offset_hz,value,unit\n100,-1e-12,V2_per_Hz\n"],
      "ParseError", ["noise.csv", "V2_per_Hz", ">= 0"]),
+    # a count too large for a float; run.master_seed takes any size
+    ("calibrate", ["--n-turns", "1" + "0" * 400], "ConfigError",
+     ["calibration.n_turns", "<= 1.7976931348623157e+308"]),
+    ("crossing-sim", ["--n-cell", "1" + "0" * 400], "ConfigError",
+     ["material.n_cell", "<= 1.7976931348623157e+308"]),
 ])
 def test_bad_input_prints_one_error_line(tmp_path, capsys, command, argv,
                                          error, words):
@@ -855,7 +860,7 @@ def test_reader_takes_every_config_flag_on_every_command():
 # the domain-object views a command builds from its RunConfig, and the
 # number keys of the blocks they read
 _VIEWS = ("spin_system", "material", "cavity", "ensemble", "drive",
-          "nonideal", "coil")
+          "model", "coil")
 _VIEW_KEYS = sorted(key for key, block in FLAT_KEYS.items() if block in (
     "spin", "material", "cavity", "ensemble", "drive", "nonideal",
     "calibration"))
@@ -924,6 +929,9 @@ def test_crossing_sim_reproducible_and_seed_sensitive(tmp_path):
     same = (tmp_path / "a" / "crossing.csv").read_bytes()
     assert same == (tmp_path / "b" / "crossing.csv").read_bytes()
     assert same != (tmp_path / "c" / "crossing.csv").read_bytes()
+    # any seed SeedSequence takes, one too large for a float included
+    assert run_cli(*args, "--output-dir", str(tmp_path / "d"),
+                   "--master-seed", "1" + "0" * 400) == 0
 
 
 @pytest.mark.slow
@@ -941,13 +949,29 @@ def test_crossing_pipeline_round_trip(tmp_path):
     assert fit["kappa_th_rad_per_s"] == pytest.approx(TWO_PI * 120e3, rel=0.01)
 
 
-def test_noise_predict_uses_bundled_spectra(tmp_path):
-    assert run_cli("noise-predict", "--output-dir", str(tmp_path)) == 0
-    lines = (tmp_path / "predicted_noise.csv").read_text().splitlines()
+# acceptance criterion 13's non-idealities, in config units
+_CRITERION_13_NONIDEAL = {
+    "o_r": -0.008, "o_i": 0.12, "amplitude_a": 0.003,
+    "slope_b_per_hz": 1e-9 * TWO_PI, "psi_rad": 0.14, "tau_s": -1.2e-8,
+    "omega_s_off_mhz": -7.3 / TWO_PI, "omega_d_off_mhz": -0.56 / TWO_PI}
+
+
+@pytest.mark.parametrize("nonideal", [{}, _CRITERION_13_NONIDEAL],
+                         ids=["default", "criterion-13"])
+def test_noise_predict_uses_bundled_spectra(tmp_path, nonideal):
+    """noise-predict propagates the bundled spectra through Gamma without
+    non-idealities, whatever the nonideal block holds."""
+    raw = {"nonideal": nonideal}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_cli("noise-predict", "--config", str(path),
+                   "--output-dir", str(out)) == 0
+    lines = (out / "predicted_noise.csv").read_text().splitlines()
     assert lines[0] == "offset_hz,value,unit"
     assert all(line.endswith("V2_per_Hz") for line in lines[1:])
     # Gamma from the term-by-term reference, n_cav pinned at the carrier
-    cfg = parse_config({})
+    cfg = parse_config(raw)
     cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
     data = importlib.resources.files("rubymag") / "data"
     phase = iqnoise.read_spectrum_csv(data / "phase_noise.csv")
@@ -1032,13 +1056,6 @@ def test_unbounded_phase_noise_budget_is_null(tmp_path, command):
         assert summary["e_p_v_per_rthz"] == 0.0
 
 
-# acceptance criterion 13's non-idealities, in config units
-_CRITERION_13_NONIDEAL = {
-    "o_r": -0.008, "o_i": 0.12, "amplitude_a": 0.003,
-    "slope_b_per_hz": 1e-9 * TWO_PI, "psi_rad": 0.14, "tau_s": -1.2e-8,
-    "omega_s_off_mhz": -7.3 / TWO_PI, "omega_d_off_mhz": -0.56 / TWO_PI}
-
-
 @pytest.mark.parametrize("nonideal", [{}, _CRITERION_13_NONIDEAL],
                          ids=["default", "criterion-13"])
 def test_optimize_matches_window_polyfit(tmp_path, nonideal):
@@ -1065,8 +1082,8 @@ def test_optimize_matches_window_polyfit(tmp_path, nonideal):
         for i, b0 in enumerate(b_values):
             b = np.linspace(b0 - half, b0 + half, 21)
             omega_s = spin_frequency_vs_field(cfg.spin_system(), b)
-            v = bias_sweep_trace(omega_s, cfg.cavity(), cfg.ensemble(),
-                                 cfg.nonideal(), replace(drive, power=power),
+            v = bias_sweep_trace(omega_s, cfg.model(),
+                                 replace(drive, power=power),
                                  chain_gain_db=s["chain_gain_db"])
             slope = np.polyfit(b[8:13] - b[10], v.imag[8:13], 2)[1]
             want[i, j] = e_n / abs(slope)

@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rubymag.cavity import (CavityParams, EnsembleParams, NonIdealityParams,
-                            dbm_to_watts, gamma_prime_params,
+from rubymag.cavity import (CavityParams, EnsembleParams, dbm_to_watts,
                             kappa_th_threshold_power, single_spin_coupling,
                             watts_to_dbm)
 from rubymag import cli, fitting
@@ -25,6 +24,7 @@ from rubymag.fitting import (PARAM_NAMES, ComplexGrid2D, FitResult,
                              fit_result_to_dict, normalize_grid, objective_l1,
                              read_grid_csv, relaxation_times,
                              simulate_crossing, write_grid_csv)
+from oracle import record
 
 TWO_PI = 2.0 * math.pi
 G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
@@ -36,8 +36,9 @@ CAV = DEFAULTS.cavity()
 ENS = replace(DEFAULTS.ensemble(), g_s=G_S, N=(TWO_PI * 3.5e6 / G_S) ** 2)
 # fitted auxiliary values; tau and b nonzero so the overall-scale direction
 # (kappa_c1 versus o_r, o_i, A) stays identifiable
-NI = NonIdealityParams(o_r=-0.008, o_i=0.12, A=0.003, b=1e-9, psi=0.14,
-                       tau=-1.2e-8, omega_s_off=-7.3e6, omega_d_off=-5.6e5)
+NI = {"o_r": -0.008, "o_i": 0.12, "A": 0.003, "b": 1e-9, "psi": 0.14,
+      "tau": -1.2e-8, "omega_s_off": -7.3e6, "omega_d_off": -5.6e5}
+TRUTH = record(CAV, ENS, **NI)
 
 
 def wide_spec(n_s=50, n_d=50, power_dbm=0.0):
@@ -48,16 +49,18 @@ def wide_spec(n_s=50, n_d=50, power_dbm=0.0):
         drive_power=dbm_to_watts(power_dbm))
 
 
-def guess_from(cav, ens, ni, spec, rng=None, rel=0.2):
-    """Initial (cav, ens, ni) with physical rates perturbed +-rel."""
+def guess_from(cav, ens, ni, rng=None, rel=0.2):
+    """The guess record of the bundles, with the non-idealities ni and the
+    physical rates perturbed +-rel (g_eff through N)."""
     p = (lambda x: x) if rng is None else (lambda x: x * rng.uniform(1 - rel,
                                                                      1 + rel))
-    return (CavityParams(omega_c=cav.omega_c, kappa_c0=p(cav.kappa_c0),
-                         kappa_c1=p(cav.kappa_c1)),
-            EnsembleParams(g_s=ens.g_s, N=(p(ens.g_eff) / ens.g_s) ** 2,
-                           kappa_s=p(ens.kappa_s), kappa_th=p(ens.kappa_th),
-                           omega_s=ens.omega_s),
-            ni)
+    return record(
+        CavityParams(omega_c=cav.omega_c, kappa_c0=p(cav.kappa_c0),
+                     kappa_c1=p(cav.kappa_c1)),
+        EnsembleParams(g_s=ens.g_s, N=(p(ens.g_eff) / ens.g_s) ** 2,
+                       kappa_s=p(ens.kappa_s), kappa_th=p(ens.kappa_th),
+                       omega_s=ens.omega_s),
+        **ni)
 
 
 def physical_errors(res, cav, ens):
@@ -73,10 +76,8 @@ def physical_errors(res, cav, ens):
 
 def unfitted():
     """The FitResult of a fit that evaluated nothing, left at the truth."""
-    return FitResult(params=dict(zip(PARAM_NAMES,
-                                     gamma_prime_params(CAV, ENS, NI))),
-                     omega_c=CAV.omega_c, g_s=ENS.g_s,
-                     objective_value=math.inf, iterations=0, converged=False)
+    return FitResult(params=dict(TRUTH), objective_value=math.inf,
+                     iterations=0, converged=False)
 
 
 # ---------------------------------------------------------------------------
@@ -109,33 +110,31 @@ def test_grid_shape_must_match_spec():
 
 def test_simulate_deterministic_and_exact_at_zero_noise():
     spec = wide_spec(12, 10)
-    a = simulate_crossing(CAV, ENS, NI, spec, 0.02, seed=5)
-    b = simulate_crossing(CAV, ENS, NI, spec, 0.02, seed=5)
+    a = simulate_crossing(TRUTH, spec, 0.02, seed=5)
+    b = simulate_crossing(TRUTH, spec, 0.02, seed=5)
     assert np.array_equal(a.values, b.values)
-    clean = simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=5)
-    assert np.allclose(clean.values, evaluate_model_grid(CAV, ENS, NI, spec),
+    clean = simulate_crossing(TRUTH, spec, 0.0, seed=5)
+    assert np.allclose(clean.values, evaluate_model_grid(TRUTH, spec),
                        rtol=0, atol=0)
     with pytest.raises(ValueError):
-        simulate_crossing(CAV, ENS, NI, spec, -0.1, seed=5)
+        simulate_crossing(TRUTH, spec, -0.1, seed=5)
 
 
 def test_simulate_zero_coupling_rows_identical():
     spec = wide_spec(8, 20)
-    empty = replace(ENS, N=0.0)
-    grid = simulate_crossing(CAV, empty, NI, spec, 0.0, seed=0)
+    grid = simulate_crossing({**TRUTH, "g_eff": 0.0}, spec, 0.0, seed=0)
     for row in grid.values[1:]:
         assert np.allclose(row, grid.values[0], rtol=0, atol=0)
 
 
 def test_simulate_rejects_zero_kappa_th():
     with pytest.raises(ZeroKappaTh):
-        simulate_crossing(CAV, replace(ENS, kappa_th=0.0), NI, wide_spec(4, 4))
+        simulate_crossing({**TRUTH, "kappa_th": 0.0}, wide_spec(4, 4))
 
 
 def test_bare_cavity_dip_sits_at_cavity_resonance():
     spec = wide_spec(6, 101)
-    empty = replace(ENS, N=0.0)
-    grid = simulate_crossing(CAV, empty, NonIdealityParams(), spec, 0.0,
+    grid = simulate_crossing(record(CAV, replace(ENS, N=0.0)), spec, 0.0,
                              seed=0)
     dips = dip_trajectory(grid)
     step = spec.omega_d_values[1] - spec.omega_d_values[0]
@@ -201,7 +200,7 @@ def test_normalize_constant_grid():
 
 def test_normalize_scale_invariance():
     spec = wide_spec(10, 10)
-    grid = simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=0)
+    grid = simulate_crossing(TRUTH, spec, 0.0, seed=0)
     scaled = ComplexGrid2D(spec=spec, values=5.0 * grid.values)
     assert np.allclose(normalize_grid(scaled).values,
                        normalize_grid(grid).values, atol=1e-12)
@@ -217,7 +216,7 @@ def test_normalize_all_zero_border_rejected():
 
 def test_normalized_border_near_unity():
     # far-detuned |Gamma| -> 1, so the border frame should sit near 1
-    grid = simulate_crossing(CAV, ENS, NI, wide_spec(), 0.0, seed=0)
+    grid = simulate_crossing(TRUTH, wide_spec(), 0.0, seed=0)
     out = normalize_grid(grid).values
     border = np.concatenate([out[0], out[-1], out[1:-1, 0], out[1:-1, -1]])
     assert np.median(np.abs(border)) == pytest.approx(1.0, abs=0.05)
@@ -229,16 +228,16 @@ def test_normalized_border_near_unity():
 
 def test_objective_at_truth_is_zero():
     spec = wide_spec(20, 20)
-    grid = simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=0)
-    model = evaluate_model_grid(CAV, ENS, NI, spec)
+    grid = simulate_crossing(TRUTH, spec, 0.0, seed=0)
+    model = evaluate_model_grid(TRUTH, spec)
     assert objective_l1((model - grid.values).view(float)) < 1e-9
 
 
 def test_fit_from_truth_stays_at_truth():
     spec = wide_spec(15, 15)
-    grid = simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=0)
-    init = guess_from(CAV, ENS, NI, spec)
-    res = fit_crossing(grid, *init, max_evaluations=20000)
+    grid = simulate_crossing(TRUTH, spec, 0.0, seed=0)
+    init = guess_from(CAV, ENS, NI)
+    res = fit_crossing(grid, init, max_evaluations=20000)
     assert res.objective_value < 1e-9
     for err in physical_errors(res, CAV, ENS).values():
         assert abs(err) < 1e-6
@@ -246,11 +245,11 @@ def test_fit_from_truth_stays_at_truth():
 
 def test_fit_determinism():
     spec = wide_spec(12, 12)
-    grid = simulate_crossing(CAV, ENS, NI, spec, 0.01, seed=1)
+    grid = simulate_crossing(TRUTH, spec, 0.01, seed=1)
     rng = np.random.default_rng(0)
-    init = guess_from(CAV, ENS, NI, spec, rng)
-    a = fit_crossing(grid, *init, max_evaluations=4000)
-    b = fit_crossing(grid, *init, max_evaluations=4000)
+    init = guess_from(CAV, ENS, NI, rng)
+    a = fit_crossing(grid, init, max_evaluations=4000)
+    b = fit_crossing(grid, init, max_evaluations=4000)
     assert a.objective_value == b.objective_value
     assert a.params == b.params
 
@@ -258,11 +257,10 @@ def test_fit_determinism():
 def test_invalid_bounds_rejected():
     """A guess rate that is not positive leaves nothing to bound."""
     spec = wide_spec(5, 5)
-    grid = simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=0)
-    for ens, name in ((replace(ENS, N=0.0), "g_eff"),
-                      (replace(ENS, kappa_th=0.0), "kappa_th")):
+    grid = simulate_crossing(TRUTH, spec, 0.0, seed=0)
+    for name in ("g_eff", "kappa_th"):
         with pytest.raises(InvalidBounds, match=name):
-            fit_crossing(grid, CAV, ens, NI)
+            fit_crossing(grid, {**TRUTH, name: 0.0})
 
 
 def reference_model(params, spec, omega_c, g_s, omega_d_mean):
@@ -298,9 +296,9 @@ def test_fused_objective_matches_reference(monkeypatch):
     least-squares and the IRLS stage.
     """
     spec = wide_spec(20, 24)
-    grid = simulate_crossing(CAV, ENS, NI, spec, 0.02, seed=9)
-    init = guess_from(CAV, ENS, NI, spec)
-    bounds = default_bounds(CAV, ENS)
+    grid = simulate_crossing(TRUTH, spec, 0.02, seed=9)
+    init = guess_from(CAV, ENS, NI)
+    bounds = default_bounds(TRUTH)
     rng = np.random.default_rng(21)
     checked = []
     points = []
@@ -329,29 +327,25 @@ def test_fused_objective_matches_reference(monkeypatch):
         return x, r, 0, False
 
     monkeypatch.setattr(fitting, "_levenberg_marquardt", stand_in_lm)
-    fit_crossing(grid, *init)
+    fit_crossing(grid, init)
     for _, params, want in points:
-        ni = NonIdealityParams(*params[5:])
-        cav = CavityParams(omega_c=CAV.omega_c, kappa_c0=params[0],
-                           kappa_c1=params[1])
-        ens = replace(ENS, N=(params[4] / G_S) ** 2, kappa_s=params[2],
-                      kappa_th=params[3])
-        assert np.allclose(evaluate_model_grid(cav, ens, ni, spec), want,
-                           rtol=1e-12, atol=1e-12)
+        got = evaluate_model_grid(dict(zip(PARAM_NAMES, params),
+                                       omega_c=CAV.omega_c, g_s=G_S), spec)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
     # each of the 16 points was checked by both stages
     assert checked.count(False) == checked.count(True) == 16
 
 
 def counting_kernel(monkeypatch):
     """Record every model evaluation, a Gamma' value or a Jacobian, as
-    ("value" or "jacobian", parameter list), and count the objective_l1
+    ("value" or "jacobian", params record), and count the objective_l1
     calls."""
     calls, objective_calls = [], []
     real_objective = fitting.objective_l1
 
     def counted(kind, real_kernel):
         def kernel(*args):
-            calls.append((kind, args[6]))
+            calls.append((kind, args[4]))
             return real_kernel(*args)
         return kernel
 
@@ -372,20 +366,18 @@ def test_fit_calls_objective_once_per_evaluation(monkeypatch):
     first, and max_evaluations bounding every value and Jacobian of every
     stage."""
     spec = wide_spec(10, 10)
-    grid = simulate_crossing(CAV, ENS, NI, spec, 0.01, seed=2)
-    init = guess_from(CAV, ENS, NI, spec, np.random.default_rng(3))
-    cav, ens, _ = init
-    guess = [cav.kappa_c0, cav.kappa_c1, ens.kappa_s, ens.kappa_th,
-             ens.g_eff, NI.o_r, NI.o_i, NI.A, NI.b, NI.psi, NI.tau,
-             NI.omega_s_off, NI.omega_d_off]
+    grid = simulate_crossing(TRUTH, spec, 0.01, seed=2)
+    init = guess_from(CAV, ENS, NI, np.random.default_rng(3))
+    guess = [init[name] for name in PARAM_NAMES]
     calls, objective_calls = counting_kernel(monkeypatch)
-    res = fit_crossing(grid, *init, max_evaluations=20000)
+    res = fit_crossing(grid, init, max_evaluations=20000)
     assert res.converged
     values = [p for kind, p in calls if kind == "value"]
     assert len(objective_calls) == len(values)
     assert len(calls) <= 20000
     at_guess = [p for p in values
-                if np.allclose(p, guess, rtol=1e-12, atol=0.0)]
+                if np.allclose([p[name] for name in PARAM_NAMES], guess,
+                               rtol=1e-12, atol=0.0)]
     assert len(at_guess) == 1 and calls[0][1] is at_guess[0]
     # a budget that ends inside either stage is spent exactly: 7 inside
     # Levenberg-Marquardt, 100 inside an extrapolation trial of IRLS (the
@@ -395,7 +387,7 @@ def test_fit_calls_objective_once_per_evaluation(monkeypatch):
     iterations = []
     for budget in (1, 7, 60, 100, 149):
         del calls[:], objective_calls[:]
-        res = fit_crossing(grid, *init, max_evaluations=budget)
+        res = fit_crossing(grid, init, max_evaluations=budget)
         assert len(calls) == budget
         assert len(objective_calls) == sum(kind == "value"
                                            for kind, _ in calls)
@@ -429,8 +421,8 @@ def test_fit_jacobian_matches_central_differences(monkeypatch):
     transform, equals central differences of its residuals in x, quietly
     beyond the transform's exp cap too."""
     spec = wide_spec(20, 24)
-    grid = simulate_crossing(CAV, ENS, NI, spec, 0.02, seed=9)
-    init = guess_from(CAV, ENS, NI, spec)
+    grid = simulate_crossing(TRUTH, spec, 0.02, seed=9)
+    init = guess_from(CAV, ENS, NI)
     rng = np.random.default_rng(8)
     closures = []
 
@@ -439,7 +431,7 @@ def test_fit_jacobian_matches_central_differences(monkeypatch):
         return 0, False
 
     monkeypatch.setattr(fitting, "minimize", stand_in)
-    fit_crossing(grid, *init)
+    fit_crossing(grid, init)
     (evaluate, jacobian), = closures
     n = len(PARAM_NAMES)
     beyond = rng.uniform(-3.0, 3.0, n)
@@ -462,9 +454,9 @@ def test_noiseless_fit_converges():
     """A grid fitted to rounding error reports converged, from the truth
     itself (where no step lowers the objective) and from a guess off it."""
     spec = wide_spec(10, 10)
-    grid = simulate_crossing(CAV, ENS, NI, spec, 0.0, seed=0)
+    grid = simulate_crossing(TRUTH, spec, 0.0, seed=0)
     for rng in (None, np.random.default_rng(3)):
-        res = fit_crossing(grid, *guess_from(CAV, ENS, NI, spec, rng))
+        res = fit_crossing(grid, guess_from(CAV, ENS, NI, rng))
         assert res.converged is True
         assert res.objective_value < 1e-8
 
@@ -474,11 +466,11 @@ def test_criterion_13_noisy_fit_converges_within_budget(monkeypatch):
     and at most 60 steps, no higher than the 40.98254358427529 that IRLS
     without extrapolated steps reached in 80."""
     spec = wide_spec()
-    grid = normalize_grid(simulate_crossing(CAV, ENS, NI, spec, 0.01,
+    grid = normalize_grid(simulate_crossing(TRUTH, spec, 0.01,
                                             seed=200))
-    init = guess_from(CAV, ENS, NI, spec, np.random.default_rng(100))
+    init = guess_from(CAV, ENS, NI, np.random.default_rng(100))
     params, _ = counting_kernel(monkeypatch)
-    res = fit_crossing(grid, *init)
+    res = fit_crossing(grid, init)
     assert res.converged
     assert len(params) <= 20000
     assert res.iterations <= 60
@@ -495,6 +487,44 @@ def _bench_inputs():
     return inputs
 
 
+def _bench_truth(inputs, k):
+    """Truth k of the benchmark's fit recipe (see test_fit_over_forty_truths)
+    and the grid crossing-sim's command simulates from it."""
+    raw = copy.deepcopy(inputs.BASE)
+    scale = np.random.default_rng(k).uniform(0.8, 1.2, 5)
+    raw["cavity"]["kappa_c0_khz"] *= scale[0]
+    raw["cavity"]["kappa_c1_khz"] *= scale[1]
+    raw["ensemble"]["kappa_s_mhz"] *= scale[2]
+    raw["ensemble"]["kappa_th_khz"] *= scale[3]
+    raw["ensemble"]["n_spins"] = parse_config(inputs.BASE).ensemble().N \
+        * scale[4] ** 2
+    raw["nonideal"] = dict(inputs.CRITERION_13_NONIDEAL)
+    raw["grid"]["noise_sigma"] = 0.01
+    raw["run"]["master_seed"] = k
+    truth = parse_config(raw)
+    [(_, _, grid)] = cli.cmd_crossing_sim(truth, None)
+    return truth, grid
+
+
+def test_fit_result_is_a_guess_and_a_truth():
+    """A fit's params is a record that needs no rebuilding: simulated, it
+    gives the fit's L1 objective bit for bit, and as the next fit's guess
+    it ends no higher, at the same five rates and the same fixed omega_c
+    and g_s.  The data is the benchmark recipe's truth 0."""
+    _, grid = _bench_truth(_bench_inputs(), 0)
+    res = fit_crossing(grid, DEFAULTS.model())
+    model = simulate_crossing(res.params, grid.spec)
+    assert objective_l1((model.values - grid.values).ravel().view(float)) \
+        == res.objective_value
+    again = fit_crossing(grid, res.params)
+    assert again.objective_value <= res.objective_value
+    for name in PARAM_NAMES[:5]:
+        assert again.params[name] == pytest.approx(res.params[name],
+                                                   rel=1e-9), name
+    assert (again.params["omega_c"], again.params["g_s"]) \
+        == (res.params["omega_c"], res.params["g_s"])
+
+
 @pytest.mark.slow
 def test_fit_over_forty_truths():
     """The benchmark's fit recipe over 40 truths: truth k scales the five
@@ -509,24 +539,11 @@ def test_fit_over_forty_truths():
     noise L1, which sigma = 0.01 noise alone can do on a 50x50 grid.
     Truth 11 also reports converged False: IRLS ran out of damping."""
     inputs = _bench_inputs()
-    n_default = parse_config(inputs.BASE).ensemble().N
     within = converged = 0
     steps = []
     for k in range(40):
-        raw = copy.deepcopy(inputs.BASE)
-        scale = np.random.default_rng(k).uniform(0.8, 1.2, 5)
-        raw["cavity"]["kappa_c0_khz"] *= scale[0]
-        raw["cavity"]["kappa_c1_khz"] *= scale[1]
-        raw["ensemble"]["kappa_s_mhz"] *= scale[2]
-        raw["ensemble"]["kappa_th_khz"] *= scale[3]
-        raw["ensemble"]["n_spins"] = n_default * scale[4] ** 2
-        raw["nonideal"] = dict(inputs.CRITERION_13_NONIDEAL)
-        raw["grid"]["noise_sigma"] = 0.01
-        raw["run"]["master_seed"] = k
-        truth = parse_config(raw)
-        [(_, _, grid)] = cli.cmd_crossing_sim(truth, None)
-        res = fit_crossing(grid, DEFAULTS.cavity(), DEFAULTS.ensemble(),
-                           DEFAULTS.nonideal())
+        truth, grid = _bench_truth(inputs, k)
+        res = fit_crossing(grid, DEFAULTS.model())
         noise_l1 = 2.0 * grid.values.size * 0.01 * math.sqrt(2.0 / math.pi)
         assert 0.8 <= res.objective_value / noise_l1 <= 1.2, k
         errors = physical_errors(res, truth.cavity(), truth.ensemble())
@@ -550,22 +567,19 @@ def test_round_trip_twenty_random_truths():
                       kappa_c1=u(TWO_PI * 330e3))
         ens = replace(ENS, N=(u(TWO_PI * 3.5e6) / G_S) ** 2,
                       kappa_s=u(TWO_PI * 42e6), kappa_th=u(TWO_PI * 120e3))
-        ni = NonIdealityParams(o_r=u(-0.008), o_i=u(0.12), A=u(0.003),
-                               b=u(1e-9), psi=u(0.14), tau=u(-1.2e-8),
-                               omega_s_off=u(-7.3e6), omega_d_off=u(-5.6e5))
-        grid = simulate_crossing(cav, ens, ni, spec, 0.0, seed=0)
-        init = guess_from(cav, ens, ni, spec, rng)
-        res = fit_crossing(grid, *init)
+        ni = {"o_r": u(-0.008), "o_i": u(0.12), "A": u(0.003),
+              "b": u(1e-9), "psi": u(0.14), "tau": u(-1.2e-8),
+              "omega_s_off": u(-7.3e6), "omega_d_off": u(-5.6e5)}
+        grid = simulate_crossing(record(cav, ens, **ni), spec, 0.0, seed=0)
+        res = fit_crossing(grid, guess_from(cav, ens, ni, rng))
         for name, err in physical_errors(res, cav, ens).items():
             assert abs(err) < 0.01, (name, err)
         got, want = res.params, ni
         for name in ("o_r", "o_i", "A", "psi"):
             assert got[name] == pytest.approx(
-                getattr(want, name), rel=0.05, abs=1e-4), name
-        assert got["b"] == pytest.approx(want.b, rel=0.05)
-        assert got["tau"] == pytest.approx(want.tau, rel=0.05)
-        assert got["omega_s_off"] == pytest.approx(want.omega_s_off, rel=0.05)
-        assert got["omega_d_off"] == pytest.approx(want.omega_d_off, rel=0.05)
+                want[name], rel=0.05, abs=1e-4), name
+        for name in ("b", "tau", "omega_s_off", "omega_d_off"):
+            assert got[name] == pytest.approx(want[name], rel=0.05), name
 
 
 @pytest.mark.slow
@@ -582,9 +596,9 @@ def test_kappa_th_power_sensitivity():
 
     def kth_error(power_dbm, seed):
         spec = wide_spec(power_dbm=power_dbm)
-        grid = simulate_crossing(CAV, ENS, NI, spec, 0.05, seed=seed)
-        init = guess_from(CAV, ENS, NI, spec)
-        res = fit_crossing(normalize_grid(grid), *init)
+        grid = simulate_crossing(TRUTH, spec, 0.05, seed=seed)
+        init = guess_from(CAV, ENS, NI)
+        res = fit_crossing(normalize_grid(grid), init)
         return abs(res.params["kappa_th"] / ENS.kappa_th - 1)
 
     for seed in (0, 1):
@@ -618,7 +632,7 @@ def test_relaxation_times_trivial_and_errors():
 
 def test_grid_csv_round_trip(tmp_path):
     spec = wide_spec(6, 5)
-    grid = simulate_crossing(CAV, ENS, NI, spec, 0.01, seed=3)
+    grid = simulate_crossing(TRUTH, spec, 0.01, seed=3)
     path = tmp_path / "grid.csv"
     path.write_text(write_grid_csv(path, grid))
     back = read_grid_csv(path, drive_power=spec.drive_power)
@@ -635,7 +649,7 @@ def test_fit_json_units_in_keys(tmp_path):
     path.write_text(render_json(path, d))
     loaded = json.loads(path.read_text())
     assert loaded["g_eff_rad_per_s"] == pytest.approx(ENS.g_eff)
-    assert loaded["delay_s"] == pytest.approx(NI.tau)
+    assert loaded["delay_s"] == pytest.approx(NI["tau"])
 
 
 def test_fit_json_reports_the_fitted_g_eff():
@@ -644,7 +658,8 @@ def test_fit_json_reports_the_fitted_g_eff():
     Read back as g_s sqrt(N), about one g_eff in nine would differ in its
     last bit."""
     ens = DEFAULTS.ensemble()
-    init = replace(unfitted(), g_s=ens.g_s)
+    init = unfitted()
+    init.params["g_s"] = ens.g_s
     rng = np.random.default_rng(0)
     for g_eff in (ens.g_eff * rng.uniform(0.5, 2.0, 10_000)).tolist():
         d = fit_result_to_dict(replace(init, params={**init.params,
@@ -662,7 +677,7 @@ def test_fit_json_reports_the_fitted_g_eff():
 
 def test_grid_csv_rows_in_any_order(tmp_path):
     spec = wide_spec(6, 5)
-    grid = simulate_crossing(CAV, ENS, NI, spec, 0.01, seed=3)
+    grid = simulate_crossing(TRUTH, spec, 0.01, seed=3)
     path = tmp_path / "grid.csv"
     path.write_text(write_grid_csv(path, grid))
     header, *rows = path.read_text().splitlines()
@@ -692,7 +707,7 @@ def test_grid_csv_rows_in_any_order(tmp_path):
 def test_grid_csv_malformed_rejected(tmp_path, edit, message):
     spec = wide_spec(4, 3)
     path = tmp_path / "grid.csv"
-    text = write_grid_csv(path, simulate_crossing(CAV, ENS, NI, spec, 0.0,
+    text = write_grid_csv(path, simulate_crossing(TRUTH, spec, 0.0,
                                                   seed=0))
     path.write_text("\n".join(edit(text.splitlines())) + "\n")
     with pytest.raises(ParseError, match=message):

@@ -15,7 +15,7 @@ from scipy.signal import welch
 from rubymag.magnetometry import bias_sweep_trace, spin_frequency_vs_field
 
 
-def simulate_timeseries(sys, cav, ens, ni, drive, bias_b: float,
+def simulate_timeseries(sys, params, drive, bias_b: float,
                         tone_rms: float, tone_freq: float,
                         chain_gain_db: float, noise_floor_v: float,
                         fs: float, duration: float,
@@ -31,7 +31,7 @@ def simulate_timeseries(sys, cav, ens, ni, drive, bias_b: float,
     n = int(round(fs * duration))
     b = bias_b + math.sqrt(2.0) * tone_rms \
         * np.sin(tone_freq * (np.arange(n) / fs))
-    v = bias_sweep_trace(spin_frequency_vs_field(sys, b), cav, ens, ni, drive,
+    v = bias_sweep_trace(spin_frequency_vs_field(sys, b), params, drive,
                          chain_gain_db)
     if noise_floor_v > 0:
         sigma = noise_floor_v * math.sqrt(fs / 2.0)
