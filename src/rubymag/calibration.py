@@ -61,7 +61,9 @@ def linear_calibration(x, y) -> LinearCalibration:
         raise DegenerateAbscissa("abscissa values are all identical")
     dx = x - x.mean()
     dy = y - y.mean()
-    sxx, sxy, syy = dx @ dx, dx @ dy, dy @ dy
+    # exactly rounded sums: the same bits whichever BLAS kernel the CPU picks
+    sxx, sxy, syy = (math.fsum(a * b) for a, b in ((dx, dx), (dx, dy),
+                                                    (dy, dy)))
     slope = sxy / sxx
     # a constant y leaves r undefined: NaN, as scipy.stats.linregress has it
     r_squared = min(sxy * sxy / (sxx * syy), 1.0) if syy > 0 else math.nan

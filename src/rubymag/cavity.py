@@ -25,63 +25,11 @@ benchmark's tracer wraps them by name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import constants as CONST
 from .errors import ZeroCoupling, ZeroKappaTh, ZeroLinewidth, ZeroSpinLinewidth
-
-
-@dataclass
-class CavityParams:
-    """Cavity frequency with its intrinsic and input-coupling loss rates."""
-
-    omega_c: float     # rad/s
-    kappa_c0: float    # intrinsic, rad/s
-    kappa_c1: float    # input coupling, rad/s
-
-    def __post_init__(self):
-        # each check is written so that NaN, which compares False, fails it
-        if not (self.omega_c > 0 and self.kappa_c0 > 0 and self.kappa_c1 > 0):
-            raise ValueError("cavity frequency and rates must be positive")
-
-    @property
-    def kappa_c(self) -> float:
-        return self.kappa_c0 + self.kappa_c1
-
-
-@dataclass
-class EnsembleParams:
-    """Spin ensemble: single-spin coupling, count, linewidths and frequency."""
-
-    g_s: float                             # single spin-photon coupling, rad/s
-    N: float                               # polarized spin count
-    kappa_s: float                         # 2/T2, rad/s
-    kappa_th: float                        # 1/T1, rad/s
-    omega_s: float                         # rad/s
-
-    def __post_init__(self):
-        if not all(v >= 0 for v in (self.g_s, self.N, self.kappa_s,
-                                    self.kappa_th, self.omega_s)):
-            raise ValueError("ensemble parameters must be non-negative")
-
-    @property
-    def g_eff(self) -> float:
-        """Collective coupling g_s * sqrt(N); derived, never stored."""
-        return self.g_s * math.sqrt(self.N)
-
-
-@dataclass
-class DriveParams:
-    """Microwave drive frequency and power."""
-
-    omega_d: float     # rad/s
-    power: float       # W
-
-    def __post_init__(self):
-        if not self.power >= 0:
-            raise ValueError("drive power must be >= 0")
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -150,6 +98,18 @@ def _gamma_terms(omega_s, omega_d, omega_ref: float, power: float, params,
     if np.any(wd <= 0) or (omega_n is not None and omega_n <= 0):
         raise ZeroLinewidth("omega_d must be positive")
     _check_spin_rates(kappa_s, kappa_th, power)   # n_cav has power's sign
+    # the record's ranges, each written so that NaN, which compares False,
+    # fails it
+    for name in ("omega_c", "kappa_c0", "kappa_c1"):
+        if not params[name] > 0:
+            raise ValueError(f"{name} must be > 0, got {params[name]!r}")
+    for name, value in (("g_s", g_s), ("g_eff", params["g_eff"]),
+                        ("kappa_s", kappa_s), ("kappa_th", kappa_th),
+                        ("power", power)):
+        if not value >= 0:
+            raise ValueError(f"{name} must be >= 0, got {value!r}")
+    if not np.all(np.greater_equal(omega_s, 0)):
+        raise ValueError("omega_s must be >= 0 at every point")
     delta = np.subtract.outer(omega_s - params["omega_s_off"], wd)
     s_term = 0.0
     if power:   # undriven, kappa_th never enters and may be 0
@@ -189,7 +149,9 @@ def gamma_prime(omega_s, omega_d, omega_ref: float, power: float, params,
     omega_d - omega_d_off of each point.  It raises the reference's errors:
     ZeroLinewidth unless kappa_c, every shifted drive frequency and omega_n
     are positive, then ZeroSpinLinewidth or ZeroKappaTh as interaction_term
-    does.
+    does, then ValueError unless omega_c, kappa_c0 and kappa_c1 are > 0 and
+    g_s, g_eff, kappa_s, kappa_th, power and every omega_s are >= 0, NaN
+    failing each: every record is checked where it is used.
 
     With delta' = (omega_s - omega_s_off) - (omega_d - omega_d_off),
     G = g_eff^2 and S = g_s^2 n_cav kappa_s / (2 kappa_th), the interaction
@@ -266,13 +228,15 @@ def single_spin_coupling(V_cav: float, omega_c: float) -> float:
         * math.sqrt(CONST.hbar * omega_c * CONST.mu_0 / V_cav)
 
 
-def cooperativity(ens: EnsembleParams, cav: CavityParams) -> float:
-    """Collective cooperativity xi = 4 g_eff^2 / (kappa_s kappa_c)."""
-    if ens.kappa_s <= 0:
+def cooperativity(params: dict) -> float:
+    """Collective cooperativity xi = 4 g_eff^2 / (kappa_s kappa_c) of the
+    params record."""
+    kappa_c = params["kappa_c0"] + params["kappa_c1"]
+    if params["kappa_s"] <= 0:
         raise ZeroSpinLinewidth("kappa_s must be positive")
-    if cav.kappa_c <= 0:
+    if kappa_c <= 0:
         raise ZeroLinewidth("kappa_c must be positive")
-    return 4.0 * ens.g_eff ** 2 / (ens.kappa_s * cav.kappa_c)
+    return 4.0 * params["g_eff"] ** 2 / (params["kappa_s"] * kappa_c)
 
 
 def kappa_th_threshold_power(T1: float, T2: float, g_s: float, omega_d: float,

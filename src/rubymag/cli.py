@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import zlib
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -127,14 +126,14 @@ def _axis(keys: str, centre, span: float, n: int) -> np.ndarray:
 
 
 def _grid_spec(cfg: RunConfig) -> fitting.GridSpec:
-    g = cfg["grid"]
-    ens, drive = cfg.ensemble(), cfg.drive()
+    g, drive = cfg["grid"], cfg["drive"]
     ws = _axis("ensemble.omega_s_ghz, grid.omega_s_span_mhz, grid.n_omega_s",
-               ens.omega_s, g["omega_s_span_mhz"], g["n_omega_s"])
+               cfg["ensemble"]["omega_s_ghz"], g["omega_s_span_mhz"],
+               g["n_omega_s"])
     wd = _axis("drive.omega_d_ghz, grid.omega_d_span_mhz, grid.n_omega_d",
-               drive.omega_d, g["omega_d_span_mhz"], g["n_omega_d"])
+               drive["omega_d_ghz"], g["omega_d_span_mhz"], g["n_omega_d"])
     return fitting.GridSpec(omega_s_values=ws, omega_d_values=wd,
-                            drive_power=drive.power)
+                            drive_power=drive["power_dbm"])
 
 
 def _default_noise_csv(name: str) -> Path:
@@ -163,7 +162,7 @@ def cmd_crossing_sim(cfg: RunConfig, input_csv) -> list:
 def cmd_crossing_fit(cfg: RunConfig, input_csv) -> list:
     if input_csv is None:
         raise ConfigError("crossing-fit requires --input CSV")
-    grid = fitting.read_grid_csv(input_csv, cfg.drive().power)
+    grid = fitting.read_grid_csv(input_csv, cfg["drive"]["power_dbm"])
     result = fitting.fit_crossing(grid, cfg.model())
     return [("fit.json", render_json, fitting.fit_result_to_dict(result))]
 
@@ -175,30 +174,29 @@ def cmd_noise_predict(cfg: RunConfig, input_csv) -> list:
         or _default_noise_csv("amplitude_noise.csv")
     phase = iqnoise.read_spectrum_csv(phase_path)
     amp = iqnoise.read_spectrum_csv(amp_path)
-    drive = cfg.drive()
+    omega_d, power = cfg["drive"]["omega_d_ghz"], cfg["drive"]["power_dbm"]
     pos = phase.offsets * math.tau
     offsets = np.concatenate([-pos[::-1], [0.0], pos])
     # Gamma: the non-idealities zeroed, n_cav pinned at the carrier
-    gamma = gamma_prime(cfg["ensemble"]["omega_s_ghz"],
-                        drive.omega_d + offsets, drive.omega_d, drive.power,
+    gamma = gamma_prime(cfg["ensemble"]["omega_s_ghz"], omega_d + offsets,
+                        omega_d, power,
                         {**cfg.model(), **dict.fromkeys(PARAM_NAMES[5:], 0.0)},
-                        omega_n=drive.omega_d)
+                        omega_n=omega_d)
     predicted = iqnoise.predict_noise_psd(amp, phase, phase.offsets, gamma,
                                           p0=n["p0_v2_per_hz"])
     return [("predicted_noise.csv", iqnoise.render_spectrum_csv, predicted)]
 
 
-def _sensitivity_budget(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray,
-                                                  dict]:
-    """The bias sweep's fields and complex voltages, and the sensitivity
-    budget drawn from its slope."""
-    s = cfg["sweep"]
-    n = cfg["noise"]
+def _sensitivity_budget(cfg: RunConfig,
+                        model: dict) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The bias sweep's fields and complex voltages for the params record
+    model, and the sensitivity budget drawn from its slope."""
+    s, n, drive = cfg["sweep"], cfg["noise"], cfg["drive"]
     b_values = _axis("sweep.bias_b_gauss, sweep.b_span_gauss, sweep.n_points",
                      s["bias_b_gauss"], s["b_span_gauss"], s["n_points"])
     v = mag.bias_sweep_trace(
-        mag.spin_frequency_vs_field(cfg.spin_system(), b_values), cfg.model(),
-        cfg.drive(), chain_gain_db=s["chain_gain_db"])
+        mag.spin_frequency_vs_field(cfg.spin_system(), b_values), model,
+        drive["omega_d_ghz"], drive["power_dbm"], s["chain_gain_db"])
     _, m_max = mag.dispersive_slope(b_values, v.imag)
     e_n = s["noise_floor_nv_per_rthz"]
     b_test = s["test_amplitude_nt"]
@@ -221,7 +219,7 @@ def _sensitivity_budget(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray,
 
 
 def cmd_sensitivity(cfg: RunConfig, input_csv) -> list:
-    b_values, v, budget = _sensitivity_budget(cfg)
+    b_values, v, budget = _sensitivity_budget(cfg, cfg.model())
     return [("sweep.csv", mag.render_sweep_csv, b_values, v),
             ("sensitivity.json", render_json, budget)]
 
@@ -235,14 +233,14 @@ def cmd_optimize(cfg: RunConfig, input_csv) -> list:
     axes = _axis(keys, b_values, s["b_span_gauss"] / 4.0, 21)[:, 8:13]
     omega_s = mag.spin_frequency_vs_field(cfg.spin_system(), axes)
     e_n_ref = s["noise_floor_nv_per_rthz"]
-    model, drive_ref = cfg.model(), cfg.drive()
-    p_ref = drive_ref.power
+    model, omega_d = cfg.model(), cfg["drive"]["omega_d_ghz"]
+    p_ref = cfg["drive"]["power_dbm"]
     p_values_dbm = np.linspace(watts_to_dbm(p_ref) - 6.0,
                                watts_to_dbm(p_ref) + 6.0, 9)
     powers = np.array([dbm_to_watts(float(p_dbm)) for p_dbm in p_values_dbm])
-    v = np.stack([mag.bias_sweep_trace(
-        omega_s, model, replace(drive_ref, power=power),
-        s["chain_gain_db"]).imag for power in powers], axis=1)
+    v = np.stack([mag.bias_sweep_trace(omega_s, model, omega_d, power,
+                                       s["chain_gain_db"]).imag
+                  for power in powers], axis=1)
     slopes = np.abs(mag.dispersive_slope(axes[:, None], v)[0][..., 2])
     if np.any(slopes <= 0):
         raise ZeroSignal("the dispersive slope is 0 at some bias and power")
@@ -284,22 +282,22 @@ _REPORT_BUDGET_KEYS = ("m_max_v_per_t", "eta_t_per_rthz", "eta_th_t_per_rthz",
 
 
 def cmd_report(cfg: RunConfig, input_csv) -> list:
-    sys_, matp = cfg.spin_system(), cfg.material()
-    cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
+    sys_, matp, model = cfg.spin_system(), cfg.material(), cfg.model()
     populations = thermal.boltzmann_populations(sys_, cfg.temperature())
-    t1, t2 = fitting.relaxation_times(ens)
-    *_, budget = _sensitivity_budget(cfg)
+    t1, t2 = fitting.relaxation_times(model)
+    *_, budget = _sensitivity_budget(cfg, model)
     summary = {
         "populations": list(populations),
         "polarization": thermal.polarization(populations),
         "n_total_spins": thermal.total_interrogated_spins(matp),
         "n_polarized_spins": thermal.polarized_spin_count(matp, populations),
-        "g_eff_rad_per_s": ens.g_eff,
-        "cooperativity_xi": cooperativity(ens, cav),
+        "g_eff_rad_per_s": model["g_eff"],
+        "cooperativity_xi": cooperativity(model),
         "t1_s": t1,
         "t2_s": t2,
         "kappa_th_threshold_dbm": watts_to_dbm(kappa_th_threshold_power(
-            t1, t2, ens.g_s, drive.omega_d, cav.kappa_c)),
+            t1, t2, model["g_s"], cfg["drive"]["omega_d_ghz"],
+            model["kappa_c0"] + model["kappa_c1"])),
     }
     summary.update((key, budget[key]) for key in _REPORT_BUDGET_KEYS
                    if key in budget)

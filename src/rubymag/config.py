@@ -7,14 +7,18 @@ in watts.  Unknown keys are hard errors; a known quantity spelled with the
 wrong unit suffix raises UnitMismatch naming the expected key, and so does a
 value of the wrong JSON type.  Omitted keys and blocks fall back to the
 defaults in _SCHEMA, the one place the paper's values are written: the
-parameter bundles the RunConfig views build carry no defaults.
+types the RunConfig views build (SpinSystem, MaterialParams, CoilGeometry)
+carry no defaults, and model() builds cavity.gamma_prime's params record
+straight from the blocks.
 
 _SCHEMA also holds every key's range, so a value out of range fails the
 parse as ConfigError whichever command runs, and no RunConfig view
-refuses a parsed config.  Two checks span several keys and stay at run
-time: the crossing grid's shape and every sweep axis (a ConfigError from
-the cli), and every drive frequency Gamma' is evaluated at, shifted by
-nonideal.omega_d_off (cavity.gamma_prime, a runtime error).
+refuses a parsed config; gamma_prime checks the record's ranges again
+where it is used, and a parsed config always passes them.  Two checks span
+several keys and stay at run time: the crossing grid's shape and every
+sweep axis (a ConfigError from the cli), and every drive frequency Gamma'
+is evaluated at, shifted by nonideal.omega_d_off (cavity.gamma_prime, a
+runtime error).
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .calibration import CoilGeometry
-from .cavity import (MODEL_NAMES, CavityParams, DriveParams, EnsembleParams,
-                     dbm_to_watts, single_spin_coupling)
+from .cavity import MODEL_NAMES, dbm_to_watts, single_spin_coupling
 from .errors import ConfigError, ParseError, UnitMismatch, UnknownKey
 from .spins import SpinSystem
 from .thermal import (MaterialParams, boltzmann_populations,
@@ -168,13 +171,10 @@ class RunConfig:
     def temperature(self) -> float:
         return self["material"]["temperature_k"]
 
-    def cavity(self) -> CavityParams:
-        c = self["cavity"]
-        return CavityParams(omega_c=c["omega_c_ghz"],
-                            kappa_c0=c["kappa_c0_khz"],
-                            kappa_c1=c["kappa_c1_khz"])
-
-    def ensemble(self) -> EnsembleParams:
+    def ensemble(self) -> tuple[float, float]:
+        """(g_s, N): the config's single-spin coupling and polarized spin
+        count, each derived where the config leaves it null, g_s from the
+        modal volume and N from the Boltzmann populations."""
         e = self["ensemble"]
         g_s = e["g_s_hz"]
         if g_s is None:
@@ -184,23 +184,20 @@ class RunConfig:
         if n is None:
             n = polarized_spin_count(self.material(), boltzmann_populations(
                 self.spin_system(), self.temperature()))
-        return EnsembleParams(g_s=g_s, N=n, kappa_s=e["kappa_s_mhz"],
-                              kappa_th=e["kappa_th_khz"],
-                              omega_s=e["omega_s_ghz"])
-
-    def drive(self) -> DriveParams:
-        d = self["drive"]
-        return DriveParams(omega_d=d["omega_d_ghz"], power=d["power_dbm"])
+        return g_s, n
 
     def model(self) -> dict:
-        """cavity.gamma_prime's params record: the cavity and ensemble
-        views' values, g_eff = g_s sqrt(N), and the nonideal block."""
-        cav, ens, n = self.cavity(), self.ensemble(), self["nonideal"]
+        """cavity.gamma_prime's params record: the cavity block's rates and
+        frequency, the ensemble block's rates, g_eff = g_s sqrt(N) and g_s
+        from ensemble(), and the nonideal block."""
+        c, e, n = self["cavity"], self["ensemble"], self["nonideal"]
+        g_s, n_spins = self.ensemble()
         return dict(zip(MODEL_NAMES, (
-            cav.kappa_c0, cav.kappa_c1, ens.kappa_s, ens.kappa_th, ens.g_eff,
+            c["kappa_c0_khz"], c["kappa_c1_khz"], e["kappa_s_mhz"],
+            e["kappa_th_khz"], g_s * math.sqrt(n_spins),
             n["o_r"], n["o_i"], n["amplitude_a"], n["slope_b_per_hz"],
             n["psi_rad"], n["tau_s"], n["omega_s_off_mhz"],
-            n["omega_d_off_mhz"], cav.omega_c, ens.g_s)))
+            n["omega_d_off_mhz"], c["omega_c_ghz"], g_s)))
 
     def coil(self) -> CoilGeometry:
         c = self["calibration"]

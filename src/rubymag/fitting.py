@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import (PARAM_NAMES, EnsembleParams, gamma_prime,
-                     gamma_prime_jacobian)
+from .cavity import PARAM_NAMES, gamma_prime, gamma_prime_jacobian
 from .csvio import read_columns, render_columns
 from .errors import AllZeroBorder, InvalidBounds, ParseError, ZeroRate
 
@@ -382,11 +381,13 @@ def fit_crossing(data: ComplexGrid2D, guess: dict,
                      converged=converged)
 
 
-def relaxation_times(ens: EnsembleParams) -> tuple[float, float]:
-    """(T1, T2) in seconds from kappa_th = 1/T1 and kappa_s = 2/T2."""
-    if ens.kappa_th <= 0 or ens.kappa_s <= 0:
+def relaxation_times(params: dict) -> tuple[float, float]:
+    """(T1, T2) in seconds from the params record's kappa_th = 1/T1 and
+    kappa_s = 2/T2."""
+    kappa_th, kappa_s = params["kappa_th"], params["kappa_s"]
+    if kappa_th <= 0 or kappa_s <= 0:
         raise ZeroRate("relaxation rates must be positive")
-    return 1.0 / ens.kappa_th, 2.0 / ens.kappa_s
+    return 1.0 / kappa_th, 2.0 / kappa_s
 
 
 # ---------------------------------------------------------------------------

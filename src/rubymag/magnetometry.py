@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import constants as CONST
-from .cavity import DriveParams, db_to_voltage_gain, gamma_prime
+from .cavity import db_to_voltage_gain, gamma_prime
 from .csvio import render_columns
 from .errors import (EmptyTable, NegativeRadicand, TooFewPoints, ZeroSignal,
                      ZeroSlope)
@@ -119,19 +119,18 @@ def spin_frequency_vs_field(sys: SpinSystem, b_values) -> np.ndarray:
     return np.abs(2.0 * sys.D + (sys.g_par * CONST.mu_B / CONST.hbar) * b_values)
 
 
-def bias_sweep_trace(omega_s, params: dict, drive: DriveParams,
+def bias_sweep_trace(omega_s, params: dict, omega_d: float, power: float,
                      chain_gain_db: float) -> np.ndarray:
     """Complex channel voltage at the spin frequencies omega_s (rad/s), of
-    any shape, for the params record of cavity.gamma_prime: .real is the
-    absorptive channel and .imag the dispersive one.
+    any shape, for the params record of cavity.gamma_prime driven at
+    omega_d (rad/s) with power (W): .real is the absorptive channel and
+    .imag the dispersive one.
 
     The caller maps its bias fields to omega_s, by spin_frequency_vs_field
     on axis or by a tracked line of any orientation.
     """
-    gamma = gamma_prime(omega_s, drive.omega_d, drive.omega_d, drive.power,
-                        params)
-    scale = db_to_voltage_gain(chain_gain_db) \
-        * math.sqrt(drive.power * _LOAD_OHM)
+    gamma = gamma_prime(omega_s, omega_d, omega_d, power, params)
+    scale = db_to_voltage_gain(chain_gain_db) * math.sqrt(power * _LOAD_OHM)
     return scale * gamma
 
 

@@ -5,11 +5,11 @@ collect this module.
 
 - analytic_energies_axial is the closed form of the levels at theta = 0,
   the oracle of spins.eigensolve.
-- photon_number, spin_interaction and reflection give Gamma from parameter
-  bundles by composing cavity.interaction_term and
+- photon_number, spin_interaction and reflection give Gamma of a params
+  record by composing cavity.interaction_term and
   cavity.reflection_coefficient, the term-by-term reference of
   cavity.gamma_prime.
-- record builds gamma_prime's params record from parameter bundles.
+- record builds gamma_prime's params record from its values by name.
 - optical_power_equivalent and field_from_slope are the paper's arithmetic
   that acceptance criteria 10 and 11 check.
 """
@@ -17,8 +17,7 @@ collect this module.
 import numpy as np
 
 from rubymag import constants as CONST
-from rubymag.cavity import (PARAM_NAMES, CavityParams, DriveParams,
-                            EnsembleParams, interaction_term,
+from rubymag.cavity import (MODEL_NAMES, PARAM_NAMES, interaction_term,
                             reflection_coefficient)
 from rubymag.errors import ZeroLinewidth, ZeroSlope
 from rubymag.spins import SpinSystem
@@ -41,39 +40,42 @@ def analytic_energies_axial(sys: SpinSystem, b_z: float) -> np.ndarray:
     return np.sort(e)
 
 
-def photon_number(drive: DriveParams, kappa_c: float) -> float:
+def photon_number(omega_d: float, power: float, kappa_c: float) -> float:
     """Mean intracavity photon number n_cav = P / (hbar omega_d kappa_c)."""
     if kappa_c <= 0:
         raise ZeroLinewidth("kappa_c must be positive")
-    if drive.omega_d <= 0:
+    if omega_d <= 0:
         raise ZeroLinewidth("omega_d must be positive")
-    return drive.power / (CONST.hbar * drive.omega_d * kappa_c)
+    return power / (CONST.hbar * omega_d * kappa_c)
 
 
-def spin_interaction(ens: EnsembleParams, drive: DriveParams, n_cav: float):
-    """Pi evaluated from parameter bundles."""
-    return interaction_term(ens.g_s, ens.N, ens.kappa_s, ens.kappa_th,
-                            ens.omega_s, drive.omega_d, n_cav)
+def spin_interaction(params: dict, omega_s, omega_d, n_cav: float):
+    """Pi of the params record, its g_eff carried as g_s sqrt(N)."""
+    g_s = params["g_s"]
+    return interaction_term(g_s, (params["g_eff"] / g_s) ** 2,
+                            params["kappa_s"], params["kappa_th"], omega_s,
+                            omega_d, n_cav)
 
 
-def reflection(cav: CavityParams, ens: EnsembleParams, drive: DriveParams):
-    """Spin-loaded complex reflection coefficient at the drive frequency."""
-    n_cav = photon_number(drive, cav.kappa_c)
-    pi_term = spin_interaction(ens, drive, n_cav)
-    return reflection_coefficient(cav.kappa_c0, cav.kappa_c1, cav.omega_c,
-                                  drive.omega_d, pi_term)
+def reflection(params: dict, omega_s, omega_d, power: float):
+    """Spin-loaded complex reflection coefficient of the params record's
+    cavity and spin values, its non-idealities ignored."""
+    kappa_c0, kappa_c1 = params["kappa_c0"], params["kappa_c1"]
+    n_cav = photon_number(omega_d, power, kappa_c0 + kappa_c1)
+    pi_term = spin_interaction(params, omega_s, omega_d, n_cav)
+    return reflection_coefficient(kappa_c0, kappa_c1, params["omega_c"],
+                                  omega_d, pi_term)
 
 
-def record(cav: CavityParams, ens: EnsembleParams, **nonideal) -> dict:
-    """gamma_prime's params record of the bundles, g_eff = ens.g_eff, with
-    the non-idealities given by name and 0 otherwise."""
-    unknown = set(nonideal) - set(PARAM_NAMES[5:])
-    if unknown:
-        raise KeyError(f"not a non-ideality: {sorted(unknown)}")
-    return {"kappa_c0": cav.kappa_c0, "kappa_c1": cav.kappa_c1,
-            "kappa_s": ens.kappa_s, "kappa_th": ens.kappa_th,
-            "g_eff": ens.g_eff, **dict.fromkeys(PARAM_NAMES[5:], 0.0),
-            **nonideal, "omega_c": cav.omega_c, "g_s": ens.g_s}
+def record(**values) -> dict:
+    """gamma_prime's params record, in MODEL_NAMES order, from its values
+    by name: the non-idealities PARAM_NAMES[5:] are 0 unless given, every
+    other name is required, and an unknown name is a KeyError."""
+    params = {name: values.pop(name, 0.0) if name in PARAM_NAMES[5:]
+              else values.pop(name) for name in MODEL_NAMES}
+    if values:
+        raise KeyError(f"not a record name: {sorted(values)}")
+    return params
 
 
 def optical_power_equivalent(N: float, omega: float, kappa_th: float,

@@ -12,16 +12,15 @@ g_eff^2 / kappa_s = xi kappa_c / 4, about 0.44 kappa_c at xi = 1.77.
 
 import itertools
 import math
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from rubymag.calibration import solenoid_axial_field
-from rubymag.cavity import (CavityParams, DriveParams, cooperativity,
-                            dbm_to_watts, kappa_th_threshold_power,
-                            single_spin_coupling, watts_to_dbm)
+from rubymag.cavity import (cooperativity, dbm_to_watts,
+                            kappa_th_threshold_power, single_spin_coupling,
+                            watts_to_dbm)
 from rubymag import constants as CONST
 from rubymag.config import parse_config
 from rubymag.fitting import (GridSpec, dip_trajectory, fit_crossing,
@@ -37,16 +36,18 @@ from rubymag.spins import (FieldVector, build_hamiltonian, eigensolve,
 from rubymag.thermal import (boltzmann_populations, polarization,
                              polarized_spin_count, total_interrogated_spins)
 from oracle import (analytic_energies_axial, field_from_slope,
-                    optical_power_equivalent, record, reflection)
+                    optical_power_equivalent, reflection)
 from timeseries import (amplitude_density, noise_floor, simulate_timeseries,
                         tone_rms)
 
 TWO_PI = 2.0 * math.pi
 DEFAULTS = parse_config({})
 SYS = DEFAULTS.spin_system()
-CAV = DEFAULTS.cavity()
 G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
-ENS = replace(DEFAULTS.ensemble(), g_s=G_S, N=(TWO_PI * 3.5e6 / G_S) ** 2)
+# the paper's fitted g_eff = 2 pi x 3.5 MHz with the modal-volume g_s
+PHYS = {**DEFAULTS.model(), "g_s": G_S, "g_eff": TWO_PI * 3.5e6}
+OMEGA_C = PHYS["omega_c"]
+KAPPA_C = PHYS["kappa_c0"] + PHYS["kappa_c1"]
 
 
 def test_criterion_01_boltzmann_populations():
@@ -72,8 +73,7 @@ def test_criterion_03_coupling_consistency():
 
 
 def test_criterion_04_cooperativity():
-    ens = replace(ENS, g_s=1.0, N=(TWO_PI * 3.5e6) ** 2)
-    assert cooperativity(ens, CAV) == pytest.approx(1.8, abs=0.05)
+    assert cooperativity(PHYS) == pytest.approx(1.8, abs=0.05)
 
 
 def test_criterion_05_threshold_power():
@@ -84,7 +84,7 @@ def test_criterion_05_threshold_power():
 
 
 def test_criterion_06_relaxation_times():
-    t1, t2 = relaxation_times(replace(ENS, g_s=1.0, N=1.0))
+    t1, t2 = relaxation_times(PHYS)
     # stated values are the computed times rounded to two significant figures
     assert float(f"{t2:.2g}") == 7.6e-9
     assert float(f"{t1:.2g}") == 1.3e-6
@@ -163,20 +163,16 @@ def _fit_errors(noise_sigma, data_seed, guess_seed):
     spec = _wide_50x50()
     rng = np.random.default_rng(guess_seed)
     p = lambda x: x * rng.uniform(0.8, 1.2)
-    cav = CavityParams(omega_c=CAV.omega_c, kappa_c0=p(CAV.kappa_c0),
-                       kappa_c1=p(CAV.kappa_c1))
-    ens = replace(ENS, N=(p(ENS.g_eff) / G_S) ** 2, kappa_s=p(ENS.kappa_s),
-                  kappa_th=p(ENS.kappa_th))
-    grid = simulate_crossing(record(CAV, ENS, **_NI_TRUTH), spec, noise_sigma,
+    guess = {**PHYS, **{name: p(PHYS[name]) for name in (
+        "kappa_c0", "kappa_c1", "g_eff", "kappa_s", "kappa_th")}}
+    grid = simulate_crossing({**PHYS, **_NI_TRUTH}, spec, noise_sigma,
                              seed=data_seed)
-    res = fit_crossing(normalize_grid(grid), record(cav, ens, **_NI_TRUTH))
+    res = fit_crossing(normalize_grid(grid), {**guess, **_NI_TRUTH})
     p = res.params
     return {
-        "kappa_c": abs((p["kappa_c0"] + p["kappa_c1"]) / CAV.kappa_c - 1),
-        "kappa_c1": abs(p["kappa_c1"] / CAV.kappa_c1 - 1),
-        "kappa_s": abs(p["kappa_s"] / ENS.kappa_s - 1),
-        "g_eff": abs(p["g_eff"] / ENS.g_eff - 1),
-        "kappa_th": abs(p["kappa_th"] / ENS.kappa_th - 1),
+        "kappa_c": abs((p["kappa_c0"] + p["kappa_c1"]) / KAPPA_C - 1),
+        **{name: abs(p[name] / PHYS[name] - 1)
+           for name in ("kappa_c1", "kappa_s", "g_eff", "kappa_th")},
     }
 
 
@@ -195,10 +191,10 @@ def test_criterion_13_fit_round_trip():
 def test_criterion_14_noise_model_properties():
     pos = np.logspace(2, 6, 25)
     offsets = TWO_PI * np.concatenate([-pos[::-1], [0.0], pos])
-    ens = replace(ENS, g_s=1.0, N=(TWO_PI * 3.5e6) ** 2)
-    values = np.array([
-        reflection(CAV, ens, DriveParams(omega_d=CAV.omega_c + o, power=1e-5))
-        for o in offsets])
+    model = {**PHYS, "g_s": 1.0}
+    omega_s = DEFAULTS["ensemble"]["omega_s_ghz"]
+    values = np.array([reflection(model, omega_s, OMEGA_C + o, 1e-5)
+                       for o in offsets])
     gp, gs = decompose_gamma(values)
     assert np.allclose(gp + gs, values, atol=1e-12)
     _, even_s = decompose_gamma(np.array([0.5, 0.2, 0.5], dtype=complex))
@@ -214,18 +210,19 @@ def test_criterion_14_noise_model_properties():
 
 
 def test_criterion_15_end_to_end_consistency():
-    drive = DriveParams(omega_d=TWO_PI * 11.4e9, power=dbm_to_watts(11.0))
-    model = record(CAV, ENS)
+    omega_d, power = TWO_PI * 11.4e9, dbm_to_watts(11.0)
+    model = PHYS
     slope = SYS.g_par * CONST.mu_B / CONST.hbar
-    b_center = (2.0 * abs(SYS.D) - drive.omega_d) / slope
+    b_center = (2.0 * abs(SYS.D) - omega_d) / slope
     b_test, w_test = 242e-9, TWO_PI * 10.0
 
     b = np.linspace(b_center - 5e-5, b_center + 5e-5, 101)
-    v = bias_sweep_trace(spin_frequency_vs_field(SYS, b), model, drive, 21.0)
+    v = bias_sweep_trace(spin_frequency_vs_field(SYS, b), model, omega_d,
+                         power, 21.0)
     slopes, _ = dispersive_slope(b, v.imag)
     m_here = abs(slopes[50])
 
-    ts = simulate_timeseries(SYS, model, drive, b_center, b_test,
+    ts = simulate_timeseries(SYS, model, omega_d, power, b_center, b_test,
                              w_test, 21.0, 0.0, fs=2000.0, duration=4.0,
                              seed=0)
     freqs, asd = amplitude_density(ts.imag - np.mean(ts.imag), fs=2000.0)
@@ -235,8 +232,8 @@ def test_criterion_15_end_to_end_consistency():
     floor_v = 26e-9
     predicted_eta = floor_v / m_here
     for seed in range(10):
-        ts = simulate_timeseries(SYS, model, drive, b_center, b_test,
-                                 w_test, 21.0, floor_v, fs=2000.0,
+        ts = simulate_timeseries(SYS, model, omega_d, power, b_center,
+                                 b_test, w_test, 21.0, floor_v, fs=2000.0,
                                  duration=4.0, seed=seed)
         freqs, asd = amplitude_density(
             ts.imag - np.mean(ts.imag), fs=2000.0)
@@ -248,20 +245,20 @@ def test_criterion_15_end_to_end_consistency():
 
 def _dip_pull_toward_spin(detuning):
     """Signed displacement of the reflection dip toward omega_s, rad/s."""
-    omega_s = CAV.omega_c + detuning
+    omega_s = OMEGA_C + detuning
     spec = GridSpec(
         omega_s_values=np.array([omega_s - 1.0, omega_s, omega_s + 1.0]),
-        omega_d_values=np.linspace(CAV.omega_c - TWO_PI * 5e6,
-                                   CAV.omega_c + TWO_PI * 5e6, 801),
+        omega_d_values=np.linspace(OMEGA_C - TWO_PI * 5e6,
+                                   OMEGA_C + TWO_PI * 5e6, 801),
         drive_power=dbm_to_watts(0.0))
-    grid = simulate_crossing(record(CAV, ENS), spec, 0.0, seed=0)
+    grid = simulate_crossing(PHYS, spec, 0.0, seed=0)
     dip = dip_trajectory(grid)[1]
-    return math.copysign(1.0, detuning) * (dip - CAV.omega_c)
+    return math.copysign(1.0, detuning) * (dip - OMEGA_C)
 
 
 def test_criterion_16_avoided_crossing():
     # far detuned: bare-cavity behavior, pull below kappa_c / 10
-    assert abs(_dip_pull_toward_spin(TWO_PI * 200e6)) < CAV.kappa_c / 10.0
+    assert abs(_dip_pull_toward_spin(TWO_PI * 200e6)) < KAPPA_C / 10.0
     # near detuned: the ensemble repels the dip from omega_s.  The loaded
     # denominator's imaginary part is (omega_d - omega_c)
     # - g_eff^2 delta / (delta^2 + kappa_s^2/4 + s0 kappa_s/2) with
@@ -269,15 +266,16 @@ def test_criterion_16_avoided_crossing():
     # sits near omega_c - g_eff^2 Delta / (Delta^2 + ...): a repulsion bounded
     # by g_eff^2 / kappa_s = xi kappa_c / 4 at every detuning and power.
     detuning = TWO_PI * 20e6
-    n_cav = dbm_to_watts(0.0) / (CONST.hbar * CAV.omega_c * CAV.kappa_c)
-    s0 = ENS.g_s ** 2 * n_cav / ENS.kappa_th
-    expected = -ENS.g_eff ** 2 * detuning / (
-        detuning ** 2 + ENS.kappa_s ** 2 / 4.0 + s0 * ENS.kappa_s / 2.0)
+    n_cav = dbm_to_watts(0.0) / (CONST.hbar * OMEGA_C * KAPPA_C)
+    s0 = G_S ** 2 * n_cav / PHYS["kappa_th"]
+    kappa_s = PHYS["kappa_s"]
+    expected = -PHYS["g_eff"] ** 2 * detuning / (
+        detuning ** 2 + kappa_s ** 2 / 4.0 + s0 * kappa_s / 2.0)
     grid_step = TWO_PI * 10e6 / 800
     pull = _dip_pull_toward_spin(detuning)
     assert pull < 0.0
     assert pull == pytest.approx(expected, abs=grid_step)
-    assert abs(pull) > CAV.kappa_c / 10.0
+    assert abs(pull) > KAPPA_C / 10.0
 
 
 def test_off_axis_mixing_allows_the_line_forbidden_on_axis():
@@ -373,20 +371,20 @@ def test_transverse_sensitivity_against_axial():
     gives 1.023.
     """
     b_values = np.linspace(20e-4, 45e-4, 2501)
-    drive = DEFAULTS.drive()
+    omega_d, power = (DEFAULTS["drive"]["omega_d_ghz"],
+                      DEFAULTS["drive"]["power_dbm"])
 
     def allowed_line(theta_deg):
         sweep = energy_level_sweep(SYS, math.radians(theta_deg), b_values)
         lines = []
         for i, j in itertools.combinations(range(4), 2):
             freq, strength = transition(*sweep, i, j)
-            k = np.flatnonzero((freq[:-1] > drive.omega_d)
-                               != (freq[1:] > drive.omega_d))
+            k = np.flatnonzero((freq[:-1] > omega_d) != (freq[1:] > omega_d))
             if k.size == 1 and strength[k[0]] > 0.5:
                 lines.append(((i, j), int(k[0]), freq, strength[k[0]]))
         [(pair, k, freq, strength)] = lines
         slope = (freq[k + 1] - freq[k]) / (b_values[k + 1] - b_values[k])
-        v = bias_sweep_trace(freq, DEFAULTS.model(), drive,
+        v = bias_sweep_trace(freq, DEFAULTS.model(), omega_d, power,
                              DEFAULTS["sweep"]["chain_gain_db"])
         _, m_max = dispersive_slope(b_values, v.imag)
         return pair, b_values[k], slope / TWO_PI, strength, m_max

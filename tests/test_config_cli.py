@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 
 import rubymag
 from rubymag import cli, iqnoise
-from rubymag.cavity import (dbm_to_watts, interaction_term,
+from rubymag.cavity import (dbm_to_watts, gamma_prime, interaction_term,
                             reflection_coefficient, single_spin_coupling)
 from rubymag.cli import _DISPATCH, _read_argv, main, split_seed
 from rubymag.config import FLAT_KEYS, parse_config
@@ -49,17 +48,17 @@ def test_unit_conversion_contract():
 
 def test_derived_ensemble_defaults():
     cfg = parse_config({})
-    ens = cfg.ensemble()
+    g_s, n = cfg.ensemble()
     g_geo = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
-    assert ens.g_s == pytest.approx(g_geo, rel=1e-12)
-    assert ens.N == pytest.approx(3.5e14, rel=0.15)
+    assert g_s == pytest.approx(g_geo, rel=1e-12)
+    assert n == pytest.approx(3.5e14, rel=0.15)
 
 
 def test_explicit_ensemble_values_override_derivation():
     cfg = parse_config({"ensemble": {"g_s_hz": 0.2, "n_spins": 1e14}})
-    ens = cfg.ensemble()
-    assert ens.g_s == pytest.approx(TWO_PI * 0.2)
-    assert ens.N == pytest.approx(1e14)
+    g_s, n = cfg.ensemble()
+    assert g_s == pytest.approx(TWO_PI * 0.2)
+    assert n == pytest.approx(1e14)
 
 
 def test_misspelled_key_unknown():
@@ -831,6 +830,37 @@ def test_eigen_goes_through_public_eigensolve(tmp_path, monkeypatch):
     assert calls == [(11, 4, 4)]
 
 
+def test_each_command_builds_the_ensemble_at_most_once(tmp_path,
+                                                      monkeypatch):
+    """RunConfig.ensemble, which the benchmark's tracer counts, derives g_s
+    and N, the Boltzmann populations included.  Only model() calls it, and
+    each command builds its model at most once; eigen and calibrate need
+    none."""
+    from rubymag.config import RunConfig
+    calls = []
+    ensemble = RunConfig.ensemble
+
+    def counted(self):
+        calls.append(self)
+        return ensemble(self)
+
+    monkeypatch.setattr(RunConfig, "ensemble", counted)
+    (tmp_path / "cal.csv").write_text(
+        "current_a,field_t\n0.0,1e-9\n0.005,1.1e-7\n0.01,2.2e-7\n")
+    inputs = {"crossing-fit": tmp_path / "crossing.csv",
+              "calibrate": tmp_path / "cal.csv"}
+    counts = {}
+    for command in _DISPATCH:   # crossing-sim writes what crossing-fit reads
+        calls.clear()
+        extra = ["--input", str(inputs[command])] if command in inputs else []
+        assert main([command, "--output-dir", str(tmp_path), "--n-omega-s",
+                     "12", "--n-omega-d", "12", *extra]) == 0, command
+        counts[command] = len(calls)
+    assert counts == {"eigen": 0, "crossing-sim": 1, "crossing-fit": 1,
+                      "noise-predict": 1, "sensitivity": 1, "optimize": 1,
+                      "calibrate": 0, "report": 1}
+
+
 def test_reader_takes_every_config_flag_on_every_command():
     """Every config flag, in both spellings, reaches the config on every
     command; --input only on the commands that read a CSV.  Each key is set
@@ -859,8 +889,7 @@ def test_reader_takes_every_config_flag_on_every_command():
 
 # the domain-object views a command builds from its RunConfig, and the
 # number keys of the blocks they read
-_VIEWS = ("spin_system", "material", "cavity", "ensemble", "drive",
-          "model", "coil")
+_VIEWS = ("spin_system", "material", "ensemble", "model", "coil")
 _VIEW_KEYS = sorted(key for key, block in FLAT_KEYS.items() if block in (
     "spin", "material", "cavity", "ensemble", "drive", "nonideal",
     "calibration"))
@@ -880,10 +909,12 @@ _ANY_NUMBER = st.one_of(
 @example(value=-1, others={})
 @example(value=7, others={})
 def test_every_parsed_config_builds_every_view(key, value, others):
-    """Whatever values the schema accepts, every view builds: the schema is
-    the one place a bad value is refused, whichever command runs.  Each key
-    in turn takes 0, -1, 7 and drawn values, with up to three others drawn
-    beside it."""
+    """Whatever values the schema accepts, every view builds, and the
+    params record passes gamma_prime's checks at the config's own spin and
+    drive frequencies (omega_d_off, a check across keys that stays at run
+    time, set to 0): the schema is the one place a bad value is refused,
+    whichever command runs.  Each key in turn takes 0, -1, 7 and drawn
+    values, with up to three others drawn beside it."""
     texts = {k: json.dumps(v) for k, v in {**others, key: value}.items()}
     try:
         cfg = parse_config({}, texts)
@@ -897,6 +928,13 @@ def test_every_parsed_config_builds_every_view(key, value, others):
                 # a float overflow at an extreme value (a temperature of
                 # 5e-324 K) is a runtime failure, exit 1, as in a command
                 pass
+        try:
+            drive = cfg["drive"]
+            omega_d, power = drive["omega_d_ghz"], drive["power_dbm"]
+            gamma_prime(cfg["ensemble"]["omega_s_ghz"], omega_d, omega_d,
+                        power, {**cfg.model(), "omega_d_off": 0.0})
+        except ArithmeticError:
+            pass
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
@@ -972,18 +1010,20 @@ def test_noise_predict_uses_bundled_spectra(tmp_path, nonideal):
     assert all(line.endswith("V2_per_Hz") for line in lines[1:])
     # Gamma from the term-by-term reference, n_cav pinned at the carrier
     cfg = parse_config(raw)
-    cav, ens, drive = cfg.cavity(), cfg.ensemble(), cfg.drive()
+    c, e, d = cfg["cavity"], cfg["ensemble"], cfg["drive"]
+    g_s, n = cfg.ensemble()
     data = importlib.resources.files("rubymag") / "data"
     phase = iqnoise.read_spectrum_csv(data / "phase_noise.csv")
     amp = iqnoise.read_spectrum_csv(data / "amplitude_noise.csv")
     pos = phase.offsets * TWO_PI
     offsets = np.concatenate([-pos[::-1], [0.0], pos])
-    omega_d = drive.omega_d + offsets
-    pi_term = interaction_term(ens.g_s, ens.N, ens.kappa_s, ens.kappa_th,
-                               ens.omega_s, omega_d,
-                               photon_number(drive, cav.kappa_c))
-    gamma = reflection_coefficient(cav.kappa_c0, cav.kappa_c1, cav.omega_c,
-                                   omega_d, pi_term)
+    omega_d = d["omega_d_ghz"] + offsets
+    n_cav = photon_number(d["omega_d_ghz"], d["power_dbm"],
+                          c["kappa_c0_khz"] + c["kappa_c1_khz"])
+    pi_term = interaction_term(g_s, n, e["kappa_s_mhz"], e["kappa_th_khz"],
+                               e["omega_s_ghz"], omega_d, n_cav)
+    gamma = reflection_coefficient(c["kappa_c0_khz"], c["kappa_c1_khz"],
+                                   c["omega_c_ghz"], omega_d, pi_term)
     want = iqnoise.predict_noise_psd(amp, phase, phase.offsets, gamma, 0.0)
     got = [float(line.split(",")[1]) for line in lines[1:]]
     assert np.allclose(got, want.density, rtol=1e-12, atol=0.0)
@@ -1069,21 +1109,21 @@ def test_optimize_matches_window_polyfit(tmp_path, nonideal):
     assert run_cli("optimize", "--config", str(path),
                    "--output-dir", str(out)) == 0
     cfg = parse_config(raw)
-    s, drive = cfg["sweep"], cfg.drive()
+    s, omega_d, p_ref = (cfg["sweep"], cfg["drive"]["omega_d_ghz"],
+                         cfg["drive"]["power_dbm"])
     b_values = np.linspace(s["bias_b_gauss"] - s["b_span_gauss"] / 2.0,
                            s["bias_b_gauss"] + s["b_span_gauss"] / 2.0, 9)
-    p_ref_dbm = 10.0 * math.log10(drive.power / 1e-3)
+    p_ref_dbm = 10.0 * math.log10(p_ref / 1e-3)
     p_dbm = np.linspace(p_ref_dbm - 6.0, p_ref_dbm + 6.0, 9)
     half = s["b_span_gauss"] / 8.0
     want = np.empty((9, 9))
     for j, dbm in enumerate(p_dbm):
         power = dbm_to_watts(float(dbm))
-        e_n = s["noise_floor_nv_per_rthz"] * math.sqrt(power / drive.power)
+        e_n = s["noise_floor_nv_per_rthz"] * math.sqrt(power / p_ref)
         for i, b0 in enumerate(b_values):
             b = np.linspace(b0 - half, b0 + half, 21)
             omega_s = spin_frequency_vs_field(cfg.spin_system(), b)
-            v = bias_sweep_trace(omega_s, cfg.model(),
-                                 replace(drive, power=power),
+            v = bias_sweep_trace(omega_s, cfg.model(), omega_d, power,
                                  chain_gain_db=s["chain_gain_db"])
             slope = np.polyfit(b[8:13] - b[10], v.imag[8:13], 2)[1]
             want[i, j] = e_n / abs(slope)

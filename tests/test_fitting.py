@@ -9,9 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rubymag.cavity import (CavityParams, EnsembleParams, dbm_to_watts,
-                            kappa_th_threshold_power, single_spin_coupling,
-                            watts_to_dbm)
+from rubymag.cavity import (dbm_to_watts, kappa_th_threshold_power,
+                            single_spin_coupling, watts_to_dbm)
 from rubymag import cli, fitting
 from rubymag import constants as CONST
 from rubymag.config import parse_config
@@ -24,7 +23,6 @@ from rubymag.fitting import (PARAM_NAMES, ComplexGrid2D, FitResult,
                              fit_result_to_dict, normalize_grid, objective_l1,
                              read_grid_csv, relaxation_times,
                              simulate_crossing, write_grid_csv)
-from oracle import record
 
 TWO_PI = 2.0 * math.pi
 G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
@@ -32,13 +30,12 @@ DEFAULTS = parse_config({})
 
 # target parameter set: g_eff = 2 pi x 3.5 MHz, kappa_c = 2 pi x 660 kHz,
 # kappa_s = 2 pi x 42 MHz, kappa_th = 2 pi x 120 kHz
-CAV = DEFAULTS.cavity()
-ENS = replace(DEFAULTS.ensemble(), g_s=G_S, N=(TWO_PI * 3.5e6 / G_S) ** 2)
+PHYS = {**DEFAULTS.model(), "g_s": G_S, "g_eff": TWO_PI * 3.5e6}
 # fitted auxiliary values; tau and b nonzero so the overall-scale direction
 # (kappa_c1 versus o_r, o_i, A) stays identifiable
 NI = {"o_r": -0.008, "o_i": 0.12, "A": 0.003, "b": 1e-9, "psi": 0.14,
       "tau": -1.2e-8, "omega_s_off": -7.3e6, "omega_d_off": -5.6e5}
-TRUTH = record(CAV, ENS, **NI)
+TRUTH = {**PHYS, **NI}
 
 
 def wide_spec(n_s=50, n_d=50, power_dbm=0.0):
@@ -49,29 +46,21 @@ def wide_spec(n_s=50, n_d=50, power_dbm=0.0):
         drive_power=dbm_to_watts(power_dbm))
 
 
-def guess_from(cav, ens, ni, rng=None, rel=0.2):
-    """The guess record of the bundles, with the non-idealities ni and the
-    physical rates perturbed +-rel (g_eff through N)."""
+# the five fitted rates, in the order guess_from draws their perturbations
+_RATES = ("kappa_c0", "kappa_c1", "g_eff", "kappa_s", "kappa_th")
+
+
+def guess_from(phys, ni, rng=None, rel=0.2):
+    """The guess record: the record phys with the non-idealities ni and the
+    five rates perturbed +-rel."""
     p = (lambda x: x) if rng is None else (lambda x: x * rng.uniform(1 - rel,
                                                                      1 + rel))
-    return record(
-        CavityParams(omega_c=cav.omega_c, kappa_c0=p(cav.kappa_c0),
-                     kappa_c1=p(cav.kappa_c1)),
-        EnsembleParams(g_s=ens.g_s, N=(p(ens.g_eff) / ens.g_s) ** 2,
-                       kappa_s=p(ens.kappa_s), kappa_th=p(ens.kappa_th),
-                       omega_s=ens.omega_s),
-        **ni)
+    return {**phys, **{name: p(phys[name]) for name in _RATES}, **ni}
 
 
-def physical_errors(res, cav, ens):
-    p = res.params
-    return {
-        "kappa_c0": p["kappa_c0"] / cav.kappa_c0 - 1,
-        "kappa_c1": p["kappa_c1"] / cav.kappa_c1 - 1,
-        "kappa_s": p["kappa_s"] / ens.kappa_s - 1,
-        "kappa_th": p["kappa_th"] / ens.kappa_th - 1,
-        "g_eff": p["g_eff"] / ens.g_eff - 1,
-    }
+def physical_errors(res, truth):
+    """The relative error of each fitted rate against the record truth."""
+    return {name: res.params[name] / truth[name] - 1 for name in _RATES}
 
 
 def unfitted():
@@ -134,11 +123,10 @@ def test_simulate_rejects_zero_kappa_th():
 
 def test_bare_cavity_dip_sits_at_cavity_resonance():
     spec = wide_spec(6, 101)
-    grid = simulate_crossing(record(CAV, replace(ENS, N=0.0)), spec, 0.0,
-                             seed=0)
+    grid = simulate_crossing({**PHYS, "g_eff": 0.0}, spec, 0.0, seed=0)
     dips = dip_trajectory(grid)
     step = spec.omega_d_values[1] - spec.omega_d_values[0]
-    assert np.all(np.abs(dips - CAV.omega_c) < step)
+    assert np.all(np.abs(dips - PHYS["omega_c"]) < step)
 
 
 def _dip_trajectory_loop(grid):
@@ -236,10 +224,10 @@ def test_objective_at_truth_is_zero():
 def test_fit_from_truth_stays_at_truth():
     spec = wide_spec(15, 15)
     grid = simulate_crossing(TRUTH, spec, 0.0, seed=0)
-    init = guess_from(CAV, ENS, NI)
+    init = guess_from(PHYS, NI)
     res = fit_crossing(grid, init, max_evaluations=20000)
     assert res.objective_value < 1e-9
-    for err in physical_errors(res, CAV, ENS).values():
+    for err in physical_errors(res, PHYS).values():
         assert abs(err) < 1e-6
 
 
@@ -247,7 +235,7 @@ def test_fit_determinism():
     spec = wide_spec(12, 12)
     grid = simulate_crossing(TRUTH, spec, 0.01, seed=1)
     rng = np.random.default_rng(0)
-    init = guess_from(CAV, ENS, NI, rng)
+    init = guess_from(PHYS, NI, rng)
     a = fit_crossing(grid, init, max_evaluations=4000)
     b = fit_crossing(grid, init, max_evaluations=4000)
     assert a.objective_value == b.objective_value
@@ -297,7 +285,7 @@ def test_fused_objective_matches_reference(monkeypatch):
     """
     spec = wide_spec(20, 24)
     grid = simulate_crossing(TRUTH, spec, 0.02, seed=9)
-    init = guess_from(CAV, ENS, NI)
+    init = guess_from(PHYS, NI)
     bounds = default_bounds(TRUTH)
     rng = np.random.default_rng(21)
     checked = []
@@ -312,7 +300,7 @@ def test_fused_objective_matches_reference(monkeypatch):
                                      + frac[k] * math.log(hi / lo))
             else:
                 params[k] = lo + frac[k] * (hi - lo)
-        want = reference_model(params, spec, CAV.omega_c, ENS.g_s,
+        want = reference_model(params, spec, PHYS["omega_c"], G_S,
                                spec.omega_d_mean)
         points.append((np.log(frac / (1.0 - frac)), params, want))
 
@@ -330,7 +318,8 @@ def test_fused_objective_matches_reference(monkeypatch):
     fit_crossing(grid, init)
     for _, params, want in points:
         got = evaluate_model_grid(dict(zip(PARAM_NAMES, params),
-                                       omega_c=CAV.omega_c, g_s=G_S), spec)
+                                       omega_c=PHYS["omega_c"], g_s=G_S),
+                                  spec)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
     # each of the 16 points was checked by both stages
     assert checked.count(False) == checked.count(True) == 16
@@ -367,7 +356,7 @@ def test_fit_calls_objective_once_per_evaluation(monkeypatch):
     stage."""
     spec = wide_spec(10, 10)
     grid = simulate_crossing(TRUTH, spec, 0.01, seed=2)
-    init = guess_from(CAV, ENS, NI, np.random.default_rng(3))
+    init = guess_from(PHYS, NI, np.random.default_rng(3))
     guess = [init[name] for name in PARAM_NAMES]
     calls, objective_calls = counting_kernel(monkeypatch)
     res = fit_crossing(grid, init, max_evaluations=20000)
@@ -422,7 +411,7 @@ def test_fit_jacobian_matches_central_differences(monkeypatch):
     beyond the transform's exp cap too."""
     spec = wide_spec(20, 24)
     grid = simulate_crossing(TRUTH, spec, 0.02, seed=9)
-    init = guess_from(CAV, ENS, NI)
+    init = guess_from(PHYS, NI)
     rng = np.random.default_rng(8)
     closures = []
 
@@ -456,7 +445,7 @@ def test_noiseless_fit_converges():
     spec = wide_spec(10, 10)
     grid = simulate_crossing(TRUTH, spec, 0.0, seed=0)
     for rng in (None, np.random.default_rng(3)):
-        res = fit_crossing(grid, guess_from(CAV, ENS, NI, rng))
+        res = fit_crossing(grid, guess_from(PHYS, NI, rng))
         assert res.converged is True
         assert res.objective_value < 1e-8
 
@@ -468,14 +457,14 @@ def test_criterion_13_noisy_fit_converges_within_budget(monkeypatch):
     spec = wide_spec()
     grid = normalize_grid(simulate_crossing(TRUTH, spec, 0.01,
                                             seed=200))
-    init = guess_from(CAV, ENS, NI, np.random.default_rng(100))
+    init = guess_from(PHYS, NI, np.random.default_rng(100))
     params, _ = counting_kernel(monkeypatch)
     res = fit_crossing(grid, init)
     assert res.converged
     assert len(params) <= 20000
     assert res.iterations <= 60
     assert res.objective_value <= 40.98254358427529
-    for name, err in physical_errors(res, CAV, ENS).items():
+    for name, err in physical_errors(res, PHYS).items():
         assert abs(err) < (0.30 if name == "kappa_th" else 0.10), name
 
 
@@ -496,7 +485,7 @@ def _bench_truth(inputs, k):
     raw["cavity"]["kappa_c1_khz"] *= scale[1]
     raw["ensemble"]["kappa_s_mhz"] *= scale[2]
     raw["ensemble"]["kappa_th_khz"] *= scale[3]
-    raw["ensemble"]["n_spins"] = parse_config(inputs.BASE).ensemble().N \
+    raw["ensemble"]["n_spins"] = parse_config(inputs.BASE).ensemble()[1] \
         * scale[4] ** 2
     raw["nonideal"] = dict(inputs.CRITERION_13_NONIDEAL)
     raw["grid"]["noise_sigma"] = 0.01
@@ -546,7 +535,7 @@ def test_fit_over_forty_truths():
         res = fit_crossing(grid, DEFAULTS.model())
         noise_l1 = 2.0 * grid.values.size * 0.01 * math.sqrt(2.0 / math.pi)
         assert 0.8 <= res.objective_value / noise_l1 <= 1.2, k
-        errors = physical_errors(res, truth.cavity(), truth.ensemble())
+        errors = physical_errors(res, truth.model())
         within += all(abs(err) < inputs.FIT_TOLERANCE[name]
                       for name, err in errors.items())
         converged += res.converged
@@ -563,16 +552,15 @@ def test_round_trip_twenty_random_truths():
     spec = wide_spec(30, 30)
     for _ in range(20):
         u = lambda x: x * rng.uniform(0.5, 1.5)
-        cav = replace(CAV, kappa_c0=u(TWO_PI * 330e3),
-                      kappa_c1=u(TWO_PI * 330e3))
-        ens = replace(ENS, N=(u(TWO_PI * 3.5e6) / G_S) ** 2,
-                      kappa_s=u(TWO_PI * 42e6), kappa_th=u(TWO_PI * 120e3))
+        phys = {**PHYS, "kappa_c0": u(TWO_PI * 330e3),
+                "kappa_c1": u(TWO_PI * 330e3), "g_eff": u(TWO_PI * 3.5e6),
+                "kappa_s": u(TWO_PI * 42e6), "kappa_th": u(TWO_PI * 120e3)}
         ni = {"o_r": u(-0.008), "o_i": u(0.12), "A": u(0.003),
               "b": u(1e-9), "psi": u(0.14), "tau": u(-1.2e-8),
               "omega_s_off": u(-7.3e6), "omega_d_off": u(-5.6e5)}
-        grid = simulate_crossing(record(cav, ens, **ni), spec, 0.0, seed=0)
-        res = fit_crossing(grid, guess_from(cav, ens, ni, rng))
-        for name, err in physical_errors(res, cav, ens).items():
+        grid = simulate_crossing({**phys, **ni}, spec, 0.0, seed=0)
+        res = fit_crossing(grid, guess_from(phys, ni, rng))
+        for name, err in physical_errors(res, phys).items():
             assert abs(err) < 0.01, (name, err)
         got, want = res.params, ni
         for name in ("o_r", "o_i", "A", "psi"):
@@ -590,16 +578,17 @@ def test_kappa_th_power_sensitivity():
     grids still pin kappa_th to better than 20%; ten dB lower the estimate
     error blows past 50%.
     """
-    p_th = kappa_th_threshold_power(1 / ENS.kappa_th, 2 / ENS.kappa_s, G_S,
-                                    TWO_PI * 11.4e9, CAV.kappa_c)
+    p_th = kappa_th_threshold_power(1 / PHYS["kappa_th"], 2 / PHYS["kappa_s"],
+                                    G_S, TWO_PI * 11.4e9,
+                                    PHYS["kappa_c0"] + PHYS["kappa_c1"])
     p_th_dbm = watts_to_dbm(p_th)
 
     def kth_error(power_dbm, seed):
         spec = wide_spec(power_dbm=power_dbm)
         grid = simulate_crossing(TRUTH, spec, 0.05, seed=seed)
-        init = guess_from(CAV, ENS, NI)
+        init = guess_from(PHYS, NI)
         res = fit_crossing(normalize_grid(grid), init)
-        return abs(res.params["kappa_th"] / ENS.kappa_th - 1)
+        return abs(res.params["kappa_th"] / PHYS["kappa_th"] - 1)
 
     for seed in (0, 1):
         assert kth_error(p_th_dbm, seed) < 0.20
@@ -612,18 +601,17 @@ def test_kappa_th_power_sensitivity():
 
 
 def test_relaxation_times_paper_values():
-    t1, t2 = relaxation_times(ENS)
+    t1, t2 = relaxation_times(PHYS)
     assert t2 == pytest.approx(7.6e-9, rel=0.02)
     assert t1 == pytest.approx(1.3e-6, rel=0.03)
 
 
 def test_relaxation_times_trivial_and_errors():
-    ens = replace(ENS, g_s=1.0, N=1.0, kappa_s=2.0, kappa_th=1.0)
-    t1, t2 = relaxation_times(ens)
+    t1, t2 = relaxation_times({**PHYS, "kappa_s": 2.0, "kappa_th": 1.0})
     assert t2 == 1.0
     assert t1 == 1.0
     with pytest.raises(ZeroRate):
-        relaxation_times(replace(ENS, g_s=1.0, N=1.0, kappa_s=0.0))
+        relaxation_times({**PHYS, "kappa_s": 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +631,13 @@ def test_grid_csv_round_trip(tmp_path):
 
 def test_fit_json_units_in_keys(tmp_path):
     d = fit_result_to_dict(unfitted())
-    assert d["kappa_s_rad_per_s"] == pytest.approx(ENS.kappa_s)
-    assert d["kappa_c_rad_per_s"] == pytest.approx(CAV.kappa_c)
+    assert d["kappa_s_rad_per_s"] == pytest.approx(PHYS["kappa_s"])
+    assert d["kappa_c_rad_per_s"] == pytest.approx(PHYS["kappa_c0"]
+                                                   + PHYS["kappa_c1"])
     path = tmp_path / "fit.json"
     path.write_text(render_json(path, d))
     loaded = json.loads(path.read_text())
-    assert loaded["g_eff_rad_per_s"] == pytest.approx(ENS.g_eff)
+    assert loaded["g_eff_rad_per_s"] == pytest.approx(PHYS["g_eff"])
     assert loaded["delay_s"] == pytest.approx(NI["tau"])
 
 
@@ -657,15 +646,15 @@ def test_fit_json_reports_the_fitted_g_eff():
     (g_eff / g_s)^2, for 10 000 random g_eff in 0.5-2 times the default.
     Read back as g_s sqrt(N), about one g_eff in nine would differ in its
     last bit."""
-    ens = DEFAULTS.ensemble()
+    model = DEFAULTS.model()
     init = unfitted()
-    init.params["g_s"] = ens.g_s
+    init.params["g_s"] = model["g_s"]
     rng = np.random.default_rng(0)
-    for g_eff in (ens.g_eff * rng.uniform(0.5, 2.0, 10_000)).tolist():
+    for g_eff in (model["g_eff"] * rng.uniform(0.5, 2.0, 10_000)).tolist():
         d = fit_result_to_dict(replace(init, params={**init.params,
                                                      "g_eff": g_eff}))
         assert d["g_eff_rad_per_s"].hex() == g_eff.hex()
-        assert d["n_polarized_spins"] == (g_eff / ens.g_s) ** 2
+        assert d["n_polarized_spins"] == (g_eff / model["g_s"]) ** 2
     assert sorted(d) == [
         "amplitude_correction", "asymmetry_slope_s", "converged", "delay_s",
         "g_eff_rad_per_s", "g_s_rad_per_s", "iterations",

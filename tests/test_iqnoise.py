@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rubymag.cavity import DriveParams
 from rubymag.config import parse_config
 from rubymag.iqnoise import (DBC_PER_HZ, V2_PER_HZ, NoiseSpectrum,
                              decompose_gamma,
@@ -29,11 +27,10 @@ def cavity_gamma(pos_hz=None):
     if pos_hz is None:
         pos_hz = positive_offsets()
     offsets = TWO_PI * np.concatenate([-pos_hz[::-1], [0.0], pos_hz])
-    cav = DEFAULTS.cavity()
-    ens = replace(DEFAULTS.ensemble(), g_s=1.0, N=(TWO_PI * 3.5e6) ** 2)
-    return np.array([
-        reflection(cav, ens, DriveParams(omega_d=cav.omega_c + o, power=1e-5))
-        for o in offsets])
+    model = {**DEFAULTS.model(), "g_s": 1.0, "g_eff": TWO_PI * 3.5e6}
+    omega_s = DEFAULTS["ensemble"]["omega_s_ghz"]
+    return np.array([reflection(model, omega_s, model["omega_c"] + o, 1e-5)
+                     for o in offsets])
 
 
 # ---------------------------------------------------------------------------

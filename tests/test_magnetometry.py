@@ -1,13 +1,12 @@
 import importlib.util
 import math
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rubymag.cavity import DriveParams, dbm_to_watts, single_spin_coupling
+from rubymag.cavity import dbm_to_watts, single_spin_coupling
 from rubymag.cli import _sensitivity_budget
 from rubymag.config import parse_config
 from rubymag import constants as CONST
@@ -20,22 +19,19 @@ from rubymag.magnetometry import (bias_sweep_trace, dispersive_slope,
                                   sensitivity, spin_frequency_vs_field,
                                   thermal_limit)
 from rubymag.spins import FieldVector, build_hamiltonian, eigensolve
-from oracle import record
 from timeseries import (amplitude_density, noise_floor, simulate_timeseries,
                         tone_rms)
 
 TWO_PI = 2.0 * math.pi
 DEFAULTS = parse_config({})
 SYS = DEFAULTS.spin_system()
-CAV = DEFAULTS.cavity()
 G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
-ENS = replace(DEFAULTS.ensemble(), g_s=G_S, N=(TWO_PI * 3.5e6 / G_S) ** 2)
-DRIVE = DriveParams(omega_d=TWO_PI * 11.4e9, power=dbm_to_watts(11.0))
-MODEL = record(CAV, ENS)
+MODEL = {**DEFAULTS.model(), "g_s": G_S, "g_eff": TWO_PI * 3.5e6}
+OMEGA_D, POWER = TWO_PI * 11.4e9, dbm_to_watts(11.0)
 
 # bias field placing the +3/2 <-> +1/2 transition on the drive frequency
 _SLOPE = SYS.g_par * CONST.mu_B / CONST.hbar          # rad/s per tesla
-B_CENTER = (2.0 * abs(SYS.D) - DRIVE.omega_d) / _SLOPE
+B_CENTER = (2.0 * abs(SYS.D) - OMEGA_D) / _SLOPE
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +247,8 @@ def test_spin_frequency_linearized_matches_eigensolve():
 
 def test_bias_sweep_dispersive_zero_crossing_and_slope():
     b = np.linspace(B_CENTER - 2e-4, B_CENTER + 2e-4, 201)
-    v = bias_sweep_trace(spin_frequency_vs_field(SYS, b), MODEL, DRIVE,
-                         21.0)
+    v = bias_sweep_trace(spin_frequency_vs_field(SYS, b), MODEL, OMEGA_D,
+                         POWER, 21.0)
     # dispersive channel crosses zero near line center
     center = v.imag[90:111]
     assert center.min() < 0.0 < center.max()
@@ -264,32 +260,36 @@ def test_bias_sweep_rejects_zero_spin_rates():
     omega_s = spin_frequency_vs_field(
         SYS, np.linspace(B_CENTER - 2e-4, B_CENTER + 2e-4, 11))
     with pytest.raises(ZeroSpinLinewidth):
-        bias_sweep_trace(omega_s, {**MODEL, "kappa_s": 0.0}, DRIVE, 21.0)
+        bias_sweep_trace(omega_s, {**MODEL, "kappa_s": 0.0}, OMEGA_D, POWER,
+                         21.0)
     with pytest.raises(ZeroKappaTh):
-        bias_sweep_trace(omega_s, {**MODEL, "kappa_th": 0.0}, DRIVE, 21.0)
+        bias_sweep_trace(omega_s, {**MODEL, "kappa_th": 0.0}, OMEGA_D, POWER,
+                         21.0)
 
 
 def test_stacked_sweeps_equal_single_sweeps():
     """Stacked sweeps, with non-idealities, across drive powers and bias
     spans, give each row's own slopes bit for bit."""
-    model = record(CAV, ENS, o_r=-0.004, o_i=0.06, A=0.002, b=5e-10, psi=0.1,
-                   tau=-8e-9, omega_s_off=-3e6, omega_d_off=-2e5)
-    drives = [replace(DRIVE, power=dbm_to_watts(p)) for p in (-3.0, 5.0, 17.0)]
+    model = {**MODEL, "o_r": -0.004, "o_i": 0.06, "A": 0.002, "b": 5e-10,
+             "psi": 0.1, "tau": -8e-9, "omega_s_off": -3e6,
+             "omega_d_off": -2e5}
+    powers = [dbm_to_watts(p) for p in (-3.0, 5.0, 17.0)]
     for half_width in (2.5e-5, 5e-4, 3e-3):
         b_centres = B_CENTER + np.linspace(-4e-4, 4e-4, 5)
         axes = np.array([np.linspace(b0 - half_width, b0 + half_width, 21)
                          for b0 in b_centres])
         omega_s = spin_frequency_vs_field(SYS, axes)
-        v = np.stack([bias_sweep_trace(omega_s, model, drive,
+        v = np.stack([bias_sweep_trace(omega_s, model, OMEGA_D, power,
                                        chain_gain_db=21.0).imag
-                      for drive in drives], axis=1)
+                      for power in powers], axis=1)
         got, m_max = dispersive_slope(axes[:, None], v)
         assert got.shape == (5, 3, 21)
         assert m_max == np.max(np.abs(got))
-        for j, drive in enumerate(drives):
+        for j, power in enumerate(powers):
             for i, axis in enumerate(axes):
                 row = bias_sweep_trace(spin_frequency_vs_field(SYS, axis),
-                                       model, drive, chain_gain_db=21.0)
+                                       model, OMEGA_D, power,
+                                       chain_gain_db=21.0)
                 slopes, _ = dispersive_slope(axis, row.imag)
                 assert np.array_equal(got[i, j], slopes), (half_width, i, j)
 
@@ -304,7 +304,7 @@ def test_stacked_sweeps_check_axes_and_drive():
         bias_sweep_trace(spin_frequency_vs_field(
             SYS, np.linspace(B_CENTER - 1e-4, B_CENTER + 1e-4,
                              21)[None].repeat(3, axis=0)),
-            {**MODEL, "kappa_th": 0.0}, DRIVE, 21.0)
+            {**MODEL, "kappa_th": 0.0}, OMEGA_D, POWER, 21.0)
 
 
 def _exact_slope(axis, values, i):
@@ -331,7 +331,7 @@ def test_slope_matches_exact_least_squares():
     spec.loader.exec_module(inputs)
     for seed in (1, 2, 3):
         cfg = parse_config(inputs.cli_inputs(seed)["config"], {})
-        b, v, _ = _sensitivity_budget(cfg)
+        b, v, _ = _sensitivity_budget(cfg, cfg.model())
         slopes, _ = dispersive_slope(b, v.imag)
         for i in range(b.size):
             exact = _exact_slope(b, v.imag, i)
@@ -340,7 +340,7 @@ def test_slope_matches_exact_least_squares():
 
 
 def test_timeseries_constant_without_test_field_or_noise():
-    ts = simulate_timeseries(SYS, MODEL, DRIVE, B_CENTER,
+    ts = simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER,
                              0.0, TWO_PI * 10.0, 21.0, 0.0,
                              fs=500.0, duration=0.5, seed=0)
     assert np.allclose(ts.real, ts.real[0], atol=1e-15)
@@ -349,10 +349,10 @@ def test_timeseries_constant_without_test_field_or_noise():
 
 def test_timeseries_determinism():
     b_test, w_test = 242e-9, TWO_PI * 10.0
-    a = simulate_timeseries(SYS, MODEL, DRIVE, B_CENTER, b_test,
+    a = simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER, b_test,
                             w_test, 21.0, 26e-9, fs=500.0, duration=0.5,
                             seed=9)
-    b = simulate_timeseries(SYS, MODEL, DRIVE, B_CENTER, b_test,
+    b = simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER, b_test,
                             w_test, 21.0, 26e-9, fs=500.0, duration=0.5,
                             seed=9)
     assert np.array_equal(a.imag, b.imag)
@@ -363,7 +363,7 @@ def test_timeseries_noise_draw_order():
     draw of default_rng(seed) on .real, then the second on .imag."""
     b_test, w_test = 242e-9, TWO_PI * 10.0
     floor_v, fs, seed = 26e-9, 500.0, 9
-    clean, noisy = (simulate_timeseries(SYS, MODEL, DRIVE, B_CENTER,
+    clean, noisy = (simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER,
                                         b_test, w_test, 21.0, f, fs=fs,
                                         duration=0.5, seed=seed)
                      for f in (0.0, floor_v))
@@ -377,15 +377,15 @@ def test_timeseries_noise_draw_order():
 
 def _slope_at_bias(bias_b):
     b = np.linspace(bias_b - 5e-5, bias_b + 5e-5, 101)
-    v = bias_sweep_trace(spin_frequency_vs_field(SYS, b), MODEL, DRIVE,
-                         21.0)
+    v = bias_sweep_trace(spin_frequency_vs_field(SYS, b), MODEL, OMEGA_D,
+                         POWER, 21.0)
     slopes, _ = dispersive_slope(b, v.imag)
     return abs(slopes[50])
 
 
 def test_timeseries_tone_matches_slope_prediction():
     b_test, w_test = 242e-9, TWO_PI * 10.0
-    ts = simulate_timeseries(SYS, MODEL, DRIVE, B_CENTER, b_test,
+    ts = simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER, b_test,
                              w_test, 21.0, 0.0, fs=2000.0, duration=4.0,
                              seed=0)
     freqs, asd = amplitude_density(ts.imag - np.mean(ts.imag), fs=2000.0)
@@ -396,7 +396,7 @@ def test_timeseries_tone_matches_slope_prediction():
 
 def test_timeseries_tone_linearity():
     def tone(b_test):
-        ts = simulate_timeseries(SYS, MODEL, DRIVE, B_CENTER, b_test,
+        ts = simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER, b_test,
                                  TWO_PI * 10.0, 21.0, 0.0, fs=2000.0,
                                  duration=4.0, seed=0)
         freqs, asd = amplitude_density(ts.imag - np.mean(ts.imag),
@@ -412,7 +412,7 @@ def test_end_to_end_sensitivity_consistency():
     m_slope = _slope_at_bias(B_CENTER)
     predicted_eta = floor_v / m_slope
     for seed in range(10):
-        ts = simulate_timeseries(SYS, MODEL, DRIVE, B_CENTER, b_test,
+        ts = simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER, b_test,
                                  w_test, 21.0, floor_v, fs=2000.0,
                                  duration=4.0, seed=seed)
         freqs, asd = amplitude_density(
@@ -428,7 +428,7 @@ def test_gain_covariance_leaves_eta_invariant():
     b_test, w_test = 242e-9, TWO_PI * 10.0
     def eta_at_gain(gain_db):
         scale = 10.0 ** ((gain_db - 21.0) / 20.0)
-        ts = simulate_timeseries(SYS, MODEL, DRIVE, B_CENTER, b_test,
+        ts = simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER, b_test,
                                  w_test, gain_db, 26e-9 * scale, fs=2000.0,
                                  duration=2.0, seed=4)
         freqs, asd = amplitude_density(

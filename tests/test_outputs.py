@@ -13,13 +13,21 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import rubymag
 from rubymag.cli import _DISPATCH, main
 
 _PINNED = {
     "1/calibrate.json":
-        "b25e35d38f003be2e031026f3b5771994fa80a528e0362438dda692b365b931e",
+        "bcdfe67dad62d00085fffb32758d2b38c0533a5d2035adde78fe10345bf85dc9",
     "1/crossing.csv":
         "686936d6fb0a78beb4353e1f9f89fbc24640ce71210968e9515ba0d8f4231dbc",
     "1/energy_levels.csv":
@@ -39,7 +47,7 @@ _PINNED = {
     "1/sweep.csv":
         "9fc29fa79773e8d497717bcb33b32ca91be0d5f9127bf8712a695c36fa72bc5e",
     "2/calibrate.json":
-        "4c31d42712791a4906d327078a0c6b5c0e13d0abd73019701163906b1c411eef",
+        "ba9c304536bc0e99f89a7925999be734044194e826f08b35232d71bd20ac9197",
     "2/crossing.csv":
         "24e8f213c3baf2bcb2224852828df79e7ec5b509cde058c1b656646095792705",
     "2/energy_levels.csv":
@@ -59,7 +67,7 @@ _PINNED = {
     "2/sweep.csv":
         "426d72dfc9faf53682bfa8093ce3cdf4a3a0d3abd3b5319c94bc1af9becf7a36",
     "3/calibrate.json":
-        "0f8180e36275c0db029d725206362475f56ad50b50c458348edb57fb70e67ad7",
+        "6ed0b251bc3693dfe615a794c9c6588683799ca043dfc9371aa421cfe3f99bd1",
     "3/crossing.csv":
         "9ac545c6009fb31fac29a0e56c88340cc3772e4093272f32b0d98c3eca67d52c",
     "3/energy_levels.csv":
@@ -89,16 +97,26 @@ def _bench_inputs():
     return inputs
 
 
-def test_every_command_output_is_pinned(tmp_path):
+def _write_inputs(tmp_path) -> list:
+    """The config.json and calibration.csv of each seed, in a directory
+    per seed: the directories."""
     inputs = _bench_inputs()
-    got = {}
+    runs = []
     for seed in (1, 2, 3):
-        run, out = tmp_path / str(seed), tmp_path / str(seed) / "out"
+        run = tmp_path / str(seed)
         run.mkdir()
         spec = inputs.cli_inputs(seed)
         inputs.write_json(run / "config.json", spec["config"])
         inputs.write_calibration_csv(run / "calibration.csv",
                                      spec["currents"], spec["fields"])
+        runs.append(run)
+    return runs
+
+
+def test_every_command_output_is_pinned(tmp_path):
+    got = {}
+    for seed, run in enumerate(_write_inputs(tmp_path), start=1):
+        out = run / "out"
         extra = {"crossing-fit": ["--input", str(out / "crossing.csv")],
                  "calibrate": ["--input", str(run / "calibration.csv")]}
         for command in _DISPATCH:
@@ -114,3 +132,62 @@ def test_every_command_output_is_pinned(tmp_path):
     changed = "".join(f'    "{name}":\n        "{got[name]}",\n'
                       for name in _PINNED if got[name] != _PINNED[name])
     assert not changed, f"output bytes changed; their new sums:\n{changed}"
+
+
+# OpenBLAS kernels that OPENBLAS_CORETYPE can pick, with the CPU flags each
+# needs to run
+_KERNELS = {"Haswell": ("avx2", "fma"), "Zen": ("avx2", "fma"),
+            "SkylakeX": ("avx512f", "avx512bw", "avx512cd", "avx512dq",
+                         "avx512vl")}
+
+
+def _kernel_skip_reason(kernel: str) -> str | None:
+    """Why OPENBLAS_CORETYPE=kernel cannot act on this host, or None."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return f"OpenBLAS kernels are x86; this host is {platform.machine()}"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "this numpy does not report the BLAS it was built on"
+    if "openblas" not in blas.get("name", "").lower() \
+            or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return "numpy is not built on an OpenBLAS with DYNAMIC_ARCH"
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except OSError:
+        return "no /proc/cpuinfo to tell which kernels this CPU runs"
+    flags = set(next((line.split(":", 1)[1].split() for line
+                      in cpuinfo.splitlines() if line.startswith("flags")),
+                     []))
+    missing = [flag for flag in _KERNELS[kernel] if flag not in flags]
+    if missing:
+        return f"this CPU lacks {', '.join(missing)} for the {kernel} kernel"
+    return None
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+def test_calibrate_output_holds_under_each_openblas_kernel(tmp_path, kernel):
+    """calibrate's three pinned files, made in a fresh interpreter that
+    OpenBLAS runs on the given CPU kernel.  linear_calibration sums with
+    math.fsum, so no BLAS kernel enters its bits."""
+    reason = _kernel_skip_reason(kernel)
+    if reason:
+        pytest.skip(reason)
+    runs = _write_inputs(tmp_path)
+    code = ("import sys\n"
+            "from rubymag.cli import main\n"
+            "for run in sys.argv[1:]:\n"
+            "    if main(['calibrate', '--config', run + '/config.json',\n"
+            "             '--output-dir', run + '/out',\n"
+            "             '--input', run + '/calibration.csv']):\n"
+            "        sys.exit(1)\n")
+    path = [str(Path(rubymag.__file__).parents[1]),
+            *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
+               PYTHONPATH=os.pathsep.join(path))
+    subprocess.run([sys.executable, "-c", code, *map(str, runs)], env=env,
+                   check=True, capture_output=True, timeout=60)
+    for seed, run in enumerate(runs, start=1):
+        got = hashlib.sha256(
+            (run / "out" / "calibrate.json").read_bytes()).hexdigest()
+        assert got == _PINNED[f"{seed}/calibrate.json"], (kernel, seed)

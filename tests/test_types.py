@@ -1,8 +1,10 @@
-"""The parameter types: every construction check, and what each type costs.
+"""The parameter types: every construction check, and what each type costs;
+and the checks of cavity.gamma_prime's params record, which each of its
+three entries (gamma_prime, gamma_prime_jacobian, bias_sweep_trace) runs.
 
-Each __post_init__ condition is written so that NaN fails it: a comparison
-with NaN is False, so a check spelled `x <= 0` or `np.diff(v) <= 0` would let
-NaN through.  The two integer counts, MaterialParams.N_cell and
+Each check is written so that NaN fails it: a comparison with NaN is
+False, so a check spelled `x <= 0` or `np.diff(v) <= 0` would let NaN
+through.  The two integer counts, MaterialParams.N_cell and
 CoilGeometry.n_turns, also refuse +-inf and fractional values; infinity is
 not checked in float fields.
 """
@@ -20,10 +22,11 @@ import pytest
 
 import rubymag
 from rubymag.calibration import CoilGeometry
-from rubymag.cavity import CavityParams, DriveParams, EnsembleParams
+from rubymag.cavity import gamma_prime, gamma_prime_jacobian
 from rubymag.config import parse_config
 from rubymag.fitting import ComplexGrid2D, GridSpec
 from rubymag.iqnoise import DBC_PER_HZ, V2_PER_HZ, NoiseSpectrum
+from rubymag.magnetometry import bias_sweep_trace
 from rubymag.spins import FieldVector, SpinSystem
 from rubymag.thermal import MaterialParams
 
@@ -31,12 +34,31 @@ NAN = math.nan
 AXIS = np.array([1.0, 2.0, 3.0])
 SPEC = GridSpec(omega_s_values=AXIS, omega_d_values=AXIS[:2],
                 drive_power=1e-3)
-# the six parameter bundles at the default config
+# the three parameter bundles and the params record at the default config
 DEFAULTS = parse_config({})
-CAVITY, ENSEMBLE, DRIVE = (DEFAULTS.cavity(), DEFAULTS.ensemble(),
-                           DEFAULTS.drive())
 SPIN, MATERIAL, COIL = (DEFAULTS.spin_system(), DEFAULTS.material(),
                         DEFAULTS.coil())
+MODEL = DEFAULTS.model()
+OMEGA_S = DEFAULTS["ensemble"]["omega_s_ghz"]
+OMEGA_D = DEFAULTS["drive"]["omega_d_ghz"]
+POWER = DEFAULTS["drive"]["power_dbm"]
+# the entries that check the record, each called as (omega_s, record, power)
+# and keyed by the suffix of its case ids: gamma_prime's cases keep the ids
+# of the bundle checks they replaced
+_ENTRIES = {
+    "": lambda ws, params, power: gamma_prime(ws, OMEGA_D, OMEGA_D, power,
+                                              params),
+    " (jacobian)": lambda ws, params, power: gamma_prime_jacobian(
+        ws, OMEGA_D, OMEGA_D, power, params),
+    " (bias sweep)": lambda ws, params, power: bias_sweep_trace(
+        ws, params, OMEGA_D, power, 21.0),
+}
+
+
+def _entry(suffix, omega_s=OMEGA_S, power=POWER, **changes):
+    """A call of one entry on the default record with changes."""
+    return lambda: _ENTRIES[suffix](np.array([omega_s]),
+                                    {**MODEL, **changes}, power)
 
 
 def _grid_spec(ws=AXIS, wd=AXIS):
@@ -47,24 +69,32 @@ def _spectrum(offsets=AXIS, density=AXIS, unit=V2_PER_HZ):
     return NoiseSpectrum(offsets=offsets, density=density, unit=unit)
 
 
+# (case, changes of the record, power or omega_s; what the error names), the
+# conditions of the cavity, ensemble and drive bundles the record replaced
+_RECORD = [
+    # the cavity block: frequency and rates > 0
+    ("cavity omega_c = 0", {"omega_c": 0.0}, "omega_c"),
+    ("cavity omega_c < 0", {"omega_c": -1.0}, "omega_c"),
+    ("cavity kappa_c0 < 0", {"kappa_c0": -1.0}, "kappa_c0"),
+    ("cavity kappa_c1 < 0", {"kappa_c1": -1.0}, "kappa_c1"),
+    *[(f"cavity {name} NaN", {name: NAN}, name)
+      for name in ("omega_c", "kappa_c0", "kappa_c1")],
+    # the ensemble block: g_s, g_eff = g_s sqrt(N), rates and omega_s >= 0
+    ("ensemble g_s < 0", {"g_s": -1.0}, "g_s"),
+    ("ensemble g_eff < 0", {"g_eff": -1.0}, "g_eff"),
+    ("ensemble kappa_th < 0", {"kappa_th": -1.0}, "kappa_th"),
+    ("ensemble omega_s < 0", {"omega_s": -1.0}, "omega_s"),
+    ("ensemble N NaN", {"g_eff": NAN}, "g_eff"),
+    *[(f"ensemble {name} NaN", {name: NAN}, name)
+      for name in ("g_s", "kappa_s", "kappa_th", "omega_s")],
+    # the drive: power >= 0
+    ("drive power < 0", {"power": -1e-3}, "power"),
+    ("drive power NaN", {"power": NAN}, "power"),
+]
+
 _INVALID = [
-    # CavityParams: frequency and rates > 0
-    ("cavity omega_c = 0", lambda: replace(CAVITY, omega_c=0.0), "positive"),
-    ("cavity kappa_c0 < 0", lambda: replace(CAVITY, kappa_c0=-1.0),
-     "positive"),
-    ("cavity omega_c NaN", lambda: replace(CAVITY, omega_c=NAN), "positive"),
-    ("cavity kappa_c0 NaN", lambda: replace(CAVITY, kappa_c0=NAN), "positive"),
-    ("cavity kappa_c1 NaN", lambda: replace(CAVITY, kappa_c1=NAN), "positive"),
-    # EnsembleParams: every field >= 0
-    ("ensemble g_s < 0", lambda: replace(ENSEMBLE, g_s=-1.0), "non-negative"),
-    ("ensemble kappa_th < 0", lambda: replace(ENSEMBLE, kappa_th=-1.0),
-     "non-negative"),
-    *[(f"ensemble {name} NaN",
-       lambda name=name: replace(ENSEMBLE, **{name: NAN}), "non-negative")
-      for name in ("g_s", "N", "kappa_s", "kappa_th", "omega_s")],
-    # DriveParams: power >= 0
-    ("drive power < 0", lambda: replace(DRIVE, power=-1e-3), "power"),
-    ("drive power NaN", lambda: replace(DRIVE, power=NAN), "power"),
+    *[(case + suffix, _entry(suffix, **changes), message)
+      for case, changes, message in _RECORD for suffix in _ENTRIES],
     # SpinSystem: g-factors > 0
     ("spin g_par = 0", lambda: replace(SPIN, g_par=0.0), "g-factors"),
     ("spin g_perp < 0", lambda: replace(SPIN, g_perp=-2.0), "g-factors"),
@@ -138,9 +168,12 @@ def test_construction_checks_reject_invalid_and_nan(make, message):
 
 
 def test_construction_checks_accept_the_edges():
-    """Zero where >= 0 is asked for, and dB densities of any sign, pass."""
-    replace(ENSEMBLE, g_s=0.0, N=0.0, kappa_s=0.0, kappa_th=0.0, omega_s=0.0)
-    replace(DRIVE, power=0.0)
+    """Zero where >= 0 is asked for, and dB densities of any sign, pass;
+    kappa_s > 0 is asked of every record (ZeroSpinLinewidth)."""
+    for suffix in _ENTRIES:   # kappa_th = 0 undriven
+        assert np.all(np.isfinite(_entry(suffix, omega_s=0.0, power=0.0,
+                                         g_s=0.0, g_eff=0.0,
+                                         kappa_th=0.0)()))
     FieldVector(np.zeros(3), theta=math.pi, phi=0.0)
     replace(MATERIAL, alpha_Cr=0.0)
     _spectrum(density=-AXIS, unit=DBC_PER_HZ)
@@ -150,8 +183,7 @@ def test_construction_checks_accept_the_edges():
 def test_parameter_bundles_carry_no_defaults():
     """config._SCHEMA is the one place the paper's values are written: a
     field default here would be a second copy, free to drift from it."""
-    for bundle in (CavityParams, EnsembleParams, DriveParams, SpinSystem,
-                   MaterialParams, CoilGeometry):
+    for bundle in (SpinSystem, MaterialParams, CoilGeometry):
         for f in dataclasses.fields(bundle):
             assert f.default is dataclasses.MISSING, (bundle, f.name)
             assert f.default_factory is dataclasses.MISSING, (bundle, f.name)

@@ -15,13 +15,15 @@ from scipy.signal import welch
 from rubymag.magnetometry import bias_sweep_trace, spin_frequency_vs_field
 
 
-def simulate_timeseries(sys, params, drive, bias_b: float,
+def simulate_timeseries(sys, params, omega_d: float, power: float,
+                        bias_b: float,
                         tone_rms: float, tone_freq: float,
                         chain_gain_db: float, noise_floor_v: float,
                         fs: float, duration: float,
                         seed: int = 0) -> np.ndarray:
-    """End-to-end magnetometer time series under an AC test field: the
-    complex channel voltage at the times np.arange(n) / fs.
+    """End-to-end magnetometer time series under an AC test field, driven
+    at omega_d (rad/s) with power (W): the complex channel voltage at the
+    times np.arange(n) / fs.
 
     The axial bias field is modulated by a sine of RMS amplitude tone_rms (T)
     at the angular frequency tone_freq (rad/s); white Gaussian noise of the
@@ -31,8 +33,8 @@ def simulate_timeseries(sys, params, drive, bias_b: float,
     n = int(round(fs * duration))
     b = bias_b + math.sqrt(2.0) * tone_rms \
         * np.sin(tone_freq * (np.arange(n) / fs))
-    v = bias_sweep_trace(spin_frequency_vs_field(sys, b), params, drive,
-                         chain_gain_db)
+    v = bias_sweep_trace(spin_frequency_vs_field(sys, b), params, omega_d,
+                         power, chain_gain_db)
     if noise_floor_v > 0:
         sigma = noise_floor_v * math.sqrt(fs / 2.0)
         rng = np.random.default_rng(seed)
