@@ -95,11 +95,11 @@ def _gamma_terms(omega_s, omega_d, omega_ref: float, power: float, params,
     if kappa_c <= 0:
         raise ZeroLinewidth("kappa_c must be positive")
     wd = omega_d - params["omega_d_off"]
-    if np.any(wd <= 0) or (omega_n is not None and omega_n <= 0):
+    # the drive checks and the record's ranges, each written so that NaN,
+    # which compares False, fails it
+    if not np.all(wd > 0) or (omega_n is not None and not omega_n > 0):
         raise ZeroLinewidth("omega_d must be positive")
     _check_spin_rates(kappa_s, kappa_th, power)   # n_cav has power's sign
-    # the record's ranges, each written so that NaN, which compares False,
-    # fails it
     for name in ("omega_c", "kappa_c0", "kappa_c1"):
         if not params[name] > 0:
             raise ValueError(f"{name} must be > 0, got {params[name]!r}")
@@ -108,6 +108,10 @@ def _gamma_terms(omega_s, omega_d, omega_ref: float, power: float, params,
                         ("power", power)):
         if not value >= 0:
             raise ValueError(f"{name} must be >= 0, got {value!r}")
+    for name, value in (("omega_ref", omega_ref),
+                        *((name, params[name]) for name in PARAM_NAMES[5:])):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not np.all(np.greater_equal(omega_s, 0)):
         raise ValueError("omega_s must be >= 0 at every point")
     delta = np.subtract.outer(omega_s - params["omega_s_off"], wd)
@@ -150,8 +154,9 @@ def gamma_prime(omega_s, omega_d, omega_ref: float, power: float, params,
     ZeroLinewidth unless kappa_c, every shifted drive frequency and omega_n
     are positive, then ZeroSpinLinewidth or ZeroKappaTh as interaction_term
     does, then ValueError unless omega_c, kappa_c0 and kappa_c1 are > 0 and
-    g_s, g_eff, kappa_s, kappa_th, power and every omega_s are >= 0, NaN
-    failing each: every record is checked where it is used.
+    g_s, g_eff, kappa_s, kappa_th, power and every omega_s are >= 0 and
+    omega_ref and the eight non-idealities are finite, NaN failing each:
+    every record is checked where it is used.
 
     With delta' = (omega_s - omega_s_off) - (omega_d - omega_d_off),
     G = g_eff^2 and S = g_s^2 n_cav kappa_s / (2 kappa_th), the interaction

@@ -125,15 +125,16 @@ def _axis(keys: str, centre, span: float, n: int) -> np.ndarray:
     return axis
 
 
-def _grid_spec(cfg: RunConfig) -> fitting.GridSpec:
-    g, drive = cfg["grid"], cfg["drive"]
+def _grid_spec(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The crossing grid's (omega_s, omega_d) axes."""
+    g = cfg["grid"]
     ws = _axis("ensemble.omega_s_ghz, grid.omega_s_span_mhz, grid.n_omega_s",
                cfg["ensemble"]["omega_s_ghz"], g["omega_s_span_mhz"],
                g["n_omega_s"])
     wd = _axis("drive.omega_d_ghz, grid.omega_d_span_mhz, grid.n_omega_d",
-               drive["omega_d_ghz"], g["omega_d_span_mhz"], g["n_omega_d"])
-    return fitting.GridSpec(omega_s_values=ws, omega_d_values=wd,
-                            drive_power=drive["power_dbm"])
+               cfg["drive"]["omega_d_ghz"], g["omega_d_span_mhz"],
+               g["n_omega_d"])
+    return ws, wd
 
 
 def _default_noise_csv(name: str) -> Path:
@@ -152,18 +153,20 @@ def cmd_eigen(cfg: RunConfig, input_csv) -> list:
 
 
 def cmd_crossing_sim(cfg: RunConfig, input_csv) -> list:
-    spec = _grid_spec(cfg)
-    grid = fitting.simulate_crossing(
-        cfg.model(), spec, noise_sigma=cfg["grid"]["noise_sigma"],
+    ws, wd = _grid_spec(cfg)
+    values = fitting.simulate_crossing(
+        cfg.model(), ws, wd, cfg["drive"]["power_dbm"],
+        noise_sigma=cfg["grid"]["noise_sigma"],
         seed=_seed_int(cfg["run"]["master_seed"], "crossing-sim"))
-    return [("crossing.csv", fitting.write_grid_csv, grid)]
+    return [("crossing.csv", fitting.write_grid_csv, ws, wd, values)]
 
 
 def cmd_crossing_fit(cfg: RunConfig, input_csv) -> list:
     if input_csv is None:
         raise ConfigError("crossing-fit requires --input CSV")
-    grid = fitting.read_grid_csv(input_csv, cfg["drive"]["power_dbm"])
-    result = fitting.fit_crossing(grid, cfg.model())
+    ws, wd, values = fitting.read_grid_csv(input_csv)
+    result = fitting.fit_crossing(ws, wd, values, cfg["drive"]["power_dbm"],
+                                  cfg.model())
     return [("fit.json", render_json, fitting.fit_result_to_dict(result))]
 
 

@@ -14,6 +14,11 @@ same way and each covers only part of the distance, so each accepted one is
 extrapolated to 3, 9, 27... times its length while the L1 objective keeps
 dropping, each trial costing one value evaluation and no Jacobian.
 
+A crossing grid is its two axes omega_s and omega_d (rad/s) and its complex
+values, rows over omega_s and columns over omega_d; the drive power (W),
+which the CSV does not store, is passed beside them, and the model's
+reference omega_ref is the mean of omega_d.
+
 Every function here takes the model as cavity.gamma_prime's params record,
 a dict keyed by cavity.MODEL_NAMES.  fit_crossing takes a record as its
 guess, whose rates set every bound (default_bounds), and an evaluation
@@ -39,41 +44,6 @@ from .errors import AllZeroBorder, InvalidBounds, ParseError, ZeroRate
 
 
 @dataclass
-class GridSpec:
-    """Strictly increasing (omega_s, omega_d) axes and the drive power."""
-
-    omega_s_values: np.ndarray    # rad/s, strictly increasing
-    omega_d_values: np.ndarray    # rad/s, strictly increasing
-    drive_power: float            # W
-
-    def __post_init__(self):
-        for name in ("omega_s_values", "omega_d_values"):
-            vals = np.asarray(getattr(self, name), dtype=float)
-            setattr(self, name, vals)
-            # NaN, which compares False, fails the check
-            if vals.size < 2 or not np.all(np.diff(vals) > 0):
-                raise ValueError(f"{name} must be strictly increasing, length >= 2")
-
-    @property
-    def omega_d_mean(self) -> float:
-        return float(np.mean(self.omega_d_values))
-
-
-@dataclass
-class ComplexGrid2D:
-    """Complex values on a GridSpec; rows index omega_s, columns omega_d."""
-
-    spec: GridSpec
-    values: np.ndarray            # complex, shape (n_omega_s, n_omega_d)
-
-    def __post_init__(self):
-        self.values = vals = np.asarray(self.values, dtype=complex)
-        expected = (self.spec.omega_s_values.size, self.spec.omega_d_values.size)
-        if vals.shape != expected:
-            raise ValueError(f"grid shape {vals.shape} != spec shape {expected}")
-
-
-@dataclass
 class FitResult:
     """The fitted params record, with the fit's L1 objective, steps and
     outcome."""
@@ -85,54 +55,58 @@ class FitResult:
     converged: bool               # IRLS reached _IRLS_TOL (see minimize)
 
 
-def evaluate_model_grid(params: dict, spec: GridSpec) -> np.ndarray:
-    """Vectorized Gamma' of the record params over the grid; rows index
+def evaluate_model_grid(params: dict, omega_s: np.ndarray, omega_d: np.ndarray,
+                        power: float) -> np.ndarray:
+    """Vectorized Gamma' of the record params over the (omega_s, omega_d)
+    grid at the drive power (W), referenced to the mean omega_d; rows index
     omega_s, columns omega_d."""
-    return gamma_prime(spec.omega_s_values, spec.omega_d_values,
-                       spec.omega_d_mean, spec.drive_power, params)
+    return gamma_prime(omega_s, omega_d, float(np.mean(omega_d)), power,
+                       params)
 
 
-def simulate_crossing(params: dict, spec: GridSpec, noise_sigma: float = 0.0,
-                      seed: int = 0) -> ComplexGrid2D:
+def simulate_crossing(params: dict, omega_s: np.ndarray, omega_d: np.ndarray,
+                      power: float, noise_sigma: float = 0.0,
+                      seed: int = 0) -> np.ndarray:
     """Forward model plus complex Gaussian noise; deterministic per seed."""
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    values = evaluate_model_grid(params, spec)
+    values = evaluate_model_grid(params, omega_s, omega_d, power)
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         values = values + noise_sigma * (rng.standard_normal(values.shape)
                                          + 1j * rng.standard_normal(values.shape))
-    return ComplexGrid2D(spec=spec, values=values)
+    return values
 
 
-def normalize_grid(grid: ComplexGrid2D) -> ComplexGrid2D:
+def normalize_grid(values: np.ndarray) -> np.ndarray:
     """Divide by the median |value| over the outermost border frame."""
-    v = grid.values
-    border = np.concatenate([v[0, :], v[-1, :], v[1:-1, 0], v[1:-1, -1]])
+    border = np.concatenate([values[0], values[-1], values[1:-1, 0],
+                             values[1:-1, -1]])
     scale = float(np.median(np.abs(border)))
     if scale == 0.0:
         raise AllZeroBorder("border frame has zero magnitude; cannot normalize")
-    return ComplexGrid2D(spec=grid.spec, values=v / scale)
+    return values / scale
 
 
-def dip_trajectory(grid: ComplexGrid2D) -> np.ndarray:
+def dip_trajectory(omega_d: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Drive frequency minimizing |Gamma| for each omega_s row (rad/s).
 
+    omega_d is read in increasing order, one column of values per point.
     The minimum bin is refined with a parabolic fit through its neighbors so
     the reported dip is not quantized to the grid step.
     """
-    wd = grid.spec.omega_d_values
-    mags = np.abs(grid.values)
+    mags = np.abs(values)
     rows = np.arange(mags.shape[0])
     k = np.argmin(mags, axis=1)
-    inner = (k > 0) & (k < wd.size - 1)
+    inner = (k > 0) & (k < omega_d.size - 1)
     # every row reads a three-point window; only inner rows use it
-    kc = np.clip(k, 1, wd.size - 2)
+    kc = np.clip(k, 1, omega_d.size - 2)
     y0, y1, y2 = mags[rows, kc - 1], mags[rows, kc], mags[rows, kc + 1]
     denom = y0 - 2.0 * y1 + y2
     shift = np.zeros(rows.size)
     np.divide(0.5 * (y0 - y2), denom, out=shift, where=inner & (denom != 0))
-    return np.where(inner, wd[kc] + shift * (wd[kc + 1] - wd[kc]), wd[k])
+    step = omega_d[kc + 1] - omega_d[kc]
+    return np.where(inner, omega_d[kc] + shift * step, omega_d[k])
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +289,12 @@ def minimize(evaluate, jacobian, x0: np.ndarray,
     return steps + irls_steps, converged
 
 
-def fit_crossing(data: ComplexGrid2D, guess: dict,
+def fit_crossing(omega_s: np.ndarray, omega_d: np.ndarray, values: np.ndarray,
+                 power: float, guess: dict,
                  max_evaluations: int = 150000) -> FitResult:
-    """Fit the non-ideality model to a (normalized) reflection grid.
+    """Fit the non-ideality model to a (normalized) reflection grid: values
+    of shape (omega_s.size, omega_d.size), else ValueError, at the drive
+    power (W).
 
     guess is a params record, a previous fit's result included; its rates
     set the bounds (see default_bounds), and its omega_c and g_s are held
@@ -328,9 +305,12 @@ def fit_crossing(data: ComplexGrid2D, guess: dict,
     one evaluation; converged is False once the budget runs out.  Returns the
     lowest-L1 point evaluated.
     """
+    expected = (np.size(omega_s), np.size(omega_d))
+    if np.shape(values) != expected:
+        raise ValueError(f"grid shape {np.shape(values)} != axes' shape "
+                         f"{expected}")
     transform = _BoundTransform(default_bounds(guess))
-    spec = data.spec
-    omega_d_mean = spec.omega_d_mean
+    omega_d_mean = float(np.mean(omega_d))
     x0 = transform.to_unconstrained([guess[name] for name in PARAM_NAMES])
     fixed = {"omega_c": guess["omega_c"], "g_s": guess["g_s"]}
 
@@ -349,10 +329,9 @@ def fit_crossing(data: ComplexGrid2D, guess: dict,
     def evaluate(x):
         nonlocal best_x, best_f
         spend()
-        model = gamma_prime(spec.omega_s_values, spec.omega_d_values,
-                            omega_d_mean, spec.drive_power,
+        model = gamma_prime(omega_s, omega_d, omega_d_mean, power,
                             record(transform.to_bounded(x)))
-        model -= data.values
+        model -= values
         r = model.ravel().view(float)
         f = objective_l1(r)
         if f < best_f:
@@ -364,8 +343,7 @@ def fit_crossing(data: ComplexGrid2D, guess: dict,
         # evaluate's residuals and scaled by dp/dx
         spend()
         params, slope = transform.to_bounded_slope(x)
-        jac = gamma_prime_jacobian(spec.omega_s_values, spec.omega_d_values,
-                                   omega_d_mean, spec.drive_power,
+        jac = gamma_prime_jacobian(omega_s, omega_d, omega_d_mean, power,
                                    record(params))
         jac = jac.reshape(len(x), -1).view(float)
         jac *= slope[:, None]
@@ -393,18 +371,20 @@ def relaxation_times(params: dict) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # serialization
 
-def write_grid_csv(path, grid: ComplexGrid2D) -> str:
+def write_grid_csv(path, omega_s: np.ndarray, omega_d: np.ndarray,
+                   values: np.ndarray) -> str:
     """CSV text, row-major in omega_s: omega_s_hz, omega_d_hz, re, im."""
-    ws, wd = np.meshgrid(grid.spec.omega_s_values / math.tau,
-                         grid.spec.omega_d_values / math.tau, indexing="ij")
+    ws, wd = np.meshgrid(omega_s / math.tau, omega_d / math.tau,
+                         indexing="ij")
     return render_columns(path, ("omega_s_hz", "omega_d_hz", "re", "im"),
                           np.column_stack([ws.ravel(), wd.ravel(),
-                                           grid.values.real.ravel(),
-                                           grid.values.imag.ravel()]))
+                                           values.real.ravel(),
+                                           values.imag.ravel()]))
 
 
-def read_grid_csv(path, drive_power: float) -> ComplexGrid2D:
-    """Inverse of write_grid_csv; drive power is not stored in the CSV.
+def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of write_grid_csv: (omega_s, omega_d, values), each axis
+    increasing and values of shape (omega_s.size, omega_d.size).
 
     Rows may come in any order; each is placed at its (omega_s, omega_d)
     point.  A missing column, a non-finite or non-numeric value, or a grid
@@ -426,9 +406,7 @@ def read_grid_csv(path, drive_power: float) -> ComplexGrid2D:
                          f"{counts.size} grid point(s) missing")
     values = np.empty((ws.size, wd.size), dtype=complex)
     values[i, j] = table[:, 2] + 1j * table[:, 3]
-    spec = GridSpec(omega_s_values=ws, omega_d_values=wd,
-                    drive_power=drive_power)
-    return ComplexGrid2D(spec=spec, values=values)
+    return ws, wd, values
 
 
 # fit.json's keys for the fitted values, in PARAM_NAMES order

@@ -23,9 +23,8 @@ from rubymag.cavity import (cooperativity, dbm_to_watts,
                             watts_to_dbm)
 from rubymag import constants as CONST
 from rubymag.config import parse_config
-from rubymag.fitting import (GridSpec, dip_trajectory, fit_crossing,
-                             normalize_grid, relaxation_times,
-                             simulate_crossing)
+from rubymag.fitting import (dip_trajectory, fit_crossing, normalize_grid,
+                             relaxation_times, simulate_crossing)
 from rubymag.iqnoise import (decompose_gamma, noise_contribution_split,
                              read_spectrum_csv)
 from rubymag.magnetometry import (bias_sweep_trace, dispersive_slope,
@@ -153,21 +152,22 @@ _NI_TRUTH = {"o_r": -0.008, "o_i": 0.12, "A": 0.003, "b": 1e-9, "psi": 0.14,
 
 
 def _wide_50x50(power_dbm=0.0):
-    return GridSpec(
-        omega_s_values=np.linspace(TWO_PI * 11.35e9, TWO_PI * 11.45e9, 50),
-        omega_d_values=np.linspace(TWO_PI * 11.395e9, TWO_PI * 11.405e9, 50),
-        drive_power=dbm_to_watts(power_dbm))
+    """(omega_s, omega_d, power) of criterion 13's grid."""
+    return (np.linspace(TWO_PI * 11.35e9, TWO_PI * 11.45e9, 50),
+            np.linspace(TWO_PI * 11.395e9, TWO_PI * 11.405e9, 50),
+            dbm_to_watts(power_dbm))
 
 
 def _fit_errors(noise_sigma, data_seed, guess_seed):
-    spec = _wide_50x50()
+    ws, wd, power = _wide_50x50()
     rng = np.random.default_rng(guess_seed)
     p = lambda x: x * rng.uniform(0.8, 1.2)
     guess = {**PHYS, **{name: p(PHYS[name]) for name in (
         "kappa_c0", "kappa_c1", "g_eff", "kappa_s", "kappa_th")}}
-    grid = simulate_crossing({**PHYS, **_NI_TRUTH}, spec, noise_sigma,
-                             seed=data_seed)
-    res = fit_crossing(normalize_grid(grid), {**guess, **_NI_TRUTH})
+    values = simulate_crossing({**PHYS, **_NI_TRUTH}, ws, wd, power,
+                               noise_sigma, seed=data_seed)
+    res = fit_crossing(ws, wd, normalize_grid(values), power,
+                       {**guess, **_NI_TRUTH})
     p = res.params
     return {
         "kappa_c": abs((p["kappa_c0"] + p["kappa_c1"]) / KAPPA_C - 1),
@@ -246,13 +246,11 @@ def test_criterion_15_end_to_end_consistency():
 def _dip_pull_toward_spin(detuning):
     """Signed displacement of the reflection dip toward omega_s, rad/s."""
     omega_s = OMEGA_C + detuning
-    spec = GridSpec(
-        omega_s_values=np.array([omega_s - 1.0, omega_s, omega_s + 1.0]),
-        omega_d_values=np.linspace(OMEGA_C - TWO_PI * 5e6,
-                                   OMEGA_C + TWO_PI * 5e6, 801),
-        drive_power=dbm_to_watts(0.0))
-    grid = simulate_crossing(PHYS, spec, 0.0, seed=0)
-    dip = dip_trajectory(grid)[1]
+    omega_d = np.linspace(OMEGA_C - TWO_PI * 5e6, OMEGA_C + TWO_PI * 5e6, 801)
+    values = simulate_crossing(PHYS, np.array([omega_s - 1.0, omega_s,
+                                               omega_s + 1.0]),
+                               omega_d, dbm_to_watts(0.0))
+    dip = dip_trajectory(omega_d, values)[1]
     return math.copysign(1.0, detuning) * (dip - OMEGA_C)
 
 

@@ -196,7 +196,43 @@ def test_gamma_prime_checks_omega_n_and_every_point():
         pinned(1e6, 1e6)
     with pytest.raises(ZeroLinewidth, match="omega_d"):
         pinned(OMEGA_C, 0.0)
+    with pytest.raises(ZeroLinewidth, match="omega_d"):
+        pinned(OMEGA_C, math.nan)
     assert np.all(np.isfinite(pinned(OMEGA_C, OMEGA_C)))
+
+
+# (case, changes to the drive frequencies, omega_ref or the record; the
+# error and what its message names)
+_NON_FINITE = [
+    ("omega_d NaN", {"omega_d": OMEGA_C + np.array([-1e6, math.nan, 1e6])},
+     ZeroLinewidth, "omega_d"),
+    ("omega_d_off NaN", {"omega_d_off": math.nan}, ZeroLinewidth, "omega_d"),
+    ("omega_d_off -inf", {"omega_d_off": -math.inf}, ValueError,
+     "omega_d_off"),
+    ("omega_ref NaN", {"omega_ref": math.nan}, ValueError, "omega_ref"),
+    ("o_r inf", {"o_r": math.inf}, ValueError, "o_r"),
+    *[(f"{name} NaN", {name: math.nan}, ValueError, name)
+      for name in ("o_i", "A", "b", "psi", "tau", "omega_s_off")],
+]
+
+
+@pytest.mark.parametrize("kernel", [gamma_prime, gamma_prime_jacobian])
+@pytest.mark.parametrize("changes, error, name",
+                         [pytest.param(*case[1:], id=case[0])
+                          for case in _NON_FINITE])
+def test_gamma_kernels_refuse_nan_drive_and_non_finite_record(
+        kernel, changes, error, name):
+    """A NaN drive frequency fails the drive check, and an omega_ref or a
+    non-ideality that is not finite is a ValueError naming it.  Unchecked,
+    each gives a NaN or infinite Gamma', some without a warning."""
+    drive = {"omega_d": OMEGA_C + np.array([-1e6, 0.0, 1e6]),
+             "omega_ref": OMEGA_C}
+    record = {**MODEL, "tau": -1.2e-8, "b": 1e-9}
+    for key, value in changes.items():
+        (drive if key in drive else record)[key] = value
+    with pytest.raises(error, match=name):
+        kernel(OMEGA_S + np.array([-1e6, 1e6]), drive["omega_d"],
+               drive["omega_ref"], 1e-5, record)
 
 
 @given(

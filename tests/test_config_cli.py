@@ -701,14 +701,23 @@ def test_commands_load_no_scipy(tmp_path):
     assert loaded == []
 
 
+_BENCH = Path(__file__).parents[1] / "bench"
+
+
+def _bench_tracer():
+    """bench/tracer.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  _BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_benchmark_tracer_targets_resolve():
     """Every function the benchmark's tracer wraps exists under its name
     where Tracer.install() looks it up: in sys.modules after
     `import rubymag.cli` alone, in a fresh interpreter."""
-    path = Path(__file__).parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _bench_tracer()
     code = ("import json, sys\n"
             "import rubymag.cli\n"
             "missing = []\n"
@@ -720,6 +729,31 @@ def test_benchmark_tracer_targets_resolve():
             "        missing.append(module + '.' + attr)\n"
             "print(json.dumps(missing))")
     assert json.loads(run_python(code).splitlines()[-1]) == []
+
+
+def test_benchmark_traced_fit_reads_the_fit(tmp_path):
+    """A crossing-fit run through the benchmark's launcher, in a fresh
+    interpreter, exits 0 and records one fit_crossing span whose work, read
+    from the result by the tracer, is fit.json's iteration count."""
+    flags = ["--n-omega-s", "12", "--n-omega-d", "12", "--tau-s", "-1.2e-08"]
+    assert run_cli("crossing-sim", "--output-dir", str(tmp_path),
+                   *flags) == 0
+    spans = tmp_path / "spans.npz"
+    done = subprocess.run(
+        [sys.executable, str(_BENCH / "launcher.py"),
+         str(Path(rubymag.__file__).parents[1]), str(spans), "0",
+         "crossing-fit", "--input", str(tmp_path / "crossing.csv"),
+         "--output-dir", str(tmp_path / "fit"), *flags],
+        env={**_child_env(), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    tracer = _bench_tracer()
+    fit = tracer.function_totals(tracer.load_spans(spans))[
+        "fitting.fit_crossing"]
+    iterations = json.loads((tmp_path / "fit" / "fit.json").read_text())[
+        "iterations"]
+    assert (fit["calls"], fit["errors"]) == (1, 0)
+    assert fit["work"] == iterations > 0
 
 
 # Functions of the package that no command calls, each with why it stays.

@@ -9,16 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rubymag.cavity import (dbm_to_watts, kappa_th_threshold_power,
-                            single_spin_coupling, watts_to_dbm)
+from rubymag.cavity import (dbm_to_watts, gamma_prime_jacobian,
+                            kappa_th_threshold_power, single_spin_coupling,
+                            watts_to_dbm)
 from rubymag import cli, fitting
 from rubymag import constants as CONST
 from rubymag.config import parse_config
 from rubymag.csvio import render_json
 from rubymag.errors import (AllZeroBorder, InvalidBounds, NonFiniteOutput,
                             ParseError, ZeroKappaTh, ZeroRate)
-from rubymag.fitting import (PARAM_NAMES, ComplexGrid2D, FitResult,
-                             GridSpec, default_bounds,
+from rubymag.fitting import (PARAM_NAMES, FitResult, default_bounds,
                              dip_trajectory, evaluate_model_grid, fit_crossing,
                              fit_result_to_dict, normalize_grid, objective_l1,
                              read_grid_csv, relaxation_times,
@@ -38,12 +38,12 @@ NI = {"o_r": -0.008, "o_i": 0.12, "A": 0.003, "b": 1e-9, "psi": 0.14,
 TRUTH = {**PHYS, **NI}
 
 
-def wide_spec(n_s=50, n_d=50, power_dbm=0.0):
-    """omega_s swept +-50 MHz across the cavity, omega_d +-5 MHz."""
-    return GridSpec(
-        omega_s_values=np.linspace(TWO_PI * 11.35e9, TWO_PI * 11.45e9, n_s),
-        omega_d_values=np.linspace(TWO_PI * 11.395e9, TWO_PI * 11.405e9, n_d),
-        drive_power=dbm_to_watts(power_dbm))
+def wide_grid(n_s=50, n_d=50, power_dbm=0.0):
+    """(omega_s, omega_d, power): omega_s swept +-50 MHz across the cavity,
+    omega_d +-5 MHz, driven at power_dbm."""
+    return (np.linspace(TWO_PI * 11.35e9, TWO_PI * 11.45e9, n_s),
+            np.linspace(TWO_PI * 11.395e9, TWO_PI * 11.405e9, n_d),
+            dbm_to_watts(power_dbm))
 
 
 # the five fitted rates, in the order guess_from draws their perturbations
@@ -70,70 +70,46 @@ def unfitted():
 
 
 # ---------------------------------------------------------------------------
-# types
-
-
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(omega_s_values=np.array([1.0]),
-                 omega_d_values=np.array([1.0, 2.0]), drive_power=1e-3)
-    with pytest.raises(ValueError):
-        GridSpec(omega_s_values=np.array([2.0, 1.0]),
-                 omega_d_values=np.array([1.0, 2.0]), drive_power=1e-3)
-    with pytest.raises(ValueError):
-        GridSpec(omega_s_values=np.array([1.0, 1.0]),
-                 omega_d_values=np.array([1.0, 2.0]), drive_power=1e-3)
-
-
-def test_grid_shape_must_match_spec():
-    spec = wide_spec(4, 3)
-    with pytest.raises(ValueError):
-        ComplexGrid2D(spec=spec, values=np.zeros((3, 4), dtype=complex))
-    grid = ComplexGrid2D(spec=spec, values=np.zeros((4, 3), dtype=complex))
-    assert grid.values.shape == (4, 3)
-
-
-# ---------------------------------------------------------------------------
 # simulate_crossing
 
 
 def test_simulate_deterministic_and_exact_at_zero_noise():
-    spec = wide_spec(12, 10)
-    a = simulate_crossing(TRUTH, spec, 0.02, seed=5)
-    b = simulate_crossing(TRUTH, spec, 0.02, seed=5)
-    assert np.array_equal(a.values, b.values)
-    clean = simulate_crossing(TRUTH, spec, 0.0, seed=5)
-    assert np.allclose(clean.values, evaluate_model_grid(TRUTH, spec),
+    grid = wide_grid(12, 10)
+    a = simulate_crossing(TRUTH, *grid, 0.02, seed=5)
+    b = simulate_crossing(TRUTH, *grid, 0.02, seed=5)
+    assert np.array_equal(a, b)
+    clean = simulate_crossing(TRUTH, *grid, 0.0, seed=5)
+    assert np.allclose(clean, evaluate_model_grid(TRUTH, *grid),
                        rtol=0, atol=0)
     with pytest.raises(ValueError):
-        simulate_crossing(TRUTH, spec, -0.1, seed=5)
+        simulate_crossing(TRUTH, *grid, -0.1, seed=5)
 
 
 def test_simulate_zero_coupling_rows_identical():
-    spec = wide_spec(8, 20)
-    grid = simulate_crossing({**TRUTH, "g_eff": 0.0}, spec, 0.0, seed=0)
-    for row in grid.values[1:]:
-        assert np.allclose(row, grid.values[0], rtol=0, atol=0)
+    values = simulate_crossing({**TRUTH, "g_eff": 0.0}, *wide_grid(8, 20),
+                               0.0, seed=0)
+    for row in values[1:]:
+        assert np.allclose(row, values[0], rtol=0, atol=0)
 
 
 def test_simulate_rejects_zero_kappa_th():
     with pytest.raises(ZeroKappaTh):
-        simulate_crossing({**TRUTH, "kappa_th": 0.0}, wide_spec(4, 4))
+        simulate_crossing({**TRUTH, "kappa_th": 0.0}, *wide_grid(4, 4))
 
 
 def test_bare_cavity_dip_sits_at_cavity_resonance():
-    spec = wide_spec(6, 101)
-    grid = simulate_crossing({**PHYS, "g_eff": 0.0}, spec, 0.0, seed=0)
-    dips = dip_trajectory(grid)
-    step = spec.omega_d_values[1] - spec.omega_d_values[0]
+    ws, wd, power = wide_grid(6, 101)
+    values = simulate_crossing({**PHYS, "g_eff": 0.0}, ws, wd, power, 0.0,
+                               seed=0)
+    dips = dip_trajectory(wd, values)
+    step = wd[1] - wd[0]
     assert np.all(np.abs(dips - PHYS["omega_c"]) < step)
 
 
-def _dip_trajectory_loop(grid):
+def _dip_trajectory_loop(wd, values):
     """dip_trajectory as a per-row loop: the reference for the vectorized
     form."""
-    wd = grid.spec.omega_d_values
-    mags = np.abs(grid.values)
+    mags = np.abs(values)
     dips = np.empty(mags.shape[0])
     for r, row in enumerate(mags):
         k = int(np.argmin(row))
@@ -154,9 +130,7 @@ def test_dip_trajectory_equals_row_loop():
     divide nothing (every numpy floating-point error raises here)."""
     rng = np.random.default_rng(11)
     for n_s, n_d in ((2, 2), (7, 2), (9, 3), (40, 5), (25, 61)):
-        spec = GridSpec(omega_s_values=np.arange(float(n_s)),
-                        omega_d_values=np.sort(rng.uniform(6e10, 8e10, n_d)),
-                        drive_power=1e-3)
+        wd = np.sort(rng.uniform(6e10, 8e10, n_d))
         values = rng.standard_normal((n_s, n_d)) \
             + 1j * rng.standard_normal((n_s, n_d))
         values[0] = 1.0                           # flat: minimum at k = 0
@@ -166,10 +140,9 @@ def test_dip_trajectory_equals_row_loop():
         if n_s > 3 and n_d > 3:
             values[3] = 2.0
             values[3, 1:4] = 0.5                  # flat floor: first point
-        grid = ComplexGrid2D(spec=spec, values=values)
         with np.errstate(all="raise"):
-            got = dip_trajectory(grid)
-        want = _dip_trajectory_loop(grid)
+            got = dip_trajectory(wd, values)
+        want = _dip_trajectory_loop(wd, values)
         assert got.tobytes() == want.tobytes(), (n_s, n_d)
 
 
@@ -178,34 +151,27 @@ def test_dip_trajectory_equals_row_loop():
 
 
 def test_normalize_constant_grid():
-    spec = wide_spec(5, 5)
-    c = 3.0 * np.exp(0.4j)
-    grid = ComplexGrid2D(spec=spec, values=np.full((5, 5), c))
-    out = normalize_grid(grid)
-    assert np.allclose(np.abs(out.values), 1.0, atol=1e-12)
-    assert np.allclose(np.angle(out.values), 0.4, atol=1e-12)
+    out = normalize_grid(np.full((5, 5), 3.0 * np.exp(0.4j)))
+    assert np.allclose(np.abs(out), 1.0, atol=1e-12)
+    assert np.allclose(np.angle(out), 0.4, atol=1e-12)
 
 
 def test_normalize_scale_invariance():
-    spec = wide_spec(10, 10)
-    grid = simulate_crossing(TRUTH, spec, 0.0, seed=0)
-    scaled = ComplexGrid2D(spec=spec, values=5.0 * grid.values)
-    assert np.allclose(normalize_grid(scaled).values,
-                       normalize_grid(grid).values, atol=1e-12)
+    values = simulate_crossing(TRUTH, *wide_grid(10, 10), 0.0, seed=0)
+    assert np.allclose(normalize_grid(5.0 * values), normalize_grid(values),
+                       atol=1e-12)
 
 
 def test_normalize_all_zero_border_rejected():
-    spec = wide_spec(5, 5)
     vals = np.zeros((5, 5), dtype=complex)
     vals[2, 2] = 1.0
     with pytest.raises(AllZeroBorder):
-        normalize_grid(ComplexGrid2D(spec=spec, values=vals))
+        normalize_grid(vals)
 
 
 def test_normalized_border_near_unity():
     # far-detuned |Gamma| -> 1, so the border frame should sit near 1
-    grid = simulate_crossing(TRUTH, wide_spec(), 0.0, seed=0)
-    out = normalize_grid(grid).values
+    out = normalize_grid(simulate_crossing(TRUTH, *wide_grid(), 0.0, seed=0))
     border = np.concatenate([out[0], out[-1], out[1:-1, 0], out[1:-1, -1]])
     assert np.median(np.abs(border)) == pytest.approx(1.0, abs=0.05)
 
@@ -214,58 +180,71 @@ def test_normalized_border_near_unity():
 # fit_crossing
 
 
+def test_fit_crossing_refuses_misshapen_values():
+    """values must be shaped (omega_s.size, omega_d.size): transposed, one
+    row or flat, they would broadcast through the residuals."""
+    ws, wd, power = wide_grid(4, 3)
+    values = simulate_crossing(TRUTH, ws, wd, power)
+    for bad in (values.T, values[:1], values[0], values.ravel()):
+        with pytest.raises(ValueError, match="shape"):
+            fit_crossing(ws, wd, bad, power, TRUTH)
+    assert fit_crossing(ws, wd, values, power, TRUTH,
+                        max_evaluations=0).iterations == 0
+
+
 def test_objective_at_truth_is_zero():
-    spec = wide_spec(20, 20)
-    grid = simulate_crossing(TRUTH, spec, 0.0, seed=0)
-    model = evaluate_model_grid(TRUTH, spec)
-    assert objective_l1((model - grid.values).view(float)) < 1e-9
+    grid = wide_grid(20, 20)
+    values = simulate_crossing(TRUTH, *grid, 0.0, seed=0)
+    model = evaluate_model_grid(TRUTH, *grid)
+    assert objective_l1((model - values).view(float)) < 1e-9
 
 
 def test_fit_from_truth_stays_at_truth():
-    spec = wide_spec(15, 15)
-    grid = simulate_crossing(TRUTH, spec, 0.0, seed=0)
+    ws, wd, power = wide_grid(15, 15)
+    values = simulate_crossing(TRUTH, ws, wd, power, 0.0, seed=0)
     init = guess_from(PHYS, NI)
-    res = fit_crossing(grid, init, max_evaluations=20000)
+    res = fit_crossing(ws, wd, values, power, init, max_evaluations=20000)
     assert res.objective_value < 1e-9
     for err in physical_errors(res, PHYS).values():
         assert abs(err) < 1e-6
 
 
 def test_fit_determinism():
-    spec = wide_spec(12, 12)
-    grid = simulate_crossing(TRUTH, spec, 0.01, seed=1)
+    ws, wd, power = wide_grid(12, 12)
+    values = simulate_crossing(TRUTH, ws, wd, power, 0.01, seed=1)
     rng = np.random.default_rng(0)
     init = guess_from(PHYS, NI, rng)
-    a = fit_crossing(grid, init, max_evaluations=4000)
-    b = fit_crossing(grid, init, max_evaluations=4000)
+    a = fit_crossing(ws, wd, values, power, init, max_evaluations=4000)
+    b = fit_crossing(ws, wd, values, power, init, max_evaluations=4000)
     assert a.objective_value == b.objective_value
     assert a.params == b.params
 
 
 def test_invalid_bounds_rejected():
     """A guess rate that is not positive leaves nothing to bound."""
-    spec = wide_spec(5, 5)
-    grid = simulate_crossing(TRUTH, spec, 0.0, seed=0)
+    ws, wd, power = wide_grid(5, 5)
+    values = simulate_crossing(TRUTH, ws, wd, power, 0.0, seed=0)
     for name in ("g_eff", "kappa_th"):
         with pytest.raises(InvalidBounds, match=name):
-            fit_crossing(grid, {**TRUTH, name: 0.0})
+            fit_crossing(ws, wd, values, power, {**TRUTH, name: 0.0})
 
 
-def reference_model(params, spec, omega_c, g_s, omega_d_mean):
+def reference_model(params, grid, omega_c, g_s, omega_d_mean):
     """Gamma' written term by term, as three nested complex divisions."""
     (kappa_c0, kappa_c1, kappa_s, kappa_th, g_eff,
      o_r, o_i, A, b, psi, tau, omega_s_off, omega_d_off) = params
-    ws = spec.omega_s_values[:, None] - omega_s_off
-    wd = spec.omega_d_values[None, :] - omega_d_off
+    omega_s, omega_d, power = grid
+    ws = omega_s[:, None] - omega_s_off
+    wd = omega_d[None, :] - omega_d_off
     kappa_c = kappa_c0 + kappa_c1
-    n_cav = spec.drive_power / (CONST.hbar * wd * kappa_c)
+    n_cav = power / (CONST.hbar * wd * kappa_c)
     delta = wd - ws
     saturation = (g_s ** 2 * n_cav * kappa_s / (2.0 * kappa_th)) \
         / (kappa_s / 2.0 - 1j * delta)
     pi_term = g_s ** 2 * (g_eff / g_s) ** 2 \
         / (kappa_s / 2.0 + 1j * delta + saturation)
     gamma = -1.0 + kappa_c1 / (kappa_c / 2.0 + 1j * (wd - omega_c) + pi_term)
-    d = spec.omega_d_values[None, :] - omega_d_mean
+    d = omega_d[None, :] - omega_d_mean
     envelope = np.exp(1j * (psi + d * tau)) * (1.0 + A + b * d)
     return o_r + 1j * o_i + envelope * gamma
 
@@ -283,8 +262,9 @@ def test_fused_objective_matches_reference(monkeypatch):
     residual layout are checked along with the Gamma' kernel, in both the
     least-squares and the IRLS stage.
     """
-    spec = wide_spec(20, 24)
-    grid = simulate_crossing(TRUTH, spec, 0.02, seed=9)
+    grid = wide_grid(20, 24)
+    ws, wd, power = grid
+    values = simulate_crossing(TRUTH, *grid, 0.02, seed=9)
     init = guess_from(PHYS, NI)
     bounds = default_bounds(TRUTH)
     rng = np.random.default_rng(21)
@@ -300,26 +280,26 @@ def test_fused_objective_matches_reference(monkeypatch):
                                      + frac[k] * math.log(hi / lo))
             else:
                 params[k] = lo + frac[k] * (hi - lo)
-        want = reference_model(params, spec, PHYS["omega_c"], G_S,
-                               spec.omega_d_mean)
+        want = reference_model(params, grid, PHYS["omega_c"], G_S,
+                               float(np.mean(wd)))
         points.append((np.log(frac / (1.0 - frac)), params, want))
 
     def stand_in_lm(evaluate, jacobian, x, r, f, l1, tol):
         for y, _, want in points:
             resid, l1_norm = evaluate(y)
-            expected = (want - grid.values).ravel().view(float)
+            expected = (want - values).ravel().view(float)
             assert np.allclose(resid, expected, rtol=1e-12, atol=1e-12)
             assert l1_norm == pytest.approx(
-                reference_l1(want, grid.values), rel=1e-12)
+                reference_l1(want, values), rel=1e-12)
             checked.append(l1)
         return x, r, 0, False
 
     monkeypatch.setattr(fitting, "_levenberg_marquardt", stand_in_lm)
-    fit_crossing(grid, init)
+    fit_crossing(ws, wd, values, power, init)
     for _, params, want in points:
         got = evaluate_model_grid(dict(zip(PARAM_NAMES, params),
                                        omega_c=PHYS["omega_c"], g_s=G_S),
-                                  spec)
+                                  *grid)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
     # each of the 16 points was checked by both stages
     assert checked.count(False) == checked.count(True) == 16
@@ -354,12 +334,12 @@ def test_fit_calls_objective_once_per_evaluation(monkeypatch):
     """One objective per value evaluation, the guess evaluated once and
     first, and max_evaluations bounding every value and Jacobian of every
     stage."""
-    spec = wide_spec(10, 10)
-    grid = simulate_crossing(TRUTH, spec, 0.01, seed=2)
+    ws, wd, power = wide_grid(10, 10)
+    data = simulate_crossing(TRUTH, ws, wd, power, 0.01, seed=2)
     init = guess_from(PHYS, NI, np.random.default_rng(3))
     guess = [init[name] for name in PARAM_NAMES]
     calls, objective_calls = counting_kernel(monkeypatch)
-    res = fit_crossing(grid, init, max_evaluations=20000)
+    res = fit_crossing(ws, wd, data, power, init, max_evaluations=20000)
     assert res.converged
     values = [p for kind, p in calls if kind == "value"]
     assert len(objective_calls) == len(values)
@@ -376,7 +356,8 @@ def test_fit_calls_objective_once_per_evaluation(monkeypatch):
     iterations = []
     for budget in (1, 7, 60, 100, 149):
         del calls[:], objective_calls[:]
-        res = fit_crossing(grid, init, max_evaluations=budget)
+        res = fit_crossing(ws, wd, data, power, init,
+                           max_evaluations=budget)
         assert len(calls) == budget
         assert len(objective_calls) == sum(kind == "value"
                                            for kind, _ in calls)
@@ -409,8 +390,8 @@ def test_fit_jacobian_matches_central_differences(monkeypatch):
     """The Jacobian fit_crossing hands minimize, chained through the bound
     transform, equals central differences of its residuals in x, quietly
     beyond the transform's exp cap too."""
-    spec = wide_spec(20, 24)
-    grid = simulate_crossing(TRUTH, spec, 0.02, seed=9)
+    ws, wd, power = wide_grid(20, 24)
+    values = simulate_crossing(TRUTH, ws, wd, power, 0.02, seed=9)
     init = guess_from(PHYS, NI)
     rng = np.random.default_rng(8)
     closures = []
@@ -420,7 +401,7 @@ def test_fit_jacobian_matches_central_differences(monkeypatch):
         return 0, False
 
     monkeypatch.setattr(fitting, "minimize", stand_in)
-    fit_crossing(grid, init)
+    fit_crossing(ws, wd, values, power, init)
     (evaluate, jacobian), = closures
     n = len(PARAM_NAMES)
     beyond = rng.uniform(-3.0, 3.0, n)
@@ -429,7 +410,7 @@ def test_fit_jacobian_matches_central_differences(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             jac = jacobian(x)
-            assert jac.shape == (2 * grid.values.size, n)
+            assert jac.shape == (2 * values.size, n)
             for k in range(n):
                 # a step that moves the residuals by at most 3e-4
                 h = 3e-4 / max(np.abs(jac[:, k]).max(), 1.0)
@@ -442,10 +423,10 @@ def test_fit_jacobian_matches_central_differences(monkeypatch):
 def test_noiseless_fit_converges():
     """A grid fitted to rounding error reports converged, from the truth
     itself (where no step lowers the objective) and from a guess off it."""
-    spec = wide_spec(10, 10)
-    grid = simulate_crossing(TRUTH, spec, 0.0, seed=0)
+    ws, wd, power = wide_grid(10, 10)
+    values = simulate_crossing(TRUTH, ws, wd, power, 0.0, seed=0)
     for rng in (None, np.random.default_rng(3)):
-        res = fit_crossing(grid, guess_from(PHYS, NI, rng))
+        res = fit_crossing(ws, wd, values, power, guess_from(PHYS, NI, rng))
         assert res.converged is True
         assert res.objective_value < 1e-8
 
@@ -454,12 +435,12 @@ def test_criterion_13_noisy_fit_converges_within_budget(monkeypatch):
     """Criterion 13's noisy 50x50 fit converges in under 20 000 evaluations
     and at most 60 steps, no higher than the 40.98254358427529 that IRLS
     without extrapolated steps reached in 80."""
-    spec = wide_spec()
-    grid = normalize_grid(simulate_crossing(TRUTH, spec, 0.01,
-                                            seed=200))
+    ws, wd, power = wide_grid()
+    values = normalize_grid(simulate_crossing(TRUTH, ws, wd, power, 0.01,
+                                              seed=200))
     init = guess_from(PHYS, NI, np.random.default_rng(100))
     params, _ = counting_kernel(monkeypatch)
-    res = fit_crossing(grid, init)
+    res = fit_crossing(ws, wd, values, power, init)
     assert res.converged
     assert len(params) <= 20000
     assert res.iterations <= 60
@@ -478,7 +459,8 @@ def _bench_inputs():
 
 def _bench_truth(inputs, k):
     """Truth k of the benchmark's fit recipe (see test_fit_over_forty_truths)
-    and the grid crossing-sim's command simulates from it."""
+    and the grid crossing-sim's command simulates from it, as
+    (omega_s, omega_d, values, power): fit_crossing's first arguments."""
     raw = copy.deepcopy(inputs.BASE)
     scale = np.random.default_rng(k).uniform(0.8, 1.2, 5)
     raw["cavity"]["kappa_c0_khz"] *= scale[0]
@@ -491,8 +473,8 @@ def _bench_truth(inputs, k):
     raw["grid"]["noise_sigma"] = 0.01
     raw["run"]["master_seed"] = k
     truth = parse_config(raw)
-    [(_, _, grid)] = cli.cmd_crossing_sim(truth, None)
-    return truth, grid
+    [(_, _, ws, wd, values)] = cli.cmd_crossing_sim(truth, None)
+    return truth, (ws, wd, values, truth["drive"]["power_dbm"])
 
 
 def test_fit_result_is_a_guess_and_a_truth():
@@ -500,12 +482,13 @@ def test_fit_result_is_a_guess_and_a_truth():
     gives the fit's L1 objective bit for bit, and as the next fit's guess
     it ends no higher, at the same five rates and the same fixed omega_c
     and g_s.  The data is the benchmark recipe's truth 0."""
-    _, grid = _bench_truth(_bench_inputs(), 0)
-    res = fit_crossing(grid, DEFAULTS.model())
-    model = simulate_crossing(res.params, grid.spec)
-    assert objective_l1((model.values - grid.values).ravel().view(float)) \
+    _, data = _bench_truth(_bench_inputs(), 0)
+    ws, wd, values, power = data
+    res = fit_crossing(*data, DEFAULTS.model())
+    model = simulate_crossing(res.params, ws, wd, power)
+    assert objective_l1((model - values).ravel().view(float)) \
         == res.objective_value
-    again = fit_crossing(grid, res.params)
+    again = fit_crossing(*data, res.params)
     assert again.objective_value <= res.objective_value
     for name in PARAM_NAMES[:5]:
         assert again.params[name] == pytest.approx(res.params[name],
@@ -531,9 +514,9 @@ def test_fit_over_forty_truths():
     within = converged = 0
     steps = []
     for k in range(40):
-        truth, grid = _bench_truth(inputs, k)
-        res = fit_crossing(grid, DEFAULTS.model())
-        noise_l1 = 2.0 * grid.values.size * 0.01 * math.sqrt(2.0 / math.pi)
+        truth, data = _bench_truth(inputs, k)
+        res = fit_crossing(*data, DEFAULTS.model())
+        noise_l1 = 2.0 * data[2].size * 0.01 * math.sqrt(2.0 / math.pi)
         assert 0.8 <= res.objective_value / noise_l1 <= 1.2, k
         errors = physical_errors(res, truth.model())
         within += all(abs(err) < inputs.FIT_TOLERANCE[name]
@@ -549,7 +532,7 @@ def test_fit_over_forty_truths():
 def test_round_trip_twenty_random_truths():
     """Noiseless fits recover physical params within 1%, auxiliaries to 5%."""
     rng = np.random.default_rng(7)
-    spec = wide_spec(30, 30)
+    ws, wd, power = wide_grid(30, 30)
     for _ in range(20):
         u = lambda x: x * rng.uniform(0.5, 1.5)
         phys = {**PHYS, "kappa_c0": u(TWO_PI * 330e3),
@@ -558,8 +541,8 @@ def test_round_trip_twenty_random_truths():
         ni = {"o_r": u(-0.008), "o_i": u(0.12), "A": u(0.003),
               "b": u(1e-9), "psi": u(0.14), "tau": u(-1.2e-8),
               "omega_s_off": u(-7.3e6), "omega_d_off": u(-5.6e5)}
-        grid = simulate_crossing({**phys, **ni}, spec, 0.0, seed=0)
-        res = fit_crossing(grid, guess_from(phys, ni, rng))
+        values = simulate_crossing({**phys, **ni}, ws, wd, power, 0.0, seed=0)
+        res = fit_crossing(ws, wd, values, power, guess_from(phys, ni, rng))
         for name, err in physical_errors(res, phys).items():
             assert abs(err) < 0.01, (name, err)
         got, want = res.params, ni
@@ -584,16 +567,76 @@ def test_kappa_th_power_sensitivity():
     p_th_dbm = watts_to_dbm(p_th)
 
     def kth_error(power_dbm, seed):
-        spec = wide_spec(power_dbm=power_dbm)
-        grid = simulate_crossing(TRUTH, spec, 0.05, seed=seed)
+        ws, wd, power = wide_grid(power_dbm=power_dbm)
+        values = simulate_crossing(TRUTH, ws, wd, power, 0.05, seed=seed)
         init = guess_from(PHYS, NI)
-        res = fit_crossing(normalize_grid(grid), init)
+        res = fit_crossing(ws, wd, normalize_grid(values), power, init)
         return abs(res.params["kappa_th"] / PHYS["kappa_th"] - 1)
 
     for seed in (0, 1):
         assert kth_error(p_th_dbm, seed) < 0.20
     for seed in (5, 6):
         assert kth_error(p_th_dbm - 10.0, seed) > 0.50
+
+
+def fisher_matrix(params, omega_s, omega_d, power, sigma=0.01):
+    """F = J^T J / sigma^2 of a grid's residuals under complex noise sigma,
+    with the five rates in log units and the auxiliaries in units of their
+    bound widths (fitting.DEFAULT_AUX_BOUNDS); J is gamma_prime_jacobian's,
+    the real and imaginary part of each point a row.  The Cramer-Rao bound
+    on each parameter's standard error is sqrt(diag F^-1)."""
+    jac = gamma_prime_jacobian(omega_s, omega_d, float(np.mean(omega_d)),
+                               power, params)
+    units = [params[name] for name in PARAM_NAMES[:5]] \
+        + [hi - lo for lo, hi in fitting.DEFAULT_AUX_BOUNDS.values()]
+    j = (jac.reshape(len(PARAM_NAMES), -1)
+         * np.array(units)[:, None]).view(float)
+    return j @ j.T / sigma ** 2
+
+
+def test_kappa_th_threshold_marks_the_best_measured_power():
+    """kappa_th_threshold_power against the Cramer-Rao bound on the default
+    50 x 50 grid, with sigma = 0.01 and tau = -12 ns.
+
+    Below the threshold, kappa_th's relative standard error falls about
+    tenfold per 10 dB of power: 12.4 at 30 dB below it, 1.25 at 20 dB
+    below.  It is least, 2.7 %, 2.25 dB above the threshold, and rises again
+    above that as saturation broadens the line.  The docstring's "below this
+    power kappa_th becomes hard to estimate" holds; the best power lies
+    2-5 dB above the threshold, not at it.  kappa_th enters Gamma' only
+    through S, proportional to P / kappa_th, and the threshold is
+    proportional to kappa_th, so kappa_th times 1/3 and 3 give the same
+    curve in P / P_th: the best power moves with the threshold.  At
+    b = tau = 0 the gauge family makes F singular to rounding; at
+    tau = -12 ns its condition number at the threshold is 3.6e7."""
+    cfg = parse_config({"nonideal": {"tau_s": -1.2e-8}})
+    ws, wd = cli._grid_spec(cfg)
+    model = cfg.model()
+
+    def fisher(params, offset_db):
+        t1, t2 = relaxation_times(params)
+        threshold = kappa_th_threshold_power(
+            t1, t2, params["g_s"], cfg["drive"]["omega_d_ghz"],
+            params["kappa_c0"] + params["kappa_c1"])
+        return fisher_matrix(params, ws, wd,
+                             threshold * 10.0 ** (offset_db / 10.0))
+
+    def kth_error(params, offset_db):
+        return math.sqrt(np.linalg.inv(fisher(params, offset_db))[3, 3])
+
+    below = [kth_error(model, offset) for offset in range(-30, 1, 5)]
+    assert all(a > b for a, b in zip(below, below[1:]))
+    assert below[2] > 1.0                       # 20 dB below: over 100 %
+    offsets = np.arange(0.0, 8.01, 0.25)
+    for scale in (1 / 3, 1.0, 3.0):
+        params = {**model, "kappa_th": model["kappa_th"] * scale}
+        errors = [kth_error(params, offset) for offset in offsets]
+        assert 2.0 <= offsets[int(np.argmin(errors))] <= 5.0, scale
+        assert min(errors) < 0.03, scale
+    gauge = np.linalg.eigvalsh(fisher({**model, "b": 0.0, "tau": 0.0}, 0.0))
+    assert abs(gauge[0]) <= 1e-14 * gauge[-1]
+    eigenvalues = np.linalg.eigvalsh(fisher(model, 0.0))
+    assert eigenvalues[-1] / eigenvalues[0] < 1e10
 
 
 # ---------------------------------------------------------------------------
@@ -619,14 +662,14 @@ def test_relaxation_times_trivial_and_errors():
 
 
 def test_grid_csv_round_trip(tmp_path):
-    spec = wide_spec(6, 5)
-    grid = simulate_crossing(TRUTH, spec, 0.01, seed=3)
+    ws, wd, power = wide_grid(6, 5)
+    values = simulate_crossing(TRUTH, ws, wd, power, 0.01, seed=3)
     path = tmp_path / "grid.csv"
-    path.write_text(write_grid_csv(path, grid))
-    back = read_grid_csv(path, drive_power=spec.drive_power)
-    assert np.allclose(back.spec.omega_s_values, spec.omega_s_values)
-    assert np.allclose(back.spec.omega_d_values, spec.omega_d_values)
-    assert np.allclose(back.values, grid.values, atol=1e-12)
+    path.write_text(write_grid_csv(path, ws, wd, values))
+    back_ws, back_wd, back = read_grid_csv(path)
+    assert np.allclose(back_ws, ws)
+    assert np.allclose(back_wd, wd)
+    assert np.allclose(back, values, atol=1e-12)
 
 
 def test_fit_json_units_in_keys(tmp_path):
@@ -665,17 +708,17 @@ def test_fit_json_reports_the_fitted_g_eff():
 
 
 def test_grid_csv_rows_in_any_order(tmp_path):
-    spec = wide_spec(6, 5)
-    grid = simulate_crossing(TRUTH, spec, 0.01, seed=3)
+    ws, wd, power = wide_grid(6, 5)
+    values = simulate_crossing(TRUTH, ws, wd, power, 0.01, seed=3)
     path = tmp_path / "grid.csv"
-    path.write_text(write_grid_csv(path, grid))
+    path.write_text(write_grid_csv(path, ws, wd, values))
     header, *rows = path.read_text().splitlines()
     rows.sort(key=lambda line: -float(line.split(",")[1]))
     path.write_text("\n".join([header] + rows) + "\n")
-    back = read_grid_csv(path, drive_power=spec.drive_power)
-    assert np.allclose(back.spec.omega_s_values, spec.omega_s_values)
-    assert np.allclose(back.spec.omega_d_values, spec.omega_d_values)
-    assert np.allclose(back.values, grid.values, atol=1e-12)
+    back_ws, back_wd, back = read_grid_csv(path)
+    assert np.allclose(back_ws, ws)
+    assert np.allclose(back_wd, wd)
+    assert np.allclose(back, values, atol=1e-12)
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -694,13 +737,13 @@ def test_grid_csv_rows_in_any_order(tmp_path):
      "line 5 has 5 cells"),
 ])
 def test_grid_csv_malformed_rejected(tmp_path, edit, message):
-    spec = wide_spec(4, 3)
+    ws, wd, power = wide_grid(4, 3)
     path = tmp_path / "grid.csv"
-    text = write_grid_csv(path, simulate_crossing(TRUTH, spec, 0.0,
-                                                  seed=0))
+    text = write_grid_csv(path, ws, wd, simulate_crossing(TRUTH, ws, wd, power,
+                                                          0.0, seed=0))
     path.write_text("\n".join(edit(text.splitlines())) + "\n")
     with pytest.raises(ParseError, match=message):
-        read_grid_csv(path, drive_power=spec.drive_power)
+        read_grid_csv(path)
 
 
 def test_fit_json_is_strict(tmp_path):

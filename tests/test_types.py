@@ -1,6 +1,8 @@
 """The parameter types: every construction check, and what each type costs;
-and the checks of cavity.gamma_prime's params record, which each of its
-three entries (gamma_prime, gamma_prime_jacobian, bias_sweep_trace) runs.
+the checks of cavity.gamma_prime's params record, which each of its three
+entries (gamma_prime, gamma_prime_jacobian, bias_sweep_trace) runs; and the
+checks a crossing grid meets as plain arrays: cli._axis on every axis the
+commands draw, and fit_crossing on the shape of the values.
 
 Each check is written so that NaN fails it: a comparison with NaN is
 False, so a check spelled `x <= 0` or `np.diff(v) <= 0` would let NaN
@@ -23,8 +25,9 @@ import pytest
 import rubymag
 from rubymag.calibration import CoilGeometry
 from rubymag.cavity import gamma_prime, gamma_prime_jacobian
+from rubymag.cli import _axis
 from rubymag.config import parse_config
-from rubymag.fitting import ComplexGrid2D, GridSpec
+from rubymag.fitting import fit_crossing
 from rubymag.iqnoise import DBC_PER_HZ, V2_PER_HZ, NoiseSpectrum
 from rubymag.magnetometry import bias_sweep_trace
 from rubymag.spins import FieldVector, SpinSystem
@@ -32,8 +35,6 @@ from rubymag.thermal import MaterialParams
 
 NAN = math.nan
 AXIS = np.array([1.0, 2.0, 3.0])
-SPEC = GridSpec(omega_s_values=AXIS, omega_d_values=AXIS[:2],
-                drive_power=1e-3)
 # the three parameter bundles and the params record at the default config
 DEFAULTS = parse_config({})
 SPIN, MATERIAL, COIL = (DEFAULTS.spin_system(), DEFAULTS.material(),
@@ -61,8 +62,8 @@ def _entry(suffix, omega_s=OMEGA_S, power=POWER, **changes):
                                     {**MODEL, **changes}, power)
 
 
-def _grid_spec(ws=AXIS, wd=AXIS):
-    return GridSpec(omega_s_values=ws, omega_d_values=wd, drive_power=1e-3)
+def _grid_axis(keys, centre=1.0, span=1.0, n=3):
+    return lambda: _axis(keys, centre, span, n)
 
 
 def _spectrum(offsets=AXIS, density=AXIS, unit=V2_PER_HZ):
@@ -130,18 +131,20 @@ _INVALID = [
      "n_turns"),
     ("coil n_turns inf", lambda: replace(COIL, n_turns=math.inf), "n_turns"),
     ("coil radius NaN", lambda: replace(COIL, radius=NAN), "n_turns"),
-    # GridSpec: each axis strictly increasing, length >= 2
-    ("grid omega_s too short", lambda: _grid_spec(ws=AXIS[:1]),
-     "omega_s_values"),
-    ("grid omega_d decreasing", lambda: _grid_spec(wd=AXIS[::-1]),
-     "omega_d_values"),
-    ("grid omega_s with NaN", lambda: _grid_spec(ws=np.array([1.0, NAN])),
-     "omega_s_values"),
-    ("grid omega_d with NaN",
-     lambda: _grid_spec(wd=np.array([1.0, NAN, 3.0])), "omega_d_values"),
-    # ComplexGrid2D: values shaped like the spec's axes
+    # the crossing grid: each axis drawn by cli._axis, two or more strictly
+    # increasing points (a ConfigError naming the keys), and fit_crossing's
+    # values shaped like the axes
+    ("grid omega_s too short", _grid_axis("grid.n_omega_s", n=1),
+     "grid.n_omega_s"),
+    ("grid omega_d decreasing", _grid_axis("grid.omega_d_span_mhz", span=-1.0),
+     "grid.omega_d_span_mhz"),
+    ("grid omega_s with NaN", _grid_axis("ensemble.omega_s_ghz", centre=NAN),
+     "ensemble.omega_s_ghz"),
+    ("grid omega_d with NaN", _grid_axis("grid.omega_d_span_mhz", span=NAN),
+     "grid.omega_d_span_mhz"),
     ("grid values transposed",
-     lambda: ComplexGrid2D(spec=SPEC, values=np.zeros((2, 3))), "shape"),
+     lambda: fit_crossing(AXIS, AXIS[:2], np.zeros((2, 3)), 1e-3, MODEL),
+     "shape"),
     # NoiseSpectrum: equal lengths, offsets positive and strictly
     # increasing, a known unit, a V2_per_Hz density >= 0
     ("spectrum lengths differ", lambda: _spectrum(density=AXIS[:2]),
