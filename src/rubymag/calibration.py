@@ -7,7 +7,6 @@ solenoid formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -17,32 +16,22 @@ from .csvio import read_columns
 from .errors import DegenerateAbscissa, ParseError, TooFewPoints
 
 
-@dataclass
-class CoilGeometry:
-    """Test coil: turns, radius and on-axis distance to the sensor."""
-
-    n_turns: int
-    radius: float      # m
-    distance: float    # m, coil center to sensor on axis
-
-    def __post_init__(self):
-        # written so that NaN, which compares False, fails the check; the
-        # count also fails it at +-inf and fractional values, since
-        # n % 1 is NaN at inf and nonzero for a fraction
-        if not (self.n_turns >= 1 and self.n_turns % 1 == 0
-                and self.radius > 0):
-            raise ValueError("n_turns must be a positive integer and radius "
-                             "positive")
-
-
-def solenoid_axial_field(coil: CoilGeometry, current: float) -> float:
-    """On-axis field of a thin n-turn loop at distance z from its center.
+def solenoid_axial_field(n_turns: float, radius: float, distance: float,
+                         current: float) -> float:
+    """On-axis field of a thin loop of n_turns turns and radius R (m) at the
+    distance z (m) from its center, carrying current (A).
 
     B = n mu_0 I R^2 / (2 (z^2 + R^2)^{3/2})  [tesla]
     """
-    r2 = coil.radius ** 2
-    return (coil.n_turns * CONST.mu_0 * current * r2
-            / (2.0 * (coil.distance ** 2 + r2) ** 1.5))
+    # written so that NaN, which compares False, fails the check; the
+    # count also fails it at +-inf and fractional values, since
+    # n % 1 is NaN at inf and nonzero for a fraction
+    if not (n_turns >= 1 and n_turns % 1 == 0 and radius > 0):
+        raise ValueError("n_turns must be a positive integer and radius "
+                         "positive")
+    r2 = radius ** 2
+    return (n_turns * CONST.mu_0 * current * r2
+            / (2.0 * (distance ** 2 + r2) ** 1.5))
 
 
 class LinearCalibration(NamedTuple):

@@ -144,10 +144,11 @@ def _default_noise_csv(name: str) -> Path:
 
 
 def cmd_eigen(cfg: RunConfig, input_csv) -> list:
-    s = cfg["sweep"]
+    s, spin = cfg["sweep"], cfg["spin"]
     b_values = _axis("sweep.b_max_gauss, sweep.n_points",
                      s["b_max_gauss"] / 2.0, s["b_max_gauss"], s["n_points"])
-    energies, _ = energy_level_sweep(cfg.spin_system(),
+    energies, _ = energy_level_sweep(spin["d_ghz"], spin["g_par"],
+                                     spin["g_perp"],
                                      math.radians(s["theta_deg"]), b_values)
     return [("energy_levels.csv", render_energy_sweep_csv, b_values, energies)]
 
@@ -194,11 +195,12 @@ def _sensitivity_budget(cfg: RunConfig,
                         model: dict) -> tuple[np.ndarray, np.ndarray, dict]:
     """The bias sweep's fields and complex voltages for the params record
     model, and the sensitivity budget drawn from its slope."""
-    s, n, drive = cfg["sweep"], cfg["noise"], cfg["drive"]
+    s, n, drive, spin = cfg["sweep"], cfg["noise"], cfg["drive"], cfg["spin"]
     b_values = _axis("sweep.bias_b_gauss, sweep.b_span_gauss, sweep.n_points",
                      s["bias_b_gauss"], s["b_span_gauss"], s["n_points"])
     v = mag.bias_sweep_trace(
-        mag.spin_frequency_vs_field(cfg.spin_system(), b_values), model,
+        mag.spin_frequency_vs_field(spin["d_ghz"], spin["g_par"], b_values),
+        model,
         drive["omega_d_ghz"], drive["power_dbm"], s["chain_gain_db"])
     _, m_max = mag.dispersive_slope(b_values, v.imag)
     e_n = s["noise_floor_nv_per_rthz"]
@@ -209,8 +211,8 @@ def _sensitivity_budget(cfg: RunConfig,
         "m_max_v_per_t": m_max,
         "v_m_v": v_m,
         "eta_t_per_rthz": mag.sensitivity(e_n, v_m, b_test),
-        "eta_th_t_per_rthz": mag.thermal_limit(s["chain_gain_db"],
-                                               cfg.temperature(), m_max),
+        "eta_th_t_per_rthz": mag.thermal_limit(
+            s["chain_gain_db"], cfg["material"]["temperature_k"], m_max),
         "e_th_v_per_rthz": e_th,
     }
     if e_n >= e_th:
@@ -228,13 +230,13 @@ def cmd_sensitivity(cfg: RunConfig, input_csv) -> list:
 
 
 def cmd_optimize(cfg: RunConfig, input_csv) -> list:
-    s = cfg["sweep"]
+    s, spin = cfg["sweep"], cfg["spin"]
     keys = "sweep.bias_b_gauss, sweep.b_span_gauss"
     b_values = _axis(keys, s["bias_b_gauss"], s["b_span_gauss"], 9)
     # a 21-point sweep around each bias, at each power, read at its centre:
     # only the centre five points, that point's slope window, are evaluated
     axes = _axis(keys, b_values, s["b_span_gauss"] / 4.0, 21)[:, 8:13]
-    omega_s = mag.spin_frequency_vs_field(cfg.spin_system(), axes)
+    omega_s = mag.spin_frequency_vs_field(spin["d_ghz"], spin["g_par"], axes)
     e_n_ref = s["noise_floor_nv_per_rthz"]
     model, omega_d = cfg.model(), cfg["drive"]["omega_d_ghz"]
     p_ref = cfg["drive"]["power_dbm"]
@@ -263,9 +265,10 @@ def cmd_optimize(cfg: RunConfig, input_csv) -> list:
 
 
 def cmd_calibrate(cfg: RunConfig, input_csv) -> list:
-    coil = cfg.coil()
-    current = cfg["calibration"]["current_ma"]
-    b_solenoid = cal.solenoid_axial_field(coil, current)
+    c = cfg["calibration"]
+    current = c["current_ma"]
+    b_solenoid = cal.solenoid_axial_field(c["n_turns"], c["coil_radius_mm"],
+                                          c["coil_distance_mm"], current)
     summary = {"b_solenoid_t": b_solenoid,
                "current_a": current}
     if input_csv is not None:
@@ -285,15 +288,19 @@ _REPORT_BUDGET_KEYS = ("m_max_v_per_t", "eta_t_per_rthz", "eta_th_t_per_rthz",
 
 
 def cmd_report(cfg: RunConfig, input_csv) -> list:
-    sys_, matp, model = cfg.spin_system(), cfg.material(), cfg.model()
-    populations = thermal.boltzmann_populations(sys_, cfg.temperature())
+    m, model = cfg["material"], cfg.model()
+    populations = thermal.boltzmann_populations(cfg["spin"]["d_ghz"],
+                                                m["temperature_k"])
+    n_total = thermal.total_interrogated_spins(
+        m["v_cav_mm3"], m["v_cell_nm3"], m["alpha_cr"], m["m_al2o3_g_per_mol"],
+        m["m_cr2o3_g_per_mol"], m["n_cell"])
     t1, t2 = fitting.relaxation_times(model)
     *_, budget = _sensitivity_budget(cfg, model)
     summary = {
         "populations": list(populations),
         "polarization": thermal.polarization(populations),
-        "n_total_spins": thermal.total_interrogated_spins(matp),
-        "n_polarized_spins": thermal.polarized_spin_count(matp, populations),
+        "n_total_spins": n_total,
+        "n_polarized_spins": thermal.polarization(populations) * n_total,
         "g_eff_rad_per_s": model["g_eff"],
         "cooperativity_xi": cooperativity(model),
         "t1_s": t1,

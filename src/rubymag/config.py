@@ -7,18 +7,18 @@ in watts.  Unknown keys are hard errors; a known quantity spelled with the
 wrong unit suffix raises UnitMismatch naming the expected key, and so does a
 value of the wrong JSON type.  Omitted keys and blocks fall back to the
 defaults in _SCHEMA, the one place the paper's values are written: the
-types the RunConfig views build (SpinSystem, MaterialParams, CoilGeometry)
-carry no defaults, and model() builds cavity.gamma_prime's params record
-straight from the blocks.
+formulas that read the blocks take their numbers as arguments without
+defaults, and model() builds cavity.gamma_prime's params record straight
+from the blocks.
 
 _SCHEMA also holds every key's range, so a value out of range fails the
-parse as ConfigError whichever command runs, and no RunConfig view
-refuses a parsed config; gamma_prime checks the record's ranges again
-where it is used, and a parsed config always passes them.  Two checks span
-several keys and stay at run time: the crossing grid's shape and every
-sweep axis (a ConfigError from the cli), and every drive frequency Gamma'
-is evaluated at, shifted by nonideal.omega_d_off (cavity.gamma_prime, a
-runtime error).
+parse as ConfigError whichever command runs.  Each formula checks the
+ranges of the numbers it reads again where it is used, and a parsed config
+always passes them; a derived spin count too large for a float is a
+runtime OverflowError.  Two checks span several keys and stay at run time:
+the crossing grid's shape and every sweep axis (a ConfigError from the
+cli), and every drive frequency Gamma' is evaluated at, shifted by
+nonideal.omega_d_off (cavity.gamma_prime, a runtime error).
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .calibration import CoilGeometry
 from .cavity import MODEL_NAMES, dbm_to_watts, single_spin_coupling
 from .errors import ConfigError, ParseError, UnitMismatch, UnknownKey
-from .spins import SpinSystem
-from .thermal import (MaterialParams, boltzmann_populations,
-                      polarized_spin_count)
+from .thermal import (boltzmann_populations, polarization,
+                      total_interrogated_spins)
 
 
 def _integer(value) -> int:
@@ -155,22 +153,6 @@ class RunConfig:
     def __getitem__(self, block: str) -> dict:
         return self.values[block]
 
-    # ----- domain-object views ------------------------------------------
-    def spin_system(self) -> SpinSystem:
-        s = self["spin"]
-        return SpinSystem(D=s["d_ghz"], g_par=s["g_par"], g_perp=s["g_perp"])
-
-    def material(self) -> MaterialParams:
-        m = self["material"]
-        return MaterialParams(V_cav=m["v_cav_mm3"], V_cell=m["v_cell_nm3"],
-                              alpha_Cr=m["alpha_cr"],
-                              m_Al2O3=m["m_al2o3_g_per_mol"],
-                              m_Cr2O3=m["m_cr2o3_g_per_mol"],
-                              N_cell=m["n_cell"])
-
-    def temperature(self) -> float:
-        return self["material"]["temperature_k"]
-
     def ensemble(self) -> tuple[float, float]:
         """(g_s, N): the config's single-spin coupling and polarized spin
         count, each derived where the config leaves it null, g_s from the
@@ -182,8 +164,13 @@ class RunConfig:
                                        self["cavity"]["omega_c_ghz"])
         n = e["n_spins"]
         if n is None:
-            n = polarized_spin_count(self.material(), boltzmann_populations(
-                self.spin_system(), self.temperature()))
+            m = self["material"]
+            n = polarization(boltzmann_populations(
+                self["spin"]["d_ghz"], m["temperature_k"])) \
+                * total_interrogated_spins(
+                    m["v_cav_mm3"], m["v_cell_nm3"], m["alpha_cr"],
+                    m["m_al2o3_g_per_mol"], m["m_cr2o3_g_per_mol"],
+                    m["n_cell"])
         return g_s, n
 
     def model(self) -> dict:
@@ -198,11 +185,6 @@ class RunConfig:
             n["o_r"], n["o_i"], n["amplitude_a"], n["slope_b_per_hz"],
             n["psi_rad"], n["tau_s"], n["omega_s_off_mhz"],
             n["omega_d_off_mhz"], c["omega_c_ghz"], g_s)))
-
-    def coil(self) -> CoilGeometry:
-        c = self["calibration"]
-        return CoilGeometry(n_turns=c["n_turns"], radius=c["coil_radius_mm"],
-                            distance=c["coil_distance_mm"])
 
 
 # converter -> (the type a key takes, spelled for messages; its JSON types)

@@ -17,7 +17,7 @@ from .cavity import db_to_voltage_gain, gamma_prime
 from .csvio import render_columns
 from .errors import (EmptyTable, NegativeRadicand, TooFewPoints, ZeroSignal,
                      ZeroSlope)
-from .spins import SpinSystem
+from .spins import check_g_factors
 
 _LOAD_OHM = 50.0                      # R, Ohm
 _PROCESSING_FACTOR = math.sqrt(2.0)   # F
@@ -109,14 +109,17 @@ def optimize_grid(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 # ---------------------------------------------------------------------------
 # bias sweep
 
-def spin_frequency_vs_field(sys: SpinSystem, b_values) -> np.ndarray:
-    """omega_s(B) of the +3/2 <-> +1/2 transition in an axial field (rad/s).
+def spin_frequency_vs_field(D: float, g_par: float,
+                            b_values) -> np.ndarray:
+    """omega_s(B) of the +3/2 <-> +1/2 transition in an axial field (rad/s),
+    for the zero-field splitting D (rad/s) and the g-factor g_par.
 
     Along the c-axis the Hamiltonian is diagonal, so the gap is exactly
     |2D + g_par mu_B B / hbar|, with B the signed field along the axis.
     """
+    check_g_factors(g_par)
     b_values = np.asarray(b_values, dtype=float)
-    return np.abs(2.0 * sys.D + (sys.g_par * CONST.mu_B / CONST.hbar) * b_values)
+    return np.abs(2.0 * D + (g_par * CONST.mu_B / CONST.hbar) * b_values)
 
 
 def bias_sweep_trace(omega_s, params: dict, omega_d: float, power: float,

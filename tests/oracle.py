@@ -20,10 +20,10 @@ from rubymag import constants as CONST
 from rubymag.cavity import (MODEL_NAMES, PARAM_NAMES, interaction_term,
                             reflection_coefficient)
 from rubymag.errors import ZeroLinewidth, ZeroSlope
-from rubymag.spins import SpinSystem
 
 
-def analytic_energies_axial(sys: SpinSystem, b_z: float) -> np.ndarray:
+def analytic_energies_axial(D: float, g_par: float,
+                            b_z: float) -> np.ndarray:
     """Closed-form axial-field eigenenergies (rad/s), ascending.
 
     E(+-1/2) = -D +- (1/2)(g_par mu_B / hbar) B_z
@@ -34,9 +34,8 @@ def analytic_energies_axial(sys: SpinSystem, b_z: float) -> np.ndarray:
     """
     if b_z < 0:
         raise ValueError("B_z must be >= 0")
-    b = sys.g_par * CONST.mu_B * b_z / CONST.hbar
-    e = np.array([sys.D + 1.5 * b, -sys.D + 0.5 * b,
-                  -sys.D - 0.5 * b, sys.D - 1.5 * b])
+    b = g_par * CONST.mu_B * b_z / CONST.hbar
+    e = np.array([D + 1.5 * b, -D + 0.5 * b, -D - 0.5 * b, D - 1.5 * b])
     return np.sort(e)
 
 

@@ -30,10 +30,10 @@ from rubymag.iqnoise import (decompose_gamma, noise_contribution_split,
 from rubymag.magnetometry import (bias_sweep_trace, dispersive_slope,
                                   phase_noise_budget, sensitivity,
                                   spin_frequency_vs_field, thermal_limit)
-from rubymag.spins import (FieldVector, build_hamiltonian, eigensolve,
-                           energy_level_sweep, transition)
+from rubymag.spins import (build_hamiltonian, eigensolve, energy_level_sweep,
+                           transition)
 from rubymag.thermal import (boltzmann_populations, polarization,
-                             polarized_spin_count, total_interrogated_spins)
+                             total_interrogated_spins)
 from oracle import (analytic_energies_axial, field_from_slope,
                     optical_power_equivalent, reflection)
 from timeseries import (amplitude_density, noise_floor, simulate_timeseries,
@@ -41,7 +41,8 @@ from timeseries import (amplitude_density, noise_floor, simulate_timeseries,
 
 TWO_PI = 2.0 * math.pi
 DEFAULTS = parse_config({})
-SYS = DEFAULTS.spin_system()
+D, G_PAR, G_PERP = (DEFAULTS["spin"][key]
+                    for key in ("d_ghz", "g_par", "g_perp"))
 G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
 # the paper's fitted g_eff = 2 pi x 3.5 MHz with the modal-volume g_s
 PHYS = {**DEFAULTS.model(), "g_s": G_S, "g_eff": TWO_PI * 3.5e6}
@@ -50,7 +51,7 @@ KAPPA_C = PHYS["kappa_c0"] + PHYS["kappa_c1"]
 
 
 def test_criterion_01_boltzmann_populations():
-    populations = boltzmann_populations(SYS, 293.0)
+    populations = boltzmann_populations(D, 293.0)
     assert populations[0] == pytest.approx(0.25024, abs=1e-5)
     assert populations[1] == pytest.approx(0.25024, abs=1e-5)
     assert populations[2] == pytest.approx(0.24976, abs=1e-5)
@@ -59,10 +60,13 @@ def test_criterion_01_boltzmann_populations():
 
 
 def test_criterion_02_interrogated_spins():
-    mat = DEFAULTS.material()
-    assert total_interrogated_spins(mat) == pytest.approx(8e17, rel=0.05)
-    populations = boltzmann_populations(SYS, 293.0)
-    assert polarized_spin_count(mat, populations) \
+    m = DEFAULTS["material"]
+    n_total = total_interrogated_spins(
+        m["v_cav_mm3"], m["v_cell_nm3"], m["alpha_cr"], m["m_al2o3_g_per_mol"],
+        m["m_cr2o3_g_per_mol"], m["n_cell"])
+    assert n_total == pytest.approx(8e17, rel=0.05)
+    populations = boltzmann_populations(D, 293.0)
+    assert polarization(populations) * n_total \
         == pytest.approx(3.5e14, rel=0.15)
 
 
@@ -115,7 +119,9 @@ def test_criterion_09_phase_noise_budget():
 
 
 def test_criterion_10_calibration():
-    b_solenoid = solenoid_axial_field(DEFAULTS.coil(), 6.9e-3)
+    c = DEFAULTS["calibration"]
+    b_solenoid = solenoid_axial_field(c["n_turns"], c["coil_radius_mm"],
+                                      c["coil_distance_mm"], 6.9e-3)
     assert b_solenoid == pytest.approx(220e-9, rel=0.01)
     b_slope = field_from_slope(0.646e-3, 2994.0)
     assert b_slope == pytest.approx(216e-9, rel=0.01)
@@ -130,7 +136,7 @@ def test_criterion_11_optical_power_equivalent():
 
 def test_criterion_12_axial_spectroscopy():
     energies, states = eigensolve(build_hamiltonian(
-        SYS, FieldVector(31e-4, 0.0, 0.0)))
+        D, G_PAR, G_PERP, 31e-4, 0.0))
     order = np.argsort([int(np.argmax(np.abs(states[:, i])))
                         for i in range(4)])
     freq = abs(energies[order[0]] - energies[order[1]])
@@ -138,8 +144,8 @@ def test_criterion_12_axial_spectroscopy():
     rng = np.random.default_rng(0)
     for b in rng.uniform(0.0, 0.5, 1000):
         energies, _ = eigensolve(build_hamiltonian(
-            SYS, FieldVector(float(b), 0.0, 0.0)))
-        exact = np.sort(analytic_energies_axial(SYS, float(b)))
+            D, G_PAR, G_PERP, float(b), 0.0))
+        exact = np.sort(analytic_energies_axial(D, G_PAR, float(b)))
         scale = np.max(np.abs(exact))
         assert np.allclose(np.sort(energies), exact,
                            rtol=0, atol=1e-9 * scale)
@@ -212,19 +218,19 @@ def test_criterion_14_noise_model_properties():
 def test_criterion_15_end_to_end_consistency():
     omega_d, power = TWO_PI * 11.4e9, dbm_to_watts(11.0)
     model = PHYS
-    slope = SYS.g_par * CONST.mu_B / CONST.hbar
-    b_center = (2.0 * abs(SYS.D) - omega_d) / slope
+    slope = G_PAR * CONST.mu_B / CONST.hbar
+    b_center = (2.0 * abs(D) - omega_d) / slope
     b_test, w_test = 242e-9, TWO_PI * 10.0
 
     b = np.linspace(b_center - 5e-5, b_center + 5e-5, 101)
-    v = bias_sweep_trace(spin_frequency_vs_field(SYS, b), model, omega_d,
-                         power, 21.0)
+    v = bias_sweep_trace(spin_frequency_vs_field(D, G_PAR, b), model,
+                         omega_d, power, 21.0)
     slopes, _ = dispersive_slope(b, v.imag)
     m_here = abs(slopes[50])
 
-    ts = simulate_timeseries(SYS, model, omega_d, power, b_center, b_test,
-                             w_test, 21.0, 0.0, fs=2000.0, duration=4.0,
-                             seed=0)
+    ts = simulate_timeseries(D, G_PAR, model, omega_d, power, b_center,
+                             b_test, w_test, 21.0, 0.0, fs=2000.0,
+                             duration=4.0, seed=0)
     freqs, asd = amplitude_density(ts.imag - np.mean(ts.imag), fs=2000.0)
     v_m = tone_rms(freqs, asd, 10.0)
     assert v_m == pytest.approx(m_here * b_test, rel=0.02)
@@ -232,7 +238,7 @@ def test_criterion_15_end_to_end_consistency():
     floor_v = 26e-9
     predicted_eta = floor_v / m_here
     for seed in range(10):
-        ts = simulate_timeseries(SYS, model, omega_d, power, b_center,
+        ts = simulate_timeseries(D, G_PAR, model, omega_d, power, b_center,
                                  b_test, w_test, 21.0, floor_v, fs=2000.0,
                                  duration=4.0, seed=seed)
         freqs, asd = amplitude_density(
@@ -291,7 +297,7 @@ def test_off_axis_mixing_allows_the_line_forbidden_on_axis():
     strengths = []
     for theta_deg in (0.0, 15.0, 30.0, 45.0, 60.0):
         sol = eigensolve(build_hamiltonian(
-            SYS, FieldVector(b_values, math.radians(theta_deg))))
+            D, G_PAR, G_PERP, b_values, math.radians(theta_deg)))
         steep = []
         for i, j in itertools.combinations(range(4), 2):
             freq, amp = transition(*sol, i, j)
@@ -326,7 +332,7 @@ def test_off_axis_mixing_makes_the_response_non_linear_in_field():
 
     def extrema(theta_deg):
         theta = math.radians(theta_deg)
-        levels, states = energy_level_sweep(SYS, theta, b_values)
+        levels, states = energy_level_sweep(D, G_PAR, G_PERP, theta, b_values)
         found = []
         for i, j in itertools.combinations(range(4), 2):
             freq = np.abs(levels[:, j] - levels[:, i])
@@ -373,7 +379,8 @@ def test_transverse_sensitivity_against_axial():
                       DEFAULTS["drive"]["power_dbm"])
 
     def allowed_line(theta_deg):
-        sweep = energy_level_sweep(SYS, math.radians(theta_deg), b_values)
+        sweep = energy_level_sweep(D, G_PAR, G_PERP, math.radians(theta_deg),
+                                   b_values)
         lines = []
         for i, j in itertools.combinations(range(4), 2):
             freq, strength = transition(*sweep, i, j)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,46 +13,49 @@ from rubymag.errors import (DegenerateAbscissa, ParseError, TooFewPoints,
 from oracle import field_from_slope
 
 I_RMS = 6.9e-3      # coil drive current, A RMS
-COIL = parse_config({}).coil()
+_C = parse_config({})["calibration"]
+# solenoid_axial_field's geometry at the default config
+COIL = dict(n_turns=_C["n_turns"], radius=_C["coil_radius_mm"],
+            distance=_C["coil_distance_mm"])
+
+
+def _field(current=I_RMS, **changes):
+    return solenoid_axial_field(**{**COIL, **changes}, current=current)
 
 
 def test_default_geometry_paper_value():
-    b = solenoid_axial_field(COIL, I_RMS)
+    b = _field()
     assert b == pytest.approx(220e-9, rel=0.01)
 
 
 def test_coil_center_limit():
-    coil = replace(COIL, distance=0.0)
-    b = solenoid_axial_field(coil, I_RMS)
-    expected = coil.n_turns * CONST.mu_0 * I_RMS / (2.0 * coil.radius)
+    b = _field(distance=0.0)
+    expected = COIL["n_turns"] * CONST.mu_0 * I_RMS / (2.0 * COIL["radius"])
     assert b == pytest.approx(expected, rel=1e-12)
 
 
 def test_far_field_dipole_asymptote():
-    coil = replace(COIL, distance=10 * 15.68e-3)
-    b = solenoid_axial_field(coil, I_RMS)
-    dipole = (coil.n_turns * CONST.mu_0 * I_RMS * coil.radius ** 2
-              / (2.0 * coil.distance ** 3))
+    z = 10 * 15.68e-3
+    b = _field(distance=z)
+    dipole = (COIL["n_turns"] * CONST.mu_0 * I_RMS * COIL["radius"] ** 2
+              / (2.0 * z ** 3))
     assert b == pytest.approx(dipole, rel=0.02)
 
 
 def test_field_linearity_and_monotonicity():
-    base = solenoid_axial_field(COIL, I_RMS)
-    assert solenoid_axial_field(COIL, 2 * I_RMS) \
-        == pytest.approx(2 * base, rel=1e-12)
-    assert solenoid_axial_field(replace(COIL, n_turns=16), I_RMS) \
-        == pytest.approx(2 * base, rel=1e-12)
+    base = _field()
+    assert _field(2 * I_RMS) == pytest.approx(2 * base, rel=1e-12)
+    assert _field(n_turns=16) == pytest.approx(2 * base, rel=1e-12)
     distances = np.linspace(0.0, 0.2, 30)
-    fields = [solenoid_axial_field(replace(COIL, distance=z), I_RMS)
-              for z in distances]
+    fields = [_field(distance=z) for z in distances]
     assert all(a > b for a, b in zip(fields, fields[1:]))
 
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        replace(COIL, n_turns=0)
+        _field(n_turns=0)
     with pytest.raises(ValueError):
-        replace(COIL, radius=-1.0)
+        _field(radius=-1.0)
 
 
 def test_linear_calibration_exact_line():
@@ -124,7 +126,7 @@ def test_slope_method_paper_value():
 
 def test_cross_method_spread_within_eleven_percent():
     reference = 242e-9                               # commercial magnetometer
-    solenoid = solenoid_axial_field(COIL, I_RMS)
+    solenoid = _field()
     femm = 233e-9                                    # finite-element value
     slope_method = field_from_slope(0.646e-3, 2994.0)
     for value in (solenoid, femm, slope_method):

@@ -15,12 +15,15 @@ from hypothesis import strategies as st
 
 import rubymag
 from rubymag import cli, iqnoise
+from rubymag.calibration import solenoid_axial_field
 from rubymag.cavity import (dbm_to_watts, gamma_prime, interaction_term,
                             reflection_coefficient, single_spin_coupling)
 from rubymag.cli import _DISPATCH, _read_argv, main, split_seed
 from rubymag.config import FLAT_KEYS, parse_config
 from rubymag.errors import ConfigError, ParseError, UnitMismatch, UnknownKey
 from rubymag.magnetometry import bias_sweep_trace, spin_frequency_vs_field
+from rubymag.spins import build_hamiltonian
+from rubymag.thermal import total_interrogated_spins
 from oracle import photon_number
 
 TWO_PI = 2.0 * math.pi
@@ -43,7 +46,7 @@ def test_empty_object_gives_defaults():
 
 def test_unit_conversion_contract():
     cfg = parse_config({"spin": {"d_ghz": -5.745}})
-    assert cfg.spin_system().D == pytest.approx(-TWO_PI * 5.745e9)
+    assert cfg["spin"]["d_ghz"] == pytest.approx(-TWO_PI * 5.745e9)
 
 
 def test_derived_ensemble_defaults():
@@ -478,6 +481,10 @@ def test_text_flags_taken_verbatim(tmp_path, monkeypatch):
     # numpy's overflow warning becomes the error
     ("report", ["--amplitude-a", "1e302"], "FloatingPointError"),
     ("crossing-sim", ["--omega-d-off-mhz", "20000"], "ZeroLinewidth"),
+    # a modal volume whose derived spin count overflows a float
+    ("report", ["--v-cav-mm3", "3.842519530155138e+303"], "OverflowError"),
+    ("crossing-sim", ["--v-cav-mm3", "3.842519530155138e+303"],
+     "OverflowError"),
 ])
 def test_numeric_failure_prints_one_error_line(tmp_path, capsys, command,
                                                argv, error):
@@ -921,9 +928,9 @@ def test_reader_takes_every_config_flag_on_every_command():
                 _read_argv([command, "--input", "in.csv"])
 
 
-# the domain-object views a command builds from its RunConfig, and the
-# number keys of the blocks they read
-_VIEWS = ("spin_system", "material", "ensemble", "model", "coil")
+# the views a command builds from its RunConfig, and the number keys of the
+# blocks that they and the formulas the commands feed from the config read
+_VIEWS = ("ensemble", "model")
 _VIEW_KEYS = sorted(key for key, block in FLAT_KEYS.items() if block in (
     "spin", "material", "cavity", "ensemble", "drive", "nonideal",
     "calibration"))
@@ -942,25 +949,44 @@ _ANY_NUMBER = st.one_of(
 @example(value=0, others={})
 @example(value=-1, others={})
 @example(value=7, others={})
+@example(value=3.842519530155138e+303, others={})
 def test_every_parsed_config_builds_every_view(key, value, others):
-    """Whatever values the schema accepts, every view builds, and the
-    params record passes gamma_prime's checks at the config's own spin and
-    drive frequencies (omega_d_off, a check across keys that stays at run
-    time, set to 0): the schema is the one place a bad value is refused,
-    whichever command runs.  Each key in turn takes 0, -1, 7 and drawn
-    values, with up to three others drawn beside it."""
+    """Whatever values the schema accepts, every view builds, the spin,
+    material and calibration blocks pass the checks of the formulas that
+    read them (build_hamiltonian at the eigen sweep's top field and angle,
+    total_interrogated_spins and solenoid_axial_field), and the params
+    record passes gamma_prime's checks at the config's own spin and drive
+    frequencies (omega_d_off, a check across keys that stays at run time,
+    set to 0): the schema is the one place a bad value is refused,
+    whichever command runs.  Each key in turn takes 0, -1, 7,
+    3.842519530155138e+303 (as v_cav_mm3, a spin count past the largest
+    float) and drawn values, with up to three others drawn beside it."""
     texts = {k: json.dumps(v) for k, v in {**others, key: value}.items()}
     try:
         cfg = parse_config({}, texts)
     except ConfigError:
         return
+    spin, m, c = cfg["spin"], cfg["material"], cfg["calibration"]
+    sweep = cfg["sweep"]
+    calls = [*(getattr(cfg, view) for view in _VIEWS),
+             lambda: build_hamiltonian(spin["d_ghz"], spin["g_par"],
+                                       spin["g_perp"], sweep["b_max_gauss"],
+                                       math.radians(sweep["theta_deg"])),
+             lambda: total_interrogated_spins(
+                 m["v_cav_mm3"], m["v_cell_nm3"], m["alpha_cr"],
+                 m["m_al2o3_g_per_mol"], m["m_cr2o3_g_per_mol"],
+                 m["n_cell"]),
+             lambda: solenoid_axial_field(c["n_turns"], c["coil_radius_mm"],
+                                          c["coil_distance_mm"],
+                                          c["current_ma"])]
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        for view in _VIEWS:
+        for call in calls:
             try:
-                getattr(cfg, view)()
+                call()
             except ArithmeticError:
                 # a float overflow at an extreme value (a temperature of
-                # 5e-324 K) is a runtime failure, exit 1, as in a command
+                # 5e-324 K, a spin count past 1.8e308) is a runtime
+                # failure, exit 1, as in a command
                 pass
         try:
             drive = cfg["drive"]
@@ -1156,7 +1182,8 @@ def test_optimize_matches_window_polyfit(tmp_path, nonideal):
         e_n = s["noise_floor_nv_per_rthz"] * math.sqrt(power / p_ref)
         for i, b0 in enumerate(b_values):
             b = np.linspace(b0 - half, b0 + half, 21)
-            omega_s = spin_frequency_vs_field(cfg.spin_system(), b)
+            omega_s = spin_frequency_vs_field(cfg["spin"]["d_ghz"],
+                                              cfg["spin"]["g_par"], b)
             v = bias_sweep_trace(omega_s, cfg.model(), omega_d, power,
                                  chain_gain_db=s["chain_gain_db"])
             slope = np.polyfit(b[8:13] - b[10], v.imag[8:13], 2)[1]

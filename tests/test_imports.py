@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in it.
+"""Every name a module of the package or of the tests imports is used in it.
 
 The package has no linter; this is the one lint rule the suite keeps.  A
 name counts as used if any Name node of the module reads it, annotations
@@ -13,7 +13,14 @@ import pytest
 
 import rubymag
 
-_MODULES = sorted(Path(rubymag.__file__).resolve().parent.glob("*.py"))
+_PACKAGE = Path(rubymag.__file__).resolve().parent
+_MODULES = (sorted(_PACKAGE.glob("*.py"))
+            + sorted(Path(__file__).resolve().parent.glob("*.py")))
+
+
+def _module_id(path: Path) -> str:
+    """The module's stem, prefixed with tests. for a test module."""
+    return path.stem if path.parent == _PACKAGE else f"tests.{path.stem}"
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -36,7 +43,7 @@ def _unused_imports(tree: ast.Module) -> list:
                   if name not in used and name not in exported)
 
 
-@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", _MODULES, ids=_module_id)
 def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _unused_imports(tree) == []

@@ -18,20 +18,21 @@ from rubymag.magnetometry import (bias_sweep_trace, dispersive_slope,
                                   render_eta_table_csv, render_sweep_csv,
                                   sensitivity, spin_frequency_vs_field,
                                   thermal_limit)
-from rubymag.spins import FieldVector, build_hamiltonian, eigensolve
+from rubymag.spins import build_hamiltonian, eigensolve
 from timeseries import (amplitude_density, noise_floor, simulate_timeseries,
                         tone_rms)
 
 TWO_PI = 2.0 * math.pi
 DEFAULTS = parse_config({})
-SYS = DEFAULTS.spin_system()
+D, G_PAR, G_PERP = (DEFAULTS["spin"][key]
+                    for key in ("d_ghz", "g_par", "g_perp"))
 G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)
 MODEL = {**DEFAULTS.model(), "g_s": G_S, "g_eff": TWO_PI * 3.5e6}
 OMEGA_D, POWER = TWO_PI * 11.4e9, dbm_to_watts(11.0)
 
 # bias field placing the +3/2 <-> +1/2 transition on the drive frequency
-_SLOPE = SYS.g_par * CONST.mu_B / CONST.hbar          # rad/s per tesla
-B_CENTER = (2.0 * abs(SYS.D) - OMEGA_D) / _SLOPE
+_SLOPE = G_PAR * CONST.mu_B / CONST.hbar          # rad/s per tesla
+B_CENTER = (2.0 * abs(D) - OMEGA_D) / _SLOPE
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +221,8 @@ def test_optimize_constant_table_and_ties():
 
 def _eigensolve_gap(b_signed):
     """+3/2 <-> +1/2 gap from the eigensolver, field along -z when B < 0."""
-    fld = FieldVector(abs(b_signed), math.pi if b_signed < 0 else 0.0)
-    energies, states = eigensolve(build_hamiltonian(SYS, fld))
+    energies, states = eigensolve(build_hamiltonian(
+        D, G_PAR, G_PERP, abs(b_signed), math.pi if b_signed < 0 else 0.0))
     by_basis = {int(np.argmax(np.abs(states[:, i]))): i for i in range(4)}
     return abs(energies[by_basis[0]] - energies[by_basis[1]])
 
@@ -229,11 +230,11 @@ def _eigensolve_gap(b_signed):
 def test_spin_frequency_matches_eigensolve_oracle():
     """The closed form equals the eigensolver gap across the level crossing
     at 2|D| hbar / (g_par mu_B) ~ 0.41 T and for fields along -z."""
-    kink = 2.0 * abs(SYS.D) / _SLOPE
+    kink = 2.0 * abs(D) / _SLOPE
     b = np.concatenate([np.linspace(0.0, 0.6, 61), [kink - 1e-3, kink + 1e-3],
                         -np.linspace(1e-4, 0.6, 31)])
     oracle = np.array([_eigensolve_gap(float(x)) for x in b])
-    got = spin_frequency_vs_field(SYS, b)
+    got = spin_frequency_vs_field(D, G_PAR, b)
     assert np.allclose(got, oracle, rtol=1e-12, atol=0.0)
 
 
@@ -241,14 +242,14 @@ def test_spin_frequency_linearized_matches_eigensolve():
     """At low field the closed form, linear in B, equals the eigensolver."""
     b = np.linspace(1e-3, 5e-3, 9)
     exact = np.array([_eigensolve_gap(float(x)) for x in b])
-    linear = spin_frequency_vs_field(SYS, b)
+    linear = spin_frequency_vs_field(D, G_PAR, b)
     assert np.allclose(exact, linear, rtol=1e-4)
 
 
 def test_bias_sweep_dispersive_zero_crossing_and_slope():
     b = np.linspace(B_CENTER - 2e-4, B_CENTER + 2e-4, 201)
-    v = bias_sweep_trace(spin_frequency_vs_field(SYS, b), MODEL, OMEGA_D,
-                         POWER, 21.0)
+    v = bias_sweep_trace(spin_frequency_vs_field(D, G_PAR, b), MODEL,
+                         OMEGA_D, POWER, 21.0)
     # dispersive channel crosses zero near line center
     center = v.imag[90:111]
     assert center.min() < 0.0 < center.max()
@@ -258,7 +259,7 @@ def test_bias_sweep_dispersive_zero_crossing_and_slope():
 
 def test_bias_sweep_rejects_zero_spin_rates():
     omega_s = spin_frequency_vs_field(
-        SYS, np.linspace(B_CENTER - 2e-4, B_CENTER + 2e-4, 11))
+        D, G_PAR, np.linspace(B_CENTER - 2e-4, B_CENTER + 2e-4, 11))
     with pytest.raises(ZeroSpinLinewidth):
         bias_sweep_trace(omega_s, {**MODEL, "kappa_s": 0.0}, OMEGA_D, POWER,
                          21.0)
@@ -278,7 +279,7 @@ def test_stacked_sweeps_equal_single_sweeps():
         b_centres = B_CENTER + np.linspace(-4e-4, 4e-4, 5)
         axes = np.array([np.linspace(b0 - half_width, b0 + half_width, 21)
                          for b0 in b_centres])
-        omega_s = spin_frequency_vs_field(SYS, axes)
+        omega_s = spin_frequency_vs_field(D, G_PAR, axes)
         v = np.stack([bias_sweep_trace(omega_s, model, OMEGA_D, power,
                                        chain_gain_db=21.0).imag
                       for power in powers], axis=1)
@@ -287,9 +288,9 @@ def test_stacked_sweeps_equal_single_sweeps():
         assert m_max == np.max(np.abs(got))
         for j, power in enumerate(powers):
             for i, axis in enumerate(axes):
-                row = bias_sweep_trace(spin_frequency_vs_field(SYS, axis),
-                                       model, OMEGA_D, power,
-                                       chain_gain_db=21.0)
+                row = bias_sweep_trace(
+                    spin_frequency_vs_field(D, G_PAR, axis), model, OMEGA_D,
+                    power, chain_gain_db=21.0)
                 slopes, _ = dispersive_slope(axis, row.imag)
                 assert np.array_equal(got[i, j], slopes), (half_width, i, j)
 
@@ -302,7 +303,7 @@ def test_stacked_sweeps_check_axes_and_drive():
         dispersive_slope(axes[:, None], np.zeros((1, 2, 21)))
     with pytest.raises(ZeroKappaTh):
         bias_sweep_trace(spin_frequency_vs_field(
-            SYS, np.linspace(B_CENTER - 1e-4, B_CENTER + 1e-4,
+            D, G_PAR, np.linspace(B_CENTER - 1e-4, B_CENTER + 1e-4,
                              21)[None].repeat(3, axis=0)),
             {**MODEL, "kappa_th": 0.0}, OMEGA_D, POWER, 21.0)
 
@@ -340,7 +341,7 @@ def test_slope_matches_exact_least_squares():
 
 
 def test_timeseries_constant_without_test_field_or_noise():
-    ts = simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER,
+    ts = simulate_timeseries(D, G_PAR, MODEL, OMEGA_D, POWER, B_CENTER,
                              0.0, TWO_PI * 10.0, 21.0, 0.0,
                              fs=500.0, duration=0.5, seed=0)
     assert np.allclose(ts.real, ts.real[0], atol=1e-15)
@@ -349,12 +350,9 @@ def test_timeseries_constant_without_test_field_or_noise():
 
 def test_timeseries_determinism():
     b_test, w_test = 242e-9, TWO_PI * 10.0
-    a = simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER, b_test,
-                            w_test, 21.0, 26e-9, fs=500.0, duration=0.5,
-                            seed=9)
-    b = simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER, b_test,
-                            w_test, 21.0, 26e-9, fs=500.0, duration=0.5,
-                            seed=9)
+    a, b = (simulate_timeseries(D, G_PAR, MODEL, OMEGA_D, POWER, B_CENTER,
+                                b_test, w_test, 21.0, 26e-9, fs=500.0,
+                                duration=0.5, seed=9) for _ in range(2))
     assert np.array_equal(a.imag, b.imag)
 
 
@@ -363,9 +361,9 @@ def test_timeseries_noise_draw_order():
     draw of default_rng(seed) on .real, then the second on .imag."""
     b_test, w_test = 242e-9, TWO_PI * 10.0
     floor_v, fs, seed = 26e-9, 500.0, 9
-    clean, noisy = (simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER,
-                                        b_test, w_test, 21.0, f, fs=fs,
-                                        duration=0.5, seed=seed)
+    clean, noisy = (simulate_timeseries(D, G_PAR, MODEL, OMEGA_D, POWER,
+                                        B_CENTER, b_test, w_test, 21.0, f,
+                                        fs=fs, duration=0.5, seed=seed)
                      for f in (0.0, floor_v))
     sigma = floor_v * math.sqrt(fs / 2.0)
     rng = np.random.default_rng(seed)
@@ -377,17 +375,17 @@ def test_timeseries_noise_draw_order():
 
 def _slope_at_bias(bias_b):
     b = np.linspace(bias_b - 5e-5, bias_b + 5e-5, 101)
-    v = bias_sweep_trace(spin_frequency_vs_field(SYS, b), MODEL, OMEGA_D,
-                         POWER, 21.0)
+    v = bias_sweep_trace(spin_frequency_vs_field(D, G_PAR, b), MODEL,
+                         OMEGA_D, POWER, 21.0)
     slopes, _ = dispersive_slope(b, v.imag)
     return abs(slopes[50])
 
 
 def test_timeseries_tone_matches_slope_prediction():
     b_test, w_test = 242e-9, TWO_PI * 10.0
-    ts = simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER, b_test,
-                             w_test, 21.0, 0.0, fs=2000.0, duration=4.0,
-                             seed=0)
+    ts = simulate_timeseries(D, G_PAR, MODEL, OMEGA_D, POWER, B_CENTER,
+                             b_test, w_test, 21.0, 0.0, fs=2000.0,
+                             duration=4.0, seed=0)
     freqs, asd = amplitude_density(ts.imag - np.mean(ts.imag), fs=2000.0)
     v_m = tone_rms(freqs, asd, 10.0)
     predicted = _slope_at_bias(B_CENTER) * b_test
@@ -396,8 +394,8 @@ def test_timeseries_tone_matches_slope_prediction():
 
 def test_timeseries_tone_linearity():
     def tone(b_test):
-        ts = simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER, b_test,
-                                 TWO_PI * 10.0, 21.0, 0.0, fs=2000.0,
+        ts = simulate_timeseries(D, G_PAR, MODEL, OMEGA_D, POWER, B_CENTER,
+                                 b_test, TWO_PI * 10.0, 21.0, 0.0, fs=2000.0,
                                  duration=4.0, seed=0)
         freqs, asd = amplitude_density(ts.imag - np.mean(ts.imag),
                                         fs=2000.0)
@@ -412,8 +410,8 @@ def test_end_to_end_sensitivity_consistency():
     m_slope = _slope_at_bias(B_CENTER)
     predicted_eta = floor_v / m_slope
     for seed in range(10):
-        ts = simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER, b_test,
-                                 w_test, 21.0, floor_v, fs=2000.0,
+        ts = simulate_timeseries(D, G_PAR, MODEL, OMEGA_D, POWER, B_CENTER,
+                                 b_test, w_test, 21.0, floor_v, fs=2000.0,
                                  duration=4.0, seed=seed)
         freqs, asd = amplitude_density(
             ts.imag - np.mean(ts.imag), fs=2000.0)
@@ -428,9 +426,9 @@ def test_gain_covariance_leaves_eta_invariant():
     b_test, w_test = 242e-9, TWO_PI * 10.0
     def eta_at_gain(gain_db):
         scale = 10.0 ** ((gain_db - 21.0) / 20.0)
-        ts = simulate_timeseries(SYS, MODEL, OMEGA_D, POWER, B_CENTER, b_test,
-                                 w_test, gain_db, 26e-9 * scale, fs=2000.0,
-                                 duration=2.0, seed=4)
+        ts = simulate_timeseries(D, G_PAR, MODEL, OMEGA_D, POWER, B_CENTER,
+                                 b_test, w_test, gain_db, 26e-9 * scale,
+                                 fs=2000.0, duration=2.0, seed=4)
         freqs, asd = amplitude_density(
             ts.imag - np.mean(ts.imag), fs=2000.0)
         v_m = tone_rms(freqs, asd, 10.0)

@@ -9,14 +9,23 @@ from hypothesis import strategies as st
 from rubymag import constants as CONST
 from rubymag.config import parse_config
 from rubymag.errors import EmptyRange, IndexOutOfRange, NonHermitianInput
-from rubymag.spins import (FieldVector, _fix_degenerate_subspaces,
-                           build_hamiltonian, eigensolve, energy_level_sweep,
+from rubymag.spins import (_fix_degenerate_subspaces, build_hamiltonian,
+                           eigensolve, energy_level_sweep,
                            render_energy_sweep_csv, spin_matrices,
                            track_levels, transition)
 from oracle import analytic_energies_axial
 
 TWO_PI = 2.0 * math.pi
-SYS = parse_config({}).spin_system()
+_SPIN = parse_config({})["spin"]
+D, G_PAR, G_PERP = _SPIN["d_ghz"], _SPIN["g_par"], _SPIN["g_perp"]
+SPIN = (D, G_PAR, G_PERP)
+
+
+def _phase_rotated(h, rng):
+    """U h U^dagger for a random diagonal phase matrix U: the spectrum of h
+    with genuinely complex off-diagonal entries."""
+    u = np.exp(1j * rng.uniform(0.0, TWO_PI, 4))
+    return u[:, None] * h * u.conj()[None, :]
 
 
 def test_spin_matrices_algebra():
@@ -31,39 +40,39 @@ def test_spin_matrices_algebra():
 
 
 def test_hamiltonian_zero_field_diagonal():
-    h = build_hamiltonian(SYS, FieldVector(0.0))
-    assert np.allclose(h, np.diag([SYS.D, -SYS.D, -SYS.D, SYS.D]))
+    h = build_hamiltonian(*SPIN, 0.0, 0.0)
+    assert np.allclose(h, np.diag([D, -D, -D, D]))
 
 
 def test_hamiltonian_transverse_field_structure():
     b = 0.1
-    h = build_hamiltonian(SYS, FieldVector(b, theta=math.pi / 2.0))
-    scale = SYS.g_perp * CONST.mu_B * b / CONST.hbar
+    h = build_hamiltonian(*SPIN, b, math.pi / 2.0)
+    scale = G_PERP * CONST.mu_B * b / CONST.hbar
     expected_off = scale * np.array([math.sqrt(3) / 2.0, 1.0,
                                      math.sqrt(3) / 2.0])
     assert np.allclose(np.diag(h, 1), expected_off)
-    assert np.allclose(np.diag(h), [SYS.D, -SYS.D, -SYS.D, SYS.D])
+    assert np.allclose(np.diag(h), [D, -D, -D, D])
 
 
 def test_hamiltonian_axial_31_gauss():
     b = 31e-4
-    h = build_hamiltonian(SYS, FieldVector(b))
-    zeeman = SYS.g_par * CONST.mu_B * b / CONST.hbar
-    expected = np.diag(SYS.D * np.array([1, -1, -1, 1])
+    h = build_hamiltonian(*SPIN, b, 0.0)
+    zeeman = G_PAR * CONST.mu_B * b / CONST.hbar
+    expected = np.diag(D * np.array([1, -1, -1, 1])
                        + zeeman * np.array([1.5, 0.5, -0.5, -1.5]))
     assert np.allclose(h, expected)
 
 
 def test_eigensolve_zero_field_doublets():
-    energies, _ = eigensolve(build_hamiltonian(SYS, FieldVector(0.0)))
+    energies, _ = eigensolve(build_hamiltonian(*SPIN, 0.0, 0.0))
     gap = energies[2] - energies[1]
     assert gap == pytest.approx(TWO_PI * 11.49e9, rel=1e-9)
-    assert energies[0] == pytest.approx(energies[1], abs=1e-10 * abs(SYS.D))
-    assert energies[2] == pytest.approx(energies[3], abs=1e-10 * abs(SYS.D))
+    assert energies[0] == pytest.approx(energies[1], abs=1e-10 * abs(D))
+    assert energies[2] == pytest.approx(energies[3], abs=1e-10 * abs(D))
 
 
 def test_eigensolve_rejects_non_hermitian():
-    h = build_hamiltonian(SYS, FieldVector(0.01)).copy()
+    h = build_hamiltonian(*SPIN, 0.01, 0.0).copy()
     h[0, 1] += 0.01 * np.linalg.norm(h)
     with pytest.raises(NonHermitianInput):
         eigensolve(h)
@@ -77,10 +86,10 @@ def test_eigensolve_equals_per_matrix_fix():
     the lowest index on ties.  On Hamiltonians and on random Hermitian
     matrices with a degenerate pair in a rotated basis."""
     rng = np.random.default_rng(9)
-    mats = [build_hamiltonian(SYS, FieldVector(*map(float, field)))
-            for field in zip(rng.uniform(0, 0.5, 20), rng.uniform(0, 3, 20),
-                             rng.uniform(0, 6, 20))]
-    mats.append(build_hamiltonian(SYS, FieldVector(0.0)))
+    mats = [build_hamiltonian(*SPIN, float(b), float(theta))
+            for b, theta in zip(rng.uniform(0, 0.5, 20),
+                                rng.uniform(0, 3, 20))]
+    mats.append(build_hamiltonian(*SPIN, 0.0, 0.0))
     for _ in range(30):
         q, _ = np.linalg.qr(rng.standard_normal((4, 4))
                             + 1j * rng.standard_normal((4, 4)))
@@ -103,15 +112,17 @@ def test_eigensolve_equals_per_matrix_fix():
 
 
 def test_eigensolve_stack_equals_each_matrix():
-    """A (3, 7, 4, 4) stack of Hamiltonians at random fields, the zero-field
-    matrix and random Hermitian matrices with a degenerate pair solves bit
-    for bit as each matrix alone; one non-Hermitian matrix anywhere in the
-    stack is refused."""
+    """A (3, 7, 4, 4) stack of Hamiltonians at random fields, each turned
+    complex by a random diagonal phase, the zero-field matrix and random
+    Hermitian matrices with a degenerate pair solves bit for bit as each
+    matrix alone; one non-Hermitian matrix anywhere in the stack is
+    refused."""
     rng = np.random.default_rng(11)
-    mats = [build_hamiltonian(SYS, FieldVector(*map(float, field)))
-            for field in zip(rng.uniform(0, 0.5, 12), rng.uniform(0, 3, 12),
-                             rng.uniform(0, 6, 12))]
-    mats.append(build_hamiltonian(SYS, FieldVector(0.0)))
+    mats = [_phase_rotated(build_hamiltonian(*SPIN, float(b), float(theta)),
+                           rng)
+            for b, theta in zip(rng.uniform(0, 0.5, 12),
+                                rng.uniform(0, 3, 12))]
+    mats.append(build_hamiltonian(*SPIN, 0.0, 0.0))
     for _ in range(8):
         q, _ = np.linalg.qr(rng.standard_normal((4, 4))
                             + 1j * rng.standard_normal((4, 4)))
@@ -138,24 +149,21 @@ def test_build_hamiltonian_takes_an_array_of_fields():
     rng = np.random.default_rng(12)
     b = rng.uniform(0, 0.5, (2, 5))
     b[1, 2] = 0.0
-    for theta, phi in ((0.0, 0.0), (0.7, 2.1), (math.pi / 2.0, 5.0)):
-        got = build_hamiltonian(SYS, FieldVector(b, theta, phi))
+    for theta in (0.0, 0.7, math.pi / 2.0):
+        got = build_hamiltonian(*SPIN, b, theta)
         assert got.shape == (2, 5, 4, 4)
         for idx in np.ndindex(2, 5):
-            want = build_hamiltonian(SYS, FieldVector(float(b[idx]), theta,
-                                                      phi))
+            want = build_hamiltonian(*SPIN, float(b[idx]), theta)
             assert got[idx].tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="magnitude"):
-        FieldVector(np.array([0.1, -1e-3, 0.2]), 0.3)
+        build_hamiltonian(*SPIN, np.array([0.1, -1e-3, 0.2]), 0.3)
 
 
 def test_eigensolution_invariants_random_fields():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        fld = FieldVector(float(rng.uniform(0, 0.5)),
-                          float(rng.uniform(0, math.pi)),
-                          float(rng.uniform(0, TWO_PI - 1e-9)))
-        h = build_hamiltonian(SYS, fld)
+        h = build_hamiltonian(*SPIN, float(rng.uniform(0, 0.5)),
+                              float(rng.uniform(0, math.pi)))
         energies, states = eigensolve(h)
         assert np.all(np.diff(energies) >= -1e-6)
         # orthonormality and residual
@@ -168,8 +176,8 @@ def test_eigensolution_invariants_random_fields():
 def test_axial_oracle_1000_random_fields():
     rng = np.random.default_rng(0)
     for b in rng.uniform(0.0, 0.5, size=1000):
-        energies, _ = eigensolve(build_hamiltonian(SYS, FieldVector(float(b))))
-        expected = analytic_energies_axial(SYS, float(b))
+        energies, _ = eigensolve(build_hamiltonian(*SPIN, float(b), 0.0))
+        expected = analytic_energies_axial(D, G_PAR, float(b))
         scale = np.max(np.abs(expected))
         assert np.allclose(energies, expected, rtol=0, atol=1e-9 * scale)
 
@@ -177,54 +185,42 @@ def test_axial_oracle_1000_random_fields():
 def test_eigensolve_matches_numpy_oracle():
     rng = np.random.default_rng(3)
     for _ in range(100):
-        fld = FieldVector(float(rng.uniform(0, 0.5)),
-                          float(rng.uniform(0, math.pi)),
-                          float(rng.uniform(0, TWO_PI - 1e-9)))
-        h = build_hamiltonian(SYS, fld)
+        h = _phase_rotated(build_hamiltonian(
+            *SPIN, float(rng.uniform(0, 0.5)), float(rng.uniform(0, math.pi))),
+            rng)
         expected = np.linalg.eigvalsh(h)
         got, _ = eigensolve(h)
         assert np.allclose(got, expected, rtol=0,
                            atol=1e-9 * np.max(np.abs(expected)))
 
 
-@given(theta=st.floats(0.0, math.pi), phi=st.floats(0.0, TWO_PI - 1e-9))
+@given(theta=st.floats(0.0, math.pi))
 @settings(max_examples=50, deadline=None)
-def test_kramers_degeneracy_any_orientation(theta, phi):
-    energies, _ = eigensolve(build_hamiltonian(
-        SYS, FieldVector(0.0, theta, phi)))
-    tol = 1e-10 * abs(SYS.D)
+def test_kramers_degeneracy_any_orientation(theta):
+    energies, _ = eigensolve(build_hamiltonian(*SPIN, 0.0, theta))
+    tol = 1e-10 * abs(D)
     assert abs(energies[1] - energies[0]) < tol
     assert abs(energies[3] - energies[2]) < tol
-
-
-@given(b=st.floats(1e-4, 0.5), theta=st.floats(0.0, math.pi),
-       phi1=st.floats(0.0, TWO_PI - 1e-9), phi2=st.floats(0.0, TWO_PI - 1e-9))
-@settings(max_examples=50, deadline=None)
-def test_azimuthal_invariance(b, theta, phi1, phi2):
-    e1, _ = eigensolve(build_hamiltonian(SYS, FieldVector(b, theta, phi1)))
-    e2, _ = eigensolve(build_hamiltonian(SYS, FieldVector(b, theta, phi2)))
-    scale = np.max(np.abs(e1)) + abs(SYS.D)
-    assert np.allclose(e1, e2, rtol=0, atol=1e-10 * scale)
 
 
 @given(b=st.floats(0.0, 0.5), theta=st.floats(0.0, math.pi))
 @settings(max_examples=50, deadline=None)
 def test_trace_conservation(b, theta):
-    e, _ = eigensolve(build_hamiltonian(SYS, FieldVector(b, theta)))
-    assert abs(np.sum(e)) < 1e-9 * abs(SYS.D)
+    e, _ = eigensolve(build_hamiltonian(*SPIN, b, theta))
+    assert abs(np.sum(e)) < 1e-9 * abs(D)
 
 
 def test_analytic_axial_zero_field():
-    e = analytic_energies_axial(SYS, 0.0)
-    assert sorted(e) == pytest.approx(sorted([SYS.D, SYS.D, -SYS.D, -SYS.D]))
+    e = analytic_energies_axial(D, G_PAR, 0.0)
+    assert sorted(e) == pytest.approx(sorted([D, D, -D, -D]))
 
 
 def test_transition_frequency_31_gauss_band():
     b = 31e-4
-    e = analytic_energies_axial(SYS, b)
+    e = analytic_energies_axial(D, G_PAR, b)
     # closed form: 2|D| - g mu_B B / hbar
-    expected = 2.0 * abs(SYS.D) - SYS.g_par * CONST.mu_B * b / CONST.hbar
-    energies, states = eigensolve(build_hamiltonian(SYS, FieldVector(b)))
+    expected = 2.0 * abs(D) - G_PAR * CONST.mu_B * b / CONST.hbar
+    energies, states = eigensolve(build_hamiltonian(*SPIN, b, 0.0))
     # the +3/2 <-> +1/2 transition: identify by dominant components
     idx = {int(np.argmax(np.abs(states[:, k]))): k for k in range(4)}
     freq, amp = transition(energies, states, idx[0], idx[1])
@@ -236,17 +232,17 @@ def test_transition_slope_axial():
     h = 1e-6
     freqs = []
     for b in (31e-4, 31e-4 + h):
-        energies, states = eigensolve(build_hamiltonian(SYS, FieldVector(b)))
+        energies, states = eigensolve(build_hamiltonian(*SPIN, b, 0.0))
         idx = {int(np.argmax(np.abs(states[:, k]))): k for k in range(4)}
         freqs.append(transition(energies, states, idx[0], idx[1])[0])
     slope = abs(freqs[1] - freqs[0]) / h
-    expected = SYS.g_par * CONST.mu_B / CONST.hbar
+    expected = G_PAR * CONST.mu_B / CONST.hbar
     assert slope == pytest.approx(expected, rel=1e-3)
     assert expected == pytest.approx(TWO_PI * 28.0e9, rel=2e-3)
 
 
 def test_transition_amplitudes_axial():
-    energies, states = eigensolve(build_hamiltonian(SYS, FieldVector(31e-4)))
+    energies, states = eigensolve(build_hamiltonian(*SPIN, 31e-4, 0.0))
     idx = {int(np.argmax(np.abs(states[:, k]))): k for k in range(4)}
     _, amp_allowed = transition(energies, states, idx[0], idx[1])
     _, amp_forbidden = transition(energies, states, idx[0], idx[2])
@@ -256,14 +252,14 @@ def test_transition_amplitudes_axial():
 
 def test_transition_forbidden_becomes_allowed_when_tilted():
     sol = eigensolve(build_hamiltonian(
-        SYS, FieldVector(0.05, theta=math.radians(30))))
+        *SPIN, 0.05, math.radians(30)))
     # Delta m = 2 style pairs acquire weight off-axis
     amps = [transition(*sol, 0, 2)[1], transition(*sol, 1, 3)[1]]
     assert max(amps) > 1e-4
 
 
 def test_transition_index_validation():
-    sol = eigensolve(build_hamiltonian(SYS, FieldVector(0.01)))
+    sol = eigensolve(build_hamiltonian(*SPIN, 0.01, 0.0))
     with pytest.raises(IndexOutOfRange):
         transition(*sol, 1, 1)
     with pytest.raises(IndexOutOfRange):
@@ -279,14 +275,14 @@ def test_transition_stack_equals_each_solution():
     theta = math.radians(30.0)
     b = np.random.default_rng(13).uniform(0.0, 0.5, (3, 7))
     energies, states = eigensolve(build_hamiltonian(
-        SYS, FieldVector(b, theta)))
+        *SPIN, b, theta))
     sx = spin_matrices()[0]
     for i, j in itertools.permutations(range(4), 2):
         freq, amp = transition(energies, states, i, j)
         assert freq.shape == amp.shape == (3, 7)
         for idx in np.ndindex(3, 7):
             one_e, one_s = eigensolve(build_hamiltonian(
-                SYS, FieldVector(float(b[idx]), theta)))
+                *SPIN, float(b[idx]), theta))
             one_f, one_a = transition(one_e, one_s, i, j)
             assert np.ndim(one_f) == np.ndim(one_a) == 0
             assert freq[idx].tobytes() == one_f.tobytes()
@@ -303,22 +299,22 @@ def test_transition_stack_equals_each_solution():
 
 def test_energy_level_sweep_axial_lines():
     b_values = np.linspace(0.0, 0.1, 21)
-    energies, _ = energy_level_sweep(SYS, 0.0, b_values)
-    slope_scale = SYS.g_par * CONST.mu_B / CONST.hbar
+    energies, _ = energy_level_sweep(*SPIN, 0.0, b_values)
+    slope_scale = G_PAR * CONST.mu_B / CONST.hbar
     slopes = (energies[-1] - energies[0]) / (b_values[-1] - b_values[0])
     expected = sorted(slope_scale * np.array([1.5, 0.5, -0.5, -1.5]))
     assert np.allclose(sorted(slopes), expected, rtol=1e-6)
     # linearity: mid-point matches line through endpoints
     mid = (energies[0] + energies[-1]) / 2.0
-    assert np.allclose(energies[10], mid, rtol=0, atol=1e-3 * abs(SYS.D))
+    assert np.allclose(energies[10], mid, rtol=0, atol=1e-3 * abs(D))
 
 
 def test_energy_level_sweep_transverse_kramers_limit():
-    energies, _ = energy_level_sweep(SYS, math.pi / 2.0,
+    energies, _ = energy_level_sweep(*SPIN, math.pi / 2.0,
                                      np.linspace(1e-8, 0.01, 5))
     first = np.sort(energies[0])
-    assert abs(first[1] - first[0]) < 1e-4 * abs(SYS.D)
-    assert abs(first[3] - first[2]) < 1e-4 * abs(SYS.D)
+    assert abs(first[1] - first[0]) < 1e-4 * abs(D)
+    assert abs(first[3] - first[2]) < 1e-4 * abs(D)
 
 
 def test_allowed_transition_slope_largest_at_axial_and_transverse():
@@ -328,7 +324,7 @@ def test_allowed_transition_slope_largest_at_axial_and_transverse():
     b_values = np.linspace(28e-4, 34e-4, 7)
     for deg in (0, 30, 60, 90):
         sol = eigensolve(build_hamiltonian(
-            SYS, FieldVector(b_values, math.radians(deg))))
+            *SPIN, b_values, math.radians(deg)))
         best = 0.0
         for i in range(4):
             for j in range(i + 1, 4):
@@ -352,9 +348,8 @@ def test_followed_allowed_line_slope_falls_with_tilt():
     for deg in (0, 5, 10, 15, 20, 30, 40, 45, 60, 90):
         thetas = np.linspace(0.0, math.radians(deg), 46)
         hams = np.concatenate(
-            [[build_hamiltonian(SYS, FieldVector(25e-4, t))
-              for t in thetas[:-1]],
-             build_hamiltonian(SYS, FieldVector(b_values, thetas[-1]))])
+            [[build_hamiltonian(*SPIN, 25e-4, t) for t in thetas[:-1]],
+             build_hamiltonian(*SPIN, b_values, thetas[-1])])
         freqs, _ = transition(*track_levels(*eigensolve(hams)), 1, 3)
         freqs = freqs[len(thetas) - 1:] / TWO_PI
         crossed = np.flatnonzero(np.diff(np.sign(freqs - 11.4e9)))
@@ -412,11 +407,11 @@ def test_energy_level_sweep_equals_row_by_row(theta_deg, b_tesla):
         for b_range, n_points in (((0.0, 0.2), 201), ((0.0, 0.8), 97),
                                   ((1e-3, 0.05), 13)):
             b_values = np.linspace(*b_range, n_points)
-            paths.append(([build_hamiltonian(SYS, FieldVector(b, theta))
+            paths.append(([build_hamiltonian(*SPIN, b, theta)
                            for b in b_values],
-                          energy_level_sweep(SYS, theta, b_values)))
+                          energy_level_sweep(*SPIN, theta, b_values)))
     else:
-        hams = np.array([build_hamiltonian(SYS, FieldVector(b_tesla, t))
+        hams = np.array([build_hamiltonian(*SPIN, b_tesla, t)
                          for t in np.linspace(0.0, math.pi, 181)])
         paths = [(hams, track_levels(*eigensolve(hams)))]
     for hams, (got_e, got_s) in paths:
@@ -427,23 +422,23 @@ def test_energy_level_sweep_equals_row_by_row(theta_deg, b_tesla):
 
 def test_energy_level_sweep_checks_the_field_vector():
     with pytest.raises(ValueError, match="theta"):
-        energy_level_sweep(SYS, math.pi + 0.1, np.linspace(0.0, 0.1, 5))
+        energy_level_sweep(*SPIN, math.pi + 0.1, np.linspace(0.0, 0.1, 5))
     with pytest.raises(ValueError, match="magnitude"):
-        energy_level_sweep(SYS, 0.0, np.linspace(-0.1, 0.1, 5))
+        energy_level_sweep(*SPIN, 0.0, np.linspace(-0.1, 0.1, 5))
 
 
 def test_energy_level_sweep_validation():
     with pytest.raises(EmptyRange):
-        energy_level_sweep(SYS, 0.0, np.array([0.0]))
+        energy_level_sweep(*SPIN, 0.0, np.array([0.0]))
     with pytest.raises(EmptyRange):
-        energy_level_sweep(SYS, 0.0, np.linspace(0.1, 0.0, 10))
+        energy_level_sweep(*SPIN, 0.0, np.linspace(0.1, 0.0, 10))
     with pytest.raises(EmptyRange):
-        energy_level_sweep(SYS, 0.0, np.array([0.0, 0.1, 0.1]))
+        energy_level_sweep(*SPIN, 0.0, np.array([0.0, 0.1, 0.1]))
 
 
 def test_energy_sweep_csv_round_trip(tmp_path):
     b_values = np.linspace(0.0, 0.2, 11)
-    energies, _ = energy_level_sweep(SYS, 0.0, b_values)
+    energies, _ = energy_level_sweep(*SPIN, 0.0, b_values)
     path = tmp_path / "levels.csv"
     path.write_text(render_energy_sweep_csv(path, b_values, energies))
     lines = path.read_text().splitlines()

@@ -1,44 +1,54 @@
-"""The parameter types: every construction check, and what each type costs;
-the checks of cavity.gamma_prime's params record, which each of its three
-entries (gamma_prime, gamma_prime_jacobian, bias_sweep_trace) runs; and the
-checks a crossing grid meets as plain arrays: cli._axis on every axis the
-commands draw, and fit_crossing on the shape of the values.
+"""The checks on the numbers the formulas read, and what each dataclass
+costs: the spin parameters and field of spins.build_hamiltonian (its
+g-factor check shared with magnetometry.spin_frequency_vs_field), the
+material of thermal.total_interrogated_spins and the coil of
+calibration.solenoid_axial_field; the checks of cavity.gamma_prime's params
+record, which each of its three entries (gamma_prime, gamma_prime_jacobian,
+bias_sweep_trace) runs; the checks a crossing grid meets as plain arrays,
+cli._axis on every axis the commands draw and fit_crossing on the shape of
+the values; and the construction checks of iqnoise.NoiseSpectrum.
 
 Each check is written so that NaN fails it: a comparison with NaN is
 False, so a check spelled `x <= 0` or `np.diff(v) <= 0` would let NaN
-through.  The two integer counts, MaterialParams.N_cell and
-CoilGeometry.n_turns, also refuse +-inf and fractional values; infinity is
-not checked in float fields.
+through.  The two integer counts, total_interrogated_spins's N_cell and
+solenoid_axial_field's n_turns, also refuse +-inf and fractional values;
+infinity is not checked in float fields.
 """
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import math
 import pkgutil
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rubymag
-from rubymag.calibration import CoilGeometry
+from rubymag.calibration import solenoid_axial_field
 from rubymag.cavity import gamma_prime, gamma_prime_jacobian
 from rubymag.cli import _axis
 from rubymag.config import parse_config
 from rubymag.fitting import fit_crossing
 from rubymag.iqnoise import DBC_PER_HZ, V2_PER_HZ, NoiseSpectrum
-from rubymag.magnetometry import bias_sweep_trace
-from rubymag.spins import FieldVector, SpinSystem
-from rubymag.thermal import MaterialParams
+from rubymag.magnetometry import bias_sweep_trace, spin_frequency_vs_field
+from rubymag.spins import build_hamiltonian, energy_level_sweep
+from rubymag.thermal import boltzmann_populations, total_interrogated_spins
 
 NAN = math.nan
 AXIS = np.array([1.0, 2.0, 3.0])
-# the three parameter bundles and the params record at the default config
+# the arguments of the spin, material and coil formulas and the params
+# record at the default config
 DEFAULTS = parse_config({})
-SPIN, MATERIAL, COIL = (DEFAULTS.spin_system(), DEFAULTS.material(),
-                        DEFAULTS.coil())
+_S, _M, _C = DEFAULTS["spin"], DEFAULTS["material"], DEFAULTS["calibration"]
+SPIN = dict(D=_S["d_ghz"], g_par=_S["g_par"], g_perp=_S["g_perp"])
+MATERIAL = dict(V_cav=_M["v_cav_mm3"], V_cell=_M["v_cell_nm3"],
+                alpha_Cr=_M["alpha_cr"], m_Al2O3=_M["m_al2o3_g_per_mol"],
+                m_Cr2O3=_M["m_cr2o3_g_per_mol"], N_cell=_M["n_cell"])
+COIL = dict(n_turns=_C["n_turns"], radius=_C["coil_radius_mm"],
+            distance=_C["coil_distance_mm"])
 MODEL = DEFAULTS.model()
 OMEGA_S = DEFAULTS["ensemble"]["omega_s_ghz"]
 OMEGA_D = DEFAULTS["drive"]["omega_d_ghz"]
@@ -60,6 +70,31 @@ def _entry(suffix, omega_s=OMEGA_S, power=POWER, **changes):
     """A call of one entry on the default record with changes."""
     return lambda: _ENTRIES[suffix](np.array([omega_s]),
                                     {**MODEL, **changes}, power)
+
+
+# the entries that check the g-factors, each called with the spin
+# parameters and keyed by the suffix of its case ids
+_SPIN_ENTRIES = {
+    "": lambda spin: build_hamiltonian(**spin, b=1e-3, theta=0.0),
+    " (axial frequency)": lambda spin: spin_frequency_vs_field(
+        spin["D"], spin["g_par"], AXIS),
+}
+
+
+def _spin(suffix, **changes):
+    return lambda: _SPIN_ENTRIES[suffix]({**SPIN, **changes})
+
+
+def _field(b, theta=0.0):
+    return lambda: build_hamiltonian(**SPIN, b=b, theta=theta)
+
+
+def _material(**changes):
+    return lambda: total_interrogated_spins(**{**MATERIAL, **changes})
+
+
+def _coil(**changes):
+    return lambda: solenoid_axial_field(**{**COIL, **changes}, current=1e-3)
 
 
 def _grid_axis(keys, centre=1.0, span=1.0, n=3):
@@ -96,41 +131,36 @@ _RECORD = [
 _INVALID = [
     *[(case + suffix, _entry(suffix, **changes), message)
       for case, changes, message in _RECORD for suffix in _ENTRIES],
-    # SpinSystem: g-factors > 0
-    ("spin g_par = 0", lambda: replace(SPIN, g_par=0.0), "g-factors"),
-    ("spin g_perp < 0", lambda: replace(SPIN, g_perp=-2.0), "g-factors"),
-    ("spin g_par NaN", lambda: replace(SPIN, g_par=NAN), "g-factors"),
-    ("spin g_perp NaN", lambda: replace(SPIN, g_perp=NAN), "g-factors"),
-    # FieldVector: magnitude >= 0, theta in [0, pi], phi in [0, 2 pi)
-    ("field magnitude < 0", lambda: FieldVector(-1e-3), "magnitude"),
-    ("field magnitude NaN", lambda: FieldVector(NAN), "magnitude"),
-    ("field magnitudes with NaN",
-     lambda: FieldVector(np.array([1e-3, NAN])), "magnitude"),
-    ("field theta > pi", lambda: FieldVector(1e-3, theta=4.0), "theta"),
-    ("field phi = 2 pi", lambda: FieldVector(1e-3, phi=2.0 * math.pi), "phi"),
-    ("field phi < 0", lambda: FieldVector(1e-3, phi=-0.1), "phi"),
-    # MaterialParams: volumes and molar masses > 0, alpha_Cr in [0, 1],
-    # N_cell a positive integer
-    ("material V_cav = 0", lambda: replace(MATERIAL, V_cav=0.0), "volumes"),
-    *[(f"material {name} NaN",
-       lambda name=name: replace(MATERIAL, **{name: NAN}), "volumes")
+    # build_hamiltonian and spin_frequency_vs_field: g-factors > 0, each
+    # entry on the g-factors it reads
+    *[(case + suffix, _spin(suffix, g_par=g_par), "g-factors")
+      for case, g_par in (("spin g_par = 0", 0.0), ("spin g_par NaN", NAN))
+      for suffix in _SPIN_ENTRIES],
+    ("spin g_perp < 0", _spin("", g_perp=-2.0), "g-factors"),
+    ("spin g_perp NaN", _spin("", g_perp=NAN), "g-factors"),
+    # build_hamiltonian: field magnitude >= 0, theta in [0, pi]
+    ("field magnitude < 0", _field(-1e-3), "magnitude"),
+    ("field magnitude NaN", _field(NAN), "magnitude"),
+    ("field magnitudes with NaN", _field(np.array([1e-3, NAN])), "magnitude"),
+    ("field theta > pi", _field(1e-3, theta=4.0), "theta"),
+    ("field theta NaN", _field(1e-3, theta=NAN), "theta"),
+    # total_interrogated_spins: volumes and molar masses > 0, alpha_Cr in
+    # [0, 1], N_cell a positive integer
+    ("material V_cav = 0", _material(V_cav=0.0), "volumes"),
+    *[(f"material {name} NaN", _material(**{name: NAN}), "volumes")
       for name in ("V_cav", "V_cell", "m_Al2O3", "m_Cr2O3")],
-    ("material alpha_Cr > 1", lambda: replace(MATERIAL, alpha_Cr=1.5),
-     "alpha_Cr"),
-    ("material N_cell = 0", lambda: replace(MATERIAL, N_cell=0), "N_cell"),
-    ("material N_cell fractional", lambda: replace(MATERIAL, N_cell=2.5),
-     "N_cell"),
-    ("material N_cell NaN", lambda: replace(MATERIAL, N_cell=NAN), "N_cell"),
-    ("material N_cell inf", lambda: replace(MATERIAL, N_cell=math.inf),
-     "N_cell"),
-    # CoilGeometry: n_turns a positive integer, radius > 0
-    ("coil n_turns = 0", lambda: replace(COIL, n_turns=0), "n_turns"),
-    ("coil radius = 0", lambda: replace(COIL, radius=0.0), "n_turns"),
-    ("coil n_turns NaN", lambda: replace(COIL, n_turns=NAN), "n_turns"),
-    ("coil n_turns fractional", lambda: replace(COIL, n_turns=2.5),
-     "n_turns"),
-    ("coil n_turns inf", lambda: replace(COIL, n_turns=math.inf), "n_turns"),
-    ("coil radius NaN", lambda: replace(COIL, radius=NAN), "n_turns"),
+    ("material alpha_Cr > 1", _material(alpha_Cr=1.5), "alpha_Cr"),
+    ("material N_cell = 0", _material(N_cell=0), "N_cell"),
+    ("material N_cell fractional", _material(N_cell=2.5), "N_cell"),
+    ("material N_cell NaN", _material(N_cell=NAN), "N_cell"),
+    ("material N_cell inf", _material(N_cell=math.inf), "N_cell"),
+    # solenoid_axial_field: n_turns a positive integer, radius > 0
+    ("coil n_turns = 0", _coil(n_turns=0), "n_turns"),
+    ("coil radius = 0", _coil(radius=0.0), "n_turns"),
+    ("coil n_turns NaN", _coil(n_turns=NAN), "n_turns"),
+    ("coil n_turns fractional", _coil(n_turns=2.5), "n_turns"),
+    ("coil n_turns inf", _coil(n_turns=math.inf), "n_turns"),
+    ("coil radius NaN", _coil(radius=NAN), "n_turns"),
     # the crossing grid: each axis drawn by cli._axis, two or more strictly
     # increasing points (a ConfigError naming the keys), and fit_crossing's
     # values shaped like the axes
@@ -177,19 +207,21 @@ def test_construction_checks_accept_the_edges():
         assert np.all(np.isfinite(_entry(suffix, omega_s=0.0, power=0.0,
                                          g_s=0.0, g_eff=0.0,
                                          kappa_th=0.0)()))
-    FieldVector(np.zeros(3), theta=math.pi, phi=0.0)
-    replace(MATERIAL, alpha_Cr=0.0)
+    _field(np.zeros(3), theta=math.pi)()
+    assert _material(alpha_Cr=0.0)() == 0.0
     _spectrum(density=-AXIS, unit=DBC_PER_HZ)
     _spectrum(offsets=np.array([]), density=np.array([]))
 
 
 def test_parameter_bundles_carry_no_defaults():
     """config._SCHEMA is the one place the paper's values are written: a
-    field default here would be a second copy, free to drift from it."""
-    for bundle in (SpinSystem, MaterialParams, CoilGeometry):
-        for f in dataclasses.fields(bundle):
-            assert f.default is dataclasses.MISSING, (bundle, f.name)
-            assert f.default_factory is dataclasses.MISSING, (bundle, f.name)
+    parameter default on a formula the commands feed from the config would
+    be a second copy, free to drift from it."""
+    for formula in (build_hamiltonian, energy_level_sweep,
+                    boltzmann_populations, spin_frequency_vs_field,
+                    total_interrogated_spins, solenoid_axial_field):
+        for param in inspect.signature(formula).parameters.values():
+            assert param.default is param.empty, (formula, param.name)
 
 
 def test_dataclasses_are_plain_and_documented():

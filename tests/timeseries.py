@@ -15,7 +15,8 @@ from scipy.signal import welch
 from rubymag.magnetometry import bias_sweep_trace, spin_frequency_vs_field
 
 
-def simulate_timeseries(sys, params, omega_d: float, power: float,
+def simulate_timeseries(D: float, g_par: float, params, omega_d: float,
+                        power: float,
                         bias_b: float,
                         tone_rms: float, tone_freq: float,
                         chain_gain_db: float, noise_floor_v: float,
@@ -33,8 +34,8 @@ def simulate_timeseries(sys, params, omega_d: float, power: float,
     n = int(round(fs * duration))
     b = bias_b + math.sqrt(2.0) * tone_rms \
         * np.sin(tone_freq * (np.arange(n) / fs))
-    v = bias_sweep_trace(spin_frequency_vs_field(sys, b), params, omega_d,
-                         power, chain_gain_db)
+    v = bias_sweep_trace(spin_frequency_vs_field(D, g_par, b), params,
+                         omega_d, power, chain_gain_db)
     if noise_floor_v > 0:
         sigma = noise_floor_v * math.sqrt(fs / 2.0)
         rng = np.random.default_rng(seed)
