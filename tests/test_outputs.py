@@ -6,7 +6,8 @@ crossing.csv that crossing-sim just wrote, and calibrate reads the CSV of
 inputs.write_calibration_csv.  Each of the 30 files is compared against its
 committed sha256.  A change that alters an output updates its sum here in
 the same commit and declares the change; the failure message prints each
-changed file's new sum as a _PINNED entry.
+changed file's new sum as a _PINNED entry.  One more run pins
+noise-predict on an amplitude spectrum that it has to resample.
 """
 
 import contextlib
@@ -132,6 +133,27 @@ def test_every_command_output_is_pinned(tmp_path):
     changed = "".join(f'    "{name}":\n        "{got[name]}",\n'
                       for name in _PINNED if got[name] != _PINNED[name])
     assert not changed, f"output bytes changed; their new sums:\n{changed}"
+
+
+# an amplitude spectrum on offsets other than the phase spectrum's 100 Hz to
+# 1 MHz, so that noise-predict resamples it, holding its 150 Hz value flat
+# below 150 Hz; the bundled spectra share their offsets, so none of the 30
+# pinned files takes this path
+_RESAMPLED_AMPLITUDE = ("offset_hz,value,unit\n150.0,-150.0,dBc_per_Hz\n"
+                        "3000.0,-152.0,dBc_per_Hz\n2e6,-160.0,dBc_per_Hz\n")
+_RESAMPLED_PINNED = \
+    "a7f62e469f3a0072d9b81ed32ced4acc9ae04c2a359b2c9796f4cb68ae5a81b7"
+
+
+def test_resampled_noise_prediction_is_pinned(tmp_path):
+    (tmp_path / "amp.csv").write_text(_RESAMPLED_AMPLITUDE)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["noise-predict", "--output-dir", str(tmp_path / "out"),
+                     "--amplitude-noise-csv", str(tmp_path / "amp.csv")])
+    assert code == 0
+    got = hashlib.sha256(
+        (tmp_path / "out" / "predicted_noise.csv").read_bytes()).hexdigest()
+    assert got == _RESAMPLED_PINNED, f"output bytes changed; new sum {got}"
 
 
 # OpenBLAS kernels that OPENBLAS_CORETYPE can pick, with the CPU flags each
