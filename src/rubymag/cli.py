@@ -137,7 +137,11 @@ def _grid_spec(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return ws, wd
 
 
-def _default_noise_csv(name: str) -> Path:
+def _noise_csv(path, name: str):
+    """path, or the bundled spectrum `name` when no path is given: "" is a
+    path like any other."""
+    if path is not None:
+        return path
     # imported here: no other command needs importlib.resources
     import importlib.resources
     return importlib.resources.files("rubymag") / "data" / name
@@ -173,22 +177,22 @@ def cmd_crossing_fit(cfg: RunConfig, input_csv) -> list:
 
 def cmd_noise_predict(cfg: RunConfig, input_csv) -> list:
     n = cfg["noise"]
-    phase_path = n["phase_noise_csv"] or _default_noise_csv("phase_noise.csv")
-    amp_path = n["amplitude_noise_csv"] \
-        or _default_noise_csv("amplitude_noise.csv")
-    phase = iqnoise.read_spectrum_csv(phase_path)
-    amp = iqnoise.read_spectrum_csv(amp_path)
+    phase = iqnoise.read_spectrum_csv(
+        _noise_csv(n["phase_noise_csv"], "phase_noise.csv"))
+    amp = iqnoise.read_spectrum_csv(
+        _noise_csv(n["amplitude_noise_csv"], "amplitude_noise.csv"))
+    f = phase[0]
     omega_d, power = cfg["drive"]["omega_d_ghz"], cfg["drive"]["power_dbm"]
-    pos = phase.offsets * math.tau
+    pos = f * math.tau
     offsets = np.concatenate([-pos[::-1], [0.0], pos])
     # Gamma: the non-idealities zeroed, n_cav pinned at the carrier
     gamma = gamma_prime(cfg["ensemble"]["omega_s_ghz"], omega_d + offsets,
                         omega_d, power,
                         {**cfg.model(), **dict.fromkeys(PARAM_NAMES[5:], 0.0)},
                         omega_n=omega_d)
-    predicted = iqnoise.predict_noise_psd(amp, phase, phase.offsets, gamma,
+    predicted = iqnoise.predict_noise_psd(amp, phase, f, gamma,
                                           p0=n["p0_v2_per_hz"])
-    return [("predicted_noise.csv", iqnoise.render_spectrum_csv, predicted)]
+    return [("predicted_noise.csv", iqnoise.render_spectrum_csv, f, predicted)]
 
 
 def _sensitivity_budget(cfg: RunConfig,

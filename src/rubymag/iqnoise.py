@@ -9,17 +9,15 @@ to the output power spectrum on the offsets f as
     P(omega) = |A(omega) Gamma_s(omega)|^2 + |Phi(omega) Gamma_p(omega)|^2
                + |Phi(omega) Gamma_p(0)|^2 + P0
 
-dBc/Hz inputs are interpreted as single-sideband densities (the usual
-instrument convention); conversion to the two-sided density used in the
-formula above doubles the linear power.  A spectrum already on the offsets f
-(to rtol 1e-9) is used as given, so the phase spectrum's own offsets come
-back exactly; any other is resampled onto them, interpolating dB values
-linearly in log-frequency (a zero density, -inf dB, zeroes its intervals).
+A source spectrum is the triple (offsets in Hz, density, unit).  dBc_per_Hz
+densities are single-sideband (the usual instrument convention), so the
+two-sided density of the formula doubles their linear power.  A spectrum on
+the offsets f (to rtol 1e-9) is used as given; any other is resampled onto
+them, linearly in dB over log-frequency, its end values held flat outside
+its range (a zero V2_per_Hz density, -inf dB, zeroes its intervals).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,42 +28,46 @@ DBC_PER_HZ = "dBc_per_Hz"
 V2_PER_HZ = "V2_per_Hz"
 
 
-@dataclass
-class NoiseSpectrum:
-    """Noise density on strictly increasing positive offsets, with its unit."""
+def _check_offsets(offsets: np.ndarray) -> None:
+    # written so that NaN, which compares False, fails
+    if not (offsets.ndim == 1 and np.all(offsets > 0)
+            and np.all(np.diff(offsets) > 0)):
+        raise ValueError("offsets must be strictly increasing and positive")
 
-    offsets: np.ndarray      # Hz, strictly increasing, > 0
-    density: np.ndarray
-    unit: str
 
-    def __post_init__(self):
-        self.offsets = offsets = np.asarray(self.offsets, dtype=float)
-        self.density = density = np.asarray(self.density, dtype=float)
-        if offsets.shape != density.shape:
-            raise ValueError("offsets and density must have equal length")
-        # written so that NaN, which compares False, fails the checks
-        if not (np.all(offsets > 0) and np.all(np.diff(offsets) > 0)):
-            raise ValueError("offsets must be strictly increasing and positive")
-        if self.unit not in (DBC_PER_HZ, V2_PER_HZ):
-            raise ValueError(f"unknown unit tag {self.unit!r}")
-        if self.unit == V2_PER_HZ and not np.all(density >= 0):
-            raise ValueError("a V2_per_Hz density must be >= 0")
+def _check_spectrum(offsets: np.ndarray, density: np.ndarray,
+                    unit: str) -> None:
+    """ValueError unless offsets and density have equal lengths, the offsets
+    pass _check_offsets, the unit is known and a V2_per_Hz density is >= 0,
+    NaN failing each."""
+    if offsets.shape != density.shape:
+        raise ValueError("offsets and density must have equal length")
+    _check_offsets(offsets)
+    if unit not in (DBC_PER_HZ, V2_PER_HZ):
+        raise ValueError(f"unknown unit tag {unit!r}")
+    if unit == V2_PER_HZ and not np.all(density >= 0):
+        raise ValueError("a V2_per_Hz density must be >= 0")
 
-    def in_linear(self) -> np.ndarray:
-        """Linear power density; identity for V2_per_Hz inputs."""
-        if self.unit == V2_PER_HZ:
-            return self.density.copy()
-        return 10.0 ** (self.density / 10.0)
 
-    def resampled(self, offsets: np.ndarray) -> "NoiseSpectrum":
-        """Log-frequency linear interpolation of the dB representation."""
-        offsets = np.asarray(offsets, dtype=float)
+def two_sided_amplitude(spectrum, offsets_hz) -> np.ndarray:
+    """Two-sided linear amplitude density of the spectrum triple
+    (offsets, density, unit) on offsets_hz; ValueError on a spectrum that
+    fails its checks."""
+    offsets, density, unit = spectrum
+    offsets = np.asarray(offsets, dtype=float)
+    density = np.asarray(density, dtype=float)
+    offsets_hz = np.asarray(offsets_hz, dtype=float)
+    _check_spectrum(offsets, density, unit)
+    linear = unit == V2_PER_HZ
+    if (offsets.shape != offsets_hz.shape
+            or not np.allclose(offsets, offsets_hz, rtol=1e-9, atol=0)):
         with np.errstate(divide="ignore"):
-            db = self.density if self.unit == DBC_PER_HZ \
-                else 10.0 * np.log10(self.density)
-        new_db = np.interp(np.log10(offsets), np.log10(self.offsets), db)
-        density = new_db if self.unit == DBC_PER_HZ else 10.0 ** (new_db / 10.0)
-        return NoiseSpectrum(offsets=offsets, density=density, unit=self.unit)
+            db = 10.0 * np.log10(density) if linear else density
+        density = np.interp(np.log10(offsets_hz), np.log10(offsets), db)
+        if linear:
+            density = 10.0 ** (density / 10.0)
+    # SSB dBc/Hz -> two-sided linear power needs the factor 2
+    return np.sqrt(density if linear else 2.0 * 10.0 ** (density / 10.0))
 
 
 def decompose_gamma(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,28 +86,10 @@ def decompose_gamma(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gamma_p, gamma_s
 
 
-def _two_sided_amplitude(spec: NoiseSpectrum,
-                         offsets_hz: np.ndarray) -> np.ndarray:
-    """Two-sided linear amplitude density on offsets_hz.
-
-    A spectrum whose offsets match offsets_hz to rtol 1e-9 is used as given;
-    any other is resampled onto them.
-    """
-    if (spec.offsets.shape != offsets_hz.shape
-            or not np.allclose(spec.offsets, offsets_hz, rtol=1e-9, atol=0)):
-        spec = spec.resampled(offsets_hz)
-    power = spec.in_linear()
-    # SSB dBc/Hz -> two-sided linear power needs the factor 2
-    if spec.unit == DBC_PER_HZ:
-        power = 2.0 * power
-    return np.sqrt(power)
-
-
-def noise_contribution_split(amp: NoiseSpectrum, phase: NoiseSpectrum,
-                             offsets_hz, gamma) -> tuple[NoiseSpectrum,
-                                                         NoiseSpectrum]:
-    """(phase-noise term, amplitude-noise term) of the output spectrum on
-    offsets_hz.
+def noise_contribution_split(amp, phase, offsets_hz,
+                             gamma) -> tuple[np.ndarray, np.ndarray]:
+    """(phase-noise term, amplitude-noise term) of the output density, in
+    V2_per_Hz on offsets_hz, from the amplitude and phase spectrum triples.
 
     gamma holds the 2n + 1 reflection samples at the carrier offsets
     2 pi (-offsets_hz reversed, 0, offsets_hz); ValueError unless the n
@@ -113,52 +97,48 @@ def noise_contribution_split(amp: NoiseSpectrum, phase: NoiseSpectrum,
     """
     offsets_hz = np.asarray(offsets_hz, dtype=float)
     gamma = np.asarray(gamma, dtype=complex)
-    if offsets_hz.ndim != 1 or np.any(offsets_hz <= 0) \
-            or np.any(np.diff(offsets_hz) <= 0):
-        raise ValueError("offsets must be strictly increasing and positive")
+    _check_offsets(offsets_hz)
     n = offsets_hz.size
     if gamma.shape != (2 * n + 1,):
         raise ValueError(f"gamma needs 2n + 1 = {2 * n + 1} samples for "
                          f"{n} offsets, got shape {gamma.shape}")
-    a_lin = _two_sided_amplitude(amp, offsets_hz)
-    p_lin = _two_sided_amplitude(phase, offsets_hz)
+    a_lin = two_sided_amplitude(amp, offsets_hz)
+    p_lin = two_sided_amplitude(phase, offsets_hz)
     gamma_p, gamma_s = decompose_gamma(gamma)
     pn = np.abs(p_lin * gamma_p[n + 1:]) ** 2 + np.abs(p_lin * gamma_p[n]) ** 2
     am = np.abs(a_lin * gamma_s[n + 1:]) ** 2
-    return (NoiseSpectrum(offsets=offsets_hz, density=pn, unit=V2_PER_HZ),
-            NoiseSpectrum(offsets=offsets_hz, density=am, unit=V2_PER_HZ))
+    return pn, am
 
 
-def predict_noise_psd(amp: NoiseSpectrum, phase: NoiseSpectrum, offsets_hz,
-                      gamma, p0: float) -> NoiseSpectrum:
-    """Total predicted output noise power density on offsets_hz; gamma as
-    for noise_contribution_split."""
+def predict_noise_psd(amp, phase, offsets_hz, gamma, p0: float) -> np.ndarray:
+    """Total predicted output noise density, in V2_per_Hz on offsets_hz;
+    arguments as for noise_contribution_split."""
     pn, am = noise_contribution_split(amp, phase, offsets_hz, gamma)
-    return NoiseSpectrum(offsets=pn.offsets, density=pn.density + am.density + p0,
-                         unit=V2_PER_HZ)
+    return pn + am + p0
 
 
-def render_spectrum_csv(path, spectrum: NoiseSpectrum) -> str:
-    """Columns offset_hz, value, unit; the layout read_spectrum_csv reads."""
+def render_spectrum_csv(path, offsets, density) -> str:
+    """Columns offset_hz, value, unit of a V2_per_Hz density; the layout
+    read_spectrum_csv reads."""
     return render_columns(path, ("offset_hz", "value"),
-                          np.column_stack([spectrum.offsets, spectrum.density]),
-                          {"unit": spectrum.unit})
+                          np.column_stack([offsets, density]),
+                          {"unit": V2_PER_HZ})
 
 
-def read_spectrum_csv(path) -> NoiseSpectrum:
-    """Columns offset_hz, value, unit; one unit tag per file.
+def read_spectrum_csv(path) -> tuple[np.ndarray, np.ndarray, str]:
+    """(offsets, density, unit) of the columns offset_hz, value, unit.
 
-    A missing column, a non-numeric or non-finite cell, mixed or unknown unit
-    tags, offsets that are not positive and increasing, or a negative
-    V2_per_Hz density raise ParseError.
+    Cells read_columns refuses, mixed unit tags and a triple that fails
+    _check_spectrum raise ParseError.
     """
     table, rows = read_columns(path, ("offset_hz", "value"), ("unit",))
     units = sorted({row["unit"] for row in rows})
     if len(units) != 1:
         raise ParseError(f"{path}: expected one unit tag per file, "
                          f"got {units}")
+    offsets, density = table[:, 0], table[:, 1]
     try:
-        return NoiseSpectrum(offsets=table[:, 0], density=table[:, 1],
-                             unit=units[0])
+        _check_spectrum(offsets, density, units[0])
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    return offsets, density, units[0]

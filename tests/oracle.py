@@ -8,7 +8,8 @@ collect this module.
 - photon_number, spin_interaction and reflection give Gamma of a params
   record by composing cavity.interaction_term and
   cavity.reflection_coefficient, the term-by-term reference of
-  cavity.gamma_prime.
+  cavity.gamma_prime; reflection_of_lines sums Pi over several spin lines,
+  as a field off a symmetry axis splits one line in two.
 - record builds gamma_prime's params record from its values by name.
 - optical_power_equivalent and field_from_slope are the paper's arithmetic
   that acceptance criteria 10 and 11 check.
@@ -59,9 +60,18 @@ def spin_interaction(params: dict, omega_s, omega_d, n_cav: float):
 def reflection(params: dict, omega_s, omega_d, power: float):
     """Spin-loaded complex reflection coefficient of the params record's
     cavity and spin values, its non-idealities ignored."""
+    return reflection_of_lines(params, [(omega_s, 1.0)], omega_d, power)
+
+
+def reflection_of_lines(params: dict, lines, omega_d, power: float):
+    """reflection when the drive meets several spin lines: Pi is the sum,
+    over the (omega_s, weight) pairs in lines, of weight times the record's
+    Pi at that omega_s.  The weight scales g_eff^2 alone, so every line
+    keeps the record's saturation S."""
     kappa_c0, kappa_c1 = params["kappa_c0"], params["kappa_c1"]
     n_cav = photon_number(omega_d, power, kappa_c0 + kappa_c1)
-    pi_term = spin_interaction(params, omega_s, omega_d, n_cav)
+    pi_term = sum(weight * spin_interaction(params, omega_s, omega_d, n_cav)
+                  for omega_s, weight in lines)
     return reflection_coefficient(kappa_c0, kappa_c1, params["omega_c"],
                                   omega_d, pi_term)
 

@@ -35,7 +35,7 @@ from rubymag.spins import (build_hamiltonian, eigensolve, energy_level_sweep,
 from rubymag.thermal import (boltzmann_populations, polarization,
                              total_interrogated_spins)
 from oracle import (analytic_energies_axial, field_from_slope,
-                    optical_power_equivalent, reflection)
+                    optical_power_equivalent, reflection, reflection_of_lines)
 from timeseries import (amplitude_density, noise_floor, simulate_timeseries,
                         tone_rms)
 
@@ -212,7 +212,7 @@ def test_criterion_14_noise_model_properties():
                            / "amplitude_noise.csv") as p:
         amp = read_spectrum_csv(p)
     pn, am = noise_contribution_split(amp, phase, pos, values)
-    assert np.all(pn.density >= 10.0 * am.density)
+    assert np.all(pn >= 10.0 * am)
 
 
 def test_criterion_15_end_to_end_consistency():
@@ -408,3 +408,63 @@ def test_transverse_sensitivity_against_axial():
     ratio = m_0 / m_90
     assert ratio == pytest.approx(1.0246, rel=1e-3)
     assert ratio == pytest.approx(slope_0 / slope_90, rel=1e-3)
+
+
+def test_transverse_sensitivity_needs_alignment():
+    """PAPER.md's third orientation claim, second half: theta = 90 degrees
+    needs the bias field aligned to better than 1 degree.  Not reproduced
+    for the first degree: the model pins 1 degree off 90 at 0.52 % more eta,
+    and only the second degree costs more than 1 %, 1.56 %.
+
+    Off 90 degrees the 90-degree line splits in two that share level 2: at
+    89 degrees (1, 2) crosses the 11.4 GHz drive at 31.69 G and (0, 2) at
+    33.44 G, with |<i|S_x|j>|^2 of 0.377 and 0.385, 1.7 G apart against the
+    about 15 G that kappa_s spans; at 88 degrees they are 3.5 G apart.  Pi
+    is summed over every line that crosses the drive between 20 and 45 G,
+    each weighted by its strength at each field over the 0-degree line's
+    0.750 (oracle.reflection_of_lines), so at 0 degrees the sum is the
+    one-line model.  The weight scales g_eff^2 and not the saturation:
+    scaling both, as if each line saturated alone, puts eta(89.5) at 0.807
+    eta(0) against 1.023 eta(0) at 90 degrees, a jump where the two lines
+    merge into one.  eta = e_n / M_max, so eta(theta) / eta(0) =
+    M_max(0) / M_max(theta): 1.0160 at 90, 1.0213 at 89 and 1.0373 at 88
+    degrees.
+    """
+    b_values = np.linspace(20e-4, 45e-4, 2501)
+    omega_d, power = (DEFAULTS["drive"]["omega_d_ghz"],
+                      DEFAULTS["drive"]["power_dbm"])
+
+    def lines_and_slope(theta_deg):
+        sweep = energy_level_sweep(D, G_PAR, G_PERP, math.radians(theta_deg),
+                                   b_values)
+        lines, found = [], {}
+        for i, j in itertools.combinations(range(4), 2):
+            freq, strength = transition(*sweep, i, j)
+            k = np.flatnonzero((freq[:-1] > omega_d) != (freq[1:] > omega_d))
+            if k.size == 1:
+                lines.append((freq, strength / 0.750))
+                found[i, j] = (b_values[k[0]], strength[k[0]])
+        gamma = reflection_of_lines(DEFAULTS.model(), lines, omega_d, power)
+        return found, dispersive_slope(b_values, gamma.imag)[1]
+
+    found_0, m_0 = lines_and_slope(0.0)
+    assert list(found_0) == [(1, 3)]
+    assert found_0[1, 3][1] == pytest.approx(0.750, abs=1e-3)
+    found_89, m_89 = lines_and_slope(89.0)
+    assert list(found_89) == [(0, 2), (1, 2)]
+    assert [b for b, _ in found_89.values()] == pytest.approx(
+        [33.44e-4, 31.69e-4], abs=1e-6)
+    assert [s for _, s in found_89.values()] == pytest.approx(
+        [0.385, 0.377], abs=1e-3)
+    found_88, m_88 = lines_and_slope(88.0)
+    (b_a, _), (b_b, _) = found_88.values()
+    assert b_a - b_b == pytest.approx(3.5e-4, abs=0.1e-4)
+    _, m_90 = lines_and_slope(90.0)
+    eta = {theta: m_0 / m for theta, m in ((90, m_90), (89, m_89), (88, m_88))}
+    assert eta[90] == pytest.approx(1.0160, rel=1e-4)
+    assert eta[89] == pytest.approx(1.0213, rel=1e-4)
+    assert eta[88] == pytest.approx(1.0373, rel=1e-4)
+    # monotone in the misalignment; the first degree costs under 1 %
+    assert eta[89] / eta[90] - 1.0 == pytest.approx(0.0052, abs=1e-4)
+    assert eta[88] / eta[89] - 1.0 == pytest.approx(0.0156, abs=1e-4)
+    assert eta[90] < eta[89] < eta[88]

@@ -457,6 +457,35 @@ def test_unopenable_input_file_exits_two(tmp_path, capsys, command, flag,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, argv", [
+    pytest.param("crossing-fit", ["--input", ""], id="input"),
+    pytest.param("noise-predict", ["--phase-noise-csv", ""], id="phase flag"),
+    pytest.param("noise-predict", ["--amplitude-noise-csv", ""],
+                 id="amplitude flag"),
+    pytest.param("noise-predict",
+                 ["--config", {"noise": {"phase_noise_csv": ""}}],
+                 id="phase config"),
+    pytest.param("noise-predict",
+                 ["--config", {"noise": {"amplitude_noise_csv": ""}}],
+                 id="amplitude config"),
+])
+def test_empty_input_path_is_a_path(tmp_path, capsys, monkeypatch, command,
+                                    argv):
+    """An empty input path, as a flag or as a config value, names no file:
+    one ERROR ParseError line and exit 2.  Only an absent spectrum path
+    means the bundled spectrum."""
+    monkeypatch.chdir(tmp_path)
+    flag, value = argv
+    if flag == "--config":
+        Path("cfg.json").write_text(json.dumps(value))
+        value = "cfg.json"
+    assert run_cli(command, "--output-dir", "out", flag, value) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR ParseError: "), err
+    assert "No such file" in err[0]
+    assert not Path("out").exists()
+
+
 def test_text_flags_taken_verbatim(tmp_path, monkeypatch):
     """--output-dir 5 writes into a directory named 5, and
     --phase-noise-csv 7 reads the file named 7."""
@@ -1075,7 +1104,7 @@ def test_noise_predict_uses_bundled_spectra(tmp_path, nonideal):
     data = importlib.resources.files("rubymag") / "data"
     phase = iqnoise.read_spectrum_csv(data / "phase_noise.csv")
     amp = iqnoise.read_spectrum_csv(data / "amplitude_noise.csv")
-    pos = phase.offsets * TWO_PI
+    pos = phase[0] * TWO_PI
     offsets = np.concatenate([-pos[::-1], [0.0], pos])
     omega_d = d["omega_d_ghz"] + offsets
     n_cav = photon_number(d["omega_d_ghz"], d["power_dbm"],
@@ -1084,9 +1113,9 @@ def test_noise_predict_uses_bundled_spectra(tmp_path, nonideal):
                                e["omega_s_ghz"], omega_d, n_cav)
     gamma = reflection_coefficient(c["kappa_c0_khz"], c["kappa_c1_khz"],
                                    c["omega_c_ghz"], omega_d, pi_term)
-    want = iqnoise.predict_noise_psd(amp, phase, phase.offsets, gamma, 0.0)
+    want = iqnoise.predict_noise_psd(amp, phase, phase[0], gamma, 0.0)
     got = [float(line.split(",")[1]) for line in lines[1:]]
-    assert np.allclose(got, want.density, rtol=1e-12, atol=0.0)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
     # the output is on the phase spectrum's own offsets, cell for cell
     given = (data / "phase_noise.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines] \

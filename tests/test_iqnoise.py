@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rubymag.config import parse_config
-from rubymag.iqnoise import (DBC_PER_HZ, V2_PER_HZ, NoiseSpectrum,
-                             decompose_gamma,
+from rubymag.iqnoise import (DBC_PER_HZ, V2_PER_HZ, decompose_gamma,
                              noise_contribution_split, predict_noise_psd,
-                             read_spectrum_csv, render_spectrum_csv)
+                             read_spectrum_csv, render_spectrum_csv,
+                             two_sided_amplitude)
 from oracle import reflection
 
 TWO_PI = 2.0 * math.pi
@@ -34,50 +34,52 @@ def cavity_gamma(pos_hz=None):
 
 
 # ---------------------------------------------------------------------------
-# types
+# two_sided_amplitude: a spectrum triple (offsets, density, unit) to the
+# two-sided amplitude density
 
 
 def test_noise_spectrum_validation():
-    NoiseSpectrum(offsets=[1.0, 10.0], density=[-100.0, -110.0],
-                  unit=DBC_PER_HZ)
-    with pytest.raises(ValueError):
-        NoiseSpectrum(offsets=[1.0, 10.0], density=[-100.0], unit=DBC_PER_HZ)
-    with pytest.raises(ValueError):
-        NoiseSpectrum(offsets=[10.0, 1.0], density=[-100.0, -110.0],
-                      unit=DBC_PER_HZ)
-    with pytest.raises(ValueError):
-        NoiseSpectrum(offsets=[0.0, 1.0], density=[-100.0, -110.0],
-                      unit=DBC_PER_HZ)
-    with pytest.raises(ValueError):
-        NoiseSpectrum(offsets=[1.0], density=[-100.0], unit="dBm")
+    offsets = [1.0, 10.0]
+    two_sided_amplitude(([1.0, 10.0], [-100.0, -110.0], DBC_PER_HZ), offsets)
+    for spectrum in (([1.0, 10.0], [-100.0], DBC_PER_HZ),
+                     ([10.0, 1.0], [-100.0, -110.0], DBC_PER_HZ),
+                     ([0.0, 1.0], [-100.0, -110.0], DBC_PER_HZ),
+                     ([1.0], [-100.0], "dBm")):
+        with pytest.raises(ValueError):
+            two_sided_amplitude(spectrum, offsets)
+
+
+def ssb_power(spectrum, offsets_hz):
+    """The single-sideband linear power density: half the square of the
+    two-sided amplitude."""
+    return two_sided_amplitude(spectrum, offsets_hz) ** 2 / 2.0
 
 
 def test_db_linear_round_trip():
-    spec = NoiseSpectrum(offsets=[1e2, 1e3, 1e4],
-                         density=[-100.0, -120.0, -130.0], unit=DBC_PER_HZ)
-    linear = spec.in_linear()
-    assert np.allclose(10.0 * np.log10(linear), spec.density, rtol=1e-12)
+    spec = ([1e2, 1e3, 1e4], [-100.0, -120.0, -130.0], DBC_PER_HZ)
+    linear = ssb_power(spec, spec[0])
+    assert np.allclose(10.0 * np.log10(linear), spec[1], rtol=1e-12)
     assert linear[0] == pytest.approx(1e-10, rel=1e-12)
 
 
 def test_resample_log_frequency_interpolation():
-    spec = NoiseSpectrum(offsets=[1e2, 1e4], density=[-100.0, -120.0],
-                         unit=DBC_PER_HZ)
-    mid = spec.resampled(np.array([1e3]))
+    spec = ([1e2, 1e4], [-100.0, -120.0], DBC_PER_HZ)
+    mid = 10.0 * np.log10(ssb_power(spec, [1e3]))
     # geometric midpoint in log-f -> arithmetic midpoint in dB
-    assert mid.density[0] == pytest.approx(-110.0, abs=1e-9)
+    assert mid[0] == pytest.approx(-110.0, abs=1e-9)
 
 
 def test_resample_zero_density_is_minus_infinite_db():
     """A zero V2_per_Hz density is -inf dB: it stays 0 at its own offset and
     makes every interval it bounds 0, while the other nodes keep their
-    values, even where numpy raises on a division by zero."""
-    spec = NoiseSpectrum(offsets=[1e2, 3e2, 1e3], density=[1e-12, 0.0, 4e-12],
-                         unit=V2_PER_HZ)
+    values, held flat outside the spectrum's range, even where numpy raises
+    on a division by zero."""
+    spec = ([1e2, 3e2, 1e3], [1e-12, 0.0, 4e-12], V2_PER_HZ)
     with np.errstate(divide="raise", invalid="raise"):
-        got = spec.resampled(np.array([50.0, 1e2, 2e2, 3e2, 5e2, 1e3, 2e3]))
-    assert np.all(got.density[2:5] == 0.0)
-    assert np.allclose(got.density[[0, 1, 5, 6]], [1e-12, 1e-12, 4e-12, 4e-12],
+        got = two_sided_amplitude(
+            spec, [50.0, 1e2, 2e2, 3e2, 5e2, 1e3, 2e3]) ** 2
+    assert np.all(got[2:5] == 0.0)
+    assert np.allclose(got[[0, 1, 5, 6]], [1e-12, 1e-12, 4e-12, 4e-12],
                        rtol=1e-12, atol=0.0)
 
 
@@ -140,8 +142,7 @@ def test_decomposition_idempotent():
 
 
 def flat_spectrum(offsets_hz, value, unit):
-    return NoiseSpectrum(offsets=offsets_hz,
-                         density=np.full(len(offsets_hz), value), unit=unit)
+    return offsets_hz, np.full(len(offsets_hz), value), unit
 
 
 def test_zero_inputs_give_flat_floor():
@@ -150,7 +151,7 @@ def test_zero_inputs_give_flat_floor():
     amp = flat_spectrum(pos_hz, 0.0, V2_PER_HZ)
     phase = flat_spectrum(pos_hz, 0.0, V2_PER_HZ)
     out = predict_noise_psd(amp, phase, pos_hz, g, p0=1e-15)
-    assert np.allclose(out.density, 1e-15, rtol=1e-12)
+    assert np.allclose(out, 1e-15, rtol=1e-12)
 
 
 def test_constant_real_gamma_two_equal_phase_terms():
@@ -160,7 +161,7 @@ def test_constant_real_gamma_two_equal_phase_terms():
     amp = flat_spectrum(pos_hz, 0.0, V2_PER_HZ)
     phase = flat_spectrum(pos_hz, phi2, V2_PER_HZ)
     out = predict_noise_psd(amp, phase, pos_hz, g, p0=1e-13)
-    assert np.allclose(out.density, 2.0 * phi2 * 0.8 ** 2 + 1e-13, rtol=1e-12)
+    assert np.allclose(out, 2.0 * phi2 * 0.8 ** 2 + 1e-13, rtol=1e-12)
 
 
 def test_ssb_dbc_doubling_convention():
@@ -171,7 +172,7 @@ def test_ssb_dbc_doubling_convention():
     phase = flat_spectrum(pos_hz, dbc, DBC_PER_HZ)
     out = predict_noise_psd(amp, phase, pos_hz, g, p0=0.0)
     # two equal phase terms, each with SSB->two-sided factor 2
-    assert out.density[0] == pytest.approx(2 * 2 * 10 ** (dbc / 10), rel=1e-12)
+    assert out[0] == pytest.approx(2 * 2 * 10 ** (dbc / 10), rel=1e-12)
 
 
 def test_split_sum_equals_total():
@@ -181,9 +182,8 @@ def test_split_sum_equals_total():
     phase = flat_spectrum(pos_hz, -120.0, DBC_PER_HZ)
     pn, am = noise_contribution_split(amp, phase, pos_hz, g)
     total = predict_noise_psd(amp, phase, pos_hz, g, p0=2.5e-16)
-    assert np.allclose(pn.density + am.density + 2.5e-16, total.density,
-                       rtol=1e-12)
-    assert np.all(total.density >= 2.5e-16)
+    assert np.allclose(pn + am + 2.5e-16, total, rtol=1e-12)
+    assert np.all(total >= 2.5e-16)
 
 
 def test_gamma_and_offsets_checked_before_use():
@@ -193,7 +193,8 @@ def test_gamma_and_offsets_checked_before_use():
               np.ones((5, 1), dtype=complex)):
         with pytest.raises(ValueError, match="2n \\+ 1 = 5"):
             predict_noise_psd(spec, spec, pos_hz, g, p0=0.0)
-    for offsets in ([2.0, 1.0], [0.0, 1.0], [-1.0, 1.0], [1.0, 1.0]):
+    for offsets in ([2.0, 1.0], [0.0, 1.0], [-1.0, 1.0], [1.0, 1.0],
+                    [1.0, math.nan]):
         with pytest.raises(ValueError, match="strictly increasing"):
             noise_contribution_split(spec, spec, offsets,
                                      np.ones(5, dtype=complex))
@@ -210,7 +211,7 @@ def test_bundled_inputs_phase_noise_dominates():
     pos_hz = positive_offsets(n_half=25, max_hz=1e6)
     pn, am = noise_contribution_split(amp, phase, pos_hz,
                                       cavity_gamma(pos_hz))
-    assert np.all(pn.density >= 10.0 * am.density)
+    assert np.all(pn >= 10.0 * am)
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +219,20 @@ def test_bundled_inputs_phase_noise_dominates():
 
 
 def test_spectrum_csv_round_trip(tmp_path):
-    spec = NoiseSpectrum(offsets=np.array([1e2, 1e3, 1e4]),
-                         density=np.array([-102.3, -119.7, -135.2]),
-                         unit=DBC_PER_HZ)
+    """render_spectrum_csv writes a V2_per_Hz density, the one unit a
+    command writes, and read_spectrum_csv reads it and a dBc_per_Hz file
+    back exactly."""
+    offsets = np.array([1e2, 1e3, 1e4])
+    density = np.array([5.9e-11, 1.07e-12, 3.02e-14])
     path = tmp_path / "spec.csv"
-    path.write_text(render_spectrum_csv(path, spec))
+    path.write_text(render_spectrum_csv(path, offsets, density))
     back = read_spectrum_csv(path)
-    assert back.unit == DBC_PER_HZ
-    assert np.allclose(back.offsets, spec.offsets, rtol=0)
-    assert np.allclose(back.density, spec.density, rtol=0)
+    assert back[2] == V2_PER_HZ
+    assert np.allclose(back[0], offsets, rtol=0)
+    assert np.allclose(back[1], density, rtol=0)
+    path.write_text("offset_hz,value,unit\n100.0,-102.3,dBc_per_Hz\n"
+                    "1000.0,-119.7,dBc_per_Hz\n10000.0,-135.2,dBc_per_Hz\n")
+    back = read_spectrum_csv(path)
+    assert back[2] == DBC_PER_HZ
+    assert np.allclose(back[0], offsets, rtol=0)
+    assert np.allclose(back[1], [-102.3, -119.7, -135.2], rtol=0)

@@ -1,12 +1,15 @@
-"""The checks on the numbers the formulas read, and what each dataclass
-costs: the spin parameters and field of spins.build_hamiltonian (its
+"""The checks on the numbers the formulas read, which classes the package
+defines and what each dataclass costs: the spin parameters and field of spins.build_hamiltonian (its
 g-factor check shared with magnetometry.spin_frequency_vs_field), the
 material of thermal.total_interrogated_spins and the coil of
 calibration.solenoid_axial_field; the checks of cavity.gamma_prime's params
 record, which each of its three entries (gamma_prime, gamma_prime_jacobian,
 bias_sweep_trace) runs; the checks a crossing grid meets as plain arrays,
 cli._axis on every axis the commands draw and fit_crossing on the shape of
-the values; and the construction checks of iqnoise.NoiseSpectrum.
+the values; and the checks a noise spectrum meets as the triple (offsets,
+density, unit), which iqnoise.two_sided_amplitude runs (read_spectrum_csv
+runs the same checks as a ParseError).  Every class but an exception is
+named, with the reason it is kept, in _TYPES_KEPT.
 
 Each check is written so that NaN fails it: a comparison with NaN is
 False, so a check spelled `x <= 0` or `np.diff(v) <= 0` would let NaN
@@ -32,7 +35,7 @@ from rubymag.cavity import gamma_prime, gamma_prime_jacobian
 from rubymag.cli import _axis
 from rubymag.config import parse_config
 from rubymag.fitting import fit_crossing
-from rubymag.iqnoise import DBC_PER_HZ, V2_PER_HZ, NoiseSpectrum
+from rubymag.iqnoise import DBC_PER_HZ, V2_PER_HZ, two_sided_amplitude
 from rubymag.magnetometry import bias_sweep_trace, spin_frequency_vs_field
 from rubymag.spins import build_hamiltonian, energy_level_sweep
 from rubymag.thermal import boltzmann_populations, total_interrogated_spins
@@ -102,7 +105,8 @@ def _grid_axis(keys, centre=1.0, span=1.0, n=3):
 
 
 def _spectrum(offsets=AXIS, density=AXIS, unit=V2_PER_HZ):
-    return NoiseSpectrum(offsets=offsets, density=density, unit=unit)
+    """The amplitude conversion of a spectrum triple on its own offsets."""
+    return two_sided_amplitude((offsets, density, unit), offsets)
 
 
 # (case, changes of the record, power or omega_s; what the error names), the
@@ -175,7 +179,7 @@ _INVALID = [
     ("grid values transposed",
      lambda: fit_crossing(AXIS, AXIS[:2], np.zeros((2, 3)), 1e-3, MODEL),
      "shape"),
-    # NoiseSpectrum: equal lengths, offsets positive and strictly
+    # a spectrum triple: equal lengths, offsets positive and strictly
     # increasing, a known unit, a V2_per_Hz density >= 0
     ("spectrum lengths differ", lambda: _spectrum(density=AXIS[:2]),
      "equal length"),
@@ -244,3 +248,34 @@ def test_dataclasses_are_plain_and_documented():
                 assert not obj.__dataclass_params__.frozen, name
                 assert name in documented, name
     assert found
+
+
+# every class the package defines, but its exceptions, with the reason it
+# is kept: a value is its arrays unless a reason here says otherwise
+_TYPES_KEPT = {
+    "config.RunConfig": "bench/tracer.py wraps RunConfig.ensemble",
+    "fitting.FitResult": "bench/tracer.py reads its iterations and "
+                         "objective_value",
+    "calibration.LinearCalibration": "linear_calibration's line and "
+                                     "r_squared, which calibrate reads by "
+                                     "name",
+    "fitting._BoundTransform": "a fit's bounds and log-space mask, built "
+                               "once and read by every evaluation",
+}
+
+
+def test_every_class_is_kept_with_a_reason():
+    """Every class defined under src/rubymag, nested ones included, is an
+    exception or is named in _TYPES_KEPT, so that a new type has to argue
+    for itself there; a stale entry fails too."""
+    found = set()
+    for info in pkgutil.iter_modules(rubymag.__path__):
+        module = importlib.import_module(f"rubymag.{info.name}")
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                obj = getattr(module, node.name, None)
+                if not (isinstance(obj, type)
+                        and issubclass(obj, BaseException)):
+                    found.add(f"{info.name}.{node.name}")
+    assert found == set(_TYPES_KEPT)
