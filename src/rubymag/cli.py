@@ -181,18 +181,19 @@ def cmd_noise_predict(cfg: RunConfig, input_csv) -> list:
         _noise_csv(n["phase_noise_csv"], "phase_noise.csv"))
     amp = iqnoise.read_spectrum_csv(
         _noise_csv(n["amplitude_noise_csv"], "amplitude_noise.csv"))
-    f = phase[0]
+    f_hz = phase[0]
     omega_d, power = cfg["drive"]["omega_d_ghz"], cfg["drive"]["power_dbm"]
-    pos = f * math.tau
+    pos = f_hz * math.tau
     offsets = np.concatenate([-pos[::-1], [0.0], pos])
     # Gamma: the non-idealities zeroed, n_cav pinned at the carrier
     gamma = gamma_prime(cfg["ensemble"]["omega_s_ghz"], omega_d + offsets,
                         omega_d, power,
                         {**cfg.model(), **dict.fromkeys(PARAM_NAMES[5:], 0.0)},
                         omega_n=omega_d)
-    predicted = iqnoise.predict_noise_psd(amp, phase, f, gamma,
+    predicted = iqnoise.predict_noise_psd(amp, phase, f_hz, gamma,
                                           p0=n["p0_v2_per_hz"])
-    return [("predicted_noise.csv", iqnoise.render_spectrum_csv, f, predicted)]
+    return [("predicted_noise.csv", iqnoise.render_spectrum_csv, f_hz,
+             predicted)]
 
 
 def _sensitivity_budget(cfg: RunConfig,
