@@ -7,7 +7,6 @@ solenoid formula.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,14 +33,9 @@ def solenoid_axial_field(n_turns: float, radius: float, distance: float,
             / (2.0 * (distance ** 2 + r2) ** 1.5))
 
 
-class LinearCalibration(NamedTuple):
-    slope: float
-    intercept: float
-    r_squared: float
-
-
-def linear_calibration(x, y) -> LinearCalibration:
-    """Ordinary least-squares line through (x, y) with goodness of fit."""
+def linear_calibration(x, y) -> tuple[float, float, float]:
+    """(slope, intercept, r_squared) of the ordinary least-squares line
+    through (x, y)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 2:
@@ -56,9 +50,8 @@ def linear_calibration(x, y) -> LinearCalibration:
     slope = sxy / sxx
     # a constant y leaves r undefined: NaN, as scipy.stats.linregress has it
     r_squared = min(sxy * sxy / (sxx * syy), 1.0) if syy > 0 else math.nan
-    return LinearCalibration(slope=float(slope),
-                             intercept=float(y.mean() - slope * x.mean()),
-                             r_squared=float(r_squared))
+    return (float(slope), float(y.mean() - slope * x.mean()),
+            float(r_squared))
 
 
 def read_calibration_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -97,7 +97,8 @@ def _load_config(path, texts: dict) -> RunConfig:
     raw = {}
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:   # "" names no file
+                text = fh.read()
             raw = json.loads(text) if text.strip() else {}
         except OSError as exc:
             raise ConfigError(str(exc)) from exc
@@ -278,12 +279,12 @@ def cmd_calibrate(cfg: RunConfig, input_csv) -> list:
                "current_a": current}
     if input_csv is not None:
         currents, fields = cal.read_calibration_csv(input_csv)
-        line = cal.linear_calibration(currents, fields)
-        summary["slope_t_per_a"] = line.slope
-        summary["intercept_t"] = line.intercept
+        slope, intercept, r_squared = cal.linear_calibration(currents,
+                                                             fields)
+        summary["slope_t_per_a"] = slope
+        summary["intercept_t"] = intercept
         # equal fields leave r^2 undefined, which strict JSON spells null
-        summary["r_squared"] = (None if math.isnan(line.r_squared)
-                                else line.r_squared)
+        summary["r_squared"] = None if math.isnan(r_squared) else r_squared
     return [("calibrate.json", render_json, summary)]
 
 

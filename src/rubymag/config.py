@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from .cavity import MODEL_NAMES, dbm_to_watts, single_spin_coupling
 from .errors import ConfigError, ParseError, UnitMismatch, UnknownKey
@@ -144,14 +143,9 @@ def _strip_unit(key: str) -> str:
     return key
 
 
-@dataclass
-class RunConfig:
-    """Fully-validated configuration in internal units (rad/s, T, W)."""
-
-    values: dict = field(repr=False)
-
-    def __getitem__(self, block: str) -> dict:
-        return self.values[block]
+class RunConfig(dict):
+    """Fully-validated configuration in internal units (rad/s, T, W): the
+    dict of its converted blocks, keyed by block name."""
 
     def ensemble(self) -> tuple[float, float]:
         """(g_s, N): the config's single-spin coupling and polarized spin
@@ -258,8 +252,8 @@ def parse_config(raw: dict, texts: dict | None = None) -> RunConfig:
             except (ValueError, RecursionError):
                 pass
         blocks[block][key] = value
-    return RunConfig(values={name: _convert_block(name, block)
-                             for name, block in blocks.items()})
+    return RunConfig({name: _convert_block(name, block)
+                      for name, block in blocks.items()})
 
 
 # leaf keys are unique across blocks so CLI flags can map one-for-one

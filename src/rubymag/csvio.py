@@ -25,33 +25,35 @@ def read_columns(path, columns: tuple, text: tuple = ()) -> tuple[np.ndarray,
     Blank lines are skipped.  A file that cannot be opened or is not UTF-8
     text, a missing column among `columns` and `text`, a row whose cell
     count differs from the header's, or a non-numeric or non-finite cell in
-    `columns`, raises ParseError naming the file.
+    `columns`, raises ParseError naming the file in quotes, so that an
+    empty path shows as ''.
     """
+    name = repr(str(path))
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             missing = [c for c in columns + text if c not in header]
             if missing:
-                raise ParseError(f"{path}: missing column(s) {missing}")
+                raise ParseError(f"{name}: missing column(s) {missing}")
             rows = [row for row in reader if row]
     except OSError as exc:   # absent, unreadable, a directory
-        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+        raise ParseError(f"{name}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{name}: {exc}") from exc
     for k, row in enumerate(rows):
         if len(row) != len(header):
-            raise ParseError(f"{path}: line {2 + k} has {len(row)} cells, "
+            raise ParseError(f"{name}: line {2 + k} has {len(row)} cells, "
                              f"the header {len(header)}")
     cells = operator.itemgetter(*[header.index(c) for c in columns])
     try:
         table = np.array(list(map(cells, rows)),
                          dtype=float).reshape(-1, len(columns))
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{name}: {exc}") from exc
     if not np.isfinite(table).all():
         line = 2 + int(np.flatnonzero(~np.isfinite(table).all(axis=1))[0])
-        raise ParseError(f"{path}: non-finite value on line {line}")
+        raise ParseError(f"{name}: non-finite value on line {line}")
     return table, [dict(zip(header, row)) for row in rows] if text else []
 
 

@@ -140,50 +140,6 @@ def default_bounds(guess: dict) -> dict:
     return bounds
 
 
-class _BoundTransform:
-    """Logistic mapping between bounded parameters and unconstrained space.
-
-    Rates (the physical block) live in log-space before the logistic map, so
-    the search moves in relative rather than absolute steps for them.
-    """
-
-    def __init__(self, bounds: dict):
-        self.lo = np.empty(len(PARAM_NAMES))
-        self.hi = np.empty(len(PARAM_NAMES))
-        self.log = np.array([name in PARAM_NAMES[:5]
-                             for name in PARAM_NAMES])
-        for k, name in enumerate(PARAM_NAMES):
-            lo, hi = bounds[name]
-            if self.log[k]:
-                lo, hi = math.log(lo), math.log(hi)
-            self.lo[k], self.hi[k] = lo, hi
-        self.span = self.hi - self.lo
-
-    def to_unconstrained(self, params: np.ndarray) -> np.ndarray:
-        u = np.where(self.log, np.log(np.maximum(params, 1e-300)), params)
-        frac = np.clip((u - self.lo) / self.span, 1e-12, 1.0 - 1e-12)
-        return np.log(frac / (1.0 - frac))
-
-    def to_bounded(self, x: np.ndarray) -> np.ndarray:
-        return self._to_bounded(np.exp(np.minimum(-x, 500.0)))
-
-    def to_bounded_slope(self, x: np.ndarray) -> tuple:
-        """The bounded parameters p at x and dp/dx, elementwise."""
-        # exp(-x) would overflow, with a warning, below x = -709; the cap
-        # keeps such trial points at the lower bound quietly
-        t = np.exp(np.minimum(-x, 500.0))
-        u = self._to_bounded(t)
-        slope = self.span * (t / (1.0 + t)) / (1.0 + t)   # finite at the cap
-        slope[self.log] *= u[self.log]
-        return u, slope
-
-    def _to_bounded(self, t: np.ndarray) -> np.ndarray:
-        """The bounded parameters at the x where t = exp(-x)."""
-        u = self.lo + self.span / (1.0 + t)
-        u[self.log] = np.exp(u[self.log])
-        return u
-
-
 def objective_l1(residual: np.ndarray) -> float:
     """Sum of |Re| + |Im| of the complex residuals, given as their floats."""
     return float(np.abs(residual).sum())
@@ -309,10 +265,30 @@ def fit_crossing(omega_s: np.ndarray, omega_d: np.ndarray, values: np.ndarray,
     if np.shape(values) != expected:
         raise ValueError(f"grid shape {np.shape(values)} != axes' shape "
                          f"{expected}")
-    transform = _BoundTransform(default_bounds(guess))
+    # each parameter p = lo + span/(1 + exp(-x)) of an unconstrained x, the
+    # rates through their logarithm, so that the search moves them in
+    # relative rather than absolute steps
+    bounds = default_bounds(guess)
+    log = np.array([name in PARAM_NAMES[:5] for name in PARAM_NAMES])
+    lo, hi = np.array([[math.log(b) for b in bounds[name]] if is_log
+                       else bounds[name]
+                       for name, is_log in zip(PARAM_NAMES, log)]).T
+    span = hi - lo
+    p0 = np.array([guess[name] for name in PARAM_NAMES])
+    u0 = np.where(log, np.log(np.maximum(p0, 1e-300)), p0)
+    frac = np.clip((u0 - lo) / span, 1e-12, 1.0 - 1e-12)
+    x0 = np.log(frac / (1.0 - frac))
     omega_d_mean = float(np.mean(omega_d))
-    x0 = transform.to_unconstrained([guess[name] for name in PARAM_NAMES])
     fixed = {"omega_c": guess["omega_c"], "g_s": guess["g_s"]}
+
+    def bounded(x):
+        """The parameters p at x, and t = exp(-x)."""
+        # exp(-x) would overflow, with a warning, below x = -709; the cap
+        # keeps such trial points at the lower bound quietly
+        t = np.exp(np.minimum(-x, 500.0))
+        p = lo + span / (1.0 + t)
+        p[log] = np.exp(p[log])
+        return p, t
 
     def record(p):
         return dict(zip(PARAM_NAMES, p.tolist()), **fixed)
@@ -330,7 +306,7 @@ def fit_crossing(omega_s: np.ndarray, omega_d: np.ndarray, values: np.ndarray,
         nonlocal best_x, best_f
         spend()
         model = gamma_prime(omega_s, omega_d, omega_d_mean, power,
-                            record(transform.to_bounded(x)))
+                            record(bounded(x)[0]))
         model -= values
         r = model.ravel().view(float)
         f = objective_l1(r)
@@ -342,9 +318,11 @@ def fit_crossing(omega_s: np.ndarray, omega_d: np.ndarray, values: np.ndarray,
         # the rows of dGamma'/dp, each viewed as the interleaved floats of
         # evaluate's residuals and scaled by dp/dx
         spend()
-        params, slope = transform.to_bounded_slope(x)
+        p, t = bounded(x)
+        slope = span * (t / (1.0 + t)) / (1.0 + t)   # dp/dx, finite at the cap
+        slope[log] *= p[log]
         jac = gamma_prime_jacobian(omega_s, omega_d, omega_d_mean, power,
-                                   record(params))
+                                   record(p))
         jac = jac.reshape(len(x), -1).view(float)
         jac *= slope[:, None]
         return jac.T
@@ -354,7 +332,7 @@ def fit_crossing(omega_s: np.ndarray, omega_d: np.ndarray, values: np.ndarray,
         r0, _ = evaluate(x0)
         iterations, converged = minimize(evaluate, jacobian, x0, r0)
 
-    return FitResult(params=record(transform.to_bounded(best_x)),
+    return FitResult(params=record(bounded(best_x)[0]),
                      objective_value=best_f, iterations=iterations,
                      converged=converged)
 

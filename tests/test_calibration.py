@@ -60,16 +60,16 @@ def test_geometry_validation():
 
 def test_linear_calibration_exact_line():
     x = np.linspace(0.0, 1.0, 11)
-    cal = linear_calibration(x, 2.0 * x + 1.0)
-    assert cal.slope == pytest.approx(2.0, rel=1e-12)
-    assert cal.intercept == pytest.approx(1.0, rel=1e-12)
-    assert cal.r_squared == pytest.approx(1.0, abs=1e-12)
+    slope, intercept, r_squared = linear_calibration(x, 2.0 * x + 1.0)
+    assert slope == pytest.approx(2.0, rel=1e-12)
+    assert intercept == pytest.approx(1.0, rel=1e-12)
+    assert r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_linear_calibration_two_points_interpolates():
-    cal = linear_calibration([1.0, 3.0], [10.0, 20.0])
-    assert cal.slope == pytest.approx(5.0)
-    assert cal.intercept == pytest.approx(5.0)
+    slope, intercept, _ = linear_calibration([1.0, 3.0], [10.0, 20.0])
+    assert slope == pytest.approx(5.0)
+    assert intercept == pytest.approx(5.0)
 
 
 def test_linear_calibration_noisy_recovery():
@@ -77,19 +77,19 @@ def test_linear_calibration_noisy_recovery():
     x = np.linspace(0.0, 10e-3, 50)
     sigma = 5e-9
     y = 3.2e-5 * x + rng.normal(0.0, sigma, x.size)
-    cal = linear_calibration(x, y)
+    slope, _, _ = linear_calibration(x, y)
     # 3 sigma of the OLS slope estimate
     slope_sigma = sigma / math.sqrt(np.sum((x - x.mean()) ** 2))
-    assert abs(cal.slope - 3.2e-5) < 3.0 * slope_sigma
+    assert abs(slope - 3.2e-5) < 3.0 * slope_sigma
 
 
 def test_linear_calibration_affine_equivariance():
     x = np.array([0.0, 1.0, 2.0, 4.0])
     y = np.array([0.1, 0.9, 2.2, 3.9])
-    a = linear_calibration(x, y)
-    b = linear_calibration(x, y + 0.5)
-    assert b.slope == pytest.approx(a.slope, rel=1e-12)
-    assert b.intercept == pytest.approx(a.intercept + 0.5, rel=1e-9)
+    a_slope, a_intercept, _ = linear_calibration(x, y)
+    b_slope, b_intercept, _ = linear_calibration(x, y + 0.5)
+    assert b_slope == pytest.approx(a_slope, rel=1e-12)
+    assert b_intercept == pytest.approx(a_intercept + 0.5, rel=1e-9)
 
 
 def test_linear_calibration_matches_linregress():
@@ -102,11 +102,12 @@ def test_linear_calibration_matches_linregress():
     for x, y in cases:
         if y is None:
             y = 2.1e-5 * x + 1e-9 * rng.standard_normal(x.size) - 3e-7
-        cal, ref = linear_calibration(x, y), linregress(x, y)
-        assert cal.slope == pytest.approx(ref.slope, rel=1e-12, abs=1e-300)
-        assert cal.intercept == pytest.approx(ref.intercept, rel=1e-12)
-        assert cal.r_squared == pytest.approx(ref.rvalue ** 2, rel=1e-12,
-                                              nan_ok=True)
+        slope, intercept, r_squared = linear_calibration(x, y)
+        ref = linregress(x, y)
+        assert slope == pytest.approx(ref.slope, rel=1e-12, abs=1e-300)
+        assert intercept == pytest.approx(ref.intercept, rel=1e-12)
+        assert r_squared == pytest.approx(ref.rvalue ** 2, rel=1e-12,
+                                          nan_ok=True)
 
 
 def test_linear_calibration_errors():

@@ -103,8 +103,8 @@ def test_parse_serialize_parse_round_trip():
     texts = {key: value if key == "output_dir" else json.dumps(value)
              for block in raw.values() for key, value in block.items()}
     second = parse_config({}, texts)
-    assert first.values == second.values
-    assert parse_config(raw, {}).values == first.values
+    assert first == second
+    assert parse_config(raw, {}) == first
 
 
 def test_parse_config_merges_flag_texts():
@@ -457,32 +457,37 @@ def test_unopenable_input_file_exits_two(tmp_path, capsys, command, flag,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command, argv", [
-    pytest.param("crossing-fit", ["--input", ""], id="input"),
-    pytest.param("noise-predict", ["--phase-noise-csv", ""], id="phase flag"),
+@pytest.mark.parametrize("command, argv, error", [
+    pytest.param("crossing-fit", ["--input", ""], "ParseError", id="input"),
+    pytest.param("calibrate", ["--input", ""], "ParseError",
+                 id="calibrate input"),
+    pytest.param("noise-predict", ["--phase-noise-csv", ""], "ParseError",
+                 id="phase flag"),
     pytest.param("noise-predict", ["--amplitude-noise-csv", ""],
-                 id="amplitude flag"),
+                 "ParseError", id="amplitude flag"),
     pytest.param("noise-predict",
                  ["--config", {"noise": {"phase_noise_csv": ""}}],
-                 id="phase config"),
+                 "ParseError", id="phase config"),
     pytest.param("noise-predict",
                  ["--config", {"noise": {"amplitude_noise_csv": ""}}],
-                 id="amplitude config"),
+                 "ParseError", id="amplitude config"),
+    # an empty config path, not the working directory it would resolve to
+    pytest.param("report", ["--config", ""], "ConfigError", id="config"),
 ])
 def test_empty_input_path_is_a_path(tmp_path, capsys, monkeypatch, command,
-                                    argv):
+                                    argv, error):
     """An empty input path, as a flag or as a config value, names no file:
-    one ERROR ParseError line and exit 2.  Only an absent spectrum path
-    means the bundled spectrum."""
+    one ERROR line that shows the path as '' and exit 2.  Only an absent
+    spectrum path means the bundled spectrum."""
     monkeypatch.chdir(tmp_path)
     flag, value = argv
-    if flag == "--config":
+    if isinstance(value, dict):
         Path("cfg.json").write_text(json.dumps(value))
         value = "cfg.json"
     assert run_cli(command, "--output-dir", "out", flag, value) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("ERROR ParseError: "), err
-    assert "No such file" in err[0]
+    assert len(err) == 1 and err[0].startswith(f"ERROR {error}: "), err
+    assert "No such file" in err[0] and "''" in err[0]
     assert not Path("out").exists()
 
 

@@ -529,6 +529,43 @@ def test_fit_over_forty_truths():
 
 
 @pytest.mark.slow
+def test_fit_over_forty_truths_with_outliers():
+    """Why the fit ends on the L1 norm: test_fit_over_forty_truths's 40
+    grids, each with 1 % of its points hit by a 100 sigma outlier.  Truth
+    k's outliers are drawn from rng = default_rng(1000 + k): the points
+    rng.choice(values.size, values.size // 100, replace=False), each given
+    100 sigma (rng.standard_normal(m) + 1j rng.standard_normal(m)) more.
+
+    Measured with this draw: 37 of 40 fits within FIT_TOLERANCE (truths 11,
+    12 and 32 miss, as without outliers), all 40 converged, and every L1 at
+    1.73-2.20 times the noise L1 of the Gaussian part alone.  The LM stage
+    alone, which minimizes sum r^2, brings 5 of 40 within tolerance on the
+    same grids; that count is not asserted, since reaching it means
+    replacing minimize."""
+    inputs = _bench_inputs()
+    within = converged = 0
+    ratios = []
+    for k in range(40):
+        truth, (ws, wd, values, power) = _bench_truth(inputs, k)
+        rng = np.random.default_rng(1000 + k)
+        hit = rng.choice(values.size, values.size // 100, replace=False)
+        values = values.copy()
+        values.flat[hit] += 100 * 0.01 * (rng.standard_normal(hit.size)
+                                          + 1j * rng.standard_normal(hit.size))
+        res = fit_crossing(ws, wd, values, power, DEFAULTS.model())
+        noise_l1 = 2.0 * values.size * 0.01 * math.sqrt(2.0 / math.pi)
+        ratios.append(res.objective_value / noise_l1)
+        errors = physical_errors(res, truth.model())
+        within += all(abs(err) < inputs.FIT_TOLERANCE[name]
+                      for name, err in errors.items())
+        converged += res.converged
+    assert 1.73 <= min(ratios) and max(ratios) <= 2.21, (min(ratios),
+                                                         max(ratios))
+    assert converged == 40
+    assert within >= 37
+
+
+@pytest.mark.slow
 def test_round_trip_twenty_random_truths():
     """Noiseless fits recover physical params within 1%, auxiliaries to 5%."""
     rng = np.random.default_rng(7)

@@ -253,14 +253,10 @@ def test_dataclasses_are_plain_and_documented():
 # every class the package defines, but its exceptions, with the reason it
 # is kept: a value is its arrays unless a reason here says otherwise
 _TYPES_KEPT = {
-    "config.RunConfig": "bench/tracer.py wraps RunConfig.ensemble",
+    "config.RunConfig": "bench/tracer.py wraps RunConfig.ensemble, so a "
+                        "config is the dict of its blocks with that method",
     "fitting.FitResult": "bench/tracer.py reads its iterations and "
                          "objective_value",
-    "calibration.LinearCalibration": "linear_calibration's line and "
-                                     "r_squared, which calibrate reads by "
-                                     "name",
-    "fitting._BoundTransform": "a fit's bounds and log-space mask, built "
-                               "once and read by every evaluation",
 }
 
 
