@@ -1,8 +1,11 @@
 """Fuzz the command line: whatever the command, argv, config file or input
 CSV (a calibration table, a crossing grid, a noise spectrum), main() exits
 0, 1 or 2, prints at most one stderr line (an ERROR line when it fails) and
-writes only strict JSON and finite CSV, and nothing at all when it fails."""
+writes only strict JSON and finite CSV, and nothing at all when it fails.
+A matrix of extreme config values pins which ERROR line, if any, each run
+ends in."""
 
+import collections
 import contextlib
 import io
 import itertools
@@ -237,3 +240,51 @@ def test_front_door_fuzz(command, sizes, tokens, config, data):
         if code == 0:
             # sensitivity and optimize write two files and print one path
             assert printed and set(printed) <= set(map(str, written)), argv
+
+
+# the config-extremes matrix: every key but the sizes, the output directory
+# and the two spectrum paths, set to each extreme under every command but
+# crossing-fit (which reads its grid from --input, not the config)
+_EXTREME_KEYS = [k for k in _KEYS
+                 if k not in ("phase_noise_csv", "amplitude_noise_csv")]
+_EXTREMES = ("1e308", "-1e308", "1e-320", "1e300", "1e400")
+# (exit code, ERROR name) -> runs; no name on exit 0
+_EXTREMES_TALLY = {
+    (0, None): 709,
+    (2, "ConfigError"): 228,
+    (2, "UnitMismatch"): 581,
+    (1, "FloatingPointError"): 57,
+    (1, "OverflowError"): 55,
+    (1, "ZeroSignal"): 34,
+    (1, "ZeroLinewidth"): 7,
+    (1, "ValueError"): 6,
+    (1, "NonFiniteOutput"): 2,
+    (1, "ZeroCoupling"): 1,
+}
+
+
+def test_config_extremes_matrix(tmp_path):
+    """Each extreme value of each key under each command, in process, on an
+    8 x 8 grid and 21 sweep points: the tally of (exit code, ERROR name) is
+    pinned, so a change that moves a run from one error to another, or
+    from a failure to a success, shows here.  The one ZeroCoupling run is
+    report --omega-c-ghz 1e-320."""
+    assert len(_EXTREME_KEYS) == 48
+    tally, coupling = collections.Counter(), []
+    for command in set(_DISPATCH) - {"crossing-fit"}:
+        for key in _EXTREME_KEYS:
+            for value in _EXTREMES:
+                stderr = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(stderr):
+                    code = main([command, "--" + key.replace("_", "-"), value,
+                                 "--n-omega-s", "8", "--n-omega-d", "8",
+                                 "--n-points", "21",
+                                 "--output-dir", str(tmp_path)])
+                err = stderr.getvalue()
+                name = err[len("ERROR "):].split(":")[0] if err else None
+                tally[code, name] += 1
+                if name == "ZeroCoupling":
+                    coupling.append((command, key, value))
+    assert dict(tally) == _EXTREMES_TALLY
+    assert coupling == [("report", "omega_c_ghz", "1e-320")]
