@@ -12,7 +12,7 @@ import numpy as np
 
 from . import constants as CONST
 from .csvio import read_columns
-from .errors import DegenerateAbscissa, ParseError, TooFewPoints
+from .errors import ParseError
 
 
 def solenoid_axial_field(n_turns: float, radius: float, distance: float,
@@ -39,9 +39,9 @@ def linear_calibration(x, y) -> tuple[float, float, float]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 2:
-        raise TooFewPoints("need at least two calibration points")
+        raise ValueError("need at least two calibration points")
     if np.ptp(x) == 0:
-        raise DegenerateAbscissa("abscissa values are all identical")
+        raise ValueError("abscissa values are all identical")
     dx = x - x.mean()
     dy = y - y.mean()
     # exactly rounded sums: the same bits whichever BLAS kernel the CPU picks

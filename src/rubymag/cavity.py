@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from . import constants as CONST
-from .errors import ZeroCoupling, ZeroKappaTh, ZeroLinewidth, ZeroSpinLinewidth
+from .errors import ZeroCoupling, ZeroLinewidth
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -46,9 +46,9 @@ def db_to_voltage_gain(db: float) -> float:
 
 def _check_spin_rates(kappa_s: float, kappa_th: float, n_cav: float) -> None:
     if kappa_s <= 0:
-        raise ZeroSpinLinewidth("kappa_s must be positive")
+        raise ValueError("kappa_s must be positive")
     if kappa_th <= 0 and n_cav > 0:
-        raise ZeroKappaTh("kappa_th must be positive when the drive populates the cavity")
+        raise ValueError("kappa_th must be positive when the drive populates the cavity")
 
 
 def interaction_term(g_s: float, N: float, kappa_s: float, kappa_th: float,
@@ -152,8 +152,8 @@ def gamma_prime(omega_s, omega_d, omega_ref: float, power: float, params,
     evaluated at omega_n, by default at the shifted drive frequency
     omega_d - omega_d_off of each point.  It raises the reference's errors:
     ZeroLinewidth unless kappa_c, every shifted drive frequency and omega_n
-    are positive, then ZeroSpinLinewidth or ZeroKappaTh as interaction_term
-    does, then ValueError unless omega_c, kappa_c0 and kappa_c1 are > 0 and
+    are positive, then ValueError on kappa_s or kappa_th as interaction_term
+    does, then unless omega_c, kappa_c0 and kappa_c1 are > 0 and
     g_s, g_eff, kappa_s, kappa_th, power and every omega_s are >= 0 and
     omega_ref and the eight non-idealities are finite, NaN failing each:
     every record is checked where it is used.
@@ -238,7 +238,7 @@ def cooperativity(params: dict) -> float:
     params record."""
     kappa_c = params["kappa_c0"] + params["kappa_c1"]
     if params["kappa_s"] <= 0:
-        raise ZeroSpinLinewidth("kappa_s must be positive")
+        raise ValueError("kappa_s must be positive")
     if kappa_c <= 0:
         raise ZeroLinewidth("kappa_c must be positive")
     return 4.0 * params["g_eff"] ** 2 / (params["kappa_s"] * kappa_c)

@@ -6,8 +6,8 @@ optimize, calibrate, report.  Configuration comes from an optional JSON file
 (--kappa-s-mhz 42 overrides ensemble.kappa_s_mhz); crossing-fit and calibrate
 also take --input CSV, and -h/--help in place of the command or of a flag
 name lists the flags.  Exit codes: 0 on success, 2 on bad arguments and
-configuration/validation errors, 1 on runtime errors (any ValueError or
-ArithmeticError a command raises included); errors print one
+configuration/validation errors, 1 on runtime errors (any other ValueError
+or an ArithmeticError a command raises); errors print one
 machine-parsable line on stderr.  A cmd_* function returns its files, in
 write order, as (name, render, *args); main() renders every file before it
 makes run.output_dir, writes each, prints the last path, returns 0.
@@ -32,8 +32,7 @@ from .cavity import (PARAM_NAMES, cooperativity, dbm_to_watts, gamma_prime,
                      kappa_th_threshold_power, watts_to_dbm)
 from .config import FLAT_KEYS, RunConfig, parse_config
 from .csvio import render_json
-from .errors import (ConfigError, ParseError, RubymagError, UnknownKey,
-                     ZeroSignal)
+from .errors import ConfigError, ParseError, UnknownKey, ZeroSignal
 from .spins import energy_level_sweep, render_energy_sweep_csv
 
 
@@ -94,18 +93,21 @@ def _usage() -> str:
 
 
 def _load_config(path, texts: dict) -> RunConfig:
-    raw = {}
+    """The config file at path, if any, under the flag texts; a file that
+    cannot be opened or decoded is a ParseError naming it as a CSV input's
+    is, in quotes."""
+    raw, name = {}, repr(str(path))
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:   # "" names no file
                 text = fh.read()
             raw = json.loads(text) if text.strip() else {}
-        except OSError as exc:
-            raise ConfigError(str(exc)) from exc
+        except OSError as exc:   # absent, unreadable, a directory
+            raise ParseError(f"{name}: {exc.strerror or exc}") from exc
         except (ValueError, RecursionError) as exc:   # undecodable text too
-            raise ParseError(f"{path}: {exc}") from exc
+            raise ParseError(f"{name}: {exc}") from exc
         if not isinstance(raw, dict):
-            raise ParseError(f"{path}: top-level JSON value must be "
+            raise ParseError(f"{name}: top-level JSON value must be "
                              "an object")
     return parse_config(raw, texts)
 
@@ -294,7 +296,8 @@ _REPORT_BUDGET_KEYS = ("m_max_v_per_t", "eta_t_per_rthz", "eta_th_t_per_rthz",
 
 
 def cmd_report(cfg: RunConfig, input_csv) -> list:
-    m, model = cfg["material"], cfg.model()
+    ensemble = cfg.ensemble()   # report.json shows its N
+    m, model = cfg["material"], cfg.model(ensemble)
     populations = thermal.boltzmann_populations(cfg["spin"]["d_ghz"],
                                                 m["temperature_k"])
     n_total = thermal.total_interrogated_spins(
@@ -306,7 +309,7 @@ def cmd_report(cfg: RunConfig, input_csv) -> list:
         "populations": list(populations),
         "polarization": thermal.polarization(populations),
         "n_total_spins": n_total,
-        "n_polarized_spins": thermal.polarization(populations) * n_total,
+        "n_polarized_spins": ensemble[1],
         "g_eff_rad_per_s": model["g_eff"],
         "cooperativity_xi": cooperativity(model),
         "t1_s": t1,
@@ -361,7 +364,7 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as exc:
         return _fail(type(exc).__name__, exc, 2)
-    except (RubymagError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return _fail(type(exc).__name__, exc, 1)
     except MemoryError as exc:   # numpy raises its subclass _ArrayMemoryError
         return _fail("MemoryError", exc, 1)

@@ -167,12 +167,13 @@ class RunConfig(dict):
                     m["n_cell"])
         return g_s, n
 
-    def model(self) -> dict:
+    def model(self, ensemble: tuple | None = None) -> dict:
         """cavity.gamma_prime's params record: the cavity block's rates and
         frequency, the ensemble block's rates, g_eff = g_s sqrt(N) and g_s
-        from ensemble(), and the nonideal block."""
+        from the pair ensemble() returns (ensemble, if the caller has it),
+        and the nonideal block."""
         c, e, n = self["cavity"], self["ensemble"], self["nonideal"]
-        g_s, n_spins = self.ensemble()
+        g_s, n_spins = ensemble or self.ensemble()
         return dict(zip(MODEL_NAMES, (
             c["kappa_c0_khz"], c["kappa_c1_khz"], e["kappa_s_mhz"],
             e["kappa_th_khz"], g_s * math.sqrt(n_spins),

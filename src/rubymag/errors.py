@@ -1,83 +1,29 @@
-"""Exception hierarchy for the toolkit.
+"""The toolkit's error classes: each is a name an ERROR line can print.
 
-All errors derive from RubymagError so callers can catch one base class.
-Most also derive from ValueError since they signal invalid inputs.
+A class is kept only if cli.main tells it apart from ValueError (the
+ConfigError family, exit 2) or some command can end in it (exit 1).  Every
+other check raises the builtin it would subclass, ValueError or IndexError,
+with a message that says what failed.
 """
 
 
-class RubymagError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class NonHermitianInput(RubymagError, ValueError):
+class ZeroLinewidth(ValueError):
     pass
 
 
-class IndexOutOfRange(RubymagError, IndexError):
+class ZeroCoupling(ValueError):
     pass
 
 
-class EmptyRange(RubymagError, ValueError):
+class ZeroSignal(ValueError):
     pass
 
 
-class NonPositiveTemperature(RubymagError, ValueError):
-    pass
-
-
-class ZeroLinewidth(RubymagError, ValueError):
-    pass
-
-
-class ZeroSpinLinewidth(RubymagError, ValueError):
-    pass
-
-
-class ZeroKappaTh(RubymagError, ValueError):
-    pass
-
-
-class ZeroCoupling(RubymagError, ValueError):
-    pass
-
-
-class AllZeroBorder(RubymagError, ValueError):
-    pass
-
-
-class ZeroRate(RubymagError, ValueError):
-    pass
-
-
-class TooFewPoints(RubymagError, ValueError):
-    pass
-
-
-class ZeroSignal(RubymagError, ValueError):
-    pass
-
-
-class ZeroSlope(RubymagError, ValueError):
-    pass
-
-
-class NegativeRadicand(RubymagError, ValueError):
-    pass
-
-
-class EmptyTable(RubymagError, ValueError):
-    pass
-
-
-class DegenerateAbscissa(RubymagError, ValueError):
-    pass
-
-
-class NonFiniteOutput(RubymagError, ValueError):
+class NonFiniteOutput(ValueError):
     """A result to be written as CSV or strict JSON holds NaN or infinity."""
 
 
-class ConfigError(RubymagError, ValueError):
+class ConfigError(ValueError):
     """Base for configuration problems (maps to CLI exit code 2)."""
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .cavity import PARAM_NAMES, gamma_prime, gamma_prime_jacobian
 from .csvio import read_columns, render_columns
-from .errors import AllZeroBorder, InvalidBounds, ParseError, ZeroRate
+from .errors import InvalidBounds, ParseError
 
 
 @dataclass
@@ -84,7 +84,7 @@ def normalize_grid(values: np.ndarray) -> np.ndarray:
                              values[1:-1, -1]])
     scale = float(np.median(np.abs(border)))
     if scale == 0.0:
-        raise AllZeroBorder("border frame has zero magnitude; cannot normalize")
+        raise ValueError("border frame has zero magnitude; cannot normalize")
     return values / scale
 
 
@@ -342,7 +342,7 @@ def relaxation_times(params: dict) -> tuple[float, float]:
     kappa_s = 2/T2."""
     kappa_th, kappa_s = params["kappa_th"], params["kappa_s"]
     if kappa_th <= 0 or kappa_s <= 0:
-        raise ZeroRate("relaxation rates must be positive")
+        raise ValueError("relaxation rates must be positive")
     return 1.0 / kappa_th, 2.0 / kappa_s
 
 

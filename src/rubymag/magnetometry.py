@@ -15,8 +15,7 @@ import numpy as np
 from . import constants as CONST
 from .cavity import db_to_voltage_gain, gamma_prime
 from .csvio import render_columns
-from .errors import (EmptyTable, NegativeRadicand, TooFewPoints, ZeroSignal,
-                     ZeroSlope)
+from .errors import ZeroSignal
 from .spins import check_g_factors
 
 _LOAD_OHM = 50.0                      # R, Ohm
@@ -42,7 +41,7 @@ def dispersive_slope(axis, dispersive) -> tuple[np.ndarray, float]:
         raise ValueError("axis must be strictly monotone")
     n = dispersive.shape[-1]
     if n < 5:
-        raise TooFewPoints("need at least five sweep points")
+        raise ValueError("need at least five sweep points")
     idx = np.clip(np.arange(n) - 2, 0, n - 5)[:, None] + np.arange(5)
     x = axis[..., idx] - axis[..., None]
     scale = np.abs(x).max(axis=-1, keepdims=True)
@@ -70,7 +69,7 @@ def thermal_limit(gain_db: float, T: float, m_max: float) -> float:
     chain gain of gain_db and a temperature T in K, with the load R = 50 Ohm
     and the processing factor F = sqrt(2)."""
     if m_max <= 0:
-        raise ZeroSlope("M_max must be positive")
+        raise ValueError("M_max must be positive")
     return db_to_voltage_gain(gain_db) * math.sqrt(CONST.k_B * T * _LOAD_OHM) \
         / (_PROCESSING_FACTOR * m_max)
 
@@ -85,7 +84,7 @@ def phase_noise_budget(e_total: float, e_th: float, phi_measured_dbc: float,
     e_p = 0 puts no bound on the source: the requirement is then None.
     """
     if e_total < e_th or e_th < 0:
-        raise NegativeRadicand("need e_total >= e_th >= 0")
+        raise ValueError("need e_total >= e_th >= 0")
     e_p = math.sqrt(e_total ** 2 - e_th ** 2)
     if e_p == 0.0:
         return 0.0, None
@@ -101,7 +100,7 @@ def optimize_grid(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     """
     eta = np.asarray(eta, dtype=float)
     if eta.size == 0 or eta.ndim != 2:
-        raise EmptyTable("need a non-empty 2D table")
+        raise ValueError("need a non-empty 2D table")
     return (eta.min(axis=1), eta.min(axis=0),
             eta.argmin(axis=1), eta.argmin(axis=0))
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import constants as CONST
 from .csvio import render_columns
-from .errors import EmptyRange, IndexOutOfRange, NonHermitianInput
 
 # m_s values in basis order (+3/2, +1/2, -1/2, -3/2)
 _MS = np.array([1.5, 0.5, -0.5, -1.5])
@@ -115,7 +114,7 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenenergies (rad/s) of shape (..., m) and orthonormal eigenvectors of
     shape (..., m, m), states[..., :, k] belonging to energies[..., k].
 
-    Raises NonHermitianInput when any ||H - H^dagger|| exceeds 1e-9 ||H||.
+    Raises ValueError when any ||H - H^dagger|| exceeds 1e-9 ||H||.
     Only the matrices with a degenerate cluster go through
     _fix_degenerate_subspaces.  Then every vector's phase is fixed at once:
     its largest-magnitude component, rounded to 12 digits with the lowest
@@ -127,7 +126,7 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     skew = np.linalg.norm(h - np.swapaxes(h, 1, 2).conj(), axis=(1, 2))
     tol = 1e-9 * np.maximum(norm_h, 1.0)
     if np.any(skew > tol):
-        raise NonHermitianInput("matrix is not Hermitian within tolerance")
+        raise ValueError("matrix is not Hermitian within tolerance")
     energies, raw = np.linalg.eigh(h)
     degenerate = (np.diff(energies, axis=1) <= tol[:, None]).any(axis=1)
     for r in np.flatnonzero(degenerate):
@@ -152,7 +151,7 @@ def transition(energies: np.ndarray, states: np.ndarray,
     Both take the stack's shape, so one solution gives numpy scalars.
     """
     if i == j or not (0 <= i <= 3 and 0 <= j <= 3):
-        raise IndexOutOfRange(f"invalid level pair ({i}, {j})")
+        raise IndexError(f"invalid level pair ({i}, {j})")
     freq = np.abs(energies[..., j] - energies[..., i])
     amp = np.abs(np.einsum("...k,kl,...l->...", states[..., :, i].conj(),
                            _SX, states[..., :, j])) ** 2
@@ -198,9 +197,9 @@ def energy_level_sweep(D: float, g_par: float, g_perp: float, theta: float,
     shapes (n, 4) and (n, 4, 4)."""
     b_values = np.asarray(b_values, dtype=float)
     if b_values.size < 2:
-        raise EmptyRange("need at least two field points")
+        raise ValueError("need at least two field points")
     if np.any(np.diff(b_values) <= 0):
-        raise EmptyRange("field points must be strictly increasing")
+        raise ValueError("field points must be strictly increasing")
     return track_levels(*eigensolve(
         build_hamiltonian(D, g_par, g_perp, b_values, theta)))
 

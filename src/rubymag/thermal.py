@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from . import constants as CONST
-from .errors import NonPositiveTemperature
 
 
 def boltzmann_populations(D: float, T: float) -> tuple:
@@ -25,7 +24,7 @@ def boltzmann_populations(D: float, T: float) -> tuple:
     the two |+-1/2> levels at -hbar*D.
     """
     if T <= 0:
-        raise NonPositiveTemperature(f"temperature must be > 0, got {T}")
+        raise ValueError(f"temperature must be > 0, got {T}")
     # energies in rad/s, basis order (+3/2, +1/2, -1/2, -3/2)
     energies = np.array([D, -D, -D, D])
     x = -CONST.hbar * energies / (CONST.k_B * T)

@@ -20,7 +20,7 @@ import numpy as np
 from rubymag import constants as CONST
 from rubymag.cavity import (MODEL_NAMES, PARAM_NAMES, interaction_term,
                             reflection_coefficient)
-from rubymag.errors import ZeroLinewidth, ZeroSlope
+from rubymag.errors import ZeroLinewidth
 
 
 def analytic_energies_axial(D: float, g_par: float,
@@ -101,5 +101,5 @@ def optical_power_equivalent(N: float, omega: float, kappa_th: float,
 def field_from_slope(v_rms: float, m_slope: float) -> float:
     """RMS test field inferred from the dispersive tone: B = V_rms / |M|."""
     if m_slope == 0:
-        raise ZeroSlope("dispersive slope must be nonzero")
+        raise ValueError("dispersive slope must be nonzero")
     return v_rms / abs(m_slope)

@@ -8,8 +8,7 @@ from rubymag.calibration import (linear_calibration, read_calibration_csv,
 from rubymag import constants as CONST
 from rubymag.config import parse_config
 from rubymag.csvio import render_columns
-from rubymag.errors import (DegenerateAbscissa, ParseError, TooFewPoints,
-                            ZeroSlope)
+from rubymag.errors import ParseError
 from oracle import field_from_slope
 
 I_RMS = 6.9e-3      # coil drive current, A RMS
@@ -111,9 +110,9 @@ def test_linear_calibration_matches_linregress():
 
 
 def test_linear_calibration_errors():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(ValueError, match="at least two calibration points"):
         linear_calibration([1.0], [2.0])
-    with pytest.raises(DegenerateAbscissa):
+    with pytest.raises(ValueError, match="abscissa values are all identical"):
         linear_calibration([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
@@ -121,7 +120,7 @@ def test_slope_method_paper_value():
     b = field_from_slope(0.646e-3, 2994.0)
     assert b == pytest.approx(216e-9, rel=0.01)
     assert field_from_slope(0.0, 2994.0) == 0.0
-    with pytest.raises(ZeroSlope):
+    with pytest.raises(ValueError, match="dispersive slope must be nonzero"):
         field_from_slope(0.646e-3, 0.0)
 
 

@@ -472,7 +472,7 @@ def test_unopenable_input_file_exits_two(tmp_path, capsys, command, flag,
                  ["--config", {"noise": {"amplitude_noise_csv": ""}}],
                  "ParseError", id="amplitude config"),
     # an empty config path, not the working directory it would resolve to
-    pytest.param("report", ["--config", ""], "ConfigError", id="config"),
+    pytest.param("report", ["--config", ""], "ParseError", id="config"),
 ])
 def test_empty_input_path_is_a_path(tmp_path, capsys, monkeypatch, command,
                                     argv, error):
@@ -908,9 +908,9 @@ def test_eigen_goes_through_public_eigensolve(tmp_path, monkeypatch):
 def test_each_command_builds_the_ensemble_at_most_once(tmp_path,
                                                       monkeypatch):
     """RunConfig.ensemble, which the benchmark's tracer counts, derives g_s
-    and N, the Boltzmann populations included.  Only model() calls it, and
-    each command builds its model at most once; eigen and calibrate need
-    none."""
+    and N, the Boltzmann populations included.  model() calls it unless
+    given its pair, which report, showing N, passes; each command builds
+    its model at most once, and eigen and calibrate need none."""
     from rubymag.config import RunConfig
     calls = []
     ensemble = RunConfig.ensemble
@@ -1267,6 +1267,18 @@ def test_report_contains_acceptance_quantities(tmp_path):
     assert report["t1_s"] == pytest.approx(1.3e-6, rel=0.03)
     assert report["phi_required_dbc_per_hz"] == pytest.approx(-140.0, abs=0.5)
     assert report["eta_th_t_per_rthz"] > 0
+
+
+def test_report_shows_the_ensemble_it_evaluates(tmp_path):
+    """report.json's polarized spin count is the N its g_eff is built from,
+    the config's n_spins when it gives one."""
+    assert run_cli("report", "--output-dir", str(tmp_path),
+                   "--n-spins", "1e15") == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    g_s = parse_config({}).ensemble()[0]
+    assert report["n_polarized_spins"] == 1e15
+    assert (report["g_eff_rad_per_s"] / g_s) ** 2 == pytest.approx(
+        1e15, rel=1e-12)
 
 
 def test_output_dir_from_flag_then_config_then_cwd(tmp_path, monkeypatch):

@@ -10,9 +10,7 @@ from rubymag.cavity import dbm_to_watts, single_spin_coupling
 from rubymag.cli import _sensitivity_budget
 from rubymag.config import parse_config
 from rubymag import constants as CONST
-from rubymag.errors import (EmptyTable, NegativeRadicand, TooFewPoints,
-                            ZeroKappaTh, ZeroSignal, ZeroSlope,
-                            ZeroSpinLinewidth)
+from rubymag.errors import ZeroSignal
 from rubymag.magnetometry import (bias_sweep_trace, dispersive_slope,
                                   optimize_grid, phase_noise_budget,
                                   render_eta_table_csv, render_sweep_csv,
@@ -93,7 +91,7 @@ def test_slope_matches_polyfit_windows(n, kind):
 
 
 def test_slope_too_few_points():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(ValueError, match="at least five sweep points"):
         dispersive_slope([0, 1, 2, 3], [0] * 4)
 
 
@@ -159,7 +157,7 @@ def test_thermal_limit_trivial_cases():
     base = thermal_limit(21.0, 293.0, 2994.0)
     assert thermal_limit(21.0, 293.0, 2 * 2994.0) \
         == pytest.approx(base / 2.0, rel=1e-12)
-    with pytest.raises(ZeroSlope):
+    with pytest.raises(ValueError, match="M_max must be positive"):
         thermal_limit(21.0, 293.0, 0.0)
 
 
@@ -172,7 +170,7 @@ def test_phase_noise_budget_paper_values():
 
 def test_phase_noise_budget_degenerate_and_errors():
     assert phase_noise_budget(13e-9, 13e-9, -129.5, -6.0) == (0.0, None)
-    with pytest.raises(NegativeRadicand):
+    with pytest.raises(ValueError, match="need e_total >= e_th >= 0"):
         phase_noise_budget(10e-9, 13e-9, -129.5, -6.0)
 
 
@@ -209,9 +207,9 @@ def test_optimize_constant_table_and_ties():
     eta_mag, eta_mw, arg_p, arg_b = optimize_grid(eta)
     assert np.allclose(eta_mag, 2.5) and np.allclose(eta_mw, 2.5)
     assert np.all(arg_p == 0) and np.all(arg_b == 0)   # ties -> lower index
-    with pytest.raises(EmptyTable):
+    with pytest.raises(ValueError, match="non-empty 2D table"):
         optimize_grid(np.zeros((0, 3)))
-    with pytest.raises(EmptyTable):
+    with pytest.raises(ValueError, match="non-empty 2D table"):
         optimize_grid(np.zeros(5))
 
 
@@ -260,10 +258,10 @@ def test_bias_sweep_dispersive_zero_crossing_and_slope():
 def test_bias_sweep_rejects_zero_spin_rates():
     omega_s = spin_frequency_vs_field(
         D, G_PAR, np.linspace(B_CENTER - 2e-4, B_CENTER + 2e-4, 11))
-    with pytest.raises(ZeroSpinLinewidth):
+    with pytest.raises(ValueError, match="kappa_s must be positive"):
         bias_sweep_trace(omega_s, {**MODEL, "kappa_s": 0.0}, OMEGA_D, POWER,
                          21.0)
-    with pytest.raises(ZeroKappaTh):
+    with pytest.raises(ValueError, match="kappa_th must be positive when"):
         bias_sweep_trace(omega_s, {**MODEL, "kappa_th": 0.0}, OMEGA_D, POWER,
                          21.0)
 
@@ -301,7 +299,7 @@ def test_stacked_sweeps_check_axes_and_drive():
     axes = np.linspace(1e3 - 1e-15, 1e3 + 1e-15, 21)[None]
     with pytest.raises(ValueError, match="monotone"):
         dispersive_slope(axes[:, None], np.zeros((1, 2, 21)))
-    with pytest.raises(ZeroKappaTh):
+    with pytest.raises(ValueError, match="kappa_th must be positive when"):
         bias_sweep_trace(spin_frequency_vs_field(
             D, G_PAR, np.linspace(B_CENTER - 1e-4, B_CENTER + 1e-4,
                              21)[None].repeat(3, axis=0)),

@@ -8,8 +8,8 @@ bias_sweep_trace) runs; the checks a crossing grid meets as plain arrays,
 cli._axis on every axis the commands draw and fit_crossing on the shape of
 the values; and the checks a noise spectrum meets as the triple (offsets,
 density, unit), which iqnoise.two_sided_amplitude runs (read_spectrum_csv
-runs the same checks as a ParseError).  Every class but an exception is
-named, with the reason it is kept, in _TYPES_KEPT.
+runs the same checks as a ParseError).  Every class, exceptions included,
+is named with the reason it is kept in _TYPES_KEPT.
 
 Each check is written so that NaN fails it: a comparison with NaN is
 False, so a check spelled `x <= 0` or `np.diff(v) <= 0` would let NaN
@@ -32,7 +32,7 @@ import pytest
 import rubymag
 from rubymag.calibration import solenoid_axial_field
 from rubymag.cavity import gamma_prime, gamma_prime_jacobian
-from rubymag.cli import _axis
+from rubymag.cli import _axis, main
 from rubymag.config import parse_config
 from rubymag.fitting import fit_crossing
 from rubymag.iqnoise import DBC_PER_HZ, V2_PER_HZ, two_sided_amplitude
@@ -206,7 +206,7 @@ def test_construction_checks_reject_invalid_and_nan(make, message):
 
 def test_construction_checks_accept_the_edges():
     """Zero where >= 0 is asked for, and dB densities of any sign, pass;
-    kappa_s > 0 is asked of every record (ZeroSpinLinewidth)."""
+    kappa_s > 0 is asked of every record."""
     for suffix in _ENTRIES:   # kappa_th = 0 undriven
         assert np.all(np.isfinite(_entry(suffix, omega_s=0.0, power=0.0,
                                          g_s=0.0, g_eff=0.0,
@@ -250,28 +250,48 @@ def test_dataclasses_are_plain_and_documented():
     assert found
 
 
-# every class the package defines, but its exceptions, with the reason it
-# is kept: a value is its arrays unless a reason here says otherwise
+# every class the package defines, with the reason it is kept: a value is
+# its arrays unless a reason here says otherwise, and an error is a builtin
+# unless cli.main tells it apart or a command can print its name
+_EXIT_2 = "a ConfigError: cli.main exits 2 on it"
 _TYPES_KEPT = {
     "config.RunConfig": "bench/tracer.py wraps RunConfig.ensemble, so a "
                         "config is the dict of its blocks with that method",
     "fitting.FitResult": "bench/tracer.py reads its iterations and "
                          "objective_value",
+    "fitting._BudgetSpent": "unwinds a fit whose evaluation budget is spent",
+    "errors.ConfigError": _EXIT_2,
+    "errors.ParseError": _EXIT_2,
+    "errors.InvalidBounds": _EXIT_2,
+    "errors.UnknownKey": _EXIT_2,
+    "errors.UnitMismatch": _EXIT_2,
 }
+# the runtime errors (exit 1), each with a command line that prints it
+_PRINTED_BY = {
+    "ZeroLinewidth": "sensitivity --omega-d-off-mhz 20000",
+    "ZeroSignal": "sensitivity --n-spins 1e-320",
+    "ZeroCoupling": "report --omega-c-ghz 1e-320",
+    "NonFiniteOutput": "report --kappa-th-khz 1e300",
+}
+_TYPES_KEPT.update((f"errors.{name}", f"printed by {argv}")
+                   for name, argv in _PRINTED_BY.items())
 
 
 def test_every_class_is_kept_with_a_reason():
-    """Every class defined under src/rubymag, nested ones included, is an
-    exception or is named in _TYPES_KEPT, so that a new type has to argue
-    for itself there; a stale entry fails too."""
+    """Every class defined under src/rubymag, nested ones and exceptions
+    included, is named in _TYPES_KEPT, so that a new type has to argue for
+    itself there; a stale entry fails too."""
     found = set()
     for info in pkgutil.iter_modules(rubymag.__path__):
         module = importlib.import_module(f"rubymag.{info.name}")
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                obj = getattr(module, node.name, None)
-                if not (isinstance(obj, type)
-                        and issubclass(obj, BaseException)):
-                    found.add(f"{info.name}.{node.name}")
+        found.update(f"{info.name}.{node.name}" for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef))
     assert found == set(_TYPES_KEPT)
+
+
+@pytest.mark.parametrize("name, argv", _PRINTED_BY.items())
+def test_each_runtime_error_is_printed_by_a_command(tmp_path, capsys, name,
+                                                    argv):
+    assert main([*argv.split(), "--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"ERROR {name}: ")
