@@ -63,8 +63,8 @@ def read_calibration_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """
     table, _ = read_columns(path, ("current_a", "field_t"))
     if table.shape[0] < 2:
-        raise ParseError(f"{path}: need at least two calibration rows, "
-                         f"got {table.shape[0]}")
+        raise ParseError(f"{str(path)!r}: need at least two calibration "
+                         f"rows, got {table.shape[0]}")
     if np.ptp(table[:, 0]) == 0:
-        raise ParseError(f"{path}: the currents are all identical")
+        raise ParseError(f"{str(path)!r}: the currents are all identical")
     return table[:, 0], table[:, 1]

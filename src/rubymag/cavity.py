@@ -37,11 +37,16 @@ def dbm_to_watts(dbm: float) -> float:
 
 
 def watts_to_dbm(watts: float) -> float:
+    if not watts > 0:
+        raise ValueError(f"a power of {watts!r} W has no dBm value; need > 0")
     return 10.0 * math.log10(watts / 1e-3)
 
 
 def db_to_voltage_gain(db: float) -> float:
-    return 10.0 ** (db / 20.0)
+    try:
+        return 10.0 ** (db / 20.0)
+    except OverflowError:
+        raise OverflowError(f"a gain of {db!r} dB overflows a float") from None
 
 
 def _check_spin_rates(kappa_s: float, kappa_th: float, n_cav: float) -> None:

@@ -114,7 +114,7 @@ _SCHEMA = {
         "phase_noise_csv": (str, None),
         "amplitude_noise_csv": (str, None),
         "p0_v2_per_hz": (float, 0.0, _NON_NEGATIVE),
-        "e_th_nv_per_rthz": (lambda v: v * 1e-9, 13.0, _NON_NEGATIVE),
+        "e_th_nv_per_rthz": (lambda v: v * 1e-9, 13.0, _POSITIVE),
         "phi_measured_dbc_per_hz": (float, -129.5),
         "ell_db": (float, -6.0),
     },

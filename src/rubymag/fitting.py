@@ -19,13 +19,13 @@ values, rows over omega_s and columns over omega_d; the drive power (W),
 which the CSV does not store, is passed beside them, and the model's
 reference omega_ref is the mean of omega_d.
 
-Every function here takes the model as cavity.gamma_prime's params record,
-a dict keyed by cavity.MODEL_NAMES.  fit_crossing takes a record as its
-guess, whose rates set every bound (default_bounds), and an evaluation
-budget; the thirteen PARAM_NAMES are free, and omega_c and g_s stay the
-guess's.  Its result's params is a record again, so it serves unchanged as
-the next fit's guess or as the truth of simulate_crossing.  An objective
-evaluation builds one dict and performs one complex division per grid point.
+Every function here takes the model as cavity.gamma_prime's params record, a
+dict keyed by cavity.MODEL_NAMES.  fit_crossing takes a record as its guess,
+whose rates set every bound (default_bounds), and caps each stage at _MAX_STEPS
+steps; the thirteen PARAM_NAMES are free, and omega_c and g_s stay the guess's.
+Its result's params is a record again, so it serves unchanged as the next fit's
+guess or as the truth of simulate_crossing.  An objective evaluation builds one
+dict and performs one complex division per grid point.
 
 Only g_eff = g_s sqrt(N) is identifiable from the reflection data; g_s is
 supplied (from the modal-volume coupling formula) and fit.json derives N.
@@ -153,13 +153,11 @@ _IRLS_FLOOR = 1e-6   # |r| below which IRLS weights stop growing
 _LM_TOL = 1e-10      # relative sum r^2 gain of one step that ends LM
 _IRLS_TOL = 1e-8     # relative L1 gain of one reweighted step that ends IRLS
 _EXTRAPOLATION = 3.0  # growth of each trial length of an accepted IRLS step
-
-
-class _BudgetSpent(Exception):
-    """The fit's evaluation budget is used up; steps counts the accepted
-    steps of the stage it ended."""
-
-    steps = 0
+# accepted steps that end a stage unconverged.  A step costs one Jacobian, at
+# most 23 damping trials (1e-12 to past _MAX_DAMPING) and extrapolation trials
+# until the logistic map saturates, so the cap bounds evaluations as a budget
+# would; it is 5.9 times the most a measured stage took (3 386, ROADMAP item 4)
+_MAX_STEPS = 20000
 
 
 def _levenberg_marquardt(evaluate, jacobian, x: np.ndarray, r: np.ndarray,
@@ -177,77 +175,65 @@ def _levenberg_marquardt(evaluate, jacobian, x: np.ndarray, r: np.ndarray,
     for as long as each trial lowers the objective further (one value
     evaluation per trial).  A step is kept only if the objective drops.
     Stops when an accepted step, extrapolation included, gains less than tol
-    relative, or when no damping up to _MAX_DAMPING lowers the objective;
-    reached_tol is True in the first case, and in the second only if the
-    objective is at most tol, so that no step could gain more (a fit down to
-    rounding error).
+    relative, when no damping up to _MAX_DAMPING lowers the objective, or
+    after _MAX_STEPS accepted steps; reached_tol is True in the first case,
+    False in the last, and in the second True only if the objective is at
+    most tol, so that no step could gain more (a fit down to rounding error).
     """
     damping = _INITIAL_DAMPING
-    steps = 0
-    try:
+    for steps in range(_MAX_STEPS):
+        jac = jacobian(x)
+        weighted = jac.T
+        if l1:
+            weighted = weighted * (1.0 / np.maximum(np.abs(r), _IRLS_FLOOR))
+        normal = weighted @ jac
+        grad = weighted @ r
+        scale = np.diag(np.diag(normal))
         while True:
-            jac = jacobian(x)
-            weighted = jac.T
-            if l1:
-                weighted = weighted * (1.0 / np.maximum(np.abs(r),
-                                                        _IRLS_FLOOR))
-            normal = weighted @ jac
-            grad = weighted @ r
-            scale = np.diag(np.diag(normal))
+            dx = np.linalg.lstsq(normal + damping * scale, -grad,
+                                 rcond=None)[0]
+            r_new, l1_new = evaluate(x + dx)
+            f_new = l1_new if l1 else r_new @ r_new
+            if f_new < f:
+                break
+            damping *= 10.0
+            if damping > _MAX_DAMPING:
+                return x, r, steps, bool(f <= tol)
+        x_new = x + dx
+        if l1:   # lengthen the step while the L1 objective keeps dropping
+            c = _EXTRAPOLATION
             while True:
-                dx = np.linalg.lstsq(normal + damping * scale, -grad,
-                                     rcond=None)[0]
-                r_new, l1_new = evaluate(x + dx)
-                f_new = l1_new if l1 else r_new @ r_new
-                if f_new < f:
+                x_far = x + c * dx
+                r_far, f_far = evaluate(x_far)
+                if not f_far < f_new:
                     break
-                damping *= 10.0
-                if damping > _MAX_DAMPING:
-                    return x, r, steps, bool(f <= tol)
-            steps += 1
-            x_new = x + dx
-            if l1:   # lengthen the step while the L1 objective keeps dropping
-                c = _EXTRAPOLATION
-                while True:
-                    x_try = x + c * dx
-                    r_try, f_try = evaluate(x_try)
-                    if not f_try < f_new:
-                        break
-                    x_new, r_new, f_new = x_try, r_try, f_try
-                    c *= _EXTRAPOLATION
-            gain = f - f_new
-            x, r, f = x_new, r_new, f_new
-            damping = max(damping / 10.0, _MIN_DAMPING)
-            if gain <= tol * f:
-                return x, r, steps, True
-    except _BudgetSpent as spent:
-        spent.steps = steps
-        raise
+                x_new, r_new, f_new = x_far, r_far, f_far
+                c *= _EXTRAPOLATION
+        gain = f - f_new
+        x, r, f = x_new, r_new, f_new
+        damping = max(damping / 10.0, _MIN_DAMPING)
+        if gain <= tol * f:
+            return x, r, steps + 1, True
+    return x, r, _MAX_STEPS, False
 
 
-def minimize(evaluate, jacobian, x0: np.ndarray,
-             r0: np.ndarray) -> tuple[int, bool]:
+def minimize(evaluate, jacobian, x0: np.ndarray) -> tuple[int, bool]:
     """Levenberg-Marquardt on sum r^2 from x0, then IRLS on sum |r|.
 
-    evaluate, jacobian and r0 are as for _levenberg_marquardt; _LM_TOL ends
-    the first stage and _IRLS_TOL the second.  Returns (accepted steps,
-    converged), converged being the second stage's reached_tol, or False once
-    evaluate or jacobian raises _BudgetSpent.
+    evaluate and jacobian are as for _levenberg_marquardt; x0 is evaluated
+    first.  _LM_TOL ends the first stage and _IRLS_TOL the second.  Returns
+    (accepted steps, converged), converged being IRLS's reached_tol.
     """
-    steps = 0
-    try:
-        x, r, steps, _ = _levenberg_marquardt(evaluate, jacobian, x0, r0,
-                                              r0 @ r0, False, _LM_TOL)
-        _, _, irls_steps, converged = _levenberg_marquardt(
-            evaluate, jacobian, x, r, np.abs(r).sum(), True, _IRLS_TOL)
-    except _BudgetSpent as spent:
-        return steps + spent.steps, False
-    return steps + irls_steps, converged
+    r0, _ = evaluate(x0)
+    x, r, lm_steps, _ = _levenberg_marquardt(evaluate, jacobian, x0, r0,
+                                             r0 @ r0, False, _LM_TOL)
+    _, _, irls_steps, converged = _levenberg_marquardt(
+        evaluate, jacobian, x, r, np.abs(r).sum(), True, _IRLS_TOL)
+    return lm_steps + irls_steps, converged
 
 
 def fit_crossing(omega_s: np.ndarray, omega_d: np.ndarray, values: np.ndarray,
-                 power: float, guess: dict,
-                 max_evaluations: int = 150000) -> FitResult:
+                 power: float, guess: dict) -> FitResult:
     """Fit the non-ideality model to a (normalized) reflection grid: values
     of shape (omega_s.size, omega_d.size), else ValueError, at the drive
     power (W).
@@ -256,10 +242,9 @@ def fit_crossing(omega_s: np.ndarray, omega_d: np.ndarray, values: np.ndarray,
     set the bounds (see default_bounds), and its omega_c and g_s are held
     fixed.  Levenberg-Marquardt on the real and imaginary residuals
     takes the guess to the least-squares optimum and IRLS carries that to the
-    L1 optimum (see minimize, which decides converged).  Every model
-    evaluation counts against max_evaluations, and so does every Jacobian, as
-    one evaluation; converged is False once the budget runs out.  Returns the
-    lowest-L1 point evaluated.
+    L1 optimum (see minimize, which decides converged).  Each stage stops
+    after at most _MAX_STEPS accepted steps, and converged is False if the
+    cap ends IRLS.  Returns the lowest-L1 point evaluated.
     """
     expected = (np.size(omega_s), np.size(omega_d))
     if np.shape(values) != expected:
@@ -293,18 +278,10 @@ def fit_crossing(omega_s: np.ndarray, omega_d: np.ndarray, values: np.ndarray,
     def record(p):
         return dict(zip(PARAM_NAMES, p.tolist()), **fixed)
 
-    evals = 0
     best_x, best_f = x0, math.inf
-
-    def spend():
-        nonlocal evals
-        if evals >= max_evaluations:
-            raise _BudgetSpent
-        evals += 1
 
     def evaluate(x):
         nonlocal best_x, best_f
-        spend()
         model = gamma_prime(omega_s, omega_d, omega_d_mean, power,
                             record(bounded(x)[0]))
         model -= values
@@ -317,7 +294,6 @@ def fit_crossing(omega_s: np.ndarray, omega_d: np.ndarray, values: np.ndarray,
     def jacobian(x):
         # the rows of dGamma'/dp, each viewed as the interleaved floats of
         # evaluate's residuals and scaled by dp/dx
-        spend()
         p, t = bounded(x)
         slope = span * (t / (1.0 + t)) / (1.0 + t)   # dp/dx, finite at the cap
         slope[log] *= p[log]
@@ -327,14 +303,8 @@ def fit_crossing(omega_s: np.ndarray, omega_d: np.ndarray, values: np.ndarray,
         jac *= slope[:, None]
         return jac.T
 
-    iterations, converged = 0, False
-    if max_evaluations > 0:
-        r0, _ = evaluate(x0)
-        iterations, converged = minimize(evaluate, jacobian, x0, r0)
-
-    return FitResult(params=record(bounded(best_x)[0]),
-                     objective_value=best_f, iterations=iterations,
-                     converged=converged)
+    iterations, converged = minimize(evaluate, jacobian, x0)
+    return FitResult(record(bounded(best_x)[0]), best_f, iterations, converged)
 
 
 def relaxation_times(params: dict) -> tuple[float, float]:
@@ -372,15 +342,15 @@ def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ws, i = np.unique(table[:, 0] * math.tau, return_inverse=True)
     wd, j = np.unique(table[:, 1] * math.tau, return_inverse=True)
     if ws.size < 2 or wd.size < 2:
-        raise ParseError(f"{path}: need at least 2 omega_s and 2 omega_d "
-                         f"values, got {ws.size} and {wd.size}")
+        raise ParseError(f"{str(path)!r}: need at least 2 omega_s and 2 "
+                         f"omega_d values, got {ws.size} and {wd.size}")
     counts = np.zeros((ws.size, wd.size), dtype=int)
     np.add.at(counts, (i, j), 1)
     if (counts > 1).any():
-        raise ParseError(f"{path}: duplicate grid point(s), "
+        raise ParseError(f"{str(path)!r}: duplicate grid point(s), "
                          f"{int((counts > 1).sum())} of {counts.size}")
     if (counts == 0).any():
-        raise ParseError(f"{path}: {int((counts == 0).sum())} of "
+        raise ParseError(f"{str(path)!r}: {int((counts == 0).sum())} of "
                          f"{counts.size} grid point(s) missing")
     values = np.empty((ws.size, wd.size), dtype=complex)
     values[i, j] = table[:, 2] + 1j * table[:, 3]
@@ -403,9 +373,7 @@ def fit_result_to_dict(result: FitResult) -> dict:
         "g_s_rad_per_s": p["g_s"],
         "kappa_c_rad_per_s": p["kappa_c0"] + p["kappa_c1"],
         "n_polarized_spins": (p["g_eff"] / p["g_s"]) ** 2,
-        # a result never evaluated carries math.inf, which JSON spells null
-        "objective_value": (None if result.objective_value == math.inf
-                            else result.objective_value),
+        "objective_value": result.objective_value,
         "iterations": result.iterations,
         "converged": result.converged,
     }

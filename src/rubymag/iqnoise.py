@@ -134,11 +134,11 @@ def read_spectrum_csv(path) -> tuple[np.ndarray, np.ndarray, str]:
     table, rows = read_columns(path, ("offset_hz", "value"), ("unit",))
     units = sorted({row["unit"] for row in rows})
     if len(units) != 1:
-        raise ParseError(f"{path}: expected one unit tag per file, "
+        raise ParseError(f"{str(path)!r}: expected one unit tag per file, "
                          f"got {units}")
     offsets, density = table[:, 0], table[:, 1]
     try:
         _check_spectrum(offsets, density, units[0])
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{str(path)!r}: {exc}") from exc
     return offsets, density, units[0]

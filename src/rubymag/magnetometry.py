@@ -82,9 +82,11 @@ def phase_noise_budget(e_total: float, e_th: float, phi_measured_dbc: float,
     e_p = sqrt(e_total^2 - e_th^2); the requirement is the measured phase
     noise scaled by (e_th/e_p) plus the margin ell_db, all in the dB domain.
     e_p = 0 puts no bound on the source: the requirement is then None.
+    e_th = 0 below e_total would put it at -inf dBc/Hz, and is refused.
     """
-    if e_total < e_th or e_th < 0:
-        raise ValueError("need e_total >= e_th >= 0")
+    if e_total < e_th or e_th < 0 or e_th == 0 < e_total:
+        raise ValueError(f"need e_total >= e_th >= 0, and e_th > 0 if "
+                         f"e_total > 0; got e_th = {e_th!r}")
     e_p = math.sqrt(e_total ** 2 - e_th ** 2)
     if e_p == 0.0:
         return 0.0, None

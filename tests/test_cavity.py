@@ -34,6 +34,12 @@ def test_unit_conversions():
     assert watts_to_dbm(dbm_to_watts(11.0)) == pytest.approx(11.0)
     assert db_to_voltage_gain(20.0) == pytest.approx(10.0)
     assert db_to_voltage_gain(-6.0) == pytest.approx(0.501187, rel=1e-5)
+    # a conversion that fails names the value it failed on
+    for watts in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=f"of {watts!r} W"):
+            watts_to_dbm(watts)
+    with pytest.raises(OverflowError, match="of 1000000.0 dB"):
+        db_to_voltage_gain(1e6)
 
 
 def test_photon_number_direct_arithmetic():

@@ -311,7 +311,7 @@ _TINY_GRID = ("omega_s_hz,omega_d_hz,re,im\n"
     ("sensitivity", ["--noise-floor-nv-per-rthz", "-5"], "ConfigError",
      ["sweep.noise_floor_nv_per_rthz", ">= 0", "-5"]),
     ("sensitivity", ["--e-th-nv-per-rthz", "-1"], "ConfigError",
-     ["noise.e_th_nv_per_rthz", ">= 0", "-1"]),
+     ["noise.e_th_nv_per_rthz", "> 0", "-1"]),
     ("report", ["--n-spins", "1e15", "--temperature-k", "0"], "ConfigError",
      ["material.temperature_k", "> 0"]),
     ("sensitivity", ["--omega-d-ghz", "0"], "ConfigError",
@@ -519,14 +519,21 @@ def test_text_flags_taken_verbatim(tmp_path, monkeypatch):
     ("report", ["--v-cav-mm3", "3.842519530155138e+303"], "OverflowError"),
     ("crossing-sim", ["--v-cav-mm3", "3.842519530155138e+303"],
      "OverflowError"),
+    # a spin linewidth or drive frequency so small that the kappa_th
+    # threshold power underflows to 0 W, which has no dBm value
+    ("report", ["--omega-d-ghz", "1e-320"], "ValueError"),
+    ("report", ["--kappa-s-mhz", "1e-320"], "ValueError"),
 ])
 def test_numeric_failure_prints_one_error_line(tmp_path, capsys, command,
                                                argv, error):
     """A ValueError or ArithmeticError inside a command is a runtime
-    failure: exit 1 and one ERROR line, not a traceback."""
+    failure: exit 1 and one ERROR line, not a traceback, which names what
+    failed rather than giving libm's bare message."""
     assert run_cli(command, "--output-dir", str(tmp_path), *argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"ERROR {error}: "), err
+    assert not err[0].endswith(("math domain error",
+                                "'Numerical result out of range')")), err
     assert list(tmp_path.iterdir()) == []
 
 

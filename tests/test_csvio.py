@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from rubymag.calibration import read_calibration_csv
 from rubymag.cli import main
 from rubymag.csvio import read_columns, render_columns
-from rubymag.errors import NonFiniteOutput
+from rubymag.errors import NonFiniteOutput, ParseError
+from rubymag.fitting import read_grid_csv
+from rubymag.iqnoise import read_spectrum_csv
 
 
 def test_write_columns_round_trip_and_non_finite(tmp_path):
@@ -30,6 +33,32 @@ def test_write_columns_round_trip_and_non_finite(tmp_path):
             render_columns(path, ("a_v", "b_hz"), broken)
         assert str(err.value).startswith(f"{path}: ")
         assert not path.exists()
+
+
+_GRID = "omega_s_hz,omega_d_hz,re,im\n"
+_CALIBRATION = "current_a,field_t\n"
+_SPECTRUM = "offset_hz,value,unit\n"
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (read_grid_csv, _GRID + "1,1,0,0\n1,2,0,0\n", "at least 2"),
+    (read_grid_csv, _GRID + "1,1,0,0\n1,2,0,0\n2,1,0,0\n2,2,0,0\n"
+     "2,2,0,0\n", "duplicate"),
+    (read_grid_csv, _GRID + "1,1,0,0\n1,2,0,0\n2,1,0,0\n", "missing"),
+    (read_calibration_csv, _CALIBRATION + "1,2\n", "two calibration rows"),
+    (read_calibration_csv, _CALIBRATION + "1,2\n1,3\n", "identical"),
+    (read_spectrum_csv, _SPECTRUM + "100,-120,dBc_per_Hz\n"
+     "300,1e-12,V2_per_Hz\n", "one unit tag"),
+    (read_spectrum_csv, _SPECTRUM + "100,-120,dB\n", "unknown unit"),
+])
+def test_reader_errors_quote_the_path(tmp_path, reader, text, message):
+    """Each reader's own ParseError names the file as read_columns does,
+    in quotes, so that an empty path would show as ''."""
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as err:
+        reader(path)
+    assert str(err.value).startswith(f"{str(path)!r}: ")
 
 
 def test_command_csvs_read_back_exactly(tmp_path):

@@ -63,8 +63,8 @@ def physical_errors(res, truth):
 
 
 def unfitted():
-    """The FitResult of a fit that evaluated nothing, left at the truth."""
-    return FitResult(params=dict(TRUTH), objective_value=math.inf,
+    """A FitResult left at the truth, with a noiseless fit's objective."""
+    return FitResult(params=dict(TRUTH), objective_value=0.0,
                      iterations=0, converged=False)
 
 
@@ -187,8 +187,6 @@ def test_fit_crossing_refuses_misshapen_values():
     for bad in (values.T, values[:1], values[0], values.ravel()):
         with pytest.raises(ValueError, match="shape"):
             fit_crossing(ws, wd, bad, power, TRUTH)
-    assert fit_crossing(ws, wd, values, power, TRUTH,
-                        max_evaluations=0).iterations == 0
 
 
 def test_objective_at_truth_is_zero():
@@ -202,7 +200,7 @@ def test_fit_from_truth_stays_at_truth():
     ws, wd, power = wide_grid(15, 15)
     values = simulate_crossing(TRUTH, ws, wd, power, 0.0, seed=0)
     init = guess_from(PHYS, NI)
-    res = fit_crossing(ws, wd, values, power, init, max_evaluations=20000)
+    res = fit_crossing(ws, wd, values, power, init)
     assert res.objective_value < 1e-9
     for err in physical_errors(res, PHYS).values():
         assert abs(err) < 1e-6
@@ -213,8 +211,8 @@ def test_fit_determinism():
     values = simulate_crossing(TRUTH, ws, wd, power, 0.01, seed=1)
     rng = np.random.default_rng(0)
     init = guess_from(PHYS, NI, rng)
-    a = fit_crossing(ws, wd, values, power, init, max_evaluations=4000)
-    b = fit_crossing(ws, wd, values, power, init, max_evaluations=4000)
+    a = fit_crossing(ws, wd, values, power, init)
+    b = fit_crossing(ws, wd, values, power, init)
     assert a.objective_value == b.objective_value
     assert a.params == b.params
 
@@ -331,41 +329,58 @@ def counting_kernel(monkeypatch):
 
 def test_fit_calls_objective_once_per_evaluation(monkeypatch):
     """One objective per value evaluation, the guess evaluated once and
-    first, and max_evaluations bounding every value and Jacobian of every
-    stage."""
+    first, and _MAX_STEPS ending either stage unconverged."""
     ws, wd, power = wide_grid(10, 10)
     data = simulate_crossing(TRUTH, ws, wd, power, 0.01, seed=2)
     init = guess_from(PHYS, NI, np.random.default_rng(3))
     guess = [init[name] for name in PARAM_NAMES]
     calls, objective_calls = counting_kernel(monkeypatch)
-    res = fit_crossing(ws, wd, data, power, init, max_evaluations=20000)
+    res = fit_crossing(ws, wd, data, power, init)
     assert res.converged
     values = [p for kind, p in calls if kind == "value"]
     assert len(objective_calls) == len(values)
-    assert len(calls) <= 20000
     at_guess = [p for p in values
                 if np.allclose([p[name] for name in PARAM_NAMES], guess,
                                rtol=1e-12, atol=0.0)]
     assert len(at_guess) == 1 and calls[0][1] is at_guess[0]
-    # a budget that ends inside either stage is spent exactly: 7 inside
-    # Levenberg-Marquardt, 100 inside an extrapolation trial of IRLS (the
-    # whole fit takes 150), and the steps accepted before it ran out count,
-    # those of the stage it ends included
+    # a cap that ends either stage: 1 and 3 inside Levenberg-Marquardt (5
+    # steps here), 20 and 31 inside IRLS (32 steps); the steps accepted
+    # before it count, those of the stage it ends included
     converged_iterations = res.iterations
     iterations = []
-    for budget in (1, 7, 60, 100, 149):
+    for cap in (1, 3, 20, 31):
+        monkeypatch.setattr(fitting, "_MAX_STEPS", cap)
         del calls[:], objective_calls[:]
-        res = fit_crossing(ws, wd, data, power, init,
-                           max_evaluations=budget)
-        assert len(calls) == budget
+        res = fit_crossing(ws, wd, data, power, init)
         assert len(objective_calls) == sum(kind == "value"
                                            for kind, _ in calls)
         assert not res.converged
         assert math.isfinite(res.objective_value)
         iterations.append(res.iterations)
-    assert iterations[0] == 0 and iterations[1] >= 1
+    assert iterations[0] == 2
     assert iterations == sorted(iterations)
     assert iterations[-1] <= converged_iterations
+
+
+def test_each_stage_stops_unconverged_at_the_step_cap(monkeypatch):
+    """A stub objective that drops by a tenth or more with every step, so
+    never by less than a tolerance, runs each stage to _MAX_STEPS: its
+    Jacobian is ten times too steep, so that each step covers a tenth of
+    the way to the optimum, and IRLS's extrapolation nine tenths."""
+    monkeypatch.setattr(fitting, "_MAX_STEPS", 5)
+
+    def evaluate(x):
+        return x.copy(), float(np.abs(x).sum())
+
+    def jacobian(x):
+        return np.array([[10.0]])
+
+    for l1, tol in ((False, fitting._LM_TOL), (True, fitting._IRLS_TOL)):
+        x, _, steps, reached_tol = fitting._levenberg_marquardt(
+            evaluate, jacobian, np.ones(1), np.ones(1), 1.0, l1, tol)
+        assert (steps, reached_tol) == (5, False)
+        assert 0.0 < abs(x[0]) < 1.0
+    assert fitting.minimize(evaluate, jacobian, np.ones(1)) == (10, False)
 
 
 def test_minimize_stops_unconverged_when_damping_runs_out():
@@ -373,7 +388,7 @@ def test_minimize_stops_unconverged_when_damping_runs_out():
     r0 = np.linspace(-1.0, 1.0, 8)
     assert fitting.minimize(lambda x: (r0, float(np.abs(r0).sum())),
                             lambda x: np.zeros((r0.size, x.size)),
-                            np.zeros(3), r0) == (0, False)
+                            np.zeros(3)) == (0, False)
 
 
 def five_point_difference(f, x, k, h):
@@ -395,7 +410,7 @@ def test_fit_jacobian_matches_central_differences(monkeypatch):
     rng = np.random.default_rng(8)
     closures = []
 
-    def stand_in(evaluate, jacobian, x0, r0):
+    def stand_in(evaluate, jacobian, x0):
         closures.append((evaluate, jacobian))
         return 0, False
 
@@ -785,8 +800,7 @@ def test_grid_csv_malformed_rejected(tmp_path, edit, message):
 def test_fit_json_is_strict(tmp_path):
     init = unfitted()
     text = render_json(tmp_path / "fit.json", fit_result_to_dict(init))
-    assert json.loads(text, parse_constant=pytest.fail)["objective_value"] \
-        is None
+    json.loads(text, parse_constant=pytest.fail)
     broken = replace(init, params={**init.params, "psi": math.nan})
     with pytest.raises(NonFiniteOutput, match="broken.json"):
         render_json(tmp_path / "broken.json", fit_result_to_dict(broken))

@@ -172,6 +172,10 @@ def test_phase_noise_budget_degenerate_and_errors():
     assert phase_noise_budget(13e-9, 13e-9, -129.5, -6.0) == (0.0, None)
     with pytest.raises(ValueError, match="need e_total >= e_th >= 0"):
         phase_noise_budget(10e-9, 13e-9, -129.5, -6.0)
+    # e_th = 0 would put the requirement at -inf dBc/Hz
+    with pytest.raises(ValueError, match="e_th > 0 if"):
+        phase_noise_budget(13e-9, 0.0, -129.5, -6.0)
+    assert phase_noise_budget(0.0, 0.0, -129.5, -6.0) == (0.0, None)
 
 
 # ---------------------------------------------------------------------------

@@ -259,7 +259,6 @@ _TYPES_KEPT = {
                         "config is the dict of its blocks with that method",
     "fitting.FitResult": "bench/tracer.py reads its iterations and "
                          "objective_value",
-    "fitting._BudgetSpent": "unwinds a fit whose evaluation budget is spent",
     "errors.ConfigError": _EXIT_2,
     "errors.ParseError": _EXIT_2,
     "errors.InvalidBounds": _EXIT_2,
