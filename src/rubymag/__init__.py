@@ -12,7 +12,4 @@ Modules:
     config, cli   JSON configuration and command-line interface
 """
 
-from . import constants as CONST
-
-__all__ = ["CONST"]
 __version__ = "0.1.0"

@@ -28,9 +28,12 @@ def solenoid_axial_field(n_turns: float, radius: float, distance: float,
     if not (n_turns >= 1 and n_turns % 1 == 0 and radius > 0):
         raise ValueError("n_turns must be a positive integer and radius "
                          "positive")
-    r2 = radius ** 2
-    return (n_turns * CONST.mu_0 * current * r2
-            / (2.0 * (distance ** 2 + r2) ** 1.5))
+    try:
+        return (n_turns * CONST.mu_0 * current * radius ** 2
+                / (2.0 * (distance ** 2 + radius ** 2) ** 1.5))
+    except OverflowError:
+        raise OverflowError(f"a coil of radius {radius!r} m at the distance "
+                            f"{distance!r} m overflows a float") from None
 
 
 def linear_calibration(x, y) -> tuple[float, float, float]:

@@ -33,7 +33,10 @@ from .errors import ZeroCoupling, ZeroLinewidth
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) * 1e-3
+    try:
+        return 10.0 ** (dbm / 10.0) * 1e-3
+    except OverflowError:
+        raise OverflowError(f"{dbm!r} dBm overflows a float") from None
 
 
 def watts_to_dbm(watts: float) -> float:
@@ -122,7 +125,12 @@ def _gamma_terms(omega_s, omega_d, omega_ref: float, power: float, params,
     delta = np.subtract.outer(omega_s - params["omega_s_off"], wd)
     s_term = 0.0
     if power:   # undriven, kappa_th never enters and may be 0
-        s_term = (g_s ** 2 * power / (2.0 * CONST.hbar) * kappa_s
+        try:
+            g_s2 = g_s ** 2
+        except OverflowError:
+            raise OverflowError(f"g_s = {g_s!r} rad/s overflows a float "
+                                "when squared") from None
+        s_term = (g_s2 * power / (2.0 * CONST.hbar) * kappa_s
                   / (kappa_th * kappa_c)) / (wd if omega_n is None else omega_n)
     dd = delta * delta
     dd += 0.25 * kappa_s * kappa_s + s_term

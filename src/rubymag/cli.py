@@ -258,14 +258,15 @@ def cmd_optimize(cfg: RunConfig, input_csv) -> list:
     if np.any(slopes <= 0):
         raise ZeroSignal("the dispersive slope is 0 at some bias and power")
     eta = e_n_ref * np.sqrt(powers / p_ref) / slopes
-    eta_mag, eta_mw, arg_p, arg_b = mag.optimize_grid(eta)
+    # eta is indexed [bias, power]; argmin breaks ties toward the lower index
     summary = {
         "b_gauss": (b_values * 1e4).tolist(),
         "p_dbm": p_values_dbm.tolist(),
-        "eta_mag_t_per_rthz": eta_mag.tolist(),
-        "eta_mw_t_per_rthz": eta_mw.tolist(),
-        "best_p_dbm_per_bias": [float(p_values_dbm[k]) for k in arg_p],
-        "best_b_gauss_per_power": [float(b_values[k] * 1e4) for k in arg_b],
+        "eta_mag_t_per_rthz": eta.min(axis=1).tolist(),
+        "eta_mw_t_per_rthz": eta.min(axis=0).tolist(),
+        "best_p_dbm_per_bias": p_values_dbm[eta.argmin(axis=1)].tolist(),
+        "best_b_gauss_per_power":
+            (b_values[eta.argmin(axis=0)] * 1e4).tolist(),
     }
     return [("eta_table.csv", mag.render_eta_table_csv, b_values, p_values_dbm,
              eta),

@@ -3,7 +3,7 @@
 Connects the cavity model to magnetometer figures of merit: the channel
 voltages of a bias sweep, the slope of the dispersive voltage versus bias
 field, the projected sensitivity eta = e_n / (V_m / B_test), its thermal and
-phase-noise limits, and bias/power optimization sweeps.
+phase-noise limits.
 """
 
 from __future__ import annotations
@@ -87,24 +87,14 @@ def phase_noise_budget(e_total: float, e_th: float, phi_measured_dbc: float,
     if e_total < e_th or e_th < 0 or e_th == 0 < e_total:
         raise ValueError(f"need e_total >= e_th >= 0, and e_th > 0 if "
                          f"e_total > 0; got e_th = {e_th!r}")
-    e_p = math.sqrt(e_total ** 2 - e_th ** 2)
+    try:   # e_th <= e_total, so only e_total can overflow
+        e_p = math.sqrt(e_total ** 2 - e_th ** 2)
+    except OverflowError:
+        raise OverflowError(f"e_total = {e_total!r} V/sqrt(Hz) overflows a "
+                            "float when squared") from None
     if e_p == 0.0:
         return 0.0, None
     return e_p, phi_measured_dbc + 20.0 * math.log10(e_th / e_p) + ell_db
-
-
-def optimize_grid(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                            np.ndarray, np.ndarray]:
-    """Row/column minima of a sensitivity table indexed [bias, power].
-
-    Returns (eta_mag, eta_mw, argmin_power_per_bias, argmin_bias_per_power);
-    ties break toward the lower index.
-    """
-    eta = np.asarray(eta, dtype=float)
-    if eta.size == 0 or eta.ndim != 2:
-        raise ValueError("need a non-empty 2D table")
-    return (eta.min(axis=1), eta.min(axis=0),
-            eta.argmin(axis=1), eta.argmin(axis=0))
 
 
 # ---------------------------------------------------------------------------

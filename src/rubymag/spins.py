@@ -4,7 +4,7 @@ The spin is fixed at S = 3/2 and the basis is ordered
 m_s = (+3/2, +1/2, -1/2, -3/2).  All energies are angular frequencies in
 rad/s and all magnetic fields are in tesla.  Eigenpairs come from
 numpy.linalg.eigh as its (energies, states) pair, with a deterministic basis
-inside degenerate levels and a deterministic phase for every eigenvector.
+inside degenerate levels.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ def _fix_degenerate_subspaces(energies: np.ndarray, states: np.ndarray,
 
     Within each cluster the basis is rebuilt greedily: project the standard
     basis vectors onto the subspace, pick the largest projection, orthonormalize,
-    repeat.  Vectors outside clusters are returned as given, and no phase is
-    fixed here: eigensolve fixes every vector's phase afterwards.
+    repeat.  Vectors outside clusters are returned as given.
     """
     out = states.copy()
     n = len(energies)
@@ -116,9 +115,8 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises ValueError when any ||H - H^dagger|| exceeds 1e-9 ||H||.
     Only the matrices with a degenerate cluster go through
-    _fix_degenerate_subspaces.  Then every vector's phase is fixed at once:
-    its largest-magnitude component, rounded to 12 digits with the lowest
-    index on ties, is made real and positive.
+    _fix_degenerate_subspaces.  No vector's phase is fixed: track_levels
+    and transition read only squared magnitudes, which no phase changes.
     """
     shape = np.shape(h)
     h = np.asarray(h, dtype=complex).reshape(-1, *shape[-2:])
@@ -127,18 +125,11 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tol = 1e-9 * np.maximum(norm_h, 1.0)
     if np.any(skew > tol):
         raise ValueError("matrix is not Hermitian within tolerance")
-    energies, raw = np.linalg.eigh(h)
+    energies, vecs = np.linalg.eigh(h)
     degenerate = (np.diff(energies, axis=1) <= tol[:, None]).any(axis=1)
     for r in np.flatnonzero(degenerate):
-        raw[r] = _fix_degenerate_subspaces(energies[r], raw[r], norm_h[r])
-    # the largest-magnitude component (lowest index on ties) of each vector
-    pivot = np.argmax(np.round(np.abs(raw), 12), axis=1)
-    ph = np.take_along_axis(raw, pivot[:, None, :], axis=1)
-    size = np.hypot(ph.real, ph.imag)   # abs() of each complex scalar
-    unphase = np.ones_like(ph)
-    np.divide(ph.conj(), size, out=unphase, where=size > 0)
-    states = raw * unphase
-    return energies.reshape(shape[:-1]), states.reshape(shape)
+        vecs[r] = _fix_degenerate_subspaces(energies[r], vecs[r], norm_h[r])
+    return energies.reshape(shape[:-1]), vecs.reshape(shape)
 
 
 def transition(energies: np.ndarray, states: np.ndarray,

@@ -11,6 +11,9 @@ collect this module.
   cavity.gamma_prime; reflection_of_lines sums Pi over several spin lines,
   as a field off a symmetry axis splits one line in two.
 - record builds gamma_prime's params record from its values by name.
+- normalize_grid and dip_trajectory read a crossing grid's values: its
+  scale by the border frame, and the drive frequency of its dip in each
+  omega_s row.  Acceptance criteria 13 and 16 use them.
 - optical_power_equivalent and field_from_slope are the paper's arithmetic
   that acceptance criteria 10 and 11 check.
 """
@@ -85,6 +88,37 @@ def record(**values) -> dict:
     if values:
         raise KeyError(f"not a record name: {sorted(values)}")
     return params
+
+
+def normalize_grid(values: np.ndarray) -> np.ndarray:
+    """Divide by the median |value| over the outermost border frame."""
+    border = np.concatenate([values[0], values[-1], values[1:-1, 0],
+                             values[1:-1, -1]])
+    scale = float(np.median(np.abs(border)))
+    if scale == 0.0:
+        raise ValueError("border frame has zero magnitude; cannot normalize")
+    return values / scale
+
+
+def dip_trajectory(omega_d: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Drive frequency minimizing |Gamma| for each omega_s row (rad/s).
+
+    omega_d is read in increasing order, one column of values per point.
+    The minimum bin is refined with a parabolic fit through its neighbors so
+    the reported dip is not quantized to the grid step.
+    """
+    mags = np.abs(values)
+    rows = np.arange(mags.shape[0])
+    k = np.argmin(mags, axis=1)
+    inner = (k > 0) & (k < omega_d.size - 1)
+    # every row reads a three-point window; only inner rows use it
+    kc = np.clip(k, 1, omega_d.size - 2)
+    y0, y1, y2 = mags[rows, kc - 1], mags[rows, kc], mags[rows, kc + 1]
+    denom = y0 - 2.0 * y1 + y2
+    shift = np.zeros(rows.size)
+    np.divide(0.5 * (y0 - y2), denom, out=shift, where=inner & (denom != 0))
+    step = omega_d[kc + 1] - omega_d[kc]
+    return np.where(inner, omega_d[kc] + shift * step, omega_d[k])
 
 
 def optical_power_equivalent(N: float, omega: float, kappa_th: float,

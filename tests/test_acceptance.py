@@ -23,8 +23,8 @@ from rubymag.cavity import (cooperativity, dbm_to_watts,
                             watts_to_dbm)
 from rubymag import constants as CONST
 from rubymag.config import parse_config
-from rubymag.fitting import (dip_trajectory, fit_crossing, normalize_grid,
-                             relaxation_times, simulate_crossing)
+from rubymag.fitting import (fit_crossing, relaxation_times,
+                             simulate_crossing)
 from rubymag.iqnoise import (decompose_gamma, noise_contribution_split,
                              read_spectrum_csv)
 from rubymag.magnetometry import (bias_sweep_trace, dispersive_slope,
@@ -34,7 +34,8 @@ from rubymag.spins import (build_hamiltonian, eigensolve, energy_level_sweep,
                            transition)
 from rubymag.thermal import (boltzmann_populations, polarization,
                              total_interrogated_spins)
-from oracle import (analytic_energies_axial, field_from_slope,
+from oracle import (analytic_energies_axial, dip_trajectory,
+                    field_from_slope, normalize_grid,
                     optical_power_equivalent, reflection, reflection_of_lines)
 from timeseries import (amplitude_density, noise_floor, simulate_timeseries,
                         tone_rms)

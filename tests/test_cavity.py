@@ -40,6 +40,8 @@ def test_unit_conversions():
             watts_to_dbm(watts)
     with pytest.raises(OverflowError, match="of 1000000.0 dB"):
         db_to_voltage_gain(1e6)
+    with pytest.raises(OverflowError, match=r"^1e\+300 dBm overflows"):
+        dbm_to_watts(1e300)
 
 
 def test_photon_number_direct_arithmetic():

@@ -523,6 +523,12 @@ def test_text_flags_taken_verbatim(tmp_path, monkeypatch):
     # threshold power underflows to 0 W, which has no dBm value
     ("report", ["--omega-d-ghz", "1e-320"], "ValueError"),
     ("report", ["--kappa-s-mhz", "1e-320"], "ValueError"),
+    # a square that overflows a float: the coil's radius or distance, the
+    # single-spin coupling, the total noise density
+    ("calibrate", ["--coil-radius-mm", "1e300"], "OverflowError"),
+    ("calibrate", ["--coil-distance-mm", "-1e308"], "OverflowError"),
+    ("sensitivity", ["--g-s-hz", "1e300"], "OverflowError"),
+    ("report", ["--noise-floor-nv-per-rthz", "1e308"], "OverflowError"),
 ])
 def test_numeric_failure_prints_one_error_line(tmp_path, capsys, command,
                                                argv, error):
@@ -808,8 +814,6 @@ def test_benchmark_traced_fit_reads_the_fit(tmp_path):
 _UNREACHED_KEPT = {
     "cavity.interaction_term": "bench/tracer.py wraps it by name",
     "cavity.reflection_coefficient": "bench/tracer.py wraps it by name",
-    "fitting.normalize_grid": "a data-driven fit start may call it",
-    "fitting.dip_trajectory": "a data-driven fit start may call it",
     "spins.transition": "the orientation claims are stated in it",
     "cli.run": "the process entry point; in-process runs call main()",
 }

@@ -18,10 +18,11 @@ from rubymag.config import parse_config
 from rubymag.csvio import render_json
 from rubymag.errors import InvalidBounds, NonFiniteOutput, ParseError
 from rubymag.fitting import (PARAM_NAMES, FitResult, default_bounds,
-                             dip_trajectory, evaluate_model_grid, fit_crossing,
-                             fit_result_to_dict, normalize_grid, objective_l1,
-                             read_grid_csv, relaxation_times,
-                             simulate_crossing, write_grid_csv)
+                             evaluate_model_grid, fit_crossing,
+                             fit_result_to_dict, objective_l1, read_grid_csv,
+                             relaxation_times, simulate_crossing,
+                             write_grid_csv)
+from oracle import dip_trajectory, normalize_grid
 
 TWO_PI = 2.0 * math.pi
 G_S = single_spin_coupling(52.2e-9, TWO_PI * 11.4e9)

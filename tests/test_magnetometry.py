@@ -12,10 +12,9 @@ from rubymag.config import parse_config
 from rubymag import constants as CONST
 from rubymag.errors import ZeroSignal
 from rubymag.magnetometry import (bias_sweep_trace, dispersive_slope,
-                                  optimize_grid, phase_noise_budget,
-                                  render_eta_table_csv, render_sweep_csv,
-                                  sensitivity, spin_frequency_vs_field,
-                                  thermal_limit)
+                                  phase_noise_budget, render_eta_table_csv,
+                                  render_sweep_csv, sensitivity,
+                                  spin_frequency_vs_field, thermal_limit)
 from rubymag.spins import build_hamiltonian, eigensolve
 from timeseries import (amplitude_density, noise_floor, simulate_timeseries,
                         tone_rms)
@@ -176,45 +175,6 @@ def test_phase_noise_budget_degenerate_and_errors():
     with pytest.raises(ValueError, match="e_th > 0 if"):
         phase_noise_budget(13e-9, 0.0, -129.5, -6.0)
     assert phase_noise_budget(0.0, 0.0, -129.5, -6.0) == (0.0, None)
-
-
-# ---------------------------------------------------------------------------
-# optimize_grid
-
-
-def test_optimize_additive_table():
-    b = np.array([1.0, 2.0, 3.0])
-    p = np.array([10.0, 20.0])
-    eta = b[:, None] + p[None, :]
-    eta_mag, eta_mw, arg_p, arg_b = optimize_grid(eta)
-    assert np.allclose(eta_mag, b + 10.0)
-    assert np.allclose(eta_mw, 1.0 + p)
-    assert np.all(arg_p == 0)
-    assert np.all(arg_b == 0)
-
-
-def test_optimize_matches_brute_force_on_random_tables():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        eta = rng.uniform(1.0, 10.0, size=rng.integers(2, 8, size=2))
-        eta_mag, eta_mw, arg_p, arg_b = optimize_grid(eta)
-        for i in range(eta.shape[0]):
-            assert eta_mag[i] == min(eta[i, :])
-            assert eta[i, arg_p[i]] == eta_mag[i]
-        for j in range(eta.shape[1]):
-            assert eta_mw[j] == min(eta[:, j])
-            assert eta[arg_b[j], j] == eta_mw[j]
-
-
-def test_optimize_constant_table_and_ties():
-    eta = np.full((3, 4), 2.5)
-    eta_mag, eta_mw, arg_p, arg_b = optimize_grid(eta)
-    assert np.allclose(eta_mag, 2.5) and np.allclose(eta_mw, 2.5)
-    assert np.all(arg_p == 0) and np.all(arg_b == 0)   # ties -> lower index
-    with pytest.raises(ValueError, match="non-empty 2D table"):
-        optimize_grid(np.zeros((0, 3)))
-    with pytest.raises(ValueError, match="non-empty 2D table"):
-        optimize_grid(np.zeros(5))
 
 
 # ---------------------------------------------------------------------------

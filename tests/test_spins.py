@@ -78,12 +78,10 @@ def test_eigensolve_rejects_non_hermitian():
 
 
 def test_eigensolve_equals_per_matrix_fix():
-    """eigensolve gives bit for bit its rule written out per vector: the
-    cluster basis of _fix_degenerate_subspaces on the matrices with a
-    degenerate pair, then each vector's pivot made real and positive, the
-    pivot being its largest-magnitude component, rounded to 12 digits, with
-    the lowest index on ties.  On Hamiltonians and on random Hermitian
-    matrices with a degenerate pair in a rotated basis."""
+    """eigensolve gives bit for bit its rule written out per matrix: eigh,
+    then the cluster basis of _fix_degenerate_subspaces on the matrices
+    with a degenerate pair, and no phase rule.  On Hamiltonians and on
+    random Hermitian matrices with a degenerate pair in a rotated basis."""
     rng = np.random.default_rng(9)
     mats = [build_hamiltonian(*SPIN, float(b), float(theta))
             for b, theta in zip(rng.uniform(0, 0.5, 20),
@@ -101,11 +99,6 @@ def test_eigensolve_equals_per_matrix_fix():
         if np.any(np.diff(energies) <= 1e-9 * max(scale, 1.0)):
             degenerate += 1
             want = _fix_degenerate_subspaces(energies, want, scale)
-        for k in range(4):
-            pivot = int(np.argmax(np.round(np.abs(want[:, k]), 12)))
-            ph = want[pivot, k]
-            if abs(ph) > 0:
-                want[:, k] *= np.conj(ph) / abs(ph)
         assert eigensolve(h)[1].tobytes() == want.tobytes()
     assert degenerate == 31
 
@@ -294,6 +287,28 @@ def test_transition_stack_equals_each_solution():
         transition(energies, states, 1, 1)
     with pytest.raises(IndexError, match="invalid level pair"):
         transition(energies, states, 0, 4)
+
+
+@pytest.mark.parametrize("theta_deg", [0.0, 37.0, 90.0])
+def test_tracking_and_transitions_ignore_eigenvector_phases(theta_deg):
+    """No reader of the states sees a phase: along eigen's default sweep,
+    0 to 2000 G in 201 points from b = 0, every eigenvector multiplied by a
+    random unit phase tracks to the same energies bit for bit, and every
+    transition keeps its strength to rtol 1e-12.  The atol admits only the
+    strengths that rounding alone sets, about 1e-28 for the lines that are
+    forbidden at 90 degrees."""
+    b_values = np.linspace(0.0, 0.2, 201)
+    energies, states = eigensolve(build_hamiltonian(
+        *SPIN, b_values, math.radians(theta_deg)))
+    phases = np.exp(1j * np.random.default_rng(17).uniform(
+        0.0, TWO_PI, energies.shape))
+    want_e, want_s = track_levels(energies, states)
+    got_e, got_s = track_levels(energies, states * phases[:, None, :])
+    assert got_e.tobytes() == want_e.tobytes()
+    for i, j in itertools.permutations(range(4), 2):
+        want = transition(want_e, want_s, i, j)[1]
+        got = transition(got_e, got_s, i, j)[1]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-20), (i, j)
 
 
 def test_energy_level_sweep_axial_lines():
